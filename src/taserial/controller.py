@@ -9,8 +9,9 @@ synchronous-parallel step semantics of the wrapped machines.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .asm import AsmError, Location, Value, loc_key
 from .wrapper import HistoryEntry, LockPair
@@ -28,12 +29,16 @@ class LockTable:
     """Read/write lock ownership per location.
 
     Invariant: at most one writer per location, and a location with a writer
-    has no other readers.  Multiple read locks may coexist.
+    has no other readers.  Multiple read locks may coexist.  The location
+    maps are authoritative; a per-machine index of the same locks answers
+    `locked_by` and `w_locked_by` in time proportional to the locks held.
     """
 
     def __init__(self):
         self.r_locked: Dict[Location, Set[str]] = {}
         self.w_locked: Dict[Location, str] = {}
+        self._r_by: Dict[str, Set[Location]] = defaultdict(set)
+        self._w_by: Dict[str, Set[Location]] = defaultdict(set)
 
     def r_holders(self, loc: Location) -> FrozenSet[str]:
         return frozenset(self.r_locked.get(loc, ()))
@@ -42,18 +47,22 @@ class LockTable:
         return self.w_locked.get(loc)
 
     def locked_by(self, machine: str) -> FrozenSet[Location]:
-        out = {l for l, ms in self.r_locked.items() if machine in ms}
-        out |= {l for l, m in self.w_locked.items() if m == machine}
-        return frozenset(out)
+        return frozenset(self._r_by.get(machine, ())).union(
+            self._w_by.get(machine, ()))
 
     def w_locked_by(self, machine: str) -> FrozenSet[Location]:
-        return frozenset(l for l, m in self.w_locked.items() if m == machine)
+        return frozenset(self._w_by.get(machine, ()))
 
     def grant(self, machine: str, locks: LockPair) -> None:
         for l in locks.r_loc:
             self.r_locked.setdefault(l, set()).add(machine)
+            self._r_by[machine].add(l)
         for l in locks.w_loc:
+            prev = self.w_locked.get(l)
+            if prev is not None and prev != machine:
+                self._w_by[prev].discard(l)
             self.w_locked[l] = machine
+            self._w_by[machine].add(l)
 
     def unlock_r(self, loc: Location, machine: str) -> None:
         holders = self.r_locked.get(loc)
@@ -61,10 +70,12 @@ class LockTable:
             holders.discard(machine)
             if not holders:
                 del self.r_locked[loc]
+        self._r_by[machine].discard(loc)
 
     def unlock_w(self, loc: Location, machine: str) -> None:
         if self.w_locked.get(loc) == machine:
             del self.w_locked[loc]
+            self._w_by[machine].discard(loc)
 
     def release(self, machine: str, locks: LockPair) -> None:
         """Release exactly the lock kinds in the pair.
@@ -78,8 +89,11 @@ class LockTable:
             self.unlock_w(l, machine)
 
     def release_all(self, machine: str) -> None:
-        for l in list(self.locked_by(machine)):
+        # Found from the location maps, not the index, so it also releases
+        # locks written into the maps directly; it runs once per commit.
+        for l in [l for l, ms in self.r_locked.items() if machine in ms]:
             self.unlock_r(l, machine)
+        for l in [l for l, m in self.w_locked.items() if m == machine]:
             self.unlock_w(l, machine)
 
     def check(self) -> None:
@@ -214,53 +228,90 @@ def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
     granted, including while it waits for recovery).
     """
     edges: Set[Tuple[str, str]] = set()
+    w_locked, r_locked = cs.locks.w_locked, cs.locks.r_locked
     for m, (pair, status) in cs.last_request.items():
         if status not in (PENDING, REFUSED) or m not in cs.transact:
             continue
         for l in pair.all_locations():
-            w = cs.locks.w_holder(l)
+            w = w_locked.get(l)
             if w is not None and w != m and w in cs.transact:
                 edges.add((m, w))
         for l in pair.w_loc:
-            for n in cs.locks.r_holders(l):
+            for n in r_locked.get(l, ()):
                 if n != m and n in cs.transact:
                     edges.add((m, n))
     return frozenset(edges)
 
 
 def deadlocked(cs: ControllerState) -> FrozenSet[str]:
-    """Machines lying on a cycle of the wait relation."""
-    edges = wait_edges(cs)
-    succ: Dict[str, Set[str]] = {}
-    for a, b in edges:
-        succ.setdefault(a, set()).add(b)
+    """Machines lying on a cycle of the wait relation.
+
+    One iterative pass of Tarjan's strongly-connected-components search
+    (SIAM J. Comput. 1972): a machine is on a cycle iff its component has
+    another member or it waits for itself.
+    """
+    succ: Dict[str, List[str]] = {}
+    for a, b in wait_edges(cs):
+        succ.setdefault(a, []).append(b)
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    on_stack: Set[str] = set()
+    work: List[Tuple[str, Iterator[str]]] = []  # the search path
     out: Set[str] = set()
-    for start in succ:
-        # Iterative DFS from each waiter; on a cycle iff it reaches itself.
-        seen: Set[str] = set()
-        stack = list(succ.get(start, ()))
-        while stack:
-            node = stack.pop()
-            if node == start:
-                out.add(start)
-                break
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(succ.get(node, ()))
+
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ[node])))
+
+    for root in succ:
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if nxt not in succ:
+                    continue  # waits for nobody, so lies on no cycle
+                if nxt not in index:
+                    visit(nxt)
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], index[nxt])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    if len(component) > 1 or node in succ[node]:
+                        out.update(component)
     return frozenset(out)
 
 
 def deadlock_handler_step(cs: ControllerState, rng: random.Random,
-                          policy: str = "shortest-history"
+                          policy: str = "shortest-history",
+                          dead: Optional[FrozenSet[str]] = None
                           ) -> Tuple[List[tuple], List[dict]]:
     """Victimize a subset of the deadlocked, not-yet-victimized machines.
 
     While a victim is still being recovered its cycle partners stay
     deadlocked; victimizing them too would undo both sides and usually
     recreate the same deadlock, so no new victim is picked until the
-    current ones are off every cycle."""
-    dead = deadlocked(cs)
+    current ones are off every cycle.
+
+    `dead` is `deadlocked(cs)` when the caller has already computed it."""
+    if dead is None:
+        dead = deadlocked(cs)
     if dead & cs.victims:
         return [], []
     candidates = dead - cs.victims
@@ -277,15 +328,20 @@ def undo_updates(entry: HistoryEntry) -> FrozenSet[Tuple[Location, Value]]:
     return frozenset(entry.saved) | frozenset(entry.private_saved)
 
 
-def recovery_step(cs: ControllerState, rng: random.Random
+def recovery_step(cs: ControllerState, rng: random.Random,
+                  dead: Optional[FrozenSet[str]] = None
                   ) -> Tuple[List[tuple], List[dict], FrozenSet[Tuple[Location, Value]]]:
     """Pick one victim; un-victimize it if it is no longer deadlocked, else
-    undo its youngest step (restore values, release that step's locks)."""
+    undo its youngest step (restore values, release that step's locks).
+
+    `dead` is `deadlocked(cs)` when the caller has already computed it."""
     if not cs.victims:
         return [], [], frozenset()
     victims = sorted(cs.victims)
     machine = victims[rng.randrange(len(victims))]
-    if machine not in deadlocked(cs):
+    if dead is None:
+        dead = deadlocked(cs)
+    if machine not in dead:
         return ([("unvictimize", machine)],
                 [{"kind": "recovered", "machine": machine}],
                 frozenset())

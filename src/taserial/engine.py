@@ -251,9 +251,56 @@ def decode_pairs(payload):
 
 
 def state_digest(state: State) -> str:
+    """blake2b-64 of the canonical JSON of the state's sorted pairs."""
     blob = json.dumps(encode_pairs(state.values.items()),
                       sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
+
+
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+class _StateDigest:
+    """`state_digest` kept up to date from each step's delta.
+
+    Holds one canonical JSON fragment `[location, value]` per location, so a
+    step re-encodes only the locations it wrote, and re-sorts only when a
+    location appears or disappears (is written undef).  Like the state's
+    dict, it keeps the first key object of equal locations (`f(1)` and
+    `f(true)`), which is the one the canonical JSON names.
+    """
+
+    __slots__ = ("entries", "order")
+
+    def __init__(self, values: Dict[Location, Value]):
+        # location -> (its first key object, fragment)
+        self.entries: Dict[Location, Tuple[Location, str]] = {}
+        self.order: Optional[List[Location]] = None
+        self.update(values.items())
+
+    def update(self, delta) -> None:
+        """Follow `State.with_updates(delta)`."""
+        entries = self.entries
+        for loc, val in delta:
+            if val is UNDEF:
+                if entries.pop(loc, None) is not None:
+                    self.order = None
+                continue
+            old = entries.get(loc)
+            if old is None:
+                key = loc
+                self.order = None
+            else:
+                key = old[0]
+            entries[loc] = (key, _encode_json([encode_location(key),
+                                               encode_value(val)]))
+
+    def hexdigest(self) -> str:
+        if self.order is None:
+            self.order = sorted(self.entries, key=loc_key)
+        entries = self.entries
+        blob = "[" + ",".join([entries[l][1] for l in self.order]) + "]"
+        return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +327,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
     state = initial_state if initial_state is not None else config.initial_state()
     state = State(dict(state.values), config.domain())
     initial_values = dict(state.values)
+    digest = _StateDigest(state.values)
 
     cs = ctl.ControllerState()
     tcbs = {m: MachineCtl(machine_id=m) for m in active_ids}
@@ -331,20 +379,22 @@ def run(config: RunConfig, seed: Optional[int] = None,
         restores: FrozenSet = frozenset()
         if controller_acts:
             eff, ev = ctl.lock_handler_step(
-                cs, make_rng(seed, "lock", index), config.lock_policy,
+                cs, _Stream(seed, "lock", index), config.lock_policy,
                 config.wait_mode)
             controller_effects += eff
             events += ev
-            eff, ev = ctl.commit_step(cs, make_rng(seed, "commit", index),
+            eff, ev = ctl.commit_step(cs, _Stream(seed, "commit", index),
                                       config.commit_policy)
             controller_effects += eff
             events += ev
+            # Both components see the same snapshot, so one search serves.
+            dead = ctl.deadlocked(cs)
             eff, ev = ctl.deadlock_handler_step(
-                cs, make_rng(seed, "victim", index), config.victim_policy)
+                cs, _Stream(seed, "victim", index), config.victim_policy, dead)
             controller_effects += eff
             events += ev
             eff, ev, restores = ctl.recovery_step(
-                cs, make_rng(seed, "recover", index))
+                cs, _Stream(seed, "recover", index), dead)
             controller_effects += eff
             events += ev
 
@@ -353,6 +403,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
             raise InconsistentGlobalUpdate(
                 f"step {index}: clashing updates in global step")
         state = state.with_updates(delta)
+        digest.update(delta)
 
         # Apply phase.
         for m, eff in machine_effects:
@@ -371,7 +422,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
             ctl.apply_effect(cs, eff, committed)
 
         steps.append(StepRecord(index=index, per_machine=per_machine,
-                                events=events, state_hash=state_digest(state)))
+                                events=events, state_hash=digest.hexdigest()))
         cs.check_invariants()
         if all(m in committed for m in active_ids):
             status = "done"
@@ -380,6 +431,23 @@ def run(config: RunConfig, seed: Optional[int] = None,
     return Trace(config=config, seed=seed, initial_values=initial_values,
                  steps=steps, final_values=dict(state.values), status=status,
                  committed=committed, registered=list(active_ids))
+
+
+class _Stream:
+    """A labeled `make_rng` stream, seeded on its first draw: most controller
+    steps draw nothing.  The stream depends only on its parts, so seeding it
+    late or never changes no draw."""
+
+    __slots__ = ("parts", "rng")
+
+    def __init__(self, *parts):
+        self.parts = parts
+        self.rng = None
+
+    def randrange(self, *args) -> int:
+        if self.rng is None:
+            self.rng = make_rng(*self.parts)
+        return self.rng.randrange(*args)
 
 
 def _acting(config: RunConfig, active_ids, tcbs, seed: int, index: int):
@@ -430,27 +498,7 @@ def _apply_machine_effect(cs: ctl.ControllerState, tcb: MachineCtl,
 
 
 # ---------------------------------------------------------------------------
-# Schedules and state reconstruction
-
-
-@dataclass
-class Schedule:
-    machine: str
-    entries: List[Tuple[int, UpdateSet, Tuple[Tuple[Location, Value], ...]]]
-
-
-def project_schedule(trace: Trace, machine: str) -> Schedule:
-    """Per-machine projection of a trace: one entry per global step."""
-    if machine not in trace.registered:
-        raise UnknownMachine(machine)
-    entries = []
-    for rec in trace.steps:
-        ms = rec.per_machine.get(machine)
-        if ms is None:
-            entries.append((rec.index, frozenset(), ()))
-        else:
-            entries.append((rec.index, ms.updates, ms.reads))
-    return Schedule(machine, entries)
+# State reconstruction
 
 
 def state_at(trace: Trace, index: int) -> State:

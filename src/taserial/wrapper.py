@@ -98,7 +98,6 @@ class WrapperOutcome:
     updates: UpdateSet = frozenset()
     reads: Tuple[Tuple[Location, Value], ...] = ()
     proper: bool = False
-    next_ctl: str = ACTIVE
     ctl_change: Optional[Tuple[str, str]] = None
     effects: List[tuple] = field(default_factory=list)
 
@@ -126,11 +125,6 @@ def new_locks(program: MachineProgram, state: State, view: ControllerView,
         l for l in rw.writes
         if program.classify(l.func) in ("shared", "output")) - view.w_held
     return LockPair(r_loc, w_loc)
-
-
-def new_locks_needed(program: MachineProgram, state: State, view: ControllerView,
-                     material: bytes) -> bool:
-    return not new_locks(program, state, view, material).is_empty()
 
 
 def overwritten_values(program: MachineProgram, state: State,
@@ -178,28 +172,25 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
                                 wait_mode)
     if tcb.ctl_state == WAIT_RECOVERY:
         if not view.victim:
-            return WrapperOutcome(next_ctl=ACTIVE,
-                                  ctl_change=(WAIT_RECOVERY, ACTIVE))
-        return WrapperOutcome(next_ctl=WAIT_RECOVERY)
+            return WrapperOutcome(ctl_change=(WAIT_RECOVERY, ACTIVE))
+        return WrapperOutcome()
     raise IllegalControlState(f"{tcb.machine_id} cannot step in {tcb.ctl_state}")
 
 
 def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
     if view.victim:
-        return WrapperOutcome(next_ctl=WAIT_RECOVERY,
-                              ctl_change=(ACTIVE, WAIT_RECOVERY))
+        return WrapperOutcome(ctl_change=(ACTIVE, WAIT_RECOVERY))
     if terminated(program, state):
-        return WrapperOutcome(next_ctl=DONE, ctl_change=(ACTIVE, DONE),
+        return WrapperOutcome(ctl_change=(ACTIVE, DONE),
                               effects=[("commit_request",)])
     material = choice_material(seed, tcb.machine_id, tcb.proper_count)
     rw, read_log = _analysis(program, state, material)
     needed = new_locks(program, state, view, material, rw=rw)
     if not needed.is_empty():
-        return WrapperOutcome(next_ctl=WAIT_LOCKS,
-                              ctl_change=(ACTIVE, WAIT_LOCKS),
+        return WrapperOutcome(ctl_change=(ACTIVE, WAIT_LOCKS),
                               effects=[("lock_request", needed)])
     return _proper(program, tcb, state, material, rw, read_log, EMPTY_LOCKS,
-                   step_index, next_ctl=ACTIVE, ctl_change=None)
+                   step_index, ctl_change=None)
 
 
 def _wait_locks_step(program, tcb, state, view, seed, step_index,
@@ -216,29 +207,26 @@ def _wait_locks_step(program, tcb, state, view, seed, step_index,
             entry = HistoryEntry(saved=(), locks=view.granted,
                                  origin_step=None, ordinal=None)
             effects.append(("append_history", entry))
-            return WrapperOutcome(next_ctl=ACTIVE,
-                                  ctl_change=(WAIT_LOCKS, ACTIVE),
+            return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
                                   effects=effects)
         out = _proper(program, tcb, state, material, rw, read_log, view.granted,
-                      step_index, next_ctl=ACTIVE,
-                      ctl_change=(WAIT_LOCKS, ACTIVE))
+                      step_index, ctl_change=(WAIT_LOCKS, ACTIVE))
         out.effects = effects + out.effects
         return out
     if view.refused is not None:
-        return WrapperOutcome(next_ctl=ACTIVE, ctl_change=(WAIT_LOCKS, ACTIVE),
+        return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
                               effects=[("consume_refused",)])
     if view.victim and wait_mode == "suspend":
         # Without refusals there is no trip through "active" where
         # victimization is normally observed; withdraw the pending request so
         # no locks are granted during recovery, and wait.
-        return WrapperOutcome(next_ctl=WAIT_RECOVERY,
-                              ctl_change=(WAIT_LOCKS, WAIT_RECOVERY),
+        return WrapperOutcome(ctl_change=(WAIT_LOCKS, WAIT_RECOVERY),
                               effects=[("withdraw_request",)])
-    return WrapperOutcome(next_ctl=WAIT_LOCKS)
+    return WrapperOutcome()
 
 
 def _proper(program, tcb, state, material, rw: RwSet, read_log, lock_set: LockPair,
-            step_index, next_ctl, ctl_change) -> WrapperOutcome:
+            step_index, ctl_change) -> WrapperOutcome:
     from .asm import yields  # local import to keep module deps one-way
 
     for l in rw.writes:
@@ -255,5 +243,5 @@ def _proper(program, tcb, state, material, rw: RwSet, read_log, lock_set: LockPa
     )
     reads = tuple(sorted(read_log.items(), key=lambda p: loc_key(p[0])))
     return WrapperOutcome(updates=updates, reads=reads, proper=True,
-                          next_ctl=next_ctl, ctl_change=ctl_change,
+                          ctl_change=ctl_change,
                           effects=[("append_history", entry)])

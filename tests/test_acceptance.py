@@ -3,6 +3,7 @@
 Each test exercises one headline property at full scale and prints a single
 PASS/FAIL line with its measured numbers.
 """
+import hashlib
 import random
 import time
 
@@ -213,3 +214,37 @@ def test_criterion_8_replay_determinism():
     report("criterion-8 determinism", ok,
            f"{identical}/{pairs} (config, seed) pairs byte-identical on "
            f"re-run")
+
+
+# Traces are byte-identical across engine changes unless TRACE_VERSION is
+# bumped; these pins were taken from the engine before the per-step costs
+# were made incremental (delta-maintained digest, shared deadlock pass).
+GOLDEN_DEFAULT_0_999 = (
+    "fd962cefae13a3e6c450b257a5f660c95e8f7764a084879239e670588ca88f18")
+GOLDEN_12_MACHINES_0_3 = (
+    "31096f3556ba1a8688d919f03699f5ce8a2904d9bddd003e21c9cffd69245a31")
+
+
+def _traces_sha256(traces):
+    """One sha256 over every encoded line of the traces, in order, each line
+    followed by a newline."""
+    h = hashlib.sha256()
+    for trace in traces:
+        for line in trace_to_lines(trace):
+            h.update(line.encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
+def test_golden_traces_default_fuzz_corpus():
+    traces, _, _ = fuzz_corpus()
+    digest = _traces_sha256(traces)
+    report("golden default-corpus traces", digest == GOLDEN_DEFAULT_0_999,
+           f"sha256 of seeds 0-{N_FUZZ - 1}: {digest}")
+
+
+def test_golden_traces_12_machines():
+    params = FuzzParams(n_machines=12, n_shared=16, max_steps_per_machine=8,
+                        domain_size=8, step_budget=2000)
+    digest = _traces_sha256(run(random_config(s, params)) for s in range(4))
+    report("golden 12-machine traces", digest == GOLDEN_12_MACHINES_0_3,
+           f"sha256 of seeds 0-3: {digest}")

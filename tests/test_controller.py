@@ -150,6 +150,63 @@ def test_commit_releases_everything():
     assert events[0]["kind"] == "commit"
 
 
+def _scan_locked_by(table, machine):
+    return frozenset({l for l, ms in table.r_locked.items() if machine in ms}
+                     | {l for l, m in table.w_locked.items() if m == machine})
+
+
+def _scan_w_locked_by(table, machine):
+    return frozenset(l for l, m in table.w_locked.items() if m == machine)
+
+
+def test_lock_index_matches_table_scan():
+    r = random.Random(11)
+    machines = ["m0", "m1", "m2", "m3"]
+    locations = [loc(f"x{i}") for i in range(6)]
+
+    def some():
+        return frozenset(l for l in locations if r.random() < 0.3)
+
+    ops = 0
+    for _ in range(40):
+        table = LockTable()
+        for _ in range(60):
+            m = r.choice(machines)
+            kind = r.randrange(6)
+            if kind in (0, 1):
+                table.grant(m, LockPair(some(), some()))
+            elif kind == 2:
+                # write upgrade over the machine's own read locks
+                own = [l for l, ms in table.r_locked.items() if m in ms]
+                table.grant(m, LockPair(frozenset(),
+                                        frozenset(own[:r.randint(0, len(own))])))
+            elif kind == 3:
+                table.release(m, LockPair(some(), some()))
+            elif kind == 4:
+                l = r.choice(locations)
+                if r.random() < 0.5:
+                    table.unlock_r(l, m)
+                else:
+                    table.unlock_w(l, m)
+            else:
+                table.release_all(m)
+            ops += 1
+            for n in machines:
+                assert table.locked_by(n) == _scan_locked_by(table, n)
+                assert table.w_locked_by(n) == _scan_w_locked_by(table, n)
+    assert ops == 2400
+
+
+def test_release_all_frees_locks_written_into_the_maps():
+    t = LockTable()
+    t.grant("m0", pair(r=("x",), w=("y",)))
+    t.r_locked.setdefault(loc("z"), set()).add("m0")
+    t.w_locked[loc("v")] = "m0"
+    t.release_all("m0")
+    assert t.r_locked == {} and t.w_locked == {}
+    assert t.locked_by("m0") == frozenset()
+
+
 # -- deadlock --------------------------------------------------------------
 
 
@@ -208,11 +265,40 @@ def test_wait_edges_require_active_status():
 def test_random_wait_graphs_match_oracle():
     r = random.Random(7)
     for _ in range(200):
-        nodes = ["a", "b", "c", "d"]
+        # Up to 24 machines, the largest benchmark shape; expected out-degree
+        # from sparse (mostly acyclic) to dense (one big component).
+        n = r.randint(2, 24)
+        nodes = [f"m{i}" for i in range(n)]
+        p = min(1.0, r.uniform(0.3, 3.0) / n)
         edge_list = [(x, y) for x in nodes for y in nodes
-                     if x != y and r.random() < 0.3]
+                     if x != y and r.random() < p]
         cs = _cs_with_edges(edge_list)
         assert deadlocked(cs) == _closure_cycle_members(wait_edges(cs))
+
+
+def test_long_cycle_and_chain_need_no_recursion():
+    n = 3000
+    cycle = [f"c{i}" for i in range(n)]
+    chain = [f"h{i}" for i in range(n)]
+    edges = [(cycle[i], cycle[(i + 1) % n]) for i in range(n)]
+    edges += [(chain[i], chain[i + 1]) for i in range(n - 1)]
+    edges.append((chain[-1], cycle[0]))  # the chain waits on the cycle
+    cs = _cs_with_edges(edges)
+    assert deadlocked(cs) == frozenset(cycle)
+
+
+def test_shared_deadlock_set_gives_same_results():
+    cs = _cs_with_edges([("a", "b"), ("b", "a"), ("c", "a")])
+    cs.histories["a"] = [HistoryEntry(saved=(), locks=pair())]
+    dead = deadlocked(cs)
+    assert dead == {"a", "b"}
+    for policy in ("shortest-history", "random"):
+        assert (deadlock_handler_step(cs, rng(), policy, dead)
+                == deadlock_handler_step(cs, rng(), policy))
+    cs.victims.update({"a", "c"})
+    for seed in range(4):
+        assert (recovery_step(cs, random.Random(seed), dead)
+                == recovery_step(cs, random.Random(seed)))
 
 
 def test_victimize_one_per_cycle():

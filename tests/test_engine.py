@@ -1,6 +1,7 @@
 import pytest
 
-from taserial.asm import Location
+from taserial import controller, engine
+from taserial.asm import Location, State
 from taserial.checker import check_serializable
 from taserial.dsl import parse_program
 from taserial.engine import (
@@ -12,12 +13,13 @@ from taserial.engine import (
     load_trace,
     run,
     state_at,
+    state_digest,
     trace_from_lines,
     trace_to_lines,
     write_trace,
     UNDEF,
 )
-from taserial.fuzz import random_config
+from taserial.fuzz import FuzzParams, random_config
 from taserial.workloads import (
     count_events,
     counter_config,
@@ -160,3 +162,118 @@ def test_sync_and_interleave_share_choice_streams():
     inter = run(config2)
     assert inter.status == "done"
     assert sync.final_values[loc("total")] == inter.final_values[loc("total")]
+
+
+# -- incremental state digest ------------------------------------------------
+
+
+def _assert_hashes_match_states(trace):
+    """Every step's recorded hash is the reference digest of the state after
+    it, rebuilt from the initial state as `state_at` does."""
+    state = state_at(trace, 0)
+    for i, rec in enumerate(trace.steps):
+        state = state.with_updates(rec.delta())
+        assert rec.state_hash == state_digest(state), f"step {i}"
+    assert state == state_at(trace, len(trace.steps))
+    assert state.values == trace.final_values
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_step_hashes_equal_reference_digest_3_machines(seed):
+    _assert_hashes_match_states(run(random_config(seed)))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_step_hashes_equal_reference_digest_12_machines(seed):
+    params = FuzzParams(n_machines=12, n_shared=16, max_steps_per_machine=8,
+                        domain_size=8, step_budget=600)
+    _assert_hashes_match_states(run(random_config(seed, params)))
+
+
+def _follow(initial, deltas):
+    """Apply hand-built deltas to a state and to the incremental digest, and
+    compare the two after each."""
+    state = State(initial, (0, 1))
+    digest = engine._StateDigest(state.values)
+    assert digest.hexdigest() == state_digest(state)
+    for delta in deltas:
+        delta = frozenset(delta)
+        state = state.with_updates(delta)
+        digest.update(delta)
+        assert digest.hexdigest() == state_digest(state), sorted(delta, key=repr)
+    return state
+
+
+def test_digest_follows_undef_then_rewrite():
+    x, y = loc("x"), loc("y")
+    state = _follow({x: 1, y: 2}, [
+        {(x, UNDEF)},
+        {(x, UNDEF), (y, 3)},       # undef of an absent location
+        {(x, 4)},
+        {(x, UNDEF), (y, UNDEF)},   # empty state
+        {(y, 5)},
+    ])
+    assert state.values == {y: 5}
+
+
+def test_digest_follows_int_bool_changes():
+    x = loc("x")
+    _follow({x: 1}, [{(x, True)}, {(x, 1)}, {(x, False)}, {(x, 0)},
+                     {(x, "s")}, {(x, True)}])
+
+
+def test_digest_keeps_first_key_of_equal_locations():
+    f_true, f_one = loc("f", True), loc("f", 1)
+    assert f_true == f_one and hash(f_true) == hash(f_one)
+    state = _follow({f_true: 5, loc("g"): 0}, [
+        {(f_one, 7)},      # the dict keeps f(true) as the key
+        {(f_one, 8), (loc("a"), 1)},
+        {(f_one, UNDEF)},
+        {(f_one, 9)},      # now f(1) is the key
+        {(f_true, 10)},
+    ])
+    [key] = [l for l in state.values if l.func == "f"]
+    assert key.args[0] is not True
+
+
+def test_engine_no_longer_digests_whole_states(monkeypatch):
+    def forbidden(state):
+        raise AssertionError("run called state_digest")
+
+    monkeypatch.setattr(engine, "state_digest", forbidden)
+    assert run(counter_config(3, 2)).status == "done"
+
+
+# -- shared deadlock search and lazy streams -----------------------------------
+
+
+def test_one_deadlock_search_per_controller_step(monkeypatch):
+    calls = []
+    original = controller.deadlocked
+
+    def counting(cs):
+        calls.append(1)
+        return original(cs)
+
+    monkeypatch.setattr(controller, "deadlocked", counting)
+    trace = run(opposed_lock_config(seed=3))
+    assert count_events(trace, "victimize") >= 1
+    assert len(calls) == len(trace.steps)
+
+
+def test_controller_streams_seeded_only_when_drawn(monkeypatch):
+    labels = []
+    original = engine.make_rng
+
+    def recording(*parts):
+        labels.append(parts[1])
+        return original(*parts)
+
+    monkeypatch.setattr(engine, "make_rng", recording)
+    run(counter_config(3, 2, lock_policy="fifo", commit_policy="lowest-id"))
+    assert labels == []
+    trace = run(counter_config(3, 2))
+    assert labels
+    draws = count_events(trace, "lock_grant") + count_events(trace, "lock_refuse")
+    assert labels.count("lock") == draws
+    assert labels.count("commit") == count_events(trace, "commit")
