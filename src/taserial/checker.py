@@ -9,7 +9,6 @@ commit order and compares the cleansed schedules.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -100,32 +99,6 @@ def cleanse(trace: Trace) -> Dict[str, CleanSchedule]:
             if ms.proper and rec.index not in undone[m]:
                 out[m].append(ScheduleEntry(rec.index, ms.updates, ms.reads))
     return {m: tuple(v) for m, v in out.items()}
-
-
-def cleanse_stepwise(trace: Trace, rng: random.Random) -> Dict[str, CleanSchedule]:
-    """Cleanse by deleting one removable segment at a time in random order.
-
-    The removable set never grows from a deletion, so every order reaches
-    the same result; this exists to check that directly.
-    """
-    undone = _undone_steps(trace)
-    work: Dict[str, List[Optional[ScheduleEntry]]] = {}
-    removable: List[Tuple[str, int]] = []
-    for m in trace.registered:
-        col: List[Optional[ScheduleEntry]] = []
-        for rec in trace.steps:
-            ms = rec.per_machine.get(m)
-            if ms is None:
-                continue
-            col.append(ScheduleEntry(rec.index, ms.updates, ms.reads))
-            if not ms.proper or rec.index in undone[m]:
-                removable.append((m, len(col) - 1))
-        work[m] = col
-    rng.shuffle(removable)
-    for m, pos in removable:
-        work[m][pos] = None
-    return {m: tuple(e for e in col if e is not None)
-            for m, col in work.items()}
 
 
 def equivalent(a: Dict[str, CleanSchedule], b: Dict[str, CleanSchedule],

@@ -18,7 +18,6 @@ from typing import List, Optional
 from .anomaly import forged_lost_update_trace
 from .asm import AsmError
 from .checker import (
-    TooManyMachines,
     Verdict,
     brute_force_serializable,
     check_serializable,
@@ -56,10 +55,15 @@ def load_manifest(path: str) -> RunConfig:
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    if not isinstance(manifest, dict) or "programs" not in manifest:
-        raise ConfigError(f"{path}: manifest needs a 'programs' list")
+    programs = manifest.get("programs") if isinstance(manifest, dict) else None
+    if not isinstance(programs, list) or not all(isinstance(p, str) for p in programs):
+        raise ConfigError(f"{path}: manifest needs a 'programs' list of file names")
+    for key in ("domain_size", "max_steps"):
+        value = manifest.get(key, 0)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
     machines = []
-    for rel in manifest["programs"]:
+    for rel in programs:
         text = (base / rel).read_text(encoding="utf-8")
         machines.append(parse_program(text))
     kwargs = {}
@@ -134,11 +138,12 @@ def cmd_check(args) -> int:
         else:
             verdict = check_serializable(trace)
             record = _verdict_record(verdict, "commit-order")
-    except TooManyMachines as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except MalformedTrace as e:
         print(f"malformed trace: {e}", file=sys.stderr)
+        return 1
+    except AsmError as e:
+        # TooManyMachines, or a solo re-run that cannot evaluate its rules
+        print(f"error: {e}", file=sys.stderr)
         return 1
     print(json.dumps(record))
     return 0 if verdict.ok else 3

@@ -122,6 +122,10 @@ class MachineProgram:
     terminated: Formula = Eq(Apply("0"), Apply("0"))
     main_rule: Rule = Skip()
     named_rules: Dict[str, NamedRule] = field(default_factory=dict)
+    # Compiled code of main_rule and terminated, filled on first use by the
+    # wrapper (see rwloc); not part of the program's identity.
+    code: Dict[str, object] = field(default_factory=dict, init=False,
+                                    repr=False, compare=False)
 
     def classify(self, func: str) -> str:
         if func in self.shared:

@@ -84,6 +84,12 @@ class RunConfig:
             raise ConfigError(f"unknown run mode {self.run_mode!r}")
         if self.domain_size < 1:
             raise ConfigError("domain size must be positive")
+        for name, known in (("lock_policy", ctl.LOCK_POLICIES),
+                            ("commit_policy", ctl.COMMIT_POLICIES),
+                            ("victim_policy", ctl.VICTIM_POLICIES)):
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in known:
+                raise ConfigError(f"unknown {name.replace('_', ' ')} {value!r}")
         self.machines = sorted(self.machines, key=lambda m: m.name)
         rules = []
         for m in self.machines:
@@ -145,9 +151,7 @@ class RunConfig:
         )
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_payload(), sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        return hashlib.blake2b(blob, digest_size=8).hexdigest()
+        return payload_digest(self.to_payload())
 
     def closed_system_warnings(self) -> List[str]:
         """External locations should be owned (shared/output) by some other
@@ -164,6 +168,13 @@ class RunConfig:
                     out.append(f"{m.name}: output function {f!r} is not "
                                f"observed by any other machine")
         return out
+
+
+def payload_digest(payload: dict) -> str:
+    """blake2b-64 of the canonical JSON of a config payload."""
+    blob = json.dumps(payload, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
 @dataclass
@@ -523,11 +534,12 @@ def _dump(obj: dict) -> str:
 
 
 def trace_to_lines(trace: Trace) -> List[str]:
+    config = trace.config.to_payload()
     header = {
         "type": "header",
         "version": TRACE_VERSION,
-        "config": trace.config.to_payload(),
-        "config_digest": trace.config.digest(),
+        "config": config,
+        "config_digest": payload_digest(config),
         "seed": trace.seed,
         "registered": list(trace.registered),
         "initial_state": encode_pairs(trace.initial_values.items()),
@@ -614,7 +626,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
             committed=list(final["committed"]),
             registered=list(header["registered"]),
         )
-    except (KeyError, IndexError, TypeError) as e:
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise MalformedTrace(f"malformed trace record: {e!r}") from None
 
 

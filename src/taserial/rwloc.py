@@ -1,24 +1,34 @@
-"""Read and write locations of terms, formulae and rules.
+"""Read and write locations of terms, formulae and rules, in one pass.
 
-Computed by structural induction in a given state: guards are evaluated to
-follow the taken branch, quantifier reads union over the whole domain, and
-sequential composition analyses its second rule in the intermediate state.
-The analysis is an implementation independent of asm.yields; when both
-consume a choice resolver built from the same material they agree on every
-choose witness, and the instrumented-execution tests cross-check the two.
+Each rule, term and formula is compiled once into nested Python closures
+(closure generation: Feeley & Lapalme, "Using closures for code
+generation", 1987).  Literals, symbols, true/false/undef and +/- are
+resolved at compile time, so running the code interprets no syntax.  One
+run of a compiled rule returns the step's update set together with its read
+log, and the write set is the set of updated locations.
+
+The analysis reads more than plain execution (asm.yields, the executable
+spec) does: both sides of and/or, quantified formulae and forall/choose
+guards over the whole domain, and the target location of every assignment.
+Sequential composition runs its second rule in the intermediate state, as
+execution does.  Errors keep the spec's exception classes and are raised
+when the code runs, never when it compiles.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Optional
 
 from .asm import (
     And,
     Apply,
+    ArityMismatch,
     Assign,
     Atom,
     Call,
     ChooseDo,
+    EMPTY_UPDATES,
     Env,
     Eq,
     EvalError,
@@ -41,16 +51,18 @@ from .asm import (
     Term,
     TypeMismatch,
     UNDEF,
+    UnboundVariable,
     UpdateSet,
     Value,
     Var,
     consistent,
-    expand_call,
     is_static,
     make_location,
     seq_merge,
     static_apply,
-    values_equal,
+    substitute_formula,
+    substitute_term,
+    update_locations,
 )
 
 
@@ -58,164 +70,424 @@ from .asm import (
 class RwSet:
     reads: FrozenSet[Location]
     writes: FrozenSet[Location]
+    updates: UpdateSet = EMPTY_UPDATES
 
 
 ReadLog = Dict[Location, Value]
 
+# Compiled code.  Terms and formulae run as code(state, env, log); rules as
+# code(state, env, log, resolver) and return their update set.  Every read
+# goes into log, which keeps the first value seen of each location.
+Code = Callable
 
-class _Walker:
-    """Single traversal accumulating reads (with values) and writes.
+Sub = Dict[str, Term]  # parameter -> argument term, inside a rule call
 
-    The seq case needs the first rule's update set, so the walk also computes
-    updates inline; this keeps each choose node's occurrence sequence aligned
-    with a plain execution of the same rule.
-    """
 
-    def __init__(self, resolver, rules: Optional[Dict[str, NamedRule]],
-                 read_log: Optional[ReadLog]):
-        self.resolver = resolver
-        self.rules = rules or {}
-        self.reads: Set[Location] = set()
-        self.read_log = read_log
+class RuleCode:
+    """A rule compiled for one set of named rules; compiles on first call."""
 
-    def note(self, loc: Location, state: State) -> None:
-        self.reads.add(loc)
-        if self.read_log is not None and loc not in self.read_log:
-            self.read_log[loc] = state.get(loc)
+    __slots__ = ("rule", "rules", "_code")
 
-    # -- terms ------------------------------------------------------------
+    def __init__(self, rule: Rule, rules: Optional[Dict[str, NamedRule]] = None):
+        self.rule = rule
+        self.rules = rules if rules is not None else {}
+        self._code: Optional[Code] = None
 
-    def term(self, t: Term, state: State, env: Env) -> Tuple[Value, Optional[Location]]:
-        """Evaluate t, noting reads; returns (value, head location or None)."""
-        if isinstance(t, Var):
+    def __call__(self, state: State, env: Env, log: ReadLog, resolver) -> UpdateSet:
+        if self._code is None:
+            self._code = _rule(self.rule, {}, self.rules)
+        return self._code(state, env, log, resolver)
+
+
+class FormulaCode:
+    """A formula compiled on first call that reads what asm.eval_formula
+    reads: and/or and quantifiers stop early (the termination test)."""
+
+    __slots__ = ("formula", "_code")
+
+    def __init__(self, formula: Formula):
+        self.formula = formula
+        self._code: Optional[Code] = None
+
+    def __call__(self, state: State, env: Env, log: ReadLog) -> bool:
+        if self._code is None:
+            self._code = _formula(self.formula, short=True)
+        return self._code(state, env, log)
+
+
+# -- terms ------------------------------------------------------------------
+
+
+def _const(value: Value) -> Code:
+    """Code returning value; its .value marks it as a constant."""
+    def const(s, env, log):
+        return value
+    const.value = value
+    return const
+
+
+_NOT_CONST = object()
+
+
+def _consts(codes) -> Optional[tuple]:
+    """The values of compiled terms when all of them are constants."""
+    vals = []
+    for c in codes:
+        v = getattr(c, "value", _NOT_CONST)
+        if v is _NOT_CONST:
+            return None
+        vals.append(v)
+    return tuple(vals)
+
+
+def _term(t: Term) -> Code:
+    if type(t) is Var:
+        name = t.name
+
+        def var(s, env, log):
             try:
-                return env[t.name], None
+                return env[name]
             except KeyError:
-                raise EvalError(f"unbound variable {t.name}") from None
-        vals = tuple(self.term(a, state, env)[0] for a in t.args)
-        if is_static(t.func):
-            return static_apply(t.func, vals), None
-        loc = make_location(t.func, vals)
-        self.note(loc, state)
-        return state.get(loc), loc
+                raise UnboundVariable(name) from None
+        return var
+    args = [_term(a) for a in t.args]
+    if is_static(t.func):
+        return _static(t.func, args)
+    return _read(t.func, args)
 
-    # -- formulae ---------------------------------------------------------
 
-    def formula(self, f: Formula, state: State, env: Env) -> bool:
-        if isinstance(f, Atom):
-            vals = tuple(self.term(a, state, env)[0] for a in f.args)
-            loc = make_location(f.pred, vals)
-            self.note(loc, state)
-            v = state.get(loc)
-            if v is True or v is False:
-                return v
-            if v is UNDEF:
-                return False
-            raise TypeMismatch(f"atom {f.pred} holds non-boolean {v!r}")
-        if isinstance(f, Not):
-            return not self.formula(f.sub, state, env)
-        if isinstance(f, And):
-            a = self.formula(f.left, state, env)
-            b = self.formula(f.right, state, env)
-            return a and b
-        if isinstance(f, Or):
-            a = self.formula(f.left, state, env)
-            b = self.formula(f.right, state, env)
-            return a or b
-        if isinstance(f, Eq):
-            return values_equal(self.term(f.left, state, env)[0],
-                                self.term(f.right, state, env)[0])
-        if isinstance(f, Lt):
-            a = self.term(f.left, state, env)[0]
-            b = self.term(f.right, state, env)[0]
-            for v in (a, b):
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise TypeMismatch(f"< needs integers, got {v!r}")
-            return a < b
-        if isinstance(f, (Forall, Exists)):
-            results = [self.formula(f.body, state, {**env, f.var: d})
-                       for d in state.domain]
-            return all(results) if isinstance(f, Forall) else any(results)
-        raise TypeError(f"not a formula: {f!r}")
+def _static(func: str, args) -> Code:
+    vals = _consts(args)
+    if vals is not None:
+        try:
+            return _const(static_apply(func, vals))
+        except EvalError:
+            pass  # raise when run, like the spec
+    if func in ("+", "-") and len(args) == 2:
+        return _arith(func, *args)
 
-    def quantified_range(self, var: str, guard: Formula, state: State,
-                         env: Env) -> list:
-        """Guard-satisfying domain elements; reads the guard over the whole
-        domain, like the quantified-formula case."""
-        out = []
-        for d in state.domain:
-            if self.formula(guard, state, {**env, var: d}):
-                out.append(d)
-        return out
+    def static(s, env, log):
+        return static_apply(func, tuple([a(s, env, log) for a in args]))
+    return static
 
-    # -- rules ------------------------------------------------------------
 
-    def rule(self, r: Rule, state: State, env: Env) -> Tuple[Set[Location], UpdateSet]:
-        if isinstance(r, Skip):
-            return set(), frozenset()
-        if isinstance(r, Assign):
-            if not isinstance(r.lhs, Apply) or is_static(r.lhs.func):
-                raise EvalError(f"assignment target must be a dynamic function: {r.lhs!r}")
-            _, head = self.term(r.lhs, state, env)
-            val, _ = self.term(r.rhs, state, env)
-            assert head is not None
-            return {head}, frozenset({(head, val)})
-        if isinstance(r, If):
-            branch = r.then if self.formula(r.guard, state, env) else r.orelse
-            return self.rule(branch, state, env)
-        if isinstance(r, Let):
-            v, _ = self.term(r.bind, state, env)
-            return self.rule(r.body, state, {**env, r.var: v})
-        if isinstance(r, ForallDo):
-            writes: Set[Location] = set()
-            updates: Set = set()
-            for d in self.quantified_range(r.var, r.guard, state, env):
-                w, u = self.rule(r.body, state, {**env, r.var: d})
-                writes |= w
-                updates |= u
-            return writes, frozenset(updates)
-        if isinstance(r, ChooseDo):
-            rng = self.quantified_range(r.var, r.guard, state, env)
-            if not rng:
-                return set(), frozenset()
-            witness = rng[self.resolver.pick(r.node_id, len(rng))]
-            return self.rule(r.body, state, {**env, r.var: witness})
-        if isinstance(r, Par):
-            w1, u1 = self.rule(r.left, state, env)
-            w2, u2 = self.rule(r.right, state, env)
-            return w1 | w2, u1 | u2
-        if isinstance(r, Seq):
-            w1, u1 = self.rule(r.first, state, env)
-            if not consistent(u1):
-                return w1, u1
-            w2, u2 = self.rule(r.second, state.with_updates(u1), env)
-            return w1 | w2, seq_merge(u1, u2)
-        if isinstance(r, Call):
-            return self.rule(expand_call(r, self.rules), state, env)
-        raise TypeError(f"not a rule: {r!r}")
+def _arith(func: str, a: Code, b: Code) -> Code:
+    k = getattr(b, "value", None)
+    if type(k) is int:  # x + 1, the commonest shape
+        k = k if func == "+" else -k
+
+        def plus_const(s, env, log):
+            x = a(s, env, log)
+            if type(x) is int:
+                return x + k
+            return static_apply(func, (x, b.value))
+        return plus_const
+    op = operator.add if func == "+" else operator.sub
+
+    def arith(s, env, log):
+        x = a(s, env, log)
+        y = b(s, env, log)
+        if type(x) is int and type(y) is int:
+            return op(x, y)
+        return static_apply(func, (x, y))
+    return arith
+
+
+def _where(func: str, args):
+    """The location func(args): a Location when the arguments are
+    constants, else code computing it (raising UndefArgument on undef)."""
+    vals = _consts(args)
+    if vals is not None and UNDEF not in vals:
+        return Location(func, vals)
+    return lambda s, env, log: make_location(
+        func, tuple([a(s, env, log) for a in args]))
+
+
+def _read(func: str, args) -> Code:
+    where = _where(func, args)
+    if type(where) is Location:
+        loc = where
+
+        def read_const(s, env, log):
+            v = s.values.get(loc, UNDEF)
+            log.setdefault(loc, v)
+            return v
+        return read_const
+
+    def read(s, env, log):
+        at = where(s, env, log)
+        v = s.values.get(at, UNDEF)
+        log.setdefault(at, v)
+        return v
+    return read
+
+
+# -- formulae ---------------------------------------------------------------
+
+
+def _formula(f: Formula, short: bool = False) -> Code:
+    kind = type(f)
+    if kind is Eq:
+        return _eq(_term(f.left), _term(f.right))
+    if kind is Lt:
+        return _lt(_term(f.left), _term(f.right))
+    if kind is And or kind is Or:
+        return _connective(kind is And, _formula(f.left, short),
+                           _formula(f.right, short), short)
+    if kind is Not:
+        sub = _formula(f.sub, short)
+        return lambda s, env, log: not sub(s, env, log)
+    if kind is Atom:
+        return _atom(f.pred, _read(f.pred, [_term(a) for a in f.args]))
+    if kind is Forall or kind is Exists:
+        var, body = f.var, _formula(f.body, short)
+        fold = all if kind is Forall else any
+        if short:
+            return lambda s, env, log: fold(body(s, {**env, var: d}, log)
+                                            for d in s.domain)
+        return lambda s, env, log: fold([body(s, {**env, var: d}, log)
+                                         for d in s.domain])
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _atom(pred: str, read: Code) -> Code:
+    def atom(s, env, log):
+        v = read(s, env, log)
+        if v is True or v is False:
+            return v
+        if v is UNDEF:
+            return False
+        raise TypeMismatch(f"atom {pred} holds non-boolean {v!r}")
+    return atom
+
+
+def _connective(is_and: bool, left: Code, right: Code, short: bool) -> Code:
+    if short:
+        if is_and:
+            return lambda s, env, log: left(s, env, log) and right(s, env, log)
+        return lambda s, env, log: left(s, env, log) or right(s, env, log)
+    fold = all if is_and else any  # both sides are read
+    return lambda s, env, log: fold((left(s, env, log), right(s, env, log)))
+
+
+def _eq(a: Code, b: Code) -> Code:
+    k = getattr(b, "value", _NOT_CONST)
+    if k is not _NOT_CONST:
+        kt = type(k)
+
+        def eq_const(s, env, log):  # asm.values_equal against a constant
+            x = a(s, env, log)
+            return type(x) is kt and x == k
+        return eq_const
+
+    def eq(s, env, log):
+        x = a(s, env, log)
+        y = b(s, env, log)
+        return x is y or (type(x) is type(y) and x == y)
+    return eq
+
+
+def _lt(a: Code, b: Code) -> Code:
+    def lt(s, env, log):
+        x = a(s, env, log)
+        y = b(s, env, log)
+        if type(x) is int and type(y) is int:
+            return x < y
+        for v in (x, y):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise TypeMismatch(f"< needs integers, got {v!r}")
+        return x < y
+    return lt
+
+
+def _guard_range(var: str, guard: Code):
+    """Code for the guard-satisfying domain elements, in domain order; the
+    guard is read over the whole domain."""
+    def domain_range(s, env, log):
+        return [d for d in s.domain if guard(s, {**env, var: d}, log)]
+    return domain_range
+
+
+# -- rules ------------------------------------------------------------------
+
+
+def _rule(r: Rule, sub: Sub, rules: Dict[str, NamedRule]) -> Code:
+    """Code for r with the parameters in sub replaced by their argument
+    terms, as asm.substitute_rule does.  Choose nodes stay the original
+    ones, so their ids are read when the code runs."""
+    kind = type(r)
+    if kind is Assign:
+        lhs = substitute_term(r.lhs, sub) if sub else r.lhs
+        return _assign(lhs, _term(substitute_term(r.rhs, sub) if sub else r.rhs))
+    if kind is If:
+        return _if(r, sub, rules)
+    if kind is Par:
+        left, right = _rule(r.left, sub, rules), _rule(r.right, sub, rules)
+        return lambda s, env, log, res: left(s, env, log, res) | right(s, env, log, res)
+    if kind is Seq:
+        return _seq(_rule(r.first, sub, rules), _rule(r.second, sub, rules))
+    if kind is Skip:
+        return lambda s, env, log, res: EMPTY_UPDATES
+    if kind is Let:
+        var = r.var
+        bind = _term(substitute_term(r.bind, sub) if sub else r.bind)
+        body = _rule(r.body, _unbind(sub, var), rules)
+        return lambda s, env, log, res: body(
+            s, {**env, var: bind(s, env, log)}, log, res)
+    if kind is ForallDo or kind is ChooseDo:
+        inner = _unbind(sub, r.var)
+        guard = _formula(substitute_formula(r.guard, inner) if inner else r.guard)
+        body = _rule(r.body, inner, rules)
+        make = _forall if kind is ForallDo else _choose
+        return make(r, _guard_range(r.var, guard), body)
+    if kind is Call:
+        args = tuple(substitute_term(a, sub) for a in r.args) if sub else r.args
+        return _call(r.rule, args, rules)
+    raise TypeError(f"not a rule: {r!r}")
+
+
+def _unbind(sub: Sub, var: str) -> Sub:
+    return {k: v for k, v in sub.items() if k != var} if var in sub else sub
+
+
+def _assign(lhs: Term, rhs: Code) -> Code:
+    if type(lhs) is not Apply or is_static(lhs.func):
+        def bad_target(s, env, log, res):
+            raise EvalError(f"assignment target must be a dynamic function: {lhs!r}")
+        return bad_target
+    where = _where(lhs.func, [_term(a) for a in lhs.args])
+    if type(where) is Location:
+        loc = where
+
+        def assign_const(s, env, log, res):
+            log.setdefault(loc, s.values.get(loc, UNDEF))
+            return frozenset(((loc, rhs(s, env, log)),))
+        return assign_const
+
+    def assign(s, env, log, res):
+        at = where(s, env, log)
+        log.setdefault(at, s.values.get(at, UNDEF))
+        return frozenset(((at, rhs(s, env, log)),))
+    return assign
+
+
+def _if(r: If, sub: Sub, rules: Dict[str, NamedRule]) -> Code:
+    """Each branch is compiled the first time it is taken."""
+    guard = _formula(substitute_formula(r.guard, sub) if sub else r.guard)
+    then = orelse = None
+
+    def if_(s, env, log, res):
+        nonlocal then, orelse
+        if guard(s, env, log):
+            if then is None:
+                then = _rule(r.then, sub, rules)
+            return then(s, env, log, res)
+        if orelse is None:
+            orelse = _rule(r.orelse, sub, rules)
+        return orelse(s, env, log, res)
+    return if_
+
+
+def _seq(first: Code, second: Code) -> Code:
+    def seq(s, env, log, res):
+        u1 = first(s, env, log, res)
+        if not consistent(u1):
+            return u1
+        return seq_merge(u1, second(s.with_updates(u1), env, log, res))
+    return seq
+
+
+def _forall(r: ForallDo, domain_range: Code, body: Code) -> Code:
+    var = r.var
+
+    def forall(s, env, log, res):
+        out: set = set()
+        for d in domain_range(s, env, log):
+            out |= body(s, {**env, var: d}, log, res)
+        return frozenset(out)
+    return forall
+
+
+def _choose(r: ChooseDo, domain_range: Code, body: Code) -> Code:
+    var = r.var
+
+    def choose(s, env, log, res):
+        rng = domain_range(s, env, log)
+        if not rng:
+            return EMPTY_UPDATES
+        witness = rng[res.pick(r.node_id, len(rng))]
+        return body(s, {**env, var: witness}, log, res)
+    return choose
+
+
+def _call(name: str, args, rules: Dict[str, NamedRule]) -> Code:
+    """Code for a named-rule call; the expansion is compiled on first use
+    and again only if the named rule is replaced."""
+    compiled_for = body = None
+
+    def call(s, env, log, res):
+        nonlocal compiled_for, body
+        try:
+            named = rules[name]
+        except KeyError:
+            raise EvalError(f"unknown rule {name!r}") from None
+        if compiled_for is not named:
+            if len(named.params) != len(args):
+                raise ArityMismatch(
+                    f"rule {name} takes {len(named.params)} args, got {len(args)}")
+            body = _rule(named.body, dict(zip(named.params, args)), rules)
+            compiled_for = named
+        return body(s, env, log, res)
+    return call
+
+
+# -- entry points -------------------------------------------------------------
+
+
+def _merge(log: ReadLog, read_log: Optional[ReadLog]) -> None:
+    if read_log is not None and read_log is not log:
+        for loc, v in log.items():
+            read_log.setdefault(loc, v)
+
+
+def _fresh_log(read_log: Optional[ReadLog]) -> ReadLog:
+    """An empty caller log can be filled directly; else merge afterwards."""
+    return read_log if read_log is not None and not read_log else {}
 
 
 def rw_term(t: Term, state: State, env: Env,
             read_log: Optional[ReadLog] = None) -> RwSet:
     """Read locations of a term; its write location is the head application."""
-    w = _Walker(None, None, read_log)
-    _, head = w.term(t, state, env)
-    writes = frozenset() if head is None else frozenset({head})
-    return RwSet(frozenset(w.reads), writes)
+    log = _fresh_log(read_log)
+    writes: FrozenSet[Location] = frozenset()
+    if isinstance(t, Apply) and not is_static(t.func):
+        where = _where(t.func, [_term(a) for a in t.args])
+        head = where if isinstance(where, Location) else where(state, env, log)
+        log.setdefault(head, state.get(head))
+        writes = frozenset({head})
+    else:
+        _term(t)(state, env, log)
+    _merge(log, read_log)
+    return RwSet(frozenset(log), writes)
 
 
 def rw_formula(f: Formula, state: State, env: Env,
                read_log: Optional[ReadLog] = None) -> RwSet:
     """Read locations of a formula; formulae have no write locations."""
-    w = _Walker(None, None, read_log)
-    w.formula(f, state, env)
-    return RwSet(frozenset(w.reads), frozenset())
+    log = _fresh_log(read_log)
+    _formula(f)(state, env, log)
+    _merge(log, read_log)
+    return RwSet(frozenset(log), frozenset())
 
 
-def rw_rule(r: Rule, state: State, env: Env, resolver,
+def rw_rule(r, state: State, env: Env, resolver,
             rules: Optional[Dict[str, NamedRule]] = None,
             read_log: Optional[ReadLog] = None) -> RwSet:
-    """Read and write locations of one step of rule r in the given state."""
-    w = _Walker(resolver, rules, read_log)
-    writes, _ = w.rule(r, state, env)
-    return RwSet(frozenset(w.reads), frozenset(writes))
+    """Read and write locations and the update set of one step of rule r in
+    the given state.  r may be a Rule, compiled here, or a RuleCode (which
+    carries its own named rules) to reuse its compiled code."""
+    code = r if isinstance(r, RuleCode) else RuleCode(r, rules)
+    log = _fresh_log(read_log)
+    updates = code(state, env, log, resolver)
+    _merge(log, read_log)
+    return RwSet(frozenset(log), update_locations(updates), updates)

@@ -19,11 +19,10 @@ from .asm import (
     State,
     UpdateSet,
     Value,
-    eval_formula,
     loc_key,
 )
 from .dsl import MachineProgram
-from .rwloc import RwSet, rw_rule
+from .rwloc import FormulaCode, RuleCode, RwSet, rw_rule
 from .seeds import ChoiceResolver, derive_bytes
 
 UNREGISTERED = "unregistered"
@@ -102,10 +101,23 @@ class WrapperOutcome:
     effects: List[tuple] = field(default_factory=list)
 
 
+def _main_code(program: MachineProgram) -> RuleCode:
+    """The program's main rule, compiled on first use and again only when
+    the rule or the named rules are replaced."""
+    code = program.code.get("main")
+    if (code is None or code.rule is not program.main_rule
+            or code.rules is not program.named_rules):
+        code = program.code["main"] = RuleCode(program.main_rule,
+                                               program.named_rules)
+    return code
+
+
 def _analysis(program: MachineProgram, state: State, material: bytes):
+    """One pass over the main rule: its reads (with values), writes and
+    update set in this state."""
     read_log: Dict[Location, Value] = {}
     resolver = ChoiceResolver(material)
-    rw = rw_rule(program.main_rule, state, {}, resolver, program.named_rules, read_log)
+    rw = rw_rule(_main_code(program), state, {}, resolver, read_log=read_log)
     return rw, read_log
 
 
@@ -153,7 +165,11 @@ def choice_material(seed: int, machine_id: str, ordinal: int) -> bytes:
 
 
 def terminated(program: MachineProgram, state: State) -> bool:
-    return eval_formula(program.terminated, state, {})
+    """The termination formula, evaluated like asm.eval_formula."""
+    code = program.code.get("terminated")
+    if code is None or code.formula is not program.terminated:
+        code = program.code["terminated"] = FormulaCode(program.terminated)
+    return code(state, {}, {})
 
 
 def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
@@ -189,7 +205,7 @@ def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
     if not needed.is_empty():
         return WrapperOutcome(ctl_change=(ACTIVE, WAIT_LOCKS),
                               effects=[("lock_request", needed)])
-    return _proper(program, tcb, state, material, rw, read_log, EMPTY_LOCKS,
+    return _proper(program, tcb, state, rw, read_log, EMPTY_LOCKS,
                    step_index, ctl_change=None)
 
 
@@ -209,7 +225,7 @@ def _wait_locks_step(program, tcb, state, view, seed, step_index,
             effects.append(("append_history", entry))
             return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
                                   effects=effects)
-        out = _proper(program, tcb, state, material, rw, read_log, view.granted,
+        out = _proper(program, tcb, state, rw, read_log, view.granted,
                       step_index, ctl_change=(WAIT_LOCKS, ACTIVE))
         out.effects = effects + out.effects
         return out
@@ -225,15 +241,11 @@ def _wait_locks_step(program, tcb, state, view, seed, step_index,
     return WrapperOutcome()
 
 
-def _proper(program, tcb, state, material, rw: RwSet, read_log, lock_set: LockPair,
+def _proper(program, tcb, state, rw: RwSet, read_log, lock_set: LockPair,
             step_index, ctl_change) -> WrapperOutcome:
-    from .asm import yields  # local import to keep module deps one-way
-
     for l in rw.writes:
         if program.classify(l.func) == "monitored":
             raise InvalidWrite(f"{tcb.machine_id} writes monitored location {l}")
-    resolver = ChoiceResolver(material)
-    updates = yields(program.main_rule, state, {}, resolver, program.named_rules)
     entry = HistoryEntry(
         saved=overwritten_values(program, state, rw.writes),
         locks=lock_set,
@@ -242,6 +254,6 @@ def _proper(program, tcb, state, material, rw: RwSet, read_log, lock_set: LockPa
         ordinal=tcb.proper_count,
     )
     reads = tuple(sorted(read_log.items(), key=lambda p: loc_key(p[0])))
-    return WrapperOutcome(updates=updates, reads=reads, proper=True,
+    return WrapperOutcome(updates=rw.updates, reads=reads, proper=True,
                           ctl_change=ctl_change,
                           effects=[("append_history", entry)])

@@ -13,7 +13,6 @@ from taserial.checker import (
     brute_force_serializable,
     check_serializable,
     cleanse,
-    cleanse_stepwise,
 )
 from taserial.controller import LockTable
 from taserial.engine import run, state_at, trace_to_lines
@@ -26,6 +25,8 @@ from taserial.workloads import (
     last_undo_step,
     opposed_lock_config,
 )
+
+from stepwise import cleanse_stepwise
 
 N_FUZZ = 1000
 

@@ -9,12 +9,13 @@ from taserial.checker import (
     build_serial_run,
     check_serializable,
     cleanse,
-    cleanse_stepwise,
     equivalent,
 )
 from taserial.engine import MalformedTrace, run
 from taserial.fuzz import FuzzParams, random_config
 from taserial.workloads import counter_config, full_victim_config
+
+from stepwise import cleanse_stepwise
 
 
 def test_cleanse_keeps_only_proper_surviving_steps():

@@ -104,3 +104,56 @@ def test_fuzz_self_test_rejects_forgery(capsys):
     assert main(["fuzz", "--self-test"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record == {"commit_order_rejects": True, "brute_force_rejects": True}
+
+
+# -- bad input exits 1 with a message ----------------------------------------
+
+
+def _fuzz_trace_lines(tmp_path, seed=3):
+    from taserial.engine import run, write_trace
+    from taserial.fuzz import random_config
+
+    path = tmp_path / "fuzz.jsonl"
+    write_trace(run(random_config(seed)), str(path))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _check_records(tmp_path, records):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return main(["check", str(path)])
+
+
+def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
+    records = _fuzz_trace_lines(tmp_path)
+    initial = records[0]["initial_state"]
+    (entry,) = [e for e in initial if e[0] == ["g0", []]]
+    entry[1] = ["b", True]
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "needs integers" in err
+
+
+def test_check_unknown_policy_in_header_exits_one(tmp_path, capsys):
+    records = _fuzz_trace_lines(tmp_path)
+    records[0]["config"]["lock_policy"] = "nonsense"
+    assert _check_records(tmp_path, records) == 1
+    assert "unknown lock policy 'nonsense'" in capsys.readouterr().err
+
+
+def test_check_non_dict_step_machines_exits_one(tmp_path, capsys):
+    records = _fuzz_trace_lines(tmp_path)
+    records[1]["machines"] = [1]
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err.startswith("malformed trace: ")
+
+
+@pytest.mark.parametrize("field,value", [("programs", 5),
+                                         ("programs", [5]),
+                                         ("max_steps", "many")])
+def test_run_bad_manifest_field_exits_one(workdir, capsys, field, value):
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    manifest[field] = value
+    (workdir / "bad.json").write_text(json.dumps(manifest))
+    assert main(["run", str(workdir / "bad.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")

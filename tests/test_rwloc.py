@@ -1,26 +1,45 @@
 import random
 
+import pytest
+
 from taserial.asm import (
     Apply,
+    ArityMismatch,
     Assign,
+    Atom,
+    Call,
     ChooseDo,
     Eq,
+    EvalError,
     Exists,
     ForallDo,
     If,
     Let,
     Location,
     Lt,
+    NamedRule,
     Par,
     Seq,
     Skip,
     State,
+    TypeMismatch,
+    UNDEF,
+    UnboundVariable,
+    UndefArgument,
     Var,
     assign_choice_ids,
     update_locations,
     yields,
 )
-from taserial.fuzz import FuzzParams, random_body, random_state
+from taserial.dsl import parse_program, print_program
+from taserial.engine import RunConfig, run, trace_to_lines
+from taserial.fuzz import (
+    FuzzParams,
+    random_body,
+    random_config,
+    random_machine,
+    random_state,
+)
 from taserial.rwloc import rw_formula, rw_rule, rw_term
 from taserial.seeds import ChoiceResolver, derive_bytes
 
@@ -128,7 +147,6 @@ def test_read_log_records_first_seen_value():
     log = {}
     rw_rule(Assign(Apply("y"), Apply("x")), s, {}, res(), read_log=log)
     assert log[loc("x")] == 3
-    from taserial.asm import UNDEF
     assert log[loc("y")] is UNDEF  # lhs head counts as a read
 
 
@@ -152,3 +170,157 @@ def test_soundness_against_instrumented_execution():
     for seed in range(60):
         _soundness_case(seed, False)
         _soundness_case(seed, True)
+
+
+# -- the compiled analysis against the spec (asm.yields) ------------------------
+
+
+def _spec_case(rule, state, material, rules=None):
+    """Compare one compiled analysis against an instrumented yields run."""
+    log = {}
+    rw = rw_rule(rule, state, {}, ChoiceResolver(material), rules, read_log=log)
+    reads = set()
+    updates = yields(rule, state, {}, ChoiceResolver(material), rules,
+                     on_read=lambda l, v: reads.add(l))
+    assert rw.updates == updates
+    assert reads <= set(log)
+    assert rw.reads == frozenset(log)
+    assert rw.writes == update_locations(rw.updates)
+
+
+def _call_program(body):
+    """A named rule whose parameter is read after the body, so the argument
+    term is evaluated in the intermediate state (call by name)."""
+    tail = If(Lt(Var("x"), Apply("3")),
+              Assign(Apply("out", (Var("x"),)), Var("x")), Skip())
+    rules = {"step": NamedRule(("x",), Seq(body, tail))}
+    main = Par(Call("step", (Apply("g0"),)),
+               Call("step", (Apply("+", (Apply("g1"), Apply("1"))),)))
+    assign_choice_ids([main, rules["step"].body])
+    return main, rules
+
+
+def test_compiled_analysis_matches_spec_on_random_bodies():
+    params = FuzzParams()
+    shared = ["g0", "g1", "g2"]
+    for seed in range(500):
+        for allow_choose in (False, True):
+            body = random_body(random.Random(seed), shared, params,
+                               allow_choose=allow_choose)
+            assign_choice_ids([body])
+            state = random_state(random.Random(seed + 1), shared, params)
+            material = derive_bytes("compiled", seed, allow_choose)
+            _spec_case(body, state, material)
+            main, rules = _call_program(body)
+            _spec_case(main, state, material, rules)
+
+
+def _raised(fn):
+    try:
+        fn()
+    except Exception as e:  # the class is what is compared
+        return type(e)
+    return None
+
+
+ERROR_CASES = [
+    (Assign(Apply("x"), Var("nope")), {}, UnboundVariable),
+    (Assign(Apply("a", (Apply("missing"),)), Apply("1")), {}, UndefArgument),
+    (Assign(Apply("x"), Apply("f", (Apply("undef"),))), {}, UndefArgument),
+    (If(Atom("flag"), Skip(), Skip()), {loc("flag"): 3}, TypeMismatch),
+    (If(Lt(Apply("b"), Apply("1")), Skip(), Skip()), {loc("b"): True}, TypeMismatch),
+    (If(Lt(Apply("true"), Apply("1")), Skip(), Skip()), {}, TypeMismatch),
+    (Assign(Apply("x"), Apply("+", (Apply("b"), Apply("1")))), {loc("b"): True},
+     TypeMismatch),
+    (Assign(Apply("x"), Apply("-", (Apply("true"), Apply("1")))), {}, TypeMismatch),
+    (Assign(Apply("x"), Apply("+", (Apply("1"),))), {}, ArityMismatch),
+    (Assign(Apply("x"), Apply("5", (Apply("1"),))), {}, ArityMismatch),
+    (Assign(Apply("5"), Apply("1")), {}, EvalError),
+    (Call("nowhere"), {}, EvalError),
+]
+
+
+@pytest.mark.parametrize("rule,values,expected", ERROR_CASES)
+def test_compiled_errors_match_spec(rule, values, expected):
+    s = State(values)
+    spec = _raised(lambda: yields(rule, s, {}, res()))
+    compiled = _raised(lambda: rw_rule(rule, s, {}, res()))
+    assert spec is expected
+    assert compiled is expected
+
+
+def _pick(guard):
+    return If(guard, Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2")))
+
+
+VALUE_CASES = [
+    # constants and locations holding bools, symbols and undef
+    (_pick(Eq(Apply("b"), Apply("1"))), {loc("b"): True}),
+    (_pick(Eq(Apply("b"), Apply("true"))), {loc("b"): True}),
+    (_pick(Eq(Apply("true"), Apply("1"))), {}),
+    (_pick(Eq(Apply("u"), Apply("undef"))), {}),
+    (_pick(Eq(Apply("c"), Apply("'red"))), {loc("c"): "red"}),
+    (_pick(Eq(Apply("c"), Apply("d"))), {loc("c"): 1, loc("d"): True}),
+    (_pick(Atom("flag")), {loc("flag"): True}),
+    (_pick(Atom("flag")), {}),
+    (Assign(Apply("x"), Apply("-", (Apply("n"), Apply("3")))), {loc("n"): 1}),
+    (Assign(Apply("x"), Apply("-", (Apply("3"), Apply("n")))), {loc("n"): 1}),
+    (Assign(Apply("x"), Apply("+", (Apply("-2"), Apply("n")))), {loc("n"): 1}),
+    (Assign(Apply("f", (Apply("true"),)), Apply("'red")), {}),
+    (Assign(Apply("f", (Apply("n"), Apply("m"))), Apply("undef")),
+     {loc("n"): 1, loc("m"): 2}),
+]
+
+
+@pytest.mark.parametrize("rule,values", VALUE_CASES)
+def test_compiled_values_match_spec(rule, values):
+    s = State(values)
+    _spec_case(rule, s, b"values")
+
+
+def test_call_arity_error_matches_spec():
+    rules = {"r": NamedRule(("a",), Skip())}
+    rule = Call("r", ())
+    s = State()
+    assert _raised(lambda: yields(rule, s, {}, res(), rules)) is ArityMismatch
+    assert _raised(lambda: rw_rule(rule, s, {}, res(), rules)) is ArityMismatch
+
+
+def test_choose_ids_are_read_when_the_code_runs():
+    # Programs that already ran keep their compiled code; joining a second
+    # RunConfig renumbers their choose nodes, and the code must follow.
+    fresh = lambda m: parse_program(print_program(m))
+    for seed in range(8):
+        first = random_config(seed)
+        run(first)
+        extra = random_machine(random.Random(seed), "a0", ["g0", "g1", "g2"],
+                               FuzzParams())
+        joined = RunConfig(machines=[extra] + first.machines,
+                           domain_size=first.domain_size, seed=seed)
+        reparsed = RunConfig(machines=[fresh(m) for m in joined.machines],
+                             domain_size=first.domain_size, seed=seed)
+        assert (trace_to_lines(run(joined))[1:]
+                == trace_to_lines(run(reparsed))[1:])
+
+
+def test_read_log_keeps_first_value_across_seq():
+    # a(i) and y are read before the first half writes them and again after
+    s = State({loc("i"): 0, loc("y"): 1})
+    r = Seq(Par(Assign(Apply("a", (Apply("i"),)), Apply("5")),
+                Assign(Apply("y"), Apply("2"))),
+            Assign(Apply("z"), Apply("+", (Apply("a", (Apply("i"),)), Apply("y")))))
+    log = {}
+    rw = rw_rule(r, s, {}, res(), read_log=log)
+    assert log[loc("a", 0)] is UNDEF and log[loc("y")] == 1
+    assert (loc("z"), 7) in rw.updates
+
+
+def test_call_parameter_shadowed_by_binder():
+    # inside `let x = 5` the parameter x is not substituted
+    rules = {"r": NamedRule(("x",), Par(
+        Let("x", Apply("5"), Assign(Apply("inner"), Var("x"))),
+        Assign(Apply("outer"), Var("x"))))}
+    s = State({loc("g"): 1})
+    rw = rw_rule(Call("r", (Apply("g"),)), s, {}, res(), rules)
+    assert rw.updates == yields(Call("r", (Apply("g"),)), s, {}, res(), rules)
+    assert rw.updates == frozenset({(loc("inner"), 5), (loc("outer"), 1)})

@@ -179,3 +179,31 @@ rule: sensor() := 1
     view = idle_view(granted=EMPTY_LOCKS, held=frozenset({loc("sensor")}))
     with pytest.raises(InvalidWrite):
         wrapper_step(prog, tcb, State(), view, 0, 0)
+
+
+def test_proper_steps_never_call_yields(monkeypatch):
+    # The analysis already produced the update set; asm.yields stays the
+    # spec the tests compare against, not a second pass.
+    from taserial import asm
+    from taserial.engine import run
+    from taserial.fuzz import random_config
+    from taserial.workloads import counter_config
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a proper step called yields")
+
+    monkeypatch.setattr(asm, "yields", forbidden)
+    assert run(counter_config(3, 2)).status == "done"
+    assert run(random_config(1)).status == "done"
+
+
+def test_terminated_stops_early_like_eval_formula():
+    # `or` stops at a true left side, so the non-boolean atom is never read;
+    # the lock analysis would read (and reject) it.
+    from taserial.asm import eval_formula
+    prog = parse_program("machine t terminated: pc() = 1 or flag() rule: skip")
+    done = State({loc("pc"): 1, loc("flag"): 3})
+    assert terminated(prog, done) is eval_formula(prog.terminated, done, {}) is True
+    assert terminated(prog, State({loc("pc"): 0})) is False
+    prog.terminated = parse_program("machine u terminated: pc() = 0 rule: skip").terminated
+    assert terminated(prog, done) is False  # a replaced formula is recompiled
