@@ -9,6 +9,7 @@ was serializable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -73,6 +74,20 @@ def load_manifest(path: str) -> RunConfig:
     return RunConfig(machines=machines, **kwargs)
 
 
+def _reject_deep_nesting(cmd):
+    """Report a program nested past the interpreter's recursion limit, in
+    parsing, running or checking it, as bad input instead of a traceback."""
+    @functools.wraps(cmd)
+    def guarded(args) -> int:
+        try:
+            return cmd(args)
+        except RecursionError:
+            print("error: program nests too deeply", file=sys.stderr)
+            return 1
+    return guarded
+
+
+@_reject_deep_nesting
 def cmd_run(args) -> int:
     try:
         config = load_manifest(args.config)
@@ -122,6 +137,7 @@ def _verdict_record(verdict: Verdict, oracle: str) -> dict:
     return out
 
 
+@_reject_deep_nesting
 def cmd_check(args) -> int:
     try:
         trace = load_trace(args.trace)

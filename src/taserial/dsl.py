@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, NoReturn, Optional, Set, Tuple, Union
 
 from .asm import (
     And,
@@ -70,43 +70,39 @@ KEYWORDS = {
     "true", "false", "undef",
 }
 
+# Whitespace matches no alternative, so findall steps over it; a comment
+# matches with both groups empty; a lexeme fills the first group and any
+# other character the second.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<comment>#[^\n]*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>:=|[(){};,:./=<+\-'])"
+    r"#[^\n]*"
+    r"|(\d+|[A-Za-z_][A-Za-z0-9_]*|:=|[(){};,:./=<+\-'])"
+    r"|(\S)"
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # "int" | "ident" | "op" | "eof"
-    text: str
-    line: int
-    column: int
+def _tokenize(text: str) -> List[str]:
+    """The lexemes of `text` followed by a "" sentinel for its end; a
+    character that starts no lexeme raises ParseError.
 
-
-def _tokenize(text: str) -> List[_Tok]:
-    toks: List[_Tok] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            toks.append(_Tok(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    toks.append(_Tok("eof", "", line, col))
+    A lexeme's kind is its first character: a digit starts an integer, a
+    letter or `_` an identifier (`str.isidentifier`), anything else is an
+    operator."""
+    toks = [lex for lex, bad in _TOKEN_RE.findall(text)
+            if lex or bad and _bad_character(text)]
+    toks.append("")
     return toks
+
+
+def _bad_character(text: str) -> NoReturn:
+    m = next(m for m in _TOKEN_RE.finditer(text) if m.group(2))
+    raise ParseError(f"unexpected character {m.group(2)!r}",
+                     *_position(text, m.start()))
+
+
+def _position(text: str, offset: int) -> Tuple[int, int]:
+    """1-based line and column of `offset` in `text`."""
+    return (text.count("\n", 0, offset) + 1,
+            offset - text.rfind("\n", 0, offset))
 
 
 @dataclass
@@ -200,40 +196,62 @@ def _check_call_graph(name: str, main: Rule, rules: Dict[str, NamedRule]) -> Non
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self, ahead: int = 0) -> str:
+        return self.toks[self.pos + ahead]
 
-    def next(self) -> _Tok:
-        tok = self.peek()
+    def next(self) -> str:
+        tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def fail(self, message: str) -> None:
-        tok = self.peek()
-        raise ParseError(message + (f" (at {tok.text!r})" if tok.text else " (at end)"),
-                         tok.line, tok.column)
+    def fail(self, message: str) -> NoReturn:
+        tok = self.toks[self.pos]
+        raise ParseError(message + (f" (at {tok!r})" if tok else " (at end)"),
+                         *_position(self.text, self._offset(self.pos)))
 
-    def expect(self, text: str) -> _Tok:
-        tok = self.peek()
-        if tok.text != text:
+    def _offset(self, index: int) -> int:
+        """Offset in the text of token `index`, found by lexing it again."""
+        for m in _TOKEN_RE.finditer(self.text):
+            if m.group(1):
+                if not index:
+                    return m.start()
+                index -= 1
+        return len(self.text)
+
+    def expect(self, text: str) -> None:
+        if self.toks[self.pos] != text:
             self.fail(f"expected {text!r}")
-        return self.next()
+        self.pos += 1
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text
+        return self.toks[self.pos] == text
 
     def ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
+        tok = self.toks[self.pos]
+        if not tok.isidentifier():
             self.fail("expected identifier")
-        if tok.text in KEYWORDS:
-            self.fail(f"keyword {tok.text!r} cannot be used as a name")
-        return self.next().text
+        if tok in KEYWORDS:
+            self.fail(f"keyword {tok!r} cannot be used as a name")
+        self.pos += 1
+        return tok
+
+    def _list(self, item, *args) -> list:
+        """`( item, ... )`: the items, each parsed by `item(*args)`."""
+        self.expect("(")
+        items = []
+        if not self.at(")"):
+            items.append(item(*args))
+            while self.at(","):
+                self.next()
+                items.append(item(*args))
+        self.expect(")")
+        return items
 
     # -- program ----------------------------------------------------------
 
@@ -244,21 +262,21 @@ class _Parser:
         monitored: Set[str] = set()
         output: Set[str] = set()
         saw_rule = False
-        while self.peek().kind != "eof":
+        while self.peek():
             tok = self.peek()
-            if tok.text in ("shared", "monitored", "output"):
+            if tok in ("shared", "monitored", "output"):
                 self.next()
                 target = {"shared": shared, "monitored": monitored,
-                          "output": output}[tok.text]
+                          "output": output}[tok]
                 target |= self._name_list(prog)
-            elif tok.text == "init":
+            elif tok == "init":
                 self.next()
                 prog.inits.append(self._init())
-            elif tok.text == "terminated":
+            elif tok == "terminated":
                 self.next()
                 self.expect(":")
                 prog.terminated = self.formula(frozenset())
-            elif tok.text == "rule":
+            elif tok == "rule":
                 self.next()
                 if self.at(":"):
                     self.next()
@@ -266,14 +284,7 @@ class _Parser:
                     saw_rule = True
                 else:
                     rname = self.ident()
-                    self.expect("(")
-                    params: List[str] = []
-                    if not self.at(")"):
-                        params.append(self.ident())
-                        while self.at(","):
-                            self.next()
-                            params.append(self.ident())
-                    self.expect(")")
+                    params = self._list(self.ident)
                     self.expect(":")
                     body = self.rule(frozenset(params))
                     if rname in prog.named_rules:
@@ -291,15 +302,14 @@ class _Parser:
 
     def _name_list(self, prog: MachineProgram) -> Set[str]:
         names: Set[str] = set()
-        while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
+        while self.peek().isidentifier() and self.peek() not in KEYWORDS:
             name = self.ident()
             names.add(name)
             if self.at("/"):
                 self.next()
-                tok = self.peek()
-                if tok.kind != "int":
+                if not self.peek().isdecimal():
                     self.fail("expected arity")
-                arity = int(self.next().text)
+                arity = int(self.next())
                 prior = prog.arities.get(name)
                 if prior is not None and prior != arity:
                     self.fail(f"conflicting arity for {name}")
@@ -310,156 +320,146 @@ class _Parser:
 
     def _init(self) -> Tuple[Location, Value]:
         func = self.ident()
-        self.expect("(")
-        args: List[Value] = []
-        if not self.at(")"):
-            args.append(self._value_literal())
-            while self.at(","):
-                self.next()
-                args.append(self._value_literal())
-        self.expect(")")
+        args = self._list(self._value_literal)
         self.expect(":=")
         val = self._value_literal()
         return Location(func, tuple(args)), val
 
     def _value_literal(self) -> Value:
         tok = self.peek()
-        if tok.kind == "int":
-            return int(self.next().text)
-        if tok.text == "-" and self.peek(1).kind == "int":
+        if tok.isdecimal():
+            return int(self.next())
+        if tok == "-" and self.peek(1).isdecimal():
             self.next()
-            return -int(self.next().text)
-        if tok.text == "true":
+            return -int(self.next())
+        if tok == "true":
             self.next()
             return True
-        if tok.text == "false":
+        if tok == "false":
             self.next()
             return False
-        if tok.text == "undef":
+        if tok == "undef":
             self.next()
             return UNDEF
-        if tok.text == "'":
+        if tok == "'":
             self.next()
             return self.ident()
         self.fail("expected a literal value")
-        raise AssertionError  # unreachable
 
     # -- terms ------------------------------------------------------------
 
-    def term(self, bound: FrozenSet[str]) -> Term:
-        t = self._term_primary(bound)
-        while self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self._term_primary(bound)
-            t = Apply(op, (t, rhs))
+    def term(self, bound: FrozenSet[str], first: Optional[Term] = None) -> Term:
+        """Primaries joined by `+`/`-`; `first` is the first one if parsed."""
+        t = self._term_primary(bound) if first is None else first
+        while self.peek() in ("+", "-"):
+            op = self.next()
+            t = Apply(op, (t, self._term_primary(bound)))
         return t
 
     def _term_primary(self, bound: FrozenSet[str]) -> Term:
-        tok = self.peek()
-        if tok.kind == "int":
-            return Apply(self.next().text)
-        if tok.text == "-":
-            self.next()
-            inner = self.peek()
-            if inner.kind == "int":
-                return Apply("-" + self.next().text)
+        tok = self.next()
+        if tok.isidentifier() and tok not in KEYWORDS:
+            if self.at("("):
+                return Apply(tok, tuple(self._list(self.term, bound)))
+            if tok in bound:
+                return Var(tok)
+            return Apply(tok)
+        if tok.isdecimal():
+            return Apply(tok)
+        if tok == "-":
+            if self.peek().isdecimal():
+                return Apply("-" + self.next())
             return Apply("-", (Apply("0"), self._term_primary(bound)))
-        if tok.text == "(":
-            self.next()
+        if tok == "(":
             t = self.term(bound)
             self.expect(")")
             return t
-        if tok.text == "'":
-            self.next()
-            sym = self.ident()
-            return Apply("'" + sym)
-        if tok.text in ("true", "false", "undef"):
-            self.next()
-            return Apply(tok.text)
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            name = self.ident()
-            if self.at("("):
-                self.next()
-                args: List[Term] = []
-                if not self.at(")"):
-                    args.append(self.term(bound))
-                    while self.at(","):
-                        self.next()
-                        args.append(self.term(bound))
-                self.expect(")")
-                return Apply(name, tuple(args))
-            if name in bound:
-                return Var(name)
-            return Apply(name)
+        if tok == "'":
+            return Apply("'" + self.ident())
+        if tok in ("true", "false", "undef"):
+            return Apply(tok)
+        self.pos -= 1  # report the token that starts no term
         self.fail("expected a term")
-        raise AssertionError
 
     # -- formulae ---------------------------------------------------------
 
-    def formula(self, bound: FrozenSet[str]) -> Formula:
-        f = self._conj(bound)
+    def formula(self, bound: FrozenSet[str], first=None) -> Formula:
+        """Disjunction of conjunctions; `first` is the first operand if parsed."""
+        f = self._conj(bound, first)
         while self.at("or"):
             self.next()
             f = Or(f, self._conj(bound))
         return f
 
-    def _conj(self, bound: FrozenSet[str]) -> Formula:
-        f = self._neg(bound)
+    def _conj(self, bound: FrozenSet[str], first=None) -> Formula:
+        f = self._neg(bound) if first is None else first
         while self.at("and"):
             self.next()
             f = And(f, self._neg(bound))
         return f
 
     def _neg(self, bound: FrozenSet[str]) -> Formula:
-        if self.at("not"):
+        f = self._formula_or_term(bound)
+        return self._as_formula(f) if isinstance(f, (Apply, Var)) else f
+
+    def _formula_or_term(self, bound: FrozenSet[str]) -> Union[Formula, Term]:
+        """A negation, a quantifier, a comparison or a parenthesised formula;
+        or a term that no `=` or `<` follows, left for the caller to read as
+        an atom or as the parenthesised start of a comparison."""
+        tok = self.peek()
+        if tok == "not":
             self.next()
             return Not(self._neg(bound))
-        if self.at("forall") or self.at("exists"):
-            kw = self.next().text
+        if tok in ("forall", "exists"):
+            self.next()
             var = self.ident()
             self.expect(".")
             body = self.formula(bound | {var})
-            return Forall(var, body) if kw == "forall" else Exists(var, body)
-        if self.at("true"):
+            return Forall(var, body) if tok == "forall" else Exists(var, body)
+        if tok == "(":
             self.next()
-            return Eq(Apply("0"), Apply("0"))
-        if self.at("false"):
-            self.next()
-            return Not(Eq(Apply("0"), Apply("0")))
-        if self.at("("):
-            # Either a parenthesized formula or a parenthesized term followed
-            # by a comparison; try the formula first.
-            mark = self.pos
-            self.next()
-            try:
-                f = self.formula(bound)
-                self.expect(")")
-                return f
-            except ParseError:
-                self.pos = mark
-        return self._comparison(bound)
+            inner = self._formula_or_term(bound)
+            if isinstance(inner, (Apply, Var)):
+                if self.at(")"):
+                    # A parenthesised term: the first primary of a term,
+                    # which a comparison may follow.
+                    self.next()
+                    return self._comparison(bound, self.term(bound, inner))
+                if self.peek() in ("and", "or"):
+                    inner = self._as_formula(inner)
+            # Anything else after a bare term fails on the ")" expected here.
+            f = self.formula(bound, inner)
+            self.expect(")")
+            return f
+        return self._comparison(bound, self.term(bound))
 
-    def _comparison(self, bound: FrozenSet[str]) -> Formula:
-        t = self.term(bound)
-        if self.at("="):
+    def _comparison(self, bound: FrozenSet[str], t: Term) -> Union[Formula, Term]:
+        op = self.peek()
+        if op == "=" or op == "<":
             self.next()
-            return Eq(t, self.term(bound))
-        if self.at("<"):
-            self.next()
-            return Lt(t, self.term(bound))
-        if isinstance(t, Apply) and not is_static(t.func):
-            return Atom(t.func, t.args)
+            return (Eq if op == "=" else Lt)(t, self.term(bound))
+        return t
+
+    def _as_formula(self, t: Term) -> Formula:
+        """The formula that a term standing alone denotes: `true`, `false`
+        or an atom."""
+        if isinstance(t, Apply):
+            if t.func == "true":
+                return Eq(Apply("0"), Apply("0"))
+            if t.func == "false":
+                return Not(Eq(Apply("0"), Apply("0")))
+            if not is_static(t.func):
+                return Atom(t.func, t.args)
         self.fail("expected a comparison or atom")
-        raise AssertionError
 
     # -- rules ------------------------------------------------------------
 
     def rule(self, bound: FrozenSet[str]) -> Rule:
         tok = self.peek()
-        if tok.text == "skip":
+        if tok == "skip":
             self.next()
             return Skip()
-        if tok.text == "if":
+        if tok == "if":
             self.next()
             guard = self.formula(bound)
             self.expect("then")
@@ -469,24 +469,24 @@ class _Parser:
                 self.next()
                 orelse = self.rule(bound)
             return If(guard, then, orelse)
-        if tok.text == "let":
+        if tok == "let":
             self.next()
             var = self.ident()
             self.expect("=")
             bind = self.term(bound)
             self.expect("in")
             return Let(var, bind, self.rule(bound | {var}))
-        if tok.text in ("forall", "choose"):
+        if tok in ("forall", "choose"):
             self.next()
             var = self.ident()
             self.expect("with")
             guard = self.formula(bound | {var})
             self.expect("do")
             body = self.rule(bound | {var})
-            if tok.text == "forall":
+            if tok == "forall":
                 return ForallDo(var, guard, body)
             return ChooseDo(var, guard, body)
-        if tok.text in ("par", "seq"):
+        if tok in ("par", "seq"):
             self.next()
             self.expect("{")
             items = [self.rule(bound)]
@@ -494,23 +494,15 @@ class _Parser:
                 self.next()
                 items.append(self.rule(bound))
             self.expect("}")
-            ctor = Par if tok.text == "par" else Seq
+            ctor = Par if tok == "par" else Seq
             out = items[-1]
             for item in reversed(items[:-1]):
                 out = ctor(item, out)  # type: ignore[arg-type]
             return out
-        if tok.text == "call":
+        if tok == "call":
             self.next()
             name = self.ident()
-            self.expect("(")
-            args: List[Term] = []
-            if not self.at(")"):
-                args.append(self.term(bound))
-                while self.at(","):
-                    self.next()
-                    args.append(self.term(bound))
-            self.expect(")")
-            return Call(name, tuple(args))
+            return Call(name, tuple(self._list(self.term, bound)))
         lhs = self.term(bound)
         if not isinstance(lhs, Apply) or is_static(lhs.func):
             self.fail("assignment target must be a function application")

@@ -596,6 +596,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
         raise MalformedTrace(f"unsupported trace version {header.get('version')!r}")
     try:
         config = RunConfig.from_payload(header["config"])
+        if payload_digest(header["config"]) != header["config_digest"]:
+            raise MalformedTrace("config_digest does not match the config")
         steps = []
         for rec in records[1:-1]:
             if rec.get("type") != "step":

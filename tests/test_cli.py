@@ -157,3 +157,53 @@ def test_run_bad_manifest_field_exits_one(workdir, capsys, field, value):
     (workdir / "bad.json").write_text(json.dumps(manifest))
     assert main(["run", str(workdir / "bad.json")]) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_check_tampered_config_digest_exits_one(tmp_path, capsys):
+    records = _fuzz_trace_lines(tmp_path)
+    records[0]["config_digest"] = "0" * 16
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and "config_digest" in err
+
+
+def test_check_edited_program_text_exits_one(tmp_path, capsys):
+    records = _fuzz_trace_lines(tmp_path)
+    programs = records[0]["config"]["programs"]
+    name = sorted(programs)[0]
+    programs[name] += "init extra() := 1\n"
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and "config_digest" in err
+
+
+# -- programs nested past the recursion limit --------------------------------
+
+DEPTH = 3000
+DEEP_PROGRAMS = {
+    "parens": "rule: x() := " + "(" * DEPTH + "1" + ")" * DEPTH,
+    "nots": "terminated: " + "not " * DEPTH + "x() = 1\nrule: skip",
+    "par": "rule: par { " + " ; ".join(f"x{i}() := {i}" for i in range(DEPTH))
+           + " }",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DEEP_PROGRAMS))
+def test_run_deeply_nested_program_exits_one(tmp_path, capsys, kind):
+    (tmp_path / "deep.tas").write_text(f"machine deep\n{DEEP_PROGRAMS[kind]}\n")
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"programs": ["deep.tas"]}))
+    assert main(["run", str(tmp_path / "manifest.json")]) == 1
+    assert capsys.readouterr().err == "error: program nests too deeply\n"
+
+
+def test_check_deeply_nested_program_in_header_exits_one(tmp_path, capsys):
+    from taserial.engine import payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    config = records[0]["config"]
+    name = sorted(config["programs"])[0]
+    config["programs"][name] = f"machine {name}\n{DEEP_PROGRAMS['parens']}\n"
+    records[0]["config_digest"] = payload_digest(config)
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err == "error: program nests too deeply\n"
