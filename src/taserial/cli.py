@@ -166,6 +166,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    for flag, value, least in (("--machines", args.machines, 1),
+                               ("--locations", args.locations, 1),
+                               ("--runs", args.runs, 0)):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return 1
     if args.self_test:
         return _anomaly_self_test()
     params = FuzzParams(n_machines=args.machines, n_shared=args.locations)

@@ -90,6 +90,15 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, str) or value not in known:
                 raise ConfigError(f"unknown {name.replace('_', ' ')} {value!r}")
+        if not isinstance(self.registration, dict):
+            raise ConfigError(f"registration must map machine names to "
+                              f"steps, got {self.registration!r}")
+        for name, step in self.registration.items():
+            if name not in names:
+                raise ConfigError(f"registration names unknown machine {name!r}")
+            if type(step) is not int or step < 0:
+                raise ConfigError(f"registration step of {name!r} must be a "
+                                  f"non-negative integer, got {step!r}")
         self.machines = sorted(self.machines, key=lambda m: m.name)
         rules = []
         for m in self.machines:
@@ -177,12 +186,17 @@ def payload_digest(payload: dict) -> str:
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineStep:
     updates: UpdateSet
     reads: Tuple[Tuple[Location, Value], ...]
     ctl_change: Optional[Tuple[str, str]]
     proper: bool
+
+
+#: The step of a waiting machine (see `_idle`), which the engine records
+#: without a wrapper step.
+IDLE_STEP = MachineStep(frozenset(), (), None, False)
 
 
 @dataclass
@@ -332,8 +346,12 @@ def run(config: RunConfig, seed: Optional[int] = None,
     if max_steps < 1:
         raise ConfigError("max_steps must be >= 1")
     active_ids = config.machine_ids if only is None else list(only)
+    programs = {p.name: p for p in config.machines}
     for m in active_ids:
-        config.program(m)  # raises UnknownMachine
+        if m not in programs:
+            raise UnknownMachine(m)
+    order = sorted(active_ids)
+    suspend = config.wait_mode == "suspend"
 
     state = initial_state if initial_state is not None else config.initial_state()
     state = State(dict(state.values), config.domain())
@@ -351,7 +369,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
         events: List[dict] = []
         # Registration is the entry into the controller's supervision; the
         # history starts empty.
-        for m in sorted(active_ids):
+        for m in order:
             if reg_step[m] == index and tcbs[m].ctl_state == UNREGISTERED:
                 tcbs[m].ctl_state = ACTIVE
                 cs.transact.add(m)
@@ -362,7 +380,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
             status = "done"
             break
 
-        acting_machines, controller_acts = _acting(config, active_ids, tcbs,
+        acting_machines, controller_acts = _acting(config, order, tcbs,
                                                    seed, index)
 
         # Compute phase: every agent reads the same snapshot.
@@ -371,6 +389,9 @@ def run(config: RunConfig, seed: Optional[int] = None,
         updates: set = set()
         for m in acting_machines:
             tcb = tcbs[m]
+            if _idle(tcb, cs, suspend):
+                per_machine[m] = IDLE_STEP
+                continue
             view = ControllerView(
                 victim=m in cs.victims,
                 granted=cs.granted.get(m),
@@ -378,7 +399,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
                 held=cs.locks.locked_by(m),
                 w_held=cs.locks.w_locked_by(m),
             )
-            out = wrapper_step(config.program(m), tcb, state, view, seed,
+            out = wrapper_step(programs[m], tcb, state, view, seed,
                                index, config.wait_mode)
             per_machine[m] = MachineStep(out.updates, out.reads,
                                          out.ctl_change, out.proper)
@@ -461,8 +482,8 @@ class _Stream:
         return self.rng.randrange(*args)
 
 
-def _acting(config: RunConfig, active_ids, tcbs, seed: int, index: int):
-    registered = [m for m in sorted(active_ids)
+def _acting(config: RunConfig, order, tcbs, seed: int, index: int):
+    registered = [m for m in order
                   if tcbs[m].ctl_state in (ACTIVE, WAIT_LOCKS, WAIT_RECOVERY)]
     if config.run_mode == "sync":
         return registered, True
@@ -474,6 +495,18 @@ def _acting(config: RunConfig, active_ids, tcbs, seed: int, index: int):
     if chosen == "<controller>":
         return [], True
     return [chosen], False
+
+
+def _idle(tcb: MachineCtl, cs: ctl.ControllerState, suspend: bool) -> bool:
+    """Whether the machine's wrapper step would do nothing at all: it waits
+    for locks with no grant, no refusal and no victim flag to react to (the
+    flag matters only in suspend mode), or waits for recovery while still a
+    victim."""
+    m = tcb.machine_id
+    if tcb.ctl_state == WAIT_LOCKS:
+        return (m not in cs.granted and m not in cs.refused
+                and not (suspend and m in cs.victims))
+    return tcb.ctl_state == WAIT_RECOVERY and m in cs.victims
 
 
 def _apply_machine_effect(cs: ctl.ControllerState, tcb: MachineCtl,
@@ -529,8 +562,25 @@ class MalformedTrace(AsmError):
     pass
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# What `json.dumps(obj, sort_keys=True, separators=(",", ":"))` writes,
+# without building an encoder per call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# `IDLE_STEP` as its trace record writes it, and the record decoded.
+_IDLE_JSON = '{"ctl":null,"proper":false,"reads":[],"updates":[]}'
+_IDLE_PAYLOAD = json.loads(_IDLE_JSON)
+
+
+def _machine_step_json(ms: MachineStep) -> str:
+    if ms is IDLE_STEP:
+        return _IDLE_JSON
+    return _dump({
+        "updates": encode_pairs(ms.updates),
+        "reads": encode_pairs(ms.reads),
+        "ctl": list(ms.ctl_change) if ms.ctl_change else None,
+        "proper": ms.proper,
+    })
 
 
 def trace_to_lines(trace: Trace) -> List[str]:
@@ -546,27 +596,20 @@ def trace_to_lines(trace: Trace) -> List[str]:
     }
     lines = [_dump(header)]
     for rec in trace.steps:
-        machines = {}
-        for m, ms in sorted(rec.per_machine.items()):
-            machines[m] = {
-                "updates": encode_pairs(ms.updates),
-                "reads": encode_pairs(ms.reads),
-                "ctl": list(ms.ctl_change) if ms.ctl_change else None,
-                "proper": ms.proper,
-            }
+        machines = ",".join([_dump(m) + ":" + _machine_step_json(ms)
+                             for m, ms in sorted(rec.per_machine.items())])
         events = []
         for ev in rec.events:
             ev = dict(ev)
             if "restored" in ev:
                 ev["restored"] = encode_pairs(ev["restored"])
             events.append(ev)
-        lines.append(_dump({
-            "type": "step",
-            "index": rec.index,
-            "machines": machines,
-            "events": events,
-            "state_hash": rec.state_hash,
-        }))
+        # The canonical record, keys in sorted order, assembled from parts.
+        lines.append('{"events":' + _dump(events)
+                     + ',"index":' + _dump(rec.index)
+                     + ',"machines":{' + machines
+                     + '},"state_hash":' + _dump(rec.state_hash)
+                     + ',"type":"step"}')
     lines.append(_dump({
         "type": "final",
         "status": trace.status,
@@ -604,6 +647,10 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
             per_machine = {}
             for m, ms in rec["machines"].items():
+                # Only the exact record: `"proper":0` decodes as before.
+                if ms == _IDLE_PAYLOAD and ms["proper"] is False:
+                    per_machine[m] = IDLE_STEP
+                    continue
                 per_machine[m] = MachineStep(
                     updates=frozenset(decode_pairs(ms["updates"])),
                     reads=tuple(decode_pairs(ms["reads"])),

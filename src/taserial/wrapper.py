@@ -14,12 +14,14 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .asm import (
+    UNDEF,
     AsmError,
     Location,
     State,
     UpdateSet,
     Value,
     loc_key,
+    values_equal,
 )
 from .dsl import MachineProgram
 from .rwloc import FormulaCode, RuleCode, RwSet, rw_rule
@@ -79,6 +81,10 @@ class MachineCtl:
     machine_id: str
     ctl_state: str = UNREGISTERED
     proper_count: int = 0
+    # (compiled main rule, seed, ordinal, RwSet, read log) of the last
+    # analysis, reused by `_step_analysis` while its reads are unchanged.
+    last_analysis: Optional[tuple] = field(default=None, repr=False,
+                                           compare=False)
 
 
 @dataclass
@@ -121,15 +127,46 @@ def _analysis(program: MachineProgram, state: State, material: bytes):
     return rw, read_log
 
 
-def new_locks(program: MachineProgram, state: State, view: ControllerView,
-              material: bytes, rw: Optional[RwSet] = None) -> LockPair:
-    """Locks the machine still needs for its next step in this state.
+def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
+                  seed: int):
+    """`_analysis` of the machine's next proper step in this state.
 
-    Reads intersected with shared/monitored minus every held lock; writes
-    intersected with shared/output minus held write locks.
+    The last analysis is reused when it was made for the same compiled rule,
+    seed and ordinal and every location in its read log still holds the
+    logged value.  That log holds every location the analysis depends on,
+    assignment targets included, at its value before the step (a location
+    written in a `seq` first half was logged as a target before the second
+    half reads it), so a fresh analysis would compute the same reads and
+    updates.
     """
-    if rw is None:
-        rw, _ = _analysis(program, state, material)
+    code = _main_code(program)
+    ordinal = tcb.proper_count
+    last = tcb.last_analysis
+    if (last is not None and last[0] is code and last[1] == seed
+            and last[2] == ordinal):
+        values = state.values
+        for loc, v in last[4].items():
+            if not values_equal(values.get(loc, UNDEF), v):
+                break
+        else:
+            return last[3], last[4]
+    rw, read_log = _analysis(program, state,
+                             choice_material(seed, tcb.machine_id, ordinal))
+    tcb.last_analysis = (code, seed, ordinal, rw, read_log)
+    return rw, read_log
+
+
+def new_locks(program: MachineProgram, state: State, view: ControllerView,
+              material: bytes) -> LockPair:
+    """Locks the machine still needs for its next step in this state."""
+    rw, _ = _analysis(program, state, material)
+    return _locks_for(program, rw, view)
+
+
+def _locks_for(program: MachineProgram, rw: RwSet,
+               view: ControllerView) -> LockPair:
+    """Reads intersected with shared/monitored minus every held lock; writes
+    intersected with shared/output minus held write locks."""
     r_loc = frozenset(
         l for l in rw.reads
         if program.classify(l.func) in ("shared", "monitored")) - view.held
@@ -177,9 +214,10 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
                  wait_mode: str = "retry") -> WrapperOutcome:
     """One transition of the control-state machine in Fig-style composition.
 
-    Pure function of the snapshot; lock requests, commit requests, history
-    appends and flag consumption are returned as effects for the engine to
-    apply after every agent has computed.
+    Pure function of the snapshot, apart from the analysis kept on tcb for
+    reuse; lock requests, commit requests, history appends and flag
+    consumption are returned as effects for the engine to apply after every
+    agent has computed.
     """
     if tcb.ctl_state == ACTIVE:
         return _active_step(program, tcb, state, view, seed, step_index)
@@ -199,9 +237,8 @@ def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
     if terminated(program, state):
         return WrapperOutcome(ctl_change=(ACTIVE, DONE),
                               effects=[("commit_request",)])
-    material = choice_material(seed, tcb.machine_id, tcb.proper_count)
-    rw, read_log = _analysis(program, state, material)
-    needed = new_locks(program, state, view, material, rw=rw)
+    rw, read_log = _step_analysis(program, tcb, state, seed)
+    needed = _locks_for(program, rw, view)
     if not needed.is_empty():
         return WrapperOutcome(ctl_change=(ACTIVE, WAIT_LOCKS),
                               effects=[("lock_request", needed)])
@@ -212,9 +249,8 @@ def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
 def _wait_locks_step(program, tcb, state, view, seed, step_index,
                      wait_mode) -> WrapperOutcome:
     if view.granted is not None:
-        material = choice_material(seed, tcb.machine_id, tcb.proper_count)
-        rw, read_log = _analysis(program, state, material)
-        still_needed = new_locks(program, state, view, material, rw=rw)
+        rw, read_log = _step_analysis(program, tcb, state, seed)
+        still_needed = _locks_for(program, rw, view)
         effects = [("consume_granted",)]
         if not still_needed.is_empty():
             # The state moved between request and grant and the step now

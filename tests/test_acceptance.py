@@ -3,6 +3,7 @@
 Each test exercises one headline property at full scale and prints a single
 PASS/FAIL line with its measured numbers.
 """
+import dataclasses
 import hashlib
 import random
 import time
@@ -21,6 +22,7 @@ from taserial.rwloc import rw_rule
 from taserial.seeds import ChoiceResolver, derive_bytes
 from taserial.workloads import (
     count_events,
+    counter_config,
     full_victim_config,
     last_undo_step,
     opposed_lock_config,
@@ -249,3 +251,45 @@ def test_golden_traces_12_machines():
     digest = _traces_sha256(run(random_config(s, params)) for s in range(4))
     report("golden 12-machine traces", digest == GOLDEN_12_MACHINES_0_3,
            f"sha256 of seeds 0-3: {digest}")
+
+
+# Pins for the modes the two pins above leave out, taken from the engine
+# before waiting machines were skipped without a wrapper step: the
+# interleaved run mode over the default corpus, and the hand-written
+# workloads in both wait modes and both run modes, each also run solo as
+# the checker re-runs it.
+GOLDEN_INTERLEAVE_0_199 = (
+    "629d71ea6a8e0d7f5bdbe05bdea253cb1992bb967f2c4775680cb23ce85d7668")
+GOLDEN_HAND_WRITTEN = (
+    "63707c8f2c999632b97ce66c9e554a03d80b3c1b32ff58aee6147483b94017f0")
+
+
+def test_golden_traces_interleave_mode():
+    traces = (run(dataclasses.replace(random_config(s), run_mode="interleave"))
+              for s in range(200))
+    digest = _traces_sha256(traces)
+    report("golden interleave-mode traces", digest == GOLDEN_INTERLEAVE_0_199,
+           f"sha256 of seeds 0-199: {digest}")
+
+
+def _hand_written_traces():
+    for seed in range(10):
+        for wait_mode in ("retry", "suspend"):
+            for run_mode in ("sync", "interleave"):
+                modes = dict(wait_mode=wait_mode, run_mode=run_mode)
+                configs = [
+                    counter_config(3, 2, seed=seed, **modes),
+                    counter_config(4, 3, seed=seed,
+                                   registration={"m1": 2, "m3": 5}, **modes),
+                    opposed_lock_config(seed=seed, **modes),
+                    full_victim_config(seed=seed, **modes),
+                ]
+                for config in configs:
+                    yield run(config)
+                    yield run(config, only=[config.machine_ids[-1]])
+
+
+def test_golden_traces_hand_written_workloads():
+    digest = _traces_sha256(_hand_written_traces())
+    report("golden hand-written traces", digest == GOLDEN_HAND_WRITTEN,
+           f"sha256 of counter/opposed/full-victim seeds 0-9: {digest}")

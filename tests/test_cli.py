@@ -207,3 +207,32 @@ def test_check_deeply_nested_program_in_header_exits_one(tmp_path, capsys):
     records[0]["config_digest"] = payload_digest(config)
     assert _check_records(tmp_path, records) == 1
     assert capsys.readouterr().err == "error: program nests too deeply\n"
+
+
+@pytest.mark.parametrize("registration", [[1], {"left": "x"}, {"left": -1},
+                                          {"zz": 1}])
+def test_run_bad_registration_exits_one(workdir, capsys, registration):
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    manifest["registration"] = registration
+    (workdir / "bad.json").write_text(json.dumps(manifest))
+    assert main(["run", str(workdir / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "registration" in err
+
+
+@pytest.mark.parametrize("flag,value", [("--locations", "0"),
+                                        ("--machines", "0"),
+                                        ("--machines", "-2"),
+                                        ("--runs", "-1")])
+def test_fuzz_bad_size_exits_one(capsys, tmp_path, monkeypatch, flag, value):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", flag, value, "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {flag} must be at least")
+    assert "run seed=" not in captured.out
+
+
+def test_fuzz_zero_runs_is_fine(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["fuzz", "--runs", "0", "--seed", "0"]) == 0
+    assert "aggregate: runs=0" in capsys.readouterr().out

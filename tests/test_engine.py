@@ -1,3 +1,6 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from taserial import controller, engine
@@ -20,6 +23,7 @@ from taserial.engine import (
     UNDEF,
 )
 from taserial.fuzz import FuzzParams, random_config
+from taserial.wrapper import ACTIVE, WAIT_LOCKS
 from taserial.workloads import (
     count_events,
     counter_config,
@@ -277,3 +281,177 @@ def test_controller_streams_seeded_only_when_drawn(monkeypatch):
     draws = count_events(trace, "lock_grant") + count_events(trace, "lock_refuse")
     assert labels.count("lock") == draws
     assert labels.count("commit") == count_events(trace, "commit")
+
+
+# -- idle machine-steps and reused analyses ------------------------------------
+
+
+def _typed(read_log):
+    return sorted((repr(l), v, type(v).__name__) for l, v in read_log.items())
+
+
+def _run_with_shortcuts_checked(monkeypatch, configs):
+    """Run and check each config with the idle shortcut turned off: every
+    machine the engine would have skipped must get an empty outcome from
+    `wrapper_step`, and every reused analysis must equal a fresh one.  The
+    traces must match those of the unpatched engine byte for byte."""
+    from taserial import wrapper
+
+    counts = {"skipped": 0, "stepped": 0, ACTIVE: 0, WAIT_LOCKS: 0}
+    verdict = []
+    real_idle, real_step = engine._idle, engine.wrapper_step
+    real_analysis = wrapper._step_analysis
+
+    def idle(tcb, cs, suspend):
+        verdict.append(real_idle(tcb, cs, suspend))
+        return False
+
+    def step(*args, **kwargs):
+        out = real_step(*args, **kwargs)
+        if verdict.pop():
+            counts["skipped"] += 1
+            assert out == wrapper.WrapperOutcome()
+        else:
+            counts["stepped"] += 1
+        return out
+
+    def analysis(program, tcb, state, seed):
+        last = tcb.last_analysis
+        rw, read_log = real_analysis(program, tcb, state, seed)
+        if last is not None and rw is last[3]:
+            counts[tcb.ctl_state] += 1
+            material = wrapper.choice_material(seed, tcb.machine_id,
+                                               tcb.proper_count)
+            fresh_rw, fresh_log = wrapper._analysis(program, state, material)
+            assert rw == fresh_rw
+            assert _typed(read_log) == _typed(fresh_log)
+        return rw, read_log
+
+    configs = list(configs)
+    monkeypatch.setattr(engine, "_idle", idle)
+    monkeypatch.setattr(engine, "wrapper_step", step)
+    monkeypatch.setattr(wrapper, "_step_analysis", analysis)
+    checked = []
+    for config in configs:
+        trace = run(config)
+        if trace.status == "done":
+            assert check_serializable(trace).ok  # the solo re-runs too
+        checked.append(trace_to_lines(trace))
+    monkeypatch.undo()
+    assert checked == [trace_to_lines(run(c)) for c in configs]
+    assert not verdict
+    return counts
+
+
+@pytest.mark.parametrize("run_mode", ["sync", "interleave"])
+def test_shortcuts_match_full_steps_default_corpus(monkeypatch, run_mode):
+    configs = (replace(random_config(s), run_mode=run_mode) for s in range(200))
+    counts = _run_with_shortcuts_checked(monkeypatch, configs)
+    assert counts["skipped"] and counts["stepped"]
+    assert counts[ACTIVE] and counts[WAIT_LOCKS]  # retry and grant reuse
+
+
+@pytest.mark.parametrize("run_mode", ["sync", "interleave"])
+def test_shortcuts_match_full_steps_12_machines(monkeypatch, run_mode):
+    params = FuzzParams(n_machines=12, n_shared=16, max_steps_per_machine=8,
+                        domain_size=8, step_budget=2000)
+    # seeds 0 and 1: retry and suspend
+    configs = (replace(random_config(s, params), run_mode=run_mode)
+               for s in range(2))
+    counts = _run_with_shortcuts_checked(monkeypatch, configs)
+    assert counts["skipped"] and counts[ACTIVE] and counts[WAIT_LOCKS]
+
+
+def test_waiting_machines_skip_the_wrapper(monkeypatch):
+    calls = []
+    original = engine.wrapper_step
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "wrapper_step", counting)
+    trace = run(opposed_lock_config(seed=3))
+    idle = [ms for rec in trace.steps for ms in rec.per_machine.values()
+            if ms is engine.IDLE_STEP]
+    assert idle
+    assert len(calls) + len(idle) == sum(len(rec.per_machine)
+                                         for rec in trace.steps)
+
+
+def _with_machine_entry(lines, payload):
+    """The trace lines with m0's entry in the first step replaced."""
+    record = json.loads(lines[1])
+    record["machines"]["m0"] = json.loads(payload)
+    return lines[:1] + [json.dumps(record)] + lines[2:]
+
+
+def test_idle_record_decodes_to_the_shared_step():
+    lines = trace_to_lines(run(opposed_lock_config(seed=3)))
+    assert any('"left":{"ctl":null,"proper":false,"reads":[],"updates":[]}'
+               in line for line in lines)
+    trace = trace_from_lines(lines)
+    idle = [ms for rec in trace.steps for ms in rec.per_machine.values()
+            if ms == engine.IDLE_STEP]
+    assert idle and all(ms is engine.IDLE_STEP for ms in idle)
+    assert trace_to_lines(trace) == lines
+
+
+# Records close to the idle one, each with what the decoder made of it
+# before idle steps were recorded without a wrapper step: the entry the
+# decoded trace re-encodes to, or the MalformedTrace message.
+NEAR_IDLE = [
+    ('{"ctl":null,"proper":0,"reads":[],"updates":[]}',
+     '{"ctl":null,"proper":0,"reads":[],"updates":[]}'),
+    ('{"ctl":null,"proper":0.0,"reads":[],"updates":[]}',
+     '{"ctl":null,"proper":0.0,"reads":[],"updates":[]}'),
+    ('{"ctl":null,"proper":null,"reads":[],"updates":[]}',
+     '{"ctl":null,"proper":null,"reads":[],"updates":[]}'),
+    ('{"ctl":null,"proper":true,"reads":[],"updates":[]}',
+     '{"ctl":null,"proper":true,"reads":[],"updates":[]}'),
+    ('{"ctl":[],"proper":false,"reads":[],"updates":[]}',
+     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+    ('{"ctl":false,"proper":false,"reads":[],"updates":[]}',
+     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+    ('{"ctl":null,"proper":false,"reads":{},"updates":[]}',
+     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+    ('{"ctl":null,"proper":false,"reads":[],"updates":[],"x":1}',
+     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+    ('{"ctl":null,"reads":[],"updates":[]}',
+     "malformed trace record: KeyError('proper')"),
+    ('{"ctl":null,"proper":false,"reads":[],"updates":null}',
+     "malformed trace record: TypeError(\"'NoneType' object is not "
+     "iterable\")"),
+    ("[]", "malformed trace record: TypeError('list indices must be "
+           "integers or slices, not str')"),
+]
+
+
+@pytest.mark.parametrize("payload,expected", NEAR_IDLE)
+def test_near_idle_records_decode_as_before(payload, expected):
+    lines = _with_machine_entry(trace_to_lines(run(counter_config(2, 1))),
+                                payload)
+    try:
+        trace = trace_from_lines(lines)
+    except MalformedTrace as e:
+        assert str(e) == expected
+        return
+    entry = trace.steps[0].per_machine["m0"]
+    assert entry is not engine.IDLE_STEP
+    again = json.loads(trace_to_lines(trace)[1])["machines"]["m0"]
+    assert json.dumps(again, sort_keys=True, separators=(",", ":")) == expected
+    assert type(entry.proper) is type(json.loads(payload)["proper"])
+
+
+def test_step_record_is_canonical_json():
+    for config in (opposed_lock_config(seed=3), random_config(5)):
+        for line in trace_to_lines(run(config)):
+            assert line == json.dumps(json.loads(line), sort_keys=True,
+                                      separators=(",", ":"))
+
+
+@pytest.mark.parametrize("registration", [[1], {"m0": "x"}, {"m0": -1},
+                                          {"zz": 1}, {"m0": True}])
+def test_bad_registration_rejected(registration):
+    with pytest.raises(ConfigError, match="registration"):
+        counter_config(2, 1, registration=registration)

@@ -24,7 +24,7 @@ def loc(f, *args):
     return Location(f, tuple(args))
 
 
-PROG = parse_program("""\
+PROG_TEXT = """\
 machine m
 shared x
 monitored sensor
@@ -33,7 +33,8 @@ init x() := 0
 init pc() := 0
 terminated: pc() = 1
 rule: par { pc() := pc() + 1 ; x() := x() + sensor() }
-""")
+"""
+PROG = parse_program(PROG_TEXT)
 
 
 def idle_view(**kw):
@@ -207,3 +208,109 @@ def test_terminated_stops_early_like_eval_formula():
     assert terminated(prog, State({loc("pc"): 0})) is False
     prog.terminated = parse_program("machine u terminated: pc() = 0 rule: skip").terminated
     assert terminated(prog, done) is False  # a replaced formula is recompiled
+
+
+# -- reuse of the last analysis ------------------------------------------------
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """The analyses run (not reused), as (program, state) pairs."""
+    from taserial import wrapper
+    calls = []
+    original = wrapper._analysis
+
+    def counting(program, state, material):
+        calls.append((program, state))
+        return original(program, state, material)
+
+    monkeypatch.setattr(wrapper, "_analysis", counting)
+    return calls
+
+
+def _request(prog, tcb, state, seed=0):
+    tcb.ctl_state = ACTIVE
+    out = wrapper_step(prog, tcb, state, idle_view(), seed, 0)
+    assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
+    tcb.ctl_state = WAIT_LOCKS
+    return out.effects[0][1]
+
+
+def _grant(prog, tcb, state, pair, seed=0):
+    view = idle_view(granted=pair, held=pair.all_locations(),
+                     w_held=pair.w_loc)
+    return wrapper_step(prog, tcb, state, view, seed, 1)
+
+
+def test_grant_reruns_analysis_when_a_read_changed(analyses):
+    tcb = MachineCtl("m")
+    pair = _request(PROG, tcb, initial_state())
+    moved = initial_state().with_updates(frozenset({(loc("sensor"), 5)}))
+    out = _grant(PROG, tcb, moved, pair)
+    assert len(analyses) == 2
+    assert out.proper and (loc("x"), 5) in out.updates
+    assert (loc("sensor"), 5) in out.reads
+
+
+def test_grant_reuses_analysis_when_values_are_restored(analyses):
+    tcb = MachineCtl("m")
+    pair = _request(PROG, tcb, initial_state())
+    moved = initial_state().with_updates(frozenset({(loc("sensor"), 5)}))
+    waiting = wrapper_step(PROG, tcb, moved, idle_view(), 0, 1)
+    assert waiting.ctl_change is None and not waiting.effects
+    back = moved.with_updates(frozenset({(loc("sensor"), 2)}))  # A -> B -> A
+    out = _grant(PROG, tcb, back, pair)
+    assert len(analyses) == 1
+    fresh = _grant(PROG, MachineCtl("m", ctl_state=WAIT_LOCKS),
+                   initial_state(), pair)
+    assert (out.updates, out.reads) == (fresh.updates, fresh.reads)
+    assert out.proper and (loc("x"), 2) in out.updates
+
+
+def test_reuse_is_keyed_on_the_seed(analyses):
+    prog = parse_program("""\
+machine m
+shared x
+init x() := 0
+terminated: false
+rule: choose c with c < 8 do x() := c
+""")
+    tcb = MachineCtl("m")
+    pair = _request(prog, tcb, State({loc("x"): 0}), seed=0)
+    _grant(prog, tcb, State({loc("x"): 0}), pair, seed=1)
+    assert len(analyses) == 2
+
+
+def test_reuse_is_keyed_on_the_ordinal(analyses):
+    tcb = MachineCtl("m")
+    pair = _request(PROG, tcb, initial_state())
+    tcb.proper_count = 1
+    _grant(PROG, tcb, initial_state(), pair)
+    assert len(analyses) == 2
+
+
+def test_replaced_main_rule_reruns_analysis(analyses):
+    prog = parse_program(PROG_TEXT)
+    tcb = MachineCtl("m")
+    pair = _request(prog, tcb, initial_state())
+    prog.main_rule = parse_program(
+        PROG_TEXT.replace("x() + sensor()", "sensor() + 7")).main_rule
+    out = _grant(prog, tcb, initial_state(), pair)
+    assert len(analyses) == 2
+    assert (loc("x"), 9) in out.updates
+
+
+def test_read_value_of_another_type_reruns_analysis(analyses):
+    # 1 == True in Python, but not as machine values.
+    prog = parse_program("""\
+machine m
+shared x flag
+init x() := 0
+terminated: false
+rule: if flag() = 1 then x() := 1 else x() := 2
+""")
+    tcb = MachineCtl("m")
+    pair = _request(prog, tcb, State({loc("x"): 0, loc("flag"): 1}))
+    out = _grant(prog, tcb, State({loc("x"): 0, loc("flag"): True}), pair)
+    assert len(analyses) == 2
+    assert out.updates == frozenset({(loc("x"), 2)})
