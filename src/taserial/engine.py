@@ -110,12 +110,6 @@ class RunConfig:
     def machine_ids(self) -> List[str]:
         return [m.name for m in self.machines]
 
-    def program(self, machine_id: str) -> MachineProgram:
-        for m in self.machines:
-            if m.name == machine_id:
-                return m
-        raise UnknownMachine(machine_id)
-
     def domain(self) -> Tuple[int, ...]:
         return tuple(range(self.domain_size))
 
