@@ -203,14 +203,16 @@ class ChooseDo:
 
 @dataclass(frozen=True)
 class Par:
-    left: "Rule"
-    right: "Rule"
+    """`par { R ; ... }`: every item runs in the same state."""
+
+    items: Tuple["Rule", ...]
 
 
 @dataclass(frozen=True)
 class Seq:
-    first: "Rule"
-    second: "Rule"
+    """`seq { R ; ... }`: each item runs in the state its predecessors left."""
+
+    items: Tuple["Rule", ...]
 
 
 @dataclass(frozen=True)
@@ -470,14 +472,20 @@ def yields(r: Rule, state: State, env: Env, resolver,
         witness = rng[resolver.pick(r.node_id, len(rng))]
         return yields(r.body, state, {**env, r.var: witness}, resolver, rules, on_read)
     if isinstance(r, Par):
-        return (yields(r.left, state, env, resolver, rules, on_read)
-                | yields(r.right, state, env, resolver, rules, on_read))
+        out: set = set()
+        for item in r.items:
+            out |= yields(item, state, env, resolver, rules, on_read)
+        return frozenset(out)
     if isinstance(r, Seq):
-        u1 = yields(r.first, state, env, resolver, rules, on_read)
-        if not consistent(u1):
-            return u1
-        u2 = yields(r.second, state.with_updates(u1), env, resolver, rules, on_read)
-        return seq_merge(u1, u2)
+        # The first inconsistent item's update set ends the block.
+        acc = EMPTY_UPDATES
+        for item in r.items:
+            u = yields(item, state, env, resolver, rules, on_read)
+            acc = seq_merge(acc, u)
+            if not consistent(u):
+                break
+            state = state.with_updates(u)
+        return acc
     if isinstance(r, Call):
         return yields(expand_call(r, rules), state, env, resolver, rules, on_read)
     raise TypeError(f"not a rule: {r!r}")
@@ -553,10 +561,8 @@ def substitute_rule(r: Rule, mapping: Dict[str, Term]) -> Rule:
         inner = {k: v for k, v in mapping.items() if k != r.var}
         return ChooseDo(r.var, substitute_formula(r.guard, inner),
                         substitute_rule(r.body, inner), node_id=r.node_id)
-    if isinstance(r, Par):
-        return Par(substitute_rule(r.left, mapping), substitute_rule(r.right, mapping))
-    if isinstance(r, Seq):
-        return Seq(substitute_rule(r.first, mapping), substitute_rule(r.second, mapping))
+    if isinstance(r, (Par, Seq)):
+        return type(r)(tuple(substitute_rule(i, mapping) for i in r.items))
     if isinstance(r, Call):
         return Call(r.rule, tuple(substitute_term(a, mapping) for a in r.args))
     raise TypeError(f"not a rule: {r!r}")
@@ -577,12 +583,9 @@ def assign_choice_ids(rules: list, start: int = 0) -> int:
             walk(r.orelse)
         elif isinstance(r, (Let, ForallDo)):
             walk(r.body)
-        elif isinstance(r, Par):
-            walk(r.left)
-            walk(r.right)
-        elif isinstance(r, Seq):
-            walk(r.first)
-            walk(r.second)
+        elif isinstance(r, (Par, Seq)):
+            for item in r.items:
+                walk(item)
 
     for r in rules:
         walk(r)

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .asm import AsmError, Location, UpdateSet, Value
+from .asm import AsmError, Location, State, UpdateSet, Value
 from .engine import (
     MalformedTrace,
     RunConfig,
@@ -122,7 +122,7 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
     the state the previous one left behind.  Returns the per-machine cleansed
     schedules of those solo runs."""
     config = _solo_config(trace.config)
-    state = _initial(trace, config)
+    state = State(dict(trace.initial_values), config.domain())
     budget = 4 * trace.config.max_steps + 16
     schedules: Dict[str, CleanSchedule] = {}
     for m in order:
@@ -132,18 +132,8 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
             raise UncommittedMachine(
                 f"{m} did not commit within {budget} solo steps")
         schedules[m] = cleanse(solo)[m]
-        state = _final_state(solo, config)
+        state = State(dict(solo.final_values), config.domain())
     return schedules
-
-
-def _initial(trace: Trace, config: RunConfig):
-    from .asm import State
-    return State(dict(trace.initial_values), config.domain())
-
-
-def _final_state(solo: Trace, config: RunConfig):
-    from .asm import State
-    return State(dict(solo.final_values), config.domain())
 
 
 def _solo_config(config: RunConfig) -> RunConfig:

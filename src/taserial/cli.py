@@ -23,7 +23,12 @@ from .checker import (
     brute_force_serializable,
     check_serializable,
 )
-from .controller import LockInvariantViolation
+from .controller import (
+    COMMIT_POLICIES,
+    LOCK_POLICIES,
+    LockInvariantViolation,
+    VICTIM_POLICIES,
+)
 from .dsl import ParseError, ProgramError, parse_program
 from .engine import (
     ConfigError,
@@ -231,11 +236,11 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--wait-mode", choices=["retry", "suspend"],
                        dest="wait_mode", default=None)
     p_run.add_argument("--lock-policy", dest="lock_policy",
-                       choices=["random", "fifo", "lowest-id"], default=None)
+                       choices=list(LOCK_POLICIES), default=None)
     p_run.add_argument("--commit-policy", dest="commit_policy",
-                       choices=["random", "lowest-id"], default=None)
+                       choices=list(COMMIT_POLICIES), default=None)
     p_run.add_argument("--victim-policy", dest="victim_policy",
-                       choices=["shortest-history", "random"], default=None)
+                       choices=list(VICTIM_POLICIES), default=None)
     p_run.add_argument("--run-mode", dest="run_mode",
                        choices=["sync", "interleave"], default=None)
     p_run.set_defaults(func=cmd_run)

@@ -299,8 +299,7 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
 
 
 def deadlock_handler_step(cs: ControllerState, rng: random.Random,
-                          policy: str = "shortest-history",
-                          dead: Optional[FrozenSet[str]] = None
+                          policy: str, dead: FrozenSet[str]
                           ) -> Tuple[List[tuple], List[dict]]:
     """Victimize a subset of the deadlocked, not-yet-victimized machines.
 
@@ -309,9 +308,7 @@ def deadlock_handler_step(cs: ControllerState, rng: random.Random,
     recreate the same deadlock, so no new victim is picked until the
     current ones are off every cycle.
 
-    `dead` is `deadlocked(cs)` when the caller has already computed it."""
-    if dead is None:
-        dead = deadlocked(cs)
+    `dead` is `deadlocked(cs)`."""
     if dead & cs.victims:
         return [], []
     candidates = dead - cs.victims
@@ -329,18 +326,16 @@ def undo_updates(entry: HistoryEntry) -> FrozenSet[Tuple[Location, Value]]:
 
 
 def recovery_step(cs: ControllerState, rng: random.Random,
-                  dead: Optional[FrozenSet[str]] = None
+                  dead: FrozenSet[str]
                   ) -> Tuple[List[tuple], List[dict], FrozenSet[Tuple[Location, Value]]]:
     """Pick one victim; un-victimize it if it is no longer deadlocked, else
     undo its youngest step (restore values, release that step's locks).
 
-    `dead` is `deadlocked(cs)` when the caller has already computed it."""
+    `dead` is `deadlocked(cs)`."""
     if not cs.victims:
         return [], [], frozenset()
     victims = sorted(cs.victims)
     machine = victims[rng.randrange(len(victims))]
-    if dead is None:
-        dead = deadlocked(cs)
     if machine not in dead:
         return ([("unvictimize", machine)],
                 [{"kind": "recovered", "machine": machine}],

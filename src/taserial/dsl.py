@@ -162,12 +162,9 @@ def _check_call_graph(name: str, main: Rule, rules: Dict[str, NamedRule]) -> Non
             callees(r.orelse, acc)
         elif isinstance(r, (Let, ForallDo, ChooseDo)):
             callees(r.body, acc)
-        elif isinstance(r, Par):
-            callees(r.left, acc)
-            callees(r.right, acc)
-        elif isinstance(r, Seq):
-            callees(r.first, acc)
-            callees(r.second, acc)
+        elif isinstance(r, (Par, Seq)):
+            for item in r.items:
+                callees(item, acc)
 
     graph: Dict[str, Set[str]] = {}
     for rname, named in rules.items():
@@ -494,11 +491,9 @@ class _Parser:
                 self.next()
                 items.append(self.rule(bound))
             self.expect("}")
-            ctor = Par if tok == "par" else Seq
-            out = items[-1]
-            for item in reversed(items[:-1]):
-                out = ctor(item, out)  # type: ignore[arg-type]
-            return out
+            if len(items) == 1:
+                return items[0]
+            return (Par if tok == "par" else Seq)(tuple(items))
         if tok == "call":
             self.next()
             name = self.ident()
@@ -537,8 +532,6 @@ def print_term(t: Term) -> str:
     if t.func in ("+", "-") and len(t.args) == 2:
         return f"({print_term(t.args[0])} {t.func} {print_term(t.args[1])})"
     if is_static(t.func):
-        if t.func.startswith("'"):
-            return t.func
         return t.func
     return f"{t.func}({', '.join(print_term(a) for a in t.args)})"
 
@@ -577,25 +570,12 @@ def print_rule(r: Rule) -> str:
         return f"forall {r.var} with {print_formula(r.guard)} do {print_rule(r.body)}"
     if isinstance(r, ChooseDo):
         return f"choose {r.var} with {print_formula(r.guard)} do {print_rule(r.body)}"
-    if isinstance(r, Par):
-        items = _spine(r, Par)
-        return "par { " + " ; ".join(print_rule(i) for i in items) + " }"
-    if isinstance(r, Seq):
-        items = _spine(r, Seq)
-        return "seq { " + " ; ".join(print_rule(i) for i in items) + " }"
+    if isinstance(r, (Par, Seq)):
+        keyword = "par" if isinstance(r, Par) else "seq"
+        return f"{keyword} {{ {' ; '.join(print_rule(i) for i in r.items)} }}"
     if isinstance(r, Call):
         return f"call {r.rule}({', '.join(print_term(a) for a in r.args)})"
     raise TypeError(f"not a rule: {r!r}")
-
-
-def _spine(r: Rule, ctor) -> List[Rule]:
-    """Flatten the right-leaning spine of a binary combinator."""
-    items: List[Rule] = []
-    while isinstance(r, ctor):
-        items.append(r.left if ctor is Par else r.first)
-        r = r.right if ctor is Par else r.second
-    items.append(r)
-    return items
 
 
 def print_program(prog: MachineProgram) -> str:

@@ -143,12 +143,14 @@ class _BodyGen:
             v = f"v{depth}"
             return Let(v, self.term(bound), self.rule(bound + (v,), depth + 1,
                                                       allow_choose))
-        if pick == "par":
-            return Par(self.rule(bound, depth + 1, allow_choose),
-                       self.rule(bound, depth + 1, allow_choose))
-        if pick == "seq":
-            return Seq(self.rule(bound, depth + 1, allow_choose),
-                       self.rule(bound, depth + 1, allow_choose))
+        if pick in ("par", "seq"):
+            block = Par if pick == "par" else Seq
+            first = self.rule(bound, depth + 1, allow_choose)
+            second = self.rule(bound, depth + 1, allow_choose)
+            # A same-kind second item joins the block, so the program equals
+            # the parse of its printed text.
+            rest = second.items if type(second) is block else (second,)
+            return block((first,) + rest)
         if pick == "forall":
             # The array function is written only here, indexed by the bound
             # variable, so iterations cannot clash with other assignments.
@@ -178,8 +180,8 @@ def random_machine(rng: random.Random, name: str, shared: List[str],
     for k in reversed(range(n_steps)):
         body = random_body(rng, shared, params, allow_choose, scratch)
         dispatch = If(Eq(Apply(counter), Apply(str(k))), body, dispatch)
-    main = Par(Assign(Apply(counter), Apply("+", (Apply(counter), Apply("1")))),
-               dispatch)
+    main = Par((Assign(Apply(counter), Apply("+", (Apply(counter), Apply("1")))),
+                dispatch))
     inits = [(Location(counter, ()), 0), (Location(scratch, ()), 0)]
     return MachineProgram(
         name=name,

@@ -10,7 +10,7 @@ log, and the write set is the set of updated locations.
 The analysis reads more than plain execution (asm.yields, the executable
 spec) does: both sides of and/or, quantified formulae and forall/choose
 guards over the whole domain, and the target location of every assignment.
-Sequential composition runs its second rule in the intermediate state, as
+Each item of a `seq` block runs in the state the items before it left, as
 execution does.  Errors keep the spec's exception classes and are raised
 when the code runs, never when it compiles.
 """
@@ -322,10 +322,9 @@ def _rule(r: Rule, sub: Sub, rules: Dict[str, NamedRule]) -> Code:
     if kind is If:
         return _if(r, sub, rules)
     if kind is Par:
-        left, right = _rule(r.left, sub, rules), _rule(r.right, sub, rules)
-        return lambda s, env, log, res: left(s, env, log, res) | right(s, env, log, res)
+        return _par([_rule(i, sub, rules) for i in r.items])
     if kind is Seq:
-        return _seq(_rule(r.first, sub, rules), _rule(r.second, sub, rules))
+        return _seq([_rule(i, sub, rules) for i in r.items])
     if kind is Skip:
         return lambda s, env, log, res: EMPTY_UPDATES
     if kind is Let:
@@ -388,12 +387,33 @@ def _if(r: If, sub: Sub, rules: Dict[str, NamedRule]) -> Code:
     return if_
 
 
-def _seq(first: Code, second: Code) -> Code:
+def _par(items: list) -> Code:
+    def par(s, env, log, res):
+        out: set = set()
+        for code in items:
+            out |= code(s, env, log, res)
+        return frozenset(out)
+    return par
+
+
+def _seq(items: list) -> Code:
+    """Each item runs in the state the items before it left; the first
+    inconsistent item's update set, merged after theirs, ends the block."""
+    *init, last = items
+
     def seq(s, env, log, res):
-        u1 = first(s, env, log, res)
-        if not consistent(u1):
-            return u1
-        return seq_merge(u1, second(s.with_updates(u1), env, log, res))
+        done: dict = {}  # the consistent items' updates
+        for code in init:
+            u = code(s, env, log, res)
+            if not consistent(u):
+                return seq_merge(frozenset(done.items()), u)
+            for loc, val in u:
+                # As in seq_merge, a later write replaces the whole pair: an
+                # equal location (a(1) and a(true)) takes the later key too.
+                done.pop(loc, None)
+                done[loc] = val
+            s = s.with_updates(u)
+        return seq_merge(frozenset(done.items()), last(s, env, log, res))
     return seq
 
 

@@ -135,9 +135,9 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     seed and ordinal and every location in its read log still holds the
     logged value.  That log holds every location the analysis depends on,
     assignment targets included, at its value before the step (a location
-    written in a `seq` first half was logged as a target before the second
-    half reads it), so a fresh analysis would compute the same reads and
-    updates.
+    written by an item of a `seq` block was logged as a target before a
+    later item reads it), so a fresh analysis would compute the same reads
+    and updates.
     """
     code = _main_code(program)
     ordinal = tcb.proper_count
@@ -154,13 +154,6 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
                              choice_material(seed, tcb.machine_id, ordinal))
     tcb.last_analysis = (code, seed, ordinal, rw, read_log)
     return rw, read_log
-
-
-def new_locks(program: MachineProgram, state: State, view: ControllerView,
-              material: bytes) -> LockPair:
-    """Locks the machine still needs for its next step in this state."""
-    rw, _ = _analysis(program, state, material)
-    return _locks_for(program, rw, view)
 
 
 def _locks_for(program: MachineProgram, rw: RwSet,

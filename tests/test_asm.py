@@ -213,26 +213,26 @@ def test_choose_uses_resolver_and_empty_range_is_skip():
 
 
 def test_par_unions_and_can_clash():
-    r = Par(Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2")))
+    r = Par((Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2"))))
     u = yields(r, State(), {}, Fixed())
     assert not consistent(u)
 
 
 def test_seq_threads_intermediate_state():
-    r = Seq(Assign(Apply("x"), Apply("1")),
-            Assign(Apply("y"), Apply("+", (Apply("x"), Apply("1")))))
+    r = Seq((Assign(Apply("x"), Apply("1")),
+             Assign(Apply("y"), Apply("+", (Apply("x"), Apply("1"))))))
     u = yields(r, state(x=0), {}, Fixed())
     assert u == frozenset({(loc("x"), 1), (loc("y"), 2)})
 
 
 def test_seq_overwrites_first_write():
-    r = Seq(Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2")))
+    r = Seq((Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2"))))
     assert yields(r, State(), {}, Fixed()) == frozenset({(loc("x"), 2)})
 
 
 def test_seq_stops_at_inconsistent_first_half():
-    clash = Par(Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2")))
-    r = Seq(clash, Assign(Apply("y"), Apply("3")))
+    clash = Par((Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2"))))
+    r = Seq((clash, Assign(Apply("y"), Apply("3"))))
     u = yields(r, State(), {}, Fixed())
     assert update_locations(u) == frozenset({loc("x")})
 
@@ -244,6 +244,9 @@ def test_assign_choice_ids_preorder():
     n = assign_choice_ids([outer, other])
     assert (outer.node_id, inner.node_id, other.node_id) == (0, 1, 2)
     assert n == 3
+    last = ChooseDo("d", Eq(Apply("0"), Apply("0")), Skip())
+    assert assign_choice_ids([Par((Skip(), Seq((Skip(), Skip())), last))], n) == 4
+    assert last.node_id == 3
 
 
 def test_choice_resolver_is_deterministic_per_occurrence():

@@ -183,8 +183,7 @@ DEPTH = 3000
 DEEP_PROGRAMS = {
     "parens": "rule: x() := " + "(" * DEPTH + "1" + ")" * DEPTH,
     "nots": "terminated: " + "not " * DEPTH + "x() = 1\nrule: skip",
-    "par": "rule: par { " + " ; ".join(f"x{i}() := {i}" for i in range(DEPTH))
-           + " }",
+    "par": "rule: " + "par { " * DEPTH + "skip" + " }" * DEPTH,
 }
 
 

@@ -51,7 +51,7 @@ def test_counter_program_golden():
     assert prog.classify("steps") == "controlled"
     assert (Location("total", ()), 0) in prog.inits
     assert isinstance(prog.main_rule, Par)
-    left = prog.main_rule.left
+    left = prog.main_rule.items[0]
     assert isinstance(left, Assign) and left.lhs == Apply("steps")
 
 
@@ -74,6 +74,15 @@ def test_overlapping_classes_rejected():
 def test_undeclared_rule_call_rejected():
     with pytest.raises(ProgramError):
         parse_program("machine a rule: call missing()")
+    with pytest.raises(ProgramError):
+        parse_program("machine a rule tick(): skip "
+                      "rule: seq { call tick() ; skip ; call missing() }")
+
+
+def test_block_of_5000_calls_passes_validation():
+    calls = " ; ".join(["call tick()"] * 5000)
+    prog = parse_program(f"machine a rule tick(): skip rule: par {{ {calls} }}")
+    assert len(prog.main_rule.items) == 5000
 
 
 def test_recursive_rule_rejected():

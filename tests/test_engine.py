@@ -6,7 +6,7 @@ import pytest
 from taserial import controller, engine
 from taserial.asm import Location, State
 from taserial.checker import check_serializable
-from taserial.dsl import parse_program
+from taserial.dsl import parse_program, print_program
 from taserial.engine import (
     ConfigError,
     MalformedTrace,
@@ -455,3 +455,31 @@ def test_step_record_is_canonical_json():
 def test_bad_registration_rejected(registration):
     with pytest.raises(ConfigError, match="registration"):
         counter_config(2, 1, registration=registration)
+
+
+# -- blocks wider than the recursion limit ------------------------------------
+
+
+def _wide_program_text(kind, n):
+    """One step of a block of n assignments; in a `seq` each item adds one
+    to its predecessor's value, so every x_i ends as i either way."""
+    items = ["x0() := 0"] + [
+        f"x{i}() := {i}" if kind == "par" else f"x{i}() := (x{i - 1}() + 1)"
+        for i in range(1, n)]
+    return ("machine wide\nterminated: x0() = 0\n"
+            f"rule: {kind} {{ {' ; '.join(items)} }}\n")
+
+
+@pytest.mark.parametrize("kind", ["par", "seq"])
+def test_flat_block_of_5000_items_parses_prints_runs_and_round_trips(kind):
+    n = 5000
+    text = _wide_program_text(kind, n)
+    prog = parse_program(text)
+    assert len(prog.main_rule.items) == n
+    assert print_program(prog) == text
+    trace = run(RunConfig(machines=[prog], seed=0, max_steps=10))
+    assert trace.status == "done"
+    assert trace.final_values[loc(f"x{n - 1}")] == n - 1
+    assert check_serializable(trace).ok
+    lines = trace_to_lines(trace)
+    assert trace_to_lines(trace_from_lines(lines)) == lines

@@ -32,7 +32,7 @@ from taserial.asm import (
     yields,
 )
 from taserial.dsl import parse_program, print_program
-from taserial.engine import RunConfig, run, trace_to_lines
+from taserial.engine import RunConfig, encode_pairs, run, trace_to_lines
 from taserial.fuzz import (
     FuzzParams,
     random_body,
@@ -96,16 +96,16 @@ def test_assign_read_set_includes_target_location():
 def test_seq_analyses_second_rule_in_intermediate_state():
     # first sets i to 1, so the second writes a(1), not a(0)
     s = State({loc("i"): 0})
-    r = Seq(Assign(Apply("i"), Apply("1")),
-            Assign(Apply("a", (Apply("i"),)), Apply("0")))
+    r = Seq((Assign(Apply("i"), Apply("1")),
+             Assign(Apply("a", (Apply("i"),)), Apply("0"))))
     rw = rw_rule(r, s, {}, res())
     assert loc("a", 1) in rw.writes
     assert loc("a", 0) not in rw.writes
 
 
 def test_seq_skips_second_rule_when_first_is_inconsistent():
-    clash = Par(Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2")))
-    r = Seq(clash, Assign(Apply("y"), Apply("0")))
+    clash = Par((Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2"))))
+    r = Seq((clash, Assign(Apply("y"), Apply("0"))))
     rw = rw_rule(r, State(), {}, res())
     assert loc("y") not in rw.writes
 
@@ -193,9 +193,9 @@ def _call_program(body):
     term is evaluated in the intermediate state (call by name)."""
     tail = If(Lt(Var("x"), Apply("3")),
               Assign(Apply("out", (Var("x"),)), Var("x")), Skip())
-    rules = {"step": NamedRule(("x",), Seq(body, tail))}
-    main = Par(Call("step", (Apply("g0"),)),
-               Call("step", (Apply("+", (Apply("g1"), Apply("1"))),)))
+    rules = {"step": NamedRule(("x",), Seq((body, tail)))}
+    main = Par((Call("step", (Apply("g0"),)),
+                Call("step", (Apply("+", (Apply("g1"), Apply("1"))),))))
     assign_choice_ids([main, rules["step"].body])
     return main, rules
 
@@ -306,9 +306,9 @@ def test_choose_ids_are_read_when_the_code_runs():
 def test_read_log_keeps_first_value_across_seq():
     # a(i) and y are read before the first half writes them and again after
     s = State({loc("i"): 0, loc("y"): 1})
-    r = Seq(Par(Assign(Apply("a", (Apply("i"),)), Apply("5")),
-                Assign(Apply("y"), Apply("2"))),
-            Assign(Apply("z"), Apply("+", (Apply("a", (Apply("i"),)), Apply("y")))))
+    r = Seq((Par((Assign(Apply("a", (Apply("i"),)), Apply("5")),
+                  Assign(Apply("y"), Apply("2")))),
+             Assign(Apply("z"), Apply("+", (Apply("a", (Apply("i"),)), Apply("y"))))))
     log = {}
     rw = rw_rule(r, s, {}, res(), read_log=log)
     assert log[loc("a", 0)] is UNDEF and log[loc("y")] == 1
@@ -317,10 +317,44 @@ def test_read_log_keeps_first_value_across_seq():
 
 def test_call_parameter_shadowed_by_binder():
     # inside `let x = 5` the parameter x is not substituted
-    rules = {"r": NamedRule(("x",), Par(
+    rules = {"r": NamedRule(("x",), Par((
         Let("x", Apply("5"), Assign(Apply("inner"), Var("x"))),
-        Assign(Apply("outer"), Var("x"))))}
+        Assign(Apply("outer"), Var("x")))))}
     s = State({loc("g"): 1})
     rw = rw_rule(Call("r", (Apply("g"),)), s, {}, res(), rules)
     assert rw.updates == yields(Call("r", (Apply("g"),)), s, {}, res(), rules)
     assert rw.updates == frozenset({(loc("inner"), 5), (loc("outer"), 1)})
+
+
+@pytest.mark.parametrize("a, b, c, updates", [
+    ("x() := 1", "y() := (x() + 1)", "x() := (y() + z())",
+     {(loc("x"), 5), (loc("y"), 2)}),
+    # The inconsistent middle item ends the block: z is not written.
+    ("x() := 1", "par { y() := x() ; y() := 2 }", "z() := 5",
+     {(loc("x"), 1), (loc("y"), 1), (loc("y"), 2)}),
+    # a(1) and a(true) are one location; the later write's pair is kept.
+    ("a(1) := 5", "a(true) := 6", "b() := 0",
+     {(loc("a", True), 6), (loc("b"), 0)}),
+])
+def test_seq_block_equals_nested_seqs(a, b, c, updates):
+    flat = parse_program(f"machine m rule: seq {{ {a} ; {b} ; {c} }}").main_rule
+    nested = parse_program(
+        f"machine m rule: seq {{ {a} ; seq {{ {b} ; {c} }} }}").main_rule
+    assert len(flat.items) == 3 and len(nested.items) == 2
+    s = State({loc("z"): 3})
+
+    # encode_pairs tells true from 1, which == on update sets does not.
+    def spec(r):
+        reads = []
+        u = yields(r, s, {}, res(), on_read=lambda l, v: reads.append((l, v)))
+        return encode_pairs(u), reads
+
+    def compiled(r):
+        log = {}
+        rw = rw_rule(r, s, {}, res(), read_log=log)
+        return encode_pairs(rw.updates), rw.reads, rw.writes, list(log.items())
+
+    assert spec(flat) == spec(nested)
+    assert spec(flat)[0] == encode_pairs(updates)
+    assert compiled(flat) == compiled(nested)
+    assert compiled(flat)[0] == encode_pairs(updates)

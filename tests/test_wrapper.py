@@ -12,8 +12,9 @@ from taserial.wrapper import (
     MachineCtl,
     WAIT_LOCKS,
     WAIT_RECOVERY,
+    _analysis,
+    _locks_for,
     choice_material,
-    new_locks,
     overwritten_values,
     terminated,
     wrapper_step,
@@ -52,8 +53,12 @@ def material():
     return choice_material(0, "m", 0)
 
 
+def new_locks(view):
+    return _locks_for(PROG, _analysis(PROG, initial_state(), material())[0], view)
+
+
 def test_new_locks_classifies_reads_and_writes():
-    locks = new_locks(PROG, initial_state(), idle_view(), material())
+    locks = new_locks(idle_view())
     assert locks.r_loc == frozenset({loc("x"), loc("sensor")})
     assert locks.w_loc == frozenset({loc("x")})
 
@@ -61,13 +66,13 @@ def test_new_locks_classifies_reads_and_writes():
 def test_new_locks_subtracts_held():
     view = idle_view(held=frozenset({loc("x"), loc("sensor")}),
                      w_held=frozenset({loc("x")}))
-    locks = new_locks(PROG, initial_state(), view, material())
+    locks = new_locks(view)
     assert locks.is_empty()
 
 
 def test_write_lock_needed_even_when_read_lock_held():
     view = idle_view(held=frozenset({loc("x"), loc("sensor")}))
-    locks = new_locks(PROG, initial_state(), view, material())
+    locks = new_locks(view)
     assert locks == LockPair(frozenset(), frozenset({loc("x")}))
 
 
