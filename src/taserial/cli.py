@@ -56,22 +56,21 @@ def _default_seed() -> int:
         raise SystemExit(f"TASERIAL_SEED must be an integer, got {raw!r}")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from None
+
+
 def load_manifest(path: str) -> RunConfig:
     """Run manifest: JSON with a list of program files plus run settings."""
     base = Path(path).parent
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(_read_text(Path(path)))
     programs = manifest.get("programs") if isinstance(manifest, dict) else None
     if not isinstance(programs, list) or not all(isinstance(p, str) for p in programs):
         raise ConfigError(f"{path}: manifest needs a 'programs' list of file names")
-    for key in ("domain_size", "max_steps"):
-        value = manifest.get(key, 0)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{path}: {key} must be an integer, got {value!r}")
-    machines = []
-    for rel in programs:
-        text = (base / rel).read_text(encoding="utf-8")
-        machines.append(parse_program(text))
+    machines = [parse_program(_read_text(base / rel)) for rel in programs]
     kwargs = {}
     for key in ("domain_size", "registration", "seed", "max_steps") + POLICY_FLAGS:
         if key in manifest:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
+                    Tuple)
 
 from .asm import AsmError, Location, Value, loc_key
 from .wrapper import HistoryEntry, LockPair
@@ -32,6 +33,10 @@ class LockTable:
     has no other readers.  Multiple read locks may coexist.  The location
     maps are authoritative; a per-machine index of the same locks answers
     `locked_by` and `w_locked_by` in time proportional to the locks held.
+
+    `grant`, `unlock_r` and `unlock_w` add each location whose holders they
+    change to `changed`, which `deadlocked` consumes; locks written into the
+    maps directly are not recorded there.
     """
 
     def __init__(self):
@@ -39,6 +44,7 @@ class LockTable:
         self.w_locked: Dict[Location, str] = {}
         self._r_by: Dict[str, Set[Location]] = defaultdict(set)
         self._w_by: Dict[str, Set[Location]] = defaultdict(set)
+        self.changed: Set[Location] = set()
 
     def r_holders(self, loc: Location) -> FrozenSet[str]:
         return frozenset(self.r_locked.get(loc, ()))
@@ -63,19 +69,23 @@ class LockTable:
                 self._w_by[prev].discard(l)
             self.w_locked[l] = machine
             self._w_by[machine].add(l)
+        self.changed.update(locks.r_loc)
+        self.changed.update(locks.w_loc)
 
     def unlock_r(self, loc: Location, machine: str) -> None:
         holders = self.r_locked.get(loc)
-        if holders is not None:
+        if holders is not None and machine in holders:
             holders.discard(machine)
             if not holders:
                 del self.r_locked[loc]
+            self.changed.add(loc)
         self._r_by[machine].discard(loc)
 
     def unlock_w(self, loc: Location, machine: str) -> None:
         if self.w_locked.get(loc) == machine:
             del self.w_locked[loc]
             self._w_by[machine].discard(loc)
+            self.changed.add(loc)
 
     def release(self, machine: str, locks: LockPair) -> None:
         """Release exactly the lock kinds in the pair.
@@ -109,6 +119,26 @@ class LockTable:
 PENDING = "pending"
 REFUSED = "refused"
 GRANTED = "granted"
+_WAITING = (PENDING, REFUSED)
+
+
+class WaitGraph:
+    """The wait relation of `wait_edges` and its cycle members, kept across
+    calls of `deadlocked` (which alone reads and updates it).
+
+    `seen` holds each machine's `last_request` entry as the graph last saw
+    it; `out` the machines each waiting machine waits for (non-empty sets
+    only); `waiters` the machines whose seen entry waits on a pair naming
+    each location; `dead` the cycle members.
+    """
+
+    __slots__ = ("seen", "out", "waiters", "dead")
+
+    def __init__(self):
+        self.seen: Dict[str, Tuple[LockPair, str]] = {}
+        self.out: Dict[str, Set[str]] = {}
+        self.waiters: Dict[Location, Set[str]] = {}
+        self.dead: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -123,6 +153,8 @@ class ControllerState:
     refused: Dict[str, LockPair] = field(default_factory=dict)
     last_request: Dict[str, Tuple[LockPair, str]] = field(default_factory=dict)
     histories: Dict[str, List[HistoryEntry]] = field(default_factory=dict)
+    wait_graph: WaitGraph = field(default_factory=WaitGraph, repr=False,
+                                  compare=False)
 
     def check_invariants(self) -> None:
         self.locks.check()
@@ -133,19 +165,42 @@ class ControllerState:
                 f"machines both committing and requesting/victimized: {sorted(bad)}")
 
 
-def cannot_be_granted(machine: str, locks: LockPair, cs: ControllerState) -> bool:
-    """True iff another active machine holds a conflicting lock.
+def blockers(machine: str, locks: LockPair, cs: ControllerState) -> Set[str]:
+    """The other active machines holding a lock that conflicts with `locks`:
+    a write lock on any requested location, or a read lock on a requested
+    write location."""
+    w_locked, r_locked = cs.locks.w_locked, cs.locks.r_locked
+    out: Set[str] = set()
+    for l in locks.r_loc:
+        w = w_locked.get(l)
+        if w is not None:
+            out.add(w)
+    for l in locks.w_loc:
+        w = w_locked.get(l)
+        if w is not None:
+            out.add(w)
+        readers = r_locked.get(l)
+        if readers:
+            out.update(readers)
+    out.discard(machine)
+    return out & cs.transact
 
-    Conflicts: any requested location write-locked elsewhere, or a requested
-    write location read-locked elsewhere.
-    """
-    for l in locks.all_locations():
-        w = cs.locks.w_holder(l)
-        if w is not None and w != machine and w in cs.transact:
+
+def cannot_be_granted(machine: str, locks: LockPair, cs: ControllerState) -> bool:
+    """True iff `blockers(machine, locks, cs)` is non-empty; it stops at the
+    first conflict found."""
+    w_locked, r_locked, transact = cs.locks.w_locked, cs.locks.r_locked, cs.transact
+    for l in locks.r_loc:
+        w = w_locked.get(l)
+        if w is not None and w != machine and w in transact:
             return True
     for l in locks.w_loc:
-        if any(n != machine and n in cs.transact for n in cs.locks.r_holders(l)):
+        w = w_locked.get(l)
+        if w is not None and w != machine and w in transact:
             return True
+        for n in r_locked.get(l, ()):
+            if n != machine and n in transact:
+                return True
     return False
 
 
@@ -225,33 +280,124 @@ def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
 
     A machine's needed locks are its last requested pair while that request
     is pending or was refused (it re-requests the same locations until
-    granted, including while it waits for recovery).
+    granted, including while it waits for recovery).  This is the reference
+    that `deadlocked` keeps up to date incrementally.
     """
-    edges: Set[Tuple[str, str]] = set()
-    w_locked, r_locked = cs.locks.w_locked, cs.locks.r_locked
-    for m, (pair, status) in cs.last_request.items():
-        if status not in (PENDING, REFUSED) or m not in cs.transact:
-            continue
-        for l in pair.all_locations():
-            w = w_locked.get(l)
-            if w is not None and w != m and w in cs.transact:
-                edges.add((m, w))
-        for l in pair.w_loc:
-            for n in r_locked.get(l, ()):
-                if n != m and n in cs.transact:
-                    edges.add((m, n))
-    return frozenset(edges)
+    return frozenset(
+        (m, n) for m, (pair, status) in cs.last_request.items()
+        if status in _WAITING and m in cs.transact
+        for n in blockers(m, pair, cs))
 
 
 def deadlocked(cs: ControllerState) -> FrozenSet[str]:
-    """Machines lying on a cycle of the wait relation.
+    """Machines lying on a cycle of the wait relation, `wait_edges(cs)`.
+
+    The answer comes from `cs.wait_graph`, brought up to date from what
+    changed since the last call: machines whose `last_request` entry was
+    replaced (also by a direct rewrite) and now waits on another pair or on
+    none, and the waiting machines of every location in `cs.locks.changed`.
+    Only their out-sets are recomputed.  A new cycle must contain an added
+    edge (a, b), so the strongly-connected-components pass re-runs only when
+    some added b reaches its a, or when an edge between two cycle members
+    was removed; otherwise the last cycle set stands.
+
+    Contract: lock holders change only through `LockTable.grant` and the
+    unlocks, and `transact` shrinks only at commit, which releases every
+    lock of that machine (so its holders' waiters are recomputed) and drops
+    its `last_request` entry.  A machine joins `transact` holding no locks.
+    """
+    g = cs.wait_graph
+    seen, out, waiters = g.seen, g.out, g.waiters
+    requests = cs.last_request
+    touched: Set[str] = set()
+    for m, entry in requests.items():
+        old = seen.get(m)
+        if old is not entry:
+            seen[m] = entry
+            was, waits = _needs(old), _needs(entry)
+            if was != waits:
+                _index(waiters, m, was, waits)
+                touched.add(m)
+    if len(seen) > len(requests):
+        for m in [m for m in seen if m not in requests]:
+            _index(waiters, m, _needs(seen.pop(m)), None)
+            touched.add(m)
+    changed = cs.locks.changed
+    for l in changed:
+        ms = waiters.get(l)
+        if ms:
+            touched.update(ms)
+    changed.clear()
+    if not touched:
+        return g.dead
+
+    dead = g.dead
+    rerun = False
+    gained: List[Tuple[str, Set[str]]] = []
+    for m in touched:
+        pair = _needs(requests.get(m))
+        before = out.pop(m, _NOBODY)
+        after = (blockers(m, pair, cs) if pair is not None and m in cs.transact
+                 else _NOBODY)
+        if after:
+            out[m] = after
+        if not rerun and m in dead and not dead.isdisjoint(before - after):
+            rerun = True
+        new = after - before
+        if new:
+            gained.append((m, new))
+    if rerun or any(_reaches(out, new, m) for m, new in gained):
+        g.dead = _cycle_members((a, b) for a, bs in out.items() for b in bs)
+    return g.dead
+
+
+def _needs(entry: Optional[Tuple[LockPair, str]]) -> Optional[LockPair]:
+    """The pair a `last_request` entry waits on, if its status waits."""
+    return entry[0] if entry is not None and entry[1] in _WAITING else None
+
+
+def _index(waiters: Dict[Location, Set[str]], machine: str,
+           old: Optional[LockPair], new: Optional[LockPair]) -> None:
+    """Move `machine` in `waiters` from the locations of the pair it waited
+    on to those of the pair it waits on now."""
+    if old is not None:
+        for l in old.all_locations():
+            ms = waiters[l]
+            ms.discard(machine)
+            if not ms:
+                del waiters[l]
+    if new is not None:
+        for l in new.all_locations():
+            waiters.setdefault(l, set()).add(machine)
+
+
+_NOBODY: FrozenSet[str] = frozenset()
+
+
+def _reaches(succ: Dict[str, Set[str]], starts: Set[str], target: str) -> bool:
+    """Whether `target` is reachable from any of `starts` along `succ`."""
+    reached = set(starts)
+    stack = list(starts)
+    while stack:
+        node = stack.pop()
+        if node == target:
+            return True
+        for nxt in succ.get(node, ()):
+            if nxt not in reached:
+                reached.add(nxt)
+                stack.append(nxt)
+    return False
+
+
+def _cycle_members(edges: Iterable[Tuple[str, str]]) -> FrozenSet[str]:
+    """Machines lying on a cycle of the wait relation with these edges.
 
     One iterative pass of Tarjan's strongly-connected-components search
     (SIAM J. Comput. 1972): a machine is on a cycle iff its component has
     another member or it waits for itself.
     """
     succ: Dict[str, List[str]] = {}
-    for a, b in wait_edges(cs):
+    for a, b in edges:
         succ.setdefault(a, []).append(b)
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}

@@ -82,8 +82,14 @@ class RunConfig:
             raise ConfigError(f"unknown wait mode {self.wait_mode!r}")
         if self.run_mode not in ("sync", "interleave"):
             raise ConfigError(f"unknown run mode {self.run_mode!r}")
+        for name in ("seed", "domain_size", "max_steps"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.domain_size < 1:
             raise ConfigError("domain size must be positive")
+        if self.max_steps < 1:
+            raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         for name, known in (("lock_policy", ctl.LOCK_POLICIES),
                             ("commit_policy", ctl.COMMIT_POLICIES),
                             ("victim_policy", ctl.VICTIM_POLICIES)):
@@ -370,7 +376,8 @@ def run(config: RunConfig, seed: Optional[int] = None,
                 cs.histories[m] = []
                 events.append({"kind": "register", "machine": m})
 
-        if all(m in committed for m in active_ids):
+        # Each registered machine commits once.
+        if len(committed) == len(tcbs):
             status = "done"
             break
 
@@ -450,7 +457,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
         steps.append(StepRecord(index=index, per_machine=per_machine,
                                 events=events, state_hash=digest.hexdigest()))
         cs.check_invariants()
-        if all(m in committed for m in active_ids):
+        if len(committed) == len(tcbs):
             status = "done"
             break
 
@@ -675,4 +682,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
 
 def load_trace(path: str) -> Trace:
     with open(path, "r", encoding="utf-8") as fh:
-        return trace_from_lines(fh.read().splitlines())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as e:
+            raise MalformedTrace(f"{path}: not UTF-8 text: {e}") from None
+    return trace_from_lines(text.splitlines())

@@ -81,10 +81,11 @@ class MachineCtl:
     machine_id: str
     ctl_state: str = UNREGISTERED
     proper_count: int = 0
-    # (compiled main rule, seed, ordinal, RwSet, read log) of the last
-    # analysis, reused by `_step_analysis` while its reads are unchanged.
-    last_analysis: Optional[tuple] = field(default=None, repr=False,
-                                           compare=False)
+    # ordinal -> (compiled main rule, seed, RwSet, read log) of the last
+    # analysis of that proper step, reused by `_step_analysis` while its
+    # reads are unchanged; emptied when the machine requests commit.
+    analyses: Dict[int, tuple] = field(default_factory=dict, repr=False,
+                                       compare=False)
 
 
 @dataclass
@@ -131,9 +132,10 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
                   seed: int):
     """`_analysis` of the machine's next proper step in this state.
 
-    The last analysis is reused when it was made for the same compiled rule,
-    seed and ordinal and every location in its read log still holds the
-    logged value.  That log holds every location the analysis depends on,
+    The last analysis of the same ordinal is reused when it was made for the
+    same compiled rule and seed and every location in its read log still
+    holds the logged value, also after an undo rolled the machine back to
+    that ordinal.  That log holds every location the analysis depends on,
     assignment targets included, at its value before the step (a location
     written by an item of a `seq` block was logged as a target before a
     later item reads it), so a fresh analysis would compute the same reads
@@ -141,18 +143,17 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     """
     code = _main_code(program)
     ordinal = tcb.proper_count
-    last = tcb.last_analysis
-    if (last is not None and last[0] is code and last[1] == seed
-            and last[2] == ordinal):
+    last = tcb.analyses.get(ordinal)
+    if last is not None and last[0] is code and last[1] == seed:
         values = state.values
-        for loc, v in last[4].items():
+        for loc, v in last[3].items():
             if not values_equal(values.get(loc, UNDEF), v):
                 break
         else:
-            return last[3], last[4]
+            return last[2], last[3]
     rw, read_log = _analysis(program, state,
                              choice_material(seed, tcb.machine_id, ordinal))
-    tcb.last_analysis = (code, seed, ordinal, rw, read_log)
+    tcb.analyses[ordinal] = (code, seed, rw, read_log)
     return rw, read_log
 
 
@@ -207,7 +208,7 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
                  wait_mode: str = "retry") -> WrapperOutcome:
     """One transition of the control-state machine in Fig-style composition.
 
-    Pure function of the snapshot, apart from the analysis kept on tcb for
+    Pure function of the snapshot, apart from the analyses kept on tcb for
     reuse; lock requests, commit requests, history appends and flag
     consumption are returned as effects for the engine to apply after every
     agent has computed.
@@ -228,6 +229,7 @@ def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
     if view.victim:
         return WrapperOutcome(ctl_change=(ACTIVE, WAIT_RECOVERY))
     if terminated(program, state):
+        tcb.analyses.clear()
         return WrapperOutcome(ctl_change=(ACTIVE, DONE),
                               effects=[("commit_request",)])
     rw, read_log = _step_analysis(program, tcb, state, seed)

@@ -235,3 +235,51 @@ def test_fuzz_zero_runs_is_fine(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["fuzz", "--runs", "0", "--seed", "0"]) == 0
     assert "aggregate: runs=0" in capsys.readouterr().out
+
+
+BAD_FIELDS = [("seed", "abc"), ("seed", [1]), ("seed", None), ("seed", True),
+              ("domain_size", "x"), ("domain_size", 1.5),
+              ("domain_size", True), ("max_steps", "x"), ("max_steps", 1.5),
+              ("max_steps", 0), ("max_steps", True)]
+
+
+@pytest.mark.parametrize("field,value", BAD_FIELDS)
+def test_run_bad_config_field_type_exits_one(workdir, capsys, field, value):
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    manifest[field] = value
+    (workdir / "bad.json").write_text(json.dumps(manifest))
+    assert main(["run", str(workdir / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+@pytest.mark.parametrize("field,value", BAD_FIELDS)
+def test_check_bad_config_field_type_in_header_exits_one(tmp_path, capsys,
+                                                         field, value):
+    from taserial.engine import payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    records[0]["config"][field] = value
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and field in err
+
+
+@pytest.mark.parametrize("which", ["manifest", "program"])
+def test_run_non_utf8_input_exits_one(workdir, capsys, which):
+    target = workdir / ("manifest.json" if which == "manifest" else "left.tas")
+    target.write_bytes(b"\xff\xfe" + target.read_bytes())
+    assert main(["run", str(workdir / "manifest.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {target}: not UTF-8 text")
+
+
+def test_check_non_utf8_trace_exits_one(workdir, capsys):
+    trace_file = workdir / "out.jsonl"
+    main(["run", str(workdir / "manifest.json"), "--trace", str(trace_file)])
+    capsys.readouterr()
+    trace_file.write_bytes(trace_file.read_bytes() + b"\xff\n")
+    assert main(["check", str(trace_file)]) == 1
+    assert capsys.readouterr().err.startswith(
+        f"malformed trace: {trace_file}: not UTF-8 text")

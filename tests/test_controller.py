@@ -9,7 +9,10 @@ from taserial.controller import (
     EmptyHistory,
     LockInvariantViolation,
     LockTable,
+    GRANTED,
+    _cycle_members,
     apply_effect,
+    blockers,
     cannot_be_granted,
     commit_step,
     deadlock_handler_step,
@@ -306,6 +309,102 @@ def test_victimize_one_per_cycle():
     effects2, _ = deadlock_handler_step(cs, rng(), "shortest-history",
                                         deadlocked(cs))
     assert effects2 == []
+
+
+# -- the wait-for graph kept across calls -----------------------------------
+
+
+def _reference(cs):
+    return _cycle_members(wait_edges(cs))
+
+
+def _random_op(r, cs, machines, locations, committed):
+    """One controller-state change of a random kind, made the way the engine
+    makes it, or by rewriting a `last_request` entry in place."""
+    active = sorted(cs.transact)
+    kind = r.choice((0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7))
+    m = r.choice(active) if active else None
+    if kind == 0 and m is not None:  # request
+        some = r.sample(locations, r.randint(1, 2))
+        writes = frozenset(l for l in some if r.random() < 0.6)
+        pair = LockPair(frozenset(some) - writes, writes)
+        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
+        cs.lock_requests.append((cs.next_order, m, pair))
+        cs.next_order += 1
+        cs.last_request[m] = (pair, PENDING)
+    elif kind in (1, 2) and cs.lock_requests:  # grant or refuse
+        order, n, pair = r.choice(cs.lock_requests)
+        if cannot_be_granted(n, pair, cs):
+            apply_effect(cs, ("refuse", order, n, pair), committed)
+        else:
+            apply_effect(cs, ("grant", order, n, pair), committed)
+            cs.histories[n].append(HistoryEntry(saved=(), locks=pair))
+    elif kind == 3 and m in cs.last_request:  # withdraw
+        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
+        cs.last_request[m] = (cs.last_request[m][0], REFUSED)
+    elif kind == 4 and m is not None and r.random() < 0.3:  # commit
+        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
+        apply_effect(cs, ("commit", m), committed)
+    elif kind == 5 and m is not None and cs.histories[m]:  # undo
+        apply_effect(cs, ("undo", m), committed)
+    elif kind == 6 and m in cs.last_request:  # rewritten in place
+        pair = r.choice([cs.last_request[m][0],
+                         LockPair(frozenset(r.sample(locations, 2)))])
+        cs.last_request[m] = (pair, r.choice([PENDING, REFUSED, GRANTED]))
+    elif kind == 7:  # registration
+        idle = [n for n in machines if n not in cs.transact
+                and n not in committed]
+        if idle:
+            n = r.choice(idle)
+            cs.transact.add(n)
+            cs.histories[n] = []
+
+
+def test_kept_wait_graph_matches_reference_under_random_changes():
+    r = random.Random(5)
+    compared = dead_seen = 0
+    for _ in range(60):
+        machines = [f"m{i}" for i in range(r.randint(2, 10))]
+        locations = [loc(f"x{i}") for i in range(r.randint(3, 8))]
+        cs = fresh(machines[:r.randint(1, len(machines))])
+        committed = []
+        for _ in range(150):
+            _random_op(r, cs, machines, locations, committed)
+            for _, m, pair in cs.lock_requests:
+                assert cannot_be_granted(m, pair, cs) == bool(
+                    blockers(m, pair, cs))
+            # Let changes pile up between some searches, as in interleave
+            # mode, where the controller does not act every step.
+            if r.random() < 0.6:
+                dead = deadlocked(cs)
+                assert dead == _reference(cs)
+                compared += 1
+                dead_seen += bool(dead)
+    assert compared > 5000 and dead_seen > 200
+
+
+def test_kept_wait_graph_sees_in_place_rewrites():
+    cs = _cs_with_edges([("a", "b"), ("b", "a")])
+    assert deadlocked(cs) == {"a", "b"}
+    pair_a, _ = cs.last_request["a"]
+    cs.last_request["a"] = (pair_a, GRANTED)
+    assert deadlocked(cs) == frozenset()
+    cs.last_request["a"] = (pair_a, REFUSED)
+    assert deadlocked(cs) == {"a", "b"}
+    del cs.last_request["b"]
+    assert deadlocked(cs) == frozenset()
+
+
+def test_kept_wait_graph_follows_lock_table_changes():
+    cs = _cs_with_edges([("a", "b"), ("b", "a")])
+    assert deadlocked(cs) == {"a", "b"}
+    held = cs.locks.w_locked_by("b")
+    cs.locks.release("b", LockPair(frozenset(), held))
+    assert deadlocked(cs) == frozenset()
+    cs.locks.grant("b", LockPair(held, frozenset()))  # a read lock blocks no read
+    assert deadlocked(cs) == frozenset()
+    cs.locks.grant("b", LockPair(frozenset(), held))
+    assert deadlocked(cs) == {"a", "b"}
 
 
 # -- recovery --------------------------------------------------------------

@@ -265,6 +265,48 @@ def test_one_deadlock_search_per_controller_step(monkeypatch):
     assert len(calls) == len(trace.steps)
 
 
+FUZZ_12 = FuzzParams(n_machines=12, n_shared=16, max_steps_per_machine=8,
+                    domain_size=8, step_budget=2000)
+FUZZ_24 = FuzzParams(n_machines=24, n_shared=24, domain_size=16,
+                     step_budget=2000)
+
+
+@pytest.mark.parametrize("run_mode,every_step", [("sync", False),
+                                                 ("interleave", False),
+                                                 ("interleave", True)])
+def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
+                                                           run_mode,
+                                                           every_step):
+    """The engine's incremental deadlock search agrees with a fresh search
+    of `wait_edges` at each search, and with `every_step` also after every
+    step: in interleave mode the controller does not act every step, so its
+    own searches see the changes of several steps at once.  The seeds
+    alternate the two wait modes."""
+    searches = []
+    original = controller.deadlocked
+
+    def compared(cs):
+        dead = original(cs)
+        assert dead == controller._cycle_members(controller.wait_edges(cs))
+        searches.append(bool(dead))
+        return dead
+
+    def checked(cs):
+        compared(cs)
+        real_invariants(cs)
+
+    real_invariants = controller.ControllerState.check_invariants
+    monkeypatch.setattr(controller, "deadlocked", compared)
+    if every_step:
+        monkeypatch.setattr(controller.ControllerState, "check_invariants",
+                            checked)
+    corpora = [(None, range(200)), (FUZZ_12, range(4)), (FUZZ_24, range(3))]
+    for params, seeds in corpora:
+        for seed in seeds:
+            run(replace(random_config(seed, params), run_mode=run_mode))
+    assert sum(searches) > 100
+
+
 def test_controller_streams_seeded_only_when_drawn(monkeypatch):
     labels = []
     original = engine.make_rng
@@ -293,11 +335,14 @@ def _typed(read_log):
 def _run_with_shortcuts_checked(monkeypatch, configs):
     """Run and check each config with the idle shortcut turned off: every
     machine the engine would have skipped must get an empty outcome from
-    `wrapper_step`, and every reused analysis must equal a fresh one.  The
-    traces must match those of the unpatched engine byte for byte."""
+    `wrapper_step`, and every reused analysis, of any ordinal, must equal a
+    fresh one.  The traces must match those of the unpatched engine byte for
+    byte.  `older` counts reuses of an ordinal below one analysed before,
+    which only re-execution after an undo makes."""
     from taserial import wrapper
 
-    counts = {"skipped": 0, "stepped": 0, ACTIVE: 0, WAIT_LOCKS: 0}
+    counts = {"skipped": 0, "stepped": 0, ACTIVE: 0, WAIT_LOCKS: 0,
+              "older": 0}
     verdict = []
     real_idle, real_step = engine._idle, engine.wrapper_step
     real_analysis = wrapper._step_analysis
@@ -316,10 +361,12 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
         return out
 
     def analysis(program, tcb, state, seed):
-        last = tcb.last_analysis
+        ordinal = tcb.proper_count
+        last = tcb.analyses.get(ordinal)
         rw, read_log = real_analysis(program, tcb, state, seed)
-        if last is not None and rw is last[3]:
+        if last is not None and rw is last[2]:
             counts[tcb.ctl_state] += 1
+            counts["older"] += max(tcb.analyses) > ordinal
             material = wrapper.choice_material(seed, tcb.machine_id,
                                                tcb.proper_count)
             fresh_rw, fresh_log = wrapper._analysis(program, state, material)
@@ -349,6 +396,7 @@ def test_shortcuts_match_full_steps_default_corpus(monkeypatch, run_mode):
     counts = _run_with_shortcuts_checked(monkeypatch, configs)
     assert counts["skipped"] and counts["stepped"]
     assert counts[ACTIVE] and counts[WAIT_LOCKS]  # retry and grant reuse
+    assert counts["older"]  # re-execution after undo
 
 
 @pytest.mark.parametrize("run_mode", ["sync", "interleave"])
@@ -360,6 +408,7 @@ def test_shortcuts_match_full_steps_12_machines(monkeypatch, run_mode):
                for s in range(2))
     counts = _run_with_shortcuts_checked(monkeypatch, configs)
     assert counts["skipped"] and counts[ACTIVE] and counts[WAIT_LOCKS]
+    assert counts["older"]  # re-execution after undo
 
 
 def test_waiting_machines_skip_the_wrapper(monkeypatch):
