@@ -42,7 +42,6 @@ def forged_lost_update_trace(seed: int = 7) -> Trace:
             ))
     return Trace(
         config=config,
-        seed=seed,
         initial_values=dict(solo_a.initial_values),
         steps=steps,
         final_values=dict(solo_b.final_values),

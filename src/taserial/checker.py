@@ -3,8 +3,9 @@
 A trace is serializable when some serial execution (each machine running
 alone, one after the other, in some order) is equivalent to it: every
 machine performs the same proper, non-undone steps with the same reads and
-the same update sets.  The constructive check re-runs the machines solo in
-commit order and compares the cleansed schedules.
+the same update sets.  The constructive check runs the bare machines, without
+the controller, one after the other in commit order and compares the
+cleansed schedules.
 """
 from __future__ import annotations
 
@@ -12,13 +13,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .asm import AsmError, Location, State, UpdateSet, Value
-from .engine import (
-    MalformedTrace,
-    RunConfig,
-    Trace,
-    run,
-)
+from .asm import (AsmError, Location, State, UpdateSet, Value, apply_updates,
+                  loc_key)
+from .engine import (MalformedTrace, Trace, UnknownMachine, encode_location,
+                     encode_value)
+from .wrapper import analyse, checked_step, choice_material, terminated
 
 MAX_BRUTE_FORCE = 4
 
@@ -33,7 +32,7 @@ class UncommittedMachine(AsmError):
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    step_index: int
+    step_index: int  # the global step in a trace, the ordinal in a serial run
     updates: UpdateSet
     reads: Tuple[Tuple[Location, Value], ...]
 
@@ -113,55 +112,76 @@ def equivalent(a: Dict[str, CleanSchedule], b: Dict[str, CleanSchedule],
         for pos, (ea, eb) in enumerate(zip(sa, sb)):
             if ea.body() != eb.body():
                 return {"machine": m, "kind": "step", "position": pos,
-                        "left_step": ea.step_index, "right_step": eb.step_index}
+                        "left_step": ea.step_index, **_difference(ea, eb)}
     return None
 
 
+def _difference(ea: ScheduleEntry, eb: ScheduleEntry) -> dict:
+    """The first read, else the first update, whose location or value differs
+    between two entries; a side that lacks the location gives null."""
+    for what, left, right in (("read", ea.reads, eb.reads),
+                              ("update", ea.updates, eb.updates)):
+        if left == right:
+            continue
+        lm = {loc: encode_value(v) for loc, v in left}
+        rm = {loc: encode_value(v) for loc, v in right}
+        for loc in sorted(lm.keys() | rm.keys(), key=loc_key):
+            if lm.get(loc) != rm.get(loc):
+                return {"what": what, "location": encode_location(loc),
+                        "left": lm.get(loc), "right": rm.get(loc)}
+        # Only a forged record, unsorted or listing a location twice, gets here.
+        return {"what": what, "location": None, "left": None, "right": None}
+
+
 def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]:
-    """Re-execute each machine alone, in the given order, each starting from
-    the state the previous one left behind.  Returns the per-machine cleansed
-    schedules of those solo runs."""
-    config = _solo_config(trace.config)
+    """Run each bare machine, without the controller, in the given order,
+    each from the state the previous one left; returns their schedules.  A
+    machine that matches performs at most one proper step per trace step, so
+    one still running after `max_steps` proper steps is UncommittedMachine."""
+    config = trace.config
+    programs = {p.name: p for p in config.machines}
     state = State(dict(trace.initial_values), config.domain())
-    budget = 4 * trace.config.max_steps + 16
     schedules: Dict[str, CleanSchedule] = {}
     for m in order:
-        solo = run(config, seed=trace.seed, max_steps=budget,
-                   initial_state=state, only=[m])
-        if solo.status != "done":
-            raise UncommittedMachine(
-                f"{m} did not commit within {budget} solo steps")
-        schedules[m] = cleanse(solo)[m]
-        state = State(dict(solo.final_values), config.domain())
+        if m not in programs:
+            raise UnknownMachine(m)
+        program, entries = programs[m], []
+        while not terminated(program, state):
+            ordinal = len(entries)
+            if ordinal == config.max_steps:
+                raise UncommittedMachine(
+                    f"{m} did not terminate within {ordinal} proper steps")
+            rw, read_log = analyse(program, state,
+                                   choice_material(config.seed, m, ordinal))
+            updates, reads = checked_step(program, m, rw, read_log)
+            state = apply_updates(state, updates)
+            entries.append(ScheduleEntry(ordinal, updates, reads))
+        schedules[m] = tuple(entries)
     return schedules
 
 
-def _solo_config(config: RunConfig) -> RunConfig:
-    """Same programs and policies, immediate registration."""
-    return RunConfig(
-        machines=list(config.machines),
-        domain_size=config.domain_size,
-        registration={},
-        wait_mode=config.wait_mode,
-        lock_policy=config.lock_policy,
-        commit_policy=config.commit_policy,
-        victim_policy=config.victim_policy,
-        run_mode="sync",
-        seed=config.seed,
-        max_steps=config.max_steps,
-    )
+def _prelude(trace: Trace, limit: Optional[int] = None):
+    """The commit order, the cleansed trace, and a rejecting verdict (else
+    None) when a machine that did not commit kept surviving steps."""
+    order = [m for m in trace.committed if m in trace.registered]
+    if limit is not None and len(order) > limit:
+        raise TooManyMachines(
+            f"{len(order)} committed machines; limit is {limit}")
+    original = cleanse(trace)
+    leftover = [m for m in trace.registered if m not in order
+                and original.get(m)]
+    if not leftover:
+        return order, original, None
+    return order, original, Verdict(
+        False, order, reason=f"uncommitted machines performed surviving "
+                             f"steps: {sorted(leftover)}")
 
 
 def check_serializable(trace: Trace) -> Verdict:
     """Constructive check: the serial order is the commit order."""
-    order = [m for m in trace.committed if m in trace.registered]
-    original = cleanse(trace)
-    leftover = [m for m in trace.registered if m not in order
-                and original.get(m)]
-    if leftover:
-        return Verdict(False, order,
-                       reason=f"uncommitted machines performed surviving "
-                              f"steps: {sorted(leftover)}")
+    order, original, rejected = _prelude(trace)
+    if rejected is not None:
+        return rejected
     try:
         serial = build_serial_run(trace, order)
     except UncommittedMachine as e:
@@ -176,17 +196,9 @@ def check_serializable(trace: Trace) -> Verdict:
 
 def brute_force_serializable(trace: Trace) -> Verdict:
     """Try every ordering of the committed machines."""
-    order = [m for m in trace.committed if m in trace.registered]
-    if len(order) > MAX_BRUTE_FORCE:
-        raise TooManyMachines(
-            f"{len(order)} committed machines; limit is {MAX_BRUTE_FORCE}")
-    original = cleanse(trace)
-    leftover = [m for m in trace.registered if m not in order
-                and original.get(m)]
-    if leftover:
-        return Verdict(False, order,
-                       reason=f"uncommitted machines performed surviving "
-                              f"steps: {sorted(leftover)}")
+    order, original, rejected = _prelude(trace, MAX_BRUTE_FORCE)
+    if rejected is not None:
+        return rejected
     last_witness = None
     for perm in itertools.permutations(order):
         try:

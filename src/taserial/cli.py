@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional
 
@@ -93,22 +94,17 @@ def _reject_deep_nesting(cmd):
 
 @_reject_deep_nesting
 def cmd_run(args) -> int:
+    overrides = {flag: getattr(args, flag)
+                 for flag in ("seed", "max_steps") + POLICY_FLAGS
+                 if getattr(args, flag) is not None}
+    if args.seed is None and "TASERIAL_SEED" in os.environ:
+        overrides["seed"] = _default_seed()
     try:
-        config = load_manifest(args.config)
+        config = replace(load_manifest(args.config), **overrides)
     except (OSError, json.JSONDecodeError, ParseError, ProgramError,
             ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        config.seed = args.seed
-    elif "TASERIAL_SEED" in os.environ:
-        config.seed = _default_seed()
-    if args.max_steps is not None:
-        config.max_steps = args.max_steps
-    for flag in POLICY_FLAGS:
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(config, flag, value)
     for warning in config.closed_system_warnings():
         print(f"warning: {warning}", file=sys.stderr)
     try:
@@ -145,27 +141,21 @@ def _verdict_record(verdict: Verdict, oracle: str) -> dict:
 def cmd_check(args) -> int:
     try:
         trace = load_trace(args.trace)
+        if args.brute_force:
+            verdict, oracle = brute_force_serializable(trace), "brute-force"
+        else:
+            verdict, oracle = check_serializable(trace), "commit-order"
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (MalformedTrace, ParseError, ProgramError, ConfigError) as e:
         print(f"malformed trace: {e}", file=sys.stderr)
         return 1
-    try:
-        if args.brute_force:
-            verdict = brute_force_serializable(trace)
-            record = _verdict_record(verdict, "brute-force")
-        else:
-            verdict = check_serializable(trace)
-            record = _verdict_record(verdict, "commit-order")
-    except MalformedTrace as e:
-        print(f"malformed trace: {e}", file=sys.stderr)
-        return 1
     except AsmError as e:
-        # TooManyMachines, or a solo re-run that cannot evaluate its rules
+        # TooManyMachines, or a serial run that cannot evaluate its rules
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(json.dumps(record))
+    print(json.dumps(_verdict_record(verdict, oracle)))
     return 0 if verdict.ok else 3
 
 

@@ -220,17 +220,12 @@ class StepRecord:
 @dataclass
 class Trace:
     config: RunConfig
-    seed: int
     initial_values: Dict[Location, Value]
     steps: List[StepRecord]
     final_values: Dict[Location, Value]
     status: str  # "done" | "budget"
     committed: List[str]  # commit order
     registered: List[str]
-
-    @property
-    def machines(self) -> List[str]:
-        return list(self.registered)
 
 
 # ---------------------------------------------------------------------------
@@ -332,19 +327,10 @@ class _StateDigest:
 # The engine
 
 
-def run(config: RunConfig, seed: Optional[int] = None,
-        max_steps: Optional[int] = None,
-        initial_state: Optional[State] = None,
-        only: Optional[List[str]] = None) -> Trace:
-    """Execute the composed system and record a full trace.
-
-    `only` restricts which machines register (used to build serial runs);
-    `initial_state` overrides the configured initial values.
-    """
-    seed = config.seed if seed is None else seed
-    max_steps = config.max_steps if max_steps is None else max_steps
-    if max_steps < 1:
-        raise ConfigError("max_steps must be >= 1")
+def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
+    """Execute the composed system and record a full trace; `only`
+    restricts which machines register."""
+    seed = config.seed
     active_ids = config.machine_ids if only is None else list(only)
     programs = {p.name: p for p in config.machines}
     for m in active_ids:
@@ -353,8 +339,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
     order = sorted(active_ids)
     suspend = config.wait_mode == "suspend"
 
-    state = initial_state if initial_state is not None else config.initial_state()
-    state = State(dict(state.values), config.domain())
+    state = config.initial_state()
     initial_values = dict(state.values)
     digest = _StateDigest(state.values)
 
@@ -365,7 +350,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
     reg_step = {m: config.registration.get(m, 0) for m in active_ids}
 
     status = "budget"
-    for index in range(max_steps):
+    for index in range(config.max_steps):
         events: List[dict] = []
         # Registration is the entry into the controller's supervision; the
         # history starts empty.
@@ -461,7 +446,7 @@ def run(config: RunConfig, seed: Optional[int] = None,
             status = "done"
             break
 
-    return Trace(config=config, seed=seed, initial_values=initial_values,
+    return Trace(config=config, initial_values=initial_values,
                  steps=steps, final_values=dict(state.values), status=status,
                  committed=committed, registered=list(active_ids))
 
@@ -591,7 +576,7 @@ def trace_to_lines(trace: Trace) -> List[str]:
         "version": TRACE_VERSION,
         "config": config,
         "config_digest": payload_digest(config),
-        "seed": trace.seed,
+        "seed": trace.config.seed,
         "registered": list(trace.registered),
         "initial_state": encode_pairs(trace.initial_values.items()),
     }
@@ -642,6 +627,13 @@ def trace_from_lines(lines: List[str]) -> Trace:
         config = RunConfig.from_payload(header["config"])
         if payload_digest(header["config"]) != header["config_digest"]:
             raise MalformedTrace("config_digest does not match the config")
+        seed = header["seed"]
+        if type(seed) is not int or seed != config.seed:
+            raise MalformedTrace(f"header seed {seed!r} is not the config "
+                                 f"seed {config.seed}")
+        if len(records) - 2 > config.max_steps:
+            raise MalformedTrace(f"{len(records) - 2} step records exceed "
+                                 f"max_steps {config.max_steps}")
         steps = []
         for rec in records[1:-1]:
             if rec.get("type") != "step":
@@ -668,7 +660,6 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                     events=events, state_hash=rec["state_hash"]))
         return Trace(
             config=config,
-            seed=header["seed"],
             initial_values=dict(decode_pairs(header["initial_state"])),
             steps=steps,
             final_values=dict(decode_pairs(final["final_state"])),

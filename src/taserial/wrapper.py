@@ -119,7 +119,7 @@ def _main_code(program: MachineProgram) -> RuleCode:
     return code
 
 
-def _analysis(program: MachineProgram, state: State, material: bytes):
+def analyse(program: MachineProgram, state: State, material: bytes):
     """One pass over the main rule: its reads (with values), writes and
     update set in this state."""
     read_log: Dict[Location, Value] = {}
@@ -130,7 +130,7 @@ def _analysis(program: MachineProgram, state: State, material: bytes):
 
 def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
                   seed: int):
-    """`_analysis` of the machine's next proper step in this state.
+    """`analyse` of the machine's next proper step in this state.
 
     The last analysis of the same ordinal is reused when it was made for the
     same compiled rule and seed and every location in its read log still
@@ -151,8 +151,8 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
                 break
         else:
             return last[2], last[3]
-    rw, read_log = _analysis(program, state,
-                             choice_material(seed, tcb.machine_id, ordinal))
+    rw, read_log = analyse(program, state,
+                           choice_material(seed, tcb.machine_id, ordinal))
     tcb.analyses[ordinal] = (code, seed, rw, read_log)
     return rw, read_log
 
@@ -170,26 +170,23 @@ def _locks_for(program: MachineProgram, rw: RwSet,
     return LockPair(r_loc, w_loc)
 
 
+def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:
+    return tuple(sorted(pairs, key=lambda p: loc_key(p[0])))
+
+
 def overwritten_values(program: MachineProgram, state: State,
-                       writes: FrozenSet[Location]) -> Tuple[Tuple[Location, Value], ...]:
-    """Current values of the shared/output locations about to be written."""
-    out = [(l, state.get(l)) for l in writes
-           if program.classify(l.func) in ("shared", "output")]
-    return tuple(sorted(out, key=lambda p: loc_key(p[0])))
-
-
-def _private_overwritten(program: MachineProgram, state: State,
-                         writes: FrozenSet[Location]) -> Tuple[Tuple[Location, Value], ...]:
-    out = [(l, state.get(l)) for l in writes
-           if program.classify(l.func) == "controlled"]
-    return tuple(sorted(out, key=lambda p: loc_key(p[0])))
+                       writes: FrozenSet[Location],
+                       kinds=("shared", "output")) -> Tuple[Tuple[Location, Value], ...]:
+    """Current values of the locations of these kinds about to be written."""
+    return _by_location((l, state.get(l)) for l in writes
+                        if program.classify(l.func) in kinds)
 
 
 def choice_material(seed: int, machine_id: str, ordinal: int) -> bytes:
     """Seed material for the machine's next proper step.
 
     Keyed by the count of proper steps performed (not the global step
-    index), so a solo re-run or a post-undo re-execution resolves every
+    index), so a serial run or a post-undo re-execution resolves every
     choose rule the same way.
     """
     return derive_bytes(seed, "choice", machine_id, ordinal)
@@ -272,19 +269,27 @@ def _wait_locks_step(program, tcb, state, view, seed, step_index,
     return WrapperOutcome()
 
 
-def _proper(program, tcb, state, rw: RwSet, read_log, lock_set: LockPair,
-            step_index, ctl_change) -> WrapperOutcome:
+def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
+                 read_log: Dict[Location, Value]):
+    """The update set and the sorted reads a proper step records, once it is
+    known to write no monitored location."""
     for l in rw.writes:
         if program.classify(l.func) == "monitored":
-            raise InvalidWrite(f"{tcb.machine_id} writes monitored location {l}")
+            raise InvalidWrite(f"{machine_id} writes monitored location {l}")
+    return rw.updates, _by_location(read_log.items())
+
+
+def _proper(program, tcb, state, rw: RwSet, read_log, lock_set: LockPair,
+            step_index, ctl_change) -> WrapperOutcome:
+    updates, reads = checked_step(program, tcb.machine_id, rw, read_log)
     entry = HistoryEntry(
         saved=overwritten_values(program, state, rw.writes),
         locks=lock_set,
-        private_saved=_private_overwritten(program, state, rw.writes),
+        private_saved=overwritten_values(program, state, rw.writes,
+                                         ("controlled",)),
         origin_step=step_index,
         ordinal=tcb.proper_count,
     )
-    reads = tuple(sorted(read_log.items(), key=lambda p: loc_key(p[0])))
-    return WrapperOutcome(updates=rw.updates, reads=reads, proper=True,
+    return WrapperOutcome(updates=updates, reads=reads, proper=True,
                           ctl_change=ctl_change,
                           effects=[("append_history", entry)])

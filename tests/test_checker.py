@@ -1,6 +1,10 @@
+import json
 import random
+from dataclasses import replace
 
 import pytest
+
+from taserial.asm import UNDEF, Location
 
 from taserial.anomaly import forged_lost_update_trace
 from taserial.checker import (
@@ -13,7 +17,11 @@ from taserial.checker import (
 )
 from taserial.engine import MalformedTrace, run
 from taserial.fuzz import FuzzParams, random_config
-from taserial.workloads import counter_config, full_victim_config
+from taserial.workloads import (
+    counter_config,
+    full_victim_config,
+    opposed_lock_config,
+)
 
 from stepwise import cleanse_stepwise
 
@@ -75,6 +83,46 @@ def test_serial_run_matches_commit_order():
     trace = run(counter_config(seed=4))
     serial = build_serial_run(trace, trace.committed)
     assert equivalent(cleanse(trace), serial, trace.committed) is None
+
+
+def _solo_parity_configs():
+    for seed in range(200):
+        yield random_config(seed)
+    for seed in range(5):
+        for wait_mode in ("retry", "suspend"):
+            yield counter_config(seed=seed, wait_mode=wait_mode)
+            yield opposed_lock_config(seed=seed, wait_mode=wait_mode)
+            yield full_victim_config(seed=seed, wait_mode=wait_mode)
+
+
+def test_bare_serial_run_matches_the_engine_solo_run():
+    # The serial run executes the bare machine; running it alone through
+    # the engine, under the controller, must give the same schedule.
+    for config in _solo_parity_configs():
+        trace = run(config)
+        for m in trace.committed:
+            bare = build_serial_run(trace, [m])[m]
+            solo = run(config, only=[m])
+            assert solo.status == "done"
+            assert ([e.body() for e in bare]
+                    == [e.body() for e in cleanse(solo)[m]]), (config.seed, m)
+
+
+def test_step_witness_names_an_update_one_side_lacks():
+    trace = run(counter_config(seed=0))
+    sched = cleanse(trace)
+    m = trace.registered[0]
+    first = sched[m][0]
+    ghost = Location("ghost", ())
+    broken = dict(sched)
+    broken[m] = (replace(first, updates=first.updates | {(ghost, UNDEF)}),
+                 ) + sched[m][1:]
+    witness = equivalent(sched, broken, trace.registered)
+    assert witness == {"machine": m, "kind": "step", "position": 0,
+                       "left_step": first.step_index, "what": "update",
+                       "location": ["ghost", []], "left": None,
+                       "right": ["u"]}
+    json.dumps(witness)
 
 
 def test_forged_lost_update_rejected_by_both():

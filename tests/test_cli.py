@@ -283,3 +283,107 @@ def test_check_non_utf8_trace_exits_one(workdir, capsys):
     assert main(["check", str(trace_file)]) == 1
     assert capsys.readouterr().err.startswith(
         f"malformed trace: {trace_file}: not UTF-8 text")
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_run_max_steps_below_one_exits_one(workdir, capsys, value):
+    assert main(["run", str(workdir / "manifest.json"),
+                 "--max-steps", value]) == 1
+    assert capsys.readouterr().err.startswith("error: max_steps must be >= 1")
+
+
+# -- the header seed is the config seed --------------------------------------
+
+
+@pytest.mark.parametrize("value", ["abc", None, True, "3", 3.0, 4])
+def test_check_forged_header_seed_exits_one(tmp_path, capsys, value):
+    records = _fuzz_trace_lines(tmp_path, seed=3)
+    assert records[0]["seed"] == records[0]["config"]["seed"] == 3
+    records[0]["seed"] = value
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err.startswith("malformed trace: header seed")
+
+
+def test_check_more_step_records_than_max_steps_exits_one(tmp_path, capsys):
+    from taserial.engine import payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    records[0]["config"]["max_steps"] = len(records) - 3
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and "exceed max_steps" in err
+
+
+# -- the serial run fails on an edited initial state -------------------------
+
+TAMPERED = """\
+machine w
+monitored sensor
+init pc() := 0
+init x() := 0
+init a() := 0
+init b() := 0
+terminated: pc() = 1
+rule: par {
+  pc() := pc() + 1 ;
+  if x() = 1 then sensor() := 1 else skip ;
+  y() := a() ;
+  y() := b()
+}
+"""
+
+
+@pytest.mark.parametrize("func,value,code,message", [
+    ("pc", ["b", True], 1, "needs integers"),               # type mismatch
+    ("x", ["i", 1], 1, "writes monitored location"),        # invalid write
+    ("a", ["i", 1], 1, ""),                                 # clashing updates
+    ("pc", ["i", 2], 3, "did not terminate"),               # never terminates
+])
+def test_check_serial_run_from_edited_initial_state(tmp_path, capsys, func,
+                                                    value, code, message):
+    from taserial.dsl import parse_program
+    from taserial.engine import RunConfig, run, write_trace
+
+    path = tmp_path / "w.jsonl"
+    trace = run(RunConfig(machines=[parse_program(TAMPERED)], max_steps=20))
+    assert trace.status == "done"
+    write_trace(trace, str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    (entry,) = [e for e in records[0]["initial_state"] if e[0] == [func, []]]
+    entry[1] = value
+    assert _check_records(tmp_path, records) == code
+    out = capsys.readouterr()
+    if code == 1:
+        assert out.err.startswith("error: ") and message in out.err
+    else:
+        record = json.loads(out.out)
+        assert record["serializable"] is False and message in record["reason"]
+
+
+def test_check_names_the_lost_update(tmp_path, capsys):
+    from taserial.anomaly import forged_lost_update_trace
+    from taserial.engine import write_trace
+
+    path = tmp_path / "forged.jsonl"
+    write_trace(forged_lost_update_trace(), str(path))
+    assert main(["check", str(path)]) == 3
+    record = json.loads(capsys.readouterr().out)
+    # b's first step read cell() = 0 in the trace, but 1 after a ran alone.
+    assert record["witness"] == {
+        "machine": "b", "kind": "step", "position": 0, "left_step": 7,
+        "what": "read", "location": ["cell", []],
+        "left": ["i", 0], "right": ["i", 1]}
+
+
+def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
+    # Same reads and values, listed in another order than the engine's: the
+    # step differs, but no location does.
+    records = _fuzz_trace_lines(tmp_path)
+    step = [ms for rec in records[1:-1] for ms in rec["machines"].values()
+            if ms["proper"] and len(ms["reads"]) > 1][-1]  # survives cleansing
+    step["reads"].reverse()
+    assert _check_records(tmp_path, records) == 3
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["kind"] == "step" and witness["what"] == "read"
+    assert witness["location"] is None

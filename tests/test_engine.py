@@ -53,7 +53,7 @@ def test_counter_workload_sums_increments():
 
 
 def test_budget_exhaustion_reported():
-    trace = run(counter_config(seed=1), max_steps=2)
+    trace = run(counter_config(seed=1, max_steps=2))
     assert trace.status == "budget"
     assert trace.committed == []
 
@@ -369,7 +369,7 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
             counts["older"] += max(tcb.analyses) > ordinal
             material = wrapper.choice_material(seed, tcb.machine_id,
                                                tcb.proper_count)
-            fresh_rw, fresh_log = wrapper._analysis(program, state, material)
+            fresh_rw, fresh_log = wrapper.analyse(program, state, material)
             assert rw == fresh_rw
             assert _typed(read_log) == _typed(fresh_log)
         return rw, read_log
@@ -382,7 +382,7 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
     for config in configs:
         trace = run(config)
         if trace.status == "done":
-            assert check_serializable(trace).ok  # the solo re-runs too
+            assert check_serializable(trace).ok
         checked.append(trace_to_lines(trace))
     monkeypatch.undo()
     assert checked == [trace_to_lines(run(c)) for c in configs]

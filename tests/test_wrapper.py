@@ -12,7 +12,7 @@ from taserial.wrapper import (
     MachineCtl,
     WAIT_LOCKS,
     WAIT_RECOVERY,
-    _analysis,
+    analyse,
     _locks_for,
     choice_material,
     overwritten_values,
@@ -54,7 +54,7 @@ def material():
 
 
 def new_locks(view):
-    return _locks_for(PROG, _analysis(PROG, initial_state(), material())[0], view)
+    return _locks_for(PROG, analyse(PROG, initial_state(), material())[0], view)
 
 
 def test_new_locks_classifies_reads_and_writes():
@@ -223,13 +223,13 @@ def analyses(monkeypatch):
     """The analyses run (not reused), as (program, state) pairs."""
     from taserial import wrapper
     calls = []
-    original = wrapper._analysis
+    original = wrapper.analyse
 
     def counting(program, state, material):
         calls.append((program, state))
         return original(program, state, material)
 
-    monkeypatch.setattr(wrapper, "_analysis", counting)
+    monkeypatch.setattr(wrapper, "analyse", counting)
     return calls
 
 
