@@ -1,21 +1,22 @@
 """Transaction controller: lock handler, commit, deadlock handler, recovery.
 
-The controller owns the lock table, the request queues, the victim set and
-the per-machine undo histories.  Each component computes one step against a
-snapshot and returns effects plus trace events; the run engine applies all
-effects after every agent of a global step has computed, mirroring the
-synchronous-parallel step semantics of the wrapped machines.
+The controller owns the lock table, each machine's one lock request, the
+victim set and the per-machine undo histories.  Each component computes one
+step against a snapshot and returns effects plus trace events; the run
+engine has `apply_effect` apply them, and the wrappers' effects, after every
+agent of a global step has computed, mirroring the synchronous-parallel step
+semantics of the wrapped machines.
 """
 from __future__ import annotations
 
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, Optional, Set,
-                    Tuple)
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
+                    Optional, Set, Tuple)
 
 from .asm import AsmError, Location, Value, loc_key
-from .wrapper import HistoryEntry, LockPair
+from .wrapper import ControllerView, HistoryEntry, LockPair
 
 
 class LockInvariantViolation(AsmError):
@@ -115,27 +116,40 @@ class LockTable:
                     f"{sorted(readers - {writer})}")
 
 
-#: Last-request status values used for the derived wait relation.
+#: Request statuses (see `Request`).
 PENDING = "pending"
-REFUSED = "refused"
 GRANTED = "granted"
-_WAITING = (PENDING, REFUSED)
+REFUSED = "refused"
+WAITING = "waiting"
+
+
+class Request(NamedTuple):
+    """A machine's one lock request and where it stands.
+
+    pending: queued for the lock handler.  granted, refused: answered, the
+    answer not yet read by the wrapper; reading a grant deletes the record.
+    waiting: the refusal was read, or the request withdrawn.  All but granted
+    feed the wait relation.  A record is replaced, never mutated, so
+    `deadlocked` tells a changed record by its identity."""
+
+    pair: LockPair
+    status: str
 
 
 class WaitGraph:
     """The wait relation of `wait_edges` and its cycle members, kept across
     calls of `deadlocked` (which alone reads and updates it).
 
-    `seen` holds each machine's `last_request` entry as the graph last saw
-    it; `out` the machines each waiting machine waits for (non-empty sets
-    only); `waiters` the machines whose seen entry waits on a pair naming
+    `seen` holds each machine's request record as the graph last saw it;
+    `out` the machines each waiting machine waits for (non-empty sets
+    only); `waiters` the machines whose seen record waits on a pair naming
     each location; `dead` the cycle members.
     """
 
     __slots__ = ("seen", "out", "waiters", "dead")
 
     def __init__(self):
-        self.seen: Dict[str, Tuple[LockPair, str]] = {}
+        self.seen: Dict[str, Request] = {}
         self.out: Dict[str, Set[str]] = {}
         self.waiters: Dict[Location, Set[str]] = {}
         self.dead: FrozenSet[str] = frozenset()
@@ -144,25 +158,51 @@ class WaitGraph:
 @dataclass
 class ControllerState:
     transact: Set[str] = field(default_factory=set)
-    lock_requests: List[Tuple[int, str, LockPair]] = field(default_factory=list)
-    next_order: int = 0
+    # machine -> its request, in request order (a new one goes to the back)
+    requests: Dict[str, Request] = field(default_factory=dict)
     commit_requests: Set[str] = field(default_factory=set)
     victims: Set[str] = field(default_factory=set)
     locks: LockTable = field(default_factory=LockTable)
-    granted: Dict[str, LockPair] = field(default_factory=dict)
-    refused: Dict[str, LockPair] = field(default_factory=dict)
-    last_request: Dict[str, Tuple[LockPair, str]] = field(default_factory=dict)
     histories: Dict[str, List[HistoryEntry]] = field(default_factory=dict)
     wait_graph: WaitGraph = field(default_factory=WaitGraph, repr=False,
                                   compare=False)
 
     def check_invariants(self) -> None:
         self.locks.check()
-        requesters = {m for _, m, _ in self.lock_requests}
-        bad = self.commit_requests & (requesters | self.victims)
+        bad = [m for m in self.commit_requests
+               if m in self.requests or m in self.victims]
         if bad:
             raise LockInvariantViolation(
                 f"machines both committing and requesting/victimized: {sorted(bad)}")
+
+
+def answered(cs: ControllerState, machine: str) -> bool:
+    """Whether the machine's request was granted or refused and the wrapper
+    has not read the answer yet."""
+    r = cs.requests.get(machine)
+    return r is not None and r.status in (GRANTED, REFUSED)
+
+
+def next_ordinal(history: List[HistoryEntry]) -> int:
+    """One past the ordinal of the youngest proper entry."""
+    for entry in reversed(history):
+        if entry.ordinal is not None:
+            return entry.ordinal + 1
+    return 0
+
+
+def controller_view(cs: ControllerState, machine: str) -> ControllerView:
+    """What the machine's wrapper step may read of the controller."""
+    r = cs.requests.get(machine)
+    status = r.status if r is not None else None
+    return ControllerView(
+        victim=machine in cs.victims,
+        granted=r.pair if status == GRANTED else None,
+        refused=r.pair if status == REFUSED else None,
+        held=cs.locks.locked_by(machine),
+        w_held=cs.locks.w_locked_by(machine),
+        ordinal=next_ordinal(cs.histories[machine]),
+    )
 
 
 def blockers(machine: str, locks: LockPair, cs: ControllerState) -> Set[str]:
@@ -208,18 +248,16 @@ def cannot_be_granted(machine: str, locks: LockPair, cs: ControllerState) -> boo
 # Selection policies
 
 
-def _sorted_requests(cs: ControllerState) -> List[Tuple[int, str, LockPair]]:
-    return sorted(cs.lock_requests, key=lambda t: t[0])
-
-
 def _select_random(items, rng: random.Random):
     return items[rng.randrange(len(items))]
 
 
+#: Each picks one of the pending (machine, pair) requests, given in
+#: request order.
 LOCK_POLICIES = {
     "random": lambda reqs, rng: _select_random(reqs, rng),
     "fifo": lambda reqs, rng: reqs[0],
-    "lowest-id": lambda reqs, rng: min(reqs, key=lambda t: t[1]),
+    "lowest-id": lambda reqs, rng: min(reqs, key=lambda t: t[0]),
 }
 
 COMMIT_POLICIES = {
@@ -246,21 +284,17 @@ VICTIM_POLICIES = {
 def lock_handler_step(cs: ControllerState, rng: random.Random,
                       policy: str = "random", wait_mode: str = "retry"
                       ) -> Tuple[List[tuple], List[dict]]:
-    """Handle one lock request: grant it or (in retry mode) refuse it."""
-    reqs = _sorted_requests(cs)
+    """Handle one pending lock request: grant it or (in retry mode) refuse
+    it."""
+    reqs = [(m, r.pair) for m, r in cs.requests.items() if r.status == PENDING]
+    if wait_mode == "suspend":
+        reqs = [t for t in reqs if not cannot_be_granted(t[0], t[1], cs)]
     if not reqs:
         return [], []
-    if wait_mode == "suspend":
-        reqs = [t for t in reqs if not cannot_be_granted(t[1], t[2], cs)]
-        if not reqs:
-            return [], []
-    order, machine, locks = LOCK_POLICIES[policy](reqs, rng)
-    if cannot_be_granted(machine, locks, cs):
-        return ([("refuse", order, machine, locks)],
-                [{"kind": "lock_refuse", "machine": machine,
-                  "locks": _lock_pair_payload(locks)}])
-    return ([("grant", order, machine, locks)],
-            [{"kind": "lock_grant", "machine": machine,
+    machine, locks = LOCK_POLICIES[policy](reqs, rng)
+    kind = "refuse" if cannot_be_granted(machine, locks, cs) else "grant"
+    return ([(kind, machine, locks)],
+            [{"kind": "lock_" + kind, "machine": machine,
               "locks": _lock_pair_payload(locks)}])
 
 
@@ -278,24 +312,24 @@ def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
     """Derived wait relation: m waits for n when a lock m still needs is held
     conflictingly by n.
 
-    A machine's needed locks are its last requested pair while that request
-    is pending or was refused (it re-requests the same locations until
-    granted, including while it waits for recovery).  This is the reference
-    that `deadlocked` keeps up to date incrementally.
+    A machine's needed locks are the pair of its request unless that was
+    granted (a refused machine re-requests the same locations until granted,
+    including while it waits for recovery).  This is the reference that
+    `deadlocked` keeps up to date incrementally.
     """
     return frozenset(
-        (m, n) for m, (pair, status) in cs.last_request.items()
-        if status in _WAITING and m in cs.transact
-        for n in blockers(m, pair, cs))
+        (m, n) for m, r in cs.requests.items()
+        if r.status != GRANTED and m in cs.transact
+        for n in blockers(m, r.pair, cs))
 
 
 def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     """Machines lying on a cycle of the wait relation, `wait_edges(cs)`.
 
     The answer comes from `cs.wait_graph`, brought up to date from what
-    changed since the last call: machines whose `last_request` entry was
-    replaced (also by a direct rewrite) and now waits on another pair or on
-    none, and the waiting machines of every location in `cs.locks.changed`.
+    changed since the last call: machines whose request record was replaced
+    or deleted and now waits on another pair or on none, and the waiting
+    machines of every location in `cs.locks.changed`.
     Only their out-sets are recomputed.  A new cycle must contain an added
     edge (a, b), so the strongly-connected-components pass re-runs only when
     some added b reaches its a, or when an edge between two cycle members
@@ -304,24 +338,26 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     Contract: lock holders change only through `LockTable.grant` and the
     unlocks, and `transact` shrinks only at commit, which releases every
     lock of that machine (so its holders' waiters are recomputed) and drops
-    its `last_request` entry.  A machine joins `transact` holding no locks.
+    its request.  A machine joins `transact` holding no locks.
     """
     g = cs.wait_graph
     seen, out, waiters = g.seen, g.out, g.waiters
-    requests = cs.last_request
+    requests = cs.requests
     touched: Set[str] = set()
-    for m, entry in requests.items():
+    for m, record in requests.items():
         old = seen.get(m)
-        if old is not entry:
-            seen[m] = entry
-            was, waits = _needs(old), _needs(entry)
+        if old is not record:
+            seen[m] = record
+            was, waits = _needs(old), _needs(record)
             if was != waits:
                 _index(waiters, m, was, waits)
                 touched.add(m)
     if len(seen) > len(requests):
         for m in [m for m in seen if m not in requests]:
-            _index(waiters, m, _needs(seen.pop(m)), None)
-            touched.add(m)
+            was = _needs(seen.pop(m))
+            if was is not None:
+                _index(waiters, m, was, None)
+                touched.add(m)
     changed = cs.locks.changed
     for l in changed:
         ms = waiters.get(l)
@@ -351,9 +387,10 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     return g.dead
 
 
-def _needs(entry: Optional[Tuple[LockPair, str]]) -> Optional[LockPair]:
-    """The pair a `last_request` entry waits on, if its status waits."""
-    return entry[0] if entry is not None and entry[1] in _WAITING else None
+def _needs(record: Optional[Request]) -> Optional[LockPair]:
+    """The pair a request record waits on, if its status waits."""
+    return (record.pair if record is not None and record.status != GRANTED
+            else None)
 
 
 def _index(waiters: Dict[Location, Set[str]], machine: str,
@@ -466,11 +503,6 @@ def deadlock_handler_step(cs: ControllerState, rng: random.Random,
     return effects, events
 
 
-def undo_updates(entry: HistoryEntry) -> FrozenSet[Tuple[Location, Value]]:
-    """State restores for one popped history entry."""
-    return frozenset(entry.saved) | frozenset(entry.private_saved)
-
-
 def recovery_step(cs: ControllerState, rng: random.Random,
                   dead: FrozenSet[str]
                   ) -> Tuple[List[tuple], List[dict], FrozenSet[Tuple[Location, Value]]]:
@@ -491,14 +523,12 @@ def recovery_step(cs: ControllerState, rng: random.Random,
         raise EmptyHistory(
             f"{machine} is deadlocked with an empty history; it should hold no locks")
     entry = history[-1]
-    restores = undo_updates(entry)
-    payload = sorted(restores, key=lambda p: loc_key(p[0]))
     return ([("undo", machine)],
             [{"kind": "undo", "machine": machine,
               "origin_step": entry.origin_step,
               "locks": _lock_pair_payload(entry.locks),
-              "restored": payload}],
-            restores)
+              "restored": list(entry.saved)}],
+            frozenset(entry.saved))
 
 
 def _lock_pair_payload(locks: LockPair):
@@ -507,40 +537,47 @@ def _lock_pair_payload(locks: LockPair):
 
 
 # ---------------------------------------------------------------------------
-# Effect application (engine calls these after the compute phase)
+# Effect application (the engine calls this after the compute phase)
 
 
 def apply_effect(cs: ControllerState, effect: tuple,
                  committed: List[str]) -> None:
-    kind = effect[0]
-    if kind == "grant":
-        _, order, machine, locks = effect
-        cs.lock_requests = [t for t in cs.lock_requests if t[0] != order]
-        cs.locks.grant(machine, locks)
-        cs.granted[machine] = locks
-        cs.last_request[machine] = (locks, GRANTED)
+    """Apply one effect `(kind, machine, ...)` of a wrapper or a controller
+    component; a commit also appends the machine to `committed`."""
+    kind, machine = effect[0], effect[1]
+    if kind == "lock_request":
+        cs.requests.pop(machine, None)  # to the back of the request order
+        cs.requests[machine] = Request(effect[2], PENDING)
+    elif kind == "grant":
+        cs.locks.grant(machine, effect[2])
+        cs.requests[machine] = Request(effect[2], GRANTED)
     elif kind == "refuse":
-        _, order, machine, locks = effect
-        cs.lock_requests = [t for t in cs.lock_requests if t[0] != order]
-        cs.refused[machine] = locks
-        cs.last_request[machine] = (locks, REFUSED)
+        cs.requests[machine] = Request(effect[2], REFUSED)
+    elif kind == "consume_granted":
+        del cs.requests[machine]
+    elif kind == "consume_refused" or kind == "withdraw_request":
+        # The pair keeps feeding the wait relation, also during recovery.
+        cs.requests[machine] = Request(cs.requests[machine].pair, WAITING)
+    elif kind == "commit_request":
+        cs.commit_requests.add(machine)
+        cs.requests.pop(machine, None)
+    elif kind == "append_history":
+        cs.histories[machine].append(effect[2])
     elif kind == "commit":
-        machine = effect[1]
         cs.locks.release_all(machine)
         cs.commit_requests.discard(machine)
         cs.transact.discard(machine)
-        cs.last_request.pop(machine, None)
+        cs.requests.pop(machine, None)
         committed.append(machine)
     elif kind == "victimize":
-        cs.victims.add(effect[1])
+        cs.victims.add(machine)
     elif kind == "unvictimize":
-        cs.victims.discard(effect[1])
+        cs.victims.discard(machine)
     elif kind == "undo":
-        machine = effect[1]
         history = cs.histories[machine]
         if not history:
             raise EmptyHistory(machine)
         entry = history.pop()
         cs.locks.release(machine, entry.locks)
     else:
-        raise ValueError(f"unknown controller effect {effect!r}")
+        raise ValueError(f"unknown effect {effect!r}")

@@ -31,8 +31,6 @@ from .dsl import MachineProgram, parse_program, print_program
 from .seeds import make_rng
 from .wrapper import (
     ACTIVE,
-    ControllerView,
-    LockPair,
     MachineCtl,
     UNREGISTERED,
     WAIT_LOCKS,
@@ -371,49 +369,43 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
 
         # Compute phase: every agent reads the same snapshot.
         per_machine: Dict[str, MachineStep] = {}
-        machine_effects: List[Tuple[str, tuple]] = []
+        effects: List[tuple] = []
         updates: set = set()
         for m in acting_machines:
             tcb = tcbs[m]
             if _idle(tcb, cs, suspend):
                 per_machine[m] = IDLE_STEP
                 continue
-            view = ControllerView(
-                victim=m in cs.victims,
-                granted=cs.granted.get(m),
-                refused=cs.refused.get(m),
-                held=cs.locks.locked_by(m),
-                w_held=cs.locks.w_locked_by(m),
-            )
-            out = wrapper_step(programs[m], tcb, state, view, seed,
-                               index, config.wait_mode)
+            out = wrapper_step(programs[m], tcb, state,
+                               ctl.controller_view(cs, m), seed, index,
+                               config.wait_mode)
             per_machine[m] = MachineStep(out.updates, out.reads,
                                          out.ctl_change, out.proper)
+            if out.ctl_change is not None:  # read by this machine alone
+                tcb.ctl_state = out.ctl_change[1]
             updates |= out.updates
-            for eff in out.effects:
-                machine_effects.append((m, eff))
+            effects += out.effects
 
-        controller_effects: List[tuple] = []
         restores: FrozenSet = frozenset()
         if controller_acts:
             eff, ev = ctl.lock_handler_step(
                 cs, _Stream(seed, "lock", index), config.lock_policy,
                 config.wait_mode)
-            controller_effects += eff
+            effects += eff
             events += ev
             eff, ev = ctl.commit_step(cs, _Stream(seed, "commit", index),
                                       config.commit_policy)
-            controller_effects += eff
+            effects += eff
             events += ev
             # Both components see the same snapshot, so one search serves.
             dead = ctl.deadlocked(cs)
             eff, ev = ctl.deadlock_handler_step(
                 cs, _Stream(seed, "victim", index), config.victim_policy, dead)
-            controller_effects += eff
+            effects += eff
             events += ev
             eff, ev, restores = ctl.recovery_step(
                 cs, _Stream(seed, "recover", index), dead)
-            controller_effects += eff
+            effects += eff
             events += ev
 
         delta = frozenset(updates) | restores
@@ -423,21 +415,11 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         state = state.with_updates(delta)
         digest.update(delta)
 
-        # Apply phase.
-        for m, eff in machine_effects:
-            _apply_machine_effect(cs, tcbs[m], eff, events)
-        for m in acting_machines:
-            tcb = tcbs[m]
-            nxt = per_machine[m].ctl_change
-            if nxt is not None:
-                tcb.ctl_state = nxt[1]
-        for eff in controller_effects:
-            if eff[0] == "undo":
-                machine = eff[1]
-                entry = cs.histories[machine][-1]
-                if entry.ordinal is not None:
-                    tcbs[machine].proper_count = entry.ordinal
+        # Apply phase: the wrappers' effects, then the controller's.
+        for eff in effects:
             ctl.apply_effect(cs, eff, committed)
+            if eff[0] == "lock_request":
+                events.append({"kind": "lock_request", "machine": eff[1]})
 
         steps.append(StepRecord(index=index, per_machine=per_machine,
                                 events=events, state_hash=digest.hexdigest()))
@@ -485,46 +467,13 @@ def _acting(config: RunConfig, order, tcbs, seed: int, index: int):
 
 def _idle(tcb: MachineCtl, cs: ctl.ControllerState, suspend: bool) -> bool:
     """Whether the machine's wrapper step would do nothing at all: it waits
-    for locks with no grant, no refusal and no victim flag to react to (the
-    flag matters only in suspend mode), or waits for recovery while still a
+    for locks with no answer and no victim flag to react to (the flag
+    matters only in suspend mode), or waits for recovery while still a
     victim."""
     m = tcb.machine_id
     if tcb.ctl_state == WAIT_LOCKS:
-        return (m not in cs.granted and m not in cs.refused
-                and not (suspend and m in cs.victims))
+        return not ctl.answered(cs, m) and not (suspend and m in cs.victims)
     return tcb.ctl_state == WAIT_RECOVERY and m in cs.victims
-
-
-def _apply_machine_effect(cs: ctl.ControllerState, tcb: MachineCtl,
-                          eff: tuple, events: List[dict]) -> None:
-    kind = eff[0]
-    m = tcb.machine_id
-    if kind == "lock_request":
-        pair: LockPair = eff[1]
-        cs.lock_requests.append((cs.next_order, m, pair))
-        cs.next_order += 1
-        cs.last_request[m] = (pair, ctl.PENDING)
-        events.append({"kind": "lock_request", "machine": m})
-    elif kind == "commit_request":
-        cs.commit_requests.add(m)
-        cs.last_request.pop(m, None)
-    elif kind == "consume_granted":
-        cs.granted.pop(m, None)
-    elif kind == "consume_refused":
-        cs.refused.pop(m, None)
-    elif kind == "append_history":
-        entry = eff[1]
-        cs.histories[m].append(entry)
-        if entry.ordinal is not None:
-            tcb.proper_count = entry.ordinal + 1
-    elif kind == "withdraw_request":
-        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
-        # The stored pair keeps feeding the wait relation during recovery.
-        if m in cs.last_request:
-            pair, _ = cs.last_request[m]
-            cs.last_request[m] = (pair, ctl.REFUSED)
-    else:
-        raise ValueError(f"unknown wrapper effect {eff!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -634,6 +583,10 @@ def trace_from_lines(lines: List[str]) -> Trace:
         if len(records) - 2 > config.max_steps:
             raise MalformedTrace(f"{len(records) - 2} step records exceed "
                                  f"max_steps {config.max_steps}")
+        registered = _machine_names(header["registered"], "registered",
+                                    config.machine_ids, "in the config")
+        committed = _machine_names(final["committed"], "committed",
+                                   registered, "registered")
         steps = []
         for rec in records[1:-1]:
             if rec.get("type") != "step":
@@ -664,11 +617,23 @@ def trace_from_lines(lines: List[str]) -> Trace:
             steps=steps,
             final_values=dict(decode_pairs(final["final_state"])),
             status=final["status"],
-            committed=list(final["committed"]),
-            registered=list(header["registered"]),
+            committed=committed,
+            registered=registered,
         )
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise MalformedTrace(f"malformed trace record: {e!r}") from None
+
+
+def _machine_names(names, what: str, known: List[str],
+                   known_as: str) -> List[str]:
+    """The trace's `what` list, each name once and each one of `known`."""
+    if not isinstance(names, list):
+        raise MalformedTrace(f"{what} is not a list: {names!r}")
+    for i, m in enumerate(names):
+        if m not in known or m in names[:i]:
+            raise MalformedTrace(f"{what} names {m!r} " + (
+                "twice" if m in known else f"which is not {known_as}"))
+    return names
 
 
 def load_trace(path: str) -> Trace:

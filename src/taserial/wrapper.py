@@ -61,15 +61,16 @@ EMPTY_LOCKS = LockPair()
 class HistoryEntry:
     """Undo record for one proper step (last-in first-out).
 
-    saved holds the overwritten values of shared/output write locations.
-    private_saved holds overwritten controlled-location values; restoring
-    them too makes a recovered machine re-execute from exactly the state it
-    had before the undone step, which the serializability argument needs.
+    saved holds the overwritten value of every location the step wrote, by
+    location.  Restoring the controlled values too, not only the shared and
+    output ones, makes a recovered machine re-execute from exactly the state
+    it had before the undone step, which the serializability argument needs.
+    A lock-only entry (granted locks kept for backtracking) saves nothing
+    and has no ordinal.
     """
 
     saved: Tuple[Tuple[Location, Value], ...]
     locks: LockPair
-    private_saved: Tuple[Tuple[Location, Value], ...] = ()
     origin_step: Optional[int] = None
     ordinal: Optional[int] = None
 
@@ -80,7 +81,6 @@ class MachineCtl:
 
     machine_id: str
     ctl_state: str = UNREGISTERED
-    proper_count: int = 0
     # ordinal -> (compiled main rule, seed, RwSet, read log) of the last
     # analysis of that proper step, reused by `_step_analysis` while its
     # reads are unchanged; emptied when the machine requests commit.
@@ -97,6 +97,7 @@ class ControllerView:
     refused: Optional[LockPair]
     held: FrozenSet[Location]
     w_held: FrozenSet[Location]
+    ordinal: int  # of the next proper step, from the history
 
 
 @dataclass
@@ -129,8 +130,8 @@ def analyse(program: MachineProgram, state: State, material: bytes):
 
 
 def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
-                  seed: int):
-    """`analyse` of the machine's next proper step in this state.
+                   seed: int, ordinal: int):
+    """`analyse` of the machine's next proper step, `ordinal`, in this state.
 
     The last analysis of the same ordinal is reused when it was made for the
     same compiled rule and seed and every location in its read log still
@@ -142,7 +143,6 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     and updates.
     """
     code = _main_code(program)
-    ordinal = tcb.proper_count
     last = tcb.analyses.get(ordinal)
     if last is not None and last[0] is code and last[1] == seed:
         values = state.values
@@ -174,12 +174,10 @@ def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:
     return tuple(sorted(pairs, key=lambda p: loc_key(p[0])))
 
 
-def overwritten_values(program: MachineProgram, state: State,
-                       writes: FrozenSet[Location],
-                       kinds=("shared", "output")) -> Tuple[Tuple[Location, Value], ...]:
-    """Current values of the locations of these kinds about to be written."""
-    return _by_location((l, state.get(l)) for l in writes
-                        if program.classify(l.func) in kinds)
+def overwritten_values(state: State, writes: FrozenSet[Location]
+                       ) -> Tuple[Tuple[Location, Value], ...]:
+    """Current values of the locations about to be written."""
+    return _by_location((l, state.get(l)) for l in writes)
 
 
 def choice_material(seed: int, machine_id: str, ordinal: int) -> bytes:
@@ -206,9 +204,9 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
     """One transition of the control-state machine in Fig-style composition.
 
     Pure function of the snapshot, apart from the analyses kept on tcb for
-    reuse; lock requests, commit requests, history appends and flag
-    consumption are returned as effects for the engine to apply after every
-    agent has computed.
+    reuse; lock requests, commit requests, history appends and answer
+    consumption are returned as effects `(kind, machine, ...)` that the
+    controller applies after every agent has computed.
     """
     if tcb.ctl_state == ACTIVE:
         return _active_step(program, tcb, state, view, seed, step_index)
@@ -225,47 +223,49 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
 def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
     if view.victim:
         return WrapperOutcome(ctl_change=(ACTIVE, WAIT_RECOVERY))
+    m = tcb.machine_id
     if terminated(program, state):
         tcb.analyses.clear()
         return WrapperOutcome(ctl_change=(ACTIVE, DONE),
-                              effects=[("commit_request",)])
-    rw, read_log = _step_analysis(program, tcb, state, seed)
+                              effects=[("commit_request", m)])
+    rw, read_log = _step_analysis(program, tcb, state, seed, view.ordinal)
     needed = _locks_for(program, rw, view)
     if not needed.is_empty():
         return WrapperOutcome(ctl_change=(ACTIVE, WAIT_LOCKS),
-                              effects=[("lock_request", needed)])
-    return _proper(program, tcb, state, rw, read_log, EMPTY_LOCKS,
-                   step_index, ctl_change=None)
+                              effects=[("lock_request", m, needed)])
+    return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
+                   view.ordinal, ctl_change=None)
 
 
 def _wait_locks_step(program, tcb, state, view, seed, step_index,
                      wait_mode) -> WrapperOutcome:
+    m = tcb.machine_id
     if view.granted is not None:
-        rw, read_log = _step_analysis(program, tcb, state, seed)
+        rw, read_log = _step_analysis(program, tcb, state, seed, view.ordinal)
         still_needed = _locks_for(program, rw, view)
-        effects = [("consume_granted",)]
+        effects = [("consume_granted", m)]
         if not still_needed.is_empty():
             # The state moved between request and grant and the step now
             # touches unlocked locations; keep the granted locks on the undo
             # history (so backtracking releases them) and renegotiate.
-            entry = HistoryEntry(saved=(), locks=view.granted,
-                                 origin_step=None, ordinal=None)
-            effects.append(("append_history", entry))
+            entry = HistoryEntry(saved=(), locks=view.granted)
+            effects.append(("append_history", m, entry))
             return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
                                   effects=effects)
-        out = _proper(program, tcb, state, rw, read_log, view.granted,
-                      step_index, ctl_change=(WAIT_LOCKS, ACTIVE))
+        out = _proper(program, m, state, rw, read_log, view.granted,
+                      step_index, view.ordinal,
+                      ctl_change=(WAIT_LOCKS, ACTIVE))
         out.effects = effects + out.effects
         return out
     if view.refused is not None:
         return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
-                              effects=[("consume_refused",)])
+                              effects=[("consume_refused", m)])
     if view.victim and wait_mode == "suspend":
         # Without refusals there is no trip through "active" where
         # victimization is normally observed; withdraw the pending request so
         # no locks are granted during recovery, and wait.
         return WrapperOutcome(ctl_change=(WAIT_LOCKS, WAIT_RECOVERY),
-                              effects=[("withdraw_request",)])
+                              effects=[("withdraw_request", m)])
     return WrapperOutcome()
 
 
@@ -279,17 +279,13 @@ def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
     return rw.updates, _by_location(read_log.items())
 
 
-def _proper(program, tcb, state, rw: RwSet, read_log, lock_set: LockPair,
-            step_index, ctl_change) -> WrapperOutcome:
-    updates, reads = checked_step(program, tcb.machine_id, rw, read_log)
-    entry = HistoryEntry(
-        saved=overwritten_values(program, state, rw.writes),
-        locks=lock_set,
-        private_saved=overwritten_values(program, state, rw.writes,
-                                         ("controlled",)),
-        origin_step=step_index,
-        ordinal=tcb.proper_count,
-    )
+def _proper(program, machine_id, state, rw: RwSet, read_log,
+            lock_set: LockPair, step_index, ordinal,
+            ctl_change) -> WrapperOutcome:
+    updates, reads = checked_step(program, machine_id, rw, read_log)
+    entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
+                         locks=lock_set, origin_step=step_index,
+                         ordinal=ordinal)
     return WrapperOutcome(updates=updates, reads=reads, proper=True,
                           ctl_change=ctl_change,
-                          effects=[("append_history", entry)])
+                          effects=[("append_history", machine_id, entry)])

@@ -387,3 +387,49 @@ def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
     witness = json.loads(capsys.readouterr().out)["witness"]
     assert witness["kind"] == "step" and witness["what"] == "read"
     assert witness["location"] is None
+
+
+# -- `registered` and `committed` name each machine once ---------------------
+
+
+def _counter_trace_records(tmp_path, only=None):
+    from taserial.engine import run, write_trace
+    from taserial.workloads import counter_config
+
+    path = tmp_path / "counter.jsonl"
+    write_trace(run(counter_config(seed=1), only=only), str(path))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _check_malformed(tmp_path, capsys, records, message):
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and message in err
+
+
+def test_check_machine_committed_twice_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    records[-1]["committed"].append("m0")
+    _check_malformed(tmp_path, capsys, records, "committed names 'm0' twice")
+
+
+def test_check_machine_not_in_the_config_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    records[0]["registered"].append("zzz")
+    records[-1]["committed"].append("zzz")
+    _check_malformed(tmp_path, capsys, records,
+                     "registered names 'zzz' which is not in the config")
+
+
+def test_check_unregistered_machine_committed_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path, only=["m0", "m1"])
+    assert records[0]["registered"] == ["m0", "m1"]
+    records[-1]["committed"].append("m2")
+    _check_malformed(tmp_path, capsys, records,
+                     "committed names 'm2' which is not registered")
+
+
+def test_check_machine_registered_twice_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    records[0]["registered"].append("m0")
+    _check_malformed(tmp_path, capsys, records, "registered names 'm0' twice")

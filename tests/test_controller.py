@@ -10,18 +10,22 @@ from taserial.controller import (
     LockInvariantViolation,
     LockTable,
     GRANTED,
+    PENDING,
+    REFUSED,
+    Request,
+    WAITING,
     _cycle_members,
+    answered,
     apply_effect,
     blockers,
     cannot_be_granted,
     commit_step,
+    controller_view,
     deadlock_handler_step,
     deadlocked,
     lock_handler_step,
     recovery_step,
     wait_edges,
-    PENDING,
-    REFUSED,
 )
 from taserial.wrapper import HistoryEntry, LockPair
 
@@ -44,6 +48,14 @@ def fresh(machines=("m0", "m1")):
 
 def rng():
     return random.Random(0)
+
+
+def request(cs, machine, locks):
+    apply_effect(cs, ("lock_request", machine, locks), [])
+
+
+def pending(cs):
+    return [(m, r.pair) for m, r in cs.requests.items() if r.status == PENDING]
 
 
 # -- lock table ------------------------------------------------------------
@@ -112,12 +124,12 @@ def test_committed_holders_do_not_block():
 def test_lock_handler_grants_or_refuses():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",)))
-    cs.lock_requests.append((0, "m0", pair(r=("x",))))
+    request(cs, "m0", pair(r=("x",)))
     effects, events = lock_handler_step(cs, rng(), "fifo")
     assert effects[0][0] == "refuse"
     assert events[0]["kind"] == "lock_refuse"
     cs2 = fresh()
-    cs2.lock_requests.append((0, "m0", pair(r=("x",))))
+    request(cs2, "m0", pair(r=("x",)))
     effects2, _ = lock_handler_step(cs2, rng(), "fifo")
     assert effects2[0][0] == "grant"
 
@@ -125,18 +137,18 @@ def test_lock_handler_grants_or_refuses():
 def test_suspend_mode_never_refuses():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",)))
-    cs.lock_requests.append((0, "m0", pair(r=("x",))))
+    request(cs, "m0", pair(r=("x",)))
     effects, events = lock_handler_step(cs, rng(), "fifo", wait_mode="suspend")
     assert effects == [] and events == []
 
 
 def test_grant_effect_updates_tables_and_flags():
     cs = fresh()
-    cs.lock_requests.append((0, "m0", pair(r=("x",))))
+    request(cs, "m0", pair(r=("x",)))
     effects, _ = lock_handler_step(cs, rng(), "fifo")
     apply_effect(cs, effects[0], [])
-    assert cs.lock_requests == []
-    assert cs.granted["m0"] == pair(r=("x",))
+    assert pending(cs) == []
+    assert cs.requests["m0"] == Request(pair(r=("x",)), GRANTED)
     assert cs.locks.r_holders(loc("x")) == frozenset({"m0"})
 
 
@@ -231,12 +243,13 @@ def _closure_cycle_members(edges):
 def _cs_with_edges(edge_list):
     machines = sorted({n for e in edge_list for n in e})
     cs = fresh(machines)
+    wanted = {}
     for i, (a, b) in enumerate(edge_list):
         l = loc(f"e{i}")
         cs.locks.grant(b, LockPair(frozenset(), frozenset({l})))
-        prior = cs.last_request.get(a, (pair(), PENDING))[0]
-        merged = LockPair(prior.r_loc | {l}, prior.w_loc)
-        cs.last_request[a] = (merged, PENDING)
+        wanted.setdefault(a, set()).add(l)
+    for a, ls in wanted.items():
+        request(cs, a, LockPair(frozenset(ls)))
     return cs
 
 
@@ -258,10 +271,13 @@ def test_deadlock_matches_closure_oracle(edge_list, expect_cycle):
 def test_wait_edges_require_active_status():
     cs = _cs_with_edges([("a", "b")])
     assert wait_edges(cs) == frozenset({("a", "b")})
-    p, _ = cs.last_request["a"]
-    cs.last_request["a"] = (p, REFUSED)
+    p = cs.requests["a"].pair
+    apply_effect(cs, ("refuse", "a", p), [])
     assert wait_edges(cs) == frozenset({("a", "b")})  # refused still waits
-    cs.last_request["a"] = (p, "granted")
+    apply_effect(cs, ("consume_refused", "a"), [])
+    assert wait_edges(cs) == frozenset({("a", "b")})  # and after reading it
+    request(cs, "a", p)
+    apply_effect(cs, ("grant", "a", p), [])
     assert wait_edges(cs) == frozenset()
 
 
@@ -319,8 +335,8 @@ def _reference(cs):
 
 
 def _random_op(r, cs, machines, locations, committed):
-    """One controller-state change of a random kind, made the way the engine
-    makes it, or by rewriting a `last_request` entry in place."""
+    """One controller-state change of a random kind, applied as an effect
+    the way the engine applies it, in any order the effects allow."""
     active = sorted(cs.transact)
     kind = r.choice((0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7))
     m = r.choice(active) if active else None
@@ -328,29 +344,27 @@ def _random_op(r, cs, machines, locations, committed):
         some = r.sample(locations, r.randint(1, 2))
         writes = frozenset(l for l in some if r.random() < 0.6)
         pair = LockPair(frozenset(some) - writes, writes)
-        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
-        cs.lock_requests.append((cs.next_order, m, pair))
-        cs.next_order += 1
-        cs.last_request[m] = (pair, PENDING)
-    elif kind in (1, 2) and cs.lock_requests:  # grant or refuse
-        order, n, pair = r.choice(cs.lock_requests)
+        apply_effect(cs, ("lock_request", m, pair), committed)
+    elif kind in (1, 2) and pending(cs):  # grant or refuse
+        n, pair = r.choice(pending(cs))
         if cannot_be_granted(n, pair, cs):
-            apply_effect(cs, ("refuse", order, n, pair), committed)
+            apply_effect(cs, ("refuse", n, pair), committed)
         else:
-            apply_effect(cs, ("grant", order, n, pair), committed)
-            cs.histories[n].append(HistoryEntry(saved=(), locks=pair))
-    elif kind == 3 and m in cs.last_request:  # withdraw
-        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
-        cs.last_request[m] = (cs.last_request[m][0], REFUSED)
+            apply_effect(cs, ("grant", n, pair), committed)
+            apply_effect(cs, ("append_history", n,
+                              HistoryEntry(saved=(), locks=pair)), committed)
+    elif kind == 3 and m in cs.requests:  # withdraw
+        apply_effect(cs, ("withdraw_request", m), committed)
     elif kind == 4 and m is not None and r.random() < 0.3:  # commit
-        cs.lock_requests = [t for t in cs.lock_requests if t[1] != m]
         apply_effect(cs, ("commit", m), committed)
     elif kind == 5 and m is not None and cs.histories[m]:  # undo
         apply_effect(cs, ("undo", m), committed)
-    elif kind == 6 and m in cs.last_request:  # rewritten in place
-        pair = r.choice([cs.last_request[m][0],
-                         LockPair(frozenset(r.sample(locations, 2)))])
-        cs.last_request[m] = (pair, r.choice([PENDING, REFUSED, GRANTED]))
+    elif kind == 6 and m in cs.requests:  # the wrapper reads an answer
+        status = cs.requests[m].status
+        if status == GRANTED:
+            apply_effect(cs, ("consume_granted", m), committed)
+        elif status == REFUSED:
+            apply_effect(cs, ("consume_refused", m), committed)
     elif kind == 7:  # registration
         idle = [n for n in machines if n not in cs.transact
                 and n not in committed]
@@ -370,7 +384,7 @@ def test_kept_wait_graph_matches_reference_under_random_changes():
         committed = []
         for _ in range(150):
             _random_op(r, cs, machines, locations, committed)
-            for _, m, pair in cs.lock_requests:
+            for m, pair in pending(cs):
                 assert cannot_be_granted(m, pair, cs) == bool(
                     blockers(m, pair, cs))
             # Let changes pile up between some searches, as in interleave
@@ -386,12 +400,13 @@ def test_kept_wait_graph_matches_reference_under_random_changes():
 def test_kept_wait_graph_sees_in_place_rewrites():
     cs = _cs_with_edges([("a", "b"), ("b", "a")])
     assert deadlocked(cs) == {"a", "b"}
-    pair_a, _ = cs.last_request["a"]
-    cs.last_request["a"] = (pair_a, GRANTED)
+    pair_a = cs.requests["a"].pair
+    apply_effect(cs, ("grant", "a", pair_a), [])
     assert deadlocked(cs) == frozenset()
-    cs.last_request["a"] = (pair_a, REFUSED)
+    request(cs, "a", pair_a)
+    apply_effect(cs, ("refuse", "a", pair_a), [])
     assert deadlocked(cs) == {"a", "b"}
-    del cs.last_request["b"]
+    apply_effect(cs, ("commit_request", "b"), [])  # drops b's request
     assert deadlocked(cs) == frozenset()
 
 
@@ -405,6 +420,130 @@ def test_kept_wait_graph_follows_lock_table_changes():
     assert deadlocked(cs) == frozenset()
     cs.locks.grant("b", LockPair(frozenset(), held))
     assert deadlocked(cs) == {"a", "b"}
+
+
+# -- one request record per machine, changed by effects ----------------------
+
+
+def _blocked_by_b():
+    """a and b active; b holds the write lock on x."""
+    cs = fresh(("a", "b"))
+    cs.locks.grant("b", pair(w=("x",)))
+    return cs
+
+
+def _record_and_edges(cs, machine):
+    assert deadlocked(cs) == _reference(cs)
+    return cs.requests.get(machine), wait_edges(cs)
+
+
+def test_lock_request_effect_queues_a_pending_record():
+    cs = _blocked_by_b()
+    apply_effect(cs, ("lock_request", "a", pair(r=("x",))), [])
+    assert _record_and_edges(cs, "a") == (Request(pair(r=("x",)), PENDING),
+                                          {("a", "b")})
+    assert pending(cs) == [("a", pair(r=("x",)))]
+    assert not answered(cs, "a")
+
+
+def test_read_refusal_and_withdrawn_request_keep_waiting():
+    for answer in (("refuse", "a", pair(r=("x",))), None):
+        cs = _blocked_by_b()
+        request(cs, "a", pair(r=("x",)))
+        if answer is not None:
+            apply_effect(cs, answer, [])
+            assert _record_and_edges(cs, "a") == (
+                Request(pair(r=("x",)), REFUSED), {("a", "b")})
+            assert answered(cs, "a")
+            assert controller_view(cs, "a").refused == pair(r=("x",))
+            apply_effect(cs, ("consume_refused", "a"), [])
+        else:
+            apply_effect(cs, ("withdraw_request", "a"), [])
+        assert _record_and_edges(cs, "a") == (
+            Request(pair(r=("x",)), WAITING), {("a", "b")})
+        assert pending(cs) == [] and not answered(cs, "a")
+        assert controller_view(cs, "a").refused is None
+
+
+def test_read_grant_deletes_the_record():
+    cs = _blocked_by_b()
+    request(cs, "a", pair(w=("y",)))
+    apply_effect(cs, ("grant", "a", pair(w=("y",))), [])
+    assert _record_and_edges(cs, "a") == (Request(pair(w=("y",)), GRANTED),
+                                          frozenset())
+    assert controller_view(cs, "a").granted == pair(w=("y",))
+    apply_effect(cs, ("consume_granted", "a"), [])
+    assert _record_and_edges(cs, "a") == (None, frozenset())
+    assert cs.locks.w_holder(loc("y")) == "a"
+
+
+def test_commit_request_effect_drops_the_record():
+    cs = _blocked_by_b()
+    request(cs, "a", pair(r=("x",)))
+    apply_effect(cs, ("refuse", "a", pair(r=("x",))), [])
+    apply_effect(cs, ("consume_refused", "a"), [])
+    apply_effect(cs, ("commit_request", "a"), [])
+    assert _record_and_edges(cs, "a") == (None, frozenset())
+    assert cs.commit_requests == {"a"}
+    cs.check_invariants()
+
+
+def test_append_history_effect_keeps_the_record_and_sets_the_ordinal():
+    cs = _blocked_by_b()
+    request(cs, "a", pair(r=("x",)))
+    record = cs.requests["a"]
+    assert controller_view(cs, "a").ordinal == 0
+    proper = HistoryEntry(saved=(), locks=pair(), origin_step=3, ordinal=0)
+    lock_only = HistoryEntry(saved=(), locks=pair(w=("z",)))
+    apply_effect(cs, ("append_history", "a", proper), [])
+    assert controller_view(cs, "a").ordinal == 1
+    apply_effect(cs, ("append_history", "a", lock_only), [])
+    assert cs.histories["a"] == [proper, lock_only]
+    assert controller_view(cs, "a").ordinal == 1  # lock-only: no ordinal
+    assert cs.requests["a"] is record
+    assert _record_and_edges(cs, "a")[1] == {("a", "b")}
+    apply_effect(cs, ("undo", "a"), [])
+    assert controller_view(cs, "a").ordinal == 1
+    apply_effect(cs, ("undo", "a"), [])
+    assert controller_view(cs, "a").ordinal == 0
+
+
+def test_unknown_effect_kind_is_an_error():
+    cs = _blocked_by_b()
+    with pytest.raises(ValueError, match="unknown effect"):
+        apply_effect(cs, ("lock_requested", "a", pair(r=("x",))), [])
+    assert cs.requests == {}
+
+
+def _requests_out_of_id_order():
+    """m2, m0 and m3 request in that order; m0 is refused, reads the
+    refusal and asks again, so it moves to the back: m2, m3, m0."""
+    cs = fresh(("m0", "m1", "m2", "m3"))
+    for m in ("m2", "m0", "m3"):
+        request(cs, m, pair(w=(f"x{m}",)))
+    apply_effect(cs, ("refuse", "m0", pair(w=("xm0",))), [])
+    assert [m for m, _ in pending(cs)] == ["m2", "m3"]
+    apply_effect(cs, ("consume_refused", "m0"), [])
+    request(cs, "m0", pair(w=("xm0",)))
+    return cs
+
+
+def test_lock_policies_select_by_request_order_or_id():
+    cs = _requests_out_of_id_order()
+    queue = ["m2", "m3", "m0"]
+    assert [m for m, _ in pending(cs)] == queue
+
+    def picked(policy, r):
+        effects, _ = lock_handler_step(cs, r, policy)
+        ((kind, machine, locks),) = effects
+        assert kind == "grant" and locks == pair(w=(f"x{machine}",))
+        return machine
+
+    assert picked("fifo", rng()) == "m2"
+    assert picked("lowest-id", rng()) == "m0"
+    picks = [picked("random", random.Random(s)) for s in range(12)]
+    assert picks == [queue[random.Random(s).randrange(3)] for s in range(12)]
+    assert set(picks) == set(queue)
 
 
 # -- recovery --------------------------------------------------------------
@@ -424,8 +563,8 @@ def test_recovery_undoes_youngest_entry():
     cs.victims.add("a")
     old = HistoryEntry(saved=((loc("s"), 1),), locks=pair(w=("old",)),
                        origin_step=2, ordinal=0)
-    young = HistoryEntry(saved=((loc("s"), 3),), locks=pair(w=("new",)),
-                         private_saved=((loc("p"), 0),), origin_step=5, ordinal=1)
+    young = HistoryEntry(saved=((loc("p"), 0), (loc("s"), 3)),
+                         locks=pair(w=("new",)), origin_step=5, ordinal=1)
     cs.histories["a"] = [old, young]
     cs.locks.grant("a", young.locks)
     effects, events, restores = recovery_step(cs, rng(), deadlocked(cs))
@@ -447,7 +586,7 @@ def test_deadlocked_victim_with_no_history_is_an_error():
 
 def test_invariant_flags_commit_while_requesting():
     cs = fresh()
-    cs.commit_requests.add("m0")
-    cs.lock_requests.append((0, "m0", pair(r=("x",))))
+    apply_effect(cs, ("commit_request", "m0"), [])
+    request(cs, "m0", pair(r=("x",)))
     with pytest.raises(LockInvariantViolation):
         cs.check_invariants()

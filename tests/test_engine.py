@@ -360,15 +360,13 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
             counts["stepped"] += 1
         return out
 
-    def analysis(program, tcb, state, seed):
-        ordinal = tcb.proper_count
+    def analysis(program, tcb, state, seed, ordinal):
         last = tcb.analyses.get(ordinal)
-        rw, read_log = real_analysis(program, tcb, state, seed)
+        rw, read_log = real_analysis(program, tcb, state, seed, ordinal)
         if last is not None and rw is last[2]:
             counts[tcb.ctl_state] += 1
             counts["older"] += max(tcb.analyses) > ordinal
-            material = wrapper.choice_material(seed, tcb.machine_id,
-                                               tcb.proper_count)
+            material = wrapper.choice_material(seed, tcb.machine_id, ordinal)
             fresh_rw, fresh_log = wrapper.analyse(program, state, material)
             assert rw == fresh_rw
             assert _typed(read_log) == _typed(fresh_log)

@@ -1,6 +1,6 @@
 import pytest
 
-from taserial.asm import Location, State
+from taserial.asm import UNDEF, Location, State
 from taserial.dsl import parse_program
 from taserial.wrapper import (
     ACTIVE,
@@ -40,7 +40,7 @@ PROG = parse_program(PROG_TEXT)
 
 def idle_view(**kw):
     base = dict(victim=False, granted=None, refused=None,
-                held=frozenset(), w_held=frozenset())
+                held=frozenset(), w_held=frozenset(), ordinal=0)
     base.update(kw)
     return ControllerView(**base)
 
@@ -76,10 +76,11 @@ def test_write_lock_needed_even_when_read_lock_held():
     assert locks == LockPair(frozenset(), frozenset({loc("x")}))
 
 
-def test_overwritten_values_shared_output_only():
+def test_overwritten_values_of_every_written_location():
     state = State({loc("x"): 41, loc("pc"): 3})
-    saved = overwritten_values(PROG, state, frozenset({loc("x"), loc("pc")}))
-    assert saved == ((loc("x"), 41),)
+    saved = overwritten_values(state, frozenset({loc("x"), loc("pc"),
+                                                 loc("new")}))
+    assert saved == ((loc("new"), UNDEF), (loc("pc"), 3), (loc("x"), 41))
 
 
 def test_active_requests_locks_then_steps_when_granted():
@@ -89,7 +90,8 @@ def test_active_requests_locks_then_steps_when_granted():
     out = wrapper_step(PROG, tcb, state, idle_view(), 0, 0)
     assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
     assert out.effects[0][0] == "lock_request"
-    requested = out.effects[0][1]
+    assert out.effects[0][1] == "m"
+    requested = out.effects[0][2]
 
     tcb.ctl_state = WAIT_LOCKS
     view = idle_view(granted=requested,
@@ -100,11 +102,10 @@ def test_active_requests_locks_then_steps_when_granted():
     assert (loc("x"), 2) in out2.updates
     kinds = [e[0] for e in out2.effects]
     assert kinds == ["consume_granted", "append_history"]
-    entry = out2.effects[1][1]
-    assert entry.saved == ((loc("x"), 0),)
+    entry = out2.effects[1][2]
+    assert entry.saved == ((loc("pc"), 0), (loc("x"), 0))
     assert entry.locks == requested
     assert entry.ordinal == 0 and entry.origin_step == 1
-    assert dict(entry.private_saved) == {loc("pc"): 0}
 
 
 def test_refused_returns_to_active():
@@ -113,7 +114,7 @@ def test_refused_returns_to_active():
     out = wrapper_step(PROG, tcb, initial_state(),
                        idle_view(refused=LockPair()), 0, 4)
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
-    assert out.effects == [("consume_refused",)]
+    assert out.effects == [("consume_refused", "m")]
 
 
 def test_victim_observed_in_active_state():
@@ -130,7 +131,7 @@ def test_suspended_waiter_withdraws_request_when_victimized():
     out = wrapper_step(PROG, tcb, initial_state(), idle_view(victim=True), 0, 0,
                        wait_mode="suspend")
     assert out.ctl_change == (WAIT_LOCKS, WAIT_RECOVERY)
-    assert out.effects == [("withdraw_request",)]
+    assert out.effects == [("withdraw_request", "m")]
     # in retry mode it just keeps waiting for the refusal
     tcb2 = MachineCtl("m")
     tcb2.ctl_state = WAIT_LOCKS
@@ -154,7 +155,7 @@ def test_terminated_machine_requests_commit():
     assert terminated(PROG, state)
     out = wrapper_step(PROG, tcb, state, idle_view(), 0, 5)
     assert out.ctl_change == (ACTIVE, DONE)
-    assert out.effects == [("commit_request",)]
+    assert out.effects == [("commit_request", "m")]
 
 
 def test_grant_after_state_drift_renegotiates():
@@ -169,7 +170,7 @@ def test_grant_after_state_drift_renegotiates():
     assert not out.proper
     kinds = [e[0] for e in out.effects]
     assert kinds == ["consume_granted", "append_history"]
-    entry = out.effects[1][1]
+    entry = out.effects[1][2]
     assert entry.locks == stale and entry.saved == () and entry.ordinal is None
 
 
@@ -238,12 +239,12 @@ def _request(prog, tcb, state, seed=0):
     out = wrapper_step(prog, tcb, state, idle_view(), seed, 0)
     assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
     tcb.ctl_state = WAIT_LOCKS
-    return out.effects[0][1]
+    return out.effects[0][2]
 
 
-def _grant(prog, tcb, state, pair, seed=0):
+def _grant(prog, tcb, state, pair, seed=0, ordinal=0):
     view = idle_view(granted=pair, held=pair.all_locations(),
-                     w_held=pair.w_loc)
+                     w_held=pair.w_loc, ordinal=ordinal)
     return wrapper_step(prog, tcb, state, view, seed, 1)
 
 
@@ -289,8 +290,7 @@ rule: choose c with c < 8 do x() := c
 def test_reuse_is_keyed_on_the_ordinal(analyses):
     tcb = MachineCtl("m")
     pair = _request(PROG, tcb, initial_state())
-    tcb.proper_count = 1
-    _grant(PROG, tcb, initial_state(), pair)
+    _grant(PROG, tcb, initial_state(), pair, ordinal=1)
     assert len(analyses) == 2
 
 
