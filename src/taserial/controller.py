@@ -2,10 +2,10 @@
 
 The controller owns the lock table, each machine's one lock request, the
 victim set and the per-machine undo histories.  Each component computes one
-step against a snapshot and returns effects plus trace events; the run
-engine has `apply_effect` apply them, and the wrappers' effects, after every
-agent of a global step has computed, mirroring the synchronous-parallel step
-semantics of the wrapped machines.
+step against a snapshot and returns its effects; the run engine records
+each one's `effect_event` and has `apply_effect` apply them, and the
+wrappers' effects, after every agent of a global step has computed,
+mirroring the synchronous-parallel step semantics of the wrapped machines.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .asm import AsmError, Location, Value, loc_key
+from .asm import AsmError, Location, loc_key
 from .wrapper import ControllerView, HistoryEntry, LockPair
 
 
@@ -24,7 +24,8 @@ class LockInvariantViolation(AsmError):
 
 
 class EmptyHistory(AsmError):
-    """Undo requested for a machine with no recorded steps."""
+    """Undo requested for a machine with no recorded steps, or of an entry
+    that is not its youngest."""
 
 
 class LockTable:
@@ -138,7 +139,7 @@ class Request(NamedTuple):
 
 class WaitGraph:
     """The wait relation of `wait_edges` and its cycle members, kept across
-    calls of `deadlocked` (which alone reads and updates it).
+    calls of `deadlocked` (which alone updates it).
 
     `seen` holds each machine's request record as the graph last saw it;
     `out` the machines each waiting machine waits for (non-empty sets
@@ -226,24 +227,6 @@ def blockers(machine: str, locks: LockPair, cs: ControllerState) -> Set[str]:
     return out & cs.transact
 
 
-def cannot_be_granted(machine: str, locks: LockPair, cs: ControllerState) -> bool:
-    """True iff `blockers(machine, locks, cs)` is non-empty; it stops at the
-    first conflict found."""
-    w_locked, r_locked, transact = cs.locks.w_locked, cs.locks.r_locked, cs.transact
-    for l in locks.r_loc:
-        w = w_locked.get(l)
-        if w is not None and w != machine and w in transact:
-            return True
-    for l in locks.w_loc:
-        w = w_locked.get(l)
-        if w is not None and w != machine and w in transact:
-            return True
-        for n in r_locked.get(l, ()):
-            if n != machine and n in transact:
-                return True
-    return False
-
-
 # ---------------------------------------------------------------------------
 # Selection policies
 
@@ -281,31 +264,28 @@ VICTIM_POLICIES = {
 # Component steps
 
 
-def lock_handler_step(cs: ControllerState, rng: random.Random,
-                      policy: str = "random", wait_mode: str = "retry"
-                      ) -> Tuple[List[tuple], List[dict]]:
+def lock_handler_step(cs: ControllerState, rng: random.Random, policy: str,
+                      wait_mode: str, waits_for: Dict[str, Set[str]]
+                      ) -> List[tuple]:
     """Handle one pending lock request: grant it or (in retry mode) refuse
-    it."""
+    it.  `waits_for` is `cs.wait_graph.out` as `deadlocked(cs)` leaves it, so
+    a pending request can be granted iff its machine waits for nobody."""
     reqs = [(m, r.pair) for m, r in cs.requests.items() if r.status == PENDING]
     if wait_mode == "suspend":
-        reqs = [t for t in reqs if not cannot_be_granted(t[0], t[1], cs)]
+        reqs = [t for t in reqs if t[0] not in waits_for]
     if not reqs:
-        return [], []
+        return []
     machine, locks = LOCK_POLICIES[policy](reqs, rng)
-    kind = "refuse" if cannot_be_granted(machine, locks, cs) else "grant"
-    return ([(kind, machine, locks)],
-            [{"kind": "lock_" + kind, "machine": machine,
-              "locks": _lock_pair_payload(locks)}])
+    return [("refuse" if machine in waits_for else "grant", machine, locks)]
 
 
 def commit_step(cs: ControllerState, rng: random.Random,
-                policy: str = "random") -> Tuple[List[tuple], List[dict]]:
+                policy: str = "random") -> List[tuple]:
     """Commit one requesting machine: release every lock, drop it from the
     active set."""
     if not cs.commit_requests:
-        return [], []
-    machine = COMMIT_POLICIES[policy](cs.commit_requests, rng)
-    return [("commit", machine)], [{"kind": "commit", "machine": machine}]
+        return []
+    return [("commit", COMMIT_POLICIES[policy](cs.commit_requests, rng))]
 
 
 def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
@@ -482,8 +462,7 @@ def _cycle_members(edges: Iterable[Tuple[str, str]]) -> FrozenSet[str]:
 
 
 def deadlock_handler_step(cs: ControllerState, rng: random.Random,
-                          policy: str, dead: FrozenSet[str]
-                          ) -> Tuple[List[tuple], List[dict]]:
+                          policy: str, dead: FrozenSet[str]) -> List[tuple]:
     """Victimize a subset of the deadlocked, not-yet-victimized machines.
 
     While a victim is still being recovered its cycle partners stay
@@ -493,51 +472,63 @@ def deadlock_handler_step(cs: ControllerState, rng: random.Random,
 
     `dead` is `deadlocked(cs)`."""
     if dead & cs.victims:
-        return [], []
+        return []
     candidates = dead - cs.victims
     if not candidates:
-        return [], []
+        return []
     chosen = VICTIM_POLICIES[policy](candidates, cs.histories, rng)
-    effects = [("victimize", m) for m in sorted(chosen)]
-    events = [{"kind": "victimize", "machine": m} for m in sorted(chosen)]
-    return effects, events
+    return [("victimize", m) for m in sorted(chosen)]
 
 
 def recovery_step(cs: ControllerState, rng: random.Random,
-                  dead: FrozenSet[str]
-                  ) -> Tuple[List[tuple], List[dict], FrozenSet[Tuple[Location, Value]]]:
+                  dead: FrozenSet[str]) -> List[tuple]:
     """Pick one victim; un-victimize it if it is no longer deadlocked, else
-    undo its youngest step (restore values, release that step's locks).
+    undo its youngest history entry, `("undo", machine, entry)`: the engine
+    restores the values `entry.saved`, and the effect releases that step's
+    locks.
 
     `dead` is `deadlocked(cs)`."""
     if not cs.victims:
-        return [], [], frozenset()
+        return []
     victims = sorted(cs.victims)
     machine = victims[rng.randrange(len(victims))]
     if machine not in dead:
-        return ([("unvictimize", machine)],
-                [{"kind": "recovered", "machine": machine}],
-                frozenset())
+        return [("unvictimize", machine)]
     history = cs.histories.get(machine, [])
     if not history:
         raise EmptyHistory(
             f"{machine} is deadlocked with an empty history; it should hold no locks")
-    entry = history[-1]
-    return ([("undo", machine)],
-            [{"kind": "undo", "machine": machine,
-              "origin_step": entry.origin_step,
-              "locks": _lock_pair_payload(entry.locks),
-              "restored": list(entry.saved)}],
-            frozenset(entry.saved))
+    return [("undo", machine, history[-1])]
+
+
+# ---------------------------------------------------------------------------
+# Trace events and effect application (the engine calls these after the
+# compute phase)
+
+
+def effect_event(effect: tuple) -> Optional[dict]:
+    """The trace event an effect records, or None for the effects the trace
+    shows only through the machines' steps."""
+    kind, machine = effect[0], effect[1]
+    if kind in ("grant", "refuse"):
+        return {"kind": "lock_" + kind, "machine": machine,
+                "locks": _lock_pair_payload(effect[2])}
+    if kind in ("lock_request", "commit", "victimize"):
+        return {"kind": kind, "machine": machine}
+    if kind == "unvictimize":
+        return {"kind": "recovered", "machine": machine}
+    if kind == "undo":
+        entry = effect[2]
+        return {"kind": "undo", "machine": machine,
+                "origin_step": entry.origin_step,
+                "locks": _lock_pair_payload(entry.locks),
+                "restored": list(entry.saved)}
+    return None
 
 
 def _lock_pair_payload(locks: LockPair):
     return {"r": sorted(locks.r_loc, key=loc_key),
             "w": sorted(locks.w_loc, key=loc_key)}
-
-
-# ---------------------------------------------------------------------------
-# Effect application (the engine calls this after the compute phase)
 
 
 def apply_effect(cs: ControllerState, effect: tuple,
@@ -575,9 +566,8 @@ def apply_effect(cs: ControllerState, effect: tuple,
         cs.victims.discard(machine)
     elif kind == "undo":
         history = cs.histories[machine]
-        if not history:
-            raise EmptyHistory(machine)
-        entry = history.pop()
-        cs.locks.release(machine, entry.locks)
+        if not history or history[-1] is not effect[2]:
+            raise EmptyHistory(f"{machine}: undo of an entry not its youngest")
+        cs.locks.release(machine, history.pop().locks)
     else:
         raise ValueError(f"unknown effect {effect!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import controller as ctl
 from .asm import (
@@ -29,9 +29,11 @@ from .asm import (
 )
 from .dsl import MachineProgram, parse_program, print_program
 from .seeds import make_rng
-from .wrapper import (
+from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     ACTIVE,
+    IDLE_STEP,
     MachineCtl,
+    MachineStep,
     UNREGISTERED,
     WAIT_LOCKS,
     WAIT_RECOVERY,
@@ -182,19 +184,6 @@ def payload_digest(payload: dict) -> str:
     blob = json.dumps(payload, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
-
-
-@dataclass(frozen=True)
-class MachineStep:
-    updates: UpdateSet
-    reads: Tuple[Tuple[Location, Value], ...]
-    ctl_change: Optional[Tuple[str, str]]
-    proper: bool
-
-
-#: The step of a waiting machine (see `_idle`), which the engine records
-#: without a wrapper step.
-IDLE_STEP = MachineStep(frozenset(), (), None, False)
 
 
 @dataclass
@@ -376,50 +365,44 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             if _idle(tcb, cs, suspend):
                 per_machine[m] = IDLE_STEP
                 continue
-            out = wrapper_step(programs[m], tcb, state,
-                               ctl.controller_view(cs, m), seed, index,
-                               config.wait_mode)
-            per_machine[m] = MachineStep(out.updates, out.reads,
-                                         out.ctl_change, out.proper)
-            if out.ctl_change is not None:  # read by this machine alone
-                tcb.ctl_state = out.ctl_change[1]
-            updates |= out.updates
-            effects += out.effects
+            ms, eff = wrapper_step(programs[m], tcb, state,
+                                   ctl.controller_view(cs, m), seed, index,
+                                   config.wait_mode)
+            per_machine[m] = ms
+            if ms.ctl_change is not None:  # read by this machine alone
+                tcb.ctl_state = ms.ctl_change[1]
+            updates |= ms.updates
+            effects += eff
 
-        restores: FrozenSet = frozenset()
+        ctl_effects: List[tuple] = []
         if controller_acts:
-            eff, ev = ctl.lock_handler_step(
-                cs, _Stream(seed, "lock", index), config.lock_policy,
-                config.wait_mode)
-            effects += eff
-            events += ev
-            eff, ev = ctl.commit_step(cs, _Stream(seed, "commit", index),
-                                      config.commit_policy)
-            effects += eff
-            events += ev
-            # Both components see the same snapshot, so one search serves.
+            # One search brings the kept wait graph up to date; every
+            # component reads that snapshot.
             dead = ctl.deadlocked(cs)
-            eff, ev = ctl.deadlock_handler_step(
+            ctl_effects += ctl.lock_handler_step(
+                cs, _Stream(seed, "lock", index), config.lock_policy,
+                config.wait_mode, cs.wait_graph.out)
+            ctl_effects += ctl.commit_step(
+                cs, _Stream(seed, "commit", index), config.commit_policy)
+            ctl_effects += ctl.deadlock_handler_step(
                 cs, _Stream(seed, "victim", index), config.victim_policy, dead)
-            effects += eff
-            events += ev
-            eff, ev, restores = ctl.recovery_step(
+            ctl_effects += ctl.recovery_step(
                 cs, _Stream(seed, "recover", index), dead)
-            effects += eff
-            events += ev
+            updates.update(*[eff[2].saved for eff in ctl_effects
+                             if eff[0] == "undo"])
 
-        delta = frozenset(updates) | restores
+        delta = frozenset(updates)
         if not consistent(delta):
             raise InconsistentGlobalUpdate(
                 f"step {index}: clashing updates in global step")
         state = state.with_updates(delta)
         digest.update(delta)
 
-        # Apply phase: the wrappers' effects, then the controller's.
-        for eff in effects:
+        # Apply phase: the wrappers' effects, then the controller's.  The
+        # trace records the controller's events, then the lock requests.
+        for eff in effects + ctl_effects:
             ctl.apply_effect(cs, eff, committed)
-            if eff[0] == "lock_request":
-                events.append({"kind": "lock_request", "machine": eff[1]})
+        events += filter(None, map(ctl.effect_event, ctl_effects + effects))
 
         steps.append(StepRecord(index=index, per_machine=per_machine,
                                 events=events, state_hash=digest.hexdigest()))
@@ -588,9 +571,13 @@ def trace_from_lines(lines: List[str]) -> Trace:
         committed = _machine_names(final["committed"], "committed",
                                    registered, "registered")
         steps = []
+        commits = []
         for rec in records[1:-1]:
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
+            if type(rec["index"]) is not int or rec["index"] != len(steps):
+                raise MalformedTrace(f"step record {len(steps)} has index "
+                                     f"{rec['index']!r}")
             per_machine = {}
             for m, ms in rec["machines"].items():
                 # Only the exact record: `"proper":0` decodes as before.
@@ -608,15 +595,27 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 ev = dict(ev)
                 if "restored" in ev:
                     ev["restored"] = decode_pairs(ev["restored"])
+                elif ev.get("kind") == "commit":
+                    commits.append(ev["machine"])
                 events.append(ev)
             steps.append(StepRecord(index=rec["index"], per_machine=per_machine,
                                     events=events, state_hash=rec["state_hash"]))
+        if committed != commits:
+            raise MalformedTrace(f"committed {committed} is not the order of "
+                                 f"the commit events {commits}")
+        status, done = final["status"], len(committed) == len(registered)
+        if (status != ("done" if done else "budget")
+                or not done and len(steps) != config.max_steps):
+            raise MalformedTrace(
+                f"status {status!r} with {len(committed)} of "
+                f"{len(registered)} machines committed in {len(steps)} of "
+                f"{config.max_steps} steps")
         return Trace(
             config=config,
             initial_values=dict(decode_pairs(header["initial_state"])),
             steps=steps,
             final_values=dict(decode_pairs(final["final_state"])),
-            status=final["status"],
+            status=status,
             committed=committed,
             registered=registered,
         )

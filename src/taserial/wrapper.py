@@ -100,13 +100,24 @@ class ControllerView:
     ordinal: int  # of the next proper step, from the history
 
 
-@dataclass
-class WrapperOutcome:
-    updates: UpdateSet = frozenset()
-    reads: Tuple[Tuple[Location, Value], ...] = ()
-    proper: bool = False
-    ctl_change: Optional[Tuple[str, str]] = None
-    effects: List[tuple] = field(default_factory=list)
+@dataclass(frozen=True)
+class MachineStep:
+    """What one machine did in a global step, as the trace records it."""
+
+    updates: UpdateSet
+    reads: Tuple[Tuple[Location, Value], ...]
+    ctl_change: Optional[Tuple[str, str]]
+    proper: bool
+
+
+#: The step of a machine that does nothing: the engine records it for a
+#: waiting machine without a wrapper step, and the wrapper returns it too.
+IDLE_STEP = MachineStep(frozenset(), (), None, False)
+
+
+def _moved(ctl_change: Tuple[str, str], *effects: tuple):
+    """A step that only changes the control state, and its effects."""
+    return MachineStep(frozenset(), (), ctl_change, False), list(effects)
 
 
 def _main_code(program: MachineProgram) -> RuleCode:
@@ -200,8 +211,9 @@ def terminated(program: MachineProgram, state: State) -> bool:
 
 def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
                  view: ControllerView, seed: int, step_index: int,
-                 wait_mode: str = "retry") -> WrapperOutcome:
-    """One transition of the control-state machine in Fig-style composition.
+                 wait_mode: str = "retry") -> Tuple[MachineStep, List[tuple]]:
+    """One transition of the control-state machine in Fig-style composition:
+    the step the trace records and its effects.
 
     Pure function of the snapshot, apart from the analyses kept on tcb for
     reuse; lock requests, commit requests, history appends and answer
@@ -215,58 +227,49 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
                                 wait_mode)
     if tcb.ctl_state == WAIT_RECOVERY:
         if not view.victim:
-            return WrapperOutcome(ctl_change=(WAIT_RECOVERY, ACTIVE))
-        return WrapperOutcome()
+            return _moved((WAIT_RECOVERY, ACTIVE))
+        return IDLE_STEP, []
     raise IllegalControlState(f"{tcb.machine_id} cannot step in {tcb.ctl_state}")
 
 
-def _active_step(program, tcb, state, view, seed, step_index) -> WrapperOutcome:
+def _active_step(program, tcb, state, view, seed, step_index):
     if view.victim:
-        return WrapperOutcome(ctl_change=(ACTIVE, WAIT_RECOVERY))
+        return _moved((ACTIVE, WAIT_RECOVERY))
     m = tcb.machine_id
     if terminated(program, state):
         tcb.analyses.clear()
-        return WrapperOutcome(ctl_change=(ACTIVE, DONE),
-                              effects=[("commit_request", m)])
+        return _moved((ACTIVE, DONE), ("commit_request", m))
     rw, read_log = _step_analysis(program, tcb, state, seed, view.ordinal)
     needed = _locks_for(program, rw, view)
     if not needed.is_empty():
-        return WrapperOutcome(ctl_change=(ACTIVE, WAIT_LOCKS),
-                              effects=[("lock_request", m, needed)])
+        return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
     return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
-                   view.ordinal, ctl_change=None)
+                   view.ordinal, None, [])
 
 
-def _wait_locks_step(program, tcb, state, view, seed, step_index,
-                     wait_mode) -> WrapperOutcome:
+def _wait_locks_step(program, tcb, state, view, seed, step_index, wait_mode):
     m = tcb.machine_id
     if view.granted is not None:
         rw, read_log = _step_analysis(program, tcb, state, seed, view.ordinal)
         still_needed = _locks_for(program, rw, view)
-        effects = [("consume_granted", m)]
         if not still_needed.is_empty():
             # The state moved between request and grant and the step now
             # touches unlocked locations; keep the granted locks on the undo
             # history (so backtracking releases them) and renegotiate.
             entry = HistoryEntry(saved=(), locks=view.granted)
-            effects.append(("append_history", m, entry))
-            return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
-                                  effects=effects)
-        out = _proper(program, m, state, rw, read_log, view.granted,
-                      step_index, view.ordinal,
-                      ctl_change=(WAIT_LOCKS, ACTIVE))
-        out.effects = effects + out.effects
-        return out
+            return _moved((WAIT_LOCKS, ACTIVE), ("consume_granted", m),
+                          ("append_history", m, entry))
+        return _proper(program, m, state, rw, read_log, view.granted,
+                       step_index, view.ordinal, (WAIT_LOCKS, ACTIVE),
+                       [("consume_granted", m)])
     if view.refused is not None:
-        return WrapperOutcome(ctl_change=(WAIT_LOCKS, ACTIVE),
-                              effects=[("consume_refused", m)])
+        return _moved((WAIT_LOCKS, ACTIVE), ("consume_refused", m))
     if view.victim and wait_mode == "suspend":
         # Without refusals there is no trip through "active" where
         # victimization is normally observed; withdraw the pending request so
         # no locks are granted during recovery, and wait.
-        return WrapperOutcome(ctl_change=(WAIT_LOCKS, WAIT_RECOVERY),
-                              effects=[("withdraw_request", m)])
-    return WrapperOutcome()
+        return _moved((WAIT_LOCKS, WAIT_RECOVERY), ("withdraw_request", m))
+    return IDLE_STEP, []
 
 
 def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
@@ -280,12 +283,11 @@ def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
 
 
 def _proper(program, machine_id, state, rw: RwSet, read_log,
-            lock_set: LockPair, step_index, ordinal,
-            ctl_change) -> WrapperOutcome:
+            lock_set: LockPair, step_index, ordinal, ctl_change,
+            effects: List[tuple]) -> Tuple[MachineStep, List[tuple]]:
     updates, reads = checked_step(program, machine_id, rw, read_log)
     entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
                          locks=lock_set, origin_step=step_index,
                          ordinal=ordinal)
-    return WrapperOutcome(updates=updates, reads=reads, proper=True,
-                          ctl_change=ctl_change,
-                          effects=[("append_history", machine_id, entry)])
+    effects.append(("append_history", machine_id, entry))
+    return MachineStep(updates, reads, ctl_change, True), effects

@@ -433,3 +433,60 @@ def test_check_machine_registered_twice_exits_one(tmp_path, capsys):
     records = _counter_trace_records(tmp_path)
     records[0]["registered"].append("m0")
     _check_malformed(tmp_path, capsys, records, "registered names 'm0' twice")
+
+
+# -- the footer agrees with the steps ------------------------------------------
+
+
+def _budget_trace_records(tmp_path):
+    from taserial.engine import run, write_trace
+    from taserial.workloads import counter_config
+
+    path = tmp_path / "budget.jsonl"
+    write_trace(run(counter_config(seed=1, max_steps=2)), str(path))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def test_check_accepts_a_true_budget_footer(tmp_path, capsys):
+    records = _budget_trace_records(tmp_path)
+    assert records[-1]["status"] == "budget" and len(records) == 4
+    _check_records(tmp_path, records)
+    assert "malformed" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget,status", [(False, "xyz"), (False, "budget"),
+                                           (True, "done"), (True, None)])
+def test_check_forged_footer_status_exits_one(tmp_path, capsys, budget,
+                                              status):
+    records = (_budget_trace_records(tmp_path) if budget
+               else _counter_trace_records(tmp_path))
+    records[-1]["status"] = status
+    _check_malformed(tmp_path, capsys, records, f"status {status!r}")
+
+
+def test_check_budget_footer_before_max_steps_exits_one(tmp_path, capsys):
+    records = _budget_trace_records(tmp_path)
+    del records[2]
+    _check_malformed(tmp_path, capsys, records,
+                     "status 'budget' with 0 of 3 machines committed in 1 "
+                     "of 2 steps")
+
+
+@pytest.mark.parametrize("position,index", [(0, 7), (1, 0), (0, "0"),
+                                            (1, True)])
+def test_check_forged_step_index_exits_one(tmp_path, capsys, position, index):
+    records = _counter_trace_records(tmp_path)
+    records[1 + position]["index"] = index
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {position} has index {index!r}")
+
+
+def test_check_commit_order_not_of_the_commit_events_exits_one(tmp_path,
+                                                              capsys):
+    records = _counter_trace_records(tmp_path)
+    order = records[-1]["committed"]
+    assert len(order) == 3
+    records[-1]["committed"] = order[::-1]
+    _check_malformed(tmp_path, capsys, records,
+                     f"committed {order[::-1]} is not the order of the "
+                     f"commit events {order}")

@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import re
 
 import pytest
 
@@ -18,11 +20,11 @@ from taserial.controller import (
     answered,
     apply_effect,
     blockers,
-    cannot_be_granted,
     commit_step,
     controller_view,
     deadlock_handler_step,
     deadlocked,
+    effect_event,
     lock_handler_step,
     recovery_step,
     wait_edges,
@@ -56,6 +58,12 @@ def request(cs, machine, locks):
 
 def pending(cs):
     return [(m, r.pair) for m, r in cs.requests.items() if r.status == PENDING]
+
+
+def handle_locks(cs, r, policy, wait_mode="retry"):
+    """One lock handler step, given the wait graph as the engine keeps it."""
+    deadlocked(cs)
+    return lock_handler_step(cs, r, policy, wait_mode, cs.wait_graph.out)
 
 
 # -- lock table ------------------------------------------------------------
@@ -106,46 +114,51 @@ def test_release_all_clears_both_kinds():
 # -- grant rules -----------------------------------------------------------
 
 
-def test_cannot_be_granted_cases():
+def test_blockers_cases():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",), r=("y",)))
-    assert cannot_be_granted("m0", pair(r=("x",)), cs)  # W elsewhere
-    assert cannot_be_granted("m0", pair(w=("y",)), cs)  # their R blocks our W
-    assert not cannot_be_granted("m0", pair(r=("y",)), cs)  # shared read ok
-    assert not cannot_be_granted("m1", pair(w=("x",)), cs)  # own lock
+    assert blockers("m0", pair(r=("x",)), cs) == {"m1"}  # W elsewhere
+    assert blockers("m0", pair(w=("y",)), cs) == {"m1"}  # their R blocks our W
+    assert not blockers("m0", pair(r=("y",)), cs)  # shared read ok
+    assert not blockers("m1", pair(w=("x",)), cs)  # own lock
 
 
 def test_committed_holders_do_not_block():
     cs = fresh(("m0",))
     cs.locks.grant("ghost", pair(w=("x",)))  # not in transact
-    assert not cannot_be_granted("m0", pair(r=("x",)), cs)
+    assert not blockers("m0", pair(r=("x",)), cs)
 
 
 def test_lock_handler_grants_or_refuses():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",)))
     request(cs, "m0", pair(r=("x",)))
-    effects, events = lock_handler_step(cs, rng(), "fifo")
-    assert effects[0][0] == "refuse"
-    assert events[0]["kind"] == "lock_refuse"
+    assert handle_locks(cs, rng(), "fifo") == [("refuse", "m0", pair(r=("x",)))]
     cs2 = fresh()
     request(cs2, "m0", pair(r=("x",)))
-    effects2, _ = lock_handler_step(cs2, rng(), "fifo")
-    assert effects2[0][0] == "grant"
+    assert handle_locks(cs2, rng(), "fifo") == [("grant", "m0", pair(r=("x",)))]
+
+
+def test_lock_handler_reads_the_wait_graph_it_is_given():
+    cs = fresh()
+    request(cs, "m0", pair(r=("x",)))
+    assert lock_handler_step(cs, rng(), "fifo", "retry",
+                             {"m0": {"m1"}})[0][0] == "refuse"
+    assert lock_handler_step(cs, rng(), "fifo", "suspend", {"m0": {"m1"}}) == []
+    assert lock_handler_step(cs, rng(), "fifo", "retry", {})[0][0] == "grant"
 
 
 def test_suspend_mode_never_refuses():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",)))
     request(cs, "m0", pair(r=("x",)))
-    effects, events = lock_handler_step(cs, rng(), "fifo", wait_mode="suspend")
-    assert effects == [] and events == []
+    assert handle_locks(cs, rng(), "fifo", wait_mode="suspend") == []
 
 
 def test_grant_effect_updates_tables_and_flags():
     cs = fresh()
     request(cs, "m0", pair(r=("x",)))
-    effects, _ = lock_handler_step(cs, rng(), "fifo")
+    effects = handle_locks(cs, rng(), "fifo")
     apply_effect(cs, effects[0], [])
     assert pending(cs) == []
     assert cs.requests["m0"] == Request(pair(r=("x",)), GRANTED)
@@ -157,12 +170,12 @@ def test_commit_releases_everything():
     cs.locks.grant("m0", pair(r=("x",), w=("y",)))
     cs.commit_requests.add("m0")
     committed = []
-    effects, events = commit_step(cs, rng(), "lowest-id")
+    effects = commit_step(cs, rng(), "lowest-id")
+    assert effects == [("commit", "m0")]
     apply_effect(cs, effects[0], committed)
     assert committed == ["m0"]
     assert "m0" not in cs.transact
     assert cs.locks.locked_by("m0") == frozenset()
-    assert events[0]["kind"] == "commit"
 
 
 def _scan_locked_by(table, machine):
@@ -317,14 +330,13 @@ def test_victimize_one_per_cycle():
     cs = _cs_with_edges([("a", "b"), ("b", "a")])
     cs.histories["a"] = [HistoryEntry(saved=(), locks=pair())]
     cs.histories["b"] = []
-    effects, events = deadlock_handler_step(cs, rng(), "shortest-history",
-                                            deadlocked(cs))
+    effects = deadlock_handler_step(cs, rng(), "shortest-history",
+                                    deadlocked(cs))
     assert effects == [("victimize", "b")]  # shortest history loses
     apply_effect(cs, effects[0], [])
     # no new victim while recovery of the first is pending
-    effects2, _ = deadlock_handler_step(cs, rng(), "shortest-history",
-                                        deadlocked(cs))
-    assert effects2 == []
+    assert deadlock_handler_step(cs, rng(), "shortest-history",
+                                 deadlocked(cs)) == []
 
 
 # -- the wait-for graph kept across calls -----------------------------------
@@ -332,6 +344,14 @@ def test_victimize_one_per_cycle():
 
 def _reference(cs):
     return _cycle_members(wait_edges(cs))
+
+
+def assert_out_sets_are_blockers(cs):
+    """The kept out-sets are `blockers` of every waiting machine, and absent
+    for every other machine."""
+    waiting = {m: blockers(m, r.pair, cs) for m, r in cs.requests.items()
+               if r.status != GRANTED and m in cs.transact}
+    assert cs.wait_graph.out == {m: b for m, b in waiting.items() if b}
 
 
 def _random_op(r, cs, machines, locations, committed):
@@ -347,7 +367,7 @@ def _random_op(r, cs, machines, locations, committed):
         apply_effect(cs, ("lock_request", m, pair), committed)
     elif kind in (1, 2) and pending(cs):  # grant or refuse
         n, pair = r.choice(pending(cs))
-        if cannot_be_granted(n, pair, cs):
+        if blockers(n, pair, cs):
             apply_effect(cs, ("refuse", n, pair), committed)
         else:
             apply_effect(cs, ("grant", n, pair), committed)
@@ -358,7 +378,7 @@ def _random_op(r, cs, machines, locations, committed):
     elif kind == 4 and m is not None and r.random() < 0.3:  # commit
         apply_effect(cs, ("commit", m), committed)
     elif kind == 5 and m is not None and cs.histories[m]:  # undo
-        apply_effect(cs, ("undo", m), committed)
+        apply_effect(cs, ("undo", m, cs.histories[m][-1]), committed)
     elif kind == 6 and m in cs.requests:  # the wrapper reads an answer
         status = cs.requests[m].status
         if status == GRANTED:
@@ -384,14 +404,12 @@ def test_kept_wait_graph_matches_reference_under_random_changes():
         committed = []
         for _ in range(150):
             _random_op(r, cs, machines, locations, committed)
-            for m, pair in pending(cs):
-                assert cannot_be_granted(m, pair, cs) == bool(
-                    blockers(m, pair, cs))
             # Let changes pile up between some searches, as in interleave
             # mode, where the controller does not act every step.
             if r.random() < 0.6:
                 dead = deadlocked(cs)
                 assert dead == _reference(cs)
+                assert_out_sets_are_blockers(cs)
                 compared += 1
                 dead_seen += bool(dead)
     assert compared > 5000 and dead_seen > 200
@@ -502,10 +520,46 @@ def test_append_history_effect_keeps_the_record_and_sets_the_ordinal():
     assert controller_view(cs, "a").ordinal == 1  # lock-only: no ordinal
     assert cs.requests["a"] is record
     assert _record_and_edges(cs, "a")[1] == {("a", "b")}
-    apply_effect(cs, ("undo", "a"), [])
+    apply_effect(cs, ("undo", "a", lock_only), [])
     assert controller_view(cs, "a").ordinal == 1
-    apply_effect(cs, ("undo", "a"), [])
+    apply_effect(cs, ("undo", "a", proper), [])
     assert controller_view(cs, "a").ordinal == 0
+
+
+ENTRY = HistoryEntry(saved=((loc("s"), 3), (loc("p"), 0)),
+                     locks=pair(r=("y",), w=("x", "w")), origin_step=5,
+                     ordinal=1)
+
+EFFECT_EVENTS = [
+    (("lock_request", "a", pair(r=("x",))),
+     {"kind": "lock_request", "machine": "a"}),
+    (("grant", "a", pair(r=("y", "x"), w=("z",))),
+     {"kind": "lock_grant", "machine": "a",
+      "locks": {"r": [loc("x"), loc("y")], "w": [loc("z")]}}),
+    (("refuse", "a", pair(w=("x",))),
+     {"kind": "lock_refuse", "machine": "a",
+      "locks": {"r": [], "w": [loc("x")]}}),
+    (("consume_granted", "a"), None),
+    (("consume_refused", "a"), None),
+    (("withdraw_request", "a"), None),
+    (("commit_request", "a"), None),
+    (("append_history", "a", ENTRY), None),
+    (("commit", "a"), {"kind": "commit", "machine": "a"}),
+    (("victimize", "a"), {"kind": "victimize", "machine": "a"}),
+    (("unvictimize", "a"), {"kind": "recovered", "machine": "a"}),
+    (("undo", "a", ENTRY),
+     {"kind": "undo", "machine": "a", "origin_step": 5,
+      "locks": {"r": [loc("y")], "w": [loc("w"), loc("x")]},
+      "restored": [(loc("s"), 3), (loc("p"), 0)]}),
+]
+
+
+def test_every_effect_kind_maps_to_its_event_or_none():
+    for effect, event in EFFECT_EVENTS:
+        assert effect_event(effect) == event, effect[0]
+    # The table names every kind `apply_effect` applies, and no other.
+    applied = re.findall(r'kind == "(\w+)"', inspect.getsource(apply_effect))
+    assert sorted(applied) == sorted(e[0] for e, _ in EFFECT_EVENTS)
 
 
 def test_unknown_effect_kind_is_an_error():
@@ -534,8 +588,7 @@ def test_lock_policies_select_by_request_order_or_id():
     assert [m for m, _ in pending(cs)] == queue
 
     def picked(policy, r):
-        effects, _ = lock_handler_step(cs, r, policy)
-        ((kind, machine, locks),) = effects
+        ((kind, machine, locks),) = handle_locks(cs, r, policy)
         assert kind == "grant" and locks == pair(w=(f"x{machine}",))
         return machine
 
@@ -552,10 +605,7 @@ def test_lock_policies_select_by_request_order_or_id():
 def test_recovery_unvictimizes_when_cycle_gone():
     cs = fresh(("a",))
     cs.victims.add("a")
-    effects, events, restores = recovery_step(cs, rng(), deadlocked(cs))
-    assert effects == [("unvictimize", "a")]
-    assert events[0]["kind"] == "recovered"
-    assert restores == frozenset()
+    assert recovery_step(cs, rng(), deadlocked(cs)) == [("unvictimize", "a")]
 
 
 def test_recovery_undoes_youngest_entry():
@@ -567,13 +617,14 @@ def test_recovery_undoes_youngest_entry():
                          locks=pair(w=("new",)), origin_step=5, ordinal=1)
     cs.histories["a"] = [old, young]
     cs.locks.grant("a", young.locks)
-    effects, events, restores = recovery_step(cs, rng(), deadlocked(cs))
-    assert effects == [("undo", "a")]
-    assert events[0]["origin_step"] == 5
-    assert restores == frozenset({(loc("s"), 3), (loc("p"), 0)})
+    effects = recovery_step(cs, rng(), deadlocked(cs))
+    assert effects == [("undo", "a", young)]
+    assert effects[0][2] is young  # the engine restores young.saved
     apply_effect(cs, effects[0], [])
     assert cs.histories["a"] == [old]
     assert cs.locks.w_holder(loc("new")) is None
+    with pytest.raises(EmptyHistory):  # young is no longer the youngest
+        apply_effect(cs, effects[0], [])
 
 
 def test_deadlocked_victim_with_no_history_is_an_error():

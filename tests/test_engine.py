@@ -280,10 +280,13 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
     """The engine's incremental deadlock search agrees with a fresh search
     of `wait_edges` at each search, and with `every_step` also after every
     step: in interleave mode the controller does not act every step, so its
-    own searches see the changes of several steps at once.  The seeds
-    alternate the two wait modes."""
+    own searches see the changes of several steps at once.  At every lock
+    handler step, each waiting machine's kept out-set is its `blockers`.
+    The seeds alternate the two wait modes."""
     searches = []
+    waiting = []
     original = controller.deadlocked
+    real_handler = controller.lock_handler_step
 
     def compared(cs):
         dead = original(cs)
@@ -291,12 +294,22 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
         searches.append(bool(dead))
         return dead
 
+    def handler(cs, rng, policy, wait_mode, waits_for):
+        blocked = {}
+        for m, r in cs.requests.items():
+            if r.status != controller.GRANTED and m in cs.transact:
+                waiting.append(wait_mode)
+                blocked[m] = controller.blockers(m, r.pair, cs)
+        assert waits_for == {m: b for m, b in blocked.items() if b}
+        return real_handler(cs, rng, policy, wait_mode, waits_for)
+
     def checked(cs):
         compared(cs)
         real_invariants(cs)
 
     real_invariants = controller.ControllerState.check_invariants
     monkeypatch.setattr(controller, "deadlocked", compared)
+    monkeypatch.setattr(controller, "lock_handler_step", handler)
     if every_step:
         monkeypatch.setattr(controller.ControllerState, "check_invariants",
                             checked)
@@ -305,6 +318,7 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
         for seed in seeds:
             run(replace(random_config(seed, params), run_mode=run_mode))
     assert sum(searches) > 100
+    assert waiting.count("retry") > 1000 and waiting.count("suspend") > 1000
 
 
 def test_controller_streams_seeded_only_when_drawn(monkeypatch):
@@ -355,7 +369,7 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
         out = real_step(*args, **kwargs)
         if verdict.pop():
             counts["skipped"] += 1
-            assert out == wrapper.WrapperOutcome()
+            assert out[0] is engine.IDLE_STEP and out[1] == []
         else:
             counts["stepped"] += 1
         return out

@@ -7,6 +7,7 @@ from taserial.wrapper import (
     ControllerView,
     DONE,
     EMPTY_LOCKS,
+    IDLE_STEP,
     InvalidWrite,
     LockPair,
     MachineCtl,
@@ -87,22 +88,22 @@ def test_active_requests_locks_then_steps_when_granted():
     tcb = MachineCtl("m")
     tcb.ctl_state = ACTIVE
     state = initial_state()
-    out = wrapper_step(PROG, tcb, state, idle_view(), 0, 0)
+    out, effects = wrapper_step(PROG, tcb, state, idle_view(), 0, 0)
     assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
-    assert out.effects[0][0] == "lock_request"
-    assert out.effects[0][1] == "m"
-    requested = out.effects[0][2]
+    assert effects[0][0] == "lock_request"
+    assert effects[0][1] == "m"
+    requested = effects[0][2]
 
     tcb.ctl_state = WAIT_LOCKS
     view = idle_view(granted=requested,
                      held=requested.all_locations(),
                      w_held=requested.w_loc)
-    out2 = wrapper_step(PROG, tcb, state, view, 0, 1)
+    out2, effects2 = wrapper_step(PROG, tcb, state, view, 0, 1)
     assert out2.proper
     assert (loc("x"), 2) in out2.updates
-    kinds = [e[0] for e in out2.effects]
+    kinds = [e[0] for e in effects2]
     assert kinds == ["consume_granted", "append_history"]
-    entry = out2.effects[1][2]
+    entry = effects2[1][2]
     assert entry.saved == ((loc("pc"), 0), (loc("x"), 0))
     assert entry.locks == requested
     assert entry.ordinal == 0 and entry.origin_step == 1
@@ -111,40 +112,44 @@ def test_active_requests_locks_then_steps_when_granted():
 def test_refused_returns_to_active():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_LOCKS
-    out = wrapper_step(PROG, tcb, initial_state(),
-                       idle_view(refused=LockPair()), 0, 4)
+    out, effects = wrapper_step(PROG, tcb, initial_state(),
+                                idle_view(refused=LockPair()), 0, 4)
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
-    assert out.effects == [("consume_refused", "m")]
+    assert effects == [("consume_refused", "m")]
 
 
 def test_victim_observed_in_active_state():
     tcb = MachineCtl("m")
     tcb.ctl_state = ACTIVE
-    out = wrapper_step(PROG, tcb, initial_state(), idle_view(victim=True), 0, 0)
+    out, effects = wrapper_step(PROG, tcb, initial_state(),
+                                idle_view(victim=True), 0, 0)
     assert out.ctl_change == (ACTIVE, WAIT_RECOVERY)
-    assert not out.effects
+    assert not effects
 
 
 def test_suspended_waiter_withdraws_request_when_victimized():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_LOCKS
-    out = wrapper_step(PROG, tcb, initial_state(), idle_view(victim=True), 0, 0,
-                       wait_mode="suspend")
+    out, effects = wrapper_step(PROG, tcb, initial_state(),
+                                idle_view(victim=True), 0, 0,
+                                wait_mode="suspend")
     assert out.ctl_change == (WAIT_LOCKS, WAIT_RECOVERY)
-    assert out.effects == [("withdraw_request", "m")]
+    assert effects == [("withdraw_request", "m")]
     # in retry mode it just keeps waiting for the refusal
     tcb2 = MachineCtl("m")
     tcb2.ctl_state = WAIT_LOCKS
-    out2 = wrapper_step(PROG, tcb2, initial_state(), idle_view(victim=True), 0, 0)
-    assert out2.ctl_change is None and not out2.effects
+    out2, effects2 = wrapper_step(PROG, tcb2, initial_state(),
+                                  idle_view(victim=True), 0, 0)
+    assert out2 is IDLE_STEP and effects2 == []
 
 
 def test_recovered_machine_resumes():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_RECOVERY
-    out = wrapper_step(PROG, tcb, initial_state(), idle_view(victim=True), 0, 0)
-    assert out.ctl_change is None
-    out2 = wrapper_step(PROG, tcb, initial_state(), idle_view(), 0, 1)
+    out, effects = wrapper_step(PROG, tcb, initial_state(),
+                                idle_view(victim=True), 0, 0)
+    assert out is IDLE_STEP and effects == []
+    out2, effects2 = wrapper_step(PROG, tcb, initial_state(), idle_view(), 0, 1)
     assert out2.ctl_change == (WAIT_RECOVERY, ACTIVE)
 
 
@@ -153,9 +158,9 @@ def test_terminated_machine_requests_commit():
     tcb.ctl_state = ACTIVE
     state = State({loc("pc"): 1, loc("x"): 2, loc("sensor"): 2})
     assert terminated(PROG, state)
-    out = wrapper_step(PROG, tcb, state, idle_view(), 0, 5)
+    out, effects = wrapper_step(PROG, tcb, state, idle_view(), 0, 5)
     assert out.ctl_change == (ACTIVE, DONE)
-    assert out.effects == [("commit_request", "m")]
+    assert effects == [("commit_request", "m")]
 
 
 def test_grant_after_state_drift_renegotiates():
@@ -165,12 +170,12 @@ def test_grant_after_state_drift_renegotiates():
     stale = LockPair(frozenset(), frozenset({loc("unrelated")}))
     view = idle_view(granted=stale, held=frozenset({loc("unrelated")}),
                      w_held=frozenset({loc("unrelated")}))
-    out = wrapper_step(PROG, tcb, initial_state(), view, 0, 2)
+    out, effects = wrapper_step(PROG, tcb, initial_state(), view, 0, 2)
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
     assert not out.proper
-    kinds = [e[0] for e in out.effects]
+    kinds = [e[0] for e in effects]
     assert kinds == ["consume_granted", "append_history"]
-    entry = out.effects[1][2]
+    entry = effects[1][2]
     assert entry.locks == stale and entry.saved == () and entry.ordinal is None
 
 
@@ -236,16 +241,16 @@ def analyses(monkeypatch):
 
 def _request(prog, tcb, state, seed=0):
     tcb.ctl_state = ACTIVE
-    out = wrapper_step(prog, tcb, state, idle_view(), seed, 0)
+    out, effects = wrapper_step(prog, tcb, state, idle_view(), seed, 0)
     assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
     tcb.ctl_state = WAIT_LOCKS
-    return out.effects[0][2]
+    return effects[0][2]
 
 
 def _grant(prog, tcb, state, pair, seed=0, ordinal=0):
     view = idle_view(granted=pair, held=pair.all_locations(),
                      w_held=pair.w_loc, ordinal=ordinal)
-    return wrapper_step(prog, tcb, state, view, seed, 1)
+    return wrapper_step(prog, tcb, state, view, seed, 1)[0]
 
 
 def test_grant_reruns_analysis_when_a_read_changed(analyses):
@@ -262,8 +267,8 @@ def test_grant_reuses_analysis_when_values_are_restored(analyses):
     tcb = MachineCtl("m")
     pair = _request(PROG, tcb, initial_state())
     moved = initial_state().with_updates(frozenset({(loc("sensor"), 5)}))
-    waiting = wrapper_step(PROG, tcb, moved, idle_view(), 0, 1)
-    assert waiting.ctl_change is None and not waiting.effects
+    waiting, effects = wrapper_step(PROG, tcb, moved, idle_view(), 0, 1)
+    assert waiting is IDLE_STEP and effects == []
     back = moved.with_updates(frozenset({(loc("sensor"), 2)}))  # A -> B -> A
     out = _grant(PROG, tcb, back, pair)
     assert len(analyses) == 1
