@@ -2,8 +2,10 @@
 recording and serializability checking."""
 
 from .asm import (
+    FALSE,
     Location,
     State,
+    TRUE,
     UNDEF,
     apply_updates,
     eval_formula,
@@ -29,6 +31,7 @@ from .rwloc import RwSet, rw_formula, rw_rule, rw_term
 from .wrapper import LockPair
 
 __all__ = [
+    "FALSE",
     "Location",
     "LockPair",
     "MachineProgram",
@@ -37,6 +40,7 @@ __all__ = [
     "RunConfig",
     "RwSet",
     "State",
+    "TRUE",
     "Trace",
     "UNDEF",
     "Verdict",

@@ -41,27 +41,30 @@ class InconsistentUpdateSet(AsmError):
     """An update set assigns two distinct values to one location."""
 
 
-class _Undef:
-    """The distinguished value undef; equal only to itself."""
+class Constant:
+    """A named value: undef, true or false.  Each is equal only to itself,
+    so Python `==` and hashing are the machine's value equality, and pickle
+    and deepcopy keep the object."""
 
-    _instance: Optional["_Undef"] = None
+    __slots__ = ("name", "key")
 
-    def __new__(cls) -> "_Undef":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __init__(self, name: str, key: tuple):
+        self.name = name
+        self.key = key  # the value_key
 
     def __repr__(self) -> str:
-        return "undef"
+        return self.name
 
-    def __reduce__(self):
-        return (_Undef, ())
+    def __reduce__(self) -> str:
+        return self.name.upper()  # the module attribute
 
 
-UNDEF = _Undef()
+UNDEF = Constant("undef", ("u", 0))
+FALSE = Constant("false", ("b", 0))
+TRUE = Constant("true", ("b", 1))
 
-#: Values are unbounded ints, booleans, interned symbol strings, or undef.
-Value = Union[int, bool, str, _Undef]
+#: Values are unbounded ints, interned symbol strings, true, false or undef.
+Value = Union[int, str, Constant]
 
 
 class Location(NamedTuple):
@@ -70,24 +73,19 @@ class Location(NamedTuple):
 
 
 def value_key(v: Value) -> tuple:
-    """Canonical sort key distinguishing bool from int and undef from all."""
-    if v is UNDEF:
-        return ("u", 0)
-    if v is True or v is False:
-        return ("b", int(v))
-    if isinstance(v, int):
+    """Canonical sort key: undef, then booleans, integers and symbols."""
+    kind = type(v)
+    if kind is int:
         return ("i", v)
-    return ("s", v)
+    if kind is str:
+        return ("s", v)
+    if kind is Constant:
+        return v.key
+    raise TypeError(f"not a machine value: {v!r}")
 
 
 def loc_key(loc: Location) -> tuple:
     return (loc.func, tuple(value_key(a) for a in loc.args))
-
-
-def values_equal(a: Value, b: Value) -> bool:
-    if a is b:
-        return True
-    return type(a) is type(b) and a == b
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +256,12 @@ def static_apply(name: str, vals: Tuple[Value, ...]) -> Value:
     if name in ("true", "false", "undef"):
         if vals:
             raise ArityMismatch(f"{name} takes no arguments")
-        return {"true": True, "false": False, "undef": UNDEF}[name]
+        return {"true": TRUE, "false": FALSE, "undef": UNDEF}[name]
     if len(vals) != 2:
         raise ArityMismatch(f"{name} takes two arguments, got {len(vals)}")
     a, b = vals
     for v in (a, b):
-        if not isinstance(v, int) or isinstance(v, bool):
+        if type(v) is not int:
             raise TypeMismatch(f"{name} needs integers, got {v!r}")
     return a + b if name == "+" else a - b
 
@@ -281,7 +279,7 @@ def consistent(updates: UpdateSet) -> bool:
     """No location receives two distinct values."""
     seen: Dict[Location, Value] = {}
     for loc, val in updates:
-        if loc in seen and not values_equal(seen[loc], val):
+        if loc in seen and seen[loc] != val:
             return False
         seen[loc] = val
     return True
@@ -347,7 +345,7 @@ def _clashes(updates: UpdateSet):
     seen: Dict[Location, Value] = {}
     out = []
     for loc, val in sorted(updates, key=lambda p: (loc_key(p[0]), value_key(p[1]))):
-        if loc in seen and not values_equal(seen[loc], val):
+        if loc in seen and seen[loc] != val:
             out.append(loc)
         seen[loc] = val
     return out
@@ -397,11 +395,11 @@ def eval_formula(f: Formula, state: State, env: Env, on_read: OnRead = None) -> 
     if isinstance(f, Atom):
         vals = tuple(eval_term(a, state, env, on_read) for a in f.args)
         v = _read_dynamic(f.pred, vals, state, on_read)
-        if v is UNDEF:
+        if v is TRUE:
+            return True
+        if v is FALSE or v is UNDEF:
             return False
-        if v is not True and v is not False:
-            raise TypeMismatch(f"atom {f.pred} holds non-boolean {v!r}")
-        return v
+        raise TypeMismatch(f"atom {f.pred} holds non-boolean {v!r}")
     if isinstance(f, Not):
         return not eval_formula(f.sub, state, env, on_read)
     if isinstance(f, And):
@@ -411,13 +409,13 @@ def eval_formula(f: Formula, state: State, env: Env, on_read: OnRead = None) -> 
         return (eval_formula(f.left, state, env, on_read)
                 or eval_formula(f.right, state, env, on_read))
     if isinstance(f, Eq):
-        return values_equal(eval_term(f.left, state, env, on_read),
-                            eval_term(f.right, state, env, on_read))
+        return (eval_term(f.left, state, env, on_read)
+                == eval_term(f.right, state, env, on_read))
     if isinstance(f, Lt):
         a = eval_term(f.left, state, env, on_read)
         b = eval_term(f.right, state, env, on_read)
         for v in (a, b):
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 raise TypeMismatch(f"< needs integers, got {v!r}")
         return a < b
     if isinstance(f, Forall):

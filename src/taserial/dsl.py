@@ -28,6 +28,7 @@ from .asm import (
     Atom,
     Call,
     ChooseDo,
+    Constant,
     Eq,
     Exists,
     Forall,
@@ -45,10 +46,10 @@ from .asm import (
     Seq,
     Skip,
     Term,
-    UNDEF,
     Value,
     Var,
     is_static,
+    static_apply,
 )
 
 
@@ -329,15 +330,8 @@ class _Parser:
         if tok == "-" and self.peek(1).isdecimal():
             self.next()
             return -int(self.next())
-        if tok == "true":
-            self.next()
-            return True
-        if tok == "false":
-            self.next()
-            return False
-        if tok == "undef":
-            self.next()
-            return UNDEF
+        if tok in ("true", "false", "undef"):
+            return static_apply(self.next(), ())
         if tok == "'":
             self.next()
             return self.ident()
@@ -515,15 +509,14 @@ def parse_program(text: str) -> MachineProgram:
 
 
 def print_value(v: Value) -> str:
-    if v is UNDEF:
-        return "undef"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
+    kind = type(v)
+    if kind is int:
         return str(v)
-    return "'" + v
+    if kind is str:
+        return "'" + v
+    if kind is Constant:
+        return v.name
+    raise TypeError(f"not a machine value: {v!r}")
 
 
 def print_term(t: Term) -> str:

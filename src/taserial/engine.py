@@ -16,16 +16,20 @@ from typing import Dict, List, Optional, Tuple
 from . import controller as ctl
 from .asm import (
     AsmError,
+    Constant,
+    FALSE,
+    InconsistentUpdateSet,
     Location,
     State,
+    TRUE,
     UNDEF,
     UpdateSet,
     Value,
+    _clashes,
     assign_choice_ids,
     consistent,
     loc_key,
     value_key,
-    values_equal,
 )
 from .dsl import MachineProgram, parse_program, print_program
 from .seeds import make_rng
@@ -123,7 +127,7 @@ class RunConfig:
         values: Dict[Location, Value] = {}
         for m in self.machines:
             for loc, val in m.inits:
-                if loc in values and not values_equal(values[loc], val):
+                if loc in values and values[loc] != val:
                     raise ConfigError(
                         f"conflicting initial values for {loc}: "
                         f"{values[loc]!r} vs {val!r}")
@@ -220,24 +224,28 @@ class Trace:
 
 
 def encode_value(v: Value):
-    if v is UNDEF:
-        return ["u"]
-    if v is True or v is False:
-        return ["b", bool(v)]
-    if isinstance(v, int):
+    kind = type(v)
+    if kind is int:
         return ["i", v]
-    return ["s", v]
+    if kind is str:
+        return ["s", v]
+    if kind is Constant:
+        return ["u"] if v is UNDEF else ["b", v is TRUE]
+    raise TypeError(f"not a machine value: {v!r}")
 
 
 def decode_value(payload) -> Value:
-    tag = payload[0]
-    if tag == "u":
+    """The value `encode_value` wrote; any other shape is MalformedTrace."""
+    if type(payload) is list and len(payload) == 2:
+        tag, v = payload
+        kind = type(v)
+        if kind is int and tag == "i" or kind is str and tag == "s":
+            return v
+        if kind is bool and tag == "b":
+            return TRUE if v else FALSE
+    elif payload == ["u"]:
         return UNDEF
-    if tag == "b":
-        return bool(payload[1])
-    if tag == "i":
-        return int(payload[1])
-    return payload[1]
+    raise MalformedTrace(f"malformed value {payload!r}")
 
 
 def encode_location(loc: Location):
@@ -272,16 +280,13 @@ class _StateDigest:
 
     Holds one canonical JSON fragment `[location, value]` per location, so a
     step re-encodes only the locations it wrote, and re-sorts only when a
-    location appears or disappears (is written undef).  Like the state's
-    dict, it keeps the first key object of equal locations (`f(1)` and
-    `f(true)`), which is the one the canonical JSON names.
+    location appears or disappears (is written undef).
     """
 
     __slots__ = ("entries", "order")
 
     def __init__(self, values: Dict[Location, Value]):
-        # location -> (its first key object, fragment)
-        self.entries: Dict[Location, Tuple[Location, str]] = {}
+        self.entries: Dict[Location, str] = {}
         self.order: Optional[List[Location]] = None
         self.update(values.items())
 
@@ -293,20 +298,16 @@ class _StateDigest:
                 if entries.pop(loc, None) is not None:
                     self.order = None
                 continue
-            old = entries.get(loc)
-            if old is None:
-                key = loc
+            if loc not in entries:
                 self.order = None
-            else:
-                key = old[0]
-            entries[loc] = (key, _encode_json([encode_location(key),
-                                               encode_value(val)]))
+            entries[loc] = _encode_json([encode_location(loc),
+                                         encode_value(val)])
 
     def hexdigest(self) -> str:
         if self.order is None:
             self.order = sorted(self.entries, key=loc_key)
         entries = self.entries
-        blob = "[" + ",".join([entries[l][1] for l in self.order]) + "]"
+        blob = "[" + ",".join([entries[l] for l in self.order]) + "]"
         return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
 
 
@@ -393,8 +394,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
 
         delta = frozenset(updates)
         if not consistent(delta):
-            raise InconsistentGlobalUpdate(
-                f"step {index}: clashing updates in global step")
+            raise _clash_error(index, per_machine)
         state = state.with_updates(delta)
         digest.update(delta)
 
@@ -414,6 +414,19 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
     return Trace(config=config, initial_values=initial_values,
                  steps=steps, final_values=dict(state.values), status=status,
                  committed=committed, registered=list(active_ids))
+
+
+def _clash_error(index: int, per_machine: Dict[str, MachineStep]) -> AsmError:
+    """The error for a step whose update sets clash: the first machine
+    whose own update set clashes, else a clash between agents."""
+    for m, ms in per_machine.items():
+        clashes = _clashes(ms.updates)
+        if clashes:
+            return InconsistentUpdateSet(
+                f"step {index}: machine {m} writes clashing updates to "
+                f"{clashes}")
+    return InconsistentGlobalUpdate(
+        f"step {index}: clashing updates in global step")
 
 
 class _Stream:
@@ -572,6 +585,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                    registered, "registered")
         steps = []
         commits = []
+        last_commit = 0  # the step count when the last commit was recorded
         for rec in records[1:-1]:
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
@@ -597,6 +611,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     ev["restored"] = decode_pairs(ev["restored"])
                 elif ev.get("kind") == "commit":
                     commits.append(ev["machine"])
+                    last_commit = len(steps) + 1
                 events.append(ev)
             steps.append(StepRecord(index=rec["index"], per_machine=per_machine,
                                     events=events, state_hash=rec["state_hash"]))
@@ -604,8 +619,9 @@ def trace_from_lines(lines: List[str]) -> Trace:
             raise MalformedTrace(f"committed {committed} is not the order of "
                                  f"the commit events {commits}")
         status, done = final["status"], len(committed) == len(registered)
+        # A run stops at the step of the last commit, or at its budget.
         if (status != ("done" if done else "budget")
-                or not done and len(steps) != config.max_steps):
+                or len(steps) != (last_commit if done else config.max_steps)):
             raise MalformedTrace(
                 f"status {status!r} with {len(committed)} of "
                 f"{len(registered)} machines committed in {len(steps)} of "

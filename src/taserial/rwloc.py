@@ -35,6 +35,7 @@ from .asm import (
     Exists,
     Forall,
     ForallDo,
+    FALSE,
     Formula,
     If,
     Let,
@@ -48,6 +49,7 @@ from .asm import (
     Seq,
     Skip,
     State,
+    TRUE,
     Term,
     TypeMismatch,
     UNDEF,
@@ -253,9 +255,9 @@ def _formula(f: Formula, short: bool = False) -> Code:
 def _atom(pred: str, read: Code) -> Code:
     def atom(s, env, log):
         v = read(s, env, log)
-        if v is True or v is False:
-            return v
-        if v is UNDEF:
+        if v is TRUE:
+            return True
+        if v is FALSE or v is UNDEF:
             return False
         raise TypeMismatch(f"atom {pred} holds non-boolean {v!r}")
     return atom
@@ -273,18 +275,8 @@ def _connective(is_and: bool, left: Code, right: Code, short: bool) -> Code:
 def _eq(a: Code, b: Code) -> Code:
     k = getattr(b, "value", _NOT_CONST)
     if k is not _NOT_CONST:
-        kt = type(k)
-
-        def eq_const(s, env, log):  # asm.values_equal against a constant
-            x = a(s, env, log)
-            return type(x) is kt and x == k
-        return eq_const
-
-    def eq(s, env, log):
-        x = a(s, env, log)
-        y = b(s, env, log)
-        return x is y or (type(x) is type(y) and x == y)
-    return eq
+        return lambda s, env, log: a(s, env, log) == k
+    return lambda s, env, log: a(s, env, log) == b(s, env, log)
 
 
 def _lt(a: Code, b: Code) -> Code:
@@ -293,10 +285,8 @@ def _lt(a: Code, b: Code) -> Code:
         y = b(s, env, log)
         if type(x) is int and type(y) is int:
             return x < y
-        for v in (x, y):
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise TypeMismatch(f"< needs integers, got {v!r}")
-        return x < y
+        raise TypeMismatch("< needs integers, got "
+                           + repr(y if type(x) is int else x))
     return lt
 
 
@@ -407,11 +397,7 @@ def _seq(items: list) -> Code:
             u = code(s, env, log, res)
             if not consistent(u):
                 return seq_merge(frozenset(done.items()), u)
-            for loc, val in u:
-                # As in seq_merge, a later write replaces the whole pair: an
-                # equal location (a(1) and a(true)) takes the later key too.
-                done.pop(loc, None)
-                done[loc] = val
+            done.update(u)
             s = s.with_updates(u)
         return seq_merge(frozenset(done.items()), last(s, env, log, res))
     return seq

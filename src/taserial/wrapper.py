@@ -21,7 +21,6 @@ from .asm import (
     UpdateSet,
     Value,
     loc_key,
-    values_equal,
 )
 from .dsl import MachineProgram
 from .rwloc import FormulaCode, RuleCode, RwSet, rw_rule
@@ -158,7 +157,7 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     if last is not None and last[0] is code and last[1] == seed:
         values = state.values
         for loc, v in last[3].items():
-            if not values_equal(values.get(loc, UNDEF), v):
+            if values.get(loc, UNDEF) != v:
                 break
         else:
             return last[2], last[3]

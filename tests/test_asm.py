@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,6 +12,7 @@ from taserial.asm import (
     Eq,
     EvalError,
     Exists,
+    FALSE,
     Forall,
     ForallDo,
     If,
@@ -20,6 +24,7 @@ from taserial.asm import (
     Seq,
     Skip,
     State,
+    TRUE,
     TypeMismatch,
     UNDEF,
     UndefArgument,
@@ -34,7 +39,7 @@ from taserial.asm import (
     seq_merge,
     static_apply,
     update_locations,
-    values_equal,
+    value_key,
     yields,
 )
 from taserial.seeds import ChoiceResolver
@@ -61,15 +66,19 @@ class Fixed:
 # -- values ----------------------------------------------------------------
 
 
-def test_undef_is_singleton():
-    assert UNDEF is type(UNDEF)()
+@pytest.mark.parametrize("value", [UNDEF, TRUE, FALSE], ids=repr)
+def test_named_values_survive_pickle_and_deepcopy(value):
+    assert pickle.loads(pickle.dumps(value)) is value
+    assert copy.deepcopy(value) is value
+    assert copy.deepcopy([value])[0] is value
 
 
-def test_values_equal_distinguishes_bool_from_int():
-    assert not values_equal(True, 1)
-    assert not values_equal(False, 0)
-    assert values_equal(1, 1)
-    assert values_equal(UNDEF, UNDEF)
+def test_true_and_false_differ_from_one_and_zero():
+    assert TRUE != 1 and 1 != TRUE
+    assert FALSE != 0 and 0 != FALSE
+    assert TRUE != FALSE and TRUE != UNDEF
+    assert len({1, TRUE, 0, FALSE, UNDEF}) == 5
+    assert 1 == 1 and TRUE == TRUE and UNDEF == UNDEF
 
 
 def test_static_function_vocabulary():
@@ -80,11 +89,14 @@ def test_static_function_vocabulary():
     assert static_apply("'red", ()) == "red"
     assert static_apply("+", (2, 3)) == 5
     assert static_apply("-", (2, 3)) == -1
+    assert static_apply("true", ()) is TRUE
+    assert static_apply("false", ()) is FALSE
+    assert static_apply("undef", ()) is UNDEF
 
 
 def test_static_apply_rejects_bools_in_arithmetic():
     with pytest.raises(TypeMismatch):
-        static_apply("+", (True, 1))
+        static_apply("+", (TRUE, 1))
     with pytest.raises(ArityMismatch):
         static_apply("5", (1,))
 
@@ -121,12 +133,35 @@ def test_seq_merge_later_write_wins():
     assert merged == frozenset({(loc("x"), 2), (loc("y"), 5)})
 
 
-@given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 3)), max_size=6))
+VALUES = [0, 1, TRUE, FALSE, "s"]
+
+
+@given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from([1, TRUE]),
+                          st.sampled_from(VALUES)), max_size=6))
 def test_consistent_matches_brute_force(pairs):
-    u = frozenset((loc(f), v) for f, v in pairs)
-    brute = all(not (la == lb and va != vb)
+    # Locations and values are told apart by value_key, which never
+    # confuses 1 with true.
+    def key(loc):
+        return (loc.func, [value_key(a) for a in loc.args])
+
+    u = frozenset((loc(f, a), v) for f, a, v in pairs)
+    brute = all(not (key(la) == key(lb) and value_key(va) != value_key(vb))
                 for la, va in u for lb, vb in u)
     assert consistent(u) == brute
+
+
+def test_seq_merge_keeps_one_and_true_apart():
+    merged = seq_merge(frozenset({(loc("a", 1), 5), (loc("x"), 1)}),
+                       frozenset({(loc("a", TRUE), 6), (loc("x"), TRUE)}))
+    assert merged == frozenset({(loc("a", 1), 5), (loc("a", TRUE), 6),
+                                (loc("x"), TRUE)})
+
+
+def test_state_keeps_one_and_true_apart():
+    s = State({loc("a", 1): 5}).with_updates(
+        frozenset({(loc("a", TRUE), 6)}))
+    assert s.get(loc("a", 1)) == 5 and s.get(loc("a", TRUE)) == 6
+    assert State({loc("x"): 1}) != State({loc("x"): TRUE})
 
 
 # -- terms and formulae ----------------------------------------------------
@@ -158,7 +193,7 @@ def test_quantifiers_range_over_domain():
 
 
 def test_lt_requires_ints():
-    s = state(b=True)
+    s = state(b=TRUE)
     with pytest.raises(TypeMismatch):
         eval_formula(Lt(Apply("b"), Apply("1")), s, {})
 
@@ -216,6 +251,24 @@ def test_par_unions_and_can_clash():
     r = Par((Assign(Apply("x"), Apply("1")), Assign(Apply("x"), Apply("2"))))
     u = yields(r, State(), {}, Fixed())
     assert not consistent(u)
+
+
+def test_yields_keeps_one_and_true_apart():
+    one, true = Apply("1"), Apply("true")
+    for items in ((one, true), (true, one)):
+        u = yields(Par(tuple(Assign(Apply("x"), v) for v in items)),
+                   State(), {}, Fixed())
+        assert u == frozenset({(loc("x"), 1), (loc("x"), TRUE)})
+        with pytest.raises(InconsistentUpdateSet):
+            apply_updates(State(), u)
+    for block in (Par, Seq):
+        r = block((Assign(Apply("a", (one,)), Apply("5")),
+                   Assign(Apply("a", (true,)), Apply("6"))))
+        assert yields(r, State(), {}, Fixed()) == frozenset(
+            {(loc("a", 1), 5), (loc("a", TRUE), 6)})
+    s = State({loc("b"): TRUE})
+    assert not eval_formula(Eq(Apply("b"), one), s, {})
+    assert eval_formula(Eq(Apply("b"), true), s, {})
 
 
 def test_seq_threads_intermediate_state():

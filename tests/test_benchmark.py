@@ -22,12 +22,13 @@ def _tracer():
 
 
 def test_every_engine_wrapper_and_controller_hook_resolves():
-    # A hook that resolves to nothing reads 0 in its per-layer metrics.
+    # A hook that resolves to nothing reads 0 in its per-layer metrics; the
+    # two asm hooks are counted too.
     tracer = _tracer()
     hooks = [(m, p) for m, p in tracer.HOOKS
              if m in ("taserial.engine", "taserial.wrapper",
-                      "taserial.controller")]
-    assert len(hooks) == 16
+                      "taserial.controller", "taserial.asm")]
+    assert len(hooks) == 18
     assert [h for h in hooks if tracer.resolve(*h) is None] == []
 
 

@@ -490,3 +490,70 @@ def test_check_commit_order_not_of_the_commit_events_exits_one(tmp_path,
     _check_malformed(tmp_path, capsys, records,
                      f"committed {order[::-1]} is not the order of the "
                      f"commit events {order}")
+
+
+# -- values are decoded exactly, and 1 is not true ----------------------------
+
+FLAG = """\
+machine m
+init flag() := true
+init n() := 0
+terminated: n() = 1
+rule: if flag() then n() := 1 else n() := 2
+"""
+
+
+def test_check_read_of_one_forged_for_true_is_not_serializable(tmp_path,
+                                                               capsys):
+    from taserial.dsl import parse_program
+    from taserial.engine import RunConfig, run, write_trace
+
+    path = tmp_path / "flag.jsonl"
+    write_trace(run(RunConfig(machines=[parse_program(FLAG)])), str(path))
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    (step,) = [ms for rec in records[1:-1] for ms in rec["machines"].values()
+               if ms["proper"]]
+    (read,) = [r for r in step["reads"] if r[0] == ["flag", []]]
+    assert read[1] == ["b", True]
+    read[1] = ["i", 1]
+    assert _check_records(tmp_path, records) == 3
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["what"] == "read" and witness["location"] == ["flag", []]
+    assert (witness["left"], witness["right"]) == (["i", 1], ["b", True])
+
+
+@pytest.mark.parametrize("value", [["s", 0], ["i", "0"], ["x", 0],
+                                   ["i", False]])
+def test_check_forged_value_tag_exits_one(tmp_path, capsys, value):
+    records = _counter_trace_records(tmp_path)
+    read = next(r for rec in records[1:-1] for ms in rec["machines"].values()
+                if ms["proper"] for r in ms["reads"] if r[1] == ["i", 0])
+    read[1] = value
+    _check_malformed(tmp_path, capsys, records,
+                     f"malformed value {value!r}")
+
+
+def test_check_step_after_the_last_commit_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    last = records[-2]
+    assert any(ev["kind"] == "commit" for ev in last["events"])
+    records.insert(-1, {"type": "step", "index": last["index"] + 1,
+                        "machines": {}, "events": [],
+                        "state_hash": last["state_hash"]})
+    _check_malformed(tmp_path, capsys, records, "status 'done'")
+
+
+def test_check_accepts_a_trace_in_which_nothing_registered(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path, only=[])
+    assert records[-1]["status"] == "done" and len(records) == 2
+    assert _check_records(tmp_path, records) == 0
+
+
+def test_run_names_the_machine_whose_own_updates_clash(tmp_path, capsys):
+    (tmp_path / "m.tas").write_text(
+        "machine m terminated: false rule: par { x() := 1 ; x() := 2 }")
+    (tmp_path / "manifest.json").write_text(json.dumps({"programs": ["m.tas"]}))
+    assert main(["run", str(tmp_path / "manifest.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0: machine m writes clashing updates")
+    assert "invariant violation" not in err

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from taserial.asm import Location
+from taserial.asm import TRUE, Location
 from taserial.controller import (
     ControllerState,
     EmptyHistory,
@@ -102,6 +102,17 @@ def test_release_pair_keeps_older_read_lock():
     t.release("a", pair(w=("x",)))
     assert t.w_holder(loc("x")) is None
     assert t.r_holders(loc("x")) == frozenset({"a"})
+
+
+def test_lock_table_keeps_one_and_true_apart():
+    one, true = loc("f", 1), loc("f", TRUE)
+    t = LockTable()
+    t.grant("a", LockPair(w_loc=frozenset({one})))
+    t.grant("b", LockPair(w_loc=frozenset({true})))
+    t.check()
+    assert (t.w_holder(one), t.w_holder(true)) == ("a", "b")
+    t.release("b", LockPair(w_loc=frozenset({true})))
+    assert (t.w_holder(one), t.w_holder(true)) == ("a", None)
 
 
 def test_release_all_clears_both_kinds():
@@ -438,6 +449,22 @@ def test_kept_wait_graph_follows_lock_table_changes():
     assert deadlocked(cs) == frozenset()
     cs.locks.grant("b", LockPair(frozenset(), held))
     assert deadlocked(cs) == {"a", "b"}
+
+
+def test_wait_graph_keeps_one_and_true_apart():
+    # m1 holds f(1) and waits for f(true); m0 holds f(true) and waits for
+    # f(2): nobody waits for m1, so there is no cycle.
+    cs = fresh()
+    cs.locks.grant("m1", LockPair(w_loc=frozenset({loc("f", 1)})))
+    cs.locks.grant("m0", LockPair(w_loc=frozenset({loc("f", TRUE)})))
+    cs.locks.grant("m2", LockPair(w_loc=frozenset({loc("f", 2)})))
+    cs.transact.add("m2")
+    request(cs, "m1", LockPair(r_loc=frozenset({loc("f", TRUE)})))
+    request(cs, "m0", LockPair(r_loc=frozenset({loc("f", 2)})))
+    assert deadlocked(cs) == frozenset()
+    assert cs.wait_graph.out == {"m1": {"m0"}, "m0": {"m2"}}
+    assert set(cs.wait_graph.waiters[loc("f", TRUE)]) == {"m1"}
+    assert loc("f", 1) not in cs.wait_graph.waiters
 
 
 # -- one request record per machine, changed by effects ----------------------

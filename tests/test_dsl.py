@@ -8,6 +8,7 @@ from taserial.asm import (
     ChooseDo,
     Eq,
     Exists,
+    FALSE,
     If,
     Location,
     Lt,
@@ -15,6 +16,7 @@ from taserial.asm import (
     Or,
     Par,
     Skip,
+    TRUE,
     UNDEF,
     Var,
     assign_choice_ids,
@@ -24,6 +26,7 @@ from taserial.dsl import (
     ProgramError,
     parse_program,
     print_program,
+    print_value,
 )
 from taserial.fuzz import FuzzParams, random_config
 
@@ -114,9 +117,13 @@ def test_literals_and_symbols():
     prog = parse_program(text)
     inits = dict(prog.inits)
     assert inits[Location("mode", ())] == "idle"
-    assert inits[Location("flag", ())] is False
+    assert inits[Location("flag", ())] is FALSE
     assert inits[Location("gap", ())] is UNDEF
     assert parse_program(print_program(prog)).main_rule == prog.main_rule
+    assert [print_value(v) for v in (TRUE, FALSE, UNDEF, 1, "red")] == [
+        "true", "false", "undef", "1", "'red"]
+    with pytest.raises(TypeError):
+        print_value(True)
 
 
 def test_choose_and_quantifiers_round_trip():
@@ -241,7 +248,7 @@ def test_parse_error_message_and_position(text, message, line, column):
 # -- parentheses in formula position ------------------------------------------
 
 X, Y, ONE, TWO = Apply("x"), Apply("y"), Apply("1"), Apply("2")
-TRUE = Eq(Apply("0"), Apply("0"))
+ALWAYS = Eq(Apply("0"), Apply("0"))
 
 
 def _terminated(formula):
@@ -272,8 +279,8 @@ def test_parenthesised_term_starts_a_comparison(parse, text, expected):
     ("((x()) + 1) = 2", Eq(Apply("+", (X, ONE)), TWO)),
     ("(x() = 1) and y()", And(Eq(X, ONE), Atom("y"))),
     ("not (x())", Not(Atom("x"))),
-    ("(true)", TRUE),
-    ("(false) or (x())", Or(Not(TRUE), Atom("x"))),
+    ("(true)", ALWAYS),
+    ("(false) or (x())", Or(Not(ALWAYS), Atom("x"))),
     ("exists v . (v) = 1", Exists("v", Eq(Var("v"), ONE))),
     ("(-(x())) < 1", Lt(Apply("-", (Apply("0"), X)), ONE)),
     ("((x() = 1) or (y() < 2))", Or(Eq(X, ONE), Lt(Y, TWO))),

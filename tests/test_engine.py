@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from taserial import controller, engine
-from taserial.asm import Location, State
+from taserial.asm import FALSE, TRUE, Location, State
 from taserial.checker import check_serializable
 from taserial.dsl import parse_program, print_program
 from taserial.engine import (
@@ -141,9 +141,30 @@ def test_truncated_trace_is_malformed():
 
 
 def test_value_encoding_keeps_types():
-    for v in (0, 1, -3, True, False, "sym", UNDEF):
+    for v in (0, 1, -3, TRUE, FALSE, "sym", UNDEF):
         w = decode_value(encode_value(v))
-        assert type(w) is type(v) and (w == v or (v is UNDEF and w is UNDEF))
+        assert type(w) is type(v) and w == v
+    assert encode_value(TRUE) == ["b", True] and encode_value(1) == ["i", 1]
+    for v in (True, False, 1.0, None):
+        with pytest.raises(TypeError):
+            encode_value(v)
+
+
+@pytest.mark.parametrize("payload", [
+    ["s", 0], ["i", "0"], ["x", 0], ["i", False], ["b", 1], ["s"], ["u", 0],
+    "i0", None, ["i", 0, 0]])
+def test_value_decoding_is_exact(payload):
+    with pytest.raises(MalformedTrace):
+        decode_value(payload)
+
+
+def test_encoding_keeps_one_and_true_apart():
+    pairs = {(loc("a", 1), 5), (loc("a", TRUE), 6), (loc("x"), TRUE)}
+    lines = engine.encode_pairs(pairs)
+    assert lines == [[["a", [["b", True]]], ["i", 6]],
+                     [["a", [["i", 1]]], ["i", 5]],
+                     [["x", []], ["b", True]]]
+    assert set(engine.decode_pairs(lines)) == pairs
 
 
 def test_interleave_mode_runs_and_serializes():
@@ -222,22 +243,21 @@ def test_digest_follows_undef_then_rewrite():
 
 def test_digest_follows_int_bool_changes():
     x = loc("x")
-    _follow({x: 1}, [{(x, True)}, {(x, 1)}, {(x, False)}, {(x, 0)},
-                     {(x, "s")}, {(x, True)}])
+    _follow({x: 1}, [{(x, TRUE)}, {(x, 1)}, {(x, FALSE)}, {(x, 0)},
+                     {(x, "s")}, {(x, TRUE)}])
 
 
-def test_digest_keeps_first_key_of_equal_locations():
-    f_true, f_one = loc("f", True), loc("f", 1)
-    assert f_true == f_one and hash(f_true) == hash(f_one)
+def test_digest_keeps_int_and_bool_locations_apart():
+    f_true, f_one = loc("f", TRUE), loc("f", 1)
+    assert f_true != f_one
     state = _follow({f_true: 5, loc("g"): 0}, [
-        {(f_one, 7)},      # the dict keeps f(true) as the key
+        {(f_one, 7)},
         {(f_one, 8), (loc("a"), 1)},
         {(f_one, UNDEF)},
-        {(f_one, 9)},      # now f(1) is the key
+        {(f_one, 9)},
         {(f_true, 10)},
     ])
-    [key] = [l for l in state.values if l.func == "f"]
-    assert key.args[0] is not True
+    assert state.values == {f_true: 10, f_one: 9, loc("g"): 0, loc("a"): 1}
 
 
 def test_engine_no_longer_digests_whole_states(monkeypatch):

@@ -22,17 +22,21 @@ from taserial.asm import (
     Seq,
     Skip,
     State,
+    TRUE,
     TypeMismatch,
     UNDEF,
     UnboundVariable,
     UndefArgument,
     Var,
+    InconsistentUpdateSet,
+    apply_updates,
     assign_choice_ids,
+    consistent,
     update_locations,
     yields,
 )
 from taserial.dsl import parse_program, print_program
-from taserial.engine import RunConfig, encode_pairs, run, trace_to_lines
+from taserial.engine import RunConfig, run, trace_to_lines
 from taserial.fuzz import (
     FuzzParams,
     random_body,
@@ -228,9 +232,9 @@ ERROR_CASES = [
     (Assign(Apply("a", (Apply("missing"),)), Apply("1")), {}, UndefArgument),
     (Assign(Apply("x"), Apply("f", (Apply("undef"),))), {}, UndefArgument),
     (If(Atom("flag"), Skip(), Skip()), {loc("flag"): 3}, TypeMismatch),
-    (If(Lt(Apply("b"), Apply("1")), Skip(), Skip()), {loc("b"): True}, TypeMismatch),
+    (If(Lt(Apply("b"), Apply("1")), Skip(), Skip()), {loc("b"): TRUE}, TypeMismatch),
     (If(Lt(Apply("true"), Apply("1")), Skip(), Skip()), {}, TypeMismatch),
-    (Assign(Apply("x"), Apply("+", (Apply("b"), Apply("1")))), {loc("b"): True},
+    (Assign(Apply("x"), Apply("+", (Apply("b"), Apply("1")))), {loc("b"): TRUE},
      TypeMismatch),
     (Assign(Apply("x"), Apply("-", (Apply("true"), Apply("1")))), {}, TypeMismatch),
     (Assign(Apply("x"), Apply("+", (Apply("1"),))), {}, ArityMismatch),
@@ -255,13 +259,13 @@ def _pick(guard):
 
 VALUE_CASES = [
     # constants and locations holding bools, symbols and undef
-    (_pick(Eq(Apply("b"), Apply("1"))), {loc("b"): True}),
-    (_pick(Eq(Apply("b"), Apply("true"))), {loc("b"): True}),
+    (_pick(Eq(Apply("b"), Apply("1"))), {loc("b"): TRUE}),
+    (_pick(Eq(Apply("b"), Apply("true"))), {loc("b"): TRUE}),
     (_pick(Eq(Apply("true"), Apply("1"))), {}),
     (_pick(Eq(Apply("u"), Apply("undef"))), {}),
     (_pick(Eq(Apply("c"), Apply("'red"))), {loc("c"): "red"}),
-    (_pick(Eq(Apply("c"), Apply("d"))), {loc("c"): 1, loc("d"): True}),
-    (_pick(Atom("flag")), {loc("flag"): True}),
+    (_pick(Eq(Apply("c"), Apply("d"))), {loc("c"): 1, loc("d"): TRUE}),
+    (_pick(Atom("flag")), {loc("flag"): TRUE}),
     (_pick(Atom("flag")), {}),
     (Assign(Apply("x"), Apply("-", (Apply("n"), Apply("3")))), {loc("n"): 1}),
     (Assign(Apply("x"), Apply("-", (Apply("3"), Apply("n")))), {loc("n"): 1}),
@@ -332,9 +336,9 @@ def test_call_parameter_shadowed_by_binder():
     # The inconsistent middle item ends the block: z is not written.
     ("x() := 1", "par { y() := x() ; y() := 2 }", "z() := 5",
      {(loc("x"), 1), (loc("y"), 1), (loc("y"), 2)}),
-    # a(1) and a(true) are one location; the later write's pair is kept.
+    # a(1) and a(true) are two locations.
     ("a(1) := 5", "a(true) := 6", "b() := 0",
-     {(loc("a", True), 6), (loc("b"), 0)}),
+     {(loc("a", 1), 5), (loc("a", TRUE), 6), (loc("b"), 0)}),
 ])
 def test_seq_block_equals_nested_seqs(a, b, c, updates):
     flat = parse_program(f"machine m rule: seq {{ {a} ; {b} ; {c} }}").main_rule
@@ -343,18 +347,45 @@ def test_seq_block_equals_nested_seqs(a, b, c, updates):
     assert len(flat.items) == 3 and len(nested.items) == 2
     s = State({loc("z"): 3})
 
-    # encode_pairs tells true from 1, which == on update sets does not.
     def spec(r):
         reads = []
         u = yields(r, s, {}, res(), on_read=lambda l, v: reads.append((l, v)))
-        return encode_pairs(u), reads
+        return u, reads
 
     def compiled(r):
         log = {}
         rw = rw_rule(r, s, {}, res(), read_log=log)
-        return encode_pairs(rw.updates), rw.reads, rw.writes, list(log.items())
+        return rw.updates, rw.reads, rw.writes, list(log.items())
 
     assert spec(flat) == spec(nested)
-    assert spec(flat)[0] == encode_pairs(updates)
+    assert spec(flat)[0] == updates
     assert compiled(flat) == compiled(nested)
-    assert compiled(flat)[0] == encode_pairs(updates)
+    assert compiled(flat)[0] == updates
+
+
+def test_compiled_pass_keeps_one_and_true_apart():
+    s = State({loc("b"): TRUE, loc("n"): 1})
+    for block in ("par", "seq"):
+        rule = parse_program(
+            f"machine m rule: {block} {{ a(1) := 5 ; a(true) := 6 }}").main_rule
+        assert rw_rule(rule, s, {}, res()).updates == frozenset(
+            {(loc("a", 1), 5), (loc("a", TRUE), 6)})
+    rule = parse_program(
+        "machine m rule: par { if b() = 1 then x() := 1 else skip ; "
+        "if b() = true then y() := 1 else skip ; "
+        "if b() = n() then z() := 1 else skip }").main_rule
+    assert rw_rule(rule, s, {}, res()).updates == frozenset({(loc("y"), 1)})
+
+
+@pytest.mark.parametrize("items", ["x() := 1 ; x() := true",
+                                   "x() := true ; x() := 1"])
+def test_one_and_true_clash_in_both_evaluators(items):
+    prog = parse_program(f"machine m terminated: false rule: par {{ {items} }}")
+    clash = frozenset({(loc("x"), 1), (loc("x"), TRUE)})
+    for updates in (yields(prog.main_rule, State(), {}, res()),
+                    rw_rule(prog.main_rule, State(), {}, res()).updates):
+        assert updates == clash and not consistent(updates)
+        with pytest.raises(InconsistentUpdateSet):
+            apply_updates(State(), updates)
+    with pytest.raises(InconsistentUpdateSet, match="machine m"):
+        run(RunConfig(machines=[prog]))

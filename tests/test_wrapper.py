@@ -1,6 +1,6 @@
 import pytest
 
-from taserial.asm import UNDEF, Location, State
+from taserial.asm import TRUE, UNDEF, Location, State
 from taserial.dsl import parse_program
 from taserial.wrapper import (
     ACTIVE,
@@ -311,7 +311,7 @@ def test_replaced_main_rule_reruns_analysis(analyses):
 
 
 def test_read_value_of_another_type_reruns_analysis(analyses):
-    # 1 == True in Python, but not as machine values.
+    # The logged read 1 no longer holds once flag() is true.
     prog = parse_program("""\
 machine m
 shared x flag
@@ -321,6 +321,6 @@ rule: if flag() = 1 then x() := 1 else x() := 2
 """)
     tcb = MachineCtl("m")
     pair = _request(prog, tcb, State({loc("x"): 0, loc("flag"): 1}))
-    out = _grant(prog, tcb, State({loc("x"): 0, loc("flag"): True}), pair)
+    out = _grant(prog, tcb, State({loc("x"): 0, loc("flag"): TRUE}), pair)
     assert len(analyses) == 2
     assert out.updates == frozenset({(loc("x"), 2)})
