@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .asm import AsmError, Location, loc_key
+from .asm import FALSE, TRUE, UNDEF, AsmError, Location, loc_key
 from .wrapper import ControllerView, HistoryEntry, LockPair
 
 
@@ -167,6 +167,10 @@ class ControllerState:
     histories: Dict[str, List[HistoryEntry]] = field(default_factory=dict)
     wait_graph: WaitGraph = field(default_factory=WaitGraph, repr=False,
                                   compare=False)
+    # pair -> its trace payload: refused and undone machines re-request the
+    # same locations, so equal pairs recur throughout a run
+    lock_payloads: Dict[LockPair, dict] = field(default_factory=dict,
+                                                repr=False, compare=False)
 
     def check_invariants(self) -> None:
         self.locks.check()
@@ -269,10 +273,16 @@ def lock_handler_step(cs: ControllerState, rng: random.Random, policy: str,
                       ) -> List[tuple]:
     """Handle one pending lock request: grant it or (in retry mode) refuse
     it.  `waits_for` is `cs.wait_graph.out` as `deadlocked(cs)` leaves it, so
-    a pending request can be granted iff its machine waits for nobody."""
+    a pending request can be granted iff its machine waits for nobody.
+
+    In suspend mode a victim's request is not answered: its wrapper
+    withdraws it in this same step, and a grant applied after the
+    withdrawal would leave the victim holding locks no history entry
+    covers."""
     reqs = [(m, r.pair) for m, r in cs.requests.items() if r.status == PENDING]
     if wait_mode == "suspend":
-        reqs = [t for t in reqs if t[0] not in waits_for]
+        reqs = [t for t in reqs
+                if t[0] not in waits_for and t[0] not in cs.victims]
     if not reqs:
         return []
     machine, locks = LOCK_POLICIES[policy](reqs, rng)
@@ -506,13 +516,13 @@ def recovery_step(cs: ControllerState, rng: random.Random,
 # compute phase)
 
 
-def effect_event(effect: tuple) -> Optional[dict]:
+def effect_event(cs: ControllerState, effect: tuple) -> Optional[dict]:
     """The trace event an effect records, or None for the effects the trace
     shows only through the machines' steps."""
     kind, machine = effect[0], effect[1]
     if kind in ("grant", "refuse"):
         return {"kind": "lock_" + kind, "machine": machine,
-                "locks": _lock_pair_payload(effect[2])}
+                "locks": _lock_pair_payload(cs, effect[2])}
     if kind in ("lock_request", "commit", "victimize"):
         return {"kind": kind, "machine": machine}
     if kind == "unvictimize":
@@ -521,14 +531,25 @@ def effect_event(effect: tuple) -> Optional[dict]:
         entry = effect[2]
         return {"kind": "undo", "machine": machine,
                 "origin_step": entry.origin_step,
-                "locks": _lock_pair_payload(entry.locks),
+                "locks": _lock_pair_payload(cs, entry.locks),
                 "restored": list(entry.saved)}
     return None
 
 
-def _lock_pair_payload(locks: LockPair):
-    return {"r": sorted(locks.r_loc, key=loc_key),
-            "w": sorted(locks.w_loc, key=loc_key)}
+_JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
+
+
+def _lock_pair_payload(cs: ControllerState, locks: LockPair) -> dict:
+    """The pair's locations, each kind sorted, as v1 writes them: arguments
+    untagged, and true, false and undef as JSON true, false and null.  Built
+    once per pair and run; the payload is shared, never mutated."""
+    payload = cs.lock_payloads.get(locks)
+    if payload is None:
+        payload = cs.lock_payloads[locks] = {
+            kind: [(l.func, tuple(_JSON_CONSTANTS.get(a, a) for a in l.args))
+                   for l in sorted(ls, key=loc_key)]
+            for kind, ls in (("r", locks.r_loc), ("w", locks.w_loc))}
+    return payload
 
 
 def apply_effect(cs: ControllerState, effect: tuple,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -35,10 +36,10 @@ from .dsl import MachineProgram, parse_program, print_program
 from .seeds import make_rng
 from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     ACTIVE,
+    DONE,
     IDLE_STEP,
     MachineCtl,
     MachineStep,
-    UNREGISTERED,
     WAIT_LOCKS,
     WAIT_RECOVERY,
     wrapper_step,
@@ -253,7 +254,13 @@ def encode_location(loc: Location):
 
 
 def decode_location(payload) -> Location:
-    return Location(payload[0], tuple(decode_value(a) for a in payload[1]))
+    """The location `encode_location` wrote; any other shape is
+    MalformedTrace."""
+    if type(payload) is list and len(payload) == 2:
+        func, args = payload
+        if type(func) is str and type(args) is list:
+            return Location(func, tuple(decode_value(a) for a in args))
+    raise MalformedTrace(f"malformed location {payload!r}")
 
 
 def encode_pairs(pairs) -> list:
@@ -275,40 +282,60 @@ def state_digest(state: State) -> str:
 _encode_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
+def _value_json(v: Value) -> str:
+    """`_encode_json(encode_value(v))`, an int without the JSON call."""
+    if type(v) is int:
+        return f'["i",{v}]'
+    return _encode_json(encode_value(v))
+
+
 class _StateDigest:
     """`state_digest` kept up to date from each step's delta.
 
-    Holds one canonical JSON fragment `[location, value]` per location, so a
-    step re-encodes only the locations it wrote, and re-sorts only when a
-    location appears or disappears (is written undef).
+    Holds one canonical JSON fragment `[location,value]` per location, and
+    each location's encoded head `[location,`, so a step re-encodes only the
+    values it wrote.  It re-sorts only when a location appears or disappears
+    (is written undef), and re-hashes only when a fragment changed: a step
+    that changes no location keeps the last digest.
     """
 
-    __slots__ = ("entries", "order")
+    __slots__ = ("entries", "heads", "order", "last")
 
     def __init__(self, values: Dict[Location, Value]):
         self.entries: Dict[Location, str] = {}
+        self.heads: Dict[Location, str] = {}
         self.order: Optional[List[Location]] = None
+        self.last: Optional[str] = None
         self.update(values.items())
 
     def update(self, delta) -> None:
         """Follow `State.with_updates(delta)`."""
-        entries = self.entries
+        entries, heads = self.entries, self.heads
         for loc, val in delta:
             if val is UNDEF:
                 if entries.pop(loc, None) is not None:
-                    self.order = None
+                    self.order = self.last = None
                 continue
-            if loc not in entries:
-                self.order = None
-            entries[loc] = _encode_json([encode_location(loc),
-                                         encode_value(val)])
+            head = heads.get(loc)
+            if head is None:
+                head = heads[loc] = "[" + _encode_json(encode_location(loc)) + ","
+            entry = head + _value_json(val) + "]"
+            old = entries.get(loc)
+            if entry != old:
+                if old is None:
+                    self.order = None
+                entries[loc] = entry
+                self.last = None
 
     def hexdigest(self) -> str:
-        if self.order is None:
-            self.order = sorted(self.entries, key=loc_key)
-        entries = self.entries
-        blob = "[" + ",".join([entries[l] for l in self.order]) + "]"
-        return hashlib.blake2b(blob.encode("utf-8"), digest_size=8).hexdigest()
+        if self.last is None:
+            if self.order is None:
+                self.order = sorted(self.entries, key=loc_key)
+            entries = self.entries
+            blob = "[" + ",".join([entries[l] for l in self.order]) + "]"
+            self.last = hashlib.blake2b(blob.encode("utf-8"),
+                                        digest_size=8).hexdigest()
+        return self.last
 
 
 # ---------------------------------------------------------------------------
@@ -335,32 +362,37 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
     tcbs = {m: MachineCtl(machine_id=m) for m in active_ids}
     committed: List[str] = []
     steps: List[StepRecord] = []
-    reg_step = {m: config.registration.get(m, 0) for m in active_ids}
+    joining: Dict[int, List[str]] = {}  # step index -> machines registering
+    for m in order:
+        joining.setdefault(config.registration.get(m, 0), []).append(m)
+    live: List[str] = []  # registered and not done, in name order
 
     status = "budget"
     for index in range(config.max_steps):
         events: List[dict] = []
         # Registration is the entry into the controller's supervision; the
         # history starts empty.
-        for m in order:
-            if reg_step[m] == index and tcbs[m].ctl_state == UNREGISTERED:
+        if index in joining:
+            for m in joining[index]:
                 tcbs[m].ctl_state = ACTIVE
                 cs.transact.add(m)
                 cs.histories[m] = []
                 events.append({"kind": "register", "machine": m})
+            live = sorted(live + joining[index])
 
         # Each registered machine commits once.
         if len(committed) == len(tcbs):
             status = "done"
             break
 
-        acting_machines, controller_acts = _acting(config, order, tcbs,
+        acting_machines, controller_acts = _acting(config.run_mode, live,
                                                    seed, index)
 
         # Compute phase: every agent reads the same snapshot.
         per_machine: Dict[str, MachineStep] = {}
         effects: List[tuple] = []
         updates: set = set()
+        finished: List[str] = []
         for m in acting_machines:
             tcb = tcbs[m]
             if _idle(tcb, cs, suspend):
@@ -372,8 +404,12 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             per_machine[m] = ms
             if ms.ctl_change is not None:  # read by this machine alone
                 tcb.ctl_state = ms.ctl_change[1]
+                if tcb.ctl_state == DONE:
+                    finished.append(m)
             updates |= ms.updates
             effects += eff
+        if finished:
+            live = [m for m in live if m not in finished]
 
         ctl_effects: List[tuple] = []
         if controller_acts:
@@ -402,7 +438,10 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         # trace records the controller's events, then the lock requests.
         for eff in effects + ctl_effects:
             ctl.apply_effect(cs, eff, committed)
-        events += filter(None, map(ctl.effect_event, ctl_effects + effects))
+        for eff in ctl_effects + effects:
+            event = ctl.effect_event(cs, eff)
+            if event is not None:
+                events.append(event)
 
         steps.append(StepRecord(index=index, per_machine=per_machine,
                                 events=events, state_hash=digest.hexdigest()))
@@ -446,14 +485,12 @@ class _Stream:
         return self.rng.randrange(*args)
 
 
-def _acting(config: RunConfig, order, tcbs, seed: int, index: int):
-    registered = [m for m in order
-                  if tcbs[m].ctl_state in (ACTIVE, WAIT_LOCKS, WAIT_RECOVERY)]
-    if config.run_mode == "sync":
-        return registered, True
-    agents = registered + ["<controller>"]
-    if not agents:
-        return [], False
+def _acting(run_mode: str, live: List[str], seed: int, index: int):
+    """The machines that compute this step, and whether the controller
+    does: all of them in sync mode, else one agent drawn for the step."""
+    if run_mode == "sync":
+        return live, True
+    agents = live + ["<controller>"]
     rng = make_rng(seed, "interleave", index)
     chosen = agents[rng.randrange(len(agents))]
     if chosen == "<controller>":
@@ -498,14 +535,15 @@ class MalformedTrace(AsmError):
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+# What `state_digest` returns; the encoder writes it without escaping.
+_HEX_DIGEST = re.compile("[0-9a-f]{16}").fullmatch
+
 # `IDLE_STEP` as its trace record writes it, and the record decoded.
 _IDLE_JSON = '{"ctl":null,"proper":false,"reads":[],"updates":[]}'
 _IDLE_PAYLOAD = json.loads(_IDLE_JSON)
 
 
 def _machine_step_json(ms: MachineStep) -> str:
-    if ms is IDLE_STEP:
-        return _IDLE_JSON
     return _dump({
         "updates": encode_pairs(ms.updates),
         "reads": encode_pairs(ms.reads),
@@ -526,21 +564,31 @@ def trace_to_lines(trace: Trace) -> List[str]:
         "initial_state": encode_pairs(trace.initial_values.items()),
     }
     lines = [_dump(header)]
+    # machine -> its `"name":` key and its idle record, built once per trace
+    keyed: Dict[str, Tuple[str, str]] = {}
     for rec in trace.steps:
-        machines = ",".join([_dump(m) + ":" + _machine_step_json(ms)
-                             for m, ms in sorted(rec.per_machine.items())])
+        parts = []
+        for m, ms in sorted(rec.per_machine.items()):
+            named = keyed.get(m)
+            if named is None:
+                key = _dump(m) + ":"
+                named = keyed[m] = (key, key + _IDLE_JSON)
+            parts.append(named[1] if ms is IDLE_STEP
+                         else named[0] + _machine_step_json(ms))
         events = []
         for ev in rec.events:
-            ev = dict(ev)
             if "restored" in ev:
+                ev = dict(ev)
                 ev["restored"] = encode_pairs(ev["restored"])
             events.append(ev)
-        # The canonical record, keys in sorted order, assembled from parts.
-        lines.append('{"events":' + _dump(events)
-                     + ',"index":' + _dump(rec.index)
-                     + ',"machines":{' + machines
-                     + '},"state_hash":' + _dump(rec.state_hash)
-                     + ',"type":"step"}')
+        # The canonical record, keys in sorted order, assembled from parts;
+        # the index is an int and the state hash a hex digest, so neither
+        # needs a JSON call.
+        lines.append('{"events":' + (_dump(events) if events else "[]")
+                     + ',"index":' + str(rec.index)
+                     + ',"machines":{' + ",".join(parts)
+                     + '},"state_hash":"' + rec.state_hash
+                     + '","type":"step"}')
     lines.append(_dump({
         "type": "final",
         "status": trace.status,
@@ -592,6 +640,10 @@ def trace_from_lines(lines: List[str]) -> Trace:
             if type(rec["index"]) is not int or rec["index"] != len(steps):
                 raise MalformedTrace(f"step record {len(steps)} has index "
                                      f"{rec['index']!r}")
+            state_hash = rec["state_hash"]
+            if type(state_hash) is not str or not _HEX_DIGEST(state_hash):
+                raise MalformedTrace(f"step record {len(steps)} has state "
+                                     f"hash {state_hash!r}")
             per_machine = {}
             for m, ms in rec["machines"].items():
                 # Only the exact record: `"proper":0` decodes as before.
@@ -614,7 +666,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     last_commit = len(steps) + 1
                 events.append(ev)
             steps.append(StepRecord(index=rec["index"], per_machine=per_machine,
-                                    events=events, state_hash=rec["state_hash"]))
+                                    events=events, state_hash=state_hash))
         if committed != commits:
             raise MalformedTrace(f"committed {committed} is not the order of "
                                  f"the commit events {commits}")

@@ -557,3 +557,57 @@ def test_run_names_the_machine_whose_own_updates_clash(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: step 0: machine m writes clashing updates")
     assert "invariant violation" not in err
+
+
+INDEXED = """\
+machine {name}
+shared a
+init pc_{name}() := 0
+terminated: pc_{name}() = 1
+rule: par {{ pc_{name}() := 1 ; a({arg}) := 5 }}
+"""
+
+
+@pytest.mark.parametrize("arg,written", [("true", '["a",[true]]'),
+                                         ("1", '["a",[1]]')])
+def test_run_and_check_locks_on_an_indexed_location(tmp_path, capsys, arg,
+                                                    written):
+    for name in ("m0", "m1"):
+        (tmp_path / f"{name}.tas").write_text(
+            INDEXED.format(name=name, arg=arg))
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"programs": ["m0.tas", "m1.tas"], "seed": 1}))
+    trace_file = tmp_path / "t.jsonl"
+    assert main(["run", str(tmp_path / "manifest.json"),
+                 "--trace", str(trace_file)]) == 0
+    grants = [ev for line in trace_file.read_text().splitlines()[1:-1]
+              for ev in json.loads(line)["events"]
+              if ev["kind"] == "lock_grant"]
+    assert len(grants) == 2
+    # A target is read too, so the write lock comes with a read lock.
+    assert (f'"locks":{{"r":[{written}],"w":[{written}]}}'
+            in trace_file.read_text())
+    assert main(["check", str(trace_file)]) == 0
+
+
+@pytest.mark.parametrize("location", [[7, []], ["x", 7], ["x"], "x",
+                                      ["x", [], []]])
+def test_check_forged_location_exits_one(tmp_path, capsys, location):
+    records = _counter_trace_records(tmp_path)
+    read = next(r for rec in records[1:-1] for ms in rec["machines"].values()
+                if ms["proper"] for r in ms["reads"])
+    read[0] = location
+    _check_malformed(tmp_path, capsys, records,
+                     f"malformed location {location!r}")
+
+
+@pytest.mark.parametrize("state_hash", [5, None, "abc", '0123456789abcde"',
+                                        "0123456789ABCDEF"])
+def test_check_forged_state_hash_shape_exits_one(tmp_path, capsys,
+                                                 state_hash):
+    # The encoder writes a state hash unescaped, so only a hex digest
+    # decodes.
+    records = _counter_trace_records(tmp_path)
+    records[1]["state_hash"] = state_hash
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record 0 has state hash {state_hash!r}")

@@ -1,11 +1,12 @@
 import inspect
 import itertools
+import json
 import random
 import re
 
 import pytest
 
-from taserial.asm import TRUE, Location
+from taserial.asm import FALSE, TRUE, UNDEF, Location
 from taserial.controller import (
     ControllerState,
     EmptyHistory,
@@ -164,6 +165,21 @@ def test_suspend_mode_never_refuses():
     cs.locks.grant("m1", pair(w=("x",)))
     request(cs, "m0", pair(r=("x",)))
     assert handle_locks(cs, rng(), "fifo", wait_mode="suspend") == []
+
+
+def test_suspend_mode_does_not_answer_a_victims_grantable_request():
+    # A victim's wrapper withdraws its pending request in the same step, so
+    # a grant would leave it holding locks no history entry covers.
+    cs = fresh()
+    request(cs, "m0", pair(r=("x",)))
+    cs.victims.add("m0")
+    assert handle_locks(cs, rng(), "fifo", wait_mode="suspend") == []
+    request(cs, "m1", pair(r=("y",)))
+    assert handle_locks(cs, rng(), "random", wait_mode="suspend") == [
+        ("grant", "m1", pair(r=("y",)))]
+    # Retry mode answers victims: their wrappers read the refusal first.
+    assert handle_locks(cs, rng(), "fifo", wait_mode="retry") == [
+        ("grant", "m0", pair(r=("x",)))]
 
 
 def test_grant_effect_updates_tables_and_flags():
@@ -582,11 +598,30 @@ EFFECT_EVENTS = [
 
 
 def test_every_effect_kind_maps_to_its_event_or_none():
+    cs = fresh()
     for effect, event in EFFECT_EVENTS:
-        assert effect_event(effect) == event, effect[0]
+        assert effect_event(cs, effect) == event, effect[0]
     # The table names every kind `apply_effect` applies, and no other.
     applied = re.findall(r'kind == "(\w+)"', inspect.getsource(apply_effect))
     assert sorted(applied) == sorted(e[0] for e, _ in EFFECT_EVENTS)
+
+
+def test_lock_payload_is_built_once_per_pair_and_run():
+    cs = fresh()
+    first = effect_event(cs, ("grant", "a", pair(r=("y", "x"))))["locks"]
+    again = effect_event(cs, ("refuse", "b", pair(r=("x", "y"))))["locks"]
+    assert again is first
+    other_run = effect_event(fresh(), ("grant", "a", pair(r=("x", "y"))))
+    assert other_run["locks"] == first and other_run["locks"] is not first
+
+
+def test_lock_payload_writes_constants_as_json():
+    pair_ = LockPair(frozenset({loc("a", TRUE), loc("a", 1)}),
+                     frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
+    payload = effect_event(fresh(), ("grant", "a", pair_))["locks"]
+    assert json.dumps(payload, separators=(",", ":")) == (
+        '{"r":[["a",[true]],["a",[1]]],'
+        '"w":[["b",[false,"s"]],["c",[null]]]}')
 
 
 def test_unknown_effect_kind_is_an_error():

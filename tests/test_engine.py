@@ -564,3 +564,51 @@ def test_flat_block_of_5000_items_parses_prints_runs_and_round_trips(kind):
     assert check_serializable(trace).ok
     lines = trace_to_lines(trace)
     assert trace_to_lines(trace_from_lines(lines)) == lines
+
+
+# -- suspend mode: victims' requests are not answered ---------------------------
+
+# Runs that ended in `EmptyHistory` while the lock handler still granted a
+# victim's request in the step its wrapper withdrew it.
+SUSPEND_VICTIM_SEEDS = [(FUZZ_24, 83), (FUZZ_12, 683)]
+
+
+@pytest.mark.parametrize("params,seed", SUSPEND_VICTIM_SEEDS)
+def test_suspend_victim_withdrawal_runs_and_checks(params, seed):
+    config = random_config(seed, params)
+    assert config.wait_mode == "suspend"
+    trace = run(config)
+    assert trace.status == "done"
+    assert check_serializable(trace).ok
+    lines = trace_to_lines(trace)
+    assert trace_to_lines(trace_from_lines(lines)) == lines
+
+
+def _assert_held_locks_covered(cs):
+    """Each transacting machine's held locks, kind by kind, are covered by
+    its history entries' pairs plus its granted pair not yet read."""
+    for m in cs.transact:
+        pairs = [e.locks for e in cs.histories[m]]
+        r = cs.requests.get(m)
+        if r is not None and r.status == controller.GRANTED:
+            pairs.append(r.pair)
+        held_r = {l for l, ms in cs.locks.r_locked.items() if m in ms}
+        held_w = {l for l, w in cs.locks.w_locked.items() if w == m}
+        assert held_r <= set().union(*[p.r_loc for p in pairs]), m
+        assert held_w <= set().union(*[p.w_loc for p in pairs]), m
+
+
+@pytest.mark.parametrize("seeds", [[(None, s) for s in range(200)],
+                                   SUSPEND_VICTIM_SEEDS],
+                         ids=["default-0-199", "suspend-victims"])
+def test_held_locks_are_covered_by_history_every_step(monkeypatch, seeds):
+    real = controller.ControllerState.check_invariants
+
+    def check_invariants(cs):
+        real(cs)
+        _assert_held_locks_covered(cs)
+
+    monkeypatch.setattr(controller.ControllerState, "check_invariants",
+                        check_invariants)
+    for params, seed in seeds:
+        run(random_config(seed, params))
