@@ -18,6 +18,7 @@ from .checker import (
     check_serializable,
     cleanse,
 )
+from .controller import LockPair
 from .dsl import MachineProgram, ParseError, parse_program, print_program
 from .engine import (
     MalformedTrace,
@@ -28,7 +29,6 @@ from .engine import (
     write_trace,
 )
 from .rwloc import RwSet, rw_formula, rw_rule, rw_term
-from .wrapper import LockPair
 
 __all__ = [
     "FALSE",

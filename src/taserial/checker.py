@@ -70,11 +70,12 @@ def _undone_steps(trace: Trace) -> Dict[str, Set[int]]:
                 continue
             m = ev.get("machine")
             origin = ev.get("origin_step")
-            if m not in proper_steps:
+            if type(m) is not str or m not in proper_steps:
                 raise MalformedTrace(f"undo for unregistered machine {m!r}")
             if origin is None:
                 continue  # lock-only history entry, nothing was executed
-            if origin not in proper_steps[m] or origin >= rec.index:
+            if (type(origin) is not int or origin not in proper_steps[m]
+                    or origin >= rec.index):
                 raise MalformedTrace(
                     f"step {rec.index}: undo of {m} names invalid origin {origin}")
             if origin in undone[m]:

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .asm import FALSE, TRUE, UNDEF, AsmError, Location, loc_key
-from .wrapper import ControllerView, HistoryEntry, LockPair
+from .asm import FALSE, TRUE, UNDEF, AsmError, Location, Value, loc_key
 
 
 class LockInvariantViolation(AsmError):
@@ -28,17 +27,50 @@ class EmptyHistory(AsmError):
     that is not its youngest."""
 
 
+@dataclass(frozen=True)
+class LockPair:
+    r_loc: FrozenSet[Location] = frozenset()
+    w_loc: FrozenSet[Location] = frozenset()
+
+    def is_empty(self) -> bool:
+        return not self.r_loc and not self.w_loc
+
+    def all_locations(self) -> FrozenSet[Location]:
+        return self.r_loc | self.w_loc
+
+
+EMPTY_LOCKS = LockPair()
+
+
+@dataclass
+class HistoryEntry:
+    """Undo record for one proper step (last-in first-out).
+
+    saved holds the overwritten value of every location the step wrote, by
+    location.  Restoring the controlled values too, not only the shared and
+    output ones, makes a recovered machine re-execute from exactly the state
+    it had before the undone step, which the serializability argument needs.
+    A lock-only entry (granted locks kept for backtracking) saves nothing
+    and has no ordinal.
+    """
+
+    saved: Tuple[Tuple[Location, Value], ...]
+    locks: LockPair
+    origin_step: Optional[int] = None
+    ordinal: Optional[int] = None
+
+
 class LockTable:
     """Read/write lock ownership per location.
 
     Invariant: at most one writer per location, and a location with a writer
-    has no other readers.  Multiple read locks may coexist.  The location
-    maps are authoritative; a per-machine index of the same locks answers
-    `locked_by` and `w_locked_by` in time proportional to the locks held.
+    has no other readers.  Multiple read locks may coexist.  Beside the
+    location maps, a per-machine index of the same locks answers `locked_by`,
+    `w_locked_by` and `release_all` in time proportional to the locks held.
 
-    `grant`, `unlock_r` and `unlock_w` add each location whose holders they
-    change to `changed`, which `deadlocked` consumes; locks written into the
-    maps directly are not recorded there.
+    Only `grant`, `unlock_r` and `unlock_w` change the locks; they add each
+    location whose holders they change to `changed`, which `deadlocked`
+    consumes.
     """
 
     def __init__(self):
@@ -101,11 +133,9 @@ class LockTable:
             self.unlock_w(l, machine)
 
     def release_all(self, machine: str) -> None:
-        # Found from the location maps, not the index, so it also releases
-        # locks written into the maps directly; it runs once per commit.
-        for l in [l for l, ms in self.r_locked.items() if machine in ms]:
+        for l in list(self._r_by.get(machine, ())):
             self.unlock_r(l, machine)
-        for l in [l for l, m in self.w_locked.items() if m == machine]:
+        for l in list(self._w_by.get(machine, ())):
             self.unlock_w(l, machine)
 
     def check(self) -> None:
@@ -181,33 +211,12 @@ class ControllerState:
                 f"machines both committing and requesting/victimized: {sorted(bad)}")
 
 
-def answered(cs: ControllerState, machine: str) -> bool:
-    """Whether the machine's request was granted or refused and the wrapper
-    has not read the answer yet."""
-    r = cs.requests.get(machine)
-    return r is not None and r.status in (GRANTED, REFUSED)
-
-
 def next_ordinal(history: List[HistoryEntry]) -> int:
     """One past the ordinal of the youngest proper entry."""
     for entry in reversed(history):
         if entry.ordinal is not None:
             return entry.ordinal + 1
     return 0
-
-
-def controller_view(cs: ControllerState, machine: str) -> ControllerView:
-    """What the machine's wrapper step may read of the controller."""
-    r = cs.requests.get(machine)
-    status = r.status if r is not None else None
-    return ControllerView(
-        victim=machine in cs.victims,
-        granted=r.pair if status == GRANTED else None,
-        refused=r.pair if status == REFUSED else None,
-        held=cs.locks.locked_by(machine),
-        w_held=cs.locks.w_locked_by(machine),
-        ordinal=next_ordinal(cs.histories[machine]),
-    )
 
 
 def blockers(machine: str, locks: LockPair, cs: ControllerState) -> Set[str]:

@@ -36,12 +36,11 @@ from .dsl import MachineProgram, parse_program, print_program
 from .seeds import make_rng
 from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     ACTIVE,
+    CONTROL_STATES,
     DONE,
     IDLE_STEP,
     MachineCtl,
     MachineStep,
-    WAIT_LOCKS,
-    WAIT_RECOVERY,
     wrapper_step,
 )
 
@@ -352,7 +351,6 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         if m not in programs:
             raise UnknownMachine(m)
     order = sorted(active_ids)
-    suspend = config.wait_mode == "suspend"
 
     state = config.initial_state()
     initial_values = dict(state.values)
@@ -395,11 +393,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         finished: List[str] = []
         for m in acting_machines:
             tcb = tcbs[m]
-            if _idle(tcb, cs, suspend):
-                per_machine[m] = IDLE_STEP
-                continue
-            ms, eff = wrapper_step(programs[m], tcb, state,
-                                   ctl.controller_view(cs, m), seed, index,
+            ms, eff = wrapper_step(programs[m], tcb, state, cs, seed, index,
                                    config.wait_mode)
             per_machine[m] = ms
             if ms.ctl_change is not None:  # read by this machine alone
@@ -496,17 +490,6 @@ def _acting(run_mode: str, live: List[str], seed: int, index: int):
     if chosen == "<controller>":
         return [], True
     return [chosen], False
-
-
-def _idle(tcb: MachineCtl, cs: ctl.ControllerState, suspend: bool) -> bool:
-    """Whether the machine's wrapper step would do nothing at all: it waits
-    for locks with no answer and no victim flag to react to (the flag
-    matters only in suspend mode), or waits for recovery while still a
-    victim."""
-    m = tcb.machine_id
-    if tcb.ctl_state == WAIT_LOCKS:
-        return not ctl.answered(cs, m) and not (suspend and m in cs.victims)
-    return tcb.ctl_state == WAIT_RECOVERY and m in cs.victims
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +592,10 @@ def trace_from_lines(lines: List[str]) -> Trace:
         records = [json.loads(line) for line in lines if line.strip()]
     except json.JSONDecodeError as e:
         raise MalformedTrace(f"invalid JSON: {e}") from None
-    if not records or records[0].get("type") != "header":
+    if (not records or type(records[0]) is not dict
+            or records[0].get("type") != "header"):
         raise MalformedTrace("missing header record")
-    if records[-1].get("type") != "final":
+    if type(records[-1]) is not dict or records[-1].get("type") != "final":
         raise MalformedTrace("missing final record (truncated trace?)")
     header, final = records[0], records[-1]
     if header.get("version") != TRACE_VERSION:
@@ -624,6 +608,10 @@ def trace_from_lines(lines: List[str]) -> Trace:
         if type(seed) is not int or seed != config.seed:
             raise MalformedTrace(f"header seed {seed!r} is not the config "
                                  f"seed {config.seed}")
+        initial_values = dict(decode_pairs(header["initial_state"]))
+        if initial_values != config.initial_state().values:
+            raise MalformedTrace("initial_state is not the state the config's "
+                                 "inits give")
         if len(records) - 2 > config.max_steps:
             raise MalformedTrace(f"{len(records) - 2} step records exceed "
                                  f"max_steps {config.max_steps}")
@@ -650,11 +638,22 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 if ms == _IDLE_PAYLOAD and ms["proper"] is False:
                     per_machine[m] = IDLE_STEP
                     continue
+                proper, ctl_change = ms["proper"], ms["ctl"]
+                if type(proper) is not bool:
+                    raise MalformedTrace(f"step record {len(steps)}: {m!r} "
+                                         f"has proper {proper!r}")
+                if ctl_change is not None:
+                    if (type(ctl_change) is not list or len(ctl_change) != 2
+                            or not all(s in CONTROL_STATES
+                                       for s in ctl_change)):
+                        raise MalformedTrace(f"step record {len(steps)}: "
+                                             f"{m!r} has ctl {ctl_change!r}")
+                    ctl_change = tuple(ctl_change)
                 per_machine[m] = MachineStep(
                     updates=frozenset(decode_pairs(ms["updates"])),
                     reads=tuple(decode_pairs(ms["reads"])),
-                    ctl_change=tuple(ms["ctl"]) if ms["ctl"] else None,
-                    proper=ms["proper"],
+                    ctl_change=ctl_change,
+                    proper=proper,
                 )
             events = []
             for ev in rec["events"]:
@@ -680,7 +679,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 f"{config.max_steps} steps")
         return Trace(
             config=config,
-            initial_values=dict(decode_pairs(header["initial_state"])),
+            initial_values=initial_values,
             steps=steps,
             final_values=dict(decode_pairs(final["final_state"])),
             status=status,

@@ -11,7 +11,7 @@ Control states: "unregistered" -> "active" <-> "wait-locks",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .asm import (
     UNDEF,
@@ -21,6 +21,15 @@ from .asm import (
     UpdateSet,
     Value,
     loc_key,
+)
+from .controller import (
+    EMPTY_LOCKS,
+    GRANTED,
+    REFUSED,
+    ControllerState,
+    HistoryEntry,
+    LockPair,
+    next_ordinal,
 )
 from .dsl import MachineProgram
 from .rwloc import FormulaCode, RuleCode, RwSet, rw_rule
@@ -32,6 +41,9 @@ WAIT_LOCKS = "wait-locks"
 WAIT_RECOVERY = "wait-recovery"
 DONE = "done"
 
+#: Every control state, as a trace's `ctl` changes name them.
+CONTROL_STATES = (UNREGISTERED, ACTIVE, WAIT_LOCKS, WAIT_RECOVERY, DONE)
+
 
 class IllegalControlState(AsmError):
     pass
@@ -39,39 +51,6 @@ class IllegalControlState(AsmError):
 
 class InvalidWrite(AsmError):
     """A machine tried to write one of its monitored locations."""
-
-
-@dataclass(frozen=True)
-class LockPair:
-    r_loc: FrozenSet[Location] = frozenset()
-    w_loc: FrozenSet[Location] = frozenset()
-
-    def is_empty(self) -> bool:
-        return not self.r_loc and not self.w_loc
-
-    def all_locations(self) -> FrozenSet[Location]:
-        return self.r_loc | self.w_loc
-
-
-EMPTY_LOCKS = LockPair()
-
-
-@dataclass
-class HistoryEntry:
-    """Undo record for one proper step (last-in first-out).
-
-    saved holds the overwritten value of every location the step wrote, by
-    location.  Restoring the controlled values too, not only the shared and
-    output ones, makes a recovered machine re-execute from exactly the state
-    it had before the undone step, which the serializability argument needs.
-    A lock-only entry (granted locks kept for backtracking) saves nothing
-    and has no ordinal.
-    """
-
-    saved: Tuple[Tuple[Location, Value], ...]
-    locks: LockPair
-    origin_step: Optional[int] = None
-    ordinal: Optional[int] = None
 
 
 @dataclass
@@ -87,18 +66,6 @@ class MachineCtl:
                                        compare=False)
 
 
-@dataclass
-class ControllerView:
-    """Read-only slice of controller state a wrapper step may consult."""
-
-    victim: bool
-    granted: Optional[LockPair]
-    refused: Optional[LockPair]
-    held: FrozenSet[Location]
-    w_held: FrozenSet[Location]
-    ordinal: int  # of the next proper step, from the history
-
-
 @dataclass(frozen=True)
 class MachineStep:
     """What one machine did in a global step, as the trace records it."""
@@ -109,8 +76,8 @@ class MachineStep:
     proper: bool
 
 
-#: The step of a machine that does nothing: the engine records it for a
-#: waiting machine without a wrapper step, and the wrapper returns it too.
+#: The step of a machine that does nothing: a machine waiting for an answer
+#: to its lock request, or for its recovery.
 IDLE_STEP = MachineStep(frozenset(), (), None, False)
 
 
@@ -167,16 +134,18 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     return rw, read_log
 
 
-def _locks_for(program: MachineProgram, rw: RwSet,
-               view: ControllerView) -> LockPair:
-    """Reads intersected with shared/monitored minus every held lock; writes
-    intersected with shared/output minus held write locks."""
+def _locks_for(program: MachineProgram, rw: RwSet, cs: ControllerState,
+               machine: str) -> LockPair:
+    """Reads intersected with shared/monitored minus every lock the machine
+    holds; writes intersected with shared/output minus its write locks."""
     r_loc = frozenset(
         l for l in rw.reads
-        if program.classify(l.func) in ("shared", "monitored")) - view.held
+        if program.classify(l.func) in ("shared", "monitored")
+    ) - cs.locks.locked_by(machine)
     w_loc = frozenset(
         l for l in rw.writes
-        if program.classify(l.func) in ("shared", "output")) - view.w_held
+        if program.classify(l.func) in ("shared", "output")
+    ) - cs.locks.w_locked_by(machine)
     return LockPair(r_loc, w_loc)
 
 
@@ -209,61 +178,64 @@ def terminated(program: MachineProgram, state: State) -> bool:
 
 
 def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
-                 view: ControllerView, seed: int, step_index: int,
+                 cs: ControllerState, seed: int, step_index: int,
                  wait_mode: str = "retry") -> Tuple[MachineStep, List[tuple]]:
     """One transition of the control-state machine in Fig-style composition:
     the step the trace records and its effects.
 
-    Pure function of the snapshot, apart from the analyses kept on tcb for
-    reuse; lock requests, commit requests, history appends and answer
-    consumption are returned as effects `(kind, machine, ...)` that the
-    controller applies after every agent has computed.
+    Reads the controller state of the same global step, as TA(M) reads
+    TaCtl's locations, and changes neither it nor the state; lock requests,
+    commit requests, history appends and answer consumption are returned as
+    effects `(kind, machine, ...)` that the engine applies after every agent
+    has computed.  Only the analyses kept on tcb for reuse are written.  A
+    machine waiting for an answer or for its recovery gets `IDLE_STEP`.
     """
-    if tcb.ctl_state == ACTIVE:
-        return _active_step(program, tcb, state, view, seed, step_index)
     if tcb.ctl_state == WAIT_LOCKS:
-        return _wait_locks_step(program, tcb, state, view, seed, step_index,
+        return _wait_locks_step(program, tcb, state, cs, seed, step_index,
                                 wait_mode)
+    if tcb.ctl_state == ACTIVE:
+        return _active_step(program, tcb, state, cs, seed, step_index)
     if tcb.ctl_state == WAIT_RECOVERY:
-        if not view.victim:
-            return _moved((WAIT_RECOVERY, ACTIVE))
-        return IDLE_STEP, []
+        if tcb.machine_id in cs.victims:
+            return IDLE_STEP, []
+        return _moved((WAIT_RECOVERY, ACTIVE))
     raise IllegalControlState(f"{tcb.machine_id} cannot step in {tcb.ctl_state}")
 
 
-def _active_step(program, tcb, state, view, seed, step_index):
-    if view.victim:
-        return _moved((ACTIVE, WAIT_RECOVERY))
+def _active_step(program, tcb, state, cs, seed, step_index):
     m = tcb.machine_id
+    if m in cs.victims:
+        return _moved((ACTIVE, WAIT_RECOVERY))
     if terminated(program, state):
         tcb.analyses.clear()
         return _moved((ACTIVE, DONE), ("commit_request", m))
-    rw, read_log = _step_analysis(program, tcb, state, seed, view.ordinal)
-    needed = _locks_for(program, rw, view)
+    ordinal = next_ordinal(cs.histories[m])
+    rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
+    needed = _locks_for(program, rw, cs, m)
     if not needed.is_empty():
         return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
     return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
-                   view.ordinal, None, [])
+                   ordinal, None, [])
 
 
-def _wait_locks_step(program, tcb, state, view, seed, step_index, wait_mode):
+def _wait_locks_step(program, tcb, state, cs, seed, step_index, wait_mode):
     m = tcb.machine_id
-    if view.granted is not None:
-        rw, read_log = _step_analysis(program, tcb, state, seed, view.ordinal)
-        still_needed = _locks_for(program, rw, view)
-        if not still_needed.is_empty():
+    pair, status = cs.requests[m]
+    if status == GRANTED:
+        ordinal = next_ordinal(cs.histories[m])
+        rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
+        if not _locks_for(program, rw, cs, m).is_empty():
             # The state moved between request and grant and the step now
             # touches unlocked locations; keep the granted locks on the undo
             # history (so backtracking releases them) and renegotiate.
-            entry = HistoryEntry(saved=(), locks=view.granted)
+            entry = HistoryEntry(saved=(), locks=pair)
             return _moved((WAIT_LOCKS, ACTIVE), ("consume_granted", m),
                           ("append_history", m, entry))
-        return _proper(program, m, state, rw, read_log, view.granted,
-                       step_index, view.ordinal, (WAIT_LOCKS, ACTIVE),
-                       [("consume_granted", m)])
-    if view.refused is not None:
+        return _proper(program, m, state, rw, read_log, pair, step_index,
+                       ordinal, (WAIT_LOCKS, ACTIVE), [("consume_granted", m)])
+    if status == REFUSED:
         return _moved((WAIT_LOCKS, ACTIVE), ("consume_refused", m))
-    if view.victim and wait_mode == "suspend":
+    if wait_mode == "suspend" and m in cs.victims:
         # Without refusals there is no trip through "active" where
         # victimization is normally observed; withdraw the pending request so
         # no locks are granted during recovery, and wait.

@@ -9,13 +9,14 @@ import random
 import time
 
 from taserial.anomaly import forged_lost_update_trace
-from taserial.asm import Location, assign_choice_ids, update_locations, yields
+from taserial.asm import (FALSE, TRUE, UNDEF, Location, assign_choice_ids,
+                          update_locations, yields)
 from taserial.checker import (
     brute_force_serializable,
     check_serializable,
     cleanse,
 )
-from taserial.controller import LockTable
+from taserial.controller import LockInvariantViolation, LockPair, LockTable
 from taserial.engine import run, state_at, trace_to_lines
 from taserial.fuzz import FuzzParams, random_body, random_config, random_state
 from taserial.rwloc import rw_rule
@@ -88,26 +89,44 @@ def test_criterion_2_oracle_agreement():
            f"both: {both_reject}")
 
 
+def _replayed_location(payload):
+    """The exact location of a lock payload entry `(func, args)`: JSON true,
+    false and null are the constants, told from ints by their type."""
+    func, args = payload
+    return Location(func, tuple(
+        TRUE if a is True else FALSE if a is False else UNDEF if a is None
+        else a for a in args))
+
+
+def _replayed_pair(payload):
+    return LockPair(frozenset(map(_replayed_location, payload["r"])),
+                    frozenset(map(_replayed_location, payload["w"])))
+
+
 def _replay_lock_table(trace):
-    """Independent 2PL check: rebuild the lock table from trace events and
-    validate it after every step."""
+    """Independent 2PL check: rebuild the lock table from trace events,
+    require every grant to be compatible with the locks other machines hold,
+    and validate the table after every step."""
     table = LockTable()
     checked = 0
     for rec in trace.steps:
         for ev in rec.events:
-            kind = ev["kind"]
+            kind, m = ev["kind"], ev["machine"]
             if kind == "lock_grant":
-                for l in ev["locks"]["r"]:
-                    table.r_locked.setdefault(l, set()).add(ev["machine"])
-                for l in ev["locks"]["w"]:
-                    table.w_locked[l] = ev["machine"]
+                pair = _replayed_pair(ev["locks"])
+                for l in pair.all_locations():
+                    others = {table.w_holder(l)} - {m, None}
+                    if l in pair.w_loc:
+                        others |= table.r_holders(l) - {m}
+                    if others:
+                        raise LockInvariantViolation(
+                            f"step {rec.index}: {m} granted {l} held by "
+                            f"{sorted(others)}")
+                table.grant(m, pair)
             elif kind == "undo":
-                for l in ev["locks"]["r"]:
-                    table.unlock_r(l, ev["machine"])
-                for l in ev["locks"]["w"]:
-                    table.unlock_w(l, ev["machine"])
+                table.release(m, _replayed_pair(ev["locks"]))
             elif kind == "commit":
-                table.release_all(ev["machine"])
+                table.release_all(m)
         table.check()
         checked += 1
     return checked
@@ -121,6 +140,31 @@ def test_criterion_3_lock_invariant_every_step():
     report("criterion-3 2pl-safety", checked > 0,
            f"lock table valid after all {checked} recorded steps, "
            f"0 violations")
+
+
+ONE_AND_TRUE = {
+    "w": "machine w\nshared a/1\ninit pc_w() := 0\nterminated: pc_w() = 1\n"
+         "rule: par { pc_w() := 1 ; a(1) := 5 }\n",
+    "r": "machine r\nshared a/1\noutput y\ninit pc_r() := 0\n"
+         "terminated: pc_r() = 1\nrule: par { pc_r() := 1 ; y() := a(true) }\n",
+}
+
+
+def test_lock_replay_keeps_one_and_true_apart():
+    # w write-locks a(1) and r read-locks a(true): two locations, so the
+    # grants do not conflict, although the payloads read (1,) and (True,).
+    from taserial.dsl import parse_program
+    from taserial.engine import RunConfig
+
+    machines = [parse_program(t) for t in ONE_AND_TRUE.values()]
+    for seed in range(20):
+        trace = run(RunConfig(machines=machines, seed=seed))
+        assert trace.status == "done"
+        grants = {ev["machine"]: ev["locks"] for rec in trace.steps
+                  for ev in rec.events if ev["kind"] == "lock_grant"}
+        assert grants["w"]["w"] == [("a", (1,))]
+        assert grants["r"]["r"] == [("a", (True,))]
+        assert _replay_lock_table(trace) == len(trace.steps)
 
 
 def test_criterion_4_full_victim_restores_state():

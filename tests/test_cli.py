@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -109,13 +110,18 @@ def test_fuzz_self_test_rejects_forgery(capsys):
 # -- bad input exits 1 with a message ----------------------------------------
 
 
-def _fuzz_trace_lines(tmp_path, seed=3):
+def _trace_records(tmp_path, config):
     from taserial.engine import run, write_trace
+
+    path = tmp_path / "trace.jsonl"
+    write_trace(run(config), str(path))
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def _fuzz_trace_lines(tmp_path, seed=3):
     from taserial.fuzz import random_config
 
-    path = tmp_path / "fuzz.jsonl"
-    write_trace(run(random_config(seed)), str(path))
-    return [json.loads(line) for line in path.read_text().splitlines()]
+    return _trace_records(tmp_path, random_config(seed))
 
 
 def _check_records(tmp_path, records):
@@ -124,11 +130,27 @@ def _check_records(tmp_path, records):
     return main(["check", str(path)])
 
 
+def _forge_init(records, func, value):
+    """Set the init of func() to the encoded `value` in every program of the
+    header and in its initial state, with a matching config digest: a forged
+    header the decoder accepts."""
+    from taserial.engine import payload_digest
+
+    header = records[0]
+    text = "true" if value == ["b", True] else str(value[1])
+    programs = header["config"]["programs"]
+    for name, program in programs.items():
+        programs[name] = re.sub(rf"^init {func}\(\) := \S+$",
+                                f"init {func}() := {text}", program,
+                                flags=re.M)
+    header["config_digest"] = payload_digest(header["config"])
+    (entry,) = [e for e in header["initial_state"] if e[0] == [func, []]]
+    entry[1] = value
+
+
 def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
     records = _fuzz_trace_lines(tmp_path)
-    initial = records[0]["initial_state"]
-    (entry,) = [e for e in initial if e[0] == ["g0", []]]
-    entry[1] = ["b", True]
+    _forge_init(records, "g0", ["b", True])
     assert _check_records(tmp_path, records) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "needs integers" in err
@@ -315,7 +337,7 @@ def test_check_more_step_records_than_max_steps_exits_one(tmp_path, capsys):
     assert err.startswith("malformed trace: ") and "exceed max_steps" in err
 
 
-# -- the serial run fails on an edited initial state -------------------------
+# -- the serial run fails on an edited initial state and inits -------------
 
 TAMPERED = """\
 machine w
@@ -350,8 +372,7 @@ def test_check_serial_run_from_edited_initial_state(tmp_path, capsys, func,
     assert trace.status == "done"
     write_trace(trace, str(path))
     records = [json.loads(line) for line in path.read_text().splitlines()]
-    (entry,) = [e for e in records[0]["initial_state"] if e[0] == [func, []]]
-    entry[1] = value
+    _forge_init(records, func, value)
     assert _check_records(tmp_path, records) == code
     out = capsys.readouterr()
     if code == 1:
@@ -611,3 +632,77 @@ def test_check_forged_state_hash_shape_exits_one(tmp_path, capsys,
     records[1]["state_hash"] = state_hash
     _check_malformed(tmp_path, capsys, records,
                      f"step record 0 has state hash {state_hash!r}")
+
+
+# -- records of the wrong shape and forged fields ----------------------------
+
+
+def _counter_records(tmp_path):
+    from taserial.workloads import counter_config
+
+    return _trace_records(tmp_path, counter_config(seed=1))
+
+
+@pytest.mark.parametrize("value", [[], 7])
+@pytest.mark.parametrize("end", [0, -1])
+def test_check_first_or_last_line_not_an_object_exits_one(tmp_path, capsys,
+                                                          end, value):
+    records = _counter_records(tmp_path)
+    records[end] = value
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err.startswith("malformed trace: missing ")
+
+
+@pytest.mark.parametrize("value", [[3], {"a": 1}])
+@pytest.mark.parametrize("field", ["origin_step", "machine"])
+def test_check_unhashable_undo_field_exits_one(tmp_path, capsys, field,
+                                               value):
+    from taserial.workloads import full_victim_config
+
+    records = _trace_records(tmp_path, full_victim_config(seed=1))
+    (undo,) = [ev for rec in records[1:-1] for ev in rec["events"]
+               if ev["kind"] == "undo"]
+    undo[field] = value
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and "undo " in err
+
+
+def _first_proper(records):
+    return next(ms for rec in records[1:-1]
+                for ms in rec["machines"].values() if ms["proper"])
+
+
+@pytest.mark.parametrize("value", ["yes", 1, None])
+def test_check_forged_proper_exits_one(tmp_path, capsys, value):
+    records = _counter_records(tmp_path)
+    _first_proper(records)["proper"] = value
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and "has proper" in err
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, True, "active", ["active"],
+                                   ["active", "nowhere"], [["active"], 1]])
+def test_check_forged_ctl_exits_one(tmp_path, capsys, value):
+    records = _counter_records(tmp_path)
+    _first_proper(records)["ctl"] = value
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and "has ctl" in err
+
+
+@pytest.mark.parametrize("edit", ["value", "drop", "add"])
+def test_check_forged_initial_state_exits_one(tmp_path, capsys, edit):
+    records = _counter_records(tmp_path)
+    initial = records[0]["initial_state"]
+    if edit == "value":
+        (entry,) = [e for e in initial if e[0] == ["total", []]]
+        entry[1] = ["i", 5]
+    elif edit == "drop":
+        initial.pop()
+    else:
+        initial.append([["extra", []], ["i", 1]])
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err.startswith(
+        "malformed trace: initial_state is not")

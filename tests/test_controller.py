@@ -17,20 +17,20 @@ from taserial.controller import (
     REFUSED,
     Request,
     WAITING,
+    HistoryEntry,
+    LockPair,
     _cycle_members,
-    answered,
     apply_effect,
     blockers,
     commit_step,
-    controller_view,
     deadlock_handler_step,
     deadlocked,
     effect_event,
     lock_handler_step,
+    next_ordinal,
     recovery_step,
     wait_edges,
 )
-from taserial.wrapper import HistoryEntry, LockPair
 
 
 def loc(f, *args):
@@ -250,16 +250,6 @@ def test_lock_index_matches_table_scan():
                 assert table.locked_by(n) == _scan_locked_by(table, n)
                 assert table.w_locked_by(n) == _scan_w_locked_by(table, n)
     assert ops == 2400
-
-
-def test_release_all_frees_locks_written_into_the_maps():
-    t = LockTable()
-    t.grant("m0", pair(r=("x",), w=("y",)))
-    t.r_locked.setdefault(loc("z"), set()).add("m0")
-    t.w_locked[loc("v")] = "m0"
-    t.release_all("m0")
-    assert t.r_locked == {} and t.w_locked == {}
-    assert t.locked_by("m0") == frozenset()
 
 
 # -- deadlock --------------------------------------------------------------
@@ -504,7 +494,6 @@ def test_lock_request_effect_queues_a_pending_record():
     assert _record_and_edges(cs, "a") == (Request(pair(r=("x",)), PENDING),
                                           {("a", "b")})
     assert pending(cs) == [("a", pair(r=("x",)))]
-    assert not answered(cs, "a")
 
 
 def test_read_refusal_and_withdrawn_request_keep_waiting():
@@ -515,15 +504,12 @@ def test_read_refusal_and_withdrawn_request_keep_waiting():
             apply_effect(cs, answer, [])
             assert _record_and_edges(cs, "a") == (
                 Request(pair(r=("x",)), REFUSED), {("a", "b")})
-            assert answered(cs, "a")
-            assert controller_view(cs, "a").refused == pair(r=("x",))
             apply_effect(cs, ("consume_refused", "a"), [])
         else:
             apply_effect(cs, ("withdraw_request", "a"), [])
         assert _record_and_edges(cs, "a") == (
             Request(pair(r=("x",)), WAITING), {("a", "b")})
-        assert pending(cs) == [] and not answered(cs, "a")
-        assert controller_view(cs, "a").refused is None
+        assert pending(cs) == []
 
 
 def test_read_grant_deletes_the_record():
@@ -532,7 +518,6 @@ def test_read_grant_deletes_the_record():
     apply_effect(cs, ("grant", "a", pair(w=("y",))), [])
     assert _record_and_edges(cs, "a") == (Request(pair(w=("y",)), GRANTED),
                                           frozenset())
-    assert controller_view(cs, "a").granted == pair(w=("y",))
     apply_effect(cs, ("consume_granted", "a"), [])
     assert _record_and_edges(cs, "a") == (None, frozenset())
     assert cs.locks.w_holder(loc("y")) == "a"
@@ -553,20 +538,20 @@ def test_append_history_effect_keeps_the_record_and_sets_the_ordinal():
     cs = _blocked_by_b()
     request(cs, "a", pair(r=("x",)))
     record = cs.requests["a"]
-    assert controller_view(cs, "a").ordinal == 0
+    assert next_ordinal(cs.histories["a"]) == 0
     proper = HistoryEntry(saved=(), locks=pair(), origin_step=3, ordinal=0)
     lock_only = HistoryEntry(saved=(), locks=pair(w=("z",)))
     apply_effect(cs, ("append_history", "a", proper), [])
-    assert controller_view(cs, "a").ordinal == 1
+    assert next_ordinal(cs.histories["a"]) == 1
     apply_effect(cs, ("append_history", "a", lock_only), [])
     assert cs.histories["a"] == [proper, lock_only]
-    assert controller_view(cs, "a").ordinal == 1  # lock-only: no ordinal
+    assert next_ordinal(cs.histories["a"]) == 1  # lock-only: no ordinal
     assert cs.requests["a"] is record
     assert _record_and_edges(cs, "a")[1] == {("a", "b")}
     apply_effect(cs, ("undo", "a", lock_only), [])
-    assert controller_view(cs, "a").ordinal == 1
+    assert next_ordinal(cs.histories["a"]) == 1
     apply_effect(cs, ("undo", "a", proper), [])
-    assert controller_view(cs, "a").ordinal == 0
+    assert next_ordinal(cs.histories["a"]) == 0
 
 
 ENTRY = HistoryEntry(saved=((loc("s"), 3), (loc("p"), 0)),

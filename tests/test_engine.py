@@ -359,7 +359,7 @@ def test_controller_streams_seeded_only_when_drawn(monkeypatch):
     assert labels.count("commit") == count_events(trace, "commit")
 
 
-# -- idle machine-steps and reused analyses ------------------------------------
+# -- reused analyses and the controller state a wrapper step reads -----------
 
 
 def _typed(read_log):
@@ -367,32 +367,14 @@ def _typed(read_log):
 
 
 def _run_with_shortcuts_checked(monkeypatch, configs):
-    """Run and check each config with the idle shortcut turned off: every
-    machine the engine would have skipped must get an empty outcome from
-    `wrapper_step`, and every reused analysis, of any ordinal, must equal a
-    fresh one.  The traces must match those of the unpatched engine byte for
-    byte.  `older` counts reuses of an ordinal below one analysed before,
-    which only re-execution after an undo makes."""
+    """Run and check each config with every reused analysis, of any ordinal,
+    compared to a fresh one; the traces must match those of the unpatched
+    engine byte for byte.  `older` counts reuses of an ordinal below one
+    analysed before, which only re-execution after an undo makes."""
     from taserial import wrapper
 
-    counts = {"skipped": 0, "stepped": 0, ACTIVE: 0, WAIT_LOCKS: 0,
-              "older": 0}
-    verdict = []
-    real_idle, real_step = engine._idle, engine.wrapper_step
+    counts = {ACTIVE: 0, WAIT_LOCKS: 0, "older": 0}
     real_analysis = wrapper._step_analysis
-
-    def idle(tcb, cs, suspend):
-        verdict.append(real_idle(tcb, cs, suspend))
-        return False
-
-    def step(*args, **kwargs):
-        out = real_step(*args, **kwargs)
-        if verdict.pop():
-            counts["skipped"] += 1
-            assert out[0] is engine.IDLE_STEP and out[1] == []
-        else:
-            counts["stepped"] += 1
-        return out
 
     def analysis(program, tcb, state, seed, ordinal):
         last = tcb.analyses.get(ordinal)
@@ -407,8 +389,6 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
         return rw, read_log
 
     configs = list(configs)
-    monkeypatch.setattr(engine, "_idle", idle)
-    monkeypatch.setattr(engine, "wrapper_step", step)
     monkeypatch.setattr(wrapper, "_step_analysis", analysis)
     checked = []
     for config in configs:
@@ -418,7 +398,6 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
         checked.append(trace_to_lines(trace))
     monkeypatch.undo()
     assert checked == [trace_to_lines(run(c)) for c in configs]
-    assert not verdict
     return counts
 
 
@@ -426,7 +405,6 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
 def test_shortcuts_match_full_steps_default_corpus(monkeypatch, run_mode):
     configs = (replace(random_config(s), run_mode=run_mode) for s in range(200))
     counts = _run_with_shortcuts_checked(monkeypatch, configs)
-    assert counts["skipped"] and counts["stepped"]
     assert counts[ACTIVE] and counts[WAIT_LOCKS]  # retry and grant reuse
     assert counts["older"]  # re-execution after undo
 
@@ -439,25 +417,36 @@ def test_shortcuts_match_full_steps_12_machines(monkeypatch, run_mode):
     configs = (replace(random_config(s, params), run_mode=run_mode)
                for s in range(2))
     counts = _run_with_shortcuts_checked(monkeypatch, configs)
-    assert counts["skipped"] and counts[ACTIVE] and counts[WAIT_LOCKS]
+    assert counts[ACTIVE] and counts[WAIT_LOCKS]
     assert counts["older"]  # re-execution after undo
 
 
-def test_waiting_machines_skip_the_wrapper(monkeypatch):
-    calls = []
-    original = engine.wrapper_step
+def _controller_snapshot(cs):
+    """Copies of what a wrapper step may read of the controller state."""
+    return (dict(cs.requests), set(cs.victims), set(cs.commit_requests),
+            {m: [(e.saved, e.locks, e.origin_step, e.ordinal) for e in h]
+             for m, h in cs.histories.items()},
+            {l: set(ms) for l, ms in cs.locks.r_locked.items()},
+            dict(cs.locks.w_locked))
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "wrapper_step", counting)
-    trace = run(opposed_lock_config(seed=3))
-    idle = [ms for rec in trace.steps for ms in rec.per_machine.values()
-            if ms is engine.IDLE_STEP]
-    assert idle
-    assert len(calls) + len(idle) == sum(len(rec.per_machine)
-                                         for rec in trace.steps)
+@pytest.mark.parametrize("run_mode", ["sync", "interleave"])
+def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
+                                                             run_mode):
+    idle = []
+    real_step = engine.wrapper_step
+
+    def step(program, tcb, state, cs, *args):
+        before = _controller_snapshot(cs)
+        out = real_step(program, tcb, state, cs, *args)
+        assert _controller_snapshot(cs) == before
+        idle.append(out[0] is engine.IDLE_STEP)
+        return out
+
+    monkeypatch.setattr(engine, "wrapper_step", step)
+    for s in range(40):
+        run(replace(random_config(s), run_mode=run_mode))
+    assert any(idle) and not all(idle)
 
 
 def _with_machine_entry(lines, payload):
@@ -478,22 +467,21 @@ def test_idle_record_decodes_to_the_shared_step():
     assert trace_to_lines(trace) == lines
 
 
-# Records close to the idle one, each with what the decoder made of it
-# before idle steps were recorded without a wrapper step: the entry the
-# decoded trace re-encodes to, or the MalformedTrace message.
+# Records close to the idle one, each with what the decoder makes of it:
+# the entry the decoded trace re-encodes to, or the MalformedTrace message.
 NEAR_IDLE = [
     ('{"ctl":null,"proper":0,"reads":[],"updates":[]}',
-     '{"ctl":null,"proper":0,"reads":[],"updates":[]}'),
+     "step record 0: 'm0' has proper 0"),
     ('{"ctl":null,"proper":0.0,"reads":[],"updates":[]}',
-     '{"ctl":null,"proper":0.0,"reads":[],"updates":[]}'),
+     "step record 0: 'm0' has proper 0.0"),
     ('{"ctl":null,"proper":null,"reads":[],"updates":[]}',
-     '{"ctl":null,"proper":null,"reads":[],"updates":[]}'),
+     "step record 0: 'm0' has proper None"),
     ('{"ctl":null,"proper":true,"reads":[],"updates":[]}',
      '{"ctl":null,"proper":true,"reads":[],"updates":[]}'),
     ('{"ctl":[],"proper":false,"reads":[],"updates":[]}',
-     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+     "step record 0: 'm0' has ctl []"),
     ('{"ctl":false,"proper":false,"reads":[],"updates":[]}',
-     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+     "step record 0: 'm0' has ctl False"),
     ('{"ctl":null,"proper":false,"reads":{},"updates":[]}',
      '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
     ('{"ctl":null,"proper":false,"reads":[],"updates":[],"x":1}',

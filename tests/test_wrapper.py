@@ -1,15 +1,22 @@
 import pytest
 
 from taserial.asm import TRUE, UNDEF, Location, State
+from taserial.controller import (
+    EMPTY_LOCKS,
+    GRANTED,
+    PENDING,
+    REFUSED,
+    ControllerState,
+    HistoryEntry,
+    LockPair,
+    Request,
+)
 from taserial.dsl import parse_program
 from taserial.wrapper import (
     ACTIVE,
-    ControllerView,
     DONE,
-    EMPTY_LOCKS,
     IDLE_STEP,
     InvalidWrite,
-    LockPair,
     MachineCtl,
     WAIT_LOCKS,
     WAIT_RECOVERY,
@@ -39,11 +46,22 @@ rule: par { pc() := pc() + 1 ; x() := x() + sensor() }
 PROG = parse_program(PROG_TEXT)
 
 
-def idle_view(**kw):
-    base = dict(victim=False, granted=None, refused=None,
-                held=frozenset(), w_held=frozenset(), ordinal=0)
-    base.update(kw)
-    return ControllerView(**base)
+def controller(victim=False, request=None, held=EMPTY_LOCKS, ordinal=0,
+               m="m"):
+    """The controller state a step of machine m reads: whether m is a victim,
+    its request record, the locks it holds and `ordinal` proper steps on its
+    history."""
+    cs = ControllerState()
+    cs.transact.add(m)
+    cs.histories[m] = [HistoryEntry(saved=(), locks=EMPTY_LOCKS,
+                                      origin_step=i, ordinal=i)
+                         for i in range(ordinal)]
+    if victim:
+        cs.victims.add(m)
+    if request is not None:
+        cs.requests[m] = request
+    cs.locks.grant(m, held)
+    return cs
 
 
 def initial_state():
@@ -54,26 +72,25 @@ def material():
     return choice_material(0, "m", 0)
 
 
-def new_locks(view):
-    return _locks_for(PROG, analyse(PROG, initial_state(), material())[0], view)
+def new_locks(cs):
+    rw = analyse(PROG, initial_state(), material())[0]
+    return _locks_for(PROG, rw, cs, "m")
 
 
 def test_new_locks_classifies_reads_and_writes():
-    locks = new_locks(idle_view())
+    locks = new_locks(controller())
     assert locks.r_loc == frozenset({loc("x"), loc("sensor")})
     assert locks.w_loc == frozenset({loc("x")})
 
 
 def test_new_locks_subtracts_held():
-    view = idle_view(held=frozenset({loc("x"), loc("sensor")}),
-                     w_held=frozenset({loc("x")}))
-    locks = new_locks(view)
-    assert locks.is_empty()
+    held = LockPair(frozenset({loc("x"), loc("sensor")}), frozenset({loc("x")}))
+    assert new_locks(controller(held=held)).is_empty()
 
 
 def test_write_lock_needed_even_when_read_lock_held():
-    view = idle_view(held=frozenset({loc("x"), loc("sensor")}))
-    locks = new_locks(view)
+    locks = new_locks(controller(held=LockPair(frozenset({loc("x"),
+                                                          loc("sensor")}))))
     assert locks == LockPair(frozenset(), frozenset({loc("x")}))
 
 
@@ -88,17 +105,15 @@ def test_active_requests_locks_then_steps_when_granted():
     tcb = MachineCtl("m")
     tcb.ctl_state = ACTIVE
     state = initial_state()
-    out, effects = wrapper_step(PROG, tcb, state, idle_view(), 0, 0)
+    out, effects = wrapper_step(PROG, tcb, state, controller(), 0, 0)
     assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
     assert effects[0][0] == "lock_request"
     assert effects[0][1] == "m"
     requested = effects[0][2]
 
     tcb.ctl_state = WAIT_LOCKS
-    view = idle_view(granted=requested,
-                     held=requested.all_locations(),
-                     w_held=requested.w_loc)
-    out2, effects2 = wrapper_step(PROG, tcb, state, view, 0, 1)
+    cs = controller(request=Request(requested, GRANTED), held=requested)
+    out2, effects2 = wrapper_step(PROG, tcb, state, cs, 0, 1)
     assert out2.proper
     assert (loc("x"), 2) in out2.updates
     kinds = [e[0] for e in effects2]
@@ -112,8 +127,8 @@ def test_active_requests_locks_then_steps_when_granted():
 def test_refused_returns_to_active():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_LOCKS
-    out, effects = wrapper_step(PROG, tcb, initial_state(),
-                                idle_view(refused=LockPair()), 0, 4)
+    cs = controller(request=Request(LockPair(), REFUSED))
+    out, effects = wrapper_step(PROG, tcb, initial_state(), cs, 0, 4)
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
     assert effects == [("consume_refused", "m")]
 
@@ -122,7 +137,7 @@ def test_victim_observed_in_active_state():
     tcb = MachineCtl("m")
     tcb.ctl_state = ACTIVE
     out, effects = wrapper_step(PROG, tcb, initial_state(),
-                                idle_view(victim=True), 0, 0)
+                                controller(victim=True), 0, 0)
     assert out.ctl_change == (ACTIVE, WAIT_RECOVERY)
     assert not effects
 
@@ -130,26 +145,34 @@ def test_victim_observed_in_active_state():
 def test_suspended_waiter_withdraws_request_when_victimized():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_LOCKS
-    out, effects = wrapper_step(PROG, tcb, initial_state(),
-                                idle_view(victim=True), 0, 0,
+    cs = controller(victim=True, request=Request(LockPair(), PENDING))
+    out, effects = wrapper_step(PROG, tcb, initial_state(), cs, 0, 0,
                                 wait_mode="suspend")
     assert out.ctl_change == (WAIT_LOCKS, WAIT_RECOVERY)
     assert effects == [("withdraw_request", "m")]
     # in retry mode it just keeps waiting for the refusal
     tcb2 = MachineCtl("m")
     tcb2.ctl_state = WAIT_LOCKS
-    out2, effects2 = wrapper_step(PROG, tcb2, initial_state(),
-                                  idle_view(victim=True), 0, 0)
+    out2, effects2 = wrapper_step(PROG, tcb2, initial_state(), cs, 0, 0)
     assert out2 is IDLE_STEP and effects2 == []
+
+
+def test_waiting_machine_without_answer_idles():
+    for wait_mode in ("retry", "suspend"):
+        tcb = MachineCtl("m", ctl_state=WAIT_LOCKS)
+        cs = controller(request=Request(LockPair(), PENDING))
+        assert wrapper_step(PROG, tcb, initial_state(), cs, 0, 0,
+                            wait_mode) == (IDLE_STEP, [])
 
 
 def test_recovered_machine_resumes():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_RECOVERY
     out, effects = wrapper_step(PROG, tcb, initial_state(),
-                                idle_view(victim=True), 0, 0)
+                                controller(victim=True), 0, 0)
     assert out is IDLE_STEP and effects == []
-    out2, effects2 = wrapper_step(PROG, tcb, initial_state(), idle_view(), 0, 1)
+    out2, effects2 = wrapper_step(PROG, tcb, initial_state(), controller(),
+                                  0, 1)
     assert out2.ctl_change == (WAIT_RECOVERY, ACTIVE)
 
 
@@ -158,7 +181,7 @@ def test_terminated_machine_requests_commit():
     tcb.ctl_state = ACTIVE
     state = State({loc("pc"): 1, loc("x"): 2, loc("sensor"): 2})
     assert terminated(PROG, state)
-    out, effects = wrapper_step(PROG, tcb, state, idle_view(), 0, 5)
+    out, effects = wrapper_step(PROG, tcb, state, controller(), 0, 5)
     assert out.ctl_change == (ACTIVE, DONE)
     assert effects == [("commit_request", "m")]
 
@@ -168,9 +191,8 @@ def test_grant_after_state_drift_renegotiates():
     tcb.ctl_state = WAIT_LOCKS
     # granted a lock pair that no longer covers the step's needs
     stale = LockPair(frozenset(), frozenset({loc("unrelated")}))
-    view = idle_view(granted=stale, held=frozenset({loc("unrelated")}),
-                     w_held=frozenset({loc("unrelated")}))
-    out, effects = wrapper_step(PROG, tcb, initial_state(), view, 0, 2)
+    cs = controller(request=Request(stale, GRANTED), held=stale)
+    out, effects = wrapper_step(PROG, tcb, initial_state(), cs, 0, 2)
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
     assert not out.proper
     kinds = [e[0] for e in effects]
@@ -188,9 +210,10 @@ rule: sensor() := 1
 """)
     tcb = MachineCtl("bad")
     tcb.ctl_state = WAIT_LOCKS
-    view = idle_view(granted=EMPTY_LOCKS, held=frozenset({loc("sensor")}))
+    cs = controller(request=Request(EMPTY_LOCKS, GRANTED),
+                    held=LockPair(frozenset({loc("sensor")})), m="bad")
     with pytest.raises(InvalidWrite):
-        wrapper_step(prog, tcb, State(), view, 0, 0)
+        wrapper_step(prog, tcb, State(), cs, 0, 0)
 
 
 def test_proper_steps_never_call_yields(monkeypatch):
@@ -241,16 +264,15 @@ def analyses(monkeypatch):
 
 def _request(prog, tcb, state, seed=0):
     tcb.ctl_state = ACTIVE
-    out, effects = wrapper_step(prog, tcb, state, idle_view(), seed, 0)
+    out, effects = wrapper_step(prog, tcb, state, controller(), seed, 0)
     assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
     tcb.ctl_state = WAIT_LOCKS
     return effects[0][2]
 
 
 def _grant(prog, tcb, state, pair, seed=0, ordinal=0):
-    view = idle_view(granted=pair, held=pair.all_locations(),
-                     w_held=pair.w_loc, ordinal=ordinal)
-    return wrapper_step(prog, tcb, state, view, seed, 1)[0]
+    cs = controller(request=Request(pair, GRANTED), held=pair, ordinal=ordinal)
+    return wrapper_step(prog, tcb, state, cs, seed, 1)[0]
 
 
 def test_grant_reruns_analysis_when_a_read_changed(analyses):
@@ -267,7 +289,9 @@ def test_grant_reuses_analysis_when_values_are_restored(analyses):
     tcb = MachineCtl("m")
     pair = _request(PROG, tcb, initial_state())
     moved = initial_state().with_updates(frozenset({(loc("sensor"), 5)}))
-    waiting, effects = wrapper_step(PROG, tcb, moved, idle_view(), 0, 1)
+    waiting, effects = wrapper_step(PROG, tcb, moved,
+                                    controller(request=Request(pair, PENDING)),
+                                    0, 1)
     assert waiting is IDLE_STEP and effects == []
     back = moved.with_updates(frozenset({(loc("sensor"), 2)}))  # A -> B -> A
     out = _grant(PROG, tcb, back, pair)
