@@ -15,8 +15,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .asm import (AsmError, Location, State, UpdateSet, Value, apply_updates,
                   loc_key)
-from .engine import (MalformedTrace, Trace, UnknownMachine, encode_location,
-                     encode_value)
+from .engine import Trace, encode_location, encode_value
 from .wrapper import analyse, checked_step, choice_material, terminated
 
 MAX_BRUTE_FORCE = 4
@@ -55,34 +54,12 @@ class Verdict:
         return self.ok
 
 
-def _undone_steps(trace: Trace) -> Dict[str, Set[int]]:
-    """Per machine, the global step indices whose proper step was undone."""
-    proper_steps: Dict[str, Set[int]] = {m: set() for m in trace.registered}
-    undone: Dict[str, Set[int]] = {m: set() for m in trace.registered}
-    for rec in trace.steps:
-        for m, ms in rec.per_machine.items():
-            if m not in proper_steps:
-                raise MalformedTrace(f"step {rec.index}: unregistered machine {m!r}")
-            if ms.proper:
-                proper_steps[m].add(rec.index)
-        for ev in rec.events:
-            if ev.get("kind") != "undo":
-                continue
-            m = ev.get("machine")
-            origin = ev.get("origin_step")
-            if type(m) is not str or m not in proper_steps:
-                raise MalformedTrace(f"undo for unregistered machine {m!r}")
-            if origin is None:
-                continue  # lock-only history entry, nothing was executed
-            if (type(origin) is not int or origin not in proper_steps[m]
-                    or origin >= rec.index):
-                raise MalformedTrace(
-                    f"step {rec.index}: undo of {m} names invalid origin {origin}")
-            if origin in undone[m]:
-                raise MalformedTrace(
-                    f"step {rec.index}: step {origin} of {m} undone twice")
-            undone[m].add(origin)
-    return undone
+def _undone_steps(trace: Trace) -> Set[Tuple[str, int]]:
+    """(machine, global step index) of each proper step that was undone;
+    `trace_from_lines` has checked each undo's origin."""
+    return {(ev["machine"], ev["origin_step"]) for rec in trace.steps
+            for ev in rec.events
+            if ev["kind"] == "undo" and ev["origin_step"] is not None}
 
 
 def cleanse(trace: Trace) -> Dict[str, CleanSchedule]:
@@ -96,7 +73,7 @@ def cleanse(trace: Trace) -> Dict[str, CleanSchedule]:
     out: Dict[str, List[ScheduleEntry]] = {m: [] for m in trace.registered}
     for rec in trace.steps:
         for m, ms in rec.per_machine.items():
-            if ms.proper and rec.index not in undone[m]:
+            if ms.proper and (m, rec.index) not in undone:
                 out[m].append(ScheduleEntry(rec.index, ms.updates, ms.reads))
     return {m: tuple(v) for m, v in out.items()}
 
@@ -144,8 +121,6 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
     state = State(dict(trace.initial_values), config.domain())
     schedules: Dict[str, CleanSchedule] = {}
     for m in order:
-        if m not in programs:
-            raise UnknownMachine(m)
         program, entries = programs[m], []
         while not terminated(program, state):
             ordinal = len(entries)

@@ -2,10 +2,10 @@
 
 The controller owns the lock table, each machine's one lock request, the
 victim set and the per-machine undo histories.  Each component computes one
-step against a snapshot and returns its effects; the run engine records
-each one's `effect_event` and has `apply_effect` apply them, and the
-wrappers' effects, after every agent of a global step has computed,
-mirroring the synchronous-parallel step semantics of the wrapped machines.
+step against a snapshot and returns its effects; the run engine has
+`apply_effect` apply them, and the wrappers' effects, after every agent of a
+global step has computed, mirroring the synchronous-parallel step semantics
+of the wrapped machines.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
                     Optional, Set, Tuple)
 
-from .asm import FALSE, TRUE, UNDEF, AsmError, Location, Value, loc_key
+from .asm import AsmError, Location, Value
 
 
 class LockInvariantViolation(AsmError):
@@ -93,14 +93,38 @@ class LockTable:
     def w_locked_by(self, machine: str) -> FrozenSet[Location]:
         return frozenset(self._w_by.get(machine, ()))
 
+    def conflicts(self, machine: str, locks: LockPair) -> Set[str]:
+        """The other machines holding a lock that conflicts with `locks`: a
+        write lock on any of its locations, or a read lock on one of its
+        write locations."""
+        w_locked, r_locked = self.w_locked, self.r_locked
+        out: Set[str] = set()
+        for l in locks.r_loc:
+            w = w_locked.get(l)
+            if w is not None:
+                out.add(w)
+        for l in locks.w_loc:
+            w = w_locked.get(l)
+            if w is not None:
+                out.add(w)
+            readers = r_locked.get(l)
+            if readers:
+                out.update(readers)
+        out.discard(machine)
+        return out
+
     def grant(self, machine: str, locks: LockPair) -> None:
+        """Give `machine` the locks, or raise LockInvariantViolation and
+        change nothing when another machine holds a conflicting one."""
+        others = self.conflicts(machine, locks)
+        if others:
+            raise LockInvariantViolation(
+                f"{machine} granted {locks} against the locks of "
+                f"{sorted(others)}")
         for l in locks.r_loc:
             self.r_locked.setdefault(l, set()).add(machine)
             self._r_by[machine].add(l)
         for l in locks.w_loc:
-            prev = self.w_locked.get(l)
-            if prev is not None and prev != machine:
-                self._w_by[prev].discard(l)
             self.w_locked[l] = machine
             self._w_by[machine].add(l)
         self.changed.update(locks.r_loc)
@@ -151,17 +175,16 @@ class LockTable:
 PENDING = "pending"
 GRANTED = "granted"
 REFUSED = "refused"
-WAITING = "waiting"
 
 
 class Request(NamedTuple):
     """A machine's one lock request and where it stands.
 
-    pending: queued for the lock handler.  granted, refused: answered, the
-    answer not yet read by the wrapper; reading a grant deletes the record.
-    waiting: the refusal was read, or the request withdrawn.  All but granted
-    feed the wait relation.  A record is replaced, never mutated, so
-    `deadlocked` tells a changed record by its identity."""
+    pending: queued for the lock handler.  granted, refused: answered, or
+    refused by a withdrawal.  Read, never consumed: a record stays until its
+    machine requests again, asks to commit or commits.  All but granted feed
+    the wait relation.  A record is replaced, never mutated, so `deadlocked`
+    tells a changed record by its identity."""
 
     pair: LockPair
     status: str
@@ -197,10 +220,6 @@ class ControllerState:
     histories: Dict[str, List[HistoryEntry]] = field(default_factory=dict)
     wait_graph: WaitGraph = field(default_factory=WaitGraph, repr=False,
                                   compare=False)
-    # pair -> its trace payload: refused and undone machines re-request the
-    # same locations, so equal pairs recur throughout a run
-    lock_payloads: Dict[LockPair, dict] = field(default_factory=dict,
-                                                repr=False, compare=False)
 
     def check_invariants(self) -> None:
         self.locks.check()
@@ -220,24 +239,9 @@ def next_ordinal(history: List[HistoryEntry]) -> int:
 
 
 def blockers(machine: str, locks: LockPair, cs: ControllerState) -> Set[str]:
-    """The other active machines holding a lock that conflicts with `locks`:
-    a write lock on any requested location, or a read lock on a requested
-    write location."""
-    w_locked, r_locked = cs.locks.w_locked, cs.locks.r_locked
-    out: Set[str] = set()
-    for l in locks.r_loc:
-        w = w_locked.get(l)
-        if w is not None:
-            out.add(w)
-    for l in locks.w_loc:
-        w = w_locked.get(l)
-        if w is not None:
-            out.add(w)
-        readers = r_locked.get(l)
-        if readers:
-            out.update(readers)
-    out.discard(machine)
-    return out & cs.transact
+    """The other active machines holding a lock that conflicts with
+    `locks`."""
+    return cs.locks.conflicts(machine, locks) & cs.transact
 
 
 # ---------------------------------------------------------------------------
@@ -521,44 +525,7 @@ def recovery_step(cs: ControllerState, rng: random.Random,
 
 
 # ---------------------------------------------------------------------------
-# Trace events and effect application (the engine calls these after the
-# compute phase)
-
-
-def effect_event(cs: ControllerState, effect: tuple) -> Optional[dict]:
-    """The trace event an effect records, or None for the effects the trace
-    shows only through the machines' steps."""
-    kind, machine = effect[0], effect[1]
-    if kind in ("grant", "refuse"):
-        return {"kind": "lock_" + kind, "machine": machine,
-                "locks": _lock_pair_payload(cs, effect[2])}
-    if kind in ("lock_request", "commit", "victimize"):
-        return {"kind": kind, "machine": machine}
-    if kind == "unvictimize":
-        return {"kind": "recovered", "machine": machine}
-    if kind == "undo":
-        entry = effect[2]
-        return {"kind": "undo", "machine": machine,
-                "origin_step": entry.origin_step,
-                "locks": _lock_pair_payload(cs, entry.locks),
-                "restored": list(entry.saved)}
-    return None
-
-
-_JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
-
-
-def _lock_pair_payload(cs: ControllerState, locks: LockPair) -> dict:
-    """The pair's locations, each kind sorted, as v1 writes them: arguments
-    untagged, and true, false and undef as JSON true, false and null.  Built
-    once per pair and run; the payload is shared, never mutated."""
-    payload = cs.lock_payloads.get(locks)
-    if payload is None:
-        payload = cs.lock_payloads[locks] = {
-            kind: [(l.func, tuple(_JSON_CONSTANTS.get(a, a) for a in l.args))
-                   for l in sorted(ls, key=loc_key)]
-            for kind, ls in (("r", locks.r_loc), ("w", locks.w_loc))}
-    return payload
+# Effect application (the engine calls this after the compute phase)
 
 
 def apply_effect(cs: ControllerState, effect: tuple,
@@ -574,11 +541,9 @@ def apply_effect(cs: ControllerState, effect: tuple,
         cs.requests[machine] = Request(effect[2], GRANTED)
     elif kind == "refuse":
         cs.requests[machine] = Request(effect[2], REFUSED)
-    elif kind == "consume_granted":
-        del cs.requests[machine]
-    elif kind == "consume_refused" or kind == "withdraw_request":
+    elif kind == "withdraw_request":
         # The pair keeps feeding the wait relation, also during recovery.
-        cs.requests[machine] = Request(cs.requests[machine].pair, WAITING)
+        cs.requests[machine] = Request(cs.requests[machine].pair, REFUSED)
     elif kind == "commit_request":
         cs.commit_requests.add(machine)
         cs.requests.pop(machine, None)

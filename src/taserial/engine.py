@@ -12,7 +12,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import controller as ctl
 from .asm import (
@@ -357,6 +357,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
     digest = _StateDigest(state.values)
 
     cs = ctl.ControllerState()
+    payloads: Dict[ctl.LockPair, dict] = {}  # see `_lock_payload`
     tcbs = {m: MachineCtl(machine_id=m) for m in active_ids}
     committed: List[str] = []
     steps: List[StepRecord] = []
@@ -375,7 +376,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
                 tcbs[m].ctl_state = ACTIVE
                 cs.transact.add(m)
                 cs.histories[m] = []
-                events.append({"kind": "register", "machine": m})
+                events.append(effect_event(("register", m), payloads))
             live = sorted(live + joining[index])
 
         # Each registered machine commits once.
@@ -433,7 +434,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         for eff in effects + ctl_effects:
             ctl.apply_effect(cs, eff, committed)
         for eff in ctl_effects + effects:
-            event = ctl.effect_event(cs, eff)
+            event = effect_event(eff, payloads)
             if event is not None:
                 events.append(event)
 
@@ -513,6 +514,54 @@ class MalformedTrace(AsmError):
     pass
 
 
+#: effect kind -> the kind of the trace event it records and that event's
+#: fields beside `kind` and `machine`; the decoder accepts exactly these.
+EVENTS = {
+    "register": ("register", ()),  # the engine's own effect
+    "lock_request": ("lock_request", ()),
+    "grant": ("lock_grant", ("locks",)),
+    "refuse": ("lock_refuse", ("locks",)),
+    "commit": ("commit", ()),
+    "victimize": ("victimize", ()),
+    "unvictimize": ("recovered", ()),
+    "undo": ("undo", ("locks", "origin_step", "restored")),
+}
+_EVENT_KEYS = {k: {"kind", "machine", *f} for k, f in EVENTS.values()}
+
+
+def effect_event(effect: tuple, payloads: dict) -> Optional[dict]:
+    """The trace event an effect records, or None."""
+    if effect[0] not in EVENTS:
+        return None
+    kind, fields = EVENTS[effect[0]]
+    event = {"kind": kind, "machine": effect[1]}
+    if kind == "undo":
+        entry = effect[2]
+        event.update(origin_step=entry.origin_step,
+                     locks=_lock_payload(entry.locks, payloads),
+                     restored=list(entry.saved))
+    elif fields:
+        event["locks"] = _lock_payload(effect[2], payloads)
+    return event
+
+
+_JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
+
+
+def _lock_payload(locks: ctl.LockPair, payloads: dict) -> dict:
+    """The pair's locations, each kind sorted, as v1 writes them: arguments
+    untagged, and true, false and undef as JSON true, false and null.  Built
+    once per pair and run in `payloads`, as refused and undone machines
+    re-request the same pairs; the payload is shared, never mutated."""
+    payload = payloads.get(locks)
+    if payload is None:
+        payload = payloads[locks] = {
+            kind: [(l.func, tuple(_JSON_CONSTANTS.get(a, a) for a in l.args))
+                   for l in sorted(ls, key=loc_key)]
+            for kind, ls in (("r", locks.r_loc), ("w", locks.w_loc))}
+    return payload
+
+
 # What `json.dumps(obj, sort_keys=True, separators=(",", ":"))` writes,
 # without building an encoder per call.
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -558,12 +607,8 @@ def trace_to_lines(trace: Trace) -> List[str]:
                 named = keyed[m] = (key, key + _IDLE_JSON)
             parts.append(named[1] if ms is IDLE_STEP
                          else named[0] + _machine_step_json(ms))
-        events = []
-        for ev in rec.events:
-            if "restored" in ev:
-                ev = dict(ev)
-                ev["restored"] = encode_pairs(ev["restored"])
-            events.append(ev)
+        events = [dict(ev, restored=encode_pairs(ev["restored"]))
+                  if "restored" in ev else ev for ev in rec.events]
         # The canonical record, keys in sorted order, assembled from parts;
         # the index is an int and the state hash a hex digest, so neither
         # needs a JSON call.
@@ -622,6 +667,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
         steps = []
         commits = []
         last_commit = 0  # the step count when the last commit was recorded
+        # machine -> its proper steps so far that no undo has named
+        undoable: Dict[str, Set[int]] = {m: set() for m in registered}
         for rec in records[1:-1]:
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
@@ -632,8 +679,16 @@ def trace_from_lines(lines: List[str]) -> Trace:
             if type(state_hash) is not str or not _HEX_DIGEST(state_hash):
                 raise MalformedTrace(f"step record {len(steps)} has state "
                                      f"hash {state_hash!r}")
+            for ev in rec["events"]:
+                _check_event(ev, len(steps), undoable)
+                if ev["kind"] == "commit":
+                    commits.append(ev["machine"])
+                    last_commit = len(steps) + 1
             per_machine = {}
             for m, ms in rec["machines"].items():
+                if m not in undoable:
+                    raise MalformedTrace(f"step record {len(steps)}: machine "
+                                         f"{m!r} is not registered")
                 # Only the exact record: `"proper":0` decodes as before.
                 if ms == _IDLE_PAYLOAD and ms["proper"] is False:
                     per_machine[m] = IDLE_STEP
@@ -655,17 +710,10 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     ctl_change=ctl_change,
                     proper=proper,
                 )
-            events = []
-            for ev in rec["events"]:
-                ev = dict(ev)
-                if "restored" in ev:
-                    ev["restored"] = decode_pairs(ev["restored"])
-                elif ev.get("kind") == "commit":
-                    commits.append(ev["machine"])
-                    last_commit = len(steps) + 1
-                events.append(ev)
-            steps.append(StepRecord(index=rec["index"], per_machine=per_machine,
-                                    events=events, state_hash=state_hash))
+                if proper:
+                    undoable[m].add(len(steps))
+            steps.append(StepRecord(rec["index"], per_machine, rec["events"],
+                                    state_hash))
         if committed != commits:
             raise MalformedTrace(f"committed {committed} is not the order of "
                                  f"the commit events {commits}")
@@ -688,6 +736,26 @@ def trace_from_lines(lines: List[str]) -> Trace:
         )
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise MalformedTrace(f"malformed trace record: {e!r}") from None
+
+
+def _check_event(ev: dict, index: int, undoable: Dict[str, Set[int]]) -> None:
+    """Check the event against `EVENTS` and decode an undo's restored values
+    in place; an undo takes its origin out of `undoable`."""
+    kind, m = ev.get("kind"), ev.get("machine")
+    if type(kind) is not str or ev.keys() != _EVENT_KEYS.get(kind):
+        raise MalformedTrace(f"step record {index}: no {kind!r} event has "
+                             f"the fields {sorted(ev)}")
+    if type(m) is not str or m not in undoable:
+        raise MalformedTrace(f"step record {index}: {kind} event names "
+                             f"{m!r}, which is not registered")
+    if kind == "undo":
+        origin = ev["origin_step"]
+        if origin is not None and (type(origin) is not int
+                                   or origin not in undoable[m]):
+            raise MalformedTrace(f"step record {index}: undo of {m} names "
+                                 f"{origin!r}, not an earlier step to undo")
+        undoable[m].discard(origin)
+        ev["restored"] = decode_pairs(ev["restored"])
 
 
 def _machine_names(names, what: str, known: List[str],

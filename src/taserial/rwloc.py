@@ -12,7 +12,9 @@ spec) does: both sides of and/or, quantified formulae and forall/choose
 guards over the whole domain, and the target location of every assignment.
 Each item of a `seq` block runs in the state the items before it left, as
 execution does.  Errors keep the spec's exception classes and are raised
-when the code runs, never when it compiles.
+when the code runs, never when it compiles; an operand or domain element
+read after the result of its and/or or quantifier is decided raises
+nothing, as the spec never evaluates it.
 """
 from __future__ import annotations
 
@@ -243,12 +245,11 @@ def _formula(f: Formula, short: bool = False) -> Code:
         return _atom(f.pred, _read(f.pred, [_term(a) for a in f.args]))
     if kind is Forall or kind is Exists:
         var, body = f.var, _formula(f.body, short)
-        fold = all if kind is Forall else any
         if short:
+            fold = all if kind is Forall else any
             return lambda s, env, log: fold(body(s, {**env, var: d}, log)
                                             for d in s.domain)
-        return lambda s, env, log: fold([body(s, {**env, var: d}, log)
-                                         for d in s.domain])
+        return _quantifier(kind is Forall, var, body)
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -268,8 +269,35 @@ def _connective(is_and: bool, left: Code, right: Code, short: bool) -> Code:
         if is_and:
             return lambda s, env, log: left(s, env, log) and right(s, env, log)
         return lambda s, env, log: left(s, env, log) or right(s, env, log)
-    fold = all if is_and else any  # both sides are read
-    return lambda s, env, log: fold((left(s, env, log), right(s, env, log)))
+
+    def both(s, env, log):  # both sides are read
+        if left(s, env, log) != is_and:
+            _unneeded(right, s, env, log)
+            return not is_and
+        return right(s, env, log)
+    return both
+
+
+def _quantifier(is_forall: bool, var: str, body: Code) -> Code:
+    """forall or exists, with the body read over the whole domain."""
+    def every(s, env, log):
+        rest = iter(s.domain)
+        for d in rest:
+            if body(s, {**env, var: d}, log) != is_forall:
+                for d in rest:
+                    _unneeded(body, s, {**env, var: d}, log)
+                return not is_forall
+        return is_forall
+    return every
+
+
+def _unneeded(code: Code, s, env, log) -> None:
+    """Run a formula for its reads once the result is decided: the spec
+    stops before it, so an error it raises is not the step's."""
+    try:
+        code(s, env, log)
+    except EvalError:
+        pass
 
 
 def _eq(a: Code, b: Code) -> Code:

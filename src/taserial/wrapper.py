@@ -11,7 +11,7 @@ Control states: "unregistered" -> "active" <-> "wait-locks",
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .asm import (
     UNDEF,
@@ -185,7 +185,7 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
 
     Reads the controller state of the same global step, as TA(M) reads
     TaCtl's locations, and changes neither it nor the state; lock requests,
-    commit requests, history appends and answer consumption are returned as
+    withdrawals, commit requests and history appends are returned as
     effects `(kind, machine, ...)` that the engine applies after every agent
     has computed.  Only the analyses kept on tcb for reuse are written.  A
     machine waiting for an answer or for its recovery gets `IDLE_STEP`.
@@ -215,7 +215,7 @@ def _active_step(program, tcb, state, cs, seed, step_index):
     if not needed.is_empty():
         return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
     return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
-                   ordinal, None, [])
+                   ordinal, None)
 
 
 def _wait_locks_step(program, tcb, state, cs, seed, step_index, wait_mode):
@@ -229,12 +229,11 @@ def _wait_locks_step(program, tcb, state, cs, seed, step_index, wait_mode):
             # touches unlocked locations; keep the granted locks on the undo
             # history (so backtracking releases them) and renegotiate.
             entry = HistoryEntry(saved=(), locks=pair)
-            return _moved((WAIT_LOCKS, ACTIVE), ("consume_granted", m),
-                          ("append_history", m, entry))
+            return _moved((WAIT_LOCKS, ACTIVE), ("append_history", m, entry))
         return _proper(program, m, state, rw, read_log, pair, step_index,
-                       ordinal, (WAIT_LOCKS, ACTIVE), [("consume_granted", m)])
+                       ordinal, (WAIT_LOCKS, ACTIVE))
     if status == REFUSED:
-        return _moved((WAIT_LOCKS, ACTIVE), ("consume_refused", m))
+        return _moved((WAIT_LOCKS, ACTIVE))
     if wait_mode == "suspend" and m in cs.victims:
         # Without refusals there is no trip through "active" where
         # victimization is normally observed; withdraw the pending request so
@@ -254,11 +253,11 @@ def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
 
 
 def _proper(program, machine_id, state, rw: RwSet, read_log,
-            lock_set: LockPair, step_index, ordinal, ctl_change,
-            effects: List[tuple]) -> Tuple[MachineStep, List[tuple]]:
+            lock_set: LockPair, step_index, ordinal, ctl_change
+            ) -> Tuple[MachineStep, List[tuple]]:
     updates, reads = checked_step(program, machine_id, rw, read_log)
     entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
                          locks=lock_set, origin_step=step_index,
                          ordinal=ordinal)
-    effects.append(("append_history", machine_id, entry))
-    return MachineStep(updates, reads, ctl_change, True), effects
+    return (MachineStep(updates, reads, ctl_change, True),
+            [("append_history", machine_id, entry)])

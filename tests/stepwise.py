@@ -22,7 +22,7 @@ def cleanse_stepwise(trace: Trace, rng: random.Random) -> Dict[str, CleanSchedul
             if ms is None:
                 continue
             col.append(ScheduleEntry(rec.index, ms.updates, ms.reads))
-            if not ms.proper or rec.index in undone[m]:
+            if not ms.proper or (m, rec.index) in undone:
                 removable.append((m, len(col) - 1))
         work[m] = col
     rng.shuffle(removable)

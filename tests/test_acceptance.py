@@ -242,7 +242,7 @@ def test_criterion_7_cleansing_confluence():
         # nothing removable survives, so cleansing again changes nothing
         undone = _undone_steps(trace)
         for m, entries in base.items():
-            if any(e.step_index in undone[m] for e in entries):
+            if any((m, e.step_index) in undone for e in entries):
                 idempotent = False
     ok = good == comparisons == 1000 and idempotent
     report("criterion-7 cleansing-confluence", ok,

@@ -706,3 +706,90 @@ def test_check_forged_initial_state_exits_one(tmp_path, capsys, edit):
     assert _check_records(tmp_path, records) == 1
     assert capsys.readouterr().err.startswith(
         "malformed trace: initial_state is not")
+
+
+# -- events: kinds, fields, machines and undo origins --------------------------
+
+
+@pytest.mark.parametrize("event,message", [
+    ({"kind": "teleport", "machine": "m0"}, "no 'teleport' event has"),
+    ({"kind": ["commit"], "machine": "m0"}, "no ['commit'] event has"),
+    ({"machine": "m0"}, "no None event has the fields ['machine']"),
+])
+def test_check_unknown_event_kind_exits_one(tmp_path, capsys, event,
+                                            message):
+    records = _counter_records(tmp_path)
+    records[1]["events"].append(event)
+    _check_malformed(tmp_path, capsys, records, message)
+
+
+@pytest.mark.parametrize("kind,edit", [
+    ("lock_grant", lambda ev: ev.pop("locks")),
+    ("lock_request", lambda ev: ev.update(locks={"r": [], "w": []})),
+    ("commit", lambda ev: ev.update(at=3)),
+])
+def test_check_event_with_other_fields_exits_one(tmp_path, capsys, kind,
+                                                 edit):
+    records = _counter_records(tmp_path)
+    ev = next(ev for rec in records[1:-1] for ev in rec["events"]
+              if ev["kind"] == kind)
+    edit(ev)
+    _check_malformed(tmp_path, capsys, records,
+                     f"no {kind!r} event has the fields {sorted(ev)}")
+
+
+@pytest.mark.parametrize("machine", ["m2", "zzz", 7])
+def test_check_event_of_an_unregistered_machine_exits_one(tmp_path, capsys,
+                                                          machine):
+    records = _counter_trace_records(tmp_path, only=["m0", "m1"])
+    records[1]["events"].append({"kind": "victimize", "machine": machine})
+    _check_malformed(tmp_path, capsys, records,
+                     f"victimize event names {machine!r}, which is not "
+                     f"registered")
+
+
+def test_check_step_record_of_an_unregistered_machine_exits_one(tmp_path,
+                                                                capsys):
+    records = _counter_trace_records(tmp_path, only=["m0", "m1"])
+    machines = records[1]["machines"]
+    machines["m2"] = machines["m0"]
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 0: machine 'm2' is not registered")
+
+
+def _victim_records(tmp_path):
+    """full_victim_config(seed=1): alpha's proper step 3 is undone in step
+    6; omega's step 2 and alpha's step 14 are proper, alpha's step 1 is not."""
+    from taserial.workloads import full_victim_config
+
+    records = _trace_records(tmp_path, full_victim_config(seed=1))
+    (undo,) = [ev for rec in records[1:-1] for ev in rec["events"]
+               if ev["kind"] == "undo"]
+    assert (undo["machine"], undo["origin_step"]) == ("alpha", 3)
+    assert records[7]["index"] == 6 and undo in records[7]["events"]
+    return records, undo
+
+
+@pytest.mark.parametrize("origin", [1, 2, 6, 14, -1, 3.0, True])
+def test_check_undo_of_no_earlier_proper_step_exits_one(tmp_path, capsys,
+                                                        origin):
+    records, undo = _victim_records(tmp_path)
+    undo["origin_step"] = origin
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record 6: undo of alpha names {origin!r}, not an "
+                     f"earlier step to undo")
+
+
+@pytest.mark.parametrize("later", [False, True])
+def test_check_step_undone_twice_exits_one(tmp_path, capsys, later):
+    records, undo = _victim_records(tmp_path)
+    records[8 if later else 7]["events"].append(dict(undo))
+    _check_malformed(tmp_path, capsys, records,
+                     "undo of alpha names 3, not an earlier step to undo")
+
+
+def test_check_accepts_an_undo_of_a_lock_only_entry(tmp_path, capsys):
+    records, undo = _victim_records(tmp_path)
+    records[8]["events"].append(dict(undo, origin_step=None, restored=[],
+                                     locks={"r": [], "w": []}))
+    assert _check_records(tmp_path, records) == 0

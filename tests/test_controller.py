@@ -1,12 +1,9 @@
-import inspect
 import itertools
-import json
 import random
-import re
 
 import pytest
 
-from taserial.asm import FALSE, TRUE, UNDEF, Location
+from taserial.asm import TRUE, Location
 from taserial.controller import (
     ControllerState,
     EmptyHistory,
@@ -16,7 +13,6 @@ from taserial.controller import (
     PENDING,
     REFUSED,
     Request,
-    WAITING,
     HistoryEntry,
     LockPair,
     _cycle_members,
@@ -25,7 +21,6 @@ from taserial.controller import (
     commit_step,
     deadlock_handler_step,
     deadlocked,
-    effect_event,
     lock_handler_step,
     next_ordinal,
     recovery_step,
@@ -78,10 +73,32 @@ def test_read_locks_are_shared():
     t.check()
 
 
-def test_write_lock_with_foreign_reader_violates():
+def _conflicting_grant_violates(first, second):
+    """Granting b `second` beside a's `first` raises and changes nothing."""
     t = LockTable()
-    t.grant("a", pair(r=("x",)))
-    t.grant("b", pair(w=("x",)))
+    t.grant("a", first)
+    with pytest.raises(LockInvariantViolation, match="against the locks of"):
+        t.grant("b", second)
+    t.check()
+    assert t.locked_by("a") == first.all_locations()
+    assert t.locked_by("b") == frozenset() and not t.w_locked_by("b")
+    assert t.r_locked == {l: {"a"} for l in first.r_loc}
+    assert t.w_locked == {l: "a" for l in first.w_loc}
+
+
+def test_write_lock_with_foreign_reader_violates():
+    _conflicting_grant_violates(pair(r=("x",)), pair(w=("x",)))
+
+
+def test_write_lock_with_foreign_writer_violates():
+    _conflicting_grant_violates(pair(w=("x",)), pair(w=("x",)))
+    _conflicting_grant_violates(pair(w=("x",)), pair(r=("y", "x")))
+
+
+def test_check_finds_a_writer_beside_a_foreign_reader():
+    t = LockTable()
+    t.grant("a", pair(w=("x",)))
+    t.r_locked[loc("x")] = {"b"}
     with pytest.raises(LockInvariantViolation):
         t.check()
 
@@ -222,6 +239,15 @@ def test_lock_index_matches_table_scan():
     def some():
         return frozenset(l for l in locations if r.random() < 0.3)
 
+    def grant(m, locks):
+        """Grant what does not conflict; a conflicting grant raises and
+        changes nothing."""
+        if table.conflicts(m, locks):
+            with pytest.raises(LockInvariantViolation):
+                table.grant(m, locks)
+        else:
+            table.grant(m, locks)
+
     ops = 0
     for _ in range(40):
         table = LockTable()
@@ -229,12 +255,12 @@ def test_lock_index_matches_table_scan():
             m = r.choice(machines)
             kind = r.randrange(6)
             if kind in (0, 1):
-                table.grant(m, LockPair(some(), some()))
+                grant(m, LockPair(some(), some()))
             elif kind == 2:
                 # write upgrade over the machine's own read locks
                 own = [l for l, ms in table.r_locked.items() if m in ms]
-                table.grant(m, LockPair(frozenset(),
-                                        frozenset(own[:r.randint(0, len(own))])))
+                grant(m, LockPair(frozenset(),
+                                  frozenset(own[:r.randint(0, len(own))])))
             elif kind == 3:
                 table.release(m, LockPair(some(), some()))
             elif kind == 4:
@@ -304,10 +330,9 @@ def test_wait_edges_require_active_status():
     p = cs.requests["a"].pair
     apply_effect(cs, ("refuse", "a", p), [])
     assert wait_edges(cs) == frozenset({("a", "b")})  # refused still waits
-    apply_effect(cs, ("consume_refused", "a"), [])
-    assert wait_edges(cs) == frozenset({("a", "b")})  # and after reading it
-    request(cs, "a", p)
-    apply_effect(cs, ("grant", "a", p), [])
+    # A granted record waits for nobody.  (A grant beside b's lock raises,
+    # so the status is written directly.)
+    cs.requests["a"] = Request(p, GRANTED)
     assert wait_edges(cs) == frozenset()
 
 
@@ -375,7 +400,7 @@ def _random_op(r, cs, machines, locations, committed):
     """One controller-state change of a random kind, applied as an effect
     the way the engine applies it, in any order the effects allow."""
     active = sorted(cs.transact)
-    kind = r.choice((0, 0, 0, 1, 1, 2, 3, 4, 5, 6, 7))
+    kind = r.choice((0, 0, 0, 1, 1, 2, 3, 4, 5, 6))
     m = r.choice(active) if active else None
     if kind == 0 and m is not None:  # request
         some = r.sample(locations, r.randint(1, 2))
@@ -396,13 +421,7 @@ def _random_op(r, cs, machines, locations, committed):
         apply_effect(cs, ("commit", m), committed)
     elif kind == 5 and m is not None and cs.histories[m]:  # undo
         apply_effect(cs, ("undo", m, cs.histories[m][-1]), committed)
-    elif kind == 6 and m in cs.requests:  # the wrapper reads an answer
-        status = cs.requests[m].status
-        if status == GRANTED:
-            apply_effect(cs, ("consume_granted", m), committed)
-        elif status == REFUSED:
-            apply_effect(cs, ("consume_refused", m), committed)
-    elif kind == 7:  # registration
+    elif kind == 6:  # registration
         idle = [n for n in machines if n not in cs.transact
                 and n not in committed]
         if idle:
@@ -436,7 +455,7 @@ def test_kept_wait_graph_sees_in_place_rewrites():
     cs = _cs_with_edges([("a", "b"), ("b", "a")])
     assert deadlocked(cs) == {"a", "b"}
     pair_a = cs.requests["a"].pair
-    apply_effect(cs, ("grant", "a", pair_a), [])
+    cs.requests["a"] = Request(pair_a, GRANTED)  # as a grant would write it
     assert deadlocked(cs) == frozenset()
     request(cs, "a", pair_a)
     apply_effect(cs, ("refuse", "a", pair_a), [])
@@ -497,37 +516,29 @@ def test_lock_request_effect_queues_a_pending_record():
 
 
 def test_read_refusal_and_withdrawn_request_keep_waiting():
-    for answer in (("refuse", "a", pair(r=("x",))), None):
+    for answer in (("refuse", "a", pair(r=("x",))), ("withdraw_request", "a")):
         cs = _blocked_by_b()
         request(cs, "a", pair(r=("x",)))
-        if answer is not None:
-            apply_effect(cs, answer, [])
-            assert _record_and_edges(cs, "a") == (
-                Request(pair(r=("x",)), REFUSED), {("a", "b")})
-            apply_effect(cs, ("consume_refused", "a"), [])
-        else:
-            apply_effect(cs, ("withdraw_request", "a"), [])
+        apply_effect(cs, answer, [])
         assert _record_and_edges(cs, "a") == (
-            Request(pair(r=("x",)), WAITING), {("a", "b")})
+            Request(pair(r=("x",)), REFUSED), {("a", "b")})
         assert pending(cs) == []
 
 
-def test_read_grant_deletes_the_record():
+def test_read_grant_keeps_the_record_out_of_the_wait_relation():
     cs = _blocked_by_b()
     request(cs, "a", pair(w=("y",)))
     apply_effect(cs, ("grant", "a", pair(w=("y",))), [])
     assert _record_and_edges(cs, "a") == (Request(pair(w=("y",)), GRANTED),
                                           frozenset())
-    apply_effect(cs, ("consume_granted", "a"), [])
-    assert _record_and_edges(cs, "a") == (None, frozenset())
     assert cs.locks.w_holder(loc("y")) == "a"
+    assert pending(cs) == []
 
 
 def test_commit_request_effect_drops_the_record():
     cs = _blocked_by_b()
     request(cs, "a", pair(r=("x",)))
     apply_effect(cs, ("refuse", "a", pair(r=("x",))), [])
-    apply_effect(cs, ("consume_refused", "a"), [])
     apply_effect(cs, ("commit_request", "a"), [])
     assert _record_and_edges(cs, "a") == (None, frozenset())
     assert cs.commit_requests == {"a"}
@@ -554,61 +565,6 @@ def test_append_history_effect_keeps_the_record_and_sets_the_ordinal():
     assert next_ordinal(cs.histories["a"]) == 0
 
 
-ENTRY = HistoryEntry(saved=((loc("s"), 3), (loc("p"), 0)),
-                     locks=pair(r=("y",), w=("x", "w")), origin_step=5,
-                     ordinal=1)
-
-EFFECT_EVENTS = [
-    (("lock_request", "a", pair(r=("x",))),
-     {"kind": "lock_request", "machine": "a"}),
-    (("grant", "a", pair(r=("y", "x"), w=("z",))),
-     {"kind": "lock_grant", "machine": "a",
-      "locks": {"r": [loc("x"), loc("y")], "w": [loc("z")]}}),
-    (("refuse", "a", pair(w=("x",))),
-     {"kind": "lock_refuse", "machine": "a",
-      "locks": {"r": [], "w": [loc("x")]}}),
-    (("consume_granted", "a"), None),
-    (("consume_refused", "a"), None),
-    (("withdraw_request", "a"), None),
-    (("commit_request", "a"), None),
-    (("append_history", "a", ENTRY), None),
-    (("commit", "a"), {"kind": "commit", "machine": "a"}),
-    (("victimize", "a"), {"kind": "victimize", "machine": "a"}),
-    (("unvictimize", "a"), {"kind": "recovered", "machine": "a"}),
-    (("undo", "a", ENTRY),
-     {"kind": "undo", "machine": "a", "origin_step": 5,
-      "locks": {"r": [loc("y")], "w": [loc("w"), loc("x")]},
-      "restored": [(loc("s"), 3), (loc("p"), 0)]}),
-]
-
-
-def test_every_effect_kind_maps_to_its_event_or_none():
-    cs = fresh()
-    for effect, event in EFFECT_EVENTS:
-        assert effect_event(cs, effect) == event, effect[0]
-    # The table names every kind `apply_effect` applies, and no other.
-    applied = re.findall(r'kind == "(\w+)"', inspect.getsource(apply_effect))
-    assert sorted(applied) == sorted(e[0] for e, _ in EFFECT_EVENTS)
-
-
-def test_lock_payload_is_built_once_per_pair_and_run():
-    cs = fresh()
-    first = effect_event(cs, ("grant", "a", pair(r=("y", "x"))))["locks"]
-    again = effect_event(cs, ("refuse", "b", pair(r=("x", "y"))))["locks"]
-    assert again is first
-    other_run = effect_event(fresh(), ("grant", "a", pair(r=("x", "y"))))
-    assert other_run["locks"] == first and other_run["locks"] is not first
-
-
-def test_lock_payload_writes_constants_as_json():
-    pair_ = LockPair(frozenset({loc("a", TRUE), loc("a", 1)}),
-                     frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
-    payload = effect_event(fresh(), ("grant", "a", pair_))["locks"]
-    assert json.dumps(payload, separators=(",", ":")) == (
-        '{"r":[["a",[true]],["a",[1]]],'
-        '"w":[["b",[false,"s"]],["c",[null]]]}')
-
-
 def test_unknown_effect_kind_is_an_error():
     cs = _blocked_by_b()
     with pytest.raises(ValueError, match="unknown effect"):
@@ -624,7 +580,6 @@ def _requests_out_of_id_order():
         request(cs, m, pair(w=(f"x{m}",)))
     apply_effect(cs, ("refuse", "m0", pair(w=("xm0",))), [])
     assert [m for m, _ in pending(cs)] == ["m2", "m3"]
-    apply_effect(cs, ("consume_refused", "m0"), [])
     request(cs, "m0", pair(w=("xm0",)))
     return cs
 

@@ -1,4 +1,6 @@
+import inspect
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -12,6 +14,7 @@ from taserial.engine import (
     MalformedTrace,
     RunConfig,
     decode_value,
+    effect_event,
     encode_value,
     load_trace,
     run,
@@ -574,7 +577,8 @@ def test_suspend_victim_withdrawal_runs_and_checks(params, seed):
 
 def _assert_held_locks_covered(cs):
     """Each transacting machine's held locks, kind by kind, are covered by
-    its history entries' pairs plus its granted pair not yet read."""
+    its history entries' pairs plus its granted pair (read in the next
+    step)."""
     for m in cs.transact:
         pairs = [e.locks for e in cs.histories[m]]
         r = cs.requests.get(m)
@@ -600,3 +604,71 @@ def test_held_locks_are_covered_by_history_every_step(monkeypatch, seeds):
                         check_invariants)
     for params, seed in seeds:
         run(random_config(seed, params))
+
+
+# -- trace events ----------------------------------------------------------------
+
+
+def pair(r=(), w=()):
+    return controller.LockPair(frozenset(loc(x) for x in r),
+                               frozenset(loc(x) for x in w))
+
+
+ENTRY = controller.HistoryEntry(saved=((loc("s"), 3), (loc("p"), 0)),
+                                locks=pair(r=("y",), w=("x", "w")),
+                                origin_step=5, ordinal=1)
+
+EFFECT_EVENTS = [
+    (("register", "a"), {"kind": "register", "machine": "a"}),
+    (("lock_request", "a", pair(r=("x",))),
+     {"kind": "lock_request", "machine": "a"}),
+    (("grant", "a", pair(r=("y", "x"), w=("z",))),
+     {"kind": "lock_grant", "machine": "a",
+      "locks": {"r": [loc("x"), loc("y")], "w": [loc("z")]}}),
+    (("refuse", "a", pair(w=("x",))),
+     {"kind": "lock_refuse", "machine": "a",
+      "locks": {"r": [], "w": [loc("x")]}}),
+    (("withdraw_request", "a"), None),
+    (("commit_request", "a"), None),
+    (("append_history", "a", ENTRY), None),
+    (("commit", "a"), {"kind": "commit", "machine": "a"}),
+    (("victimize", "a"), {"kind": "victimize", "machine": "a"}),
+    (("unvictimize", "a"), {"kind": "recovered", "machine": "a"}),
+    (("undo", "a", ENTRY),
+     {"kind": "undo", "machine": "a", "origin_step": 5,
+      "locks": {"r": [loc("y")], "w": [loc("w"), loc("x")]},
+      "restored": [(loc("s"), 3), (loc("p"), 0)]}),
+]
+
+
+def test_every_effect_kind_maps_to_its_event_or_none():
+    for effect, event in EFFECT_EVENTS:
+        assert effect_event(effect, {}) == event, effect[0]
+    # The table names every kind `apply_effect` applies, and registration,
+    # and no other; the codec's table lists exactly those with an event.
+    applied = re.findall(r'kind == "(\w+)"',
+                         inspect.getsource(controller.apply_effect))
+    assert sorted(applied + ["register"]) == sorted(
+        e[0] for e, _ in EFFECT_EVENTS)
+    assert sorted(engine.EVENTS) == sorted(
+        e[0] for e, event in EFFECT_EVENTS if event is not None)
+
+
+def test_lock_payload_is_built_once_per_pair_and_run():
+    payloads = {}
+    first = effect_event(("grant", "a", pair(r=("y", "x"))), payloads)["locks"]
+    again = effect_event(("refuse", "b", pair(r=("x", "y"))),
+                         payloads)["locks"]
+    assert again is first
+    other_run = effect_event(("grant", "a", pair(r=("x", "y"))), {})
+    assert other_run["locks"] == first and other_run["locks"] is not first
+
+
+def test_lock_payload_writes_constants_as_json():
+    pair_ = controller.LockPair(
+        frozenset({loc("a", TRUE), loc("a", 1)}),
+        frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
+    payload = effect_event(("grant", "a", pair_), {})["locks"]
+    assert json.dumps(payload, separators=(",", ":")) == (
+        '{"r":[["a",[true]],["a",[1]]],'
+        '"w":[["b",[false,"s"]],["c",[null]]]}')

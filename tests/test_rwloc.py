@@ -3,6 +3,7 @@ import random
 import pytest
 
 from taserial.asm import (
+    And,
     Apply,
     ArityMismatch,
     Assign,
@@ -12,12 +13,14 @@ from taserial.asm import (
     Eq,
     EvalError,
     Exists,
+    Forall,
     ForallDo,
     If,
     Let,
     Location,
     Lt,
     NamedRule,
+    Or,
     Par,
     Seq,
     Skip,
@@ -36,6 +39,7 @@ from taserial.asm import (
     yields,
 )
 from taserial.dsl import parse_program, print_program
+from taserial.checker import check_serializable
 from taserial.engine import RunConfig, run, trace_to_lines
 from taserial.fuzz import (
     FuzzParams,
@@ -241,6 +245,15 @@ ERROR_CASES = [
     (Assign(Apply("x"), Apply("5", (Apply("1"),))), {}, ArityMismatch),
     (Assign(Apply("5"), Apply("1")), {}, EvalError),
     (Call("nowhere"), {}, EvalError),
+    # and/or and quantifiers whose result the erring part would decide
+    (If(Or(Eq(Apply("x"), Apply("1")), Lt(Apply("y"), Apply("1"))), Skip(),
+        Skip()), {loc("x"): 0}, TypeMismatch),
+    (If(And(Eq(Apply("x"), Apply("0")), Lt(Apply("y"), Apply("1"))), Skip(),
+        Skip()), {loc("x"): 0}, TypeMismatch),
+    (If(Exists("d", Lt(Apply("g", (Var("d"),)), Apply("1"))), Skip(), Skip()),
+     {loc("g", 0): 5}, TypeMismatch),
+    (If(Forall("d", Lt(Apply("g", (Var("d"),)), Apply("1"))), Skip(), Skip()),
+     {loc("g", 0): 0}, TypeMismatch),
 ]
 
 
@@ -273,6 +286,15 @@ VALUE_CASES = [
     (Assign(Apply("f", (Apply("true"),)), Apply("'red")), {}),
     (Assign(Apply("f", (Apply("n"), Apply("m"))), Apply("undef")),
      {loc("n"): 1, loc("m"): 2}),
+    # and/or and quantifiers decided before the part that would raise
+    (_pick(Or(Eq(Apply("x"), Apply("0")), Lt(Apply("y"), Apply("1")))),
+     {loc("x"): 0}),
+    (_pick(And(Eq(Apply("x"), Apply("1")), Lt(Apply("y"), Apply("1")))),
+     {loc("x"): 0}),
+    (_pick(Exists("d", Lt(Apply("g", (Var("d"),)), Apply("1")))),
+     {loc("g", 0): 0}),
+    (_pick(Forall("d", Lt(Apply("g", (Var("d"),)), Apply("1")))),
+     {loc("g", 0): 5}),
 ]
 
 
@@ -280,6 +302,33 @@ VALUE_CASES = [
 def test_compiled_values_match_spec(rule, values):
     s = State(values)
     _spec_case(rule, s, b"values")
+
+
+def test_decided_formula_reads_every_part_without_its_error():
+    s = State({loc("x"): 0, loc("g", 0): 0}, domain=(0, 1, 2))
+    decided = Or(Eq(Apply("x"), Apply("0")), Lt(Apply("y"), Apply("1")))
+    assert rw_formula(decided, s, {}).reads == {loc("x"), loc("y")}
+    some = Exists("d", Lt(Apply("g", (Var("d"),)), Apply("1")))
+    assert rw_formula(some, s, {}).reads == {loc("g", d) for d in range(3)}
+
+
+def test_run_of_a_decided_or_with_an_erring_right_side():
+    # y() is undef, so `y() < 1` raises; the spec never evaluates it.
+    prog = parse_program("""\
+machine m
+init x() := 0
+init pc() := 0
+terminated: pc() = 1
+rule: if x() = 0 or y() < 1 then pc() := 1 else pc() := 1
+""")
+    assert yields(prog.main_rule, State({loc("x"): 0, loc("pc"): 0}), {},
+                  res()) == {(loc("pc"), 1)}
+    trace = run(RunConfig(machines=[prog]))
+    assert trace.status == "done" and check_serializable(trace).ok
+    (step,) = [ms for rec in trace.steps for ms in rec.per_machine.values()
+               if ms.proper]
+    assert step.updates == {(loc("pc"), 1)}
+    assert [l for l, _ in step.reads] == [loc("pc"), loc("x"), loc("y")]
 
 
 def test_call_arity_error_matches_spec():

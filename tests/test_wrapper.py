@@ -117,8 +117,8 @@ def test_active_requests_locks_then_steps_when_granted():
     assert out2.proper
     assert (loc("x"), 2) in out2.updates
     kinds = [e[0] for e in effects2]
-    assert kinds == ["consume_granted", "append_history"]
-    entry = effects2[1][2]
+    assert kinds == ["append_history"]
+    entry = effects2[0][2]
     assert entry.saved == ((loc("pc"), 0), (loc("x"), 0))
     assert entry.locks == requested
     assert entry.ordinal == 0 and entry.origin_step == 1
@@ -130,7 +130,7 @@ def test_refused_returns_to_active():
     cs = controller(request=Request(LockPair(), REFUSED))
     out, effects = wrapper_step(PROG, tcb, initial_state(), cs, 0, 4)
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
-    assert effects == [("consume_refused", "m")]
+    assert effects == []  # the refusal is read, not consumed
 
 
 def test_victim_observed_in_active_state():
@@ -196,8 +196,8 @@ def test_grant_after_state_drift_renegotiates():
     assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
     assert not out.proper
     kinds = [e[0] for e in effects]
-    assert kinds == ["consume_granted", "append_history"]
-    entry = effects[1][2]
+    assert kinds == ["append_history"]
+    entry = effects[0][2]
     assert entry.locks == stale and entry.saved == () and entry.ordinal is None
 
 
