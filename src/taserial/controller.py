@@ -183,8 +183,8 @@ class Request(NamedTuple):
     pending: queued for the lock handler.  granted, refused: answered, or
     refused by a withdrawal.  Read, never consumed: a record stays until its
     machine requests again, asks to commit or commits.  All but granted feed
-    the wait relation.  A record is replaced, never mutated, so `deadlocked`
-    tells a changed record by its identity."""
+    the wait relation.  Only `apply_effect` replaces or drops a record, and
+    it adds the machine to `WaitGraph.changed` when it does."""
 
     pair: LockPair
     status: str
@@ -194,18 +194,16 @@ class WaitGraph:
     """The wait relation of `wait_edges` and its cycle members, kept across
     calls of `deadlocked` (which alone updates it).
 
-    `seen` holds each machine's request record as the graph last saw it;
-    `out` the machines each waiting machine waits for (non-empty sets
-    only); `waiters` the machines whose seen record waits on a pair naming
-    each location; `dead` the cycle members.
+    `changed` holds the machines whose request record `apply_effect`
+    replaced or dropped since the last call; `out` the machines each waiting
+    machine waits for (non-empty sets only); `dead` the cycle members.
     """
 
-    __slots__ = ("seen", "out", "waiters", "dead")
+    __slots__ = ("changed", "out", "dead")
 
     def __init__(self):
-        self.seen: Dict[str, Request] = {}
+        self.changed: Set[str] = set()
         self.out: Dict[str, Set[str]] = {}
-        self.waiters: Dict[Location, Set[str]] = {}
         self.dead: FrozenSet[str] = frozenset()
 
 
@@ -330,53 +328,41 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     """Machines lying on a cycle of the wait relation, `wait_edges(cs)`.
 
     The answer comes from `cs.wait_graph`, brought up to date from what
-    changed since the last call: machines whose request record was replaced
-    or deleted and now waits on another pair or on none, and the waiting
-    machines of every location in `cs.locks.changed`.
-    Only their out-sets are recomputed.  A new cycle must contain an added
-    edge (a, b), so the strongly-connected-components pass re-runs only when
-    some added b reaches its a, or when an edge between two cycle members
-    was removed; otherwise the last cycle set stands.
+    changed since the last call: the machines in `cs.wait_graph.changed`,
+    and the waiting machines whose pair names a location in
+    `cs.locks.changed`.  Only their out-sets are recomputed.  A new cycle
+    must contain an added edge (a, b), so the strongly-connected-components
+    pass re-runs only when some added b reaches its a, or when an edge
+    between two cycle members was removed; otherwise the last cycle set
+    stands.
 
-    Contract: lock holders change only through `LockTable.grant` and the
-    unlocks, and `transact` shrinks only at commit, which releases every
-    lock of that machine (so its holders' waiters are recomputed) and drops
-    its request.  A machine joins `transact` holding no locks.
+    Contract: request records change only through `apply_effect`, and lock
+    holders only through `LockTable.grant` and the unlocks.  `transact`
+    shrinks only at commit, which releases every lock of that machine and
+    drops its request.  A machine joins `transact` holding no locks.
     """
     g = cs.wait_graph
-    seen, out, waiters = g.seen, g.out, g.waiters
+    touched = g.changed
     requests = cs.requests
-    touched: Set[str] = set()
-    for m, record in requests.items():
-        old = seen.get(m)
-        if old is not record:
-            seen[m] = record
-            was, waits = _needs(old), _needs(record)
-            if was != waits:
-                _index(waiters, m, was, waits)
+    locations = cs.locks.changed
+    if locations:
+        for m, r in requests.items():
+            if r.status != GRANTED and not (
+                    locations.isdisjoint(r.pair.r_loc)
+                    and locations.isdisjoint(r.pair.w_loc)):
                 touched.add(m)
-    if len(seen) > len(requests):
-        for m in [m for m in seen if m not in requests]:
-            was = _needs(seen.pop(m))
-            if was is not None:
-                _index(waiters, m, was, None)
-                touched.add(m)
-    changed = cs.locks.changed
-    for l in changed:
-        ms = waiters.get(l)
-        if ms:
-            touched.update(ms)
-    changed.clear()
+        locations.clear()
     if not touched:
         return g.dead
 
-    dead = g.dead
+    out, dead = g.out, g.dead
     rerun = False
     gained: List[Tuple[str, Set[str]]] = []
     for m in touched:
-        pair = _needs(requests.get(m))
+        r = requests.get(m)
         before = out.pop(m, _NOBODY)
-        after = (blockers(m, pair, cs) if pair is not None and m in cs.transact
+        after = (blockers(m, r.pair, cs)
+                 if r is not None and r.status != GRANTED and m in cs.transact
                  else _NOBODY)
         if after:
             out[m] = after
@@ -385,30 +371,10 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
         new = after - before
         if new:
             gained.append((m, new))
+    touched.clear()
     if rerun or any(_reaches(out, new, m) for m, new in gained):
         g.dead = _cycle_members((a, b) for a, bs in out.items() for b in bs)
     return g.dead
-
-
-def _needs(record: Optional[Request]) -> Optional[LockPair]:
-    """The pair a request record waits on, if its status waits."""
-    return (record.pair if record is not None and record.status != GRANTED
-            else None)
-
-
-def _index(waiters: Dict[Location, Set[str]], machine: str,
-           old: Optional[LockPair], new: Optional[LockPair]) -> None:
-    """Move `machine` in `waiters` from the locations of the pair it waited
-    on to those of the pair it waits on now."""
-    if old is not None:
-        for l in old.all_locations():
-            ms = waiters[l]
-            ms.discard(machine)
-            if not ms:
-                del waiters[l]
-    if new is not None:
-        for l in new.all_locations():
-            waiters.setdefault(l, set()).add(machine)
 
 
 _NOBODY: FrozenSet[str] = frozenset()
@@ -531,22 +497,30 @@ def recovery_step(cs: ControllerState, rng: random.Random,
 def apply_effect(cs: ControllerState, effect: tuple,
                  committed: List[str]) -> None:
     """Apply one effect `(kind, machine, ...)` of a wrapper or a controller
-    component; a commit also appends the machine to `committed`."""
+    component; a commit also appends the machine to `committed`.  A kind
+    that replaces or drops the machine's request record adds the machine to
+    `cs.wait_graph.changed`."""
     kind, machine = effect[0], effect[1]
+    changed = cs.wait_graph.changed
     if kind == "lock_request":
         cs.requests.pop(machine, None)  # to the back of the request order
         cs.requests[machine] = Request(effect[2], PENDING)
+        changed.add(machine)
     elif kind == "grant":
         cs.locks.grant(machine, effect[2])
         cs.requests[machine] = Request(effect[2], GRANTED)
+        changed.add(machine)
     elif kind == "refuse":
         cs.requests[machine] = Request(effect[2], REFUSED)
+        changed.add(machine)
     elif kind == "withdraw_request":
         # The pair keeps feeding the wait relation, also during recovery.
         cs.requests[machine] = Request(cs.requests[machine].pair, REFUSED)
+        changed.add(machine)
     elif kind == "commit_request":
         cs.commit_requests.add(machine)
         cs.requests.pop(machine, None)
+        changed.add(machine)
     elif kind == "append_history":
         cs.histories[machine].append(effect[2])
     elif kind == "commit":
@@ -554,6 +528,7 @@ def apply_effect(cs: ControllerState, effect: tuple,
         cs.commit_requests.discard(machine)
         cs.transact.discard(machine)
         cs.requests.pop(machine, None)
+        changed.add(machine)
         committed.append(machine)
     elif kind == "victimize":
         cs.victims.add(machine)

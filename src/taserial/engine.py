@@ -36,9 +36,10 @@ from .dsl import MachineProgram, parse_program, print_program
 from .seeds import make_rng
 from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     ACTIVE,
-    CONTROL_STATES,
     DONE,
     IDLE_STEP,
+    TRANSITIONS,
+    UNREGISTERED,
     MachineCtl,
     MachineStep,
     wrapper_step,
@@ -162,9 +163,6 @@ class RunConfig:
             seed=payload.get("seed", 0),
             max_steps=payload.get("max_steps", 200),
         )
-
-    def digest(self) -> str:
-        return payload_digest(self.to_payload())
 
     def closed_system_warnings(self) -> List[str]:
         """External locations should be owned (shared/output) by some other
@@ -669,6 +667,9 @@ def trace_from_lines(lines: List[str]) -> Trace:
         last_commit = 0  # the step count when the last commit was recorded
         # machine -> its proper steps so far that no undo has named
         undoable: Dict[str, Set[int]] = {m: set() for m in registered}
+        # machine -> its control state: unregistered until its register
+        # event, then moved by its records' `ctl` changes
+        ctl_of = dict.fromkeys(registered, UNREGISTERED)
         for rec in records[1:-1]:
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
@@ -680,15 +681,20 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 raise MalformedTrace(f"step record {len(steps)} has state "
                                      f"hash {state_hash!r}")
             for ev in rec["events"]:
-                _check_event(ev, len(steps), undoable)
+                _check_event(ev, len(steps), ctl_of, undoable)
                 if ev["kind"] == "commit":
                     commits.append(ev["machine"])
                     last_commit = len(steps) + 1
             per_machine = {}
             for m, ms in rec["machines"].items():
-                if m not in undoable:
+                state = ctl_of.get(m)
+                if state is None:
                     raise MalformedTrace(f"step record {len(steps)}: machine "
                                          f"{m!r} is not registered")
+                if state in _NO_RECORD:
+                    raise MalformedTrace(f"step record {len(steps)}: {m!r} "
+                                         f"has a record in control state "
+                                         f"{state!r}")
                 # Only the exact record: `"proper":0` decodes as before.
                 if ms == _IDLE_PAYLOAD and ms["proper"] is False:
                     per_machine[m] = IDLE_STEP
@@ -698,12 +704,14 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     raise MalformedTrace(f"step record {len(steps)}: {m!r} "
                                          f"has proper {proper!r}")
                 if ctl_change is not None:
-                    if (type(ctl_change) is not list or len(ctl_change) != 2
-                            or not all(s in CONTROL_STATES
-                                       for s in ctl_change)):
+                    if (type(ctl_change) is not list
+                            or tuple(ctl_change) not in TRANSITIONS
+                            or ctl_change[0] != state):
                         raise MalformedTrace(f"step record {len(steps)}: "
-                                             f"{m!r} has ctl {ctl_change!r}")
+                                             f"{m!r} has ctl {ctl_change!r} "
+                                             f"in control state {state!r}")
                     ctl_change = tuple(ctl_change)
+                    ctl_of[m] = ctl_change[1]
                 per_machine[m] = MachineStep(
                     updates=frozenset(decode_pairs(ms["updates"])),
                     reads=tuple(decode_pairs(ms["reads"])),
@@ -738,17 +746,38 @@ def trace_from_lines(lines: List[str]) -> Trace:
         raise MalformedTrace(f"malformed trace record: {e!r}") from None
 
 
-def _check_event(ev: dict, index: int, undoable: Dict[str, Set[int]]) -> None:
-    """Check the event against `EVENTS` and decode an undo's restored values
-    in place; an undo takes its origin out of `undoable`."""
+#: Past its commit event; not a control state, so no record or event fits it.
+_COMMITTED = "committed"
+
+#: The control states in which a machine takes no step, so has no record.
+_NO_RECORD = (UNREGISTERED, DONE, _COMMITTED)
+
+
+def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
+                 undoable: Dict[str, Set[int]]) -> None:
+    """Check the event against `EVENTS` and its machine's control state, and
+    decode an undo's restored values in place.  A register event makes its
+    machine active, a commit committed; an undo takes its origin out of
+    `undoable`."""
     kind, m = ev.get("kind"), ev.get("machine")
     if type(kind) is not str or ev.keys() != _EVENT_KEYS.get(kind):
         raise MalformedTrace(f"step record {index}: no {kind!r} event has "
                              f"the fields {sorted(ev)}")
-    if type(m) is not str or m not in undoable:
+    if type(m) is not str or m not in ctl_of:
         raise MalformedTrace(f"step record {index}: {kind} event names "
                              f"{m!r}, which is not registered")
-    if kind == "undo":
+    state = ctl_of[m]
+    # Only an unregistered machine registers, only one that asked to commit
+    # commits, and no event names a machine after its commit.
+    if (state == _COMMITTED or (kind == "register") != (state == UNREGISTERED)
+            or kind == "commit" and state != DONE):
+        raise MalformedTrace(f"step record {index}: {kind} event of {m} in "
+                             f"control state {state!r}")
+    if kind == "register":
+        ctl_of[m] = ACTIVE
+    elif kind == "commit":
+        ctl_of[m] = _COMMITTED
+    elif kind == "undo":
         origin = ev["origin_step"]
         if origin is not None and (type(origin) is not int
                                    or origin not in undoable[m]):

@@ -104,8 +104,8 @@ class RuleCode:
 
 
 class FormulaCode:
-    """A formula compiled on first call that reads what asm.eval_formula
-    reads: and/or and quantifiers stop early (the termination test)."""
+    """A formula compiled on first call (the termination test).  It reads
+    what the analysis reads, and answers as asm.eval_formula does."""
 
     __slots__ = ("formula", "_code")
 
@@ -115,7 +115,7 @@ class FormulaCode:
 
     def __call__(self, state: State, env: Env, log: ReadLog) -> bool:
         if self._code is None:
-            self._code = _formula(self.formula, short=True)
+            self._code = _formula(self.formula)
         return self._code(state, env, log)
 
 
@@ -229,27 +229,21 @@ def _read(func: str, args) -> Code:
 # -- formulae ---------------------------------------------------------------
 
 
-def _formula(f: Formula, short: bool = False) -> Code:
+def _formula(f: Formula) -> Code:
     kind = type(f)
     if kind is Eq:
         return _eq(_term(f.left), _term(f.right))
     if kind is Lt:
         return _lt(_term(f.left), _term(f.right))
     if kind is And or kind is Or:
-        return _connective(kind is And, _formula(f.left, short),
-                           _formula(f.right, short), short)
+        return _connective(kind is And, _formula(f.left), _formula(f.right))
     if kind is Not:
-        sub = _formula(f.sub, short)
+        sub = _formula(f.sub)
         return lambda s, env, log: not sub(s, env, log)
     if kind is Atom:
         return _atom(f.pred, _read(f.pred, [_term(a) for a in f.args]))
     if kind is Forall or kind is Exists:
-        var, body = f.var, _formula(f.body, short)
-        if short:
-            fold = all if kind is Forall else any
-            return lambda s, env, log: fold(body(s, {**env, var: d}, log)
-                                            for d in s.domain)
-        return _quantifier(kind is Forall, var, body)
+        return _quantifier(kind is Forall, f.var, _formula(f.body))
     raise TypeError(f"not a formula: {f!r}")
 
 
@@ -264,12 +258,7 @@ def _atom(pred: str, read: Code) -> Code:
     return atom
 
 
-def _connective(is_and: bool, left: Code, right: Code, short: bool) -> Code:
-    if short:
-        if is_and:
-            return lambda s, env, log: left(s, env, log) and right(s, env, log)
-        return lambda s, env, log: left(s, env, log) or right(s, env, log)
-
+def _connective(is_and: bool, left: Code, right: Code) -> Code:
     def both(s, env, log):  # both sides are read
         if left(s, env, log) != is_and:
             _unneeded(right, s, env, log)

@@ -5,8 +5,8 @@ with the controller before every step touching non-private locations,
 records undo information for each proper step, and reacts to victimization
 by pausing until recovered.
 
-Control states: "unregistered" -> "active" <-> "wait-locks",
-"active" <-> "wait-recovery", "active" -> "done" (commit requested).
+Control states: "unregistered" -> "active" (at registration), then the
+wrapper's `TRANSITIONS`.
 """
 from __future__ import annotations
 
@@ -41,8 +41,13 @@ WAIT_LOCKS = "wait-locks"
 WAIT_RECOVERY = "wait-recovery"
 DONE = "done"
 
-#: Every control state, as a trace's `ctl` changes name them.
-CONTROL_STATES = (UNREGISTERED, ACTIVE, WAIT_LOCKS, WAIT_RECOVERY, DONE)
+#: Every control-state change a wrapper step makes, as a trace's `ctl`
+#: changes name them.  "done" means commit requested.
+TRANSITIONS = (
+    (ACTIVE, WAIT_LOCKS), (WAIT_LOCKS, ACTIVE),
+    (ACTIVE, WAIT_RECOVERY), (WAIT_RECOVERY, ACTIVE),
+    (WAIT_LOCKS, WAIT_RECOVERY), (ACTIVE, DONE),
+)
 
 
 class IllegalControlState(AsmError):

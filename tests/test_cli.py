@@ -757,6 +757,83 @@ def test_check_step_record_of_an_unregistered_machine_exits_one(tmp_path,
                      "step record 0: machine 'm2' is not registered")
 
 
+# -- control states: each event and record fits its machine's ----------------
+# counter_config(seed=1): m2 changes to done in step 4 and commits in step 5;
+# m0 waits for locks in steps 1 and 2.  Step i is records[i + 1].
+
+_IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
+
+
+@pytest.mark.parametrize("kind", ["lock_request", "victimize"])
+@pytest.mark.parametrize("step", [5, 6])
+def test_check_event_after_its_machines_commit_exits_one(tmp_path, capsys,
+                                                         kind, step):
+    records = _counter_trace_records(tmp_path)
+    records[step + 1]["events"].append({"kind": kind, "machine": "m2"})
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {step}: {kind} event of m2 in control "
+                     f"state 'committed'")
+
+
+def test_check_record_after_its_machines_commit_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    records[7]["machines"]["m2"] = _IDLE
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 6: 'm2' has a record in control state "
+                     "'committed'")
+
+
+def test_check_commit_without_a_change_to_done_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    assert records[5]["machines"]["m2"]["ctl"] == ["active", "done"]
+    records[5]["machines"]["m2"]["ctl"] = None
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 5: commit event of m2 in control state "
+                     "'active'")
+
+
+@pytest.mark.parametrize("ctl", [["done", "unregistered"],
+                                 ["active", "wait-locks"],
+                                 ["wait-locks", "done"]])
+def test_check_ctl_change_not_from_the_current_state_exits_one(tmp_path,
+                                                              capsys, ctl):
+    records = _counter_trace_records(tmp_path)
+    records[3]["machines"]["m0"]["ctl"] = ctl
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record 2: 'm0' has ctl {ctl!r} in control state "
+                     f"'wait-locks'")
+
+
+def _late_m2_records(tmp_path):
+    """counter_config(seed=1) with m2 registering in step 3."""
+    from taserial.workloads import counter_config
+
+    return _trace_records(tmp_path,
+                          counter_config(seed=1, registration={"m2": 3}))
+
+
+def test_check_record_before_its_machines_register_event_exits_one(tmp_path,
+                                                                   capsys):
+    records = _late_m2_records(tmp_path)
+    records[1]["machines"]["m2"] = _IDLE
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 0: 'm2' has a record in control state "
+                     "'unregistered'")
+
+
+@pytest.mark.parametrize("machine,step,state", [("m2", 0, "unregistered"),
+                                                ("m0", 1, "wait-locks")])
+def test_check_register_event_out_of_place_exits_one(tmp_path, capsys,
+                                                     machine, step, state):
+    """An event before its machine's register event, and a second one."""
+    records = _late_m2_records(tmp_path)
+    kind = "lock_request" if state == "unregistered" else "register"
+    records[step + 1]["events"].insert(0, {"kind": kind, "machine": machine})
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {step}: {kind} event of {machine} in "
+                     f"control state {state!r}")
+
+
 def _victim_records(tmp_path):
     """full_victim_config(seed=1): alpha's proper step 3 is undone in step
     6; omega's step 2 and alpha's step 14 are proper, alpha's step 1 is not."""

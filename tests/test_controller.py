@@ -1,5 +1,7 @@
+import inspect
 import itertools
 import random
+import re
 
 import pytest
 
@@ -451,11 +453,12 @@ def test_kept_wait_graph_matches_reference_under_random_changes():
     assert compared > 5000 and dead_seen > 200
 
 
-def test_kept_wait_graph_sees_in_place_rewrites():
+def test_kept_wait_graph_follows_request_effects():
     cs = _cs_with_edges([("a", "b"), ("b", "a")])
     assert deadlocked(cs) == {"a", "b"}
-    pair_a = cs.requests["a"].pair
-    cs.requests["a"] = Request(pair_a, GRANTED)  # as a grant would write it
+    pair_a, free = cs.requests["a"].pair, pair(w=("free",))
+    request(cs, "a", free)
+    apply_effect(cs, ("grant", "a", free), [])
     assert deadlocked(cs) == frozenset()
     request(cs, "a", pair_a)
     apply_effect(cs, ("refuse", "a", pair_a), [])
@@ -488,8 +491,41 @@ def test_wait_graph_keeps_one_and_true_apart():
     request(cs, "m0", LockPair(r_loc=frozenset({loc("f", 2)})))
     assert deadlocked(cs) == frozenset()
     assert cs.wait_graph.out == {"m1": {"m0"}, "m0": {"m2"}}
-    assert set(cs.wait_graph.waiters[loc("f", TRUE)]) == {"m1"}
-    assert loc("f", 1) not in cs.wait_graph.waiters
+
+
+def test_every_effect_that_rewrites_a_request_marks_its_machine():
+    """Each effect kind is applied once; every kind that replaces or drops
+    the machine's request record adds it to `wait_graph.changed`, and only
+    those kinds (and commit, which drops a record if one is left) do."""
+    entry = HistoryEntry(saved=(), locks=pair(w=("y",)))
+    effects = [
+        ("lock_request", "a", pair(r=("x",))),
+        ("refuse", "a", pair(r=("x",))),
+        ("withdraw_request", "a"),
+        ("lock_request", "a", pair(w=("y",))),
+        ("grant", "a", pair(w=("y",))),
+        ("append_history", "a", entry),
+        ("victimize", "a"),
+        ("unvictimize", "a"),
+        ("undo", "a", entry),
+        ("commit_request", "a"),
+        ("commit", "a"),
+    ]
+    cs = _blocked_by_b()
+    marking = set()
+    for effect in effects:
+        before = dict(cs.requests)
+        cs.wait_graph.changed.clear()
+        apply_effect(cs, effect, [])
+        rewritten = {m for m in before.keys() | cs.requests.keys()
+                     if before.get(m) is not cs.requests.get(m)}
+        assert rewritten <= cs.wait_graph.changed <= {"a"}, effect
+        if cs.wait_graph.changed:
+            marking.add(effect[0])
+    applied = re.findall(r'kind == "(\w+)"', inspect.getsource(apply_effect))
+    assert {e[0] for e in effects} == set(applied)
+    assert marking == {"lock_request", "refuse", "withdraw_request", "grant",
+                       "commit_request", "commit"}
 
 
 # -- one request record per machine, changed by effects ----------------------

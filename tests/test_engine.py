@@ -453,10 +453,13 @@ def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
 
 
 def _with_machine_entry(lines, payload):
-    """The trace lines with m0's entry in the first step replaced."""
-    record = json.loads(lines[1])
+    """The trace lines with m0's first idle record replaced, and the number
+    of that line (one past its step index)."""
+    at = next(i for i, line in enumerate(lines)
+              if '"m0":' + engine._IDLE_JSON in line)
+    record = json.loads(lines[at])
     record["machines"]["m0"] = json.loads(payload)
-    return lines[:1] + [json.dumps(record)] + lines[2:]
+    return lines[:at] + [json.dumps(record)] + lines[at + 1:], at
 
 
 def test_idle_record_decodes_to_the_shared_step():
@@ -470,21 +473,22 @@ def test_idle_record_decodes_to_the_shared_step():
     assert trace_to_lines(trace) == lines
 
 
-# Records close to the idle one, each with what the decoder makes of it:
-# the entry the decoded trace re-encodes to, or the MalformedTrace message.
+# Records close to the idle one, in place of m0's idle record in step 1
+# (m0 waits for locks), each with what the decoder makes of it: the entry
+# the decoded trace re-encodes to, or the MalformedTrace message.
 NEAR_IDLE = [
     ('{"ctl":null,"proper":0,"reads":[],"updates":[]}',
-     "step record 0: 'm0' has proper 0"),
+     "step record 1: 'm0' has proper 0"),
     ('{"ctl":null,"proper":0.0,"reads":[],"updates":[]}',
-     "step record 0: 'm0' has proper 0.0"),
+     "step record 1: 'm0' has proper 0.0"),
     ('{"ctl":null,"proper":null,"reads":[],"updates":[]}',
-     "step record 0: 'm0' has proper None"),
+     "step record 1: 'm0' has proper None"),
     ('{"ctl":null,"proper":true,"reads":[],"updates":[]}',
      '{"ctl":null,"proper":true,"reads":[],"updates":[]}'),
     ('{"ctl":[],"proper":false,"reads":[],"updates":[]}',
-     "step record 0: 'm0' has ctl []"),
+     "step record 1: 'm0' has ctl [] in control state 'wait-locks'"),
     ('{"ctl":false,"proper":false,"reads":[],"updates":[]}',
-     "step record 0: 'm0' has ctl False"),
+     "step record 1: 'm0' has ctl False in control state 'wait-locks'"),
     ('{"ctl":null,"proper":false,"reads":{},"updates":[]}',
      '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
     ('{"ctl":null,"proper":false,"reads":[],"updates":[],"x":1}',
@@ -501,16 +505,17 @@ NEAR_IDLE = [
 
 @pytest.mark.parametrize("payload,expected", NEAR_IDLE)
 def test_near_idle_records_decode_as_before(payload, expected):
-    lines = _with_machine_entry(trace_to_lines(run(counter_config(2, 1))),
-                                payload)
+    lines, at = _with_machine_entry(
+        trace_to_lines(run(counter_config(2, 1))), payload)
+    assert at == 2
     try:
         trace = trace_from_lines(lines)
     except MalformedTrace as e:
         assert str(e) == expected
         return
-    entry = trace.steps[0].per_machine["m0"]
+    entry = trace.steps[at - 1].per_machine["m0"]
     assert entry is not engine.IDLE_STEP
-    again = json.loads(trace_to_lines(trace)[1])["machines"]["m0"]
+    again = json.loads(trace_to_lines(trace)[at])["machines"]["m0"]
     assert json.dumps(again, sort_keys=True, separators=(",", ":")) == expected
     assert type(entry.proper) is type(json.loads(payload)["proper"])
 

@@ -1,3 +1,6 @@
+import inspect
+import re
+
 import pytest
 
 from taserial.asm import TRUE, UNDEF, Location, State
@@ -16,6 +19,7 @@ from taserial.wrapper import (
     ACTIVE,
     DONE,
     IDLE_STEP,
+    TRANSITIONS,
     InvalidWrite,
     MachineCtl,
     WAIT_LOCKS,
@@ -201,6 +205,16 @@ def test_grant_after_state_drift_renegotiates():
     assert entry.locks == stale and entry.saved == () and entry.ordinal is None
 
 
+def test_transitions_are_the_changes_the_wrapper_steps_make():
+    from taserial import wrapper
+    source = "".join(inspect.getsource(f) for f in (
+        wrapper_step, wrapper._active_step, wrapper._wait_locks_step))
+    state = r"(ACTIVE|WAIT_LOCKS|WAIT_RECOVERY|DONE|UNREGISTERED)"
+    made = {(getattr(wrapper, a), getattr(wrapper, b))
+            for a, b in re.findall(rf"\({state}, {state}\)", source)}
+    assert made == set(TRANSITIONS) and len(made) == len(TRANSITIONS)
+
+
 def test_monitored_write_rejected():
     prog = parse_program("""\
 machine bad
@@ -233,8 +247,8 @@ def test_proper_steps_never_call_yields(monkeypatch):
 
 
 def test_terminated_stops_early_like_eval_formula():
-    # `or` stops at a true left side, so the non-boolean atom is never read;
-    # the lock analysis would read (and reject) it.
+    # A true left side decides `or`, so the non-boolean atom's error is
+    # dropped: eval_formula stops before it.
     from taserial.asm import eval_formula
     prog = parse_program("machine t terminated: pc() = 1 or flag() rule: skip")
     done = State({loc("pc"): 1, loc("flag"): 3})
