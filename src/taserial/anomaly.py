@@ -7,6 +7,8 @@ which makes this a fixed negative fixture for the serializability checkers.
 """
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .dsl import parse_program
 from .engine import RunConfig, StepRecord, Trace, run
 
@@ -26,7 +28,8 @@ def lost_update_config(seed: int = 7) -> RunConfig:
 
 
 def forged_lost_update_trace(seed: int = 7) -> Trace:
-    """Both machines' recorded steps read cell() = 0 and write cell() = 1."""
+    """Both machines' recorded steps read cell() = 0 and write cell() = 1.
+    b registers in the step where its spliced steps begin."""
     config = lost_update_config(seed)
     solo_a = run(config, only=["a"])
     solo_b = run(config, only=["b"])  # also from cell = 0: the forgery
@@ -41,7 +44,7 @@ def forged_lost_update_trace(seed: int = 7) -> Trace:
                 state_hash=rec.state_hash,
             ))
     return Trace(
-        config=config,
+        config=replace(config, registration={"b": len(solo_a.steps)}),
         initial_values=dict(solo_a.initial_values),
         steps=steps,
         final_values=dict(solo_b.final_values),

@@ -5,7 +5,8 @@ victim set and the per-machine undo histories.  Each component computes one
 step against a snapshot and returns its effects; the run engine has
 `apply_effect` apply them, and the wrappers' effects, after every agent of a
 global step has computed, mirroring the synchronous-parallel step semantics
-of the wrapped machines.
+of the wrapped machines.  `apply_effect` is the only code that changes the
+controller state; registration is an effect too.
 """
 from __future__ import annotations
 
@@ -64,13 +65,11 @@ class LockTable:
     """Read/write lock ownership per location.
 
     Invariant: at most one writer per location, and a location with a writer
-    has no other readers.  Multiple read locks may coexist.  Beside the
-    location maps, a per-machine index of the same locks answers `locked_by`,
-    `w_locked_by` and `release_all` in time proportional to the locks held.
-
-    Only `grant`, `unlock_r` and `unlock_w` change the locks; they add each
-    location whose holders they change to `changed`, which `deadlocked`
-    consumes.
+    has no other readers.  Multiple read locks may coexist.  `grant` keeps
+    it: it refuses a conflicting lock before it changes the table, and no
+    release can break it.  Beside the location maps, a per-machine index of
+    the same locks answers `locked_by`, `w_locked_by` and `release_all` in
+    time proportional to the locks held.
     """
 
     def __init__(self):
@@ -78,7 +77,6 @@ class LockTable:
         self.w_locked: Dict[Location, str] = {}
         self._r_by: Dict[str, Set[Location]] = defaultdict(set)
         self._w_by: Dict[str, Set[Location]] = defaultdict(set)
-        self.changed: Set[Location] = set()
 
     def r_holders(self, loc: Location) -> FrozenSet[str]:
         return frozenset(self.r_locked.get(loc, ()))
@@ -127,8 +125,6 @@ class LockTable:
         for l in locks.w_loc:
             self.w_locked[l] = machine
             self._w_by[machine].add(l)
-        self.changed.update(locks.r_loc)
-        self.changed.update(locks.w_loc)
 
     def unlock_r(self, loc: Location, machine: str) -> None:
         holders = self.r_locked.get(loc)
@@ -136,14 +132,12 @@ class LockTable:
             holders.discard(machine)
             if not holders:
                 del self.r_locked[loc]
-            self.changed.add(loc)
         self._r_by[machine].discard(loc)
 
     def unlock_w(self, loc: Location, machine: str) -> None:
         if self.w_locked.get(loc) == machine:
             del self.w_locked[loc]
             self._w_by[machine].discard(loc)
-            self.changed.add(loc)
 
     def release(self, machine: str, locks: LockPair) -> None:
         """Release exactly the lock kinds in the pair.
@@ -163,6 +157,7 @@ class LockTable:
             self.unlock_w(l, machine)
 
     def check(self) -> None:
+        """A scan for a foreign reader beside each writer, for tests."""
         for loc, writer in self.w_locked.items():
             readers = self.r_locked.get(loc, set())
             if readers - {writer}:
@@ -183,8 +178,7 @@ class Request(NamedTuple):
     pending: queued for the lock handler.  granted, refused: answered, or
     refused by a withdrawal.  Read, never consumed: a record stays until its
     machine requests again, asks to commit or commits.  All but granted feed
-    the wait relation.  Only `apply_effect` replaces or drops a record, and
-    it adds the machine to `WaitGraph.changed` when it does."""
+    the wait relation."""
 
     pair: LockPair
     status: str
@@ -194,22 +188,24 @@ class WaitGraph:
     """The wait relation of `wait_edges` and its cycle members, kept across
     calls of `deadlocked` (which alone updates it).
 
-    `changed` holds the machines whose request record `apply_effect`
-    replaced or dropped since the last call; `out` the machines each waiting
-    machine waits for (non-empty sets only); `dead` the cycle members.
+    `apply_effect` records what changed since the last call: in `changed`
+    the machines whose request record it replaced or dropped, in `locations`
+    the locations whose holders it changed.  `out` holds the machines each
+    waiting machine waits for (non-empty sets only), `dead` the cycle
+    members.
     """
 
-    __slots__ = ("changed", "out", "dead")
+    __slots__ = ("changed", "locations", "out", "dead")
 
     def __init__(self):
         self.changed: Set[str] = set()
+        self.locations: Set[Location] = set()
         self.out: Dict[str, Set[str]] = {}
         self.dead: FrozenSet[str] = frozenset()
 
 
 @dataclass
 class ControllerState:
-    transact: Set[str] = field(default_factory=set)
     # machine -> its request, in request order (a new one goes to the back)
     requests: Dict[str, Request] = field(default_factory=dict)
     commit_requests: Set[str] = field(default_factory=set)
@@ -220,7 +216,6 @@ class ControllerState:
                                   compare=False)
 
     def check_invariants(self) -> None:
-        self.locks.check()
         bad = [m for m in self.commit_requests
                if m in self.requests or m in self.victims]
         if bad:
@@ -234,12 +229,6 @@ def next_ordinal(history: List[HistoryEntry]) -> int:
         if entry.ordinal is not None:
             return entry.ordinal + 1
     return 0
-
-
-def blockers(machine: str, locks: LockPair, cs: ControllerState) -> Set[str]:
-    """The other active machines holding a lock that conflicts with
-    `locks`."""
-    return cs.locks.conflicts(machine, locks) & cs.transact
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +308,8 @@ def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
     `deadlocked` keeps up to date incrementally.
     """
     return frozenset(
-        (m, n) for m, r in cs.requests.items()
-        if r.status != GRANTED and m in cs.transact
-        for n in blockers(m, r.pair, cs))
+        (m, n) for m, r in cs.requests.items() if r.status != GRANTED
+        for n in cs.locks.conflicts(m, r.pair))
 
 
 def deadlocked(cs: ControllerState) -> FrozenSet[str]:
@@ -330,21 +318,18 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     The answer comes from `cs.wait_graph`, brought up to date from what
     changed since the last call: the machines in `cs.wait_graph.changed`,
     and the waiting machines whose pair names a location in
-    `cs.locks.changed`.  Only their out-sets are recomputed.  A new cycle
-    must contain an added edge (a, b), so the strongly-connected-components
-    pass re-runs only when some added b reaches its a, or when an edge
-    between two cycle members was removed; otherwise the last cycle set
-    stands.
+    `cs.wait_graph.locations`.  Only their out-sets are recomputed.  A new
+    cycle must contain an added edge (a, b), so the
+    strongly-connected-components pass re-runs only when some added b
+    reaches its a, or when an edge between two cycle members was removed;
+    otherwise the last cycle set stands.
 
-    Contract: request records change only through `apply_effect`, and lock
-    holders only through `LockTable.grant` and the unlocks.  `transact`
-    shrinks only at commit, which releases every lock of that machine and
-    drops its request.  A machine joins `transact` holding no locks.
+    Contract: the controller state changes only through `apply_effect`.
     """
     g = cs.wait_graph
     touched = g.changed
     requests = cs.requests
-    locations = cs.locks.changed
+    locations = g.locations
     if locations:
         for m, r in requests.items():
             if r.status != GRANTED and not (
@@ -361,9 +346,8 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     for m in touched:
         r = requests.get(m)
         before = out.pop(m, _NOBODY)
-        after = (blockers(m, r.pair, cs)
-                 if r is not None and r.status != GRANTED and m in cs.transact
-                 else _NOBODY)
+        after = (cs.locks.conflicts(m, r.pair)
+                 if r is not None and r.status != GRANTED else _NOBODY)
         if after:
             out[m] = after
         if not rerun and m in dead and not dead.isdisjoint(before - after):
@@ -496,20 +480,25 @@ def recovery_step(cs: ControllerState, rng: random.Random,
 
 def apply_effect(cs: ControllerState, effect: tuple,
                  committed: List[str]) -> None:
-    """Apply one effect `(kind, machine, ...)` of a wrapper or a controller
-    component; a commit also appends the machine to `committed`.  A kind
-    that replaces or drops the machine's request record adds the machine to
-    `cs.wait_graph.changed`."""
+    """Apply one effect `(kind, machine, ...)` of the engine (registration),
+    a wrapper or a controller component; a commit also appends the machine
+    to `committed`.  A kind that replaces or drops the machine's request
+    record adds the machine to `cs.wait_graph.changed`, and one that changes
+    which machines hold a location adds it to `cs.wait_graph.locations`."""
     kind, machine = effect[0], effect[1]
-    changed = cs.wait_graph.changed
-    if kind == "lock_request":
+    changed, locations = cs.wait_graph.changed, cs.wait_graph.locations
+    if kind == "register":
+        cs.histories[machine] = []
+    elif kind == "lock_request":
         cs.requests.pop(machine, None)  # to the back of the request order
         cs.requests[machine] = Request(effect[2], PENDING)
         changed.add(machine)
     elif kind == "grant":
-        cs.locks.grant(machine, effect[2])
-        cs.requests[machine] = Request(effect[2], GRANTED)
+        pair = effect[2]
+        cs.locks.grant(machine, pair)
+        cs.requests[machine] = Request(pair, GRANTED)
         changed.add(machine)
+        locations.update(pair.r_loc, pair.w_loc)
     elif kind == "refuse":
         cs.requests[machine] = Request(effect[2], REFUSED)
         changed.add(machine)
@@ -524,9 +513,9 @@ def apply_effect(cs: ControllerState, effect: tuple,
     elif kind == "append_history":
         cs.histories[machine].append(effect[2])
     elif kind == "commit":
+        locations.update(cs.locks.locked_by(machine))
         cs.locks.release_all(machine)
         cs.commit_requests.discard(machine)
-        cs.transact.discard(machine)
         cs.requests.pop(machine, None)
         changed.add(machine)
         committed.append(machine)
@@ -538,6 +527,8 @@ def apply_effect(cs: ControllerState, effect: tuple,
         history = cs.histories[machine]
         if not history or history[-1] is not effect[2]:
             raise EmptyHistory(f"{machine}: undo of an entry not its youngest")
-        cs.locks.release(machine, history.pop().locks)
+        pair = history.pop().locks
+        cs.locks.release(machine, pair)
+        locations.update(pair.r_loc, pair.w_loc)
     else:
         raise ValueError(f"unknown effect {effect!r}")

@@ -154,14 +154,14 @@ class RunConfig:
         return cls(
             machines=[parse_program(t) for t in payload["programs"].values()],
             domain_size=payload["domain_size"],
-            registration=dict(payload.get("registration", {})),
+            registration=dict(payload["registration"]),
             wait_mode=payload["wait_mode"],
             lock_policy=payload["lock_policy"],
             commit_policy=payload["commit_policy"],
             victim_policy=payload["victim_policy"],
-            run_mode=payload.get("run_mode", "sync"),
-            seed=payload.get("seed", 0),
-            max_steps=payload.get("max_steps", 200),
+            run_mode=payload["run_mode"],
+            seed=payload["seed"],
+            max_steps=payload["max_steps"],
         )
 
     def closed_system_warnings(self) -> List[str]:
@@ -372,8 +372,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         if index in joining:
             for m in joining[index]:
                 tcbs[m].ctl_state = ACTIVE
-                cs.transact.add(m)
-                cs.histories[m] = []
+                ctl.apply_effect(cs, ("register", m), committed)
                 events.append(effect_event(("register", m), payloads))
             live = sorted(live + joining[index])
 
@@ -515,7 +514,7 @@ class MalformedTrace(AsmError):
 #: effect kind -> the kind of the trace event it records and that event's
 #: fields beside `kind` and `machine`; the decoder accepts exactly these.
 EVENTS = {
-    "register": ("register", ()),  # the engine's own effect
+    "register": ("register", ()),
     "lock_request": ("lock_request", ()),
     "grant": ("lock_grant", ("locks",)),
     "refuse": ("lock_refuse", ("locks",)),
@@ -525,6 +524,20 @@ EVENTS = {
     "undo": ("undo", ("locks", "origin_step", "restored")),
 }
 _EVENT_KEYS = {k: {"kind", "machine", *f} for k, f in EVENTS.values()}
+
+#: record kind -> the keys `trace_to_lines` writes in it (`config`: the
+#: header's config, as `RunConfig.to_payload` writes it; `machine`: a
+#: machine's entry in a step record); the decoder accepts exactly these.
+RECORD_KEYS = {
+    "header": {"type", "version", "config", "config_digest", "seed",
+               "registered", "initial_state"},
+    "config": {"programs", "domain_size", "registration", "wait_mode",
+               "lock_policy", "commit_policy", "victim_policy", "run_mode",
+               "seed", "max_steps"},
+    "step": {"type", "index", "events", "machines", "state_hash"},
+    "machine": {"updates", "reads", "ctl", "proper"},
+    "final": {"type", "status", "committed", "final_state"},
+}
 
 
 def effect_event(effect: tuple, payloads: dict) -> Optional[dict]:
@@ -643,9 +656,16 @@ def trace_from_lines(lines: List[str]) -> Trace:
     header, final = records[0], records[-1]
     if header.get("version") != TRACE_VERSION:
         raise MalformedTrace(f"unsupported trace version {header.get('version')!r}")
+    if header.keys() != RECORD_KEYS["header"]:
+        raise _bad_keys(header, "header", "the header")
+    if final.keys() != RECORD_KEYS["final"]:
+        raise _bad_keys(final, "final", "the final record")
+    payload = header["config"]
+    if type(payload) is not dict or payload.keys() != RECORD_KEYS["config"]:
+        raise _bad_keys(payload, "config", "the header's config")
     try:
-        config = RunConfig.from_payload(header["config"])
-        if payload_digest(header["config"]) != header["config_digest"]:
+        config = RunConfig.from_payload(payload)
+        if payload_digest(payload) != header["config_digest"]:
             raise MalformedTrace("config_digest does not match the config")
         seed = header["seed"]
         if type(seed) is not int or seed != config.seed:
@@ -673,6 +693,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
         for rec in records[1:-1]:
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
+            if rec.keys() != RECORD_KEYS["step"]:
+                raise _bad_keys(rec, "step", f"step record {len(steps)}")
             if type(rec["index"]) is not int or rec["index"] != len(steps):
                 raise MalformedTrace(f"step record {len(steps)} has index "
                                      f"{rec['index']!r}")
@@ -681,7 +703,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 raise MalformedTrace(f"step record {len(steps)} has state "
                                      f"hash {state_hash!r}")
             for ev in rec["events"]:
-                _check_event(ev, len(steps), ctl_of, undoable)
+                _check_event(ev, len(steps), ctl_of, undoable,
+                             config.registration)
                 if ev["kind"] == "commit":
                     commits.append(ev["machine"])
                     last_commit = len(steps) + 1
@@ -700,6 +723,9 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     per_machine[m] = IDLE_STEP
                     continue
                 proper, ctl_change = ms["proper"], ms["ctl"]
+                if ms.keys() != RECORD_KEYS["machine"]:
+                    raise _bad_keys(ms, "machine", f"step record {len(steps)}: "
+                                    f"the record of {m!r}")
                 if type(proper) is not bool:
                     raise MalformedTrace(f"step record {len(steps)}: {m!r} "
                                          f"has proper {proper!r}")
@@ -722,6 +748,11 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     undoable[m].add(len(steps))
             steps.append(StepRecord(rec["index"], per_machine, rec["events"],
                                     state_hash))
+        for m in registered:
+            step = config.registration.get(m, 0)
+            if ctl_of[m] == UNREGISTERED and step < len(steps):
+                raise MalformedTrace(f"step record {step}: no register event "
+                                     f"of {m}")
         if committed != commits:
             raise MalformedTrace(f"committed {committed} is not the order of "
                                  f"the commit events {commits}")
@@ -753,12 +784,22 @@ _COMMITTED = "committed"
 _NO_RECORD = (UNREGISTERED, DONE, _COMMITTED)
 
 
+def _bad_keys(record, kind: str, what: str) -> MalformedTrace:
+    """The error for a record that is not an object with exactly the keys
+    `RECORD_KEYS[kind]`."""
+    if type(record) is not dict:
+        return MalformedTrace(f"{what} is not an object: {record!r}")
+    return MalformedTrace(f"{what} has the keys {sorted(record)}, not "
+                          f"{sorted(RECORD_KEYS[kind])}")
+
+
 def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
-                 undoable: Dict[str, Set[int]]) -> None:
+                 undoable: Dict[str, Set[int]],
+                 registration: Dict[str, int]) -> None:
     """Check the event against `EVENTS` and its machine's control state, and
-    decode an undo's restored values in place.  A register event makes its
-    machine active, a commit committed; an undo takes its origin out of
-    `undoable`."""
+    decode an undo's restored values in place.  A register event must be in
+    its machine's registration step and makes the machine active, a commit
+    committed; an undo takes its origin out of `undoable`."""
     kind, m = ev.get("kind"), ev.get("machine")
     if type(kind) is not str or ev.keys() != _EVENT_KEYS.get(kind):
         raise MalformedTrace(f"step record {index}: no {kind!r} event has "
@@ -774,6 +815,10 @@ def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
         raise MalformedTrace(f"step record {index}: {kind} event of {m} in "
                              f"control state {state!r}")
     if kind == "register":
+        step = registration.get(m, 0)
+        if index != step:
+            raise MalformedTrace(f"step record {index}: {m} registers in "
+                                 f"step {step}")
         ctl_of[m] = ACTIVE
     elif kind == "commit":
         ctl_of[m] = _COMMITTED

@@ -1,9 +1,9 @@
 """Per-machine transactional wrapper.
 
 Wraps one machine in a small control-state machine that negotiates locks
-with the controller before every step touching non-private locations,
-records undo information for each proper step, and reacts to victimization
-by pausing until recovered.
+with the controller before every step, and every termination test, touching
+non-private locations, records undo information for each proper step, and
+reacts to victimization by pausing until recovered.
 
 Control states: "unregistered" -> "active" (at registration), then the
 wrapper's `TRANSITIONS`.
@@ -140,13 +140,14 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
 
 
 def _locks_for(program: MachineProgram, rw: RwSet, cs: ControllerState,
-               machine: str) -> LockPair:
-    """Reads intersected with shared/monitored minus every lock the machine
-    holds; writes intersected with shared/output minus its write locks."""
+               machine: str, tested: FrozenSet[Location]) -> LockPair:
+    """Reads intersected with shared/monitored, and the termination test's
+    such reads `tested`, minus every lock the machine holds; writes
+    intersected with shared/output minus its write locks."""
     r_loc = frozenset(
         l for l in rw.reads
         if program.classify(l.func) in ("shared", "monitored")
-    ) - cs.locks.locked_by(machine)
+    ).union(tested) - cs.locks.locked_by(machine)
     w_loc = frozenset(
         l for l in rw.writes
         if program.classify(l.func) in ("shared", "output")
@@ -174,12 +175,25 @@ def choice_material(seed: int, machine_id: str, ordinal: int) -> bytes:
     return derive_bytes(seed, "choice", machine_id, ordinal)
 
 
-def terminated(program: MachineProgram, state: State) -> bool:
-    """The termination formula, evaluated like asm.eval_formula."""
+def terminated(program: MachineProgram, state: State,
+               reads: Optional[Dict[Location, Value]] = None) -> bool:
+    """The termination formula, evaluated like asm.eval_formula; the
+    locations it reads go into `reads`."""
     code = program.code.get("terminated")
     if code is None or code.formula is not program.terminated:
         code = program.code["terminated"] = FormulaCode(program.terminated)
-    return code(state, {}, {})
+    return code(state, {}, {} if reads is None else reads)
+
+
+def _termination(program: MachineProgram, state: State
+                 ) -> Tuple[bool, FrozenSet[Location]]:
+    """Whether the machine terminated, and the shared and monitored
+    locations the test read: it holds only under read locks on those, as a
+    step's reads do."""
+    reads: Dict[Location, Value] = {}
+    done = terminated(program, state, reads)
+    return done, frozenset(l for l in reads if program.classify(l.func)
+                           in ("shared", "monitored"))
 
 
 def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
@@ -211,12 +225,17 @@ def _active_step(program, tcb, state, cs, seed, step_index):
     m = tcb.machine_id
     if m in cs.victims:
         return _moved((ACTIVE, WAIT_RECOVERY))
-    if terminated(program, state):
+    done, tested = _termination(program, state)
+    if done:
+        unlocked = tested and tested - cs.locks.locked_by(m)
+        if unlocked:
+            return _moved((ACTIVE, WAIT_LOCKS),
+                          ("lock_request", m, LockPair(unlocked)))
         tcb.analyses.clear()
         return _moved((ACTIVE, DONE), ("commit_request", m))
     ordinal = next_ordinal(cs.histories[m])
     rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
-    needed = _locks_for(program, rw, cs, m)
+    needed = _locks_for(program, rw, cs, m, tested)
     if not needed.is_empty():
         return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
     return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
@@ -227,16 +246,20 @@ def _wait_locks_step(program, tcb, state, cs, seed, step_index, wait_mode):
     m = tcb.machine_id
     pair, status = cs.requests[m]
     if status == GRANTED:
-        ordinal = next_ordinal(cs.histories[m])
-        rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
-        if not _locks_for(program, rw, cs, m).is_empty():
-            # The state moved between request and grant and the step now
-            # touches unlocked locations; keep the granted locks on the undo
-            # history (so backtracking releases them) and renegotiate.
-            entry = HistoryEntry(saved=(), locks=pair)
-            return _moved((WAIT_LOCKS, ACTIVE), ("append_history", m, entry))
-        return _proper(program, m, state, rw, read_log, pair, step_index,
-                       ordinal, (WAIT_LOCKS, ACTIVE))
+        done, tested = _termination(program, state)
+        if not done:
+            ordinal = next_ordinal(cs.histories[m])
+            rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
+            if _locks_for(program, rw, cs, m, tested).is_empty():
+                return _proper(program, m, state, rw, read_log, pair,
+                               step_index, ordinal, (WAIT_LOCKS, ACTIVE))
+        # The machine terminated, or the state moved between request and
+        # grant and the step or the test now touches unlocked locations;
+        # keep the granted locks on the undo history (so backtracking
+        # releases them) and go on from active, which requests commit or
+        # the missing locks.
+        entry = HistoryEntry(saved=(), locks=pair)
+        return _moved((WAIT_LOCKS, ACTIVE), ("append_history", m, entry))
     if status == REFUSED:
         return _moved((WAIT_LOCKS, ACTIVE))
     if wait_mode == "suspend" and m in cs.victims:

@@ -834,6 +834,31 @@ def test_check_register_event_out_of_place_exits_one(tmp_path, capsys,
                      f"control state {state!r}")
 
 
+@pytest.mark.parametrize("step", [1, 5])
+def test_check_register_event_not_in_its_registration_step_exits_one(
+        tmp_path, capsys, step):
+    from taserial.engine import payload_digest
+
+    records = _late_m2_records(tmp_path)
+    assert {"kind": "register", "machine": "m2"} in records[4]["events"]
+    records[0]["config"]["registration"] = {"m2": step}
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record 3: m2 registers in step {step}")
+
+
+def test_check_registered_machine_without_its_register_event_exits_one(
+        tmp_path, capsys):
+    """Deleting m2's register event and records from a budget trace would
+    hide its uncommitted steps from the checker."""
+    records = _budget_trace_records(tmp_path)
+    for rec in records[1:-1]:
+        rec["events"] = [ev for ev in rec["events"] if ev["machine"] != "m2"]
+        rec["machines"].pop("m2", None)
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 0: no register event of m2")
+
+
 def _victim_records(tmp_path):
     """full_victim_config(seed=1): alpha's proper step 3 is undone in step
     6; omega's step 2 and alpha's step 14 are proper, alpha's step 1 is not."""
@@ -870,3 +895,41 @@ def test_check_accepts_an_undo_of_a_lock_only_entry(tmp_path, capsys):
     records[8]["events"].append(dict(undo, origin_step=None, restored=[],
                                      locks={"r": [], "w": []}))
     assert _check_records(tmp_path, records) == 0
+
+
+# -- every record kind has exactly the keys the encoder writes ---------------
+
+
+def _record_of_kind(records, kind):
+    return {"header": lambda: records[0],
+            "config": lambda: records[0]["config"],
+            "step": lambda: records[1],
+            "machine": lambda: _first_proper(records),
+            "final": lambda: records[-1]}[kind]()
+
+
+def _check_keys_rejected(tmp_path, capsys, records):
+    from taserial.engine import payload_digest
+
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    _check_malformed(tmp_path, capsys, records, "has the keys")
+
+
+@pytest.mark.parametrize("kind", ["header", "config", "step", "machine",
+                                  "final"])
+def test_check_record_with_an_extra_key_exits_one(tmp_path, capsys, kind):
+    records = _counter_records(tmp_path)
+    _record_of_kind(records, kind)["zzz"] = 1
+    _check_keys_rejected(tmp_path, capsys, records)
+
+
+@pytest.mark.parametrize("kind,key", [
+    ("header", "registered"), ("config", "run_mode"), ("config", "seed"),
+    ("step", "state_hash"), ("machine", "reads"), ("final", "final_state")])
+def test_check_record_without_one_of_its_keys_exits_one(tmp_path, capsys,
+                                                        kind, key):
+    """No key has a default: a config without `run_mode` is not read as
+    sync mode."""
+    records = _counter_records(tmp_path)
+    del _record_of_kind(records, kind)[key]
+    _check_keys_rejected(tmp_path, capsys, records)

@@ -19,7 +19,6 @@ from taserial.controller import (
     LockPair,
     _cycle_members,
     apply_effect,
-    blockers,
     commit_step,
     deadlock_handler_step,
     deadlocked,
@@ -41,8 +40,7 @@ def pair(r=(), w=()):
 def fresh(machines=("m0", "m1")):
     cs = ControllerState()
     for m in machines:
-        cs.transact.add(m)
-        cs.histories[m] = []
+        apply_effect(cs, ("register", m), [])
     return cs
 
 
@@ -52,6 +50,15 @@ def rng():
 
 def request(cs, machine, locks):
     apply_effect(cs, ("lock_request", machine, locks), [])
+
+
+def take(cs, machine, locks):
+    """The machine requests the locks, is granted them and keeps them on
+    its history, each through the effect the engine applies."""
+    request(cs, machine, locks)
+    apply_effect(cs, ("grant", machine, locks), [])
+    apply_effect(cs, ("append_history", machine,
+                      HistoryEntry(saved=(), locks=locks)), [])
 
 
 def pending(cs):
@@ -146,18 +153,12 @@ def test_release_all_clears_both_kinds():
 
 
 def test_blockers_cases():
-    cs = fresh()
-    cs.locks.grant("m1", pair(w=("x",), r=("y",)))
-    assert blockers("m0", pair(r=("x",)), cs) == {"m1"}  # W elsewhere
-    assert blockers("m0", pair(w=("y",)), cs) == {"m1"}  # their R blocks our W
-    assert not blockers("m0", pair(r=("y",)), cs)  # shared read ok
-    assert not blockers("m1", pair(w=("x",)), cs)  # own lock
-
-
-def test_committed_holders_do_not_block():
-    cs = fresh(("m0",))
-    cs.locks.grant("ghost", pair(w=("x",)))  # not in transact
-    assert not blockers("m0", pair(r=("x",)), cs)
+    t = LockTable()
+    t.grant("m1", pair(w=("x",), r=("y",)))
+    assert t.conflicts("m0", pair(r=("x",))) == {"m1"}  # W elsewhere
+    assert t.conflicts("m0", pair(w=("y",))) == {"m1"}  # their R blocks our W
+    assert not t.conflicts("m0", pair(r=("y",)))  # shared read ok
+    assert not t.conflicts("m1", pair(w=("x",)))  # own lock
 
 
 def test_lock_handler_grants_or_refuses():
@@ -220,7 +221,7 @@ def test_commit_releases_everything():
     assert effects == [("commit", "m0")]
     apply_effect(cs, effects[0], committed)
     assert committed == ["m0"]
-    assert "m0" not in cs.transact
+    assert "m0" not in cs.commit_requests
     assert cs.locks.locked_by("m0") == frozenset()
 
 
@@ -391,17 +392,17 @@ def _reference(cs):
 
 
 def assert_out_sets_are_blockers(cs):
-    """The kept out-sets are `blockers` of every waiting machine, and absent
-    for every other machine."""
-    waiting = {m: blockers(m, r.pair, cs) for m, r in cs.requests.items()
-               if r.status != GRANTED and m in cs.transact}
+    """The kept out-sets are the blockers (the holders of conflicting locks)
+    of every waiting machine, and absent for every other machine."""
+    waiting = {m: cs.locks.conflicts(m, r.pair)
+               for m, r in cs.requests.items() if r.status != GRANTED}
     assert cs.wait_graph.out == {m: b for m, b in waiting.items() if b}
 
 
 def _random_op(r, cs, machines, locations, committed):
     """One controller-state change of a random kind, applied as an effect
     the way the engine applies it, in any order the effects allow."""
-    active = sorted(cs.transact)
+    active = sorted(cs.histories.keys() - set(committed))
     kind = r.choice((0, 0, 0, 1, 1, 2, 3, 4, 5, 6))
     m = r.choice(active) if active else None
     if kind == 0 and m is not None:  # request
@@ -411,7 +412,7 @@ def _random_op(r, cs, machines, locations, committed):
         apply_effect(cs, ("lock_request", m, pair), committed)
     elif kind in (1, 2) and pending(cs):  # grant or refuse
         n, pair = r.choice(pending(cs))
-        if blockers(n, pair, cs):
+        if cs.locks.conflicts(n, pair):
             apply_effect(cs, ("refuse", n, pair), committed)
         else:
             apply_effect(cs, ("grant", n, pair), committed)
@@ -424,12 +425,9 @@ def _random_op(r, cs, machines, locations, committed):
     elif kind == 5 and m is not None and cs.histories[m]:  # undo
         apply_effect(cs, ("undo", m, cs.histories[m][-1]), committed)
     elif kind == 6:  # registration
-        idle = [n for n in machines if n not in cs.transact
-                and n not in committed]
+        idle = [n for n in machines if n not in cs.histories]
         if idle:
-            n = r.choice(idle)
-            cs.transact.add(n)
-            cs.histories[n] = []
+            apply_effect(cs, ("register", r.choice(idle)), committed)
 
 
 def test_kept_wait_graph_matches_reference_under_random_changes():
@@ -468,37 +466,55 @@ def test_kept_wait_graph_follows_request_effects():
 
 
 def test_kept_wait_graph_follows_lock_table_changes():
-    cs = _cs_with_edges([("a", "b"), ("b", "a")])
+    """A grant, an undo and a commit change which machines hold x; the kept
+    graph follows each, also for a, whose own request never changes."""
+    cs = fresh(("a", "b", "c"))
+    take(cs, "a", pair(w=("y",)))
+    take(cs, "b", pair(w=("x",)))
+    request(cs, "a", pair(r=("x",)))
+    request(cs, "b", pair(r=("y",)))
     assert deadlocked(cs) == {"a", "b"}
-    held = cs.locks.w_locked_by("b")
-    cs.locks.release("b", LockPair(frozenset(), held))
+    apply_effect(cs, ("undo", "b", cs.histories["b"][-1]), [])  # b drops x
     assert deadlocked(cs) == frozenset()
-    cs.locks.grant("b", LockPair(held, frozenset()))  # a read lock blocks no read
+    assert cs.wait_graph.out == {"b": {"a"}}
+    take(cs, "c", pair(r=("x",)))  # a read lock blocks no read
     assert deadlocked(cs) == frozenset()
-    cs.locks.grant("b", LockPair(frozenset(), held))
-    assert deadlocked(cs) == {"a", "b"}
+    assert cs.wait_graph.out == {"b": {"a"}}
+    take(cs, "c", pair(w=("x",)))  # the upgrade blocks a
+    assert deadlocked(cs) == frozenset()
+    assert cs.wait_graph.out == {"a": {"c"}, "b": {"a"}}
+    apply_effect(cs, ("commit", "c"), [])
+    assert deadlocked(cs) == frozenset()
+    assert cs.wait_graph.out == {"b": {"a"}}
 
 
 def test_wait_graph_keeps_one_and_true_apart():
     # m1 holds f(1) and waits for f(true); m0 holds f(true) and waits for
     # f(2): nobody waits for m1, so there is no cycle.
-    cs = fresh()
+    cs = fresh(("m0", "m1", "m2"))
     cs.locks.grant("m1", LockPair(w_loc=frozenset({loc("f", 1)})))
     cs.locks.grant("m0", LockPair(w_loc=frozenset({loc("f", TRUE)})))
     cs.locks.grant("m2", LockPair(w_loc=frozenset({loc("f", 2)})))
-    cs.transact.add("m2")
     request(cs, "m1", LockPair(r_loc=frozenset({loc("f", TRUE)})))
     request(cs, "m0", LockPair(r_loc=frozenset({loc("f", 2)})))
     assert deadlocked(cs) == frozenset()
     assert cs.wait_graph.out == {"m1": {"m0"}, "m0": {"m2"}}
 
 
+def _holders(table):
+    return ({l: set(ms) for l, ms in table.r_locked.items()},
+            dict(table.w_locked))
+
+
 def test_every_effect_that_rewrites_a_request_marks_its_machine():
     """Each effect kind is applied once; every kind that replaces or drops
     the machine's request record adds it to `wait_graph.changed`, and only
-    those kinds (and commit, which drops a record if one is left) do."""
+    those kinds (and commit, which drops a record if one is left) do.  Each
+    location whose holders an effect changes goes to
+    `wait_graph.locations`."""
     entry = HistoryEntry(saved=(), locks=pair(w=("y",)))
     effects = [
+        ("register", "c"),
         ("lock_request", "a", pair(r=("x",))),
         ("refuse", "a", pair(r=("x",))),
         ("withdraw_request", "a"),
@@ -514,14 +530,20 @@ def test_every_effect_that_rewrites_a_request_marks_its_machine():
     cs = _blocked_by_b()
     marking = set()
     for effect in effects:
-        before = dict(cs.requests)
+        before, held = dict(cs.requests), _holders(cs.locks)
         cs.wait_graph.changed.clear()
+        cs.wait_graph.locations.clear()
         apply_effect(cs, effect, [])
         rewritten = {m for m in before.keys() | cs.requests.keys()
                      if before.get(m) is not cs.requests.get(m)}
         assert rewritten <= cs.wait_graph.changed <= {"a"}, effect
         if cs.wait_graph.changed:
             marking.add(effect[0])
+        moved = {l for kinds, now in zip(held, _holders(cs.locks))
+                 for l in kinds.keys() | now.keys()
+                 if kinds.get(l) != now.get(l)}
+        assert moved == cs.wait_graph.locations, effect
+    assert cs.histories["c"] == []
     applied = re.findall(r'kind == "(\w+)"', inspect.getsource(apply_effect))
     assert {e[0] for e in effects} == set(applied)
     assert marking == {"lock_request", "refuse", "withdraw_request", "grant",

@@ -179,6 +179,46 @@ def test_interleave_mode_runs_and_serializes():
     assert check_serializable(trace).ok
 
 
+# x steps until y's flag is set; y sets it once.  Run serially, x after y
+# terminates at once, and x before y never terminates.
+FLAG_READER = """\
+machine x
+shared flag a
+init a() := 0
+init flag() := 0
+terminated: flag() = 1
+rule: a() := a() + 1
+"""
+FLAG_WRITER = """\
+machine y
+shared flag a
+init flag() := 0
+init a() := 0
+init pc_y() := 0
+terminated: pc_y() = 1
+rule: par { pc_y() := pc_y() + 1 ; flag() := 1 }
+"""
+
+
+@pytest.mark.parametrize("run_mode", ["sync", "interleave"])
+@pytest.mark.parametrize("wait_mode", ["retry", "suspend"])
+def test_termination_test_of_a_shared_flag_serializes(wait_mode, run_mode):
+    """A termination test that reads a shared location holds its read lock,
+    so y cannot set the flag between x's steps and x's test: every run that
+    completes is serializable (x holding the lock and never terminating
+    exhausts the budget instead)."""
+    programs = [parse_program(FLAG_READER), parse_program(FLAG_WRITER)]
+    done = 0
+    for seed in range(20):
+        config = RunConfig(machines=programs, seed=seed, wait_mode=wait_mode,
+                           run_mode=run_mode)
+        trace = trace_from_lines(trace_to_lines(run(config)))
+        if trace.status == "done":
+            done += 1
+            assert check_serializable(trace).ok, seed
+    assert done
+
+
 def test_sync_and_interleave_share_choice_streams():
     # same machine observes the same choose witnesses in both modes because
     # the material depends on its own proper-step count, not global time
@@ -304,7 +344,8 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
     of `wait_edges` at each search, and with `every_step` also after every
     step: in interleave mode the controller does not act every step, so its
     own searches see the changes of several steps at once.  At every lock
-    handler step, each waiting machine's kept out-set is its `blockers`.
+    handler step, each waiting machine's kept out-set is its blockers, the
+    holders of locks that conflict with its pair.
     The seeds alternate the two wait modes."""
     searches = []
     waiting = []
@@ -320,9 +361,9 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
     def handler(cs, rng, policy, wait_mode, waits_for):
         blocked = {}
         for m, r in cs.requests.items():
-            if r.status != controller.GRANTED and m in cs.transact:
+            if r.status != controller.GRANTED:
                 waiting.append(wait_mode)
-                blocked[m] = controller.blockers(m, r.pair, cs)
+                blocked[m] = cs.locks.conflicts(m, r.pair)
         assert waits_for == {m: b for m, b in blocked.items() if b}
         return real_handler(cs, rng, policy, wait_mode, waits_for)
 
@@ -433,10 +474,18 @@ def _controller_snapshot(cs):
             dict(cs.locks.w_locked))
 
 
+CONTROLLER_COMPONENTS = ("lock_handler_step", "commit_step",
+                         "deadlock_handler_step", "recovery_step")
+
+
 @pytest.mark.parametrize("run_mode", ["sync", "interleave"])
 def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
                                                              run_mode):
+    """Every agent of the compute phase, each wrapper step and each of the
+    four controller components, returns effects and changes nothing of the
+    controller state: `apply_effect` alone does."""
     idle = []
+    effects = {name: 0 for name in CONTROLLER_COMPONENTS}
     real_step = engine.wrapper_step
 
     def step(program, tcb, state, cs, *args):
@@ -446,10 +495,25 @@ def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
         idle.append(out[0] is engine.IDLE_STEP)
         return out
 
+    def component(name):
+        real = getattr(controller, name)
+
+        def computed(cs, *args):
+            before = _controller_snapshot(cs)
+            out = real(cs, *args)
+            assert _controller_snapshot(cs) == before, name
+            assert type(out) is list, name
+            effects[name] += len(out)
+            return out
+        return computed
+
     monkeypatch.setattr(engine, "wrapper_step", step)
+    for name in CONTROLLER_COMPONENTS:
+        monkeypatch.setattr(controller, name, component(name))
     for s in range(40):
         run(replace(random_config(s), run_mode=run_mode))
     assert any(idle) and not all(idle)
+    assert all(effects.values()), effects
 
 
 def _with_machine_entry(lines, payload):
@@ -492,7 +556,8 @@ NEAR_IDLE = [
     ('{"ctl":null,"proper":false,"reads":{},"updates":[]}',
      '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
     ('{"ctl":null,"proper":false,"reads":[],"updates":[],"x":1}',
-     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+     "step record 1: the record of 'm0' has the keys ['ctl', 'proper', "
+     "'reads', 'updates', 'x'], not ['ctl', 'proper', 'reads', 'updates']"),
     ('{"ctl":null,"reads":[],"updates":[]}',
      "malformed trace record: KeyError('proper')"),
     ('{"ctl":null,"proper":false,"reads":[],"updates":null}',
@@ -581,10 +646,10 @@ def test_suspend_victim_withdrawal_runs_and_checks(params, seed):
 
 
 def _assert_held_locks_covered(cs):
-    """Each transacting machine's held locks, kind by kind, are covered by
+    """Each registered machine's held locks, kind by kind, are covered by
     its history entries' pairs plus its granted pair (read in the next
     step)."""
-    for m in cs.transact:
+    for m in cs.histories:
         pairs = [e.locks for e in cs.histories[m]]
         r = cs.requests.get(m)
         if r is not None and r.status == controller.GRANTED:
@@ -649,12 +714,11 @@ EFFECT_EVENTS = [
 def test_every_effect_kind_maps_to_its_event_or_none():
     for effect, event in EFFECT_EVENTS:
         assert effect_event(effect, {}) == event, effect[0]
-    # The table names every kind `apply_effect` applies, and registration,
-    # and no other; the codec's table lists exactly those with an event.
+    # The table names every kind `apply_effect` applies, and no other; the
+    # codec's table lists exactly those with an event.
     applied = re.findall(r'kind == "(\w+)"',
                          inspect.getsource(controller.apply_effect))
-    assert sorted(applied + ["register"]) == sorted(
-        e[0] for e, _ in EFFECT_EVENTS)
+    assert sorted(applied) == sorted(e[0] for e, _ in EFFECT_EVENTS)
     assert sorted(engine.EVENTS) == sorted(
         e[0] for e, event in EFFECT_EVENTS if event is not None)
 

@@ -56,7 +56,6 @@ def controller(victim=False, request=None, held=EMPTY_LOCKS, ordinal=0,
     its request record, the locks it holds and `ordinal` proper steps on its
     history."""
     cs = ControllerState()
-    cs.transact.add(m)
     cs.histories[m] = [HistoryEntry(saved=(), locks=EMPTY_LOCKS,
                                       origin_step=i, ordinal=i)
                          for i in range(ordinal)]
@@ -78,7 +77,7 @@ def material():
 
 def new_locks(cs):
     rw = analyse(PROG, initial_state(), material())[0]
-    return _locks_for(PROG, rw, cs, "m")
+    return _locks_for(PROG, rw, cs, "m", frozenset())
 
 
 def test_new_locks_classifies_reads_and_writes():
@@ -186,6 +185,45 @@ def test_terminated_machine_requests_commit():
     state = State({loc("pc"): 1, loc("x"): 2, loc("sensor"): 2})
     assert terminated(PROG, state)
     out, effects = wrapper_step(PROG, tcb, state, controller(), 0, 5)
+    assert out.ctl_change == (ACTIVE, DONE)
+    assert effects == [("commit_request", "m")]
+
+
+FLAG_TEST = parse_program("""\
+machine m
+shared flag
+init flag() := 0
+init pc() := 0
+terminated: flag() = 1
+rule: pc() := pc() + 1
+""")
+
+
+def test_termination_test_runs_under_read_locks():
+    flag = LockPair(frozenset({loc("flag")}))
+    unset, set_ = (State({loc("flag"): v, loc("pc"): 0}) for v in (0, 1))
+    tcb = MachineCtl("m", ctl_state=ACTIVE)
+    # The step reads no shared location, but the test that let it run did.
+    out, effects = wrapper_step(FLAG_TEST, tcb, unset, controller(), 0, 0)
+    assert effects == [("lock_request", "m", flag)]
+    out, effects = wrapper_step(FLAG_TEST, tcb, unset,
+                                controller(held=flag), 0, 0)
+    assert out.proper and effects[0][0] == "append_history"
+    # Terminated without the lock: request it alone.
+    out, effects = wrapper_step(FLAG_TEST, tcb, set_, controller(), 0, 1)
+    assert out.ctl_change == (ACTIVE, WAIT_LOCKS)
+    assert effects == [("lock_request", "m", flag)]
+    # Granted: test again before stepping, keep the lock and go back to
+    # active, which asks to commit now that the lock is held.
+    tcb.ctl_state = WAIT_LOCKS
+    cs = controller(request=Request(flag, GRANTED), held=flag)
+    out, effects = wrapper_step(FLAG_TEST, tcb, set_, cs, 0, 2)
+    assert out.ctl_change == (WAIT_LOCKS, ACTIVE) and not out.proper
+    assert effects == [("append_history", "m",
+                        HistoryEntry(saved=(), locks=flag))]
+    tcb.ctl_state = ACTIVE
+    out, effects = wrapper_step(FLAG_TEST, tcb, set_, controller(held=flag),
+                                0, 3)
     assert out.ctl_change == (ACTIVE, DONE)
     assert effects == [("commit_request", "m")]
 
