@@ -73,7 +73,8 @@ class Location(NamedTuple):
 
 
 def value_key(v: Value) -> tuple:
-    """Canonical sort key: undef, then booleans, integers and symbols."""
+    """Canonical sort key: booleans (false first), then integers, symbols
+    and undef last."""
     kind = type(v)
     if kind is int:
         return ("i", v)

@@ -24,14 +24,11 @@ from .checker import (
     brute_force_serializable,
     check_serializable,
 )
-from .controller import (
-    COMMIT_POLICIES,
-    LOCK_POLICIES,
-    LockInvariantViolation,
-    VICTIM_POLICIES,
-)
+from .controller import LockInvariantViolation
 from .dsl import ParseError, ProgramError, parse_program
 from .engine import (
+    CHOICES,
+    SETTINGS,
     ConfigError,
     InconsistentGlobalUpdate,
     MalformedTrace,
@@ -42,10 +39,6 @@ from .engine import (
 )
 from .fuzz import FuzzParams, random_config
 from .workloads import count_events
-
-POLICY_FLAGS = ("wait_mode", "lock_policy", "commit_policy", "victim_policy",
-                "run_mode")
-
 
 def _default_seed() -> int:
     raw = os.environ.get("TASERIAL_SEED")
@@ -71,12 +64,13 @@ def load_manifest(path: str) -> RunConfig:
     programs = manifest.get("programs") if isinstance(manifest, dict) else None
     if not isinstance(programs, list) or not all(isinstance(p, str) for p in programs):
         raise ConfigError(f"{path}: manifest needs a 'programs' list of file names")
+    unknown = sorted(set(manifest) - {"programs", *SETTINGS})
+    if unknown:
+        raise ConfigError(f"{path}: unknown manifest keys {unknown}; the "
+                          f"settings are {list(SETTINGS)}")
     machines = [parse_program(_read_text(base / rel)) for rel in programs]
-    kwargs = {}
-    for key in ("domain_size", "registration", "seed", "max_steps") + POLICY_FLAGS:
-        if key in manifest:
-            kwargs[key] = manifest[key]
-    return RunConfig(machines=machines, **kwargs)
+    return RunConfig(machines, **{key: manifest[key] for key in SETTINGS
+                                  if key in manifest})
 
 
 def _reject_deep_nesting(cmd):
@@ -94,9 +88,8 @@ def _reject_deep_nesting(cmd):
 
 @_reject_deep_nesting
 def cmd_run(args) -> int:
-    overrides = {flag: getattr(args, flag)
-                 for flag in ("seed", "max_steps") + POLICY_FLAGS
-                 if getattr(args, flag) is not None}
+    overrides = {name: getattr(args, name) for name in SETTINGS
+                 if getattr(args, name, None) is not None}
     if args.seed is None and "TASERIAL_SEED" in os.environ:
         overrides["seed"] = _default_seed()
     try:
@@ -222,16 +215,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--max-steps", type=int, default=None)
     p_run.add_argument("--trace", default=None, help="write trace file here")
-    p_run.add_argument("--wait-mode", choices=["retry", "suspend"],
-                       dest="wait_mode", default=None)
-    p_run.add_argument("--lock-policy", dest="lock_policy",
-                       choices=list(LOCK_POLICIES), default=None)
-    p_run.add_argument("--commit-policy", dest="commit_policy",
-                       choices=list(COMMIT_POLICIES), default=None)
-    p_run.add_argument("--victim-policy", dest="victim_policy",
-                       choices=list(VICTIM_POLICIES), default=None)
-    p_run.add_argument("--run-mode", dest="run_mode",
-                       choices=["sync", "interleave"], default=None)
+    for name, choices in CHOICES.items():
+        p_run.add_argument("--" + name.replace("_", "-"), choices=choices)
     p_run.set_defaults(func=cmd_run)
 
     p_check = sub.add_parser("check", help="check a trace for serializability")

@@ -933,3 +933,59 @@ def test_check_record_without_one_of_its_keys_exits_one(tmp_path, capsys,
     records = _counter_records(tmp_path)
     del _record_of_kind(records, kind)[key]
     _check_keys_rejected(tmp_path, capsys, records)
+
+
+# -- settings: only `RunConfig`'s, each checked as given ---------------------
+
+
+def test_run_misspelled_manifest_keys_exit_one(workdir, capsys):
+    manifest = json.loads((workdir / "manifest.json").read_text())
+    manifest.update(wait_mod="suspend", max_step=3)
+    (workdir / "bad.json").write_text(json.dumps(manifest))
+    assert main(["run", str(workdir / "bad.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "['max_step', 'wait_mod']" in err
+
+
+def _check_forged_config(tmp_path, capsys, edit, message):
+    from taserial.engine import payload_digest
+
+    records = _counter_records(tmp_path)
+    edit(records[0]["config"])
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    _check_malformed(tmp_path, capsys, records, message)
+
+
+def test_check_registration_as_a_list_exits_one(tmp_path, capsys):
+    _check_forged_config(tmp_path, capsys,
+                         lambda c: c.update(registration=[["m0", 0]]),
+                         "registration must map machine names to steps")
+
+
+def test_check_renamed_programs_key_exits_one(tmp_path, capsys):
+    def rename(config):
+        config["programs"]["zzz"] = config["programs"].pop("m0")
+
+    _check_forged_config(tmp_path, capsys, rename,
+                         "programs key 'zzz' holds machine 'm0'")
+
+
+# -- lock payloads: the shape `_lock_payload` writes -------------------------
+
+
+@pytest.mark.parametrize("locks", [
+    123,
+    {"r": [["total", []]]},
+    {"r": [["total"]], "w": []},
+    {"r": [[7, []]], "w": []},
+    {"r": [["a", [None]]], "w": []},
+    {"r": [], "w": [], "x": []},
+], ids=["int", "no-w", "one-element-entry", "non-string-function",
+        "null-argument", "extra-key"])
+def test_check_malformed_lock_payload_exits_one(tmp_path, capsys, locks):
+    records = _counter_records(tmp_path)
+    ev = next(ev for rec in records[1:-1] for ev in rec["events"]
+              if ev["kind"] == "lock_grant")
+    ev["locks"] = locks
+    _check_malformed(tmp_path, capsys, records,
+                     f"lock_grant event of {ev['machine']} has locks {locks!r}")

@@ -10,6 +10,8 @@ from taserial.asm import FALSE, TRUE, Location, State
 from taserial.checker import check_serializable
 from taserial.dsl import parse_program, print_program
 from taserial.engine import (
+    CHOICES,
+    RECORD_KEYS,
     ConfigError,
     MalformedTrace,
     RunConfig,
@@ -741,3 +743,13 @@ def test_lock_payload_writes_constants_as_json():
     assert json.dumps(payload, separators=(",", ":")) == (
         '{"r":[["a",[true]],["a",[1]]],'
         '"w":[["b",[false,"s"]],["c",[null]]]}')
+
+
+@pytest.mark.parametrize("name,value", [(name, value)
+                                        for name, values in CHOICES.items()
+                                        for value in values])
+def test_config_payload_round_trips(name, value):
+    config = counter_config(registration={"m1": 2}, **{name: value})
+    payload = config.to_payload()
+    assert set(payload) == RECORD_KEYS["config"]
+    assert RunConfig.from_payload(payload) == config
