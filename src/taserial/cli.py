@@ -60,7 +60,10 @@ def _read_text(path: Path) -> str:
 def load_manifest(path: str) -> RunConfig:
     """Run manifest: JSON with a list of program files plus run settings."""
     base = Path(path).parent
-    manifest = json.loads(_read_text(Path(path)))
+    try:
+        manifest = json.loads(_read_text(Path(path)))
+    except ValueError as e:  # also an integer past Python's digit limit
+        raise ConfigError(f"{path}: invalid JSON: {e}") from None
     programs = manifest.get("programs") if isinstance(manifest, dict) else None
     if not isinstance(programs, list) or not all(isinstance(p, str) for p in programs):
         raise ConfigError(f"{path}: manifest needs a 'programs' list of file names")
@@ -94,8 +97,7 @@ def cmd_run(args) -> int:
         overrides["seed"] = _default_seed()
     try:
         config = replace(load_manifest(args.config), **overrides)
-    except (OSError, json.JSONDecodeError, ParseError, ProgramError,
-            ConfigError) as e:
+    except (OSError, ParseError, ProgramError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     for warning in config.closed_system_warnings():
@@ -109,7 +111,11 @@ def cmd_run(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     if args.trace:
-        write_trace(trace, args.trace)
+        try:
+            write_trace(trace, args.trace)
+        except OSError as e:
+            print(f"error: {args.trace}: {e.strerror or e}", file=sys.stderr)
+            return 1
     print(json.dumps({
         "status": trace.status,
         "steps": len(trace.steps),

@@ -45,7 +45,7 @@ from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     wrapper_step,
 )
 
-TRACE_VERSION = 1
+TRACE_VERSION = 2
 
 
 class RunError(AsmError):
@@ -79,6 +79,9 @@ class RunConfig:
     """Everything needed to reproduce a run except the master seed."""
 
     machines: List[MachineProgram]
+    # Initial values of the config itself, in the order given: locations
+    # that several programs share, written once instead of in each program.
+    shared_inits: List[Tuple[Location, Value]] = field(default_factory=list)
     domain_size: int = 8
     registration: Dict[str, int] = field(default_factory=dict)
     wait_mode: str = "retry"
@@ -114,6 +117,11 @@ class RunConfig:
             if type(step) is not int or step < 0:
                 raise ConfigError(f"registration step of {name!r} must be a "
                                   f"non-negative integer, got {step!r}")
+        seen = set()
+        for loc, _ in self.shared_inits:
+            if loc in seen:
+                raise ConfigError(f"shared init of {loc} listed twice")
+            seen.add(loc)
         self.machines = sorted(self.machines, key=lambda m: m.name)
         rules = []
         for m in self.machines:
@@ -130,8 +138,8 @@ class RunConfig:
 
     def initial_state(self) -> State:
         values: Dict[Location, Value] = {}
-        for m in self.machines:
-            for loc, val in m.inits:
+        for inits in [m.inits for m in self.machines] + [self.shared_inits]:
+            for loc, val in inits:
                 if loc in values and values[loc] != val:
                     raise ConfigError(
                         f"conflicting initial values for {loc}: "
@@ -142,19 +150,28 @@ class RunConfig:
     def to_payload(self) -> dict:
         payload = {name: getattr(self, name) for name in SETTINGS}
         payload["programs"] = {m.name: print_program(m) for m in self.machines}
+        payload["shared_inits"] = [[encode_location(l), encode_value(v)]
+                                   for l, v in self.shared_inits]
         return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "RunConfig":
         """The config `to_payload` wrote; the settings are checked as
-        given, and each `programs` key must name the program it holds."""
+        given, and each `programs` key must name the program it holds.  A
+        version-1 payload has no `shared_inits`: its programs hold them."""
         machines = []
         for name, text in payload["programs"].items():
             machines.append(parse_program(text))
             if machines[-1].name != name:
                 raise ConfigError(f"programs key {name!r} holds machine "
                                   f"{machines[-1].name!r}")
-        return cls(machines, **{name: payload[name] for name in SETTINGS})
+        shared = payload.get("shared_inits", [])
+        if type(shared) is not list or not all(
+                type(p) is list and len(p) == 2 for p in shared):
+            raise ConfigError(f"shared_inits is not a list of [location, "
+                              f"value] pairs: {shared!r}")
+        return cls(machines, decode_pairs(shared),
+                   **{name: payload[name] for name in SETTINGS})
 
     def closed_system_warnings(self) -> List[str]:
         """External locations should be owned (shared/output) by some other
@@ -173,21 +190,29 @@ class RunConfig:
         return out
 
 
-#: The settings of a run: every `RunConfig` field but the machines.
-SETTINGS = tuple(f.name for f in fields(RunConfig) if f.name != "machines")
+#: The settings of a run: every `RunConfig` field but the machines and the
+#: shared inits.
+SETTINGS = tuple(f.name for f in fields(RunConfig)
+                 if f.name not in ("machines", "shared_inits"))
+
+# What `json.dumps(obj, sort_keys=True, separators=(",", ":"))` writes,
+# without building an encoder per call.
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _text_digest(text: str) -> str:
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=8).hexdigest()
 
 
 def payload_digest(payload: dict) -> str:
     """blake2b-64 of the canonical JSON of a config payload."""
-    blob = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
-    return hashlib.blake2b(blob, digest_size=8).hexdigest()
+    return _text_digest(_dump(payload))
 
 
 @dataclass
 class StepRecord:
     index: int
-    per_machine: Dict[str, MachineStep]
+    per_machine: Dict[str, MachineStep]  # the machines that did not idle
     events: List[dict]
     state_hash: str
 
@@ -389,6 +414,8 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             tcb = tcbs[m]
             ms, eff = wrapper_step(programs[m], tcb, state, cs, seed, index,
                                    config.wait_mode)
+            if ms is IDLE_STEP:  # waiting, it performs no step: no record
+                continue
             per_machine[m] = ms
             if ms.ctl_change is not None:  # read by this machine alone
                 tcb.ctl_state = ms.ctl_change[1]
@@ -527,7 +554,7 @@ _EVENT_KEYS = {k: {"kind", "machine", *f} for k, f in EVENTS.values()}
 RECORD_KEYS = {
     "header": {"type", "version", "config", "config_digest", "seed",
                "registered", "initial_state"},
-    "config": {"programs", *SETTINGS},
+    "config": {"programs", "shared_inits", *SETTINGS},
     "step": {"type", "index", "events", "machines", "state_hash"},
     "machine": {"updates", "reads", "ctl", "proper"},
     "final": {"type", "status", "committed", "final_state"},
@@ -567,17 +594,11 @@ def _lock_payload(locks: ctl.LockPair, payloads: dict) -> dict:
     return payload
 
 
-# What `json.dumps(obj, sort_keys=True, separators=(",", ":"))` writes,
-# without building an encoder per call.
-_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 # What `state_digest` returns; the encoder writes it without escaping.
 _HEX_DIGEST = re.compile("[0-9a-f]{16}").fullmatch
 
-# `IDLE_STEP` as its trace record writes it, and the record decoded.
-_IDLE_JSON = '{"ctl":null,"proper":false,"reads":[],"updates":[]}'
-_IDLE_PAYLOAD = json.loads(_IDLE_JSON)
+# The record version 1 wrote for a waiting machine; its decoder drops it.
+_V1_IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
 
 
 def _machine_step_json(ms: MachineStep) -> str:
@@ -590,28 +611,23 @@ def _machine_step_json(ms: MachineStep) -> str:
 
 
 def trace_to_lines(trace: Trace) -> List[str]:
-    config = trace.config.to_payload()
-    header = {
-        "type": "header",
-        "version": TRACE_VERSION,
-        "config": config,
-        "config_digest": payload_digest(config),
-        "seed": trace.config.seed,
-        "registered": list(trace.registered),
-        "initial_state": encode_pairs(trace.initial_values.items()),
-    }
-    lines = [_dump(header)]
-    # machine -> its `"name":` key and its idle record, built once per trace
-    keyed: Dict[str, Tuple[str, str]] = {}
+    # The header, keys in sorted order, with the config's canonical text
+    # encoded once for both the config and its digest.
+    config = _dump(trace.config.to_payload())
+    lines = ['{"config":' + config + ',"config_digest":"' + _text_digest(config)
+             + '","initial_state":'
+             + _dump(encode_pairs(trace.initial_values.items()))
+             + ',"registered":' + _dump(list(trace.registered))
+             + ',"seed":' + str(trace.config.seed)
+             + ',"type":"header","version":' + str(TRACE_VERSION) + '}']
+    keys: Dict[str, str] = {}  # machine -> its `"name":` key
     for rec in trace.steps:
         parts = []
         for m, ms in sorted(rec.per_machine.items()):
-            named = keyed.get(m)
-            if named is None:
-                key = _dump(m) + ":"
-                named = keyed[m] = (key, key + _IDLE_JSON)
-            parts.append(named[1] if ms is IDLE_STEP
-                         else named[0] + _machine_step_json(ms))
+            key = keys.get(m)
+            if key is None:
+                key = keys[m] = _dump(m) + ":"
+            parts.append(key + _machine_step_json(ms))
         events = [dict(ev, restored=encode_pairs(ev["restored"]))
                   if "restored" in ev else ev for ev in rec.events]
         # The canonical record, keys in sorted order, assembled from parts;
@@ -638,9 +654,12 @@ def write_trace(trace: Trace, path: str) -> None:
 
 
 def trace_from_lines(lines: List[str]) -> Trace:
+    """The trace the lines encode, in this version or in version 1, whose
+    programs hold the shared inits and whose waiting machines have idle
+    records; those records are dropped."""
     try:
         records = [json.loads(line) for line in lines if line.strip()]
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # also an integer past Python's digit limit
         raise MalformedTrace(f"invalid JSON: {e}") from None
     if (not records or type(records[0]) is not dict
             or records[0].get("type") != "header"):
@@ -648,15 +667,18 @@ def trace_from_lines(lines: List[str]) -> Trace:
     if type(records[-1]) is not dict or records[-1].get("type") != "final":
         raise MalformedTrace("missing final record (truncated trace?)")
     header, final = records[0], records[-1]
-    if header.get("version") != TRACE_VERSION:
-        raise MalformedTrace(f"unsupported trace version {header.get('version')!r}")
+    version = header.get("version")
+    if type(version) is not int or version not in (1, TRACE_VERSION):
+        raise MalformedTrace(f"unsupported trace version {version!r}")
     if header.keys() != RECORD_KEYS["header"]:
-        raise _bad_keys(header, "header", "the header")
+        raise _bad_keys(header, RECORD_KEYS["header"], "the header")
     if final.keys() != RECORD_KEYS["final"]:
-        raise _bad_keys(final, "final", "the final record")
+        raise _bad_keys(final, RECORD_KEYS["final"], "the final record")
     payload = header["config"]
-    if type(payload) is not dict or payload.keys() != RECORD_KEYS["config"]:
-        raise _bad_keys(payload, "config", "the header's config")
+    config_keys = RECORD_KEYS["config"] - ({"shared_inits"} if version == 1
+                                           else set())
+    if type(payload) is not dict or payload.keys() != config_keys:
+        raise _bad_keys(payload, config_keys, "the header's config")
     try:
         config = RunConfig.from_payload(payload)
         if payload_digest(payload) != header["config_digest"]:
@@ -676,6 +698,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                     config.machine_ids, "in the config")
         committed = _machine_names(final["committed"], "committed",
                                    registered, "registered")
+        sync = config.run_mode == "sync"
         steps = []
         commits = []
         last_commit = 0  # the step count when the last commit was recorded
@@ -684,11 +707,13 @@ def trace_from_lines(lines: List[str]) -> Trace:
         # machine -> its control state: unregistered until its register
         # event, then moved by its records' `ctl` changes
         ctl_of = dict.fromkeys(registered, UNREGISTERED)
+        active: Set[str] = set()  # the machines whose control state is active
         for rec in records[1:-1]:
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
             if rec.keys() != RECORD_KEYS["step"]:
-                raise _bad_keys(rec, "step", f"step record {len(steps)}")
+                raise _bad_keys(rec, RECORD_KEYS["step"],
+                                f"step record {len(steps)}")
             if type(rec["index"]) is not int or rec["index"] != len(steps):
                 raise MalformedTrace(f"step record {len(steps)} has index "
                                      f"{rec['index']!r}")
@@ -699,11 +724,20 @@ def trace_from_lines(lines: List[str]) -> Trace:
             for ev in rec["events"]:
                 _check_event(ev, len(steps), ctl_of, undoable,
                              config.registration)
-                if ev["kind"] == "commit":
+                if ev["kind"] == "register":
+                    active.add(ev["machine"])
+                elif ev["kind"] == "commit":
                     commits.append(ev["machine"])
                     last_commit = len(steps) + 1
+            machines = rec["machines"]
+            # In sync mode every live machine acts, and an active one always
+            # steps or changes its control state: only a waiting one idles.
+            if sync and not machines.keys() >= active:
+                raise MalformedTrace(
+                    f"step record {len(steps)}: no record of active machines "
+                    f"{sorted(active - machines.keys())}")
             per_machine = {}
-            for m, ms in rec["machines"].items():
+            for m, ms in machines.items():
                 state = ctl_of.get(m)
                 if state is None:
                     raise MalformedTrace(f"step record {len(steps)}: machine "
@@ -713,13 +747,14 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                          f"has a record in control state "
                                          f"{state!r}")
                 # Only the exact record: `"proper":0` decodes as before.
-                if ms == _IDLE_PAYLOAD and ms["proper"] is False:
-                    per_machine[m] = IDLE_STEP
+                if (version == 1 and ms == _V1_IDLE
+                        and ms["proper"] is False):
                     continue
                 proper, ctl_change = ms["proper"], ms["ctl"]
                 if ms.keys() != RECORD_KEYS["machine"]:
-                    raise _bad_keys(ms, "machine", f"step record {len(steps)}: "
-                                    f"the record of {m!r}")
+                    raise _bad_keys(ms, RECORD_KEYS["machine"],
+                                    f"step record {len(steps)}: the record "
+                                    f"of {m!r}")
                 if type(proper) is not bool:
                     raise MalformedTrace(f"step record {len(steps)}: {m!r} "
                                          f"has proper {proper!r}")
@@ -732,6 +767,14 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                              f"in control state {state!r}")
                     ctl_change = tuple(ctl_change)
                     ctl_of[m] = ctl_change[1]
+                    if ctl_change[1] == ACTIVE:
+                        active.add(m)
+                    else:
+                        active.discard(m)
+                elif not proper and version > 1:
+                    raise MalformedTrace(f"step record {len(steps)}: {m!r} "
+                                         f"has a record that neither steps "
+                                         f"nor changes its control state")
                 per_machine[m] = MachineStep(
                     updates=frozenset(decode_pairs(ms["updates"])),
                     reads=tuple(decode_pairs(ms["reads"])),
@@ -778,13 +821,12 @@ _COMMITTED = "committed"
 _NO_RECORD = (UNREGISTERED, DONE, _COMMITTED)
 
 
-def _bad_keys(record, kind: str, what: str) -> MalformedTrace:
-    """The error for a record that is not an object with exactly the keys
-    `RECORD_KEYS[kind]`."""
+def _bad_keys(record, keys: Set[str], what: str) -> MalformedTrace:
+    """The error for a record that is not an object with exactly `keys`."""
     if type(record) is not dict:
         return MalformedTrace(f"{what} is not an object: {record!r}")
     return MalformedTrace(f"{what} has the keys {sorted(record)}, not "
-                          f"{sorted(RECORD_KEYS[kind])}")
+                          f"{sorted(keys)}")
 
 
 def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],

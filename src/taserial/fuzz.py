@@ -195,7 +195,7 @@ def random_machine(rng: random.Random, name: str, shared: List[str],
 
 def random_config(seed: int, params: Optional[FuzzParams] = None) -> RunConfig:
     """A closed multi-machine workload: every external function of each
-    machine is shared by all of them and initialized once."""
+    machine is shared by all of them and initialized once, by the config."""
     params = params or FuzzParams()
     rng = make_rng(seed, "fuzz-config")
     shared = [f"g{i}" for i in range(params.n_shared)]
@@ -206,11 +206,10 @@ def random_config(seed: int, params: Optional[FuzzParams] = None) -> RunConfig:
                     for g in shared]
     shared_inits += [(Location(ARRAY, (i,)), rng.randrange(0, params.domain_size))
                      for i in range(params.domain_size)]
-    for m in machines:
-        m.inits.extend(shared_inits)
     registration = {m.name: rng.randrange(0, 3) for m in machines}
     return RunConfig(
         machines=machines,
+        shared_inits=shared_inits,
         domain_size=params.domain_size,
         registration=registration,
         # Parity split keeps both waiting disciplines exercised equally over

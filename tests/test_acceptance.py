@@ -30,6 +30,7 @@ from taserial.workloads import (
 )
 
 from stepwise import cleanse_stepwise
+from trace_v1 import v1_lines
 
 N_FUZZ = 1000
 
@@ -264,37 +265,51 @@ def test_criterion_8_replay_determinism():
 
 
 # Traces are byte-identical across engine changes unless TRACE_VERSION is
-# bumped; these pins were taken from the engine before the per-step costs
-# were made incremental (delta-maintained digest, shared deadlock pass).
+# bumped.  Each corpus has two pins: its version-1 traces, as the writer in
+# `trace_v1` makes them from the current runs, and its current traces.  The
+# version-1 pins were taken from the engine before the per-step costs were
+# made incremental (delta-maintained digest, shared deadlock pass), so they
+# show the simulation unchanged since.
 GOLDEN_DEFAULT_0_999 = (
     "fd962cefae13a3e6c450b257a5f660c95e8f7764a084879239e670588ca88f18")
 GOLDEN_12_MACHINES_0_3 = (
     "31096f3556ba1a8688d919f03699f5ce8a2904d9bddd003e21c9cffd69245a31")
+GOLDEN_V2_DEFAULT_0_999 = (
+    "0b03475cdacd28b5afbfd7b50f833834353e9a6d8531e3186c3b4de5af1ed0bd")
+GOLDEN_V2_12_MACHINES_0_3 = (
+    "882bc72f36cda1f4a9adfe25978828ad2ac896195e6044488de52662329fe2b8")
 
 
-def _traces_sha256(traces):
+def _traces_sha256(traces, encode=trace_to_lines):
     """One sha256 over every encoded line of the traces, in order, each line
     followed by a newline."""
     h = hashlib.sha256()
     for trace in traces:
-        for line in trace_to_lines(trace):
+        for line in encode(trace):
             h.update(line.encode("utf-8") + b"\n")
     return h.hexdigest()
 
 
+def _report_pins(name, traces, v1_pin, v2_pin, detail):
+    traces = list(traces)
+    v1, v2 = _traces_sha256(traces, v1_lines), _traces_sha256(traces)
+    report(name, (v1, v2) == (v1_pin, v2_pin),
+           f"sha256 of {detail}: version 1 {v1}, version 2 {v2}")
+
+
 def test_golden_traces_default_fuzz_corpus():
     traces, _, _ = fuzz_corpus()
-    digest = _traces_sha256(traces)
-    report("golden default-corpus traces", digest == GOLDEN_DEFAULT_0_999,
-           f"sha256 of seeds 0-{N_FUZZ - 1}: {digest}")
+    _report_pins("golden default-corpus traces", traces, GOLDEN_DEFAULT_0_999,
+                 GOLDEN_V2_DEFAULT_0_999, f"seeds 0-{N_FUZZ - 1}")
 
 
 def test_golden_traces_12_machines():
     params = FuzzParams(n_machines=12, n_shared=16, max_steps_per_machine=8,
                         domain_size=8, step_budget=2000)
-    digest = _traces_sha256(run(random_config(s, params)) for s in range(4))
-    report("golden 12-machine traces", digest == GOLDEN_12_MACHINES_0_3,
-           f"sha256 of seeds 0-3: {digest}")
+    _report_pins("golden 12-machine traces",
+                 (run(random_config(s, params)) for s in range(4)),
+                 GOLDEN_12_MACHINES_0_3, GOLDEN_V2_12_MACHINES_0_3,
+                 "seeds 0-3")
 
 
 # Pins for the modes the two pins above leave out, taken from the engine
@@ -306,14 +321,18 @@ GOLDEN_INTERLEAVE_0_199 = (
     "629d71ea6a8e0d7f5bdbe05bdea253cb1992bb967f2c4775680cb23ce85d7668")
 GOLDEN_HAND_WRITTEN = (
     "63707c8f2c999632b97ce66c9e554a03d80b3c1b32ff58aee6147483b94017f0")
+GOLDEN_V2_INTERLEAVE_0_199 = (
+    "02453db80ae695f99b2bf5688198895ea9b125a99bb98d80087eff487e9269de")
+GOLDEN_V2_HAND_WRITTEN = (
+    "3e444aabb1c57df31afb253359882345631a0b467f5fdad92e78dfd6aafce2c6")
 
 
 def test_golden_traces_interleave_mode():
     traces = (run(dataclasses.replace(random_config(s), run_mode="interleave"))
               for s in range(200))
-    digest = _traces_sha256(traces)
-    report("golden interleave-mode traces", digest == GOLDEN_INTERLEAVE_0_199,
-           f"sha256 of seeds 0-199: {digest}")
+    _report_pins("golden interleave-mode traces", traces,
+                 GOLDEN_INTERLEAVE_0_199, GOLDEN_V2_INTERLEAVE_0_199,
+                 "seeds 0-199")
 
 
 def _hand_written_traces():
@@ -334,6 +353,6 @@ def _hand_written_traces():
 
 
 def test_golden_traces_hand_written_workloads():
-    digest = _traces_sha256(_hand_written_traces())
-    report("golden hand-written traces", digest == GOLDEN_HAND_WRITTEN,
-           f"sha256 of counter/opposed/full-victim seeds 0-9: {digest}")
+    _report_pins("golden hand-written traces", _hand_written_traces(),
+                 GOLDEN_HAND_WRITTEN, GOLDEN_V2_HAND_WRITTEN,
+                 "counter/opposed/full-victim seeds 0-9")

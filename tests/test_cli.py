@@ -132,8 +132,8 @@ def _check_records(tmp_path, records):
 
 def _forge_init(records, func, value):
     """Set the init of func() to the encoded `value` in every program of the
-    header and in its initial state, with a matching config digest: a forged
-    header the decoder accepts."""
+    header, in its shared inits and in its initial state, with a matching
+    config digest: a forged header the decoder accepts."""
     from taserial.engine import payload_digest
 
     header = records[0]
@@ -143,6 +143,9 @@ def _forge_init(records, func, value):
         programs[name] = re.sub(rf"^init {func}\(\) := \S+$",
                                 f"init {func}() := {text}", program,
                                 flags=re.M)
+    for entry in header["config"]["shared_inits"]:
+        if entry[0] == [func, []]:
+            entry[1] = value
     header["config_digest"] = payload_digest(header["config"])
     (entry,) = [e for e in header["initial_state"] if e[0] == [func, []]]
     entry[1] = value
@@ -413,12 +416,19 @@ def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
 # -- `registered` and `committed` name each machine once ---------------------
 
 
-def _counter_trace_records(tmp_path, only=None):
+def _counter_trace_records(tmp_path, only=None, v1=False):
+    """The records of a counter_config(seed=1) trace, as the engine writes
+    it or, with `v1`, as version 1 wrote it."""
     from taserial.engine import run, write_trace
     from taserial.workloads import counter_config
 
+    from trace_v1 import v1_lines
+
     path = tmp_path / "counter.jsonl"
-    write_trace(run(counter_config(seed=1), only=only), str(path))
+    trace = run(counter_config(seed=1), only=only)
+    if v1:
+        return [json.loads(line) for line in v1_lines(trace)]
+    write_trace(trace, str(path))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
@@ -759,7 +769,8 @@ def test_check_step_record_of_an_unregistered_machine_exits_one(tmp_path,
 
 # -- control states: each event and record fits its machine's ----------------
 # counter_config(seed=1): m2 changes to done in step 4 and commits in step 5;
-# m0 waits for locks in steps 1 and 2.  Step i is records[i + 1].
+# m0 waits for locks in steps 1 and 2.  Step i is records[i + 1].  The tests
+# that forge idle records take version-1 input, which has them.
 
 _IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
 
@@ -776,7 +787,7 @@ def test_check_event_after_its_machines_commit_exits_one(tmp_path, capsys,
 
 
 def test_check_record_after_its_machines_commit_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v1=True)
     records[7]["machines"]["m2"] = _IDLE
     _check_malformed(tmp_path, capsys, records,
                      "step record 6: 'm2' has a record in control state "
@@ -784,7 +795,7 @@ def test_check_record_after_its_machines_commit_exits_one(tmp_path, capsys):
 
 
 def test_check_commit_without_a_change_to_done_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v1=True)
     assert records[5]["machines"]["m2"]["ctl"] == ["active", "done"]
     records[5]["machines"]["m2"]["ctl"] = None
     _check_malformed(tmp_path, capsys, records,
@@ -797,24 +808,30 @@ def test_check_commit_without_a_change_to_done_exits_one(tmp_path, capsys):
                                  ["wait-locks", "done"]])
 def test_check_ctl_change_not_from_the_current_state_exits_one(tmp_path,
                                                               capsys, ctl):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v1=True)
+    assert records[3]["machines"]["m0"] == _IDLE
     records[3]["machines"]["m0"]["ctl"] = ctl
     _check_malformed(tmp_path, capsys, records,
                      f"step record 2: 'm0' has ctl {ctl!r} in control state "
                      f"'wait-locks'")
 
 
-def _late_m2_records(tmp_path):
+def _late_m2_records(tmp_path, v1=False):
     """counter_config(seed=1) with m2 registering in step 3."""
+    from taserial.engine import run
     from taserial.workloads import counter_config
 
-    return _trace_records(tmp_path,
-                          counter_config(seed=1, registration={"m2": 3}))
+    from trace_v1 import v1_lines
+
+    config = counter_config(seed=1, registration={"m2": 3})
+    if v1:
+        return [json.loads(line) for line in v1_lines(run(config))]
+    return _trace_records(tmp_path, config)
 
 
 def test_check_record_before_its_machines_register_event_exits_one(tmp_path,
                                                                    capsys):
-    records = _late_m2_records(tmp_path)
+    records = _late_m2_records(tmp_path, v1=True)
     records[1]["machines"]["m2"] = _IDLE
     _check_malformed(tmp_path, capsys, records,
                      "step record 0: 'm2' has a record in control state "
@@ -989,3 +1006,117 @@ def test_check_malformed_lock_payload_exits_one(tmp_path, capsys, locks):
     ev["locks"] = locks
     _check_malformed(tmp_path, capsys, records,
                      f"lock_grant event of {ev['machine']} has locks {locks!r}")
+
+
+# -- version 2: only acting machines have records; shared inits once ---------
+
+
+def test_check_explicit_idle_record_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    assert "m0" not in records[2]["machines"]  # m0 waits for locks
+    records[2]["machines"]["m0"] = _IDLE
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 1: 'm0' has a record that neither steps "
+                     "nor changes its control state")
+
+
+def test_check_sync_step_without_an_active_machines_record_exits_one(
+        tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    del records[1]["machines"]["m1"]
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 0: no record of active machines ['m1']")
+
+
+@pytest.mark.parametrize("shared,message", [
+    ({"g0": 1}, "shared_inits is not a list of [location, value] pairs"),
+    ([[["g0", []]]], "shared_inits is not a list of [location, value] pairs"),
+    ([5], "shared_inits is not a list of [location, value] pairs"),
+    ([[["g0", []], ["x", 1]]], "malformed value ['x', 1]"),
+    ([[["g0", [], []], ["i", 1]]], "malformed location ['g0', [], []]"),
+])
+def test_check_shared_inits_not_tagged_pairs_exits_one(tmp_path, capsys,
+                                                       shared, message):
+    _check_forged_config(tmp_path, capsys,
+                         lambda c: c.update(shared_inits=shared), message)
+
+
+def test_check_shared_init_listed_twice_exits_one(tmp_path, capsys):
+    from taserial.engine import payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    shared = records[0]["config"]["shared_inits"]
+    assert shared[0][0] == ["g0", []]
+    shared.append(shared[0])
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    _check_malformed(tmp_path, capsys, records,
+                     "shared init of Location(func='g0', args=()) listed "
+                     "twice")
+
+
+def test_check_shared_init_conflicting_with_a_program_exits_one(tmp_path,
+                                                                capsys):
+    _check_forged_config(
+        tmp_path, capsys,
+        lambda c: c["shared_inits"].append([["total", []], ["i", 5]]),
+        "conflicting initial values for Location(func='total', args=()): "
+        "0 vs 5")
+
+
+def test_check_header_without_shared_inits_exits_one(tmp_path, capsys):
+    _check_forged_config(tmp_path, capsys, lambda c: c.pop("shared_inits"),
+                         "the header's config has the keys")
+
+
+def test_check_reads_version_one_traces(tmp_path, capsys):
+    """A version-1 trace, with its idle records and the shared inits in
+    each program, checks as the current trace of the same run does."""
+    from taserial.engine import run, write_trace
+    from taserial.fuzz import random_config
+
+    from trace_v1 import v1_lines
+
+    for seed in (3, 4):
+        trace = run(random_config(seed))
+        v1_path, v2_path = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        v1_path.write_text("".join(line + "\n" for line in v1_lines(trace)))
+        write_trace(trace, str(v2_path))
+        assert v1_path.read_text().count("\n") == len(trace.steps) + 2
+        assert main(["check", str(v1_path)]) == main(["check", str(v2_path)])
+        v1_out, v2_out = capsys.readouterr().out.splitlines()
+        assert v1_out == v2_out
+
+
+# -- bad input: huge integers, unwritable trace paths ------------------------
+
+
+def test_check_integer_past_the_digit_limit_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    path = tmp_path / "huge.jsonl"
+    lines = [json.dumps(r) for r in records]
+    lines[1] = lines[1].replace('"index": 0', '"index": ' + "9" * 5001)
+    assert '"index": 999' in lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: invalid JSON: ")
+
+
+def test_run_integer_past_the_digit_limit_in_manifest_exits_one(workdir,
+                                                                capsys):
+    text = (workdir / "manifest.json").read_text()
+    assert '"seed": 4' in text
+    (workdir / "huge.json").write_text(
+        text.replace('"seed": 4', '"seed": ' + "4" * 5001))
+    assert main(["run", str(workdir / "huge.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {workdir / 'huge.json'}: invalid JSON: ")
+
+
+def test_run_trace_into_a_missing_directory_exits_one(workdir, capsys):
+    path = workdir / "no" / "such" / "dir" / "t.jsonl"
+    assert main(["run", str(workdir / "manifest.json"),
+                 "--trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert not path.parent.exists()

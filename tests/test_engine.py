@@ -37,6 +37,8 @@ from taserial.workloads import (
     opposed_lock_config,
 )
 
+from trace_v1 import v1_lines
+
 
 def loc(f, *args):
     return Location(f, tuple(args))
@@ -519,29 +521,62 @@ def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
 
 
 def _with_machine_entry(lines, payload):
-    """The trace lines with m0's first idle record replaced, and the number
-    of that line (one past its step index)."""
+    """The version-1 trace lines with m0's first idle record replaced, and
+    the number of that line (one past its step index)."""
     at = next(i for i, line in enumerate(lines)
-              if '"m0":' + engine._IDLE_JSON in line)
+              if '"m0":' + IDLE_JSON in line)
     record = json.loads(lines[at])
     record["machines"]["m0"] = json.loads(payload)
     return lines[:at] + [json.dumps(record)] + lines[at + 1:], at
 
 
+# The record version 1 writes for a machine that waits.
+IDLE_JSON = '{"ctl":null,"proper":false,"reads":[],"updates":[]}'
+
+
 def test_idle_record_decodes_to_the_shared_step():
-    lines = trace_to_lines(run(opposed_lock_config(seed=3)))
-    assert any('"left":{"ctl":null,"proper":false,"reads":[],"updates":[]}'
-               in line for line in lines)
+    """A version-1 idle record decodes to no record, as the engine keeps a
+    waiting machine's step, and the writer of version 1 restores it."""
+    lines = v1_lines(run(opposed_lock_config(seed=3)))
+    assert any('"left":' + IDLE_JSON in line for line in lines)
     trace = trace_from_lines(lines)
-    idle = [ms for rec in trace.steps for ms in rec.per_machine.values()
-            if ms == engine.IDLE_STEP]
-    assert idle and all(ms is engine.IDLE_STEP for ms in idle)
-    assert trace_to_lines(trace) == lines
+    assert not any(ms == engine.IDLE_STEP for rec in trace.steps
+                   for ms in rec.per_machine.values())
+    assert v1_lines(trace) == lines
 
 
-# Records close to the idle one, in place of m0's idle record in step 1
-# (m0 waits for locks), each with what the decoder makes of it: the entry
-# the decoded trace re-encodes to, or the MalformedTrace message.
+def _version_pair_configs():
+    for seed in range(6):
+        yield random_config(seed)
+        yield replace(random_config(seed), run_mode="interleave")
+    yield random_config(1, FUZZ_12)
+    for run_mode in ("sync", "interleave"):
+        for wait_mode in ("retry", "suspend"):
+            modes = dict(run_mode=run_mode, wait_mode=wait_mode)
+            yield counter_config(4, 3, seed=2, registration={"m1": 2}, **modes)
+            yield full_victim_config(seed=1, **modes)
+
+
+@pytest.mark.parametrize("config", list(_version_pair_configs()))
+def test_version_one_and_two_traces_of_a_run_decode_alike(config):
+    """The two versions of one run's trace decode to the same steps, values,
+    commit order and verdict; only version 1 has idle records."""
+    trace = run(config)
+    lines = v1_lines(trace)
+    one, two = trace_from_lines(lines), trace_from_lines(trace_to_lines(trace))
+    assert one.steps == two.steps
+    assert (one.initial_values, one.final_values, one.status, one.committed,
+            one.registered) == (two.initial_values, two.final_values,
+                                two.status, two.committed, two.registered)
+    assert one.config.initial_state().values == two.initial_values
+    assert check_serializable(one) == check_serializable(two)
+    assert v1_lines(one) == lines and trace_to_lines(two) == trace_to_lines(trace)
+
+
+# Records close to the idle one, in place of m0's idle record in step 1 of a
+# version-1 trace (m0 waits for locks), each with what the decoder makes of
+# it: the entry the decoded trace re-encodes to, or the MalformedTrace
+# message.
 NEAR_IDLE = [
     ('{"ctl":null,"proper":0,"reads":[],"updates":[]}',
      "step record 1: 'm0' has proper 0"),
@@ -572,8 +607,8 @@ NEAR_IDLE = [
 
 @pytest.mark.parametrize("payload,expected", NEAR_IDLE)
 def test_near_idle_records_decode_as_before(payload, expected):
-    lines, at = _with_machine_entry(
-        trace_to_lines(run(counter_config(2, 1))), payload)
+    lines, at = _with_machine_entry(v1_lines(run(counter_config(2, 1))),
+                                    payload)
     assert at == 2
     try:
         trace = trace_from_lines(lines)
@@ -582,7 +617,7 @@ def test_near_idle_records_decode_as_before(payload, expected):
         return
     entry = trace.steps[at - 1].per_machine["m0"]
     assert entry is not engine.IDLE_STEP
-    again = json.loads(trace_to_lines(trace)[at])["machines"]["m0"]
+    again = json.loads(v1_lines(trace)[at])["machines"]["m0"]
     assert json.dumps(again, sort_keys=True, separators=(",", ":")) == expected
     assert type(entry.proper) is type(json.loads(payload)["proper"])
 

@@ -349,8 +349,10 @@ def test_choose_ids_are_read_when_the_code_runs():
         extra = random_machine(random.Random(seed), "a0", ["g0", "g1", "g2"],
                                FuzzParams())
         joined = RunConfig(machines=[extra] + first.machines,
+                           shared_inits=first.shared_inits,
                            domain_size=first.domain_size, seed=seed)
         reparsed = RunConfig(machines=[fresh(m) for m in joined.machines],
+                             shared_inits=first.shared_inits,
                              domain_size=first.domain_size, seed=seed)
         assert (trace_to_lines(run(joined))[1:]
                 == trace_to_lines(run(reparsed))[1:])
