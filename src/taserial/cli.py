@@ -64,6 +64,8 @@ def load_manifest(path: str) -> RunConfig:
         manifest = json.loads(_read_text(Path(path)))
     except ValueError as e:  # also an integer past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: invalid JSON: nests too deeply") from None
     programs = manifest.get("programs") if isinstance(manifest, dict) else None
     if not isinstance(programs, list) or not all(isinstance(p, str) for p in programs):
         raise ConfigError(f"{path}: manifest needs a 'programs' list of file names")
@@ -190,10 +192,15 @@ def cmd_fuzz(args) -> int:
         if not ok:
             failures.append(seed)
             dump = f"fuzz-fail-{seed}.jsonl"
-            write_trace(trace, dump)
+            try:
+                write_trace(trace, dump)
+                dumped = f"; trace dumped to {dump}"
+            except OSError as e:
+                print(f"error: {dump}: {e.strerror or e}", file=sys.stderr)
+                dumped = ""
             print(f"  repro: taserial fuzz --runs 1 --seed {seed} "
-                  f"--machines {args.machines} --locations {args.locations}; "
-                  f"trace dumped to {dump}")
+                  f"--machines {args.machines} --locations {args.locations}"
+                  f"{dumped}")
     print(f"aggregate: runs={args.runs} failures={len(failures)} "
           f"commits={stats['commit']} victimizations={stats['victimize']} "
           f"undos={stats['undo']} refusals={stats['lock_refuse']}")

@@ -281,78 +281,110 @@ def decode_location(payload) -> Location:
     raise MalformedTrace(f"malformed location {payload!r}")
 
 
-def encode_pairs(pairs) -> list:
-    return [[encode_location(l), encode_value(v)]
-            for l, v in sorted(pairs, key=lambda p: (loc_key(p[0]), value_key(p[1])))]
-
-
 def decode_pairs(payload):
     return [(decode_location(l), decode_value(v)) for l, v in payload]
 
 
+#: The types of machine values.  A bool or a float can equal an int, so a
+#: memo keyed on a value or location checks the types it does not hash.
+_VALUE_TYPES = (int, str, Constant)
+
+
+class _Fragments:
+    """The canonical JSON text of locations and values, each built once:
+    per location its sort key and its head `[location,`, per value its sort
+    key and its tail `value]`, so a pair's text is a head plus a tail.  Both
+    the trace writer and the state digest encode pairs here."""
+
+    __slots__ = ("heads", "tails")
+
+    def __init__(self):
+        self.heads: Dict[Location, Tuple[tuple, str]] = {}
+        self.tails: Dict[Value, Tuple[tuple, str]] = {}
+
+    def entries(self, pairs) -> List[Tuple[tuple, tuple, str]]:
+        """Each pair's location key, value key and text.  A bool, float or
+        None value or argument raises TypeError, as in `encode_value`."""
+        heads, tails = self.heads, self.tails
+        out = []
+        for loc, v in pairs:
+            head = heads.get(loc)
+            if head is None or loc.args:  # a(True) hits a(1): check args
+                head = self._head(loc)
+            tail = tails.get(v)
+            if tail is None or type(v) not in _VALUE_TYPES:
+                # An int needs no JSON call; a bool fails in `value_key`.
+                tail = tails[v] = (
+                    (("i", v), f'["i",{v}]]') if type(v) is int
+                    else (value_key(v), _dump(encode_value(v)) + "]"))
+            out.append((head[0], tail[0], head[1] + tail[1]))
+        return out
+
+    def _head(self, loc: Location) -> Tuple[tuple, str]:
+        for a in loc.args:
+            if type(a) not in _VALUE_TYPES:
+                raise TypeError(f"not a machine value: {a!r}")
+        head = self.heads.get(loc)
+        if head is None:
+            head = self.heads[loc] = (loc_key(loc),
+                                      "[" + _dump(encode_location(loc)) + ",")
+        return head
+
+    def pairs(self, pairs) -> str:
+        """The JSON list of the pairs, sorted by location, then value."""
+        if not pairs:
+            return "[]"
+        entries = self.entries(pairs)
+        entries.sort()
+        return "[" + ",".join([e[2] for e in entries]) + "]"
+
+
 def state_digest(state: State) -> str:
     """blake2b-64 of the canonical JSON of the state's sorted pairs."""
-    blob = json.dumps(encode_pairs(state.values.items()),
-                      sort_keys=True, separators=(",", ":")).encode("utf-8")
-    return hashlib.blake2b(blob, digest_size=8).hexdigest()
-
-
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _value_json(v: Value) -> str:
-    """`_encode_json(encode_value(v))`, an int without the JSON call."""
-    if type(v) is int:
-        return f'["i",{v}]'
-    return _encode_json(encode_value(v))
+    return _text_digest(_Fragments().pairs(state.values.items()))
 
 
 class _StateDigest:
     """`state_digest` kept up to date from each step's delta.
 
-    Holds one canonical JSON fragment `[location,value]` per location, and
-    each location's encoded head `[location,`, so a step re-encodes only the
-    values it wrote.  It re-sorts only when a location appears or disappears
-    (is written undef), and re-hashes only when a fragment changed: a step
-    that changes no location keeps the last digest.
+    Holds one canonical JSON fragment `[location,value]` per location, keyed
+    by the location's sort key, so a step re-encodes only the values it
+    wrote.  It re-sorts only when a location appears or disappears (is
+    written undef), and re-hashes only when a fragment changed: a step that
+    changes no location keeps the last digest.
     """
 
-    __slots__ = ("entries", "heads", "order", "last")
+    __slots__ = ("fragments", "entries", "order", "last")
 
     def __init__(self, values: Dict[Location, Value]):
-        self.entries: Dict[Location, str] = {}
-        self.heads: Dict[Location, str] = {}
-        self.order: Optional[List[Location]] = None
+        self.fragments = _Fragments()
+        self.entries: Dict[tuple, str] = {}
+        self.order: Optional[List[tuple]] = None
         self.last: Optional[str] = None
         self.update(values.items())
 
     def update(self, delta) -> None:
         """Follow `State.with_updates(delta)`."""
-        entries, heads = self.entries, self.heads
-        for loc, val in delta:
-            if val is UNDEF:
-                if entries.pop(loc, None) is not None:
+        entries = self.entries
+        for key, vkey, entry in self.fragments.entries(delta):
+            if vkey is UNDEF.key:  # the location leaves the state
+                if entries.pop(key, None) is not None:
                     self.order = self.last = None
                 continue
-            head = heads.get(loc)
-            if head is None:
-                head = heads[loc] = "[" + _encode_json(encode_location(loc)) + ","
-            entry = head + _value_json(val) + "]"
-            old = entries.get(loc)
+            old = entries.get(key)
             if entry != old:
                 if old is None:
                     self.order = None
-                entries[loc] = entry
+                entries[key] = entry
                 self.last = None
 
     def hexdigest(self) -> str:
         if self.last is None:
             if self.order is None:
-                self.order = sorted(self.entries, key=loc_key)
+                self.order = sorted(self.entries)
             entries = self.entries
-            blob = "[" + ",".join([entries[l] for l in self.order]) + "]"
-            self.last = hashlib.blake2b(blob.encode("utf-8"),
-                                        digest_size=8).hexdigest()
+            self.last = _text_digest(
+                "[" + ",".join([entries[k] for k in self.order]) + "]")
         return self.last
 
 
@@ -601,49 +633,65 @@ _HEX_DIGEST = re.compile("[0-9a-f]{16}").fullmatch
 _V1_IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
 
 
-def _machine_step_json(ms: MachineStep) -> str:
-    return _dump({
-        "updates": encode_pairs(ms.updates),
-        "reads": encode_pairs(ms.reads),
-        "ctl": list(ms.ctl_change) if ms.ctl_change else None,
-        "proper": ms.proper,
-    })
-
-
 def trace_to_lines(trace: Trace) -> List[str]:
-    # The header, keys in sorted order, with the config's canonical text
-    # encoded once for both the config and its digest.
+    """The trace as lines of canonical JSON (keys sorted, no spaces),
+    assembled from text fragments, each built once per trace: the pairs'
+    locations and values (`_Fragments`), the machine names and control
+    changes, and each lock payload.  Events have the fields `EVENTS` gives."""
+    pairs = _Fragments().pairs
+    texts: Dict[object, str] = {None: "null"}  # name or ctl change -> JSON
+    locks: Dict[int, Tuple[dict, str]] = {}  # id(payload) -> payload, JSON
+
+    def text(obj) -> str:
+        out = texts.get(obj)
+        if out is None:
+            out = texts[obj] = _dump(obj)
+        return out
+
+    def lock_text(payload: dict) -> str:
+        # The entry keeps the payload alive, so no other takes its id.
+        entry = locks.get(id(payload))
+        if entry is None:
+            entry = locks[id(payload)] = (payload, _dump(payload))
+        return entry[1]
+
+    def event(ev: dict) -> str:
+        out = '{"kind":' + text(ev["kind"])
+        if "locks" in ev:
+            out += ',"locks":' + lock_text(ev["locks"])
+        out += ',"machine":' + text(ev["machine"])
+        if "restored" in ev:
+            origin = ev["origin_step"]
+            out += (',"origin_step":' + ("null" if origin is None
+                                         else str(origin))
+                    + ',"restored":' + pairs(ev["restored"]))
+        return out + "}"
+
+    def machine(m: str, ms: MachineStep) -> str:
+        return (text(m) + ':{"ctl":' + text(ms.ctl_change or None)
+                + ',"proper":' + ("true" if ms.proper else "false")
+                + ',"reads":' + pairs(ms.reads)
+                + ',"updates":' + pairs(ms.updates) + "}")
+
+    # The header, with the config's canonical text encoded once for both
+    # the config and its digest.
     config = _dump(trace.config.to_payload())
     lines = ['{"config":' + config + ',"config_digest":"' + _text_digest(config)
-             + '","initial_state":'
-             + _dump(encode_pairs(trace.initial_values.items()))
+             + '","initial_state":' + pairs(trace.initial_values.items())
              + ',"registered":' + _dump(list(trace.registered))
              + ',"seed":' + str(trace.config.seed)
              + ',"type":"header","version":' + str(TRACE_VERSION) + '}']
-    keys: Dict[str, str] = {}  # machine -> its `"name":` key
     for rec in trace.steps:
-        parts = []
-        for m, ms in sorted(rec.per_machine.items()):
-            key = keys.get(m)
-            if key is None:
-                key = keys[m] = _dump(m) + ":"
-            parts.append(key + _machine_step_json(ms))
-        events = [dict(ev, restored=encode_pairs(ev["restored"]))
-                  if "restored" in ev else ev for ev in rec.events]
-        # The canonical record, keys in sorted order, assembled from parts;
-        # the index is an int and the state hash a hex digest, so neither
-        # needs a JSON call.
-        lines.append('{"events":' + (_dump(events) if events else "[]")
-                     + ',"index":' + str(rec.index)
-                     + ',"machines":{' + ",".join(parts)
-                     + '},"state_hash":"' + rec.state_hash
-                     + '","type":"step"}')
-    lines.append(_dump({
-        "type": "final",
-        "status": trace.status,
-        "committed": list(trace.committed),
-        "final_state": encode_pairs(trace.final_values.items()),
-    }))
+        # The state hash is a hex digest: no JSON call.
+        lines.append(
+            '{"events":[' + ",".join([event(ev) for ev in rec.events])
+            + '],"index":' + str(rec.index) + ',"machines":{'
+            + ",".join([machine(m, ms)
+                        for m, ms in sorted(rec.per_machine.items())])
+            + '},"state_hash":"' + rec.state_hash + '","type":"step"}')
+    lines.append('{"committed":' + _dump(list(trace.committed))
+                 + ',"final_state":' + pairs(trace.final_values.items())
+                 + ',"status":' + _dump(trace.status) + ',"type":"final"}')
     return lines
 
 
@@ -661,6 +709,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
         records = [json.loads(line) for line in lines if line.strip()]
     except ValueError as e:  # also an integer past Python's digit limit
         raise MalformedTrace(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise MalformedTrace("invalid JSON: nests too deeply") from None
     if (not records or type(records[0]) is not dict
             or records[0].get("type") != "header"):
         raise MalformedTrace("missing header record")
@@ -732,10 +782,13 @@ def trace_from_lines(lines: List[str]) -> Trace:
             machines = rec["machines"]
             # In sync mode every live machine acts, and an active one always
             # steps or changes its control state: only a waiting one idles.
-            if sync and not machines.keys() >= active:
-                raise MalformedTrace(
-                    f"step record {len(steps)}: no record of active machines "
-                    f"{sorted(active - machines.keys())}")
+            if sync:
+                if not machines.keys() >= active:
+                    raise MalformedTrace(
+                        f"step record {len(steps)}: no record of active "
+                        f"machines {sorted(active - machines.keys())}")
+            else:
+                _check_agent(rec, len(steps), ctl_of, config.seed)
             per_machine = {}
             for m, ms in machines.items():
                 state = ctl_of.get(m)
@@ -819,6 +872,29 @@ _COMMITTED = "committed"
 
 #: The control states in which a machine takes no step, so has no record.
 _NO_RECORD = (UNREGISTERED, DONE, _COMMITTED)
+
+
+def _check_agent(rec: dict, index: int, ctl_of: Dict[str, str],
+                 seed: int) -> None:
+    """In interleave mode one agent acts per step, the one `_acting` draws
+    from the live machines: a machine, whose record (none if it waited) is
+    the step's only one and whose lock requests are its only events beside
+    registrations, or the controller, with no record and no lock request."""
+    live = sorted(m for m, state in ctl_of.items() if state not in _NO_RECORD)
+    acting, _ = _acting("interleave", live, seed, index)
+    agent = acting[0] if acting else None
+    machines = rec["machines"]
+    if len(machines) > 1 or machines and agent not in machines:
+        raise MalformedTrace(f"step record {index}: records of "
+                             f"{sorted(machines)}, but only "
+                             f"{agent or 'the controller'} acts in it")
+    for ev in rec["events"]:
+        kind = ev["kind"]
+        if (kind == "lock_request" and ev["machine"] != agent
+                or agent and kind not in ("register", "lock_request")):
+            raise MalformedTrace(f"step record {index}: {kind} event of "
+                                 f"{ev['machine']}, but only "
+                                 f"{agent or 'the controller'} acts in it")
 
 
 def _bad_keys(record, keys: Set[str], what: str) -> MalformedTrace:

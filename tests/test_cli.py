@@ -1120,3 +1120,131 @@ def test_run_trace_into_a_missing_directory_exits_one(workdir, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ")
     assert not path.parent.exists()
+
+
+def _deep_json():
+    return "[" * 100000 + "]" * 100000
+
+
+def test_check_deeply_nested_trace_line_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.jsonl"
+    path.write_text(_deep_json() + "\n")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "malformed trace: invalid JSON: nests too deeply\n")
+
+
+def test_run_deeply_nested_manifest_exits_one(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"programs": ' + _deep_json() + "}")
+    assert main(["run", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: invalid JSON: nests too deeply\n")
+
+
+def test_fuzz_failure_dump_into_a_directory_exits_three(capsys, tmp_path,
+                                                        monkeypatch):
+    """Seed 2 exhausts its budget; a directory stands where its trace would
+    be dumped, so that seed reports the error and the next one still runs."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fuzz-fail-2.jsonl").mkdir()
+    assert main(["fuzz", "--machines", "8", "--locations", "6", "--runs", "4",
+                 "--seed", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("error: fuzz-fail-2.jsonl: ")
+    assert "run seed=2: status=budget" in out and "run seed=3:" in out
+    assert "aggregate: runs=4 failures=1 " in out
+    assert (tmp_path / "fuzz-fail-2.jsonl").is_dir()
+
+
+# -- interleave mode: one agent per step, the one the seed draws -------------
+
+
+def _interleave_records(tmp_path):
+    """counter_config(3, 2, seed=1) in interleave mode: m1 acts in step 0,
+    m2 in step 3, and the controller grants locks in a later step."""
+    from taserial.workloads import counter_config
+
+    records = _trace_records(tmp_path, counter_config(3, 2, seed=1,
+                                                      run_mode="interleave"))
+    assert list(records[1]["machines"]) == ["m1"]
+    assert list(records[4]["machines"]) == ["m2"]
+    return records
+
+
+def _controller_step(records):
+    """The first step record with a lock grant: the controller acted in it."""
+    return next(rec for rec in records[1:-1]
+                if any(ev["kind"] == "lock_grant" for ev in rec["events"]))
+
+
+def test_check_interleaved_step_with_two_records_exits_one(tmp_path, capsys):
+    records = _interleave_records(tmp_path)
+    records[1]["machines"]["m2"] = records[4]["machines"].pop("m2")
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 0: records of ['m1', 'm2'], but only m1 "
+                     "acts in it")
+
+
+def test_check_interleaved_record_of_another_machine_exits_one(tmp_path,
+                                                                capsys):
+    records = _interleave_records(tmp_path)
+    records[1]["machines"]["m0"] = records[1]["machines"].pop("m1")
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 0: records of ['m0'], but only m1 acts in it")
+
+
+@pytest.mark.parametrize("event", [
+    {"kind": "lock_grant", "machine": "m1", "locks": {"r": [], "w": []}},
+    {"kind": "lock_refuse", "machine": "m1", "locks": {"r": [], "w": []}},
+    {"kind": "victimize", "machine": "m0"},
+    {"kind": "recovered", "machine": "m2"},
+    {"kind": "undo", "machine": "m1", "locks": {"r": [], "w": []},
+     "origin_step": None, "restored": []},
+    {"kind": "lock_request", "machine": "m0"},
+], ids=lambda ev: ev["kind"] + "-" + ev["machine"])
+def test_check_interleaved_event_of_another_agent_exits_one(tmp_path, capsys,
+                                                            event):
+    """A controller event, or another machine's lock request, in the step
+    where m1 acted."""
+    records = _interleave_records(tmp_path)
+    records[1]["events"].append(event)
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record 0: {event['kind']} event of "
+                     f"{event['machine']}, but only m1 acts in it")
+
+
+def test_check_interleaved_commit_in_a_machines_step_exits_one(tmp_path,
+                                                               capsys):
+    """The first commit moved into the next step in which a machine acted."""
+    records = _interleave_records(tmp_path)
+    at, commit = next((i, ev) for i, rec in enumerate(records[1:-1], 1)
+                      for ev in rec["events"] if ev["kind"] == "commit")
+    records[at]["events"].remove(commit)
+    later = next(i for i in range(at + 1, len(records) - 1)
+                 if records[i]["machines"])
+    records[later]["events"].append(commit)
+    (agent,) = records[later]["machines"]
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {later - 1}: commit event of "
+                     f"{commit['machine']}, but only {agent} acts in it")
+
+
+def test_check_interleaved_machine_record_in_a_controller_step_exits_one(
+        tmp_path, capsys):
+    records = _interleave_records(tmp_path)
+    step = _controller_step(records)
+    step["machines"]["m1"] = records[1]["machines"].pop("m1")
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {step['index']}: records of ['m1'], but "
+                     f"only the controller acts in it")
+
+
+def test_check_interleaved_lock_request_in_a_controller_step_exits_one(
+        tmp_path, capsys):
+    records = _interleave_records(tmp_path)
+    step = _controller_step(records)
+    step["events"].append({"kind": "lock_request", "machine": "m0"})
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {step['index']}: lock_request event of "
+                     f"m0, but only the controller acts in it")

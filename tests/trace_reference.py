@@ -1,0 +1,66 @@
+"""The list-based trace writer, the reference for `engine.trace_to_lines`.
+
+It builds each record as nested lists and dicts and runs the JSON encoder
+once per record, the way the writer did before it assembled lines from text
+fragments; the tests require both to write the same lines.
+"""
+import hashlib
+import json
+from typing import List
+
+from taserial.asm import loc_key, value_key
+from taserial.engine import (
+    TRACE_VERSION,
+    Trace,
+    encode_location,
+    encode_value,
+)
+
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def encode_pairs(pairs) -> list:
+    return [[encode_location(l), encode_value(v)]
+            for l, v in sorted(pairs, key=lambda p: (loc_key(p[0]),
+                                                     value_key(p[1])))]
+
+
+def state_digest(values) -> str:
+    blob = _dump(encode_pairs(values.items())).encode("utf-8")
+    return hashlib.blake2b(blob, digest_size=8).hexdigest()
+
+
+def reference_lines(trace: Trace) -> List[str]:
+    payload = trace.config.to_payload()
+    config = _dump(payload)
+    lines = [_dump({
+        "type": "header",
+        "version": TRACE_VERSION,
+        "config": payload,
+        "config_digest": hashlib.blake2b(config.encode("utf-8"),
+                                         digest_size=8).hexdigest(),
+        "seed": trace.config.seed,
+        "registered": list(trace.registered),
+        "initial_state": encode_pairs(trace.initial_values.items()),
+    })]
+    for rec in trace.steps:
+        lines.append(_dump({
+            "type": "step",
+            "index": rec.index,
+            "events": [dict(ev, restored=encode_pairs(ev["restored"]))
+                       if "restored" in ev else ev for ev in rec.events],
+            "machines": {m: {
+                "updates": encode_pairs(ms.updates),
+                "reads": encode_pairs(ms.reads),
+                "ctl": list(ms.ctl_change) if ms.ctl_change else None,
+                "proper": ms.proper,
+            } for m, ms in rec.per_machine.items()},
+            "state_hash": rec.state_hash,
+        }))
+    lines.append(_dump({
+        "type": "final",
+        "status": trace.status,
+        "committed": list(trace.committed),
+        "final_state": encode_pairs(trace.final_values.items()),
+    }))
+    return lines
