@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .dsl import parse_program
-from .engine import RunConfig, StepRecord, Trace, run
+from .engine import RunConfig, StepRecord, Trace, run, state_at
 
 _INC = """\
 machine {name}
@@ -29,7 +29,8 @@ def lost_update_config(seed: int = 7) -> RunConfig:
 
 def forged_lost_update_trace(seed: int = 7) -> Trace:
     """Both machines' recorded steps read cell() = 0 and write cell() = 1.
-    b registers in the step where its spliced steps begin."""
+    b registers in the step where its spliced steps begin; the final state
+    is the one the spliced steps leave."""
     config = lost_update_config(seed)
     solo_a = run(config, only=["a"])
     solo_b = run(config, only=["b"])  # also from cell = 0: the forgery
@@ -43,12 +44,14 @@ def forged_lost_update_trace(seed: int = 7) -> Trace:
                 events=[dict(ev) for ev in rec.events],
                 state_hash=rec.state_hash,
             ))
-    return Trace(
+    trace = Trace(
         config=replace(config, registration={"b": len(solo_a.steps)}),
         initial_values=dict(solo_a.initial_values),
         steps=steps,
-        final_values=dict(solo_b.final_values),
+        final_values={},
         status="done",
         committed=["a", "b"],
         registered=["a", "b"],
     )
+    trace.final_values = state_at(trace, len(steps)).values
+    return trace

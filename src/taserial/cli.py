@@ -34,6 +34,7 @@ from .engine import (
     MalformedTrace,
     RunConfig,
     load_trace,
+    loads_json,
     run,
     write_trace,
 )
@@ -58,10 +59,11 @@ def _read_text(path: Path) -> str:
 
 
 def load_manifest(path: str) -> RunConfig:
-    """Run manifest: JSON with a list of program files plus run settings."""
+    """Run manifest: JSON with a list of program files plus run settings;
+    a key listed twice is an error."""
     base = Path(path).parent
     try:
-        manifest = json.loads(_read_text(Path(path)))
+        manifest = loads_json(_read_text(Path(path)))
     except ValueError as e:  # also an integer past Python's digit limit
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     except RecursionError:

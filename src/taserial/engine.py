@@ -701,22 +701,182 @@ def write_trace(trace: Trace, path: str) -> None:
             fh.write(line + "\n")
 
 
-def trace_from_lines(lines: List[str]) -> Trace:
-    """The trace the lines encode, in this version or in version 1, whose
-    programs hold the shared inits and whose waiting machines have idle
-    records; those records are dropped."""
+def _object(pairs: List[tuple]) -> dict:
+    """A JSON object as a dict; a key listed twice is ValueError, where
+    `json.loads` would keep the last value."""
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return out
+
+
+#: `json.loads` for trace lines and manifests: a key listed twice in an
+#: object is ValueError.
+loads_json = json.JSONDecoder(object_pairs_hook=_object).decode
+
+
+def _parse_line(line: str, loads=loads_json):
     try:
-        records = [json.loads(line) for line in lines if line.strip()]
+        return loads(line)
     except ValueError as e:  # also an integer past Python's digit limit
         raise MalformedTrace(f"invalid JSON: {e}") from None
     except RecursionError:
         raise MalformedTrace("invalid JSON: nests too deeply") from None
-    if (not records or type(records[0]) is not dict
-            or records[0].get("type") != "header"):
+
+
+#: `json.loads` that keeps the last value of a key listed twice, for step
+#: lines, whose keys `trace_from_lines` counts.
+_loads_lax = json.JSONDecoder().decode
+
+
+class _Shared:
+    """The objects one trace holds many times, each distinct one decoded
+    once: locations, location/value pairs, lock payloads and machine steps,
+    in memos that live as long as one decoding.  A memo key keeps the types
+    of the values in it, so `["b",true]` never hits the entry of `["i",1]`,
+    although `True == 1` in Python; and only decoded payloads enter a memo,
+    so a hit is a payload that decodes."""
+
+    __slots__ = ("locations", "pair_memo", "lock_memo", "step_memo")
+
+    def __init__(self):
+        # a name, or a name and its decoded arguments -> the location
+        self.locations: Dict[object, Location] = {}
+        # (name, tag, type, value) of a pair whose location has no
+        # arguments, or the decoded pair itself -> the pair
+        self.pair_memo: Dict[tuple, tuple] = {}
+        # `_lock_key` of the `r` and the `w` list -> the payload
+        self.lock_memo: Dict[tuple, dict] = {}
+        # the decoded fields of a machine record -> its MachineStep
+        self.step_memo: Dict[tuple, MachineStep] = {}
+
+    def location(self, payload) -> Location:
+        """`decode_location`, one object per distinct location."""
+        if type(payload) is list and len(payload) == 2:
+            func, args = payload
+            if type(func) is str and type(args) is list:
+                if args:
+                    decoded = tuple([decode_value(a) for a in args])
+                    key = (func, decoded)
+                else:
+                    decoded, key = (), func
+                loc = self.locations.get(key)
+                if loc is None:
+                    loc = self.locations[key] = Location(func, decoded)
+                return loc
+        raise MalformedTrace(f"malformed location {payload!r}")
+
+    def pairs(self, payload) -> List[Tuple[Location, Value]]:
+        """`decode_pairs`, one tuple per distinct pair.  A pair whose
+        location has no arguments and whose value is tagged, the common
+        case, is looked up before it is decoded."""
+        memo = self.pair_memo
+        out = []
+        for l, v in payload:
+            if (type(l) is list and len(l) == 2 and l[1] == []
+                    and type(v) is list and len(v) == 2):
+                x = v[1]
+                key = (l[0], v[0], type(x), x)
+                try:
+                    pair = memo.get(key)
+                except TypeError:  # an unhashable name or value
+                    pair = self._pair(l, v)  # raises MalformedTrace
+                if pair is None:
+                    pair = memo[key] = (self.location(l), decode_value(v))
+            else:
+                pair = self._pair(l, v)
+            out.append(pair)
+        return out
+
+    def _pair(self, l, v) -> Tuple[Location, Value]:
+        pair = (self.location(l), decode_value(v))
+        return self.pair_memo.setdefault(pair, pair)
+
+    def step(self, updates: list, reads: list,
+             ctl_change: Optional[Tuple[str, str]],
+             proper: bool) -> MachineStep:
+        """One MachineStep per distinct machine record: most records only
+        change a control state, and undone steps are taken again."""
+        key = (tuple(updates), tuple(reads), ctl_change, proper)
+        out = self.step_memo.get(key)
+        if out is None:
+            out = self.step_memo[key] = MachineStep(
+                frozenset(updates), key[1], ctl_change, proper)
+        return out
+
+    def locks(self, payload) -> Optional[dict]:
+        """One object per distinct lock payload, equal to the payload
+        `_lock_payload` builds: entries `(function, argument tuple)`.  None
+        when `payload` is not of the shape `_lock_payload` writes: `r` and
+        `w`, each a list of `[function, arguments]`, each argument an int,
+        a string or a boolean (no location has an undef argument)."""
+        if type(payload) is not dict or payload.keys() != _LOCK_KINDS:
+            return None
+        r, w = payload["r"], payload["w"]
+        key = (_lock_key(r), _lock_key(w))
+        if key[0] is None or key[1] is None:
+            return None
+        out = self.lock_memo.get(key)
+        if out is None:
+            out = self.lock_memo[key] = {
+                "r": [(f, tuple(args)) for f, args in r],
+                "w": [(f, tuple(args)) for f, args in w]}
+        return out
+
+
+_LOCK_KINDS = {"r", "w"}
+
+
+def _lock_key(entries) -> Optional[tuple]:
+    """A key for a lock payload's `r` or `w` list that keeps its arguments'
+    types: per entry its function, or its function and its arguments with
+    JSON true and false read as TRUE and FALSE.  None if the list is not one
+    of `[function, arguments]` with int, string or boolean arguments.  Plain
+    loops: `all` over generators took three times as long on fuzz24
+    traces."""
+    if type(entries) is not list:
+        return None
+    out = []
+    for e in entries:
+        if (type(e) is not list or len(e) != 2 or type(e[0]) is not str
+                or type(e[1]) is not list):
+            return None
+        if not e[1]:
+            out.append(e[0])
+            continue
+        args = []
+        for a in e[1]:
+            kind = type(a)
+            if kind is bool:
+                a = TRUE if a else FALSE
+            elif kind is not int and kind is not str:
+                return None
+            args.append(a)
+        out.append((e[0], tuple(args)))
+    return tuple(out)
+
+
+def trace_from_lines(lines: List[str]) -> Trace:
+    """The trace the lines encode, in this version or in version 1, whose
+    programs hold the shared inits and whose waiting machines have idle
+    records; those records are dropped.
+
+    It parses the header and the footer, then one step line at a time; the
+    decoded trace shares each distinct location, pair, lock payload and
+    machine step (`_Shared`).  It applies each step's delta to the initial
+    values, as `State.with_updates` does, and requires `final_state` to be
+    the result."""
+    lines = [line for line in lines if line.strip()]
+    header = _parse_line(lines[0]) if lines else None
+    if type(header) is not dict or header.get("type") != "header":
         raise MalformedTrace("missing header record")
-    if type(records[-1]) is not dict or records[-1].get("type") != "final":
+    final = _parse_line(lines[-1])
+    if type(final) is not dict or final.get("type") != "final":
         raise MalformedTrace("missing final record (truncated trace?)")
-    header, final = records[0], records[-1]
     version = header.get("version")
     if type(version) is not int or version not in (1, TRACE_VERSION):
         raise MalformedTrace(f"unsupported trace version {version!r}")
@@ -729,6 +889,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                            else set())
     if type(payload) is not dict or payload.keys() != config_keys:
         raise _bad_keys(payload, config_keys, "the header's config")
+    shared = _Shared()
     try:
         config = RunConfig.from_payload(payload)
         if payload_digest(payload) != header["config_digest"]:
@@ -737,18 +898,19 @@ def trace_from_lines(lines: List[str]) -> Trace:
         if type(seed) is not int or seed != config.seed:
             raise MalformedTrace(f"header seed {seed!r} is not the config "
                                  f"seed {config.seed}")
-        initial_values = dict(decode_pairs(header["initial_state"]))
+        initial_values = dict(shared.pairs(header["initial_state"]))
         if initial_values != config.initial_state().values:
             raise MalformedTrace("initial_state is not the state the config's "
                                  "inits give")
-        if len(records) - 2 > config.max_steps:
-            raise MalformedTrace(f"{len(records) - 2} step records exceed "
+        if len(lines) - 2 > config.max_steps:
+            raise MalformedTrace(f"{len(lines) - 2} step records exceed "
                                  f"max_steps {config.max_steps}")
         registered = _machine_names(header["registered"], "registered",
                                     config.machine_ids, "in the config")
         committed = _machine_names(final["committed"], "committed",
                                    registered, "registered")
         sync = config.run_mode == "sync"
+        values = dict(initial_values)  # the state after the steps so far
         steps = []
         commits = []
         last_commit = 0  # the step count when the last commit was recorded
@@ -758,7 +920,14 @@ def trace_from_lines(lines: List[str]) -> Trace:
         # event, then moved by its records' `ctl` changes
         ctl_of = dict.fromkeys(registered, UNREGISTERED)
         active: Set[str] = set()  # the machines whose control state is active
-        for rec in records[1:-1]:
+        for line in lines[1:-1]:
+            # Parsed without the pairs hook, which makes parsing a step line
+            # about 40% slower: `keys` counts the keys of the record's
+            # objects, and each key in the text is followed by one `:`.  So
+            # only a line with more `:` can list a key twice (or it holds a
+            # `:` in a string), and only such a line is parsed again with
+            # `loads_json`.
+            rec = _parse_line(line, _loads_lax)
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
             if rec.keys() != RECORD_KEYS["step"]:
@@ -771,15 +940,20 @@ def trace_from_lines(lines: List[str]) -> Trace:
             if type(state_hash) is not str or not _HEX_DIGEST(state_hash):
                 raise MalformedTrace(f"step record {len(steps)} has state "
                                      f"hash {state_hash!r}")
+            delta: List[Tuple[Location, Value]] = []  # updates and restores
+            machines = rec["machines"]
+            keys = len(rec) + len(machines)
             for ev in rec["events"]:
                 _check_event(ev, len(steps), ctl_of, undoable,
-                             config.registration)
+                             config.registration, shared)
+                keys += len(ev) + len(ev.get("locks", ()))
                 if ev["kind"] == "register":
                     active.add(ev["machine"])
                 elif ev["kind"] == "commit":
                     commits.append(ev["machine"])
                     last_commit = len(steps) + 1
-            machines = rec["machines"]
+                elif ev["kind"] == "undo":
+                    delta += ev["restored"]
             # In sync mode every live machine acts, and an active one always
             # steps or changes its control state: only a waiting one idles.
             if sync:
@@ -791,6 +965,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 _check_agent(rec, len(steps), ctl_of, config.seed)
             per_machine = {}
             for m, ms in machines.items():
+                keys += len(ms)
                 state = ctl_of.get(m)
                 if state is None:
                     raise MalformedTrace(f"step record {len(steps)}: machine "
@@ -828,14 +1003,16 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     raise MalformedTrace(f"step record {len(steps)}: {m!r} "
                                          f"has a record that neither steps "
                                          f"nor changes its control state")
-                per_machine[m] = MachineStep(
-                    updates=frozenset(decode_pairs(ms["updates"])),
-                    reads=tuple(decode_pairs(ms["reads"])),
-                    ctl_change=ctl_change,
-                    proper=proper,
-                )
+                updates = shared.pairs(ms["updates"])
+                delta += updates
+                per_machine[m] = shared.step(
+                    updates, shared.pairs(ms["reads"]), ctl_change, proper)
                 if proper:
                     undoable[m].add(len(steps))
+            if delta:  # applied as `State.with_updates` applies it
+                _apply(values, delta, len(steps))
+            if line.count(":") != keys:
+                _parse_line(line)  # raises if a key is listed twice
             steps.append(StepRecord(rec["index"], per_machine, rec["events"],
                                     state_hash))
         for m in registered:
@@ -854,17 +1031,51 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 f"status {status!r} with {len(committed)} of "
                 f"{len(registered)} machines committed in {len(steps)} of "
                 f"{config.max_steps} steps")
+        final_values = dict(shared.pairs(final["final_state"]))
+        if final_values != values:
+            raise _final_state_error(final_values, values)
         return Trace(
             config=config,
             initial_values=initial_values,
             steps=steps,
-            final_values=dict(decode_pairs(final["final_state"])),
+            final_values=final_values,
             status=status,
             committed=committed,
             registered=registered,
         )
     except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
         raise MalformedTrace(f"malformed trace record: {e!r}") from None
+
+
+def _apply(values: Dict[Location, Value], delta: List[tuple],
+           index: int) -> None:
+    """Apply a step's delta as `State.with_updates` does; a location given
+    two values makes the step malformed."""
+    updates = dict(delta)
+    if len(updates) < len(delta) and not consistent(delta):
+        raise MalformedTrace(f"step record {index} gives "
+                             f"{_dump(encode_location(_clashes(delta)[0]))} "
+                             f"two values")
+    values.update(updates)
+    if UNDEF in updates.values():
+        for loc, v in updates.items():
+            if v is UNDEF:
+                del values[loc]
+
+
+def _final_state_error(final: Dict[Location, Value],
+                       replayed: Dict[Location, Value]) -> MalformedTrace:
+    """The error naming the first location, in canonical order, whose value
+    in `final_state` is not the one the steps leave."""
+    loc = min((l for l in final.keys() | replayed.keys()
+               if final.get(l) != replayed.get(l)), key=loc_key)
+
+    def text(values):
+        return _dump(encode_value(values[loc])) if loc in values else "none"
+
+    return MalformedTrace(f"final_state gives {_dump(encode_location(loc))} "
+                          f"{text(final)}, but the steps leave "
+                          f"{text(replayed)}")
 
 
 #: Past its commit event; not a control state, so no record or event fits it.
@@ -907,12 +1118,13 @@ def _bad_keys(record, keys: Set[str], what: str) -> MalformedTrace:
 
 def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
                  undoable: Dict[str, Set[int]],
-                 registration: Dict[str, int]) -> None:
+                 registration: Dict[str, int], shared: _Shared) -> None:
     """Check the event against `EVENTS`, its `locks` against the shape
-    `_lock_payload` writes and its machine's control state, and decode an
-    undo's restored values in place.  A register event must be in
-    its machine's registration step and makes the machine active, a commit
-    committed; an undo takes its origin out of `undoable`."""
+    `_lock_payload` writes and its machine's control state, and decode its
+    locks and an undo's restored values in place, into `shared` objects.  A
+    register event must be in its machine's registration step and makes the
+    machine active, a commit committed; an undo takes its origin out of
+    `undoable`."""
     kind, m = ev.get("kind"), ev.get("machine")
     if type(kind) is not str or ev.keys() != _EVENT_KEYS.get(kind):
         raise MalformedTrace(f"step record {index}: no {kind!r} event has "
@@ -927,9 +1139,12 @@ def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
             or kind == "commit" and state != DONE):
         raise MalformedTrace(f"step record {index}: {kind} event of {m} in "
                              f"control state {state!r}")
-    if "locks" in ev and not _is_lock_payload(ev["locks"]):
-        raise MalformedTrace(f"step record {index}: {kind} event of {m} has "
-                             f"locks {ev['locks']!r}")
+    if "locks" in ev:
+        locks = shared.locks(ev["locks"])
+        if locks is None:
+            raise MalformedTrace(f"step record {index}: {kind} event of {m} "
+                                 f"has locks {ev['locks']!r}")
+        ev["locks"] = locks
     if kind == "register":
         step = registration.get(m, 0)
         if index != step:
@@ -945,30 +1160,7 @@ def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
             raise MalformedTrace(f"step record {index}: undo of {m} names "
                                  f"{origin!r}, not an earlier step to undo")
         undoable[m].discard(origin)
-        ev["restored"] = decode_pairs(ev["restored"])
-
-
-_LOCK_ARGUMENT_TYPES = (int, str, bool)
-
-
-def _is_lock_payload(locks) -> bool:
-    """Whether `locks` has the shape `_lock_payload` writes: `r` and `w`,
-    each a list of `[function, arguments]`, each argument an int, a string
-    or a boolean (no location has an undef argument).  Plain loops: `all`
-    over generators took three times as long on fuzz24 traces."""
-    if type(locks) is not dict or locks.keys() != {"r", "w"}:
-        return False
-    for entries in locks.values():
-        if type(entries) is not list:
-            return False
-        for e in entries:
-            if (type(e) is not list or len(e) != 2 or type(e[0]) is not str
-                    or type(e[1]) is not list):
-                return False
-            for a in e[1]:
-                if type(a) not in _LOCK_ARGUMENT_TYPES:
-                    return False
-    return True
+        ev["restored"] = shared.pairs(ev["restored"])
 
 
 def _machine_names(names, what: str, known: List[str],

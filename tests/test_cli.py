@@ -133,7 +133,8 @@ def _check_records(tmp_path, records):
 def _forge_init(records, func, value):
     """Set the init of func() to the encoded `value` in every program of the
     header, in its shared inits and in its initial state, with a matching
-    config digest: a forged header the decoder accepts."""
+    config digest, and in the footer's final state if no step writes func():
+    a forged trace the decoder accepts."""
     from taserial.engine import payload_digest
 
     header = records[0]
@@ -149,6 +150,11 @@ def _forge_init(records, func, value):
     header["config_digest"] = payload_digest(header["config"])
     (entry,) = [e for e in header["initial_state"] if e[0] == [func, []]]
     entry[1] = value
+    if not any(u[0] == [func, []] for rec in records[1:-1]
+               for ms in rec["machines"].values() for u in ms["updates"]):
+        (entry,) = [e for e in records[-1]["final_state"]
+                    if e[0] == [func, []]]
+        entry[1] = value
 
 
 def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
@@ -1248,3 +1254,117 @@ def test_check_interleaved_lock_request_in_a_controller_step_exits_one(
     _check_malformed(tmp_path, capsys, records,
                      f"step record {step['index']}: lock_request event of "
                      f"m0, but only the controller acts in it")
+
+
+# -- duplicate keys, invalid JSON on any line, the replayed final state ------
+
+
+def _counter_trace_text():
+    from taserial.engine import run, trace_to_lines
+    from taserial.workloads import counter_config
+
+    return trace_to_lines(run(counter_config(3, 2, seed=1)))
+
+
+def _check_lines(tmp_path, capsys, lines, message):
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(line + "\n" for line in lines))
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: ") and message in err, err
+
+
+@pytest.mark.parametrize("line,old,new,key", [
+    (0, '{"config":{', '{"config":{"seed":99,', "seed"),        # config
+    (None, '{"events":', '{"index":7,"events":', "index"),     # step record
+    (None, '"ctl":', '"proper":true,"ctl":', "proper"),       # machine record
+    (None, '{"kind":', '{"machine":"m0","kind":', "machine"),  # event
+    (None, '"r":[', '"w":[],"r":[', "w"),                     # lock payload
+    (None, '"machines":{', '"machines":{"m0":{},', "m0"),     # machines
+    (-1, '{"committed":', '{"status":"done","committed":', "status"),
+])
+def test_check_duplicate_key_exits_one(tmp_path, capsys, line, old, new, key):
+    lines = _counter_trace_text()
+    if line is None:  # a step line with a record of m0 and a lock event
+        line = next(i for i, text in enumerate(lines[1:-1], 1)
+                    if '"m0":' in text and '"locks"' in text)
+    assert old in lines[line]
+    lines[line] = lines[line].replace(old, new, 1)
+    _check_lines(tmp_path, capsys, lines,
+                 f"invalid JSON: duplicate key '{key}'")
+
+
+@pytest.mark.parametrize("where", ["header", "step", "final"])
+def test_check_invalid_json_on_any_line_exits_one(tmp_path, capsys, where):
+    lines = _counter_trace_text()
+    at = {"header": 0, "step": len(lines) // 2, "final": -1}[where]
+    lines[at] = lines[at][:-1] + ",}"
+    _check_lines(tmp_path, capsys, lines, "invalid JSON: ")
+
+
+def test_run_manifest_with_a_key_listed_twice_exits_one(workdir, capsys):
+    text = (workdir / "manifest.json").read_text()
+    (workdir / "twice.json").write_text(
+        text.replace('"seed": 4', '"seed": 4, "seed": 5'))
+    assert main(["run", str(workdir / "twice.json")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {workdir / 'twice.json'}: invalid JSON: duplicate key "
+        f"'seed'\n")
+
+
+def _final_entry(records, func):
+    (entry,) = [e for e in records[-1]["final_state"] if e[0] == [func, []]]
+    return entry
+
+
+def test_check_forged_final_state_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    assert _final_entry(records, "pc_m0")[1] == ["i", 2]
+    _final_entry(records, "pc_m0")[1] = ["i", 999]
+    _check_malformed(tmp_path, capsys, records,
+                     'final_state gives ["pc_m0",[]] ["i",999], but the '
+                     'steps leave ["i",2]')
+
+
+def test_check_final_state_with_a_location_more_or_less_exits_one(tmp_path,
+                                                                 capsys):
+    records = _counter_trace_records(tmp_path)
+    records[-1]["final_state"].append([["zz", []], ["i", 0]])
+    _check_malformed(tmp_path, capsys, records,
+                     'final_state gives ["zz",[]] ["i",0], but the steps '
+                     'leave none')
+    records = _counter_trace_records(tmp_path)
+    records[-1]["final_state"].remove(_final_entry(records, "pc_m1"))
+    _check_malformed(tmp_path, capsys, records,
+                     'final_state gives ["pc_m1",[]] none, but the steps '
+                     'leave ["i",2]')
+
+
+def test_check_step_giving_a_location_two_values_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    at, ms = next((i, ms) for i, rec in enumerate(records[1:-1])
+                  for ms in rec["machines"].values() if ms["updates"])
+    (location, value) = ms["updates"][0]
+    ms["updates"].append([location, ["i", value[1] + 1]])
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {at} gives {json.dumps(location)} "
+                     f"two values".replace(", ", ","))
+
+
+def test_check_final_state_follows_an_undo(tmp_path, capsys):
+    # A full_victim run cut right after its first undo: the footer holds the
+    # values the undo restored, so an undo that restores nothing is caught.
+    from taserial.workloads import full_victim_config
+
+    records = _trace_records(tmp_path, full_victim_config(seed=1))
+    at = next(i for i, rec in enumerate(records[1:-1]) for ev in rec["events"]
+              if ev["kind"] == "undo" and ev["restored"])
+    records = _trace_records(tmp_path, full_victim_config(seed=1,
+                                                          max_steps=at + 1))
+    assert _check_records(tmp_path, records) == 3  # uncommitted steps
+    capsys.readouterr()
+    (undo,) = [ev for ev in records[-2]["events"] if ev["kind"] == "undo"]
+    undo["restored"] = []
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("malformed trace: final_state gives ")

@@ -1,0 +1,167 @@
+"""`trace_from_lines` decodes a trace one step line at a time into shared
+objects, replays each step's delta and requires the footer's final state
+to be the result."""
+import json
+
+import pytest
+
+from taserial.asm import TRUE, UNDEF, Location
+from taserial import engine
+from taserial.dsl import parse_program
+from taserial.engine import (
+    MalformedTrace,
+    RunConfig,
+    run,
+    trace_from_lines,
+    trace_to_lines,
+)
+from taserial.fuzz import FuzzParams, random_config
+from taserial.workloads import full_victim_config
+
+from test_trace_writer import _configs
+
+
+def _events(rec):
+    """The step's events, each undo's `restored` as a set: the run keeps an
+    undo entry's order, the file the canonical one."""
+    return [dict(ev, restored=set(ev["restored"])) if "restored" in ev
+            else ev for ev in rec.events]
+
+
+def test_decoded_trace_equals_the_run():
+    for config in _configs():
+        trace = run(config)
+        decoded = trace_from_lines(trace_to_lines(trace))
+        assert len(decoded.steps) == len(trace.steps)
+        for mine, theirs in zip(trace.steps, decoded.steps):
+            assert (mine.index, mine.per_machine, mine.state_hash) == (
+                theirs.index, theirs.per_machine, theirs.state_hash)
+            assert _events(mine) == _events(theirs)
+        assert (trace.initial_values, trace.final_values, trace.status,
+                trace.committed, trace.registered) == (
+            decoded.initial_values, decoded.final_values, decoded.status,
+            decoded.committed, decoded.registered)
+
+
+def _one_object_each(objects, key=lambda obj: obj):
+    """Whether objects that are equal under `key` are one object."""
+    seen = {}
+    for obj in objects:
+        if seen.setdefault(key(obj), obj) is not obj:
+            return False
+    return True
+
+
+def _decoded_objects(trace):
+    machine_steps = [ms for rec in trace.steps
+                     for ms in rec.per_machine.values()]
+    pairs = [p for ms in machine_steps for p in ms.updates | set(ms.reads)]
+    pairs += [p for rec in trace.steps for ev in rec.events
+              for p in ev.get("restored", ())]
+    payloads = [ev["locks"] for rec in trace.steps for ev in rec.events
+                if "locks" in ev]
+    return machine_steps, pairs, payloads
+
+
+def _typed(obj):
+    """A key that tells 1 from True, as JSON does."""
+    return json.dumps(obj, sort_keys=True, default=repr)
+
+
+@pytest.mark.parametrize("config", [
+    random_config(0, FuzzParams(n_machines=12, n_shared=16,
+                                max_steps_per_machine=8, domain_size=8,
+                                step_budget=600)),
+    full_victim_config(seed=1),
+], ids=["fuzz12", "full-victim"])
+def test_decoded_trace_shares_equal_objects(config):
+    decoded = trace_from_lines(trace_to_lines(run(config)))
+    machine_steps, pairs, payloads = _decoded_objects(decoded)
+    locations = [loc for loc, _ in pairs] + list(decoded.initial_values)
+    locations += list(decoded.final_values)
+    assert len(set(map(id, locations))) < len(locations)
+    assert _one_object_each(locations, _typed)
+    assert _one_object_each(pairs, _typed)
+    assert len(set(map(id, payloads))) < len(payloads)
+    assert _one_object_each(payloads, _typed)
+    assert len(set(map(id, machine_steps))) < len(machine_steps)
+
+
+ONE_AND_TRUE = [
+    "machine w\nshared a/1\ninit pc_w() := 0\nterminated: pc_w() = 1\n"
+    "rule: par { pc_w() := 1 ; a(1) := 1 ; a(true) := true }\n",
+    "machine p\nshared a/1\ninit pc_p() := 0\nterminated: pc_p() = 1\n"
+    "rule: par { pc_p() := 1 ; y() := a(1) }\n",
+    "machine q\nshared a/1\ninit pc_q() := 0\nterminated: pc_q() = 1\n"
+    "rule: par { pc_q() := 1 ; y() := a(true) }\n",
+]
+
+
+def test_shared_objects_keep_one_and_true_apart():
+    # a(1) and a(true) are two locations, 1 and true two values, and p's
+    # and q's read locks `{"r":[["a",[1]]],"w":[]}` and
+    # `{"r":[["a",[true]]],"w":[]}` two payloads, although `1 == True`.
+    machines = [parse_program(text) for text in ONE_AND_TRUE]
+    for seed in range(6):
+        trace = run(RunConfig(machines=machines, seed=seed))
+        decoded = trace_from_lines(trace_to_lines(trace))
+        assert trace_to_lines(decoded) == trace_to_lines(trace)
+        _, pairs, payloads = _decoded_objects(decoded)
+        locations = {loc for loc, _ in pairs}
+        assert {Location("a", (1,)), Location("a", (TRUE,))} <= locations
+        values = {(loc, v) for loc, v in pairs if loc.func == "a"}
+        assert values >= {(Location("a", (1,)), 1),
+                          (Location("a", (TRUE,)), TRUE)}
+        reads = {_typed(p) for p in payloads if not p["w"]}
+        assert reads >= {_typed({"r": [("a", (1,))], "w": []}),
+                         _typed({"r": [("a", (True,))], "w": []})}
+
+
+def test_shared_machine_steps_differ_in_every_field():
+    shared = engine._Shared()
+    pair = (Location("x", ()), 1)
+    fields = [(updates, reads, ctl, proper)
+              for updates in ([], [pair]) for reads in ([], [pair])
+              for ctl in (None, ("active", "wait-locks"))
+              for proper in (False, True)]
+    steps = [shared.step(*f) for f in fields for _ in range(2)]
+    assert steps[::2] == steps[1::2]
+    assert len(set(map(id, steps))) == len(fields) == 16
+    assert [(s.updates, s.reads, s.ctl_change, s.proper)
+            for s in steps[::2]] == [
+        (frozenset(u), tuple(r), c, p) for u, r, c, p in fields]
+
+
+COLON = parse_program("machine m0\nshared g\ninit pc() := 0\n"
+                      "terminated: pc() = 1\nrule: par { pc() := 1 ; "
+                      "h() := g() }\n")
+
+
+def test_a_colon_in_a_string_of_a_step_line_decodes():
+    # A step line's `:` count exceeds its keys only if a key is listed
+    # twice or a string holds a `:`; the second case must still decode.
+    config = RunConfig(machines=[COLON],
+                       shared_inits=[(Location("g", ()), "a:b")])
+    trace = run(config)
+    lines = trace_to_lines(trace)
+    assert any('"a:b"' in line for line in lines[1:-1])
+    decoded = trace_from_lines(lines)
+    assert trace_to_lines(decoded) == lines
+    at = next(i for i, line in enumerate(lines[1:-1], 1) if '"a:b"' in line)
+    lines[at] = lines[at].replace('"ctl":', '"proper":false,"ctl":', 1)
+    with pytest.raises(MalformedTrace, match="duplicate key 'proper'"):
+        trace_from_lines(lines)
+
+
+UNDEF_WRITER = parse_program("machine m0\ninit pc() := 0\ninit x() := 1\n"
+                             "terminated: pc() = 1\n"
+                             "rule: par { pc() := 1 ; x() := undef }\n")
+
+
+def test_an_undef_update_removes_the_location_from_the_replayed_state():
+    trace = run(RunConfig(machines=[UNDEF_WRITER]))
+    assert Location("x", ()) not in trace.final_values
+    assert any(v is UNDEF for rec in trace.steps
+               for ms in rec.per_machine.values() for _, v in ms.updates)
+    decoded = trace_from_lines(trace_to_lines(trace))
+    assert decoded.final_values == trace.final_values
