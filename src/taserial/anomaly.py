@@ -1,13 +1,13 @@
 """A forged trace exhibiting a lost update.
 
 Two machines each increment the same shared cell once.  The forged trace
-splices their solo schedules together but claims both read the original
-value, so one increment is lost.  No serial order reproduces those reads,
-which makes this a fixed negative fixture for the serializability checkers.
+runs their solo schedules side by side, as if the controller had granted
+both of them the write lock on the cell at once: both read the original
+value, so one increment is lost.  Every recorded read is the value the steps
+leave, so the trace decodes; no serial order reproduces those reads, which
+makes this a fixed negative fixture for the serializability checkers.
 """
 from __future__ import annotations
-
-from dataclasses import replace
 
 from .dsl import parse_program
 from .engine import RunConfig, StepRecord, Trace, run, state_at
@@ -28,24 +28,19 @@ def lost_update_config(seed: int = 7) -> RunConfig:
 
 
 def forged_lost_update_trace(seed: int = 7) -> Trace:
-    """Both machines' recorded steps read cell() = 0 and write cell() = 1.
-    b registers in the step where its spliced steps begin; the final state
-    is the one the spliced steps leave."""
+    """Both machines' recorded steps read cell() = 0 and write cell() = 1,
+    in the same global step; the final state is the one the steps leave."""
     config = lost_update_config(seed)
     solo_a = run(config, only=["a"])
     solo_b = run(config, only=["b"])  # also from cell = 0: the forgery
     assert solo_a.status == "done" and solo_b.status == "done"
-    steps = []
-    for solo in (solo_a, solo_b):
-        for rec in solo.steps:
-            steps.append(StepRecord(
-                index=len(steps),
-                per_machine=dict(rec.per_machine),
-                events=[dict(ev) for ev in rec.events],
-                state_hash=rec.state_hash,
-            ))
+    assert len(solo_a.steps) == len(solo_b.steps)
+    steps = [StepRecord(index=a.index,
+                        per_machine={**a.per_machine, **b.per_machine},
+                        events=[dict(ev) for ev in a.events + b.events])
+             for a, b in zip(solo_a.steps, solo_b.steps)]
     trace = Trace(
-        config=replace(config, registration={"b": len(solo_a.steps)}),
+        config=config,
         initial_values=dict(solo_a.initial_values),
         steps=steps,
         final_values={},

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import re
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -45,7 +44,7 @@ from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     wrapper_step,
 )
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 class RunError(AsmError):
@@ -140,6 +139,7 @@ class RunConfig:
         values: Dict[Location, Value] = {}
         for inits in [m.inits for m in self.machines] + [self.shared_inits]:
             for loc, val in inits:
+                loc_key(loc), value_key(val)  # TypeError on a Python bool
                 if loc in values and values[loc] != val:
                     raise ConfigError(
                         f"conflicting initial values for {loc}: "
@@ -214,7 +214,6 @@ class StepRecord:
     index: int
     per_machine: Dict[str, MachineStep]  # the machines that did not idle
     events: List[dict]
-    state_hash: str
 
     def delta(self) -> UpdateSet:
         """All location updates applied in this step (machines + undo restores)."""
@@ -344,50 +343,6 @@ def state_digest(state: State) -> str:
     return _text_digest(_Fragments().pairs(state.values.items()))
 
 
-class _StateDigest:
-    """`state_digest` kept up to date from each step's delta.
-
-    Holds one canonical JSON fragment `[location,value]` per location, keyed
-    by the location's sort key, so a step re-encodes only the values it
-    wrote.  It re-sorts only when a location appears or disappears (is
-    written undef), and re-hashes only when a fragment changed: a step that
-    changes no location keeps the last digest.
-    """
-
-    __slots__ = ("fragments", "entries", "order", "last")
-
-    def __init__(self, values: Dict[Location, Value]):
-        self.fragments = _Fragments()
-        self.entries: Dict[tuple, str] = {}
-        self.order: Optional[List[tuple]] = None
-        self.last: Optional[str] = None
-        self.update(values.items())
-
-    def update(self, delta) -> None:
-        """Follow `State.with_updates(delta)`."""
-        entries = self.entries
-        for key, vkey, entry in self.fragments.entries(delta):
-            if vkey is UNDEF.key:  # the location leaves the state
-                if entries.pop(key, None) is not None:
-                    self.order = self.last = None
-                continue
-            old = entries.get(key)
-            if entry != old:
-                if old is None:
-                    self.order = None
-                entries[key] = entry
-                self.last = None
-
-    def hexdigest(self) -> str:
-        if self.last is None:
-            if self.order is None:
-                self.order = sorted(self.entries)
-            entries = self.entries
-            self.last = _text_digest(
-                "[" + ",".join([entries[k] for k in self.order]) + "]")
-        return self.last
-
-
 # ---------------------------------------------------------------------------
 # The engine
 
@@ -405,7 +360,6 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
 
     state = config.initial_state()
     initial_values = dict(state.values)
-    digest = _StateDigest(state.values)
 
     cs = ctl.ControllerState()
     payloads: Dict[ctl.LockPair, dict] = {}  # see `_lock_payload`
@@ -479,7 +433,6 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         if not consistent(delta):
             raise _clash_error(index, per_machine)
         state = state.with_updates(delta)
-        digest.update(delta)
 
         # Apply phase: the wrappers' effects, then the controller's.  The
         # trace records the controller's events, then the lock requests.
@@ -491,7 +444,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
                 events.append(event)
 
         steps.append(StepRecord(index=index, per_machine=per_machine,
-                                events=events, state_hash=digest.hexdigest()))
+                                events=events))
         cs.check_invariants()
         if len(committed) == len(tcbs):
             status = "done"
@@ -583,11 +536,13 @@ _EVENT_KEYS = {k: {"kind", "machine", *f} for k, f in EVENTS.values()}
 #: record kind -> the keys `trace_to_lines` writes in it (`config`: the
 #: header's config, as `RunConfig.to_payload` writes it; `machine`: a
 #: machine's entry in a step record); the decoder accepts exactly these.
+#: Version 1 has no `shared_inits`, and its step records, as those of
+#: version 2, also have the `state_hash` of the state after the step.
 RECORD_KEYS = {
     "header": {"type", "version", "config", "config_digest", "seed",
                "registered", "initial_state"},
     "config": {"programs", "shared_inits", *SETTINGS},
-    "step": {"type", "index", "events", "machines", "state_hash"},
+    "step": {"type", "index", "events", "machines"},
     "machine": {"updates", "reads", "ctl", "proper"},
     "final": {"type", "status", "committed", "final_state"},
 }
@@ -625,9 +580,6 @@ def _lock_payload(locks: ctl.LockPair, payloads: dict) -> dict:
             for kind, ls in (("r", locks.r_loc), ("w", locks.w_loc))}
     return payload
 
-
-# What `state_digest` returns; the encoder writes it without escaping.
-_HEX_DIGEST = re.compile("[0-9a-f]{16}").fullmatch
 
 # The record version 1 wrote for a waiting machine; its decoder drops it.
 _V1_IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
@@ -682,13 +634,12 @@ def trace_to_lines(trace: Trace) -> List[str]:
              + ',"seed":' + str(trace.config.seed)
              + ',"type":"header","version":' + str(TRACE_VERSION) + '}']
     for rec in trace.steps:
-        # The state hash is a hex digest: no JSON call.
         lines.append(
             '{"events":[' + ",".join([event(ev) for ev in rec.events])
             + '],"index":' + str(rec.index) + ',"machines":{'
             + ",".join([machine(m, ms)
                         for m, ms in sorted(rec.per_machine.items())])
-            + '},"state_hash":"' + rec.state_hash + '","type":"step"}')
+            + '},"type":"step"}')
     lines.append('{"committed":' + _dump(list(trace.committed))
                  + ',"final_state":' + pairs(trace.final_values.items())
                  + ',"status":' + _dump(trace.status) + ',"type":"final"}')
@@ -770,10 +721,13 @@ class _Shared:
                 return loc
         raise MalformedTrace(f"malformed location {payload!r}")
 
-    def pairs(self, payload) -> List[Tuple[Location, Value]]:
-        """`decode_pairs`, one tuple per distinct pair.  A pair whose
-        location has no arguments and whose value is tagged, the common
-        case, is looked up before it is decoded."""
+    def pairs(self, payload, what: str) -> List[Tuple[Location, Value]]:
+        """`decode_pairs`, one tuple per distinct pair; `payload`, the
+        trace's `what`, must be a list.  A pair whose location has no
+        arguments and whose value is tagged, the common case, is looked up
+        before it is decoded."""
+        if type(payload) is not list:
+            raise MalformedTrace(f"{what} is not a list: {payload!r}")
         memo = self.pair_memo
         out = []
         for l, v in payload:
@@ -861,15 +815,18 @@ def _lock_key(entries) -> Optional[tuple]:
 
 
 def trace_from_lines(lines: List[str]) -> Trace:
-    """The trace the lines encode, in this version or in version 1, whose
-    programs hold the shared inits and whose waiting machines have idle
-    records; those records are dropped.
+    """The trace the lines encode, in this version or an earlier one.
+    Versions 1 and 2 also give each step's `state_hash`, the `state_digest`
+    of the state after the step; in version 1 each program holds the shared
+    inits, and each waiting machine has an idle record, which is dropped.
 
     It parses the header and the footer, then one step line at a time; the
     decoded trace shares each distinct location, pair, lock payload and
-    machine step (`_Shared`).  It applies each step's delta to the initial
-    values, as `State.with_updates` does, and requires `final_state` to be
-    the result."""
+    machine step (`_Shared`).  It replays the states: each recorded read
+    must be the value of its location (undef if absent) before its step,
+    each step's delta is applied to the initial values, as
+    `State.with_updates` does, a version 1 or 2 `state_hash` must be the
+    digest of the result, and `final_state` must be the last result."""
     lines = [line for line in lines if line.strip()]
     header = _parse_line(lines[0]) if lines else None
     if type(header) is not dict or header.get("type") != "header":
@@ -878,7 +835,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
     if type(final) is not dict or final.get("type") != "final":
         raise MalformedTrace("missing final record (truncated trace?)")
     version = header.get("version")
-    if type(version) is not int or version not in (1, TRACE_VERSION):
+    if type(version) is not int or version not in (1, 2, TRACE_VERSION):
         raise MalformedTrace(f"unsupported trace version {version!r}")
     if header.keys() != RECORD_KEYS["header"]:
         raise _bad_keys(header, RECORD_KEYS["header"], "the header")
@@ -889,6 +846,11 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                            else set())
     if type(payload) is not dict or payload.keys() != config_keys:
         raise _bad_keys(payload, config_keys, "the header's config")
+    step_keys = RECORD_KEYS["step"]
+    fragments = None  # the text of the replayed states' pairs, if hashed
+    if version < TRACE_VERSION:
+        step_keys = step_keys | {"state_hash"}
+        fragments = _Fragments()
     shared = _Shared()
     try:
         config = RunConfig.from_payload(payload)
@@ -898,7 +860,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
         if type(seed) is not int or seed != config.seed:
             raise MalformedTrace(f"header seed {seed!r} is not the config "
                                  f"seed {config.seed}")
-        initial_values = dict(shared.pairs(header["initial_state"]))
+        initial_values = dict(shared.pairs(header["initial_state"],
+                                           "initial_state"))
         if initial_values != config.initial_state().values:
             raise MalformedTrace("initial_state is not the state the config's "
                                  "inits give")
@@ -930,20 +893,18 @@ def trace_from_lines(lines: List[str]) -> Trace:
             rec = _parse_line(line, _loads_lax)
             if rec.get("type") != "step":
                 raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
-            if rec.keys() != RECORD_KEYS["step"]:
-                raise _bad_keys(rec, RECORD_KEYS["step"],
-                                f"step record {len(steps)}")
+            if rec.keys() != step_keys:
+                raise _bad_keys(rec, step_keys, f"step record {len(steps)}")
             if type(rec["index"]) is not int or rec["index"] != len(steps):
                 raise MalformedTrace(f"step record {len(steps)} has index "
                                      f"{rec['index']!r}")
-            state_hash = rec["state_hash"]
-            if type(state_hash) is not str or not _HEX_DIGEST(state_hash):
-                raise MalformedTrace(f"step record {len(steps)} has state "
-                                     f"hash {state_hash!r}")
             delta: List[Tuple[Location, Value]] = []  # updates and restores
-            machines = rec["machines"]
+            machines, events = rec["machines"], rec["events"]
+            if type(events) is not list:
+                raise MalformedTrace(f"step record {len(steps)}: events is "
+                                     f"not a list: {events!r}")
             keys = len(rec) + len(machines)
-            for ev in rec["events"]:
+            for ev in events:
                 _check_event(ev, len(steps), ctl_of, undoable,
                              config.registration, shared)
                 keys += len(ev) + len(ev.get("locks", ()))
@@ -1003,18 +964,28 @@ def trace_from_lines(lines: List[str]) -> Trace:
                     raise MalformedTrace(f"step record {len(steps)}: {m!r} "
                                          f"has a record that neither steps "
                                          f"nor changes its control state")
-                updates = shared.pairs(ms["updates"])
+                updates = shared.pairs(ms["updates"], "updates")
+                reads = shared.pairs(ms["reads"], "reads")
+                for loc, v in reads:  # read before this step's delta applies
+                    if values.get(loc, UNDEF) != v:
+                        raise _read_error(len(steps), m, loc, v, values)
                 delta += updates
-                per_machine[m] = shared.step(
-                    updates, shared.pairs(ms["reads"]), ctl_change, proper)
+                per_machine[m] = shared.step(updates, reads, ctl_change,
+                                             proper)
                 if proper:
                     undoable[m].add(len(steps))
             if delta:  # applied as `State.with_updates` applies it
                 _apply(values, delta, len(steps))
+            if fragments is not None:
+                digest = _text_digest(fragments.pairs(values.items()))
+                if rec["state_hash"] != digest:
+                    raise MalformedTrace(
+                        f"step record {len(steps)} has state hash "
+                        f"{rec['state_hash']!r}, not the digest {digest} of "
+                        f"the replayed state")
             if line.count(":") != keys:
                 _parse_line(line)  # raises if a key is listed twice
-            steps.append(StepRecord(rec["index"], per_machine, rec["events"],
-                                    state_hash))
+            steps.append(StepRecord(rec["index"], per_machine, events))
         for m in registered:
             step = config.registration.get(m, 0)
             if ctl_of[m] == UNREGISTERED and step < len(steps):
@@ -1031,7 +1002,8 @@ def trace_from_lines(lines: List[str]) -> Trace:
                 f"status {status!r} with {len(committed)} of "
                 f"{len(registered)} machines committed in {len(steps)} of "
                 f"{config.max_steps} steps")
-        final_values = dict(shared.pairs(final["final_state"]))
+        final_values = dict(shared.pairs(final["final_state"],
+                                         "final_state"))
         if final_values != values:
             raise _final_state_error(final_values, values)
         return Trace(
@@ -1061,6 +1033,16 @@ def _apply(values: Dict[Location, Value], delta: List[tuple],
         for loc, v in updates.items():
             if v is UNDEF:
                 del values[loc]
+
+
+def _read_error(index: int, machine: str, loc: Location, value: Value,
+                values: Dict[Location, Value]) -> MalformedTrace:
+    """The error for a recorded read whose value is not the replayed one."""
+    replayed = values.get(loc, UNDEF)
+    return MalformedTrace(
+        f"step record {index}: {machine} reads "
+        f"{_dump(encode_location(loc))} {_dump(encode_value(value))}, but "
+        f"the steps before leave {_dump(encode_value(replayed))}")
 
 
 def _final_state_error(final: Dict[Location, Value],
@@ -1160,7 +1142,7 @@ def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
             raise MalformedTrace(f"step record {index}: undo of {m} names "
                                  f"{origin!r}, not an earlier step to undo")
         undoable[m].discard(origin)
-        ev["restored"] = shared.pairs(ev["restored"])
+        ev["restored"] = shared.pairs(ev["restored"], "restored")
 
 
 def _machine_names(names, what: str, known: List[str],

@@ -31,6 +31,7 @@ from taserial.workloads import (
 
 from stepwise import cleanse_stepwise
 from trace_v1 import v1_lines
+from trace_v2 import v2_lines
 
 N_FUZZ = 1000
 
@@ -265,11 +266,13 @@ def test_criterion_8_replay_determinism():
 
 
 # Traces are byte-identical across engine changes unless TRACE_VERSION is
-# bumped.  Each corpus has two pins: its version-1 traces, as the writer in
-# `trace_v1` makes them from the current runs, and its current traces.  The
-# version-1 pins were taken from the engine before the per-step costs were
-# made incremental (delta-maintained digest, shared deadlock pass), so they
-# show the simulation unchanged since.
+# bumped.  Each corpus has three pins: its version-1 and version-2 traces,
+# as the writers in `trace_v1` and `trace_v2` make them from the current
+# runs, and its current (version-3) traces.  The version-1 pins were taken
+# from the engine before the per-step costs were made incremental
+# (delta-maintained digest, shared deadlock pass), and the version-2 pins
+# from the engine that still hashed every step's state, so they show the
+# simulation unchanged since.
 GOLDEN_DEFAULT_0_999 = (
     "fd962cefae13a3e6c450b257a5f660c95e8f7764a084879239e670588ca88f18")
 GOLDEN_12_MACHINES_0_3 = (
@@ -278,6 +281,10 @@ GOLDEN_V2_DEFAULT_0_999 = (
     "0b03475cdacd28b5afbfd7b50f833834353e9a6d8531e3186c3b4de5af1ed0bd")
 GOLDEN_V2_12_MACHINES_0_3 = (
     "882bc72f36cda1f4a9adfe25978828ad2ac896195e6044488de52662329fe2b8")
+GOLDEN_V3_DEFAULT_0_999 = (
+    "baa9596e589afd49015dce51dc9bee971124b46ad83815cd5563b01854500ce5")
+GOLDEN_V3_12_MACHINES_0_3 = (
+    "d3a4f4dcce018e182e092095e92c02bb5c1d3aef2a6d13f563abd322a3957784")
 
 
 def _traces_sha256(traces, encode=trace_to_lines):
@@ -290,17 +297,20 @@ def _traces_sha256(traces, encode=trace_to_lines):
     return h.hexdigest()
 
 
-def _report_pins(name, traces, v1_pin, v2_pin, detail):
+def _report_pins(name, traces, pins, detail):
     traces = list(traces)
-    v1, v2 = _traces_sha256(traces, v1_lines), _traces_sha256(traces)
-    report(name, (v1, v2) == (v1_pin, v2_pin),
-           f"sha256 of {detail}: version 1 {v1}, version 2 {v2}")
+    got = (_traces_sha256(traces, v1_lines), _traces_sha256(traces, v2_lines),
+           _traces_sha256(traces))
+    report(name, got == pins,
+           f"sha256 of {detail}: version 1 {got[0]}, version 2 {got[1]}, "
+           f"version 3 {got[2]}")
 
 
 def test_golden_traces_default_fuzz_corpus():
     traces, _, _ = fuzz_corpus()
-    _report_pins("golden default-corpus traces", traces, GOLDEN_DEFAULT_0_999,
-                 GOLDEN_V2_DEFAULT_0_999, f"seeds 0-{N_FUZZ - 1}")
+    _report_pins("golden default-corpus traces", traces,
+                 (GOLDEN_DEFAULT_0_999, GOLDEN_V2_DEFAULT_0_999,
+                  GOLDEN_V3_DEFAULT_0_999), f"seeds 0-{N_FUZZ - 1}")
 
 
 def test_golden_traces_12_machines():
@@ -308,8 +318,8 @@ def test_golden_traces_12_machines():
                         domain_size=8, step_budget=2000)
     _report_pins("golden 12-machine traces",
                  (run(random_config(s, params)) for s in range(4)),
-                 GOLDEN_12_MACHINES_0_3, GOLDEN_V2_12_MACHINES_0_3,
-                 "seeds 0-3")
+                 (GOLDEN_12_MACHINES_0_3, GOLDEN_V2_12_MACHINES_0_3,
+                  GOLDEN_V3_12_MACHINES_0_3), "seeds 0-3")
 
 
 # Pins for the modes the two pins above leave out, taken from the engine
@@ -325,14 +335,18 @@ GOLDEN_V2_INTERLEAVE_0_199 = (
     "02453db80ae695f99b2bf5688198895ea9b125a99bb98d80087eff487e9269de")
 GOLDEN_V2_HAND_WRITTEN = (
     "3e444aabb1c57df31afb253359882345631a0b467f5fdad92e78dfd6aafce2c6")
+GOLDEN_V3_INTERLEAVE_0_199 = (
+    "2eee0a1a4fdf69a6b86e9cda3d5bcd1a58b6a21722b458489e5266e53848e1de")
+GOLDEN_V3_HAND_WRITTEN = (
+    "1f5a13038345cd6251f8ab9f461d514db69f4c0b7395e4ae4e8dab4547dc7a45")
 
 
 def test_golden_traces_interleave_mode():
     traces = (run(dataclasses.replace(random_config(s), run_mode="interleave"))
               for s in range(200))
     _report_pins("golden interleave-mode traces", traces,
-                 GOLDEN_INTERLEAVE_0_199, GOLDEN_V2_INTERLEAVE_0_199,
-                 "seeds 0-199")
+                 (GOLDEN_INTERLEAVE_0_199, GOLDEN_V2_INTERLEAVE_0_199,
+                  GOLDEN_V3_INTERLEAVE_0_199), "seeds 0-199")
 
 
 def _hand_written_traces():
@@ -354,5 +368,6 @@ def _hand_written_traces():
 
 def test_golden_traces_hand_written_workloads():
     _report_pins("golden hand-written traces", _hand_written_traces(),
-                 GOLDEN_HAND_WRITTEN, GOLDEN_V2_HAND_WRITTEN,
+                 (GOLDEN_HAND_WRITTEN, GOLDEN_V2_HAND_WRITTEN,
+                  GOLDEN_V3_HAND_WRITTEN),
                  "counter/opposed/full-victim seeds 0-9")

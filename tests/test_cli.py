@@ -133,8 +133,9 @@ def _check_records(tmp_path, records):
 def _forge_init(records, func, value):
     """Set the init of func() to the encoded `value` in every program of the
     header, in its shared inits and in its initial state, with a matching
-    config digest, and in the footer's final state if no step writes func():
-    a forged trace the decoder accepts."""
+    config digest, in each recorded read of func() up to the first step
+    that writes it, and in the footer's final state if no step writes
+    func(): a forged trace the decoder accepts."""
     from taserial.engine import payload_digest
 
     header = records[0]
@@ -150,11 +151,16 @@ def _forge_init(records, func, value):
     header["config_digest"] = payload_digest(header["config"])
     (entry,) = [e for e in header["initial_state"] if e[0] == [func, []]]
     entry[1] = value
-    if not any(u[0] == [func, []] for rec in records[1:-1]
-               for ms in rec["machines"].values() for u in ms["updates"]):
-        (entry,) = [e for e in records[-1]["final_state"]
-                    if e[0] == [func, []]]
-        entry[1] = value
+    for rec in records[1:-1]:
+        for ms in rec["machines"].values():
+            for read in ms["reads"]:
+                if read[0] == [func, []]:
+                    read[1] = value
+        if any(u[0] == [func, []] for ms in rec["machines"].values()
+               for u in ms["updates"]):
+            return
+    (entry,) = [e for e in records[-1]["final_state"] if e[0] == [func, []]]
+    entry[1] = value
 
 
 def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
@@ -399,9 +405,10 @@ def test_check_names_the_lost_update(tmp_path, capsys):
     write_trace(forged_lost_update_trace(), str(path))
     assert main(["check", str(path)]) == 3
     record = json.loads(capsys.readouterr().out)
-    # b's first step read cell() = 0 in the trace, but 1 after a ran alone.
+    # b's first step read cell() = 0 in the trace, as a's did in the same
+    # step, but 1 after a ran alone.
     assert record["witness"] == {
-        "machine": "b", "kind": "step", "position": 0, "left_step": 7,
+        "machine": "b", "kind": "step", "position": 0, "left_step": 2,
         "what": "read", "location": ["cell", []],
         "left": ["i", 0], "right": ["i", 1]}
 
@@ -422,18 +429,20 @@ def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
 # -- `registered` and `committed` name each machine once ---------------------
 
 
-def _counter_trace_records(tmp_path, only=None, v1=False):
+def _counter_trace_records(tmp_path, only=None, v1=False, v2=False):
     """The records of a counter_config(seed=1) trace, as the engine writes
-    it or, with `v1`, as version 1 wrote it."""
+    it or, with `v1` or `v2`, as version 1 or 2 wrote it."""
     from taserial.engine import run, write_trace
     from taserial.workloads import counter_config
 
     from trace_v1 import v1_lines
+    from trace_v2 import v2_lines
 
     path = tmp_path / "counter.jsonl"
     trace = run(counter_config(seed=1), only=only)
-    if v1:
-        return [json.loads(line) for line in v1_lines(trace)]
+    if v1 or v2:
+        return [json.loads(line)
+                for line in (v1_lines if v1 else v2_lines)(trace)]
     write_trace(trace, str(path))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -540,8 +549,7 @@ rule: if flag() then n() := 1 else n() := 2
 """
 
 
-def test_check_read_of_one_forged_for_true_is_not_serializable(tmp_path,
-                                                               capsys):
+def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):
     from taserial.dsl import parse_program
     from taserial.engine import RunConfig, run, write_trace
 
@@ -553,10 +561,9 @@ def test_check_read_of_one_forged_for_true_is_not_serializable(tmp_path,
     (read,) = [r for r in step["reads"] if r[0] == ["flag", []]]
     assert read[1] == ["b", True]
     read[1] = ["i", 1]
-    assert _check_records(tmp_path, records) == 3
-    witness = json.loads(capsys.readouterr().out)["witness"]
-    assert witness["what"] == "read" and witness["location"] == ["flag", []]
-    assert (witness["left"], witness["right"]) == (["i", 1], ["b", True])
+    _check_malformed(tmp_path, capsys, records,
+                     'm reads ["flag",[]] ["i",1], but the steps before '
+                     'leave ["b",true]')
 
 
 @pytest.mark.parametrize("value", [["s", 0], ["i", "0"], ["x", 0],
@@ -575,8 +582,7 @@ def test_check_step_after_the_last_commit_exits_one(tmp_path, capsys):
     last = records[-2]
     assert any(ev["kind"] == "commit" for ev in last["events"])
     records.insert(-1, {"type": "step", "index": last["index"] + 1,
-                        "machines": {}, "events": [],
-                        "state_hash": last["state_hash"]})
+                        "machines": {}, "events": []})
     _check_malformed(tmp_path, capsys, records, "status 'done'")
 
 
@@ -642,12 +648,112 @@ def test_check_forged_location_exits_one(tmp_path, capsys, location):
                                         "0123456789ABCDEF"])
 def test_check_forged_state_hash_shape_exits_one(tmp_path, capsys,
                                                  state_hash):
-    # The encoder writes a state hash unescaped, so only a hex digest
-    # decodes.
-    records = _counter_trace_records(tmp_path)
+    # Of any shape, only the replayed state's digest is a version-2 hash.
+    records = _counter_trace_records(tmp_path, v2=True)
     records[1]["state_hash"] = state_hash
     _check_malformed(tmp_path, capsys, records,
                      f"step record 0 has state hash {state_hash!r}")
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_check_forged_state_hash_exits_one(tmp_path, capsys, version):
+    # A hash of the right shape, but not the replayed state's digest.
+    records = _counter_trace_records(tmp_path, v1=version == 1,
+                                     v2=version == 2)
+    records[5]["state_hash"] = "0000000000000000"
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 4 has state hash '0000000000000000', not "
+                     "the digest ")
+
+
+def test_check_version_three_step_with_a_state_hash_exits_one(tmp_path,
+                                                               capsys):
+    hashed = _counter_trace_records(tmp_path, v2=True)
+    records = _counter_records(tmp_path)
+    records[1]["state_hash"] = hashed[1]["state_hash"]
+    _check_keys_rejected(tmp_path, capsys, records)
+
+
+# -- each recorded read is the replayed value before its step ----------------
+
+
+def test_check_forged_read_exits_one(tmp_path, capsys):
+    records = _counter_trace_records(tmp_path)
+    assert records[3]["index"] == 2
+    read = records[3]["machines"]["m2"]["reads"][0]
+    assert read == [["pc_m2", []], ["i", 0]]
+    read[1] = ["i", 7]
+    _check_malformed(tmp_path, capsys, records,
+                     'step record 2: m2 reads ["pc_m2",[]] ["i",7], but the '
+                     'steps before leave ["i",0]')
+
+
+def test_check_forged_read_in_an_undone_step_exits_one(tmp_path, capsys):
+    # Cleansing drops the undone step before the serial run compares reads,
+    # so only the replay sees this forgery.
+    records, _ = _victim_records(tmp_path)
+    reads = records[4]["machines"]["alpha"]["reads"]
+    location, value = reads[0]
+    forged = ["i", value[1] + 1]
+    reads[0] = [location, forged]
+    dump = json.JSONEncoder(separators=(",", ":")).encode
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record 3: alpha reads {dump(location)} "
+                     f"{dump(forged)}, but the steps before leave "
+                     f"{dump(value)}")
+
+
+def test_check_read_is_undef_exactly_where_the_location_is_absent(tmp_path,
+                                                                  capsys):
+    records = _counter_trace_records(tmp_path)
+    reads = records[3]["machines"]["m2"]["reads"]
+    reads.append([["zz", []], ["u"]])  # decodes; the serial run differs
+    assert _check_records(tmp_path, records) == 3
+    capsys.readouterr()
+    reads[-1] = [["zz", []], ["i", 0]]
+    _check_malformed(tmp_path, capsys, records,
+                     'step record 2: m2 reads ["zz",[]] ["i",0], but the '
+                     'steps before leave ["u"]')
+    reads.pop()
+    reads[0] = [["pc_m2", []], ["u"]]
+    _check_malformed(tmp_path, capsys, records,
+                     'step record 2: m2 reads ["pc_m2",[]] ["u"], but the '
+                     'steps before leave ["i",0]')
+
+
+# -- a list in a record is a JSON list, not an object ------------------------
+
+
+def _empty_state_records(tmp_path):
+    """A one-machine trace whose states are empty."""
+    from taserial.dsl import parse_program
+    from taserial.engine import RunConfig
+
+    return _trace_records(tmp_path, RunConfig(machines=[parse_program(
+        "machine m\nterminated: true\nrule: skip\n")]))
+
+
+@pytest.mark.parametrize("field", ["events", "reads", "updates", "restored",
+                                   "initial_state", "final_state"])
+def test_check_object_in_place_of_a_list_exits_one(tmp_path, capsys, field):
+    """`{}` iterates as an empty list, but does not decode as one; each
+    list here is an empty one in the trace."""
+    if field in ("initial_state", "final_state"):
+        records = _empty_state_records(tmp_path)
+        record = records[0 if field == "initial_state" else -1]
+    elif field == "restored":  # a lock-only undo restores nothing
+        records, undo = _victim_records(tmp_path)
+        record = dict(undo, origin_step=None, restored=[],
+                      locks={"r": [], "w": []})
+        records[8]["events"].append(record)
+    else:
+        records = _counter_trace_records(tmp_path)
+        record = records[10]  # step 9: no events, no reads, no updates
+        if field != "events":
+            record = record["machines"]["m0"]
+    assert record[field] == []
+    record[field] = {}
+    _check_malformed(tmp_path, capsys, records, f"{field} is not a list: {{}}")
 
 
 # -- records of the wrong shape and forged fields ----------------------------
@@ -952,8 +1058,9 @@ def test_check_record_with_an_extra_key_exits_one(tmp_path, capsys, kind):
 def test_check_record_without_one_of_its_keys_exits_one(tmp_path, capsys,
                                                         kind, key):
     """No key has a default: a config without `run_mode` is not read as
-    sync mode."""
-    records = _counter_records(tmp_path)
+    sync mode.  Only versions 1 and 2 have a `state_hash`."""
+    records = (_counter_trace_records(tmp_path, v2=True)
+               if key == "state_hash" else _counter_records(tmp_path))
     del _record_of_kind(records, kind)[key]
     _check_keys_rejected(tmp_path, capsys, records)
 
@@ -1076,21 +1183,27 @@ def test_check_header_without_shared_inits_exits_one(tmp_path, capsys):
 
 def test_check_reads_version_one_traces(tmp_path, capsys):
     """A version-1 trace, with its idle records and the shared inits in
-    each program, checks as the current trace of the same run does."""
+    each program, and a version-2 trace, with its state hashes, check as the
+    current trace of the same run does."""
     from taserial.engine import run, write_trace
     from taserial.fuzz import random_config
 
     from trace_v1 import v1_lines
+    from trace_v2 import v2_lines
 
     for seed in (3, 4):
         trace = run(random_config(seed))
         v1_path, v2_path = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
+        v3_path = tmp_path / "v3.jsonl"
         v1_path.write_text("".join(line + "\n" for line in v1_lines(trace)))
-        write_trace(trace, str(v2_path))
+        v2_path.write_text("".join(line + "\n" for line in v2_lines(trace)))
+        write_trace(trace, str(v3_path))
         assert v1_path.read_text().count("\n") == len(trace.steps) + 2
-        assert main(["check", str(v1_path)]) == main(["check", str(v2_path)])
-        v1_out, v2_out = capsys.readouterr().out.splitlines()
-        assert v1_out == v2_out
+        codes = {main(["check", str(path)])
+                 for path in (v1_path, v2_path, v3_path)}
+        assert len(codes) == 1
+        v1_out, v2_out, v3_out = capsys.readouterr().out.splitlines()
+        assert v1_out == v2_out == v3_out
 
 
 # -- bad input: huge integers, unwritable trace paths ------------------------

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 from taserial import controller, engine
-from taserial.asm import FALSE, TRUE, Location, State
+from taserial.asm import FALSE, TRUE, Location
 from taserial.checker import check_serializable
 from taserial.dsl import parse_program, print_program
 from taserial.engine import (
@@ -21,7 +21,6 @@ from taserial.engine import (
     load_trace,
     run,
     state_at,
-    state_digest,
     trace_from_lines,
     trace_to_lines,
     write_trace,
@@ -38,7 +37,9 @@ from taserial.workloads import (
 )
 
 from trace_reference import encode_pairs
+from trace_reference import state_digest as reference_digest
 from trace_v1 import v1_lines
+from trace_v2 import v2_lines
 
 
 def loc(f, *args):
@@ -158,6 +159,16 @@ def test_value_encoding_keeps_types():
             encode_value(v)
 
 
+@pytest.mark.parametrize("where", ["value", "argument"])
+def test_run_rejects_a_python_bool_in_an_init(where):
+    program = parse_program("machine m\ninit x(1) := 1\nterminated: true\n"
+                            "rule: skip\n")
+    program.inits = [(Location("x", (True if where == "argument" else 1,)),
+                      True if where == "value" else 1)]
+    with pytest.raises(TypeError, match="not a machine value: True"):
+        run(RunConfig([program]))
+
+
 @pytest.mark.parametrize("payload", [
     ["s", 0], ["i", "0"], ["x", 0], ["i", False], ["b", 1], ["s"], ["u", 0],
     "i0", None, ["i", 0, 0]])
@@ -237,18 +248,23 @@ def test_sync_and_interleave_share_choice_streams():
     assert sync.final_values[loc("total")] == inter.final_values[loc("total")]
 
 
-# -- incremental state digest ------------------------------------------------
+# -- state digests of version-2 traces ----------------------------------------
 
 
 def _assert_hashes_match_states(trace):
-    """Every step's recorded hash is the reference digest of the state after
-    it, rebuilt from the initial state as `state_at` does."""
+    """Every step's hash in the version-2 trace of the run is the reference
+    digest of the state after it, rebuilt from the initial state as
+    `state_at` does, and the decoder, which checks each hash, reads the
+    trace back to the run's steps."""
+    lines = v2_lines(trace)
     state = state_at(trace, 0)
     for i, rec in enumerate(trace.steps):
         state = state.with_updates(rec.delta())
-        assert rec.state_hash == state_digest(state), f"step {i}"
+        assert (json.loads(lines[i + 1])["state_hash"]
+                == reference_digest(state.values)), f"step {i}"
     assert state == state_at(trace, len(trace.steps))
     assert state.values == trace.final_values
+    assert trace_from_lines(lines).steps == trace.steps
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -263,57 +279,14 @@ def test_step_hashes_equal_reference_digest_12_machines(seed):
     _assert_hashes_match_states(run(random_config(seed, params)))
 
 
-def _follow(initial, deltas):
-    """Apply hand-built deltas to a state and to the incremental digest, and
-    compare the two after each."""
-    state = State(initial, (0, 1))
-    digest = engine._StateDigest(state.values)
-    assert digest.hexdigest() == state_digest(state)
-    for delta in deltas:
-        delta = frozenset(delta)
-        state = state.with_updates(delta)
-        digest.update(delta)
-        assert digest.hexdigest() == state_digest(state), sorted(delta, key=repr)
-    return state
-
-
-def test_digest_follows_undef_then_rewrite():
-    x, y = loc("x"), loc("y")
-    state = _follow({x: 1, y: 2}, [
-        {(x, UNDEF)},
-        {(x, UNDEF), (y, 3)},       # undef of an absent location
-        {(x, 4)},
-        {(x, UNDEF), (y, UNDEF)},   # empty state
-        {(y, 5)},
-    ])
-    assert state.values == {y: 5}
-
-
-def test_digest_follows_int_bool_changes():
-    x = loc("x")
-    _follow({x: 1}, [{(x, TRUE)}, {(x, 1)}, {(x, FALSE)}, {(x, 0)},
-                     {(x, "s")}, {(x, TRUE)}])
-
-
-def test_digest_keeps_int_and_bool_locations_apart():
-    f_true, f_one = loc("f", TRUE), loc("f", 1)
-    assert f_true != f_one
-    state = _follow({f_true: 5, loc("g"): 0}, [
-        {(f_one, 7)},
-        {(f_one, 8), (loc("a"), 1)},
-        {(f_one, UNDEF)},
-        {(f_one, 9)},
-        {(f_true, 10)},
-    ])
-    assert state.values == {f_true: 10, f_one: 9, loc("g"): 0, loc("a"): 1}
-
-
 def test_engine_no_longer_digests_whole_states(monkeypatch):
-    def forbidden(state):
-        raise AssertionError("run called state_digest")
+    def forbidden(*args):
+        raise AssertionError("run hashed")
 
     monkeypatch.setattr(engine, "state_digest", forbidden)
+    monkeypatch.setattr(engine, "_text_digest", forbidden)
     assert run(counter_config(3, 2)).status == "done"
+    assert run(random_config(0, FUZZ_12)).steps
 
 
 # -- shared deadlock search and lazy streams -----------------------------------
@@ -560,18 +533,22 @@ def _version_pair_configs():
 
 @pytest.mark.parametrize("config", list(_version_pair_configs()))
 def test_version_one_and_two_traces_of_a_run_decode_alike(config):
-    """The two versions of one run's trace decode to the same steps, values,
-    commit order and verdict; only version 1 has idle records."""
+    """The three versions of one run's trace decode to the same steps,
+    values, commit order and verdict; only version 1 has idle records, and
+    only versions 1 and 2 have state hashes."""
     trace = run(config)
-    lines = v1_lines(trace)
-    one, two = trace_from_lines(lines), trace_from_lines(trace_to_lines(trace))
-    assert one.steps == two.steps
-    assert (one.initial_values, one.final_values, one.status, one.committed,
-            one.registered) == (two.initial_values, two.final_values,
-                                two.status, two.committed, two.registered)
-    assert one.config.initial_state().values == two.initial_values
-    assert check_serializable(one) == check_serializable(two)
-    assert v1_lines(one) == lines and trace_to_lines(two) == trace_to_lines(trace)
+    lines = {1: v1_lines(trace), 2: v2_lines(trace), 3: trace_to_lines(trace)}
+    one, two, three = (trace_from_lines(lines[v]) for v in (1, 2, 3))
+    for other in (two, three):
+        assert one.steps == other.steps
+        assert (one.initial_values, one.final_values, one.status,
+                one.committed, one.registered) == (
+            other.initial_values, other.final_values, other.status,
+            other.committed, other.registered)
+        assert check_serializable(one) == check_serializable(other)
+    assert one.config.initial_state().values == three.initial_values
+    assert v1_lines(one) == lines[1] and v2_lines(two) == lines[2]
+    assert trace_to_lines(three) == lines[3]
 
 
 # Records close to the idle one, in place of m0's idle record in step 1 of a
@@ -592,15 +569,14 @@ NEAR_IDLE = [
     ('{"ctl":false,"proper":false,"reads":[],"updates":[]}',
      "step record 1: 'm0' has ctl False in control state 'wait-locks'"),
     ('{"ctl":null,"proper":false,"reads":{},"updates":[]}',
-     '{"ctl":null,"proper":false,"reads":[],"updates":[]}'),
+     "reads is not a list: {}"),
     ('{"ctl":null,"proper":false,"reads":[],"updates":[],"x":1}',
      "step record 1: the record of 'm0' has the keys ['ctl', 'proper', "
      "'reads', 'updates', 'x'], not ['ctl', 'proper', 'reads', 'updates']"),
     ('{"ctl":null,"reads":[],"updates":[]}',
      "malformed trace record: KeyError('proper')"),
     ('{"ctl":null,"proper":false,"reads":[],"updates":null}',
-     "malformed trace record: TypeError(\"'NoneType' object is not "
-     "iterable\")"),
+     "updates is not a list: None"),
     ("[]", "malformed trace record: TypeError('list indices must be "
            "integers or slices, not str')"),
 ]

@@ -1,6 +1,6 @@
 """`trace_from_lines` decodes a trace one step line at a time into shared
-objects, replays each step's delta and requires the footer's final state
-to be the result."""
+objects, replays each step's delta and requires each recorded read to be
+the value before its step and the footer's final state to be the result."""
 import json
 
 import pytest
@@ -34,8 +34,8 @@ def test_decoded_trace_equals_the_run():
         decoded = trace_from_lines(trace_to_lines(trace))
         assert len(decoded.steps) == len(trace.steps)
         for mine, theirs in zip(trace.steps, decoded.steps):
-            assert (mine.index, mine.per_machine, mine.state_hash) == (
-                theirs.index, theirs.per_machine, theirs.state_hash)
+            assert (mine.index, mine.per_machine) == (theirs.index,
+                                                      theirs.per_machine)
             assert _events(mine) == _events(theirs)
         assert (trace.initial_values, trace.final_values, trace.status,
                 trace.committed, trace.registered) == (
@@ -165,3 +165,25 @@ def test_an_undef_update_removes_the_location_from_the_replayed_state():
                for ms in rec.per_machine.values() for _, v in ms.updates)
     decoded = trace_from_lines(trace_to_lines(trace))
     assert decoded.final_values == trace.final_values
+
+
+SEQ_READER = parse_program("machine m0\ninit pc() := 0\ninit x() := 0\n"
+                           "terminated: pc() = 1\nrule: par { pc() := 1 ; "
+                           "seq { x() := 5 ; y() := x() + 1 } }\n")
+
+
+def test_a_read_after_a_seq_write_records_the_value_before_the_step():
+    # The seq's second item sees x() = 5, but the step reads x() from the
+    # state before it; the replay requires exactly that value.
+    trace = run(RunConfig(machines=[SEQ_READER]))
+    (step,) = [ms for rec in trace.steps for ms in rec.per_machine.values()
+               if ms.proper]
+    assert (Location("x", ()), 0) in step.reads
+    assert (Location("y", ()), 6) in step.updates
+    lines = trace_to_lines(trace)
+    assert trace_to_lines(trace_from_lines(lines)) == lines
+    at = next(i for i, line in enumerate(lines) if '"proper":true' in line)
+    lines[at] = lines[at].replace('[["x",[]],["i",0]]', '[["x",[]],["i",5]]')
+    with pytest.raises(MalformedTrace, match=r'm0 reads \["x",\[\]\] '
+                       r'\["i",5\], but the steps before leave \["i",0\]'):
+        trace_from_lines(lines)

@@ -55,7 +55,6 @@ def reference_lines(trace: Trace) -> List[str]:
                 "ctl": list(ms.ctl_change) if ms.ctl_change else None,
                 "proper": ms.proper,
             } for m, ms in rec.per_machine.items()},
-            "state_hash": rec.state_hash,
         }))
     lines.append(_dump({
         "type": "final",

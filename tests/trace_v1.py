@@ -1,12 +1,12 @@
 """A writer of version-1 trace files, the reference for the version-1 pins
 and for the decoder's version-1 input in the tests.
 
-Version 1 differs from the current version in two ways: each program's text
-holds the config's shared inits after its own, and every machine that acted
-while waiting for locks or for its recovery has an idle record.  The writer
-re-derives those records from the control states the records change and the
-machines `engine._acting` lets act, so it shows that the engine still runs
-exactly as the version-1 traces recorded it.
+Version 1 differs from version 2 (`trace_v2`) in two ways: each program's
+text holds the config's shared inits after its own, and every machine that
+acted while waiting for locks or for its recovery has an idle record.  The
+writer re-derives those records from the control states the records change
+and the machines `engine._acting` lets act, so it shows that the engine
+still runs exactly as the version-1 traces recorded it.
 """
 import json
 from dataclasses import replace
@@ -18,9 +18,10 @@ from taserial.engine import (
     Trace,
     _acting,
     payload_digest,
-    trace_to_lines,
 )
 from taserial.wrapper import ACTIVE, DONE, UNREGISTERED
+
+from trace_v2 import v2_lines
 
 def v1_lines(trace: Trace) -> List[str]:
     config = trace.config
@@ -42,7 +43,7 @@ def v1_lines(trace: Trace) -> List[str]:
             rec = replace(rec, per_machine={**rec.per_machine,
                                             **dict.fromkeys(idle, IDLE_STEP)})
         steps.append(rec)
-    lines = trace_to_lines(replace(trace, steps=steps))
+    lines = v2_lines(replace(trace, steps=steps))
     header = json.loads(lines[0])
     payload = header["config"]
     del payload["shared_inits"]
