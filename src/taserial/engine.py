@@ -170,7 +170,7 @@ class RunConfig:
                 type(p) is list and len(p) == 2 for p in shared):
             raise ConfigError(f"shared_inits is not a list of [location, "
                               f"value] pairs: {shared!r}")
-        return cls(machines, decode_pairs(shared),
+        return cls(machines, _Shared().pairs(shared, "shared_inits"),
                    **{name: payload[name] for name in SETTINGS})
 
     def closed_system_warnings(self) -> List[str]:
@@ -268,20 +268,6 @@ def decode_value(payload) -> Value:
 
 def encode_location(loc: Location):
     return [loc.func, [encode_value(a) for a in loc.args]]
-
-
-def decode_location(payload) -> Location:
-    """The location `encode_location` wrote; any other shape is
-    MalformedTrace."""
-    if type(payload) is list and len(payload) == 2:
-        func, args = payload
-        if type(func) is str and type(args) is list:
-            return Location(func, tuple(decode_value(a) for a in args))
-    raise MalformedTrace(f"malformed location {payload!r}")
-
-
-def decode_pairs(payload):
-    return [(decode_location(l), decode_value(v)) for l, v in payload]
 
 
 #: The types of machine values.  A bool or a float can equal an int, so a
@@ -706,7 +692,8 @@ class _Shared:
         self.step_memo: Dict[tuple, MachineStep] = {}
 
     def location(self, payload) -> Location:
-        """`decode_location`, one object per distinct location."""
+        """The location `encode_location` wrote, one object per distinct
+        location; any other shape is MalformedTrace."""
         if type(payload) is list and len(payload) == 2:
             func, args = payload
             if type(func) is str and type(args) is list:
@@ -722,10 +709,10 @@ class _Shared:
         raise MalformedTrace(f"malformed location {payload!r}")
 
     def pairs(self, payload, what: str) -> List[Tuple[Location, Value]]:
-        """`decode_pairs`, one tuple per distinct pair; `payload`, the
-        trace's `what`, must be a list.  A pair whose location has no
-        arguments and whose value is tagged, the common case, is looked up
-        before it is decoded."""
+        """The location/value pairs `payload` lists, one tuple per distinct
+        pair; `payload`, the trace's `what`, must be a list.  A pair whose
+        location has no arguments and whose value is tagged, the common
+        case, is looked up before it is decoded."""
         if type(payload) is not list:
             raise MalformedTrace(f"{what} is not a list: {payload!r}")
         memo = self.pair_memo
@@ -756,7 +743,10 @@ class _Shared:
         """One MachineStep per distinct machine record: most records only
         change a control state, and undone steps are taken again."""
         key = (tuple(updates), tuple(reads), ctl_change, proper)
-        out = self.step_memo.get(key)
+        try:
+            out = self.step_memo.get(key)
+        except TypeError:  # an unhashable `ctl`, which `Control` rejects
+            return MachineStep(frozenset(updates), key[1], ctl_change, proper)
         if out is None:
             out = self.step_memo[key] = MachineStep(
                 frozenset(updates), key[1], ctl_change, proper)
@@ -814,20 +804,13 @@ def _lock_key(entries) -> Optional[tuple]:
     return tuple(out)
 
 
-def trace_from_lines(lines: List[str]) -> Trace:
-    """The trace the lines encode, in this version or an earlier one.
-    Versions 1 and 2 also give each step's `state_hash`, the `state_digest`
-    of the state after the step; in version 1 each program holds the shared
-    inits, and each waiting machine has an idle record, which is dropped.
+#: version -> the keys of its step records (see `RECORD_KEYS`)
+_STEP_KEYS = {v: RECORD_KEYS["step"] | {"state_hash"} for v in (1, 2)}
+_STEP_KEYS[TRACE_VERSION] = RECORD_KEYS["step"]
 
-    It parses the header and the footer, then one step line at a time; the
-    decoded trace shares each distinct location, pair, lock payload and
-    machine step (`_Shared`).  It replays the states: each recorded read
-    must be the value of its location (undef if absent) before its step,
-    each step's delta is applied to the initial values, as
-    `State.with_updates` does, a version 1 or 2 `state_hash` must be the
-    digest of the result, and `final_state` must be the last result."""
-    lines = [line for line in lines if line.strip()]
+
+def _decode_header(lines: List[str], shared: _Shared):
+    """The trace's header, footer, version, config and initial values."""
     header = _parse_line(lines[0]) if lines else None
     if type(header) is not dict or header.get("type") != "header":
         raise MalformedTrace("missing header record")
@@ -835,7 +818,7 @@ def trace_from_lines(lines: List[str]) -> Trace:
     if type(final) is not dict or final.get("type") != "final":
         raise MalformedTrace("missing final record (truncated trace?)")
     version = header.get("version")
-    if type(version) is not int or version not in (1, 2, TRACE_VERSION):
+    if type(version) is not int or version not in _STEP_KEYS:
         raise MalformedTrace(f"unsupported trace version {version!r}")
     if header.keys() != RECORD_KEYS["header"]:
         raise _bad_keys(header, RECORD_KEYS["header"], "the header")
@@ -846,218 +829,81 @@ def trace_from_lines(lines: List[str]) -> Trace:
                                            else set())
     if type(payload) is not dict or payload.keys() != config_keys:
         raise _bad_keys(payload, config_keys, "the header's config")
-    step_keys = RECORD_KEYS["step"]
-    fragments = None  # the text of the replayed states' pairs, if hashed
-    if version < TRACE_VERSION:
-        step_keys = step_keys | {"state_hash"}
-        fragments = _Fragments()
-    shared = _Shared()
-    try:
-        config = RunConfig.from_payload(payload)
-        if payload_digest(payload) != header["config_digest"]:
-            raise MalformedTrace("config_digest does not match the config")
-        seed = header["seed"]
-        if type(seed) is not int or seed != config.seed:
-            raise MalformedTrace(f"header seed {seed!r} is not the config "
-                                 f"seed {config.seed}")
-        initial_values = dict(shared.pairs(header["initial_state"],
-                                           "initial_state"))
-        if initial_values != config.initial_state().values:
-            raise MalformedTrace("initial_state is not the state the config's "
-                                 "inits give")
-        if len(lines) - 2 > config.max_steps:
-            raise MalformedTrace(f"{len(lines) - 2} step records exceed "
-                                 f"max_steps {config.max_steps}")
-        registered = _machine_names(header["registered"], "registered",
-                                    config.machine_ids, "in the config")
-        committed = _machine_names(final["committed"], "committed",
-                                   registered, "registered")
-        sync = config.run_mode == "sync"
-        values = dict(initial_values)  # the state after the steps so far
-        steps = []
-        commits = []
-        last_commit = 0  # the step count when the last commit was recorded
-        # machine -> its proper steps so far that no undo has named
-        undoable: Dict[str, Set[int]] = {m: set() for m in registered}
-        # machine -> its control state: unregistered until its register
-        # event, then moved by its records' `ctl` changes
-        ctl_of = dict.fromkeys(registered, UNREGISTERED)
-        active: Set[str] = set()  # the machines whose control state is active
-        for line in lines[1:-1]:
-            # Parsed without the pairs hook, which makes parsing a step line
-            # about 40% slower: `keys` counts the keys of the record's
-            # objects, and each key in the text is followed by one `:`.  So
-            # only a line with more `:` can list a key twice (or it holds a
-            # `:` in a string), and only such a line is parsed again with
-            # `loads_json`.
-            rec = _parse_line(line, _loads_lax)
-            if rec.get("type") != "step":
-                raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
-            if rec.keys() != step_keys:
-                raise _bad_keys(rec, step_keys, f"step record {len(steps)}")
-            if type(rec["index"]) is not int or rec["index"] != len(steps):
-                raise MalformedTrace(f"step record {len(steps)} has index "
-                                     f"{rec['index']!r}")
-            delta: List[Tuple[Location, Value]] = []  # updates and restores
-            machines, events = rec["machines"], rec["events"]
-            if type(events) is not list:
-                raise MalformedTrace(f"step record {len(steps)}: events is "
-                                     f"not a list: {events!r}")
-            keys = len(rec) + len(machines)
-            for ev in events:
-                _check_event(ev, len(steps), ctl_of, undoable,
-                             config.registration, shared)
-                keys += len(ev) + len(ev.get("locks", ()))
-                if ev["kind"] == "register":
-                    active.add(ev["machine"])
-                elif ev["kind"] == "commit":
-                    commits.append(ev["machine"])
-                    last_commit = len(steps) + 1
-                elif ev["kind"] == "undo":
-                    delta += ev["restored"]
-            # In sync mode every live machine acts, and an active one always
-            # steps or changes its control state: only a waiting one idles.
-            if sync:
-                if not machines.keys() >= active:
-                    raise MalformedTrace(
-                        f"step record {len(steps)}: no record of active "
-                        f"machines {sorted(active - machines.keys())}")
-            else:
-                _check_agent(rec, len(steps), ctl_of, config.seed)
-            per_machine = {}
-            for m, ms in machines.items():
-                keys += len(ms)
-                state = ctl_of.get(m)
-                if state is None:
-                    raise MalformedTrace(f"step record {len(steps)}: machine "
-                                         f"{m!r} is not registered")
-                if state in _NO_RECORD:
-                    raise MalformedTrace(f"step record {len(steps)}: {m!r} "
-                                         f"has a record in control state "
-                                         f"{state!r}")
-                # Only the exact record: `"proper":0` decodes as before.
-                if (version == 1 and ms == _V1_IDLE
-                        and ms["proper"] is False):
-                    continue
-                proper, ctl_change = ms["proper"], ms["ctl"]
-                if ms.keys() != RECORD_KEYS["machine"]:
-                    raise _bad_keys(ms, RECORD_KEYS["machine"],
-                                    f"step record {len(steps)}: the record "
-                                    f"of {m!r}")
-                if type(proper) is not bool:
-                    raise MalformedTrace(f"step record {len(steps)}: {m!r} "
-                                         f"has proper {proper!r}")
-                if ctl_change is not None:
-                    if (type(ctl_change) is not list
-                            or tuple(ctl_change) not in TRANSITIONS
-                            or ctl_change[0] != state):
-                        raise MalformedTrace(f"step record {len(steps)}: "
-                                             f"{m!r} has ctl {ctl_change!r} "
-                                             f"in control state {state!r}")
-                    ctl_change = tuple(ctl_change)
-                    ctl_of[m] = ctl_change[1]
-                    if ctl_change[1] == ACTIVE:
-                        active.add(m)
-                    else:
-                        active.discard(m)
-                elif not proper and version > 1:
-                    raise MalformedTrace(f"step record {len(steps)}: {m!r} "
-                                         f"has a record that neither steps "
-                                         f"nor changes its control state")
-                updates = shared.pairs(ms["updates"], "updates")
-                reads = shared.pairs(ms["reads"], "reads")
-                for loc, v in reads:  # read before this step's delta applies
-                    if values.get(loc, UNDEF) != v:
-                        raise _read_error(len(steps), m, loc, v, values)
-                delta += updates
-                per_machine[m] = shared.step(updates, reads, ctl_change,
-                                             proper)
-                if proper:
-                    undoable[m].add(len(steps))
-            if delta:  # applied as `State.with_updates` applies it
-                _apply(values, delta, len(steps))
-            if fragments is not None:
-                digest = _text_digest(fragments.pairs(values.items()))
-                if rec["state_hash"] != digest:
-                    raise MalformedTrace(
-                        f"step record {len(steps)} has state hash "
-                        f"{rec['state_hash']!r}, not the digest {digest} of "
-                        f"the replayed state")
-            if line.count(":") != keys:
-                _parse_line(line)  # raises if a key is listed twice
-            steps.append(StepRecord(rec["index"], per_machine, events))
-        for m in registered:
-            step = config.registration.get(m, 0)
-            if ctl_of[m] == UNREGISTERED and step < len(steps):
-                raise MalformedTrace(f"step record {step}: no register event "
-                                     f"of {m}")
-        if committed != commits:
-            raise MalformedTrace(f"committed {committed} is not the order of "
-                                 f"the commit events {commits}")
-        status, done = final["status"], len(committed) == len(registered)
-        # A run stops at the step of the last commit, or at its budget.
-        if (status != ("done" if done else "budget")
-                or len(steps) != (last_commit if done else config.max_steps)):
-            raise MalformedTrace(
-                f"status {status!r} with {len(committed)} of "
-                f"{len(registered)} machines committed in {len(steps)} of "
-                f"{config.max_steps} steps")
-        final_values = dict(shared.pairs(final["final_state"],
-                                         "final_state"))
-        if final_values != values:
-            raise _final_state_error(final_values, values)
-        return Trace(
-            config=config,
-            initial_values=initial_values,
-            steps=steps,
-            final_values=final_values,
-            status=status,
-            committed=committed,
-            registered=registered,
-        )
-    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
-        raise MalformedTrace(f"malformed trace record: {e!r}") from None
+    config = RunConfig.from_payload(payload)
+    if payload_digest(payload) != header["config_digest"]:
+        raise MalformedTrace("config_digest does not match the config")
+    seed = header["seed"]
+    if type(seed) is not int or seed != config.seed:
+        raise MalformedTrace(f"header seed {seed!r} is not the config "
+                             f"seed {config.seed}")
+    initial = dict(shared.pairs(header["initial_state"], "initial_state"))
+    if initial != config.initial_state().values:
+        raise MalformedTrace("initial_state is not the state the config's "
+                             "inits give")
+    if len(lines) - 2 > config.max_steps:
+        raise MalformedTrace(f"{len(lines) - 2} step records exceed "
+                             f"max_steps {config.max_steps}")
+    return header, final, version, config, initial
 
 
-def _apply(values: Dict[Location, Value], delta: List[tuple],
-           index: int) -> None:
-    """Apply a step's delta as `State.with_updates` does; a location given
-    two values makes the step malformed."""
-    updates = dict(delta)
-    if len(updates) < len(delta) and not consistent(delta):
-        raise MalformedTrace(f"step record {index} gives "
-                             f"{_dump(encode_location(_clashes(delta)[0]))} "
-                             f"two values")
-    values.update(updates)
-    if UNDEF in updates.values():
-        for loc, v in updates.items():
-            if v is UNDEF:
-                del values[loc]
-
-
-def _read_error(index: int, machine: str, loc: Location, value: Value,
-                values: Dict[Location, Value]) -> MalformedTrace:
-    """The error for a recorded read whose value is not the replayed one."""
-    replayed = values.get(loc, UNDEF)
-    return MalformedTrace(
-        f"step record {index}: {machine} reads "
-        f"{_dump(encode_location(loc))} {_dump(encode_value(value))}, but "
-        f"the steps before leave {_dump(encode_value(replayed))}")
-
-
-def _final_state_error(final: Dict[Location, Value],
-                       replayed: Dict[Location, Value]) -> MalformedTrace:
-    """The error naming the first location, in canonical order, whose value
-    in `final_state` is not the one the steps leave."""
-    loc = min((l for l in final.keys() | replayed.keys()
-               if final.get(l) != replayed.get(l)), key=loc_key)
-
-    def text(values):
-        return _dump(encode_value(values[loc])) if loc in values else "none"
-
-    return MalformedTrace(f"final_state gives {_dump(encode_location(loc))} "
-                          f"{text(final)}, but the steps leave "
-                          f"{text(replayed)}")
+def _decode_step(line: str, index: int, version: int, shared: _Shared):
+    """Step record `index` and its `state_hash` (None in this version), of
+    the shape the version writes; a list `ctl` becomes a tuple, any other is
+    left to `Control`, and a version-1 idle record becomes `IDLE_STEP`.  The
+    pairs hook makes parsing a step line 40% slower, so `keys` counts
+    the keys of the record's objects instead: each key in the text is
+    followed by one `:`, and only a line with more `:` (a key listed twice,
+    or a `:` in a string) is parsed again with `loads_json`."""
+    rec = _parse_line(line, _loads_lax)
+    if rec.get("type") != "step":
+        raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
+    if rec.keys() != _STEP_KEYS[version]:
+        raise _bad_keys(rec, _STEP_KEYS[version], f"step record {index}")
+    if type(rec["index"]) is not int or rec["index"] != index:
+        raise MalformedTrace(f"step record {index} has index "
+                             f"{rec['index']!r}")
+    machines, events = rec["machines"], rec["events"]
+    if type(events) is not list:
+        raise MalformedTrace(f"step record {index}: events is not a list: "
+                             f"{events!r}")
+    keys = len(rec) + len(machines)
+    for ev in events:  # checked against `EVENTS` and decoded in place
+        kind = ev.get("kind")
+        if type(kind) is not str or ev.keys() != _EVENT_KEYS.get(kind):
+            raise MalformedTrace(f"step record {index}: no {kind!r} event "
+                                 f"has the fields {sorted(ev)}")
+        keys += len(ev)
+        if "locks" in ev:
+            locks = shared.locks(ev["locks"])
+            if locks is None:
+                raise MalformedTrace(f"step record {index}: {kind} event of "
+                                     f"{ev['machine']} has locks "
+                                     f"{ev['locks']!r}")
+            keys += len(locks)
+            ev["locks"] = locks
+        if kind == "undo":
+            ev["restored"] = shared.pairs(ev["restored"], "restored")
+    per_machine = {}
+    for m, ms in machines.items():
+        keys += len(ms)
+        # Only the exact record: `"proper":0` decodes as before.
+        if version == 1 and ms == _V1_IDLE and ms["proper"] is False:
+            per_machine[m] = IDLE_STEP
+            continue
+        proper, ctl = ms["proper"], ms["ctl"]
+        if ms.keys() != RECORD_KEYS["machine"]:
+            raise _bad_keys(ms, RECORD_KEYS["machine"],
+                            f"step record {index}: the record of {m!r}")
+        if type(proper) is not bool:
+            raise MalformedTrace(f"step record {index}: {m!r} has proper "
+                                 f"{proper!r}")
+        per_machine[m] = shared.step(
+            shared.pairs(ms["updates"], "updates"),
+            shared.pairs(ms["reads"], "reads"),
+            tuple(ctl) if type(ctl) is list else ctl, proper)
+    if line.count(":") != keys:
+        _parse_line(line)  # raises if a key is listed twice
+    return StepRecord(index, per_machine, events), rec.get("state_hash")
 
 
 #: Past its commit event; not a control state, so no record or event fits it.
@@ -1067,27 +913,237 @@ _COMMITTED = "committed"
 _NO_RECORD = (UNREGISTERED, DONE, _COMMITTED)
 
 
-def _check_agent(rec: dict, index: int, ctl_of: Dict[str, str],
-                 seed: int) -> None:
-    """In interleave mode one agent acts per step, the one `_acting` draws
-    from the live machines: a machine, whose record (none if it waited) is
-    the step's only one and whose lock requests are its only events beside
-    registrations, or the controller, with no record and no lock request."""
-    live = sorted(m for m, state in ctl_of.items() if state not in _NO_RECORD)
-    acting, _ = _acting("interleave", live, seed, index)
-    agent = acting[0] if acting else None
-    machines = rec["machines"]
-    if len(machines) > 1 or machines and agent not in machines:
-        raise MalformedTrace(f"step record {index}: records of "
-                             f"{sorted(machines)}, but only "
-                             f"{agent or 'the controller'} acts in it")
-    for ev in rec["events"]:
-        kind = ev["kind"]
-        if (kind == "lock_request" and ev["machine"] != agent
-                or agent and kind not in ("register", "lock_request")):
-            raise MalformedTrace(f"step record {index}: {kind} event of "
-                                 f"{ev['machine']}, but only "
-                                 f"{agent or 'the controller'} acts in it")
+class Control:
+    """Checks TaCtl's control: each machine registers in its registration
+    step, moves along `TRANSITIONS` and commits after `done`; an undo names
+    a proper step of its machine not yet undone; a record that is not proper
+    only changes the control state; the agents are those `_acting` draws."""
+
+    def __init__(self, config: RunConfig, registered):
+        self.config, self.commits = config, []
+        self.registered = self._names(registered, "registered",
+                                      config.machine_ids, "in the config")
+        # per machine its control state, and its proper steps not undone
+        self.ctl_of = dict.fromkeys(self.registered, UNREGISTERED)
+        self.undoable = {m: set() for m in self.registered}
+        self.active: Set[str] = set()  # the machines in control state active
+        self.last_commit = 0  # the step count when the last commit was seen
+
+    def step(self, rec: StepRecord) -> None:
+        index, machines = rec.index, rec.per_machine
+        for ev in rec.events:
+            self._event(ev, index)
+        # In sync mode every live machine acts, and an active one always
+        # steps or changes its control state: only a waiting one idles.
+        if self.config.run_mode == "sync":
+            if not machines.keys() >= self.active:
+                raise MalformedTrace(
+                    f"step record {index}: no record of active machines "
+                    f"{sorted(self.active - machines.keys())}")
+        else:
+            self._agent(rec)
+        for m, ms in machines.items():
+            state = self.ctl_of.get(m)
+            if state is None:
+                raise MalformedTrace(f"step record {index}: machine {m!r} is "
+                                     f"not registered")
+            if state in _NO_RECORD:
+                raise MalformedTrace(f"step record {index}: {m!r} has a "
+                                     f"record in control state {state!r}")
+            if ms is IDLE_STEP:  # a version-1 idle record
+                continue
+            move = ms.ctl_change
+            if move is not None:
+                if type(move) is not tuple or move not in TRANSITIONS or (
+                        move[0] != state):
+                    raise MalformedTrace(
+                        f"step record {index}: {m!r} has ctl "
+                        f"{list(move) if type(move) is tuple else move!r} in "
+                        f"control state {state!r}")
+                self.ctl_of[m] = move[1]
+                (self.active.add if move[1] == ACTIVE
+                 else self.active.discard)(m)
+            elif not ms.proper:
+                raise MalformedTrace(f"step record {index}: {m!r} has a "
+                                     f"record that neither steps nor changes "
+                                     f"its control state")
+            if ms.proper:
+                self.undoable[m].add(index)
+            elif ms.reads or ms.updates:
+                raise MalformedTrace(f"step record {index}: {m!r} has reads "
+                                     f"or updates in a record that is not "
+                                     f"proper")
+
+    def _event(self, ev: dict, index: int) -> None:
+        kind, m = ev["kind"], ev["machine"]
+        if type(m) is not str or m not in self.ctl_of:
+            raise MalformedTrace(f"step record {index}: {kind} event names "
+                                 f"{m!r}, which is not registered")
+        state = self.ctl_of[m]
+        # Only an unregistered machine registers, only one that asked to
+        # commit commits, and no event names a machine after its commit.
+        if (state == _COMMITTED
+                or (kind == "register") != (state == UNREGISTERED)
+                or kind == "commit" and state != DONE):
+            raise MalformedTrace(f"step record {index}: {kind} event of {m} "
+                                 f"in control state {state!r}")
+        if kind == "register":
+            step = self.config.registration.get(m, 0)
+            if index != step:
+                raise MalformedTrace(f"step record {index}: {m} registers "
+                                     f"in step {step}")
+            self.ctl_of[m] = ACTIVE
+            self.active.add(m)
+        elif kind == "commit":
+            self.ctl_of[m] = _COMMITTED
+            self.commits.append(m)
+            self.last_commit = index + 1
+        elif kind == "undo":
+            origin = ev["origin_step"]
+            if origin is not None and (type(origin) is not int
+                                       or origin not in self.undoable[m]):
+                raise MalformedTrace(f"step record {index}: undo of {m} "
+                                     f"names {origin!r}, not an earlier step "
+                                     f"to undo")
+            self.undoable[m].discard(origin)
+
+    def _agent(self, rec: StepRecord) -> None:
+        """In interleave mode only the agent `_acting` draws acts: a machine,
+        with at most its own record and, beside registrations, its lock
+        requests, or the controller, with no record and no lock request."""
+        live = sorted(m for m, s in self.ctl_of.items() if s not in _NO_RECORD)
+        acting, _ = _acting("interleave", live, self.config.seed, rec.index)
+        agent = acting[0] if acting else None
+        acts = f"but only {agent or 'the controller'} acts in it"
+        if len(rec.per_machine) > 1 or rec.per_machine and (
+                agent not in rec.per_machine):
+            raise MalformedTrace(f"step record {rec.index}: records of "
+                                 f"{sorted(rec.per_machine)}, {acts}")
+        for ev in rec.events:
+            kind = ev["kind"]
+            if (kind == "lock_request" and ev["machine"] != agent
+                    or agent and kind not in ("register", "lock_request")):
+                raise MalformedTrace(f"step record {rec.index}: {kind} event "
+                                     f"of {ev['machine']}, {acts}")
+
+    def finish(self, trace: Trace) -> None:
+        steps = len(trace.steps)
+        for m in self.registered:
+            step = self.config.registration.get(m, 0)
+            if self.ctl_of[m] == UNREGISTERED and step < steps:
+                raise MalformedTrace(f"step record {step}: no register event "
+                                     f"of {m}")
+        committed = self._names(trace.committed, "committed", self.registered,
+                                "registered")
+        if committed != self.commits:
+            raise MalformedTrace(f"committed {committed} is not the order of "
+                                 f"the commit events {self.commits}")
+        done = len(committed) == len(self.registered)
+        # A run stops at the step of the last commit, or at its budget.
+        if (trace.status != ("done" if done else "budget") or steps
+                != (self.last_commit if done else self.config.max_steps)):
+            raise MalformedTrace(
+                f"status {trace.status!r} with {len(committed)} of "
+                f"{len(self.registered)} machines committed in {steps} of "
+                f"{self.config.max_steps} steps")
+
+    @staticmethod
+    def _names(names, what: str, known: List[str], known_as: str) -> list:
+        """The trace's `what` list, each name once and each one of `known`."""
+        if not isinstance(names, list):
+            raise MalformedTrace(f"{what} is not a list: {names!r}")
+        for i, m in enumerate(names):
+            if m not in known or m in names[:i]:
+                raise MalformedTrace(f"{what} names {m!r} " + (
+                    "twice" if m in known else f"which is not {known_as}"))
+        return names
+
+
+class Replay:
+    """Replays the states: each recorded read is the value of its location
+    (undef if absent) before its step; each step's delta applies as in
+    `State.with_updates`; a version 1 or 2 `state_hash` is the digest of the
+    result, and the footer's final state is the last result."""
+
+    def __init__(self, initial_values: dict, version: int = TRACE_VERSION):
+        self.values = dict(initial_values)  # the state after the steps so far
+        self.fragments = _Fragments() if version < TRACE_VERSION else None
+
+    def step(self, rec: StepRecord, state_hash: Optional[str] = None) -> None:
+        values, delta = self.values, []  # delta: updates and restores
+        for m, ms in rec.per_machine.items():
+            for loc, v in ms.reads:
+                if values.get(loc, UNDEF) != v:
+                    raise MalformedTrace(
+                        f"step record {rec.index}: {m} reads "
+                        f"{_dump(encode_location(loc))} "
+                        f"{_dump(encode_value(v))}, but the steps before "
+                        f"leave {_dump(encode_value(values.get(loc, UNDEF)))}")
+            delta += ms.updates
+        for ev in rec.events:
+            if ev["kind"] == "undo":
+                delta += ev["restored"]
+        if delta:
+            updates = dict(delta)
+            if len(updates) < len(delta) and not consistent(delta):
+                raise MalformedTrace(
+                    f"step record {rec.index} gives "
+                    f"{_dump(encode_location(_clashes(delta)[0]))} two values")
+            values.update(updates)
+            if UNDEF in updates.values():
+                for loc, v in updates.items():
+                    if v is UNDEF:
+                        del values[loc]
+        if self.fragments is not None:
+            digest = _text_digest(self.fragments.pairs(values.items()))
+            if state_hash != digest:
+                raise MalformedTrace(
+                    f"step record {rec.index} has state hash {state_hash!r}, "
+                    f"not the digest {digest} of the replayed state")
+
+    def finish(self, trace: Trace) -> None:
+        """The error names the first differing location, in canonical order."""
+        final, replayed = trace.final_values, self.values
+        if final != replayed:
+            loc = min((l for l in final.keys() | replayed.keys()
+                       if final.get(l) != replayed.get(l)), key=loc_key)
+            given, left = (_dump(encode_value(d[loc])) if loc in d else "none"
+                           for d in (final, replayed))
+            raise MalformedTrace(f"final_state gives "
+                                 f"{_dump(encode_location(loc))} {given}, but "
+                                 f"the steps leave {left}")
+
+
+def trace_from_lines(lines: List[str]) -> Trace:
+    """The trace the lines encode, in this version or an earlier one (in
+    version 1 the programs hold the shared inits, and the idle records of
+    waiting machines are dropped).  One pass: after the header and the
+    footer, each step line is decoded into the `_Shared` objects of the
+    trace and handed to the monitors `Control` and `Replay`, which see the
+    decoded footer last."""
+    lines = [line for line in lines if line.strip()]
+    shared = _Shared()
+    try:
+        header, final, version, config, initial = _decode_header(lines, shared)
+        control = Control(config, header["registered"])
+        replay = Replay(initial, version)
+        steps = []
+        for line in lines[1:-1]:
+            rec, state_hash = _decode_step(line, len(steps), version, shared)
+            control.step(rec)
+            replay.step(rec, state_hash)
+            if version == 1:
+                rec.per_machine = {m: ms for m, ms in rec.per_machine.items()
+                                   if ms is not IDLE_STEP}
+            steps.append(rec)
+        trace = Trace(config, initial, steps,
+                      dict(shared.pairs(final["final_state"], "final_state")),
+                      final["status"], final["committed"], control.registered)
+        control.finish(trace)
+        replay.finish(trace)
+        return trace
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError) as e:
+        raise MalformedTrace(f"malformed trace record: {e!r}") from None
 
 
 def _bad_keys(record, keys: Set[str], what: str) -> MalformedTrace:
@@ -1096,65 +1152,6 @@ def _bad_keys(record, keys: Set[str], what: str) -> MalformedTrace:
         return MalformedTrace(f"{what} is not an object: {record!r}")
     return MalformedTrace(f"{what} has the keys {sorted(record)}, not "
                           f"{sorted(keys)}")
-
-
-def _check_event(ev: dict, index: int, ctl_of: Dict[str, str],
-                 undoable: Dict[str, Set[int]],
-                 registration: Dict[str, int], shared: _Shared) -> None:
-    """Check the event against `EVENTS`, its `locks` against the shape
-    `_lock_payload` writes and its machine's control state, and decode its
-    locks and an undo's restored values in place, into `shared` objects.  A
-    register event must be in its machine's registration step and makes the
-    machine active, a commit committed; an undo takes its origin out of
-    `undoable`."""
-    kind, m = ev.get("kind"), ev.get("machine")
-    if type(kind) is not str or ev.keys() != _EVENT_KEYS.get(kind):
-        raise MalformedTrace(f"step record {index}: no {kind!r} event has "
-                             f"the fields {sorted(ev)}")
-    if type(m) is not str or m not in ctl_of:
-        raise MalformedTrace(f"step record {index}: {kind} event names "
-                             f"{m!r}, which is not registered")
-    state = ctl_of[m]
-    # Only an unregistered machine registers, only one that asked to commit
-    # commits, and no event names a machine after its commit.
-    if (state == _COMMITTED or (kind == "register") != (state == UNREGISTERED)
-            or kind == "commit" and state != DONE):
-        raise MalformedTrace(f"step record {index}: {kind} event of {m} in "
-                             f"control state {state!r}")
-    if "locks" in ev:
-        locks = shared.locks(ev["locks"])
-        if locks is None:
-            raise MalformedTrace(f"step record {index}: {kind} event of {m} "
-                                 f"has locks {ev['locks']!r}")
-        ev["locks"] = locks
-    if kind == "register":
-        step = registration.get(m, 0)
-        if index != step:
-            raise MalformedTrace(f"step record {index}: {m} registers in "
-                                 f"step {step}")
-        ctl_of[m] = ACTIVE
-    elif kind == "commit":
-        ctl_of[m] = _COMMITTED
-    elif kind == "undo":
-        origin = ev["origin_step"]
-        if origin is not None and (type(origin) is not int
-                                   or origin not in undoable[m]):
-            raise MalformedTrace(f"step record {index}: undo of {m} names "
-                                 f"{origin!r}, not an earlier step to undo")
-        undoable[m].discard(origin)
-        ev["restored"] = shared.pairs(ev["restored"], "restored")
-
-
-def _machine_names(names, what: str, known: List[str],
-                   known_as: str) -> List[str]:
-    """The trace's `what` list, each name once and each one of `known`."""
-    if not isinstance(names, list):
-        raise MalformedTrace(f"{what} is not a list: {names!r}")
-    for i, m in enumerate(names):
-        if m not in known or m in names[:i]:
-            raise MalformedTrace(f"{what} names {m!r} " + (
-                "twice" if m in known else f"which is not {known_as}"))
-    return names
 
 
 def load_trace(path: str) -> Trace:

@@ -1,0 +1,211 @@
+"""Mutants of the trace decoder, each a monkeypatch and a forgery.
+
+A mutant breaks one check of `engine.trace_from_lines` (the step decoder,
+`Control` or `Replay`) or of the config it decodes.  It is applied as a
+monkeypatch: the source of one function or method with one snippet
+replaced, compiled in its module's namespace, or one table entry changed.
+A snippet that is not in the source exactly once fails the patch, so a
+mutant cannot silently go stale when the code it breaks changes.
+
+Each mutant's forgery is the input its check exists to reject.  The
+unmodified code rejects it; the mutated code accepts it.
+"""
+import __future__
+import inspect
+import json
+import textwrap
+from dataclasses import dataclass
+from typing import Callable, Tuple
+
+from taserial import engine
+from taserial.asm import Location
+from taserial.dsl import parse_program
+from taserial.engine import (
+    MalformedTrace,
+    RunConfig,
+    run,
+    state_at,
+    state_digest,
+    trace_from_lines,
+    trace_to_lines,
+)
+from taserial.workloads import counter_config
+
+from trace_v2 import v2_lines
+
+
+def patched(owner, name: str, *edits: Tuple[str, str]):
+    """`owner.name` compiled from its source with each `(old, new)` edit
+    made; `old` must occur exactly once."""
+    fn = inspect.getattr_static(owner, name)
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        assert source.count(old) == 1, f"{name}: {old!r}"
+        source = source.replace(old, new)
+    code = compile(source, inspect.getsourcefile(fn), "exec",
+                   flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    namespace = {}
+    exec(code, vars(inspect.getmodule(fn)), namespace)
+    return namespace[name]
+
+
+def replace(owner, name: str, *edits: Tuple[str, str]):
+    """A mutant's patch: `owner.name` with the `edits` made."""
+    def apply(monkeypatch):
+        monkeypatch.setattr(owner, name, patched(owner, name, *edits))
+    return apply
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    apply: Callable  # (monkeypatch) -> None
+    forge: Callable  # () -> None, raising `rejects` when it rejects
+    rejects: type = MalformedTrace
+
+
+def _counter_lines():
+    return trace_to_lines(run(counter_config(3, 2, seed=1)))
+
+
+def _edit_step(lines, test, edit):
+    """The lines with the first step record for which `test(record)` holds
+    edited in place by `edit(record)`, as canonical JSON."""
+    for at in range(1, len(lines) - 1):
+        rec = json.loads(lines[at])
+        if test(rec):
+            edit(rec)
+            lines[at] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+            return lines
+    raise AssertionError("no step record to edit")
+
+
+def _machines(rec):
+    return list(rec["machines"].values())
+
+
+def _forged_read():
+    # The first recorded read, of a location the state holds, takes another
+    # value.
+    def edit(rec):
+        read = next(ms for ms in _machines(rec) if ms["reads"])["reads"][0]
+        read[1] = ["i", read[1][1] + 100]
+    trace_from_lines(_edit_step(
+        _counter_lines(), lambda r: any(ms["reads"] for ms in _machines(r)),
+        edit))
+
+
+def _forged_absent_read():
+    # A read of a location no step or init gives a value, recorded as 1.
+    def edit(rec):
+        next(ms for ms in _machines(rec) if ms["proper"])["reads"].append(
+            [["zz", []], ["i", 1]])
+    trace_from_lines(_edit_step(
+        _counter_lines(), lambda r: any(ms["proper"] for ms in _machines(r)),
+        edit))
+
+
+def _object_for_reads():
+    def edit(rec):
+        next(ms for ms in _machines(rec) if not ms["reads"])["reads"] = {}
+    trace_from_lines(_edit_step(
+        _counter_lines(),
+        lambda r: any(not ms["reads"] for ms in _machines(r)), edit))
+
+
+def _object_for_events():
+    trace_from_lines(_edit_step(_counter_lines(), lambda r: not r["events"],
+                                lambda r: r.update(events={})))
+
+
+def _zero_hash():
+    trace_from_lines(_edit_step(
+        v2_lines(run(counter_config(3, 2, seed=1))),
+        lambda r: r["index"] == 3, lambda r: r.update(state_hash="0" * 16)))
+
+
+def _hash_before_the_step():
+    # Each step's hash is the digest of the state before the step.
+    trace = run(counter_config(3, 2, seed=1))
+    lines = v2_lines(trace)
+    for at in range(1, len(lines) - 1):
+        rec = json.loads(lines[at])
+        rec["state_hash"] = state_digest(state_at(trace, at - 1))
+        lines[at] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    trace_from_lines(lines)
+
+
+def _v3_with_hashes():
+    # A version-2 trace relabelled as version 3: its hashes go unchecked.
+    lines = v2_lines(run(counter_config(3, 2, seed=1)))
+    lines[0] = lines[0].replace('"version":2}', '"version":3}')
+    trace_from_lines(lines)
+
+
+def _bool_init():
+    program = parse_program("machine m\ninit x(1) := 1\nterminated: true\n"
+                            "rule: skip\n")
+    program.inits = [(Location("x", (1,)), True)]
+    run(RunConfig([program]))
+
+
+def _update_in_a_record_that_is_not_proper():
+    # m1's change to done in step 9 writes pc_m1() := 99, and the footer
+    # agrees; no serial run ends with pc_m1() = 99.
+    lines = _edit_step(
+        _counter_lines(), lambda r: r["index"] == 9,
+        lambda r: r["machines"]["m1"].update(updates=[[["pc_m1", []],
+                                                       ["i", 99]]]))
+    final = json.loads(lines[-1])
+    for entry in final["final_state"]:
+        if entry[0] == ["pc_m1", []]:
+            entry[1] = ["i", 99]
+    lines[-1] = json.dumps(final, sort_keys=True, separators=(",", ":"))
+    trace_from_lines(lines)
+
+
+READ_CHECK = "if values.get(loc, UNDEF) != v:"
+
+MUTANTS = [
+    Mutant("no read check",
+           replace(engine.Replay, "step", (READ_CHECK, "if False:")),
+           _forged_read),
+    Mutant("undef reads unchecked",
+           replace(engine.Replay, "step", (
+               READ_CHECK, "if loc in values and values[loc] != v:")),
+           _forged_absent_read),
+    Mutant("no list check in _Shared.pairs",
+           replace(engine._Shared, "pairs",
+                   ("if type(payload) is not list:", "if False:")),
+           _object_for_reads),
+    Mutant("no events list check",
+           replace(engine, "_decode_step",
+                   ("if type(events) is not list:", "if False:")),
+           _object_for_events),
+    Mutant("no hash check",
+           replace(engine.Replay, "step",
+                   ("if state_hash != digest:", "if False:")),
+           _zero_hash),
+    Mutant("hash taken before the delta",
+           replace(engine.Replay, "step", (
+               "values, delta = self.values, []",
+               "values, delta = self.values, []\n    before = _text_digest("
+               "self.fragments.pairs(values.items())) if self.fragments "
+               "else None"), (
+               "digest = _text_digest(self.fragments.pairs(values.items()))",
+               "digest = before")),
+           _hash_before_the_step),
+    Mutant("version 3 accepts state_hash",
+           lambda mp: mp.setitem(engine._STEP_KEYS, engine.TRACE_VERSION,
+                                 engine._STEP_KEYS[2]),
+           _v3_with_hashes),
+    Mutant("no init type check",
+           replace(engine.RunConfig, "initial_state", (
+               "loc_key(loc), value_key(val)", "pass")),
+           _bool_init, TypeError),
+    Mutant("updates allowed in a record that is not proper",
+           replace(engine.Control, "step",
+                   ("elif ms.reads or ms.updates:", "elif False:")),
+           _update_in_a_record_that_is_not_proper),
+]

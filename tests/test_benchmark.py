@@ -32,6 +32,25 @@ def test_every_engine_wrapper_and_controller_hook_resolves():
     assert [h for h in hooks if tracer.resolve(*h) is None] == []
 
 
+def test_a_round_trip_calls_the_codec_and_parser_hooks():
+    # The per-layer codec metrics read these hooks' calls; a decoder that
+    # calls around the module attributes would make them read 0.
+    from taserial import engine
+    from taserial.workloads import counter_config
+
+    tracer = _tracer()
+    hooks = [("taserial.engine", name) for name in
+             ("trace_to_lines", "trace_from_lines", "parse_program")]
+    trace = engine.run(counter_config(3, 2, seed=1))
+    with tracer.Tracer(hooks) as traced:
+        traced.begin(0)
+        engine.trace_from_lines(engine.trace_to_lines(trace))
+        traced.fold()
+    assert traced.missing == []
+    assert all(traced.calls[tracer.span_name(*h)] >= 1 for h in hooks), (
+        traced.calls)
+
+
 def test_benchmark_smoke_run_is_correct():
     done = subprocess.run(
         [sys.executable, "fuzzbench/run.py", "--workload", "all", "--seed", "0",

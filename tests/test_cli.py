@@ -1439,6 +1439,21 @@ def test_check_forged_final_state_exits_one(tmp_path, capsys):
                      'steps leave ["i",2]')
 
 
+def test_check_update_in_a_record_that_is_not_proper_exits_one(tmp_path,
+                                                                capsys):
+    # m1's change to done writes pc_m1() := 99, and the footer agrees: no
+    # later read sees the write, and no serial run ends with that value.
+    records = _counter_trace_records(tmp_path)
+    m1 = records[10]["machines"]["m1"]
+    assert (records[10]["index"], m1["ctl"], m1["proper"]) == (
+        9, ["active", "done"], False)
+    m1["updates"] = [[["pc_m1", []], ["i", 99]]]
+    _final_entry(records, "pc_m1")[1] = ["i", 99]
+    _check_malformed(tmp_path, capsys, records,
+                     "step record 9: 'm1' has reads or updates in a record "
+                     "that is not proper")
+
+
 def test_check_final_state_with_a_location_more_or_less_exits_one(tmp_path,
                                                                  capsys):
     records = _counter_trace_records(tmp_path)

@@ -183,7 +183,7 @@ def test_encoding_keeps_one_and_true_apart():
     assert lines == [[["a", [["b", True]]], ["i", 6]],
                      [["a", [["i", 1]]], ["i", 5]],
                      [["x", []], ["b", True]]]
-    assert set(engine.decode_pairs(lines)) == pairs
+    assert set(engine._Shared().pairs(lines, "pairs")) == pairs
 
 
 def test_interleave_mode_runs_and_serializes():
