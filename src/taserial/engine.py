@@ -348,7 +348,6 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
     initial_values = dict(state.values)
 
     cs = ctl.ControllerState()
-    payloads: Dict[ctl.LockPair, dict] = {}  # see `_lock_payload`
     tcbs = {m: MachineCtl(machine_id=m) for m in active_ids}
     committed: List[str] = []
     steps: List[StepRecord] = []
@@ -366,7 +365,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             for m in joining[index]:
                 tcbs[m].ctl_state = ACTIVE
                 ctl.apply_effect(cs, ("register", m), committed)
-                events.append(effect_event(("register", m), payloads))
+                events.append(effect_event(("register", m)))
             live = sorted(live + joining[index])
 
         # Each registered machine commits once.
@@ -425,7 +424,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         for eff in effects + ctl_effects:
             ctl.apply_effect(cs, eff, committed)
         for eff in ctl_effects + effects:
-            event = effect_event(eff, payloads)
+            event = effect_event(eff)
             if event is not None:
                 events.append(event)
 
@@ -534,37 +533,24 @@ RECORD_KEYS = {
 }
 
 
-def effect_event(effect: tuple, payloads: dict) -> Optional[dict]:
-    """The trace event an effect records, or None."""
+def effect_event(effect: tuple) -> Optional[dict]:
+    """The trace event an effect records, or None; the `locks` of a lock
+    event are the effect's own `LockPair`."""
     if effect[0] not in EVENTS:
         return None
     kind, fields = EVENTS[effect[0]]
     event = {"kind": kind, "machine": effect[1]}
     if kind == "undo":
         entry = effect[2]
-        event.update(origin_step=entry.origin_step,
-                     locks=_lock_payload(entry.locks, payloads),
+        event.update(origin_step=entry.origin_step, locks=entry.locks,
                      restored=list(entry.saved))
     elif fields:
-        event["locks"] = _lock_payload(effect[2], payloads)
+        event["locks"] = effect[2]
     return event
 
 
+#: The JSON of the constants in a lock payload, where arguments are untagged.
 _JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
-
-
-def _lock_payload(locks: ctl.LockPair, payloads: dict) -> dict:
-    """The pair's locations, each kind sorted, as v1 writes them: arguments
-    untagged, and true, false and undef as JSON true, false and null.  Built
-    once per pair and run in `payloads`, as refused and undone machines
-    re-request the same pairs; the payload is shared, never mutated."""
-    payload = payloads.get(locks)
-    if payload is None:
-        payload = payloads[locks] = {
-            kind: [(l.func, tuple(_JSON_CONSTANTS.get(a, a) for a in l.args))
-                   for l in sorted(ls, key=loc_key)]
-            for kind, ls in (("r", locks.r_loc), ("w", locks.w_loc))}
-    return payload
 
 
 # The record version 1 wrote for a waiting machine; its decoder drops it.
@@ -575,10 +561,10 @@ def trace_to_lines(trace: Trace) -> List[str]:
     """The trace as lines of canonical JSON (keys sorted, no spaces),
     assembled from text fragments, each built once per trace: the pairs'
     locations and values (`_Fragments`), the machine names and control
-    changes, and each lock payload.  Events have the fields `EVENTS` gives."""
+    changes, and each lock pair.  Events have the fields `EVENTS` gives."""
     pairs = _Fragments().pairs
     texts: Dict[object, str] = {None: "null"}  # name or ctl change -> JSON
-    locks: Dict[int, Tuple[dict, str]] = {}  # id(payload) -> payload, JSON
+    locks: Dict[ctl.LockPair, str] = {}  # lock pair -> its payload's JSON
 
     def text(obj) -> str:
         out = texts.get(obj)
@@ -586,12 +572,16 @@ def trace_to_lines(trace: Trace) -> List[str]:
             out = texts[obj] = _dump(obj)
         return out
 
-    def lock_text(payload: dict) -> str:
-        # The entry keeps the payload alive, so no other takes its id.
-        entry = locks.get(id(payload))
-        if entry is None:
-            entry = locks[id(payload)] = (payload, _dump(payload))
-        return entry[1]
+    def lock_text(pair: ctl.LockPair) -> str:
+        # Each kind's locations sorted, as version 1 wrote them: arguments
+        # untagged, and true, false and undef as JSON true, false and null.
+        out = locks.get(pair)
+        if out is None:
+            out = locks[pair] = _dump({
+                kind: [[l.func, [_JSON_CONSTANTS.get(a, a) for a in l.args]]
+                       for l in sorted(ls, key=loc_key)]
+                for kind, ls in (("r", pair.r_loc), ("w", pair.w_loc))})
+        return out
 
     def event(ev: dict) -> str:
         out = '{"kind":' + text(ev["kind"])
@@ -672,7 +662,7 @@ _loads_lax = json.JSONDecoder().decode
 
 class _Shared:
     """The objects one trace holds many times, each distinct one decoded
-    once: locations, location/value pairs, lock payloads and machine steps,
+    once: locations, location/value pairs, lock pairs and machine steps,
     in memos that live as long as one decoding.  A memo key keeps the types
     of the values in it, so `["b",true]` never hits the entry of `["i",1]`,
     although `True == 1` in Python; and only decoded payloads enter a memo,
@@ -686,8 +676,8 @@ class _Shared:
         # (name, tag, type, value) of a pair whose location has no
         # arguments, or the decoded pair itself -> the pair
         self.pair_memo: Dict[tuple, tuple] = {}
-        # `_lock_key` of the `r` and the `w` list -> the payload
-        self.lock_memo: Dict[tuple, dict] = {}
+        # the locations of the `r` and of the `w` list -> the lock pair
+        self.lock_memo: Dict[tuple, ctl.LockPair] = {}
         # the decoded fields of a machine record -> its MachineStep
         self.step_memo: Dict[tuple, MachineStep] = {}
 
@@ -752,56 +742,57 @@ class _Shared:
                 frozenset(updates), key[1], ctl_change, proper)
         return out
 
-    def locks(self, payload) -> Optional[dict]:
-        """One object per distinct lock payload, equal to the payload
-        `_lock_payload` builds: entries `(function, argument tuple)`.  None
-        when `payload` is not of the shape `_lock_payload` writes: `r` and
-        `w`, each a list of `[function, arguments]`, each argument an int,
-        a string or a boolean (no location has an undef argument)."""
+    def locks(self, payload) -> Optional[ctl.LockPair]:
+        """One `LockPair` per distinct lock payload, equal to the pair the
+        run recorded.  None when `payload` is not of the shape
+        `trace_to_lines` writes: `r` and `w`, each a list of `[function,
+        arguments]`, each argument an int, a string or a boolean (no
+        location has an undef argument)."""
         if type(payload) is not dict or payload.keys() != _LOCK_KINDS:
             return None
-        r, w = payload["r"], payload["w"]
-        key = (_lock_key(r), _lock_key(w))
+        key = (self._lock_locations(payload["r"]),
+               self._lock_locations(payload["w"]))
         if key[0] is None or key[1] is None:
             return None
         out = self.lock_memo.get(key)
         if out is None:
-            out = self.lock_memo[key] = {
-                "r": [(f, tuple(args)) for f, args in r],
-                "w": [(f, tuple(args)) for f, args in w]}
+            out = self.lock_memo[key] = ctl.LockPair(frozenset(key[0]),
+                                                     frozenset(key[1]))
         return out
+
+    def _lock_locations(self, entries) -> Optional[tuple]:
+        """The locations of a lock payload's `r` or `w` list, shared as in
+        `location`, with JSON true and false read as TRUE and FALSE; None if
+        the list is not one of `[function, arguments]` with int, string or
+        boolean arguments.  Plain loops: `all` over generators took three
+        times as long on fuzz24 traces."""
+        if type(entries) is not list:
+            return None
+        locations, out = self.locations, []
+        for e in entries:
+            if (type(e) is not list or len(e) != 2 or type(e[0]) is not str
+                    or type(e[1]) is not list):
+                return None
+            func, args = e
+            key = func
+            if args:
+                decoded = []
+                for a in args:
+                    kind = type(a)
+                    if kind is bool:
+                        a = TRUE if a else FALSE
+                    elif kind is not int and kind is not str:
+                        return None
+                    decoded.append(a)
+                key = (func, tuple(decoded))
+            loc = locations.get(key)
+            if loc is None:
+                loc = locations[key] = Location(func, key[1] if args else ())
+            out.append(loc)
+        return tuple(out)
 
 
 _LOCK_KINDS = {"r", "w"}
-
-
-def _lock_key(entries) -> Optional[tuple]:
-    """A key for a lock payload's `r` or `w` list that keeps its arguments'
-    types: per entry its function, or its function and its arguments with
-    JSON true and false read as TRUE and FALSE.  None if the list is not one
-    of `[function, arguments]` with int, string or boolean arguments.  Plain
-    loops: `all` over generators took three times as long on fuzz24
-    traces."""
-    if type(entries) is not list:
-        return None
-    out = []
-    for e in entries:
-        if (type(e) is not list or len(e) != 2 or type(e[0]) is not str
-                or type(e[1]) is not list):
-            return None
-        if not e[1]:
-            out.append(e[0])
-            continue
-        args = []
-        for a in e[1]:
-            kind = type(a)
-            if kind is bool:
-                a = TRUE if a else FALSE
-            elif kind is not int and kind is not str:
-                return None
-            args.append(a)
-        out.append((e[0], tuple(args)))
-    return tuple(out)
 
 
 #: version -> the keys of its step records (see `RECORD_KEYS`)
@@ -879,7 +870,7 @@ def _decode_step(line: str, index: int, version: int, shared: _Shared):
                 raise MalformedTrace(f"step record {index}: {kind} event of "
                                      f"{ev['machine']} has locks "
                                      f"{ev['locks']!r}")
-            keys += len(locks)
+            keys += 2  # `r` and `w`
             ev["locks"] = locks
         if kind == "undo":
             ev["restored"] = shared.pairs(ev["restored"], "restored")

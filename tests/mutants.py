@@ -1,14 +1,19 @@
-"""Mutants of the trace decoder, each a monkeypatch and a forgery.
+"""Mutants of the trace decoder and of the controller, each a monkeypatch.
 
-A mutant breaks one check of `engine.trace_from_lines` (the step decoder,
-`Control` or `Replay`) or of the config it decodes.  It is applied as a
-monkeypatch: the source of one function or method with one snippet
-replaced, compiled in its module's namespace, or one table entry changed.
-A snippet that is not in the source exactly once fails the patch, so a
-mutant cannot silently go stale when the code it breaks changes.
+A mutant is applied as a monkeypatch: the source of one function or method
+with one snippet replaced, compiled in its module's namespace, or one table
+entry changed.  A snippet that is not in the source exactly once fails the
+patch, so a mutant cannot silently go stale when the code it breaks
+changes.
 
-Each mutant's forgery is the input its check exists to reject.  The
-unmodified code rejects it; the mutated code accepts it.
+A decoder mutant (`MUTANTS`) breaks one check of `engine.trace_from_lines`
+(the step decoder, `Control` or `Replay`) or of the config it decodes.  Its
+forgery is the input its check exists to reject: the unmodified code
+rejects it, the mutated code accepts it.
+
+A controller mutant (`CONTROLLER_MUTANTS`) breaks two-phase locking.  The
+detectors (`DETECTORS`) look at the runs of a small fuzz corpus, and each
+mutant names the detectors that kill it.
 """
 import __future__
 import inspect
@@ -17,8 +22,10 @@ import textwrap
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
-from taserial import engine
-from taserial.asm import Location
+from taserial import controller, engine, wrapper
+from taserial.asm import AsmError, Location
+from taserial.checker import check_serializable
+from taserial.controller import LockInvariantViolation
 from taserial.dsl import parse_program
 from taserial.engine import (
     MalformedTrace,
@@ -29,8 +36,10 @@ from taserial.engine import (
     trace_from_lines,
     trace_to_lines,
 )
+from taserial.fuzz import random_config
 from taserial.workloads import counter_config
 
+from test_acceptance import _replay_lock_table
 from trace_v2 import v2_lines
 
 
@@ -209,3 +218,67 @@ MUTANTS = [
                    ("elif ms.reads or ms.updates:", "elif False:")),
            _update_in_a_record_that_is_not_proper),
 ]
+
+
+# -- controller mutants -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ControllerMutant:
+    name: str
+    apply: Callable  # (monkeypatch) -> None
+    killed_by: Tuple[str, ...]  # the `DETECTORS` that reject some run
+
+
+def _unserializable(trace) -> bool:
+    return trace.status == "done" and not check_serializable(trace).ok
+
+
+def _lock_conflict(trace) -> bool:
+    # The lock replay reads the decoded trace's lock pairs, as `check` would.
+    try:
+        _replay_lock_table(trace_from_lines(trace_to_lines(trace)))
+    except LockInvariantViolation:
+        return True
+    return False
+
+
+#: detector -> whether it rejects a run's trace; a run that raises is
+#: killed by "run" alone.
+DETECTORS = {
+    "serial oracle": _unserializable,
+    "lock replay": _lock_conflict,
+}
+
+#: The corpus the controller mutants run on: default `random_config` seeds.
+CORPUS_SEEDS = range(40)
+
+CONTROLLER_MUTANTS = [
+    ControllerMutant(
+        "no read locks",
+        replace(wrapper, "_locks_for", (
+            "    w_loc = frozenset(", "    r_loc = frozenset()\n"
+                                     "    w_loc = frozenset(")),
+        ("serial oracle",)),
+    ControllerMutant(
+        "writer beside readers",
+        replace(controller.LockTable, "conflicts",
+                ("out.update(readers)", "pass")),
+        ("serial oracle", "lock replay")),
+]
+
+
+def kills() -> dict:
+    """Over the corpus: the runs that completed, and per detector (and
+    "run", for a run that raised) the runs it rejects."""
+    out = dict.fromkeys(["done", "run", *DETECTORS], 0)
+    for seed in CORPUS_SEEDS:
+        try:
+            trace = run(random_config(seed))
+        except AsmError:
+            out["run"] += 1
+            continue
+        out["done"] += trace.status == "done"
+        for name, rejects in DETECTORS.items():
+            out[name] += rejects(trace)
+    return out

@@ -9,15 +9,15 @@ import random
 import time
 
 from taserial.anomaly import forged_lost_update_trace
-from taserial.asm import (FALSE, TRUE, UNDEF, Location, assign_choice_ids,
-                          update_locations, yields)
+from taserial.asm import (TRUE, Location, assign_choice_ids, update_locations,
+                          yields)
 from taserial.checker import (
     brute_force_serializable,
     check_serializable,
     cleanse,
 )
-from taserial.controller import LockInvariantViolation, LockPair, LockTable
-from taserial.engine import run, state_at, trace_to_lines
+from taserial.controller import LockInvariantViolation, LockTable
+from taserial.engine import run, state_at, trace_from_lines, trace_to_lines
 from taserial.fuzz import FuzzParams, random_body, random_config, random_state
 from taserial.rwloc import rw_rule
 from taserial.seeds import ChoiceResolver, derive_bytes
@@ -91,20 +91,6 @@ def test_criterion_2_oracle_agreement():
            f"both: {both_reject}")
 
 
-def _replayed_location(payload):
-    """The exact location of a lock payload entry `(func, args)`: JSON true,
-    false and null are the constants, told from ints by their type."""
-    func, args = payload
-    return Location(func, tuple(
-        TRUE if a is True else FALSE if a is False else UNDEF if a is None
-        else a for a in args))
-
-
-def _replayed_pair(payload):
-    return LockPair(frozenset(map(_replayed_location, payload["r"])),
-                    frozenset(map(_replayed_location, payload["w"])))
-
-
 def _replay_lock_table(trace):
     """Independent 2PL check: rebuild the lock table from trace events,
     require every grant to be compatible with the locks other machines hold,
@@ -115,7 +101,7 @@ def _replay_lock_table(trace):
         for ev in rec.events:
             kind, m = ev["kind"], ev["machine"]
             if kind == "lock_grant":
-                pair = _replayed_pair(ev["locks"])
+                pair = ev["locks"]
                 for l in pair.all_locations():
                     others = {table.w_holder(l)} - {m, None}
                     if l in pair.w_loc:
@@ -126,7 +112,7 @@ def _replay_lock_table(trace):
                             f"{sorted(others)}")
                 table.grant(m, pair)
             elif kind == "undo":
-                table.release(m, _replayed_pair(ev["locks"]))
+                table.release(m, ev["locks"])
             elif kind == "commit":
                 table.release_all(m)
         table.check()
@@ -154,7 +140,7 @@ ONE_AND_TRUE = {
 
 def test_lock_replay_keeps_one_and_true_apart():
     # w write-locks a(1) and r read-locks a(true): two locations, so the
-    # grants do not conflict, although the payloads read (1,) and (True,).
+    # grants do not conflict, although their payloads write [1] and [true].
     from taserial.dsl import parse_program
     from taserial.engine import RunConfig
 
@@ -164,9 +150,11 @@ def test_lock_replay_keeps_one_and_true_apart():
         assert trace.status == "done"
         grants = {ev["machine"]: ev["locks"] for rec in trace.steps
                   for ev in rec.events if ev["kind"] == "lock_grant"}
-        assert grants["w"]["w"] == [("a", (1,))]
-        assert grants["r"]["r"] == [("a", (True,))]
+        assert grants["w"].w_loc == {Location("a", (1,))}
+        assert grants["r"].r_loc == {Location("a", (TRUE,))}
         assert _replay_lock_table(trace) == len(trace.steps)
+        decoded = trace_from_lines(trace_to_lines(trace))
+        assert _replay_lock_table(decoded) == len(trace.steps)
 
 
 def test_criterion_4_full_victim_restores_state():

@@ -1100,7 +1100,7 @@ def test_check_renamed_programs_key_exits_one(tmp_path, capsys):
                          "programs key 'zzz' holds machine 'm0'")
 
 
-# -- lock payloads: the shape `_lock_payload` writes -------------------------
+# -- lock payloads: the shape `trace_to_lines` writes ------------------------
 
 
 @pytest.mark.parametrize("locks", [

@@ -708,10 +708,9 @@ EFFECT_EVENTS = [
      {"kind": "lock_request", "machine": "a"}),
     (("grant", "a", pair(r=("y", "x"), w=("z",))),
      {"kind": "lock_grant", "machine": "a",
-      "locks": {"r": [loc("x"), loc("y")], "w": [loc("z")]}}),
+      "locks": pair(r=("x", "y"), w=("z",))}),
     (("refuse", "a", pair(w=("x",))),
-     {"kind": "lock_refuse", "machine": "a",
-      "locks": {"r": [], "w": [loc("x")]}}),
+     {"kind": "lock_refuse", "machine": "a", "locks": pair(w=("x",))}),
     (("withdraw_request", "a"), None),
     (("commit_request", "a"), None),
     (("append_history", "a", ENTRY), None),
@@ -720,14 +719,14 @@ EFFECT_EVENTS = [
     (("unvictimize", "a"), {"kind": "recovered", "machine": "a"}),
     (("undo", "a", ENTRY),
      {"kind": "undo", "machine": "a", "origin_step": 5,
-      "locks": {"r": [loc("y")], "w": [loc("w"), loc("x")]},
+      "locks": pair(r=("y",), w=("w", "x")),
       "restored": [(loc("s"), 3), (loc("p"), 0)]}),
 ]
 
 
 def test_every_effect_kind_maps_to_its_event_or_none():
     for effect, event in EFFECT_EVENTS:
-        assert effect_event(effect, {}) == event, effect[0]
+        assert effect_event(effect) == event, effect[0]
     # The table names every kind `apply_effect` applies, and no other; the
     # codec's table lists exactly those with an event.
     applied = re.findall(r'kind == "(\w+)"',
@@ -737,24 +736,15 @@ def test_every_effect_kind_maps_to_its_event_or_none():
         e[0] for e, event in EFFECT_EVENTS if event is not None)
 
 
-def test_lock_payload_is_built_once_per_pair_and_run():
-    payloads = {}
-    first = effect_event(("grant", "a", pair(r=("y", "x"))), payloads)["locks"]
-    again = effect_event(("refuse", "b", pair(r=("x", "y"))),
-                         payloads)["locks"]
-    assert again is first
-    other_run = effect_event(("grant", "a", pair(r=("x", "y"))), {})
-    assert other_run["locks"] == first and other_run["locks"] is not first
-
-
 def test_lock_payload_writes_constants_as_json():
     pair_ = controller.LockPair(
         frozenset({loc("a", TRUE), loc("a", 1)}),
         frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
-    payload = effect_event(("grant", "a", pair_), {})["locks"]
-    assert json.dumps(payload, separators=(",", ":")) == (
-        '{"r":[["a",[true]],["a",[1]]],'
-        '"w":[["b",[false,"s"]],["c",[null]]]}')
+    trace = run(counter_config(1, 1))
+    trace.steps[0].events.append(effect_event(("grant", "m0", pair_)))
+    line = trace_to_lines(trace)[1]
+    assert (',"locks":{"r":[["a",[true]],["a",[1]]],'
+            '"w":[["b",[false,"s"]],["c",[null]]]},"machine":"m0"}') in line
 
 
 @pytest.mark.parametrize("name,value", [(name, value)

@@ -3,6 +3,7 @@ decoded step record to, fed hand-built records with no JSON."""
 import pytest
 
 from taserial.asm import UNDEF, Location
+from taserial.controller import EMPTY_LOCKS
 from taserial.engine import (
     Control,
     MachineStep,
@@ -38,7 +39,7 @@ def _control(steps, **overrides):
 
 def _undo(origin):
     return {"kind": "undo", "machine": "m0", "origin_step": origin,
-            "locks": {"r": [], "w": []}, "restored": []}
+            "locks": EMPTY_LOCKS, "restored": []}
 
 
 # -- Control -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from taserial.asm import TRUE, UNDEF, Location
+from taserial.controller import LockPair
 from taserial import engine
 from taserial.dsl import parse_program
 from taserial.engine import (
@@ -21,22 +22,11 @@ from taserial.workloads import full_victim_config
 from test_trace_writer import _configs
 
 
-def _events(rec):
-    """The step's events, each undo's `restored` as a set: the run keeps an
-    undo entry's order, the file the canonical one."""
-    return [dict(ev, restored=set(ev["restored"])) if "restored" in ev
-            else ev for ev in rec.events]
-
-
 def test_decoded_trace_equals_the_run():
     for config in _configs():
         trace = run(config)
         decoded = trace_from_lines(trace_to_lines(trace))
-        assert len(decoded.steps) == len(trace.steps)
-        for mine, theirs in zip(trace.steps, decoded.steps):
-            assert (mine.index, mine.per_machine) == (theirs.index,
-                                                      theirs.per_machine)
-            assert _events(mine) == _events(theirs)
+        assert decoded.steps == trace.steps
         assert (trace.initial_values, trace.final_values, trace.status,
                 trace.committed, trace.registered) == (
             decoded.initial_values, decoded.final_values, decoded.status,
@@ -58,9 +48,9 @@ def _decoded_objects(trace):
     pairs = [p for ms in machine_steps for p in ms.updates | set(ms.reads)]
     pairs += [p for rec in trace.steps for ev in rec.events
               for p in ev.get("restored", ())]
-    payloads = [ev["locks"] for rec in trace.steps for ev in rec.events
-                if "locks" in ev]
-    return machine_steps, pairs, payloads
+    lock_pairs = [ev["locks"] for rec in trace.steps for ev in rec.events
+                  if "locks" in ev]
+    return machine_steps, pairs, lock_pairs
 
 
 def _typed(obj):
@@ -76,14 +66,14 @@ def _typed(obj):
 ], ids=["fuzz12", "full-victim"])
 def test_decoded_trace_shares_equal_objects(config):
     decoded = trace_from_lines(trace_to_lines(run(config)))
-    machine_steps, pairs, payloads = _decoded_objects(decoded)
+    machine_steps, pairs, lock_pairs = _decoded_objects(decoded)
     locations = [loc for loc, _ in pairs] + list(decoded.initial_values)
     locations += list(decoded.final_values)
     assert len(set(map(id, locations))) < len(locations)
     assert _one_object_each(locations, _typed)
     assert _one_object_each(pairs, _typed)
-    assert len(set(map(id, payloads))) < len(payloads)
-    assert _one_object_each(payloads, _typed)
+    assert len(set(map(id, lock_pairs))) < len(lock_pairs)
+    assert _one_object_each(lock_pairs)  # LockPair equality is exact
     assert len(set(map(id, machine_steps))) < len(machine_steps)
 
 
@@ -99,22 +89,36 @@ ONE_AND_TRUE = [
 
 def test_shared_objects_keep_one_and_true_apart():
     # a(1) and a(true) are two locations, 1 and true two values, and p's
-    # and q's read locks `{"r":[["a",[1]]],"w":[]}` and
-    # `{"r":[["a",[true]]],"w":[]}` two payloads, although `1 == True`.
+    # and q's read locks two lock pairs.
     machines = [parse_program(text) for text in ONE_AND_TRUE]
     for seed in range(6):
         trace = run(RunConfig(machines=machines, seed=seed))
         decoded = trace_from_lines(trace_to_lines(trace))
         assert trace_to_lines(decoded) == trace_to_lines(trace)
-        _, pairs, payloads = _decoded_objects(decoded)
+        _, pairs, lock_pairs = _decoded_objects(decoded)
         locations = {loc for loc, _ in pairs}
         assert {Location("a", (1,)), Location("a", (TRUE,))} <= locations
         values = {(loc, v) for loc, v in pairs if loc.func == "a"}
         assert values >= {(Location("a", (1,)), 1),
                           (Location("a", (TRUE,)), TRUE)}
-        reads = {_typed(p) for p in payloads if not p["w"]}
-        assert reads >= {_typed({"r": [("a", (1,))], "w": []}),
-                         _typed({"r": [("a", (True,))], "w": []})}
+        reads = {p for p in lock_pairs if not p.w_loc}
+        assert reads >= {LockPair(frozenset({Location("a", (1,))})),
+                         LockPair(frozenset({Location("a", (TRUE,))}))}
+
+
+def test_decoded_grants_keep_one_and_true_apart():
+    # p's and q's read locks are written `{"r":[["a",[1]]],"w":[]}` and
+    # `{"r":[["a",[true]]],"w":[]}`; decoded, they are two unequal pairs,
+    # although `1 == True`.
+    machines = [parse_program(text) for text in ONE_AND_TRUE]
+    for seed in range(6):
+        decoded = trace_from_lines(trace_to_lines(
+            run(RunConfig(machines=machines, seed=seed))))
+        grants = {ev["machine"]: ev["locks"] for rec in decoded.steps
+                  for ev in rec.events if ev["kind"] == "lock_grant"}
+        assert grants["p"] == LockPair(frozenset({Location("a", (1,))}))
+        assert grants["q"] == LockPair(frozenset({Location("a", (TRUE,))}))
+        assert grants["p"] != grants["q"]
 
 
 def test_shared_machine_steps_differ_in_every_field():

@@ -82,8 +82,7 @@ def test_events_undo_and_boolean_lock_arguments_match_the_reference():
         locks=locks, origin_step=0, ordinal=1)
     lock_only = controller.HistoryEntry(saved=(), locks=locks,
                                         origin_step=None, ordinal=None)
-    payloads = {}
-    events = [effect_event(e, payloads) for e in [
+    events = [effect_event(e) for e in [
         ("register", "m0"), ("lock_request", "m0", locks),
         ("grant", "m0", locks), ("refuse", "m0", locks),
         ("victimize", "m0"), ("undo", "m0", entry),
@@ -91,8 +90,9 @@ def test_events_undo_and_boolean_lock_arguments_match_the_reference():
     trace = _trace([_step(0, [(loc("x"), 1)], events[:4]),
                     _step(1, [], events[4:])])
     assert trace_to_lines(trace) == reference_lines(trace)
-    # A payload of another run with the same pair is another object.
-    again = [effect_event(("grant", "m0", locks), {})]
+    # An equal pair that is another object writes the same payload.
+    again = [effect_event(("grant", "m0", controller.LockPair(
+        frozenset(locks.r_loc), frozenset(locks.w_loc))))]
     trace = _trace([_step(0, [], events[2:3] + again)])
     assert trace_to_lines(trace) == reference_lines(trace)
 

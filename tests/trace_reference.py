@@ -25,9 +25,26 @@ def encode_pairs(pairs) -> list:
                                                      value_key(p[1])))]
 
 
+def encode_locks(pair) -> dict:
+    """A lock pair's payload: each kind's locations sorted, their arguments
+    untagged (`["a",[1]]`, true as JSON true, undef as null)."""
+    return {kind: [[l.func, [(encode_value(a) + [None])[1] for a in l.args]]
+                   for l in sorted(locs, key=loc_key)]
+            for kind, locs in (("r", pair.r_loc), ("w", pair.w_loc))}
+
+
 def state_digest(values) -> str:
     blob = _dump(encode_pairs(values.items())).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
+
+
+def encode_event(ev: dict) -> dict:
+    out = dict(ev)
+    if "locks" in ev:
+        out["locks"] = encode_locks(ev["locks"])
+    if "restored" in ev:
+        out["restored"] = encode_pairs(ev["restored"])
+    return out
 
 
 def reference_lines(trace: Trace) -> List[str]:
@@ -47,8 +64,7 @@ def reference_lines(trace: Trace) -> List[str]:
         lines.append(_dump({
             "type": "step",
             "index": rec.index,
-            "events": [dict(ev, restored=encode_pairs(ev["restored"]))
-                       if "restored" in ev else ev for ev in rec.events],
+            "events": [encode_event(ev) for ev in rec.events],
             "machines": {m: {
                 "updates": encode_pairs(ms.updates),
                 "reads": encode_pairs(ms.reads),
