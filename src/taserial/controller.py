@@ -10,11 +10,10 @@ controller state; registration is an effect too.
 """
 from __future__ import annotations
 
-import random
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (Dict, FrozenSet, Iterable, Iterator, List, NamedTuple,
-                    Optional, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    NamedTuple, Optional, Set, Tuple)
 
 from .asm import AsmError, Location, Value
 
@@ -68,8 +67,8 @@ class LockTable:
     has no other readers.  Multiple read locks may coexist.  `grant` keeps
     it: it refuses a conflicting lock before it changes the table, and no
     release can break it.  Beside the location maps, a per-machine index of
-    the same locks answers `locked_by`, `w_locked_by` and `release_all` in
-    time proportional to the locks held.
+    the same locks answers `locked_by`, `missing` and `release_all` in time
+    proportional to the locks held.
     """
 
     def __init__(self):
@@ -78,18 +77,17 @@ class LockTable:
         self._r_by: Dict[str, Set[Location]] = defaultdict(set)
         self._w_by: Dict[str, Set[Location]] = defaultdict(set)
 
-    def r_holders(self, loc: Location) -> FrozenSet[str]:
-        return frozenset(self.r_locked.get(loc, ()))
-
-    def w_holder(self, loc: Location) -> Optional[str]:
-        return self.w_locked.get(loc)
-
     def locked_by(self, machine: str) -> FrozenSet[Location]:
         return frozenset(self._r_by.get(machine, ())).union(
             self._w_by.get(machine, ()))
 
-    def w_locked_by(self, machine: str) -> FrozenSet[Location]:
-        return frozenset(self._w_by.get(machine, ()))
+    def missing(self, machine: str, reads: FrozenSet[Location],
+                writes: FrozenSet[Location]) -> LockPair:
+        """The locks the machine still needs to read `reads` and write
+        `writes`: a read needs a read or write lock, a write a write lock."""
+        w_held = self._w_by.get(machine, ())
+        return LockPair(reads.difference(self._r_by.get(machine, ()), w_held),
+                        writes.difference(w_held))
 
     def conflicts(self, machine: str, locks: LockPair) -> Set[str]:
         """The other machines holding a lock that conflicts with `locks`: a
@@ -156,15 +154,6 @@ class LockTable:
         for l in list(self._w_by.get(machine, ())):
             self.unlock_w(l, machine)
 
-    def check(self) -> None:
-        """A scan for a foreign reader beside each writer, for tests."""
-        for loc, writer in self.w_locked.items():
-            readers = self.r_locked.get(loc, set())
-            if readers - {writer}:
-                raise LockInvariantViolation(
-                    f"{loc} write-locked by {writer} but read-locked by "
-                    f"{sorted(readers - {writer})}")
-
 
 #: Request statuses (see `Request`).
 PENDING = "pending"
@@ -185,8 +174,8 @@ class Request(NamedTuple):
 
 
 class WaitGraph:
-    """The wait relation of `wait_edges` and its cycle members, kept across
-    calls of `deadlocked` (which alone updates it).
+    """The wait relation (see `deadlocked`) and its cycle members, kept
+    across calls of `deadlocked` (which alone updates it).
 
     `apply_effect` records what changed since the last call: in `changed`
     the machines whose request record it replaced or dropped, in `locations`
@@ -234,33 +223,37 @@ def next_ordinal(history: List[HistoryEntry]) -> int:
 # ---------------------------------------------------------------------------
 # Selection policies
 
+#: A choice function: `draw(n)` picks an index below n.  The engine's draws
+#: come from the run's seed; a bound `random.Random(...).randrange` fits too.
+Draw = Callable[[int], int]
 
-def _select_random(items, rng: random.Random):
-    return items[rng.randrange(len(items))]
+
+def _select_random(items, draw: Draw):
+    return items[draw(len(items))]
 
 
 #: Each picks one of the pending (machine, pair) requests, given in
 #: request order.
 LOCK_POLICIES = {
-    "random": lambda reqs, rng: _select_random(reqs, rng),
-    "fifo": lambda reqs, rng: reqs[0],
-    "lowest-id": lambda reqs, rng: min(reqs, key=lambda t: t[0]),
+    "random": _select_random,
+    "fifo": lambda reqs, draw: reqs[0],
+    "lowest-id": lambda reqs, draw: min(reqs, key=lambda t: t[0]),
 }
 
 COMMIT_POLICIES = {
-    "random": lambda ms, rng: _select_random(sorted(ms), rng),
-    "lowest-id": lambda ms, rng: min(ms),
+    "random": lambda ms, draw: _select_random(sorted(ms), draw),
+    "lowest-id": lambda ms, draw: min(ms),
 }
 
 
-def _victims_shortest_history(candidates, histories, rng):
+def _victims_shortest_history(candidates, histories, draw):
     return [min(sorted(candidates),
                 key=lambda m: (len(histories.get(m, [])), m))]
 
 
 VICTIM_POLICIES = {
     "shortest-history": _victims_shortest_history,
-    "random": lambda cands, hists, rng: [_select_random(sorted(cands), rng)],
+    "random": lambda cands, hists, draw: [_select_random(sorted(cands), draw)],
 }
 
 
@@ -268,7 +261,7 @@ VICTIM_POLICIES = {
 # Component steps
 
 
-def lock_handler_step(cs: ControllerState, rng: random.Random, policy: str,
+def lock_handler_step(cs: ControllerState, draw: Draw, policy: str,
                       wait_mode: str, waits_for: Dict[str, Set[str]]
                       ) -> List[tuple]:
     """Handle one pending lock request: grant it or (in retry mode) refuse
@@ -285,35 +278,26 @@ def lock_handler_step(cs: ControllerState, rng: random.Random, policy: str,
                 if t[0] not in waits_for and t[0] not in cs.victims]
     if not reqs:
         return []
-    machine, locks = LOCK_POLICIES[policy](reqs, rng)
+    machine, locks = LOCK_POLICIES[policy](reqs, draw)
     return [("refuse" if machine in waits_for else "grant", machine, locks)]
 
 
-def commit_step(cs: ControllerState, rng: random.Random,
+def commit_step(cs: ControllerState, draw: Draw,
                 policy: str = "random") -> List[tuple]:
     """Commit one requesting machine: release every lock, drop it from the
     active set."""
     if not cs.commit_requests:
         return []
-    return [("commit", COMMIT_POLICIES[policy](cs.commit_requests, rng))]
-
-
-def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
-    """Derived wait relation: m waits for n when a lock m still needs is held
-    conflictingly by n.
-
-    A machine's needed locks are the pair of its request unless that was
-    granted (a refused machine re-requests the same locations until granted,
-    including while it waits for recovery).  This is the reference that
-    `deadlocked` keeps up to date incrementally.
-    """
-    return frozenset(
-        (m, n) for m, r in cs.requests.items() if r.status != GRANTED
-        for n in cs.locks.conflicts(m, r.pair))
+    return [("commit", COMMIT_POLICIES[policy](cs.commit_requests, draw))]
 
 
 def deadlocked(cs: ControllerState) -> FrozenSet[str]:
-    """Machines lying on a cycle of the wait relation, `wait_edges(cs)`.
+    """Machines lying on a cycle of the wait relation: m waits for n when a
+    lock m still needs is held conflictingly by n.  A machine's needed locks
+    are the pair of its request unless that was granted (a refused machine
+    re-requests the same locations until granted, including while it waits
+    for recovery).  `tests/reference.py::wait_edges` derives the relation
+    from scratch; this function keeps it up to date incrementally.
 
     The answer comes from `cs.wait_graph`, brought up to date from what
     changed since the last call: the machines in `cs.wait_graph.changed`,
@@ -434,7 +418,7 @@ def _cycle_members(edges: Iterable[Tuple[str, str]]) -> FrozenSet[str]:
     return frozenset(out)
 
 
-def deadlock_handler_step(cs: ControllerState, rng: random.Random,
+def deadlock_handler_step(cs: ControllerState, draw: Draw,
                           policy: str, dead: FrozenSet[str]) -> List[tuple]:
     """Victimize a subset of the deadlocked, not-yet-victimized machines.
 
@@ -449,11 +433,11 @@ def deadlock_handler_step(cs: ControllerState, rng: random.Random,
     candidates = dead - cs.victims
     if not candidates:
         return []
-    chosen = VICTIM_POLICIES[policy](candidates, cs.histories, rng)
+    chosen = VICTIM_POLICIES[policy](candidates, cs.histories, draw)
     return [("victimize", m) for m in sorted(chosen)]
 
 
-def recovery_step(cs: ControllerState, rng: random.Random,
+def recovery_step(cs: ControllerState, draw: Draw,
                   dead: FrozenSet[str]) -> List[tuple]:
     """Pick one victim; un-victimize it if it is no longer deadlocked, else
     undo its youngest history entry, `("undo", machine, entry)`: the engine
@@ -464,7 +448,7 @@ def recovery_step(cs: ControllerState, rng: random.Random,
     if not cs.victims:
         return []
     victims = sorted(cs.victims)
-    machine = victims[rng.randrange(len(victims))]
+    machine = victims[draw(len(victims))]
     if machine not in dead:
         return [("unvictimize", machine)]
     history = cs.histories.get(machine, [])

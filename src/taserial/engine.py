@@ -1,16 +1,17 @@
 """Synchronous run engine composing wrapped machines with the controller.
 
 Every global step: snapshot the world, let each registered machine's wrapper
-and the four controller components compute against the snapshot, union all
-update sets (asserting consistency), apply, record.  All nondeterminism is
-resolved from labeled streams derived from one master seed, so a (config,
-seed) pair replays bit-for-bit.
+that is not `blocked` and the four controller components compute against the
+snapshot, union all update sets (asserting consistency), apply, record.  All
+nondeterminism is resolved by `draw` from labeled streams derived from one
+master seed, so a (config, seed) pair replays bit-for-bit.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import controller as ctl
@@ -41,6 +42,7 @@ from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     UNREGISTERED,
     MachineCtl,
     MachineStep,
+    blocked,
     wrapper_step,
 )
 
@@ -356,6 +358,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         joining.setdefault(config.registration.get(m, 0), []).append(m)
     live: List[str] = []  # registered and not done, in name order
 
+    wait_mode = config.wait_mode
     status = "budget"
     for index in range(config.max_steps):
         events: List[dict] = []
@@ -383,10 +386,10 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         finished: List[str] = []
         for m in acting_machines:
             tcb = tcbs[m]
-            ms, eff = wrapper_step(programs[m], tcb, state, cs, seed, index,
-                                   config.wait_mode)
-            if ms is IDLE_STEP:  # waiting, it performs no step: no record
+            if blocked(tcb, cs, wait_mode):  # it performs no step: no record
                 continue
+            ms, eff = wrapper_step(programs[m], tcb, state, cs, seed, index,
+                                   wait_mode)
             per_machine[m] = ms
             if ms.ctl_change is not None:  # read by this machine alone
                 tcb.ctl_state = ms.ctl_change[1]
@@ -403,14 +406,16 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             # component reads that snapshot.
             dead = ctl.deadlocked(cs)
             ctl_effects += ctl.lock_handler_step(
-                cs, _Stream(seed, "lock", index), config.lock_policy,
-                config.wait_mode, cs.wait_graph.out)
+                cs, partial(draw, seed, "lock", index), config.lock_policy,
+                wait_mode, cs.wait_graph.out)
             ctl_effects += ctl.commit_step(
-                cs, _Stream(seed, "commit", index), config.commit_policy)
+                cs, partial(draw, seed, "commit", index),
+                config.commit_policy)
             ctl_effects += ctl.deadlock_handler_step(
-                cs, _Stream(seed, "victim", index), config.victim_policy, dead)
+                cs, partial(draw, seed, "victim", index),
+                config.victim_policy, dead)
             ctl_effects += ctl.recovery_step(
-                cs, _Stream(seed, "recover", index), dead)
+                cs, partial(draw, seed, "recover", index), dead)
             updates.update(*[eff[2].saved for eff in ctl_effects
                              if eff[0] == "undo"])
 
@@ -453,21 +458,16 @@ def _clash_error(index: int, per_machine: Dict[str, MachineStep]) -> AsmError:
         f"step {index}: clashing updates in global step")
 
 
-class _Stream:
-    """A labeled `make_rng` stream, seeded on its first draw: most controller
-    steps draw nothing.  The stream depends only on its parts, so seeding it
-    late or never changes no draw."""
-
-    __slots__ = ("parts", "rng")
-
-    def __init__(self, *parts):
-        self.parts = parts
-        self.rng = None
-
-    def randrange(self, *args) -> int:
-        if self.rng is None:
-            self.rng = make_rng(*self.parts)
-        return self.rng.randrange(*args)
+def draw(seed: int, kind: str, index: int, n: int) -> int:
+    """The run's one source of choices: an index below `n` for the draw of
+    `kind` ("interleave", or a controller component: "lock", "commit",
+    "victim", "recover") at step `index`.  A choice among one option is no
+    choice, so it returns 0 and seeds nothing; any other draw seeds
+    `make_rng(seed, kind, index)`.  A run draws each (kind, index) at most
+    once, so no draw depends on another."""
+    if n == 1:
+        return 0
+    return make_rng(seed, kind, index).randrange(n)
 
 
 def _acting(run_mode: str, live: List[str], seed: int, index: int):
@@ -476,8 +476,7 @@ def _acting(run_mode: str, live: List[str], seed: int, index: int):
     if run_mode == "sync":
         return live, True
     agents = live + ["<controller>"]
-    rng = make_rng(seed, "interleave", index)
-    chosen = agents[rng.randrange(len(agents))]
+    chosen = agents[draw(seed, "interleave", index, len(agents))]
     if chosen == "<controller>":
         return [], True
     return [chosen], False

@@ -6,8 +6,6 @@ whose deadlock victim loses its entire history before recovering.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 from .dsl import parse_program
 from .engine import RunConfig
 
@@ -93,16 +91,6 @@ def full_victim_config(seed: int = 0, max_steps: int = 500,
     ]
     return RunConfig(machines=machines, seed=seed, max_steps=max_steps,
                      **overrides)
-
-
-def last_undo_step(trace, machine: str) -> Optional[int]:
-    """Index of the last step that undid one of the machine's entries."""
-    out = None
-    for rec in trace.steps:
-        for ev in rec.events:
-            if ev.get("kind") == "undo" and ev.get("machine") == machine:
-                out = rec.index
-    return out
 
 
 def count_events(trace, kind: str) -> int:

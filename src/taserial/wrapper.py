@@ -25,6 +25,7 @@ from .asm import (
 from .controller import (
     EMPTY_LOCKS,
     GRANTED,
+    PENDING,
     REFUSED,
     ControllerState,
     HistoryEntry,
@@ -64,9 +65,10 @@ class MachineCtl:
 
     machine_id: str
     ctl_state: str = UNREGISTERED
-    # ordinal -> (compiled main rule, seed, RwSet, read log) of the last
-    # analysis of that proper step, reused by `_step_analysis` while its
-    # reads are unchanged; emptied when the machine requests commit.
+    # ordinal -> (compiled main rule, seed, RwSet, read log, lock needs) of
+    # the last analysis of that proper step, reused by `_step_analysis`
+    # while its reads are unchanged; emptied when the machine requests
+    # commit.
     analyses: Dict[int, tuple] = field(default_factory=dict, repr=False,
                                        compare=False)
 
@@ -86,9 +88,13 @@ class MachineStep:
 IDLE_STEP = MachineStep(frozenset(), (), None, False)
 
 
+#: Per transition, the step that only makes it.
+_MOVES = {t: MachineStep(frozenset(), (), t, False) for t in TRANSITIONS}
+
+
 def _moved(ctl_change: Tuple[str, str], *effects: tuple):
     """A step that only changes the control state, and its effects."""
-    return MachineStep(frozenset(), (), ctl_change, False), list(effects)
+    return _MOVES[ctl_change], list(effects)
 
 
 def _main_code(program: MachineProgram) -> RuleCode:
@@ -111,9 +117,21 @@ def analyse(program: MachineProgram, state: State, material: bytes):
     return rw, read_log
 
 
+def _lock_needs(program: MachineProgram, rw: RwSet) -> LockPair:
+    """The locks a step with these reads and writes needs: its shared and
+    monitored reads, and its shared and output writes."""
+    classify = program.classify
+    return LockPair(
+        frozenset(l for l in rw.reads
+                  if classify(l.func) in ("shared", "monitored")),
+        frozenset(l for l in rw.writes
+                  if classify(l.func) in ("shared", "output")))
+
+
 def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
                    seed: int, ordinal: int):
-    """`analyse` of the machine's next proper step, `ordinal`, in this state.
+    """`analyse` of the machine's next proper step, `ordinal`, in this state,
+    and the step's `_lock_needs`.
 
     The last analysis of the same ordinal is reused when it was made for the
     same compiled rule and seed and every location in its read log still
@@ -132,27 +150,20 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
             if values.get(loc, UNDEF) != v:
                 break
         else:
-            return last[2], last[3]
+            return last[2:]
     rw, read_log = analyse(program, state,
                            choice_material(seed, tcb.machine_id, ordinal))
-    tcb.analyses[ordinal] = (code, seed, rw, read_log)
-    return rw, read_log
+    needs = _lock_needs(program, rw)
+    tcb.analyses[ordinal] = (code, seed, rw, read_log, needs)
+    return rw, read_log, needs
 
 
-def _locks_for(program: MachineProgram, rw: RwSet, cs: ControllerState,
-               machine: str, tested: FrozenSet[Location]) -> LockPair:
-    """Reads intersected with shared/monitored, and the termination test's
-    such reads `tested`, minus every lock the machine holds; writes
-    intersected with shared/output minus its write locks."""
-    r_loc = frozenset(
-        l for l in rw.reads
-        if program.classify(l.func) in ("shared", "monitored")
-    ).union(tested) - cs.locks.locked_by(machine)
-    w_loc = frozenset(
-        l for l in rw.writes
-        if program.classify(l.func) in ("shared", "output")
-    ) - cs.locks.w_locked_by(machine)
-    return LockPair(r_loc, w_loc)
+def _locks_for(needs: LockPair, cs: ControllerState, machine: str,
+               tested: FrozenSet[Location]) -> LockPair:
+    """The step's lock needs, with the termination test's shared and
+    monitored reads `tested` among its reads, that the machine does not
+    hold yet."""
+    return cs.locks.missing(machine, needs.r_loc | tested, needs.w_loc)
 
 
 def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:
@@ -196,6 +207,19 @@ def _termination(program: MachineProgram, state: State
                            in ("shared", "monitored"))
 
 
+def blocked(tcb: MachineCtl, cs: ControllerState, wait_mode: str) -> bool:
+    """Whether the machine waits for the controller and so performs no step:
+    in wait-locks with its request pending, unless in suspend mode it is a
+    victim (it must withdraw the request), or in wait-recovery while it is
+    a victim."""
+    ctl_state = tcb.ctl_state
+    if ctl_state == WAIT_LOCKS:
+        return (cs.requests[tcb.machine_id].status == PENDING
+                and not (wait_mode == "suspend"
+                         and tcb.machine_id in cs.victims))
+    return ctl_state == WAIT_RECOVERY and tcb.machine_id in cs.victims
+
+
 def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
                  cs: ControllerState, seed: int, step_index: int,
                  wait_mode: str = "retry") -> Tuple[MachineStep, List[tuple]]:
@@ -207,16 +231,15 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
     withdrawals, commit requests and history appends are returned as
     effects `(kind, machine, ...)` that the engine applies after every agent
     has computed.  Only the analyses kept on tcb for reuse are written.  A
-    machine waiting for an answer or for its recovery gets `IDLE_STEP`.
+    `blocked` machine gets `IDLE_STEP`; the engine does not step it.
     """
-    if tcb.ctl_state == WAIT_LOCKS:
-        return _wait_locks_step(program, tcb, state, cs, seed, step_index,
-                                wait_mode)
     if tcb.ctl_state == ACTIVE:
         return _active_step(program, tcb, state, cs, seed, step_index)
+    if blocked(tcb, cs, wait_mode):
+        return IDLE_STEP, []
+    if tcb.ctl_state == WAIT_LOCKS:
+        return _wait_locks_step(program, tcb, state, cs, seed, step_index)
     if tcb.ctl_state == WAIT_RECOVERY:
-        if tcb.machine_id in cs.victims:
-            return IDLE_STEP, []
         return _moved((WAIT_RECOVERY, ACTIVE))
     raise IllegalControlState(f"{tcb.machine_id} cannot step in {tcb.ctl_state}")
 
@@ -234,23 +257,25 @@ def _active_step(program, tcb, state, cs, seed, step_index):
         tcb.analyses.clear()
         return _moved((ACTIVE, DONE), ("commit_request", m))
     ordinal = next_ordinal(cs.histories[m])
-    rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
-    needed = _locks_for(program, rw, cs, m, tested)
+    rw, read_log, needs = _step_analysis(program, tcb, state, seed, ordinal)
+    needed = _locks_for(needs, cs, m, tested)
     if not needed.is_empty():
         return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
     return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
                    ordinal, None)
 
 
-def _wait_locks_step(program, tcb, state, cs, seed, step_index, wait_mode):
+def _wait_locks_step(program, tcb, state, cs, seed, step_index):
+    """The step of a machine in wait-locks that is not `blocked`."""
     m = tcb.machine_id
     pair, status = cs.requests[m]
     if status == GRANTED:
         done, tested = _termination(program, state)
         if not done:
             ordinal = next_ordinal(cs.histories[m])
-            rw, read_log = _step_analysis(program, tcb, state, seed, ordinal)
-            if _locks_for(program, rw, cs, m, tested).is_empty():
+            rw, read_log, needs = _step_analysis(program, tcb, state, seed,
+                                                 ordinal)
+            if _locks_for(needs, cs, m, tested).is_empty():
                 return _proper(program, m, state, rw, read_log, pair,
                                step_index, ordinal, (WAIT_LOCKS, ACTIVE))
         # The machine terminated, or the state moved between request and
@@ -262,12 +287,11 @@ def _wait_locks_step(program, tcb, state, cs, seed, step_index, wait_mode):
         return _moved((WAIT_LOCKS, ACTIVE), ("append_history", m, entry))
     if status == REFUSED:
         return _moved((WAIT_LOCKS, ACTIVE))
-    if wait_mode == "suspend" and m in cs.victims:
-        # Without refusals there is no trip through "active" where
-        # victimization is normally observed; withdraw the pending request so
-        # no locks are granted during recovery, and wait.
-        return _moved((WAIT_LOCKS, WAIT_RECOVERY), ("withdraw_request", m))
-    return IDLE_STEP, []
+    # Pending, and a victim in suspend mode.  Without refusals there is no
+    # trip through "active" where victimization is normally observed;
+    # withdraw the pending request so no locks are granted during recovery,
+    # and wait.
+    return _moved((WAIT_LOCKS, WAIT_RECOVERY), ("withdraw_request", m))
 
 
 def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,

@@ -256,15 +256,21 @@ CORPUS_SEEDS = range(40)
 CONTROLLER_MUTANTS = [
     ControllerMutant(
         "no read locks",
-        replace(wrapper, "_locks_for", (
-            "    w_loc = frozenset(", "    r_loc = frozenset()\n"
-                                     "    w_loc = frozenset(")),
+        replace(wrapper, "_lock_needs", (
+            'if classify(l.func) in ("shared", "monitored")', "if False")),
         ("serial oracle",)),
     ControllerMutant(
         "writer beside readers",
         replace(controller.LockTable, "conflicts",
                 ("out.update(readers)", "pass")),
         ("serial oracle", "lock replay")),
+    ControllerMutant(
+        "locks released at commit request",
+        replace(controller, "apply_effect", (
+            "cs.commit_requests.add(machine)\n",
+            "cs.commit_requests.add(machine)\n"
+            "        cs.locks.release_all(machine)\n")),
+        ("lock replay",)),
 ]
 
 

@@ -25,10 +25,10 @@ from taserial.workloads import (
     count_events,
     counter_config,
     full_victim_config,
-    last_undo_step,
     opposed_lock_config,
 )
 
+from reference import check_lock_table, last_undo_step, r_holders, w_holder
 from stepwise import cleanse_stepwise
 from trace_v1 import v1_lines
 from trace_v2 import v2_lines
@@ -103,9 +103,9 @@ def _replay_lock_table(trace):
             if kind == "lock_grant":
                 pair = ev["locks"]
                 for l in pair.all_locations():
-                    others = {table.w_holder(l)} - {m, None}
+                    others = {w_holder(table, l)} - {m, None}
                     if l in pair.w_loc:
-                        others |= table.r_holders(l) - {m}
+                        others |= r_holders(table, l) - {m}
                     if others:
                         raise LockInvariantViolation(
                             f"step {rec.index}: {m} granted {l} held by "
@@ -115,7 +115,7 @@ def _replay_lock_table(trace):
                 table.release(m, ev["locks"])
             elif kind == "commit":
                 table.release_all(m)
-        table.check()
+        check_lock_table(table)
         checked += 1
     return checked
 
@@ -335,6 +335,53 @@ def test_golden_traces_interleave_mode():
     _report_pins("golden interleave-mode traces", traces,
                  (GOLDEN_INTERLEAVE_0_199, GOLDEN_V2_INTERLEAVE_0_199,
                   GOLDEN_V3_INTERLEAVE_0_199), "seeds 0-199")
+
+
+# Pins for the paths that skipping blocked machines and one-option draws
+# touch, taken from the engine before either was skipped: the 24-machine
+# workload, each seed in both wait modes, and the default corpus in
+# interleave mode in the wait mode `random_config` does not pick, so that
+# with the interleave pin above every seed runs in both.
+GOLDEN_24_MACHINES_0_2 = (
+    "50932dec7c9beefccc1fd790359905c5b3ccca0757944a5af3155b95f7e0674d")
+GOLDEN_INTERLEAVE_OTHER_WAIT_0_199 = (
+    "ae6dec62b4486972da0d9a999b27b5ee52a5b7da42da2c864dff25462755246f")
+GOLDEN_V2_24_MACHINES_0_2 = (
+    "d44e0701e03f8662bc156bb7009c188d0881b3363118a84c27e0f8d9363f84b6")
+GOLDEN_V2_INTERLEAVE_OTHER_WAIT_0_199 = (
+    "1faafff8dfa1f087f508f1a32999e5d3acc8684ea5ba45c71dc21da5688683f5")
+GOLDEN_V3_24_MACHINES_0_2 = (
+    "8336e0fc190880381f4ebaa03309dfff8fc3089ede6638a0a791f2e22457678a")
+GOLDEN_V3_INTERLEAVE_OTHER_WAIT_0_199 = (
+    "6691c2110b7bb2f37cd2982c1194af3617e096be7e940f178ec5c611efb197d4")
+
+PARAMS_24 = FuzzParams(n_machines=24, n_shared=24, domain_size=16,
+                       step_budget=2000)
+
+
+def test_golden_traces_24_machines_both_wait_modes():
+    traces = (run(dataclasses.replace(random_config(s, PARAMS_24),
+                                      wait_mode=wait_mode))
+              for wait_mode in ("retry", "suspend") for s in range(3))
+    _report_pins("golden 24-machine traces", traces,
+                 (GOLDEN_24_MACHINES_0_2, GOLDEN_V2_24_MACHINES_0_2,
+                  GOLDEN_V3_24_MACHINES_0_2),
+                 "seeds 0-2, retry then suspend")
+
+
+def test_golden_traces_interleave_mode_other_wait_mode():
+    other = {"retry": "suspend", "suspend": "retry"}
+
+    def config(seed):
+        c = random_config(seed)
+        return dataclasses.replace(c, run_mode="interleave",
+                                   wait_mode=other[c.wait_mode])
+
+    _report_pins("golden interleave-mode traces, other wait mode",
+                 (run(config(s)) for s in range(200)),
+                 (GOLDEN_INTERLEAVE_OTHER_WAIT_0_199,
+                  GOLDEN_V2_INTERLEAVE_OTHER_WAIT_0_199,
+                  GOLDEN_V3_INTERLEAVE_OTHER_WAIT_0_199), "seeds 0-199")
 
 
 def _hand_written_traces():

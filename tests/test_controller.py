@@ -25,8 +25,9 @@ from taserial.controller import (
     lock_handler_step,
     next_ordinal,
     recovery_step,
-    wait_edges,
 )
+
+from reference import check_lock_table, r_holders, w_holder, wait_edges
 
 
 def loc(f, *args):
@@ -44,8 +45,8 @@ def fresh(machines=("m0", "m1")):
     return cs
 
 
-def rng():
-    return random.Random(0)
+def draw():
+    return random.Random(0).randrange
 
 
 def request(cs, machine, locks):
@@ -78,8 +79,8 @@ def test_read_locks_are_shared():
     t = LockTable()
     t.grant("a", pair(r=("x",)))
     t.grant("b", pair(r=("x",)))
-    assert t.r_holders(loc("x")) == frozenset({"a", "b"})
-    t.check()
+    assert r_holders(t, loc("x")) == frozenset({"a", "b"})
+    check_lock_table(t)
 
 
 def _conflicting_grant_violates(first, second):
@@ -88,9 +89,11 @@ def _conflicting_grant_violates(first, second):
     t.grant("a", first)
     with pytest.raises(LockInvariantViolation, match="against the locks of"):
         t.grant("b", second)
-    t.check()
+    check_lock_table(t)
     assert t.locked_by("a") == first.all_locations()
-    assert t.locked_by("b") == frozenset() and not t.w_locked_by("b")
+    assert t.locked_by("b") == frozenset()
+    assert t.missing("b", first.all_locations(), first.w_loc) == LockPair(
+        first.all_locations(), first.w_loc)
     assert t.r_locked == {l: {"a"} for l in first.r_loc}
     assert t.w_locked == {l: "a" for l in first.w_loc}
 
@@ -109,15 +112,15 @@ def test_check_finds_a_writer_beside_a_foreign_reader():
     t.grant("a", pair(w=("x",)))
     t.r_locked[loc("x")] = {"b"}
     with pytest.raises(LockInvariantViolation):
-        t.check()
+        check_lock_table(t)
 
 
 def test_upgrade_by_same_machine_is_fine():
     t = LockTable()
     t.grant("a", pair(r=("x",)))
     t.grant("a", pair(w=("x",)))
-    t.check()
-    assert t.w_holder(loc("x")) == "a"
+    check_lock_table(t)
+    assert w_holder(t, loc("x")) == "a"
 
 
 def test_release_pair_keeps_older_read_lock():
@@ -127,8 +130,8 @@ def test_release_pair_keeps_older_read_lock():
     t.grant("a", pair(r=("x",)))
     t.grant("a", pair(w=("x",)))
     t.release("a", pair(w=("x",)))
-    assert t.w_holder(loc("x")) is None
-    assert t.r_holders(loc("x")) == frozenset({"a"})
+    assert w_holder(t, loc("x")) is None
+    assert r_holders(t, loc("x")) == frozenset({"a"})
 
 
 def test_lock_table_keeps_one_and_true_apart():
@@ -136,10 +139,10 @@ def test_lock_table_keeps_one_and_true_apart():
     t = LockTable()
     t.grant("a", LockPair(w_loc=frozenset({one})))
     t.grant("b", LockPair(w_loc=frozenset({true})))
-    t.check()
-    assert (t.w_holder(one), t.w_holder(true)) == ("a", "b")
+    check_lock_table(t)
+    assert (w_holder(t, one), w_holder(t, true)) == ("a", "b")
     t.release("b", LockPair(w_loc=frozenset({true})))
-    assert (t.w_holder(one), t.w_holder(true)) == ("a", None)
+    assert (w_holder(t, one), w_holder(t, true)) == ("a", None)
 
 
 def test_release_all_clears_both_kinds():
@@ -165,26 +168,26 @@ def test_lock_handler_grants_or_refuses():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",)))
     request(cs, "m0", pair(r=("x",)))
-    assert handle_locks(cs, rng(), "fifo") == [("refuse", "m0", pair(r=("x",)))]
+    assert handle_locks(cs, draw(), "fifo") == [("refuse", "m0", pair(r=("x",)))]
     cs2 = fresh()
     request(cs2, "m0", pair(r=("x",)))
-    assert handle_locks(cs2, rng(), "fifo") == [("grant", "m0", pair(r=("x",)))]
+    assert handle_locks(cs2, draw(), "fifo") == [("grant", "m0", pair(r=("x",)))]
 
 
 def test_lock_handler_reads_the_wait_graph_it_is_given():
     cs = fresh()
     request(cs, "m0", pair(r=("x",)))
-    assert lock_handler_step(cs, rng(), "fifo", "retry",
+    assert lock_handler_step(cs, draw(), "fifo", "retry",
                              {"m0": {"m1"}})[0][0] == "refuse"
-    assert lock_handler_step(cs, rng(), "fifo", "suspend", {"m0": {"m1"}}) == []
-    assert lock_handler_step(cs, rng(), "fifo", "retry", {})[0][0] == "grant"
+    assert lock_handler_step(cs, draw(), "fifo", "suspend", {"m0": {"m1"}}) == []
+    assert lock_handler_step(cs, draw(), "fifo", "retry", {})[0][0] == "grant"
 
 
 def test_suspend_mode_never_refuses():
     cs = fresh()
     cs.locks.grant("m1", pair(w=("x",)))
     request(cs, "m0", pair(r=("x",)))
-    assert handle_locks(cs, rng(), "fifo", wait_mode="suspend") == []
+    assert handle_locks(cs, draw(), "fifo", wait_mode="suspend") == []
 
 
 def test_suspend_mode_does_not_answer_a_victims_grantable_request():
@@ -193,23 +196,23 @@ def test_suspend_mode_does_not_answer_a_victims_grantable_request():
     cs = fresh()
     request(cs, "m0", pair(r=("x",)))
     cs.victims.add("m0")
-    assert handle_locks(cs, rng(), "fifo", wait_mode="suspend") == []
+    assert handle_locks(cs, draw(), "fifo", wait_mode="suspend") == []
     request(cs, "m1", pair(r=("y",)))
-    assert handle_locks(cs, rng(), "random", wait_mode="suspend") == [
+    assert handle_locks(cs, draw(), "random", wait_mode="suspend") == [
         ("grant", "m1", pair(r=("y",)))]
     # Retry mode answers victims: their wrappers read the refusal first.
-    assert handle_locks(cs, rng(), "fifo", wait_mode="retry") == [
+    assert handle_locks(cs, draw(), "fifo", wait_mode="retry") == [
         ("grant", "m0", pair(r=("x",)))]
 
 
 def test_grant_effect_updates_tables_and_flags():
     cs = fresh()
     request(cs, "m0", pair(r=("x",)))
-    effects = handle_locks(cs, rng(), "fifo")
+    effects = handle_locks(cs, draw(), "fifo")
     apply_effect(cs, effects[0], [])
     assert pending(cs) == []
     assert cs.requests["m0"] == Request(pair(r=("x",)), GRANTED)
-    assert cs.locks.r_holders(loc("x")) == frozenset({"m0"})
+    assert r_holders(cs.locks, loc("x")) == frozenset({"m0"})
 
 
 def test_commit_releases_everything():
@@ -217,7 +220,7 @@ def test_commit_releases_everything():
     cs.locks.grant("m0", pair(r=("x",), w=("y",)))
     cs.commit_requests.add("m0")
     committed = []
-    effects = commit_step(cs, rng(), "lowest-id")
+    effects = commit_step(cs, draw(), "lowest-id")
     assert effects == [("commit", "m0")]
     apply_effect(cs, effects[0], committed)
     assert committed == ["m0"]
@@ -238,6 +241,7 @@ def test_lock_index_matches_table_scan():
     r = random.Random(11)
     machines = ["m0", "m1", "m2", "m3"]
     locations = [loc(f"x{i}") for i in range(6)]
+    everywhere = frozenset(locations)
 
     def some():
         return frozenset(l for l in locations if r.random() < 0.3)
@@ -277,7 +281,9 @@ def test_lock_index_matches_table_scan():
             ops += 1
             for n in machines:
                 assert table.locked_by(n) == _scan_locked_by(table, n)
-                assert table.w_locked_by(n) == _scan_w_locked_by(table, n)
+                assert table.missing(n, everywhere, everywhere) == LockPair(
+                    everywhere - _scan_locked_by(table, n),
+                    everywhere - _scan_w_locked_by(table, n))
     assert ops == 2400
 
 
@@ -375,12 +381,12 @@ def test_victimize_one_per_cycle():
     cs = _cs_with_edges([("a", "b"), ("b", "a")])
     cs.histories["a"] = [HistoryEntry(saved=(), locks=pair())]
     cs.histories["b"] = []
-    effects = deadlock_handler_step(cs, rng(), "shortest-history",
+    effects = deadlock_handler_step(cs, draw(), "shortest-history",
                                     deadlocked(cs))
     assert effects == [("victimize", "b")]  # shortest history loses
     apply_effect(cs, effects[0], [])
     # no new victim while recovery of the first is pending
-    assert deadlock_handler_step(cs, rng(), "shortest-history",
+    assert deadlock_handler_step(cs, draw(), "shortest-history",
                                  deadlocked(cs)) == []
 
 
@@ -589,7 +595,7 @@ def test_read_grant_keeps_the_record_out_of_the_wait_relation():
     apply_effect(cs, ("grant", "a", pair(w=("y",))), [])
     assert _record_and_edges(cs, "a") == (Request(pair(w=("y",)), GRANTED),
                                           frozenset())
-    assert cs.locks.w_holder(loc("y")) == "a"
+    assert w_holder(cs.locks, loc("y")) == "a"
     assert pending(cs) == []
 
 
@@ -652,9 +658,9 @@ def test_lock_policies_select_by_request_order_or_id():
         assert kind == "grant" and locks == pair(w=(f"x{machine}",))
         return machine
 
-    assert picked("fifo", rng()) == "m2"
-    assert picked("lowest-id", rng()) == "m0"
-    picks = [picked("random", random.Random(s)) for s in range(12)]
+    assert picked("fifo", draw()) == "m2"
+    assert picked("lowest-id", draw()) == "m0"
+    picks = [picked("random", random.Random(s).randrange) for s in range(12)]
     assert picks == [queue[random.Random(s).randrange(3)] for s in range(12)]
     assert set(picks) == set(queue)
 
@@ -665,7 +671,7 @@ def test_lock_policies_select_by_request_order_or_id():
 def test_recovery_unvictimizes_when_cycle_gone():
     cs = fresh(("a",))
     cs.victims.add("a")
-    assert recovery_step(cs, rng(), deadlocked(cs)) == [("unvictimize", "a")]
+    assert recovery_step(cs, draw(), deadlocked(cs)) == [("unvictimize", "a")]
 
 
 def test_recovery_undoes_youngest_entry():
@@ -677,12 +683,12 @@ def test_recovery_undoes_youngest_entry():
                          locks=pair(w=("new",)), origin_step=5, ordinal=1)
     cs.histories["a"] = [old, young]
     cs.locks.grant("a", young.locks)
-    effects = recovery_step(cs, rng(), deadlocked(cs))
+    effects = recovery_step(cs, draw(), deadlocked(cs))
     assert effects == [("undo", "a", young)]
     assert effects[0][2] is young  # the engine restores young.saved
     apply_effect(cs, effects[0], [])
     assert cs.histories["a"] == [old]
-    assert cs.locks.w_holder(loc("new")) is None
+    assert w_holder(cs.locks, loc("new")) is None
     with pytest.raises(EmptyHistory):  # young is no longer the youngest
         apply_effect(cs, effects[0], [])
 
@@ -692,7 +698,7 @@ def test_deadlocked_victim_with_no_history_is_an_error():
     cs.victims.add("a")
     cs.histories["a"] = []
     with pytest.raises(EmptyHistory):
-        recovery_step(cs, rng(), deadlocked(cs))
+        recovery_step(cs, draw(), deadlocked(cs))
 
 
 def test_invariant_flags_commit_while_requesting():

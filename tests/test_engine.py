@@ -32,10 +32,10 @@ from taserial.workloads import (
     count_events,
     counter_config,
     full_victim_config,
-    last_undo_step,
     opposed_lock_config,
 )
 
+from reference import last_undo_step, wait_edges
 from trace_reference import encode_pairs
 from trace_reference import state_digest as reference_digest
 from trace_v1 import v1_lines
@@ -332,18 +332,18 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
 
     def compared(cs):
         dead = original(cs)
-        assert dead == controller._cycle_members(controller.wait_edges(cs))
+        assert dead == controller._cycle_members(wait_edges(cs))
         searches.append(bool(dead))
         return dead
 
-    def handler(cs, rng, policy, wait_mode, waits_for):
+    def handler(cs, draw, policy, wait_mode, waits_for):
         blocked = {}
         for m, r in cs.requests.items():
             if r.status != controller.GRANTED:
                 waiting.append(wait_mode)
                 blocked[m] = cs.locks.conflicts(m, r.pair)
         assert waits_for == {m: b for m, b in blocked.items() if b}
-        return real_handler(cs, rng, policy, wait_mode, waits_for)
+        return real_handler(cs, draw, policy, wait_mode, waits_for)
 
     def checked(cs):
         compared(cs)
@@ -363,22 +363,71 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
     assert waiting.count("retry") > 1000 and waiting.count("suspend") > 1000
 
 
+def _recording_draws(monkeypatch):
+    """Patch the engine to record each draw as (kind, index, n) and the
+    kind of each seeded generator."""
+    draws, seeded = [], []
+    real_draw, real_rng = engine.draw, engine.make_rng
+
+    def draw(seed, kind, index, n):
+        draws.append((kind, index, n))
+        return real_draw(seed, kind, index, n)
+
+    def make_rng(*parts):
+        seeded.append(parts[1])
+        return real_rng(*parts)
+
+    monkeypatch.setattr(engine, "draw", draw)
+    monkeypatch.setattr(engine, "make_rng", make_rng)
+    return draws, seeded
+
+
 def test_controller_streams_seeded_only_when_drawn(monkeypatch):
-    labels = []
-    original = engine.make_rng
-
-    def recording(*parts):
-        labels.append(parts[1])
-        return original(*parts)
-
-    monkeypatch.setattr(engine, "make_rng", recording)
+    """A generator is seeded only for a draw among two or more options."""
+    draws, seeded = _recording_draws(monkeypatch)
     run(counter_config(3, 2, lock_policy="fifo", commit_policy="lowest-id"))
-    assert labels == []
+    assert draws == [] and seeded == []
     trace = run(counter_config(3, 2))
-    assert labels
-    draws = count_events(trace, "lock_grant") + count_events(trace, "lock_refuse")
-    assert labels.count("lock") == draws
-    assert labels.count("commit") == count_events(trace, "commit")
+    decisions = (count_events(trace, "lock_grant")
+                 + count_events(trace, "lock_refuse"))
+    choices = {kind: [n for k, _, n in draws if k == kind]
+               for kind in ("lock", "commit")}
+    assert len(choices["lock"]) == decisions
+    assert len(choices["commit"]) == count_events(trace, "commit")
+    for kind, ns in choices.items():
+        assert seeded.count(kind) == sum(n >= 2 for n in ns), kind
+    assert 0 < seeded.count("lock") < decisions  # one-option draws seed none
+
+
+def test_a_one_option_draw_seeds_nothing(monkeypatch):
+    seeded = []
+    monkeypatch.setattr(engine, "make_rng",
+                        lambda *parts: seeded.append(parts))
+    assert [engine.draw(7, kind, 3, 1)
+            for kind in ("interleave", "lock", "commit", "victim",
+                         "recover")] == [0] * 5
+    assert seeded == []
+    monkeypatch.undo()
+    assert engine.draw(7, "lock", 3, 5) == engine.make_rng(
+        7, "lock", 3).randrange(5)
+
+
+def test_each_draw_is_made_at_most_once_per_run(monkeypatch):
+    """No (kind, index) is drawn twice in a run, so seeding a generator per
+    draw, or none for a one-option draw, moves no other draw; every seeded
+    generator belongs to a draw of two or more options."""
+    draws, seeded = _recording_draws(monkeypatch)
+    kinds = set()  # the kinds drawn, with one option or more
+    for run_mode in ("sync", "interleave"):
+        for params, seeds in [(None, range(100)), (FUZZ_12, range(2))]:
+            for seed in seeds:
+                del draws[:], seeded[:]
+                run(replace(random_config(seed, params), run_mode=run_mode))
+                keys = [(kind, index) for kind, index, _ in draws]
+                assert len(set(keys)) == len(keys), (run_mode, seed)
+                assert len(seeded) == sum(n >= 2 for _, _, n in draws)
+                kinds.update(kind for kind, _, _ in draws)
+    assert kinds == {"interleave", "lock", "commit", "victim", "recover"}
 
 
 # -- reused analyses and the controller state a wrapper step reads -----------
@@ -400,7 +449,8 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
 
     def analysis(program, tcb, state, seed, ordinal):
         last = tcb.analyses.get(ordinal)
-        rw, read_log = real_analysis(program, tcb, state, seed, ordinal)
+        rw, read_log, needs = real_analysis(program, tcb, state, seed,
+                                            ordinal)
         if last is not None and rw is last[2]:
             counts[tcb.ctl_state] += 1
             counts["older"] += max(tcb.analyses) > ordinal
@@ -408,7 +458,8 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
             fresh_rw, fresh_log = wrapper.analyse(program, state, material)
             assert rw == fresh_rw
             assert _typed(read_log) == _typed(fresh_log)
-        return rw, read_log
+            assert needs == wrapper._lock_needs(program, fresh_rw)
+        return rw, read_log, needs
 
     configs = list(configs)
     monkeypatch.setattr(wrapper, "_step_analysis", analysis)
@@ -462,15 +513,22 @@ def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
     """Every agent of the compute phase, each wrapper step and each of the
     four controller components, returns effects and changes nothing of the
     controller state: `apply_effect` alone does."""
-    idle = []
+    machines = {"skipped": 0, "stepped": 0}
     effects = {name: 0 for name in CONTROLLER_COMPONENTS}
-    real_step = engine.wrapper_step
+    real_step, real_blocked = engine.wrapper_step, engine.blocked
+
+    def blocked(tcb, cs, wait_mode):
+        before = _controller_snapshot(cs)
+        out = real_blocked(tcb, cs, wait_mode)
+        assert _controller_snapshot(cs) == before
+        machines["skipped"] += out
+        return out
 
     def step(program, tcb, state, cs, *args):
         before = _controller_snapshot(cs)
         out = real_step(program, tcb, state, cs, *args)
         assert _controller_snapshot(cs) == before
-        idle.append(out[0] is engine.IDLE_STEP)
+        machines["stepped"] += 1
         return out
 
     def component(name):
@@ -486,12 +544,51 @@ def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
         return computed
 
     monkeypatch.setattr(engine, "wrapper_step", step)
+    monkeypatch.setattr(engine, "blocked", blocked)
     for name in CONTROLLER_COMPONENTS:
         monkeypatch.setattr(controller, name, component(name))
     for s in range(40):
         run(replace(random_config(s), run_mode=run_mode))
-    assert any(idle) and not all(idle)
+    assert all(machines.values()), machines
     assert all(effects.values()), effects
+
+
+def _without_idle_records(trace):
+    return replace(trace, steps=[
+        replace(rec, per_machine={m: ms for m, ms in rec.per_machine.items()
+                                  if ms is not engine.IDLE_STEP})
+        for rec in trace.steps])
+
+
+@pytest.mark.parametrize("run_mode", ["sync", "interleave"])
+def test_skipping_blocked_machines_is_exact(monkeypatch, run_mode):
+    """With the engine made to step every acting machine, as it did before
+    it skipped blocked ones, the wrapper step of each machine `blocked`
+    names is `IDLE_STEP` with no effects, and that of every other machine is
+    not; and the run is the skipping engine's run once the idle records are
+    dropped.  The seeds alternate the two wait modes."""
+    from taserial import wrapper
+
+    counts = {"skipped": 0, "stepped": 0}
+    real_step = engine.wrapper_step
+
+    def step(program, tcb, state, cs, seed, index, wait_mode):
+        skip = wrapper.blocked(tcb, cs, wait_mode)
+        out = real_step(program, tcb, state, cs, seed, index, wait_mode)
+        assert (out == (engine.IDLE_STEP, [])) == skip, (tcb, out)
+        counts["skipped" if skip else "stepped"] += 1
+        return out
+
+    corpora = [(None, range(200)), (FUZZ_12, range(4)), (FUZZ_24, range(3))]
+    configs = [replace(random_config(seed, params), run_mode=run_mode)
+               for params, seeds in corpora for seed in seeds]
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "blocked", lambda tcb, cs, wait_mode: False)
+        patch.setattr(engine, "wrapper_step", step)
+        stepped_all = [_without_idle_records(run(c)) for c in configs]
+    assert [trace_to_lines(t) for t in stepped_all] == [
+        trace_to_lines(run(c)) for c in configs]
+    assert counts["skipped"] > 1000 and counts["stepped"] > 1000, counts
 
 
 def _with_machine_entry(lines, payload):

@@ -25,6 +25,7 @@ from taserial.wrapper import (
     WAIT_LOCKS,
     WAIT_RECOVERY,
     analyse,
+    _lock_needs,
     _locks_for,
     choice_material,
     overwritten_values,
@@ -77,7 +78,7 @@ def material():
 
 def new_locks(cs):
     rw = analyse(PROG, initial_state(), material())[0]
-    return _locks_for(PROG, rw, cs, "m", frozenset())
+    return _locks_for(_lock_needs(PROG, rw), cs, "m", frozenset())
 
 
 def test_new_locks_classifies_reads_and_writes():
