@@ -233,7 +233,8 @@ class NamedRule:
 # Static functions
 
 _INT_RE = re.compile(r"-?\d+\Z")
-_STATIC_NAMES = frozenset({"+", "-", "true", "false", "undef"})
+# name -> is_static(name), filled the first time a name is asked about.
+_STATIC: Dict[str, bool] = dict.fromkeys(("+", "-", "true", "false", "undef"), True)
 
 
 def is_static(name: str) -> bool:
@@ -241,8 +242,11 @@ def is_static(name: str) -> bool:
 
     Built-ins: integer and symbol literals, true/false/undef, + and -.
     """
-    return (name in _STATIC_NAMES or name.startswith("'")
-            or _INT_RE.match(name) is not None)
+    known = _STATIC.get(name)
+    if known is None:
+        known = _STATIC[name] = (name.startswith("'")
+                                 or _INT_RE.match(name) is not None)
+    return known
 
 
 def static_apply(name: str, vals: Tuple[Value, ...]) -> Value:
@@ -312,16 +316,20 @@ class State:
         return self.values.get(loc, UNDEF)
 
     def with_updates(self, updates: UpdateSet) -> "State":
-        values = dict(self.values)
+        out = State.__new__(State)
+        out.values = dict(self.values)
+        out.domain = self.domain
+        out.update(updates)
+        return out
+
+    def update(self, updates: UpdateSet) -> None:
+        """Apply updates in place: only to a private copy from with_updates."""
+        values = self.values
         for loc, val in updates:
             if val is UNDEF:
                 values.pop(loc, None)
             else:
                 values[loc] = val
-        out = State.__new__(State)
-        out.values = values
-        out.domain = self.domain
-        return out
 
     def items(self):
         return sorted(self.values.items(), key=lambda p: loc_key(p[0]))
@@ -477,17 +485,27 @@ def yields(r: Rule, state: State, env: Env, resolver,
         return frozenset(out)
     if isinstance(r, Seq):
         # The first inconsistent item's update set ends the block.
-        acc = EMPTY_UPDATES
+        done: dict = {}  # the consistent items' updates, later writes winning
+        s = state
         for item in r.items:
-            u = yields(item, state, env, resolver, rules, on_read)
-            acc = seq_merge(acc, u)
+            u = yields(item, s, env, resolver, rules, on_read)
             if not consistent(u):
-                break
-            state = state.with_updates(u)
-        return acc
+                return seq_merge(frozenset(done.items()), u)
+            done.update(u)
+            s = seq_advance(s, state, u)
+        return frozenset(done.items())
     if isinstance(r, Call):
         return yields(expand_call(r, rules), state, env, resolver, rules, on_read)
     raise TypeError(f"not a rule: {r!r}")
+
+
+def seq_advance(s: State, block_start: State, u: UpdateSet) -> State:
+    """The state after u for the next item of a seq block begun in
+    block_start: one copy per block, which later items update in place."""
+    if s is block_start:
+        return s.with_updates(u)
+    s.update(u)
+    return s
 
 
 def seq_merge(u1: UpdateSet, u2: UpdateSet) -> UpdateSet:

@@ -62,6 +62,7 @@ from .asm import (
     consistent,
     is_static,
     make_location,
+    seq_advance,
     seq_merge,
     static_apply,
     substitute_formula,
@@ -144,6 +145,12 @@ def _consts(codes) -> Optional[tuple]:
     return tuple(vals)
 
 
+# name -> the code of the argument-free application name(): a constant, or
+# a read of Location(name, ()) from the state it runs in.  It depends on the
+# name alone, so every occurrence in every program shares it.
+_LEAVES: Dict[str, Code] = {}
+
+
 def _term(t: Term) -> Code:
     if type(t) is Var:
         name = t.name
@@ -154,6 +161,12 @@ def _term(t: Term) -> Code:
             except KeyError:
                 raise UnboundVariable(name) from None
         return var
+    if not t.args:
+        leaf = _LEAVES.get(t.func)
+        if leaf is None:
+            make = _static if is_static(t.func) else _read
+            leaf = _LEAVES[t.func] = make(t.func, [])
+        return leaf
     args = [_term(a) for a in t.args]
     if is_static(t.func):
         return _static(t.func, args)
@@ -408,14 +421,15 @@ def _seq(items: list) -> Code:
     inconsistent item's update set, merged after theirs, ends the block."""
     *init, last = items
 
-    def seq(s, env, log, res):
+    def seq(state, env, log, res):
         done: dict = {}  # the consistent items' updates
+        s = state
         for code in init:
             u = code(s, env, log, res)
             if not consistent(u):
                 return seq_merge(frozenset(done.items()), u)
             done.update(u)
-            s = s.with_updates(u)
+            s = seq_advance(s, state, u)
         return seq_merge(frozenset(done.items()), last(s, env, log, res))
     return seq
 

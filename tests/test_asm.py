@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -92,6 +93,21 @@ def test_static_function_vocabulary():
     assert static_apply("true", ()) is TRUE
     assert static_apply("false", ()) is FALSE
     assert static_apply("undef", ()) is UNDEF
+
+
+STATIC_NAMES = ["0", "5", "123456789012345678901234567890", "-12", "007", "-0",
+                "'red", "'", "'a b", "true", "false", "undef", "+", "-",
+                "x", "pc_m0", "g1", "True", "undefined", "5x", "x5", "--1",
+                "+1", "1-"]
+
+
+@pytest.mark.parametrize("name", STATIC_NAMES)
+def test_is_static_gives_the_regex_answer_every_time(name):
+    expected = (name in ("+", "-", "true", "false", "undef")
+                or name.startswith("'")
+                or re.fullmatch(r"-?\d+", name) is not None)
+    assert is_static(name) is expected
+    assert is_static(name) is expected
 
 
 def test_static_apply_rejects_bools_in_arithmetic():

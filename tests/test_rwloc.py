@@ -48,6 +48,7 @@ from taserial.fuzz import (
     random_machine,
     random_state,
 )
+from taserial import rwloc
 from taserial.rwloc import rw_formula, rw_rule, rw_term
 from taserial.seeds import ChoiceResolver, derive_bytes
 
@@ -440,3 +441,110 @@ def test_one_and_true_clash_in_both_evaluators(items):
             apply_updates(State(), updates)
     with pytest.raises(InconsistentUpdateSet, match="machine m"):
         run(RunConfig(machines=[prog]))
+
+
+# -- the leaf table: one code per argument-free name ------------------------
+
+
+def test_two_programs_share_the_code_of_g_and_read_their_own_state():
+    p1 = parse_program("machine m1 rule: x() := g()").main_rule
+    p2 = parse_program("machine m2 rule: y() := (g() + 1)").main_rule
+    g1, g2 = p1.rhs, p2.rhs.args[0]
+    assert g1 is not g2 and g1 == g2 == Apply("g")
+    assert rwloc._term(g1) is rwloc._term(g2)
+    s1, s2 = State({loc("g"): 1}), State({loc("g"): 7})
+    log1, log2 = {}, {}
+    assert rw_rule(p1, s1, {}, res(), read_log=log1).updates == {(loc("x"), 1)}
+    assert rw_rule(p2, s2, {}, res(), read_log=log2).updates == {(loc("y"), 8)}
+    assert log1[loc("g")] == 1 and log2[loc("g")] == 7
+    assert rwloc._term(g1)(s2, {}, {}) == 7
+
+
+@pytest.mark.parametrize("rhs", [(Var("xv"), Apply("xv")),
+                                 (Apply("xv"), Var("xv"))])
+def test_bound_name_and_location_of_the_same_name_never_share_code(rhs):
+    # let xv = 10 in y() := xv + xv(), in both orders: the bound xv
+    # is 10, the location xv() holds 3.
+    rule = Let("xv", Apply("10"), Assign(Apply("y"), Apply("+", rhs)))
+    s = State({loc("xv"): 3})
+    log = {}
+    rw = rw_rule(rule, s, {}, res(), read_log=log)
+    assert rw.updates == {(loc("y"), 13)}
+    assert log == {loc("xv"): 3, loc("y"): UNDEF}
+    assert yields(rule, s, {}, res()) == rw.updates
+    var, read = rwloc._term(Var("xv")), rwloc._term(Apply("xv"))
+    assert var is not read
+    assert var(s, {"xv": 10}, {}) == 10 and read(s, {"xv": 10}, {}) == 3
+
+
+def test_literals_still_fold_to_constants():
+    assert rwloc._term(Apply("3")).value == 3
+    assert rwloc._term(Apply("-12")).value == -12
+    assert rwloc._term(Apply("'red")).value == "red"
+    assert rwloc._term(Apply("true")).value is TRUE
+    assert rwloc._term(Apply("undef")).value is UNDEF
+    assert rwloc._term(Apply("3")) is rwloc._term(Apply("3"))
+    assert rwloc._term(Apply("+", (Apply("1"), Apply("2")))).value == 3
+    assert not hasattr(rwloc._term(Apply("g")), "value")
+
+
+@pytest.mark.parametrize("func", ["+", "-"])
+def test_nullary_builtin_raises_when_run_not_when_compiled(func):
+    code = rwloc._term(Apply(func))  # compiling raises nothing
+    assert not hasattr(code, "value")
+    with pytest.raises(ArityMismatch):
+        code(State(), {}, {})
+    rule = Assign(Apply("x"), Apply(func))
+    s = State()
+    assert _raised(lambda: yields(rule, s, {}, res())) is ArityMismatch
+    assert _raised(lambda: rw_rule(rule, s, {}, res())) is ArityMismatch
+
+
+# -- wide seq blocks ----------------------------------------------------------
+
+
+def test_wide_seq_agrees_and_copies_the_state_once(monkeypatch):
+    # a(i) := a(i - 1) + 1 for i in 1..4000: each item reads what the one
+    # before it wrote, and every item writes its own location.
+    n = 4000
+    items = tuple(
+        Assign(Apply("a", (Apply(str(i)),)),
+               Apply("+", (Apply("a", (Apply(str(i - 1)),)), Apply("1"))))
+        for i in range(1, n + 1))
+    rule = Seq(items)
+    s = State({loc("a", 0): 0, loc("b"): 5})
+    copies = []
+    with_updates = State.with_updates
+
+    def counted(self, updates):
+        copies.append(len(updates))
+        return with_updates(self, updates)
+    monkeypatch.setattr(State, "with_updates", counted)
+
+    reads = []
+    updates = yields(rule, s, {}, res(), on_read=lambda l, v: reads.append((l, v)))
+    assert len(copies) <= 1
+    copies.clear()
+    log = {}
+    rw = rw_rule(rule, s, {}, res(), read_log=log)
+    assert len(copies) <= 1
+    assert updates == rw.updates == {(loc("a", i), i) for i in range(1, n + 1)}
+    assert reads == [(loc("a", i - 1), i - 1) for i in range(1, n + 1)]
+    # each target is logged as read before its item writes it
+    assert log == {loc("a", 0): 0, **{loc("a", i): UNDEF for i in range(1, n + 1)}}
+    assert rw.writes == {loc("a", i) for i in range(1, n + 1)}
+    # the block's private copy never reaches the caller's state
+    assert s.values == {loc("a", 0): 0, loc("b"): 5}
+
+
+def test_wide_seq_ends_at_its_first_inconsistent_item():
+    items = [Assign(Apply("a", (Apply(str(i)),)), Apply(str(i))) for i in range(50)]
+    clash = Par((Assign(Apply("a", (Apply("3"),)), Apply("7")),
+                 Assign(Apply("a", (Apply("3"),)), Apply("8"))))
+    rule = Seq(tuple(items) + (clash, Assign(Apply("z"), Apply("1"))))
+    s = State()
+    expected = ({(loc("a", i), i) for i in range(50) if i != 3}
+                | {(loc("a", 3), 7), (loc("a", 3), 8)})
+    assert yields(rule, s, {}, res()) == expected
+    assert rw_rule(rule, s, {}, res()).updates == expected
+    assert s.values == {}
