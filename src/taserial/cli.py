@@ -75,7 +75,13 @@ def load_manifest(path: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"{path}: unknown manifest keys {unknown}; the "
                           f"settings are {list(SETTINGS)}")
-    machines = [parse_program(_read_text(base / rel)) for rel in programs]
+    machines = []
+    for rel in programs:
+        text = _read_text(base / rel)
+        try:
+            machines.append(parse_program(text))
+        except (ParseError, ProgramError) as e:
+            raise ConfigError(f"{base / rel}: {e}") from None
     return RunConfig(machines, **{key: manifest[key] for key in SETTINGS
                                   if key in manifest})
 

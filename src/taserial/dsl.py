@@ -106,9 +106,10 @@ def _position(text: str, offset: int) -> Tuple[int, int]:
             offset - text.rfind("\n", 0, offset))
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineProgram:
-    """One machine: location classes, initialization, termination, rules."""
+    """One machine: location classes, initialization, termination, rules;
+    frozen, so the code cached on it never goes stale."""
 
     name: str
     shared: FrozenSet[str] = frozenset()
@@ -119,8 +120,8 @@ class MachineProgram:
     terminated: Formula = Eq(Apply("0"), Apply("0"))
     main_rule: Rule = Skip()
     named_rules: Dict[str, NamedRule] = field(default_factory=dict)
-    # Compiled code of main_rule and terminated, filled on first use by the
-    # wrapper (see rwloc); not part of the program's identity.
+    # Compiled code of main_rule and terminated, filled once, on first use,
+    # by the wrapper (see rwloc); not part of the program's identity.
     code: Dict[str, object] = field(default_factory=dict, init=False,
                                     repr=False, compare=False)
 
@@ -255,50 +256,51 @@ class _Parser:
 
     def program(self) -> MachineProgram:
         self.expect("machine")
-        prog = MachineProgram(name=self.ident())
-        shared: Set[str] = set()
-        monitored: Set[str] = set()
-        output: Set[str] = set()
-        saw_rule = False
+        name = self.ident()
+        classes: Dict[str, Set[str]] = {"shared": set(), "monitored": set(),
+                                        "output": set()}
+        arities: Dict[str, int] = {}
+        inits: List[Tuple[Location, Value]] = []
+        terminated = MachineProgram.terminated
+        main_rule = None
+        named_rules: Dict[str, NamedRule] = {}
         while self.peek():
             tok = self.peek()
-            if tok in ("shared", "monitored", "output"):
+            if tok in classes:
                 self.next()
-                target = {"shared": shared, "monitored": monitored,
-                          "output": output}[tok]
-                target |= self._name_list(prog)
+                classes[tok] |= self._name_list(arities)
             elif tok == "init":
                 self.next()
-                prog.inits.append(self._init())
+                inits.append(self._init())
             elif tok == "terminated":
                 self.next()
                 self.expect(":")
-                prog.terminated = self.formula(frozenset())
+                terminated = self.formula(frozenset())
             elif tok == "rule":
                 self.next()
                 if self.at(":"):
                     self.next()
-                    prog.main_rule = self.rule(frozenset())
-                    saw_rule = True
+                    main_rule = self.rule(frozenset())
                 else:
                     rname = self.ident()
                     params = self._list(self.ident)
                     self.expect(":")
                     body = self.rule(frozenset(params))
-                    if rname in prog.named_rules:
+                    if rname in named_rules:
                         self.fail(f"duplicate rule {rname!r}")
-                    prog.named_rules[rname] = NamedRule(tuple(params), body)
+                    named_rules[rname] = NamedRule(tuple(params), body)
             else:
                 self.fail("expected a program section")
-        if not saw_rule:
+        if main_rule is None:
             raise ParseError("program has no main rule", 1, 1)
-        prog.shared = frozenset(shared)
-        prog.monitored = frozenset(monitored)
-        prog.output = frozenset(output)
+        prog = MachineProgram(
+            name=name, **{k: frozenset(v) for k, v in classes.items()},
+            arities=arities, inits=inits, terminated=terminated,
+            main_rule=main_rule, named_rules=named_rules)
         prog.validate()
         return prog
 
-    def _name_list(self, prog: MachineProgram) -> Set[str]:
+    def _name_list(self, arities: Dict[str, int]) -> Set[str]:
         names: Set[str] = set()
         while self.peek().isidentifier() and self.peek() not in KEYWORDS:
             name = self.ident()
@@ -307,11 +309,11 @@ class _Parser:
                 self.next()
                 if not self.peek().isdecimal():
                     self.fail("expected arity")
-                arity = int(self.next())
-                prior = prog.arities.get(name)
+                arity = int(self._integer())
+                prior = arities.get(name)
                 if prior is not None and prior != arity:
                     self.fail(f"conflicting arity for {name}")
-                prog.arities[name] = arity
+                arities[name] = arity
         if not names:
             self.fail("expected at least one function name")
         return names
@@ -323,13 +325,25 @@ class _Parser:
         val = self._value_literal()
         return Location(func, tuple(args)), val
 
+    def _integer(self) -> str:
+        """The integer literal at the current token, once int() takes it."""
+        tok = self.peek()
+        try:
+            int(tok)
+        except ValueError:  # more digits than the interpreter converts
+            raise ParseError(f"integer literal of {len(tok)} digits is too long",
+                             *_position(self.text, self._offset(self.pos))
+                             ) from None
+        self.pos += 1
+        return tok
+
     def _value_literal(self) -> Value:
         tok = self.peek()
         if tok.isdecimal():
-            return int(self.next())
+            return int(self._integer())
         if tok == "-" and self.peek(1).isdecimal():
             self.next()
-            return -int(self.next())
+            return -int(self._integer())
         if tok in ("true", "false", "undef"):
             return static_apply(self.next(), ())
         if tok == "'":
@@ -348,18 +362,19 @@ class _Parser:
         return t
 
     def _term_primary(self, bound: FrozenSet[str]) -> Term:
-        tok = self.next()
+        tok = self.peek()
+        if tok.isdecimal():
+            return Apply(self._integer())
+        self.pos += 1
         if tok.isidentifier() and tok not in KEYWORDS:
             if self.at("("):
                 return Apply(tok, tuple(self._list(self.term, bound)))
             if tok in bound:
                 return Var(tok)
             return Apply(tok)
-        if tok.isdecimal():
-            return Apply(tok)
         if tok == "-":
             if self.peek().isdecimal():
-                return Apply("-" + self.next())
+                return Apply("-" + self._integer())
             return Apply("-", (Apply("0"), self._term_primary(bound)))
         if tok == "(":
             t = self.term(bound)

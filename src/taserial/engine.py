@@ -32,7 +32,13 @@ from .asm import (
     loc_key,
     value_key,
 )
-from .dsl import MachineProgram, parse_program, print_program
+from .dsl import (
+    MachineProgram,
+    ParseError,
+    ProgramError,
+    parse_program,
+    print_program,
+)
 from .seeds import make_rng
 from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     ACTIVE,
@@ -75,6 +81,11 @@ CHOICES = {
 }
 
 
+#: The largest `domain_size`: every state holds its whole domain, so a
+#: larger one would cost memory in proportion before the first step.
+MAX_DOMAIN_SIZE = 1 << 16
+
+
 @dataclass
 class RunConfig:
     """Everything needed to reproduce a run except the master seed."""
@@ -107,6 +118,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.domain_size < 1:
             raise ConfigError("domain size must be positive")
+        if self.domain_size > MAX_DOMAIN_SIZE:
+            raise ConfigError(f"domain_size must be at most {MAX_DOMAIN_SIZE}, "
+                              f"got {self.domain_size}")
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
         if not isinstance(self.registration, dict):
@@ -163,7 +177,10 @@ class RunConfig:
         version-1 payload has no `shared_inits`: its programs hold them."""
         machines = []
         for name, text in payload["programs"].items():
-            machines.append(parse_program(text))
+            try:
+                machines.append(parse_program(text))
+            except (ParseError, ProgramError) as e:
+                raise ConfigError(f"programs key {name!r}: {e}") from None
             if machines[-1].name != name:
                 raise ConfigError(f"programs key {name!r} holds machine "
                                   f"{machines[-1].name!r}")

@@ -4,8 +4,9 @@ Each rule, term and formula is compiled once into nested Python closures
 (closure generation: Feeley & Lapalme, "Using closures for code
 generation", 1987).  Literals, symbols, true/false/undef and +/- are
 resolved at compile time, so running the code interprets no syntax.  One
-run of a compiled rule returns the step's update set together with its read
-log, and the write set is the set of updated locations.
+run of a compiled rule returns the step's update set and fills its read log,
+which the rw_* entry points take from their caller (read_log) and fill in
+place; the write set is the set of updated locations.
 
 The analysis reads more than plain execution (asm.yields, the executable
 spec) does: both sides of and/or, quantified formulae and forall/choose
@@ -86,38 +87,6 @@ ReadLog = Dict[Location, Value]
 Code = Callable
 
 Sub = Dict[str, Term]  # parameter -> argument term, inside a rule call
-
-
-class RuleCode:
-    """A rule compiled for one set of named rules; compiles on first call."""
-
-    __slots__ = ("rule", "rules", "_code")
-
-    def __init__(self, rule: Rule, rules: Optional[Dict[str, NamedRule]] = None):
-        self.rule = rule
-        self.rules = rules if rules is not None else {}
-        self._code: Optional[Code] = None
-
-    def __call__(self, state: State, env: Env, log: ReadLog, resolver) -> UpdateSet:
-        if self._code is None:
-            self._code = _rule(self.rule, {}, self.rules)
-        return self._code(state, env, log, resolver)
-
-
-class FormulaCode:
-    """A formula compiled on first call (the termination test).  It reads
-    what the analysis reads, and answers as asm.eval_formula does."""
-
-    __slots__ = ("formula", "_code")
-
-    def __init__(self, formula: Formula):
-        self.formula = formula
-        self._code: Optional[Code] = None
-
-    def __call__(self, state: State, env: Env, log: ReadLog) -> bool:
-        if self._code is None:
-            self._code = _formula(self.formula)
-        return self._code(state, env, log)
 
 
 # -- terms ------------------------------------------------------------------
@@ -458,22 +427,20 @@ def _choose(r: ChooseDo, domain_range: Code, body: Code) -> Code:
 
 
 def _call(name: str, args, rules: Dict[str, NamedRule]) -> Code:
-    """Code for a named-rule call; the expansion is compiled on first use
-    and again only if the named rule is replaced."""
-    compiled_for = body = None
+    """Code for a named-rule call; the expansion is compiled on first use."""
+    body = None
 
     def call(s, env, log, res):
-        nonlocal compiled_for, body
-        try:
-            named = rules[name]
-        except KeyError:
-            raise EvalError(f"unknown rule {name!r}") from None
-        if compiled_for is not named:
+        nonlocal body
+        if body is None:
+            try:
+                named = rules[name]
+            except KeyError:
+                raise EvalError(f"unknown rule {name!r}") from None
             if len(named.params) != len(args):
                 raise ArityMismatch(
                     f"rule {name} takes {len(named.params)} args, got {len(args)}")
             body = _rule(named.body, dict(zip(named.params, args)), rules)
-            compiled_for = named
         return body(s, env, log, res)
     return call
 
@@ -481,21 +448,23 @@ def _call(name: str, args, rules: Dict[str, NamedRule]) -> Code:
 # -- entry points -------------------------------------------------------------
 
 
-def _merge(log: ReadLog, read_log: Optional[ReadLog]) -> None:
-    if read_log is not None and read_log is not log:
-        for loc, v in log.items():
-            read_log.setdefault(loc, v)
+def compile_rule(r: Rule, rules: Optional[Dict[str, NamedRule]] = None
+                 ) -> Code:
+    """The code of rule r, calling the named rules in rules."""
+    return _rule(r, {}, {} if rules is None else rules)
 
 
-def _fresh_log(read_log: Optional[ReadLog]) -> ReadLog:
-    """An empty caller log can be filled directly; else merge afterwards."""
-    return read_log if read_log is not None and not read_log else {}
+def compile_formula(f: Formula) -> Code:
+    """The code of formula f: it reads what the analysis reads, and answers
+    as asm.eval_formula does."""
+    return _formula(f)
 
 
 def rw_term(t: Term, state: State, env: Env,
             read_log: Optional[ReadLog] = None) -> RwSet:
-    """Read locations of a term; its write location is the head application."""
-    log = _fresh_log(read_log)
+    """Read locations of a term; its write location is the head application.
+    A given read_log is filled in place."""
+    log = {} if read_log is None else read_log
     writes: FrozenSet[Location] = frozenset()
     if isinstance(t, Apply) and not is_static(t.func):
         where = _where(t.func, [_term(a) for a in t.args])
@@ -504,16 +473,15 @@ def rw_term(t: Term, state: State, env: Env,
         writes = frozenset({head})
     else:
         _term(t)(state, env, log)
-    _merge(log, read_log)
     return RwSet(frozenset(log), writes)
 
 
 def rw_formula(f: Formula, state: State, env: Env,
                read_log: Optional[ReadLog] = None) -> RwSet:
-    """Read locations of a formula; formulae have no write locations."""
-    log = _fresh_log(read_log)
+    """Read locations of a formula; formulae have no write locations.  A
+    given read_log is filled in place."""
+    log = {} if read_log is None else read_log
     _formula(f)(state, env, log)
-    _merge(log, read_log)
     return RwSet(frozenset(log), frozenset())
 
 
@@ -521,10 +489,10 @@ def rw_rule(r, state: State, env: Env, resolver,
             rules: Optional[Dict[str, NamedRule]] = None,
             read_log: Optional[ReadLog] = None) -> RwSet:
     """Read and write locations and the update set of one step of rule r in
-    the given state.  r may be a Rule, compiled here, or a RuleCode (which
-    carries its own named rules) to reuse its compiled code."""
-    code = r if isinstance(r, RuleCode) else RuleCode(r, rules)
-    log = _fresh_log(read_log)
+    the given state.  r is a Rule, compiled here with the named rules, or
+    the code compile_rule returned for it.  A given read_log is filled in
+    place: pass an empty one, since every location it holds counts as read."""
+    code = r if callable(r) else compile_rule(r, rules)
+    log = {} if read_log is None else read_log
     updates = code(state, env, log, resolver)
-    _merge(log, read_log)
     return RwSet(frozenset(log), update_locations(updates), updates)

@@ -33,7 +33,7 @@ from .controller import (
     next_ordinal,
 )
 from .dsl import MachineProgram
-from .rwloc import FormulaCode, RuleCode, RwSet, rw_rule
+from .rwloc import Code, RwSet, compile_formula, compile_rule, rw_rule
 from .seeds import ChoiceResolver, derive_bytes
 
 UNREGISTERED = "unregistered"
@@ -65,10 +65,9 @@ class MachineCtl:
 
     machine_id: str
     ctl_state: str = UNREGISTERED
-    # ordinal -> (compiled main rule, seed, RwSet, read log, lock needs) of
-    # the last analysis of that proper step, reused by `_step_analysis`
-    # while its reads are unchanged; emptied when the machine requests
-    # commit.
+    # ordinal -> (seed, RwSet, read log, lock needs) of the last analysis
+    # of that proper step, reused by `_step_analysis` while its reads are
+    # unchanged; emptied when the machine requests commit.
     analyses: Dict[int, tuple] = field(default_factory=dict, repr=False,
                                        compare=False)
 
@@ -97,14 +96,12 @@ def _moved(ctl_change: Tuple[str, str], *effects: tuple):
     return _MOVES[ctl_change], list(effects)
 
 
-def _main_code(program: MachineProgram) -> RuleCode:
-    """The program's main rule, compiled on first use and again only when
-    the rule or the named rules are replaced."""
+def _main_code(program: MachineProgram) -> Code:
+    """The program's main rule, compiled on first use."""
     code = program.code.get("main")
-    if (code is None or code.rule is not program.main_rule
-            or code.rules is not program.named_rules):
-        code = program.code["main"] = RuleCode(program.main_rule,
-                                               program.named_rules)
+    if code is None:
+        code = program.code["main"] = compile_rule(program.main_rule,
+                                                   program.named_rules)
     return code
 
 
@@ -133,28 +130,26 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     """`analyse` of the machine's next proper step, `ordinal`, in this state,
     and the step's `_lock_needs`.
 
-    The last analysis of the same ordinal is reused when it was made for the
-    same compiled rule and seed and every location in its read log still
-    holds the logged value, also after an undo rolled the machine back to
-    that ordinal.  That log holds every location the analysis depends on,
-    assignment targets included, at its value before the step (a location
-    written by an item of a `seq` block was logged as a target before a
-    later item reads it), so a fresh analysis would compute the same reads
-    and updates.
+    The last analysis of the same ordinal is reused when it was made with
+    the same seed and every location in its read log still holds the logged
+    value, also after an undo rolled the machine back to that ordinal.  That
+    log holds every location the analysis depends on, assignment targets
+    included, at its value before the step (a location written by an item
+    of a `seq` block was logged as a target before a later item reads it),
+    so a fresh analysis would compute the same reads and updates.
     """
-    code = _main_code(program)
     last = tcb.analyses.get(ordinal)
-    if last is not None and last[0] is code and last[1] == seed:
+    if last is not None and last[0] == seed:
         values = state.values
-        for loc, v in last[3].items():
+        for loc, v in last[2].items():
             if values.get(loc, UNDEF) != v:
                 break
         else:
-            return last[2:]
+            return last[1:]
     rw, read_log = analyse(program, state,
                            choice_material(seed, tcb.machine_id, ordinal))
     needs = _lock_needs(program, rw)
-    tcb.analyses[ordinal] = (code, seed, rw, read_log, needs)
+    tcb.analyses[ordinal] = (seed, rw, read_log, needs)
     return rw, read_log, needs
 
 
@@ -191,8 +186,8 @@ def terminated(program: MachineProgram, state: State,
     """The termination formula, evaluated like asm.eval_formula; the
     locations it reads go into `reads`."""
     code = program.code.get("terminated")
-    if code is None or code.formula is not program.terminated:
-        code = program.code["terminated"] = FormulaCode(program.terminated)
+    if code is None:
+        code = program.code["terminated"] = compile_formula(program.terminated)
     return code(state, {}, {} if reads is None else reads)
 
 

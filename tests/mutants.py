@@ -155,7 +155,7 @@ def _v3_with_hashes():
 def _bool_init():
     program = parse_program("machine m\ninit x(1) := 1\nterminated: true\n"
                             "rule: skip\n")
-    program.inits = [(Location("x", (1,)), True)]
+    program.inits[:] = [(Location("x", (1,)), True)]
     run(RunConfig([program]))
 
 

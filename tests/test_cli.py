@@ -1496,3 +1496,113 @@ def test_check_final_state_follows_an_undo(tmp_path, capsys):
     assert _check_records(tmp_path, records) == 1
     err = capsys.readouterr().err
     assert err.startswith("malformed trace: final_state gives ")
+
+
+# -- bad programs name their source; oversized literals and domains ----------
+
+LONG = "9" * 5000  # past the interpreter's int-string conversion limit
+LONG_LITERALS = {
+    "init": (f"machine a\ninit x() := {LONG}\nrule: skip\n", "2:13"),
+    "rule": (f"machine a\nrule: x() := -{LONG}\n", "2:15"),
+    "arity": (f"machine a\nshared x/{LONG}\nrule: skip\n", "2:10"),
+}
+
+
+def _manifest(tmp_path, programs, **settings):
+    for name, text in programs.items():
+        (tmp_path / name).write_text(text)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"programs": list(programs), **settings}))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", sorted(LONG_LITERALS))
+def test_run_oversized_integer_literal_exits_one(tmp_path, capsys, where):
+    text, at = LONG_LITERALS[where]
+    assert main(["run", _manifest(tmp_path, {"a.prog": text})]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'a.prog'}: {at}: integer literal of 5000 digits "
+        f"is too long\n")
+
+
+def test_check_oversized_integer_literal_in_header_exits_one(tmp_path, capsys):
+    from taserial.engine import payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    config = records[0]["config"]
+    name = sorted(config["programs"])[0]
+    config["programs"][name] = f"machine {name}\nrule: x() := {LONG}\n"
+    records[0]["config_digest"] = payload_digest(config)
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err == (
+        f"malformed trace: programs key {name!r}: 2:14: integer literal of "
+        f"5000 digits is too long\n")
+
+
+def test_run_parse_error_names_the_program_file(tmp_path, capsys):
+    bad = "machine b\ninit pc_b() := 0\nrule: pc_b() := pc_b() +\n"
+    path = _manifest(tmp_path, {"a.prog": "machine a\nrule: skip\n",
+                                "b.prog": bad})
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'b.prog'}: 4:1: expected a term (at end)\n")
+
+
+def test_run_program_error_names_the_program_file(tmp_path, capsys):
+    path = _manifest(tmp_path, {"b.prog": "machine b\nrule: call zz()\n"})
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'b.prog'}: b: call to undeclared rule 'zz'\n")
+
+
+def test_check_parse_error_names_the_programs_key(tmp_path, capsys):
+    from taserial.engine import payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    config = records[0]["config"]
+    name = sorted(config["programs"])[0]
+    config["programs"][name] += "rule: x() := +\n"
+    records[0]["config_digest"] = payload_digest(config)
+    assert _check_records(tmp_path, records) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"malformed trace: programs key {name!r}: ")
+    assert err.endswith(": expected a term (at '+')\n")
+
+
+def _forbid_domain(monkeypatch):
+    from taserial.engine import RunConfig
+
+    def forbidden(self):
+        raise AssertionError("built the domain")
+
+    monkeypatch.setattr(RunConfig, "domain", forbidden)
+
+
+def test_run_domain_size_above_the_bound_exits_one(tmp_path, capsys,
+                                                   monkeypatch):
+    from taserial.engine import MAX_DOMAIN_SIZE
+
+    program = {"a.prog": "machine a\nterminated: x() = 1\nrule: x() := 1\n"}
+    path = _manifest(tmp_path, program, domain_size=MAX_DOMAIN_SIZE)
+    assert main(["run", path]) == 0
+    path = _manifest(tmp_path, program, domain_size=MAX_DOMAIN_SIZE + 1)
+    capsys.readouterr()
+    _forbid_domain(monkeypatch)
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == (
+        f"error: domain_size must be at most {MAX_DOMAIN_SIZE}, "
+        f"got {MAX_DOMAIN_SIZE + 1}\n")
+
+
+def test_check_domain_size_above_the_bound_exits_one(tmp_path, capsys,
+                                                     monkeypatch):
+    from taserial.engine import MAX_DOMAIN_SIZE, payload_digest
+
+    records = _fuzz_trace_lines(tmp_path)
+    records[0]["config"]["domain_size"] = MAX_DOMAIN_SIZE + 1
+    records[0]["config_digest"] = payload_digest(records[0]["config"])
+    _forbid_domain(monkeypatch)
+    assert _check_records(tmp_path, records) == 1
+    assert capsys.readouterr().err == (
+        f"malformed trace: domain_size must be at most {MAX_DOMAIN_SIZE}, "
+        f"got {MAX_DOMAIN_SIZE + 1}\n")

@@ -163,8 +163,8 @@ def test_value_encoding_keeps_types():
 def test_run_rejects_a_python_bool_in_an_init(where):
     program = parse_program("machine m\ninit x(1) := 1\nterminated: true\n"
                             "rule: skip\n")
-    program.inits = [(Location("x", (True if where == "argument" else 1,)),
-                      True if where == "value" else 1)]
+    program.inits[:] = [(Location("x", (True if where == "argument" else 1,)),
+                         True if where == "value" else 1)]
     with pytest.raises(TypeError, match="not a machine value: True"):
         run(RunConfig([program]))
 
@@ -451,7 +451,7 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
         last = tcb.analyses.get(ordinal)
         rw, read_log, needs = real_analysis(program, tcb, state, seed,
                                             ordinal)
-        if last is not None and rw is last[2]:
+        if last is not None and rw is last[1]:
             counts[tcb.ctl_state] += 1
             counts["older"] += max(tcb.analyses) > ordinal
             material = wrapper.choice_material(seed, tcb.machine_id, ordinal)

@@ -1,5 +1,6 @@
 import inspect
 import re
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from taserial.controller import (
     LockPair,
     Request,
 )
-from taserial.dsl import parse_program
+from taserial.dsl import MachineProgram, parse_program
 from taserial.wrapper import (
     ACTIVE,
     DONE,
@@ -285,6 +286,31 @@ def test_proper_steps_never_call_yields(monkeypatch):
     assert run(random_config(1)).status == "done"
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_and_check_compile_each_program_once(monkeypatch, seed):
+    # Every wrapper step, every termination test and the checker's serial
+    # run use the code cached on the program.
+    from taserial import rwloc, wrapper
+    from taserial.checker import check_serializable
+    from taserial.engine import run
+    from taserial.fuzz import random_config
+
+    compiled = {"compile_rule": [], "compile_formula": []}
+    for name, calls in compiled.items():
+        def counting(source, *args, real=getattr(rwloc, name), calls=calls):
+            calls.append(source)
+            return real(source, *args)
+        monkeypatch.setattr(rwloc, name, counting)
+        monkeypatch.setattr(wrapper, name, counting)
+    config = random_config(seed)
+    trace = run(config)
+    assert trace.status == "done" and check_serializable(trace).ok
+    for name, field_name in (("compile_rule", "main_rule"),
+                             ("compile_formula", "terminated")):
+        assert sorted(map(id, compiled[name])) == sorted(
+            id(getattr(p, field_name)) for p in config.machines)
+
+
 def test_terminated_stops_early_like_eval_formula():
     # A true left side decides `or`, so the non-boolean atom's error is
     # dropped: eval_formula stops before it.
@@ -293,8 +319,11 @@ def test_terminated_stops_early_like_eval_formula():
     done = State({loc("pc"): 1, loc("flag"): 3})
     assert terminated(prog, done) is eval_formula(prog.terminated, done, {}) is True
     assert terminated(prog, State({loc("pc"): 0})) is False
-    prog.terminated = parse_program("machine u terminated: pc() = 0 rule: skip").terminated
-    assert terminated(prog, done) is False  # a replaced formula is recompiled
+    other = parse_program("machine u terminated: pc() = 0 rule: skip").terminated
+    with pytest.raises(FrozenInstanceError):
+        prog.terminated = other
+    assert terminated(prog, done) is True
+    assert terminated(replace(prog, terminated=other), done) is False
 
 
 # -- reuse of the last analysis ------------------------------------------------
@@ -376,15 +405,13 @@ def test_reuse_is_keyed_on_the_ordinal(analyses):
     assert len(analyses) == 2
 
 
-def test_replaced_main_rule_reruns_analysis(analyses):
+@pytest.mark.parametrize("name", [f.name for f in fields(MachineProgram)])
+def test_assigning_a_program_field_raises(name):
+    # The code compiled from a program is cached on it, unchecked: no field
+    # may change once it is built.
     prog = parse_program(PROG_TEXT)
-    tcb = MachineCtl("m")
-    pair = _request(prog, tcb, initial_state())
-    prog.main_rule = parse_program(
-        PROG_TEXT.replace("x() + sensor()", "sensor() + 7")).main_rule
-    out = _grant(prog, tcb, initial_state(), pair)
-    assert len(analyses) == 2
-    assert (loc("x"), 9) in out.updates
+    with pytest.raises(FrozenInstanceError):
+        setattr(prog, name, getattr(prog, name))
 
 
 def test_read_value_of_another_type_reruns_analysis(analyses):
