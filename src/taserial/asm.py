@@ -8,7 +8,9 @@ is deterministic and thread-safe.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
@@ -35,6 +37,11 @@ class TypeMismatch(EvalError):
 
 class UndefArgument(EvalError):
     """A location argument evaluated to undef."""
+
+
+class IntTooLarge(EvalError):
+    """An integer result with more decimal digits than
+    sys.get_int_max_str_digits() allows, which no trace could hold."""
 
 
 class InconsistentUpdateSet(AsmError):
@@ -195,8 +202,9 @@ class ChooseDo:
     guard: Formula
     body: "Rule"
     # Stable identifier used to couple the witness picked during location
-    # analysis with the one picked during execution; assigned by
-    # assign_choice_ids in a deterministic preorder pass.
+    # analysis with the one picked during execution; numbered by
+    # assign_choice_ids in a deterministic preorder pass, from 0 in each
+    # program (dsl.MachineProgram).
     node_id: int = -1
 
 
@@ -268,7 +276,18 @@ def static_apply(name: str, vals: Tuple[Value, ...]) -> Value:
     for v in (a, b):
         if type(v) is not int:
             raise TypeMismatch(f"{name} needs integers, got {v!r}")
-    return a + b if name == "+" else a - b
+    result = a + b if name == "+" else a - b
+    if abs(result) < INT_BOUND:
+        return result
+    raise IntTooLarge(f"{name} gives an integer of more than {INT_DIGITS} "
+                      f"digits, the limit of sys.get_int_max_str_digits()")
+
+
+#: The int-string limit in force when taserial is imported
+#: (sys.get_int_max_str_digits(); 0 means none), and the magnitude that no
+#: integer result may reach under it (IntTooLarge).
+INT_DIGITS = sys.get_int_max_str_digits()
+INT_BOUND: Union[int, float] = 10 ** INT_DIGITS if INT_DIGITS else math.inf
 
 
 # ---------------------------------------------------------------------------

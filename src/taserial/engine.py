@@ -27,7 +27,6 @@ from .asm import (
     UpdateSet,
     Value,
     _clashes,
-    assign_choice_ids,
     consistent,
     loc_key,
     value_key,
@@ -137,12 +136,11 @@ class RunConfig:
             if loc in seen:
                 raise ConfigError(f"shared init of {loc} listed twice")
             seen.add(loc)
-        self.machines = sorted(self.machines, key=lambda m: m.name)
-        rules = []
-        for m in self.machines:
-            rules.append(m.main_rule)
-            rules.extend(n.body for _, n in sorted(m.named_rules.items()))
-        assign_choice_ids(rules)
+        # Offsets, never renumbering: see MachineProgram.choice_base.
+        self.machines, base = sorted(self.machines, key=lambda m: m.name), 0
+        for i, m in enumerate(self.machines):
+            self.machines[i] = m.at_choice_base(base)
+            base += m.choose_nodes
 
     @property
     def machine_ids(self) -> List[str]:

@@ -40,6 +40,7 @@ from .asm import (
     ForallDo,
     FALSE,
     Formula,
+    INT_BOUND,
     If,
     Let,
     Location,
@@ -158,47 +159,43 @@ def _static(func: str, args) -> Code:
 
 
 def _arith(func: str, a: Code, b: Code) -> Code:
-    k = getattr(b, "value", None)
-    if type(k) is int:  # x + 1, the commonest shape
-        k = k if func == "+" else -k
-
-        def plus_const(s, env, log):
-            x = a(s, env, log)
-            if type(x) is int:
-                return x + k
-            return static_apply(func, (x, b.value))
-        return plus_const
+    """x + y or x - y; static_apply raises on a non-integer operand and on
+    a result of INT_BOUND or more in magnitude."""
     op = operator.add if func == "+" else operator.sub
 
     def arith(s, env, log):
         x = a(s, env, log)
         y = b(s, env, log)
         if type(x) is int and type(y) is int:
-            return op(x, y)
+            r = op(x, y)
+            if abs(r) < INT_BOUND:
+                return r
         return static_apply(func, (x, y))
     return arith
 
 
-def _where(func: str, args):
-    """The location func(args): a Location when the arguments are
-    constants, else code computing it (raising UndefArgument on undef)."""
+# A location of constant arguments -> the code returning it, shared like
+# _LEAVES: a program's code lives as long as the program, and one closure
+# per assignment site would add to what the collector walks.
+_PLACES: Dict[Location, Code] = {}
+
+
+def _where(func: str, args) -> Code:
+    """Code computing the location func(args), raising UndefArgument on
+    undef; a location of constant arguments is built once."""
     vals = _consts(args)
     if vals is not None and UNDEF not in vals:
-        return Location(func, vals)
+        loc = Location(func, vals)
+        where = _PLACES.get(loc)
+        if where is None:
+            where = _PLACES[loc] = lambda s, env, log: loc
+        return where
     return lambda s, env, log: make_location(
         func, tuple([a(s, env, log) for a in args]))
 
 
 def _read(func: str, args) -> Code:
     where = _where(func, args)
-    if type(where) is Location:
-        loc = where
-
-        def read_const(s, env, log):
-            v = s.values.get(loc, UNDEF)
-            log.setdefault(loc, v)
-            return v
-        return read_const
 
     def read(s, env, log):
         at = where(s, env, log)
@@ -272,9 +269,6 @@ def _unneeded(code: Code, s, env, log) -> None:
 
 
 def _eq(a: Code, b: Code) -> Code:
-    k = getattr(b, "value", _NOT_CONST)
-    if k is not _NOT_CONST:
-        return lambda s, env, log: a(s, env, log) == k
     return lambda s, env, log: a(s, env, log) == b(s, env, log)
 
 
@@ -344,13 +338,6 @@ def _assign(lhs: Term, rhs: Code) -> Code:
             raise EvalError(f"assignment target must be a dynamic function: {lhs!r}")
         return bad_target
     where = _where(lhs.func, [_term(a) for a in lhs.args])
-    if type(where) is Location:
-        loc = where
-
-        def assign_const(s, env, log, res):
-            log.setdefault(loc, s.values.get(loc, UNDEF))
-            return frozenset(((loc, rhs(s, env, log)),))
-        return assign_const
 
     def assign(s, env, log, res):
         at = where(s, env, log)
@@ -467,8 +454,7 @@ def rw_term(t: Term, state: State, env: Env,
     log = {} if read_log is None else read_log
     writes: FrozenSet[Location] = frozenset()
     if isinstance(t, Apply) and not is_static(t.func):
-        where = _where(t.func, [_term(a) for a in t.args])
-        head = where if isinstance(where, Location) else where(state, env, log)
+        head = _where(t.func, [_term(a) for a in t.args])(state, env, log)
         log.setdefault(head, state.get(head))
         writes = frozenset({head})
     else:

@@ -29,16 +29,19 @@ def make_rng(*parts) -> random.Random:
 class ChoiceResolver:
     """Resolves choose-rule witnesses as a pure function of the seed material.
 
-    Each pick is keyed by the choose node's id and its occurrence count within
-    this resolver, so two structurally identical traversals (e.g. location
-    analysis and execution) built from the same material make identical
-    choices.
+    Each pick is keyed by the choose node's id, plus `base`, and its
+    occurrence count within this resolver, so two structurally identical
+    traversals (e.g. location analysis and execution) built from the same
+    material make identical choices.  A program numbers its choose nodes
+    from 0; base is its machine's offset in the run (see
+    dsl.MachineProgram.choice_base).
     """
 
-    __slots__ = ("material", "_counts")
+    __slots__ = ("material", "base", "_counts")
 
-    def __init__(self, material: bytes):
+    def __init__(self, material: bytes, base: int = 0):
         self.material = material
+        self.base = base
         self._counts: Dict[int, int] = {}
 
     def pick(self, node_id: int, n: int) -> int:
@@ -47,6 +50,6 @@ class ChoiceResolver:
         occ = self._counts.get(node_id, 0)
         self._counts[node_id] = occ + 1
         h = hashlib.blake2b(self.material, digest_size=8)
-        h.update(node_id.to_bytes(8, "big", signed=True))
+        h.update((node_id + self.base).to_bytes(8, "big", signed=True))
         h.update(occ.to_bytes(8, "big"))
         return int.from_bytes(h.digest(), "big") % n

@@ -109,7 +109,7 @@ def analyse(program: MachineProgram, state: State, material: bytes):
     """One pass over the main rule: its reads (with values), writes and
     update set in this state."""
     read_log: Dict[Location, Value] = {}
-    resolver = ChoiceResolver(material)
+    resolver = ChoiceResolver(material, program.choice_base)
     rw = rw_rule(_main_code(program), state, {}, resolver, read_log=read_log)
     return rw, read_log
 
@@ -151,14 +151,6 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     needs = _lock_needs(program, rw)
     tcb.analyses[ordinal] = (seed, rw, read_log, needs)
     return rw, read_log, needs
-
-
-def _locks_for(needs: LockPair, cs: ControllerState, machine: str,
-               tested: FrozenSet[Location]) -> LockPair:
-    """The step's lock needs, with the termination test's shared and
-    monitored reads `tested` among its reads, that the machine does not
-    hold yet."""
-    return cs.locks.missing(machine, needs.r_loc | tested, needs.w_loc)
 
 
 def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:
@@ -228,65 +220,56 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
     has computed.  Only the analyses kept on tcb for reuse are written.  A
     `blocked` machine gets `IDLE_STEP`; the engine does not step it.
     """
-    if tcb.ctl_state == ACTIVE:
-        return _active_step(program, tcb, state, cs, seed, step_index)
-    if blocked(tcb, cs, wait_mode):
-        return IDLE_STEP, []
-    if tcb.ctl_state == WAIT_LOCKS:
-        return _wait_locks_step(program, tcb, state, cs, seed, step_index)
-    if tcb.ctl_state == WAIT_RECOVERY:
-        return _moved((WAIT_RECOVERY, ACTIVE))
-    raise IllegalControlState(f"{tcb.machine_id} cannot step in {tcb.ctl_state}")
-
-
-def _active_step(program, tcb, state, cs, seed, step_index):
     m = tcb.machine_id
-    if m in cs.victims:
-        return _moved((ACTIVE, WAIT_RECOVERY))
+    if tcb.ctl_state == ACTIVE:
+        if m in cs.victims:
+            return _moved((ACTIVE, WAIT_RECOVERY))
+        granted, change = EMPTY_LOCKS, None
+    elif blocked(tcb, cs, wait_mode):
+        return IDLE_STEP, []
+    elif tcb.ctl_state == WAIT_LOCKS:
+        granted, status = cs.requests[m]
+        if status == REFUSED:
+            return _moved((WAIT_LOCKS, ACTIVE))
+        if status != GRANTED:
+            # Pending, and a victim in suspend mode.  Without refusals there
+            # is no trip through "active" where victimization is normally
+            # observed; withdraw the pending request so no locks are granted
+            # during recovery, and wait.
+            return _moved((WAIT_LOCKS, WAIT_RECOVERY), ("withdraw_request", m))
+        change = (WAIT_LOCKS, ACTIVE)
+    elif tcb.ctl_state == WAIT_RECOVERY:
+        return _moved((WAIT_RECOVERY, ACTIVE))
+    else:
+        raise IllegalControlState(f"{m} cannot step in {tcb.ctl_state}")
+    # TA(M): ask to commit once M has terminated; take the step when every
+    # lock it and the termination test need is held; else ask for the rest.
     done, tested = _termination(program, state)
     if done:
-        unlocked = tested and tested - cs.locks.locked_by(m)
-        if unlocked:
-            return _moved((ACTIVE, WAIT_LOCKS),
-                          ("lock_request", m, LockPair(unlocked)))
-        tcb.analyses.clear()
-        return _moved((ACTIVE, DONE), ("commit_request", m))
-    ordinal = next_ordinal(cs.histories[m])
-    rw, read_log, needs = _step_analysis(program, tcb, state, seed, ordinal)
-    needed = _locks_for(needs, cs, m, tested)
-    if not needed.is_empty():
-        return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
-    return _proper(program, m, state, rw, read_log, EMPTY_LOCKS, step_index,
-                   ordinal, None)
-
-
-def _wait_locks_step(program, tcb, state, cs, seed, step_index):
-    """The step of a machine in wait-locks that is not `blocked`."""
-    m = tcb.machine_id
-    pair, status = cs.requests[m]
-    if status == GRANTED:
-        done, tested = _termination(program, state)
-        if not done:
-            ordinal = next_ordinal(cs.histories[m])
-            rw, read_log, needs = _step_analysis(program, tcb, state, seed,
-                                                 ordinal)
-            if _locks_for(needs, cs, m, tested).is_empty():
-                return _proper(program, m, state, rw, read_log, pair,
-                               step_index, ordinal, (WAIT_LOCKS, ACTIVE))
+        needed = cs.locks.missing(m, tested, frozenset())
+    else:
+        ordinal = next_ordinal(cs.histories[m])
+        rw, read_log, needs = _step_analysis(program, tcb, state, seed, ordinal)
+        needed = cs.locks.missing(m, needs.r_loc | tested, needs.w_loc)
+        if needed.is_empty():
+            updates, reads = checked_step(program, m, rw, read_log)
+            entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
+                                 locks=granted, origin_step=step_index,
+                                 ordinal=ordinal)
+            return (MachineStep(updates, reads, change, True),
+                    [("append_history", m, entry)])
+    if change is not None:
         # The machine terminated, or the state moved between request and
         # grant and the step or the test now touches unlocked locations;
         # keep the granted locks on the undo history (so backtracking
         # releases them) and go on from active, which requests commit or
         # the missing locks.
-        entry = HistoryEntry(saved=(), locks=pair)
-        return _moved((WAIT_LOCKS, ACTIVE), ("append_history", m, entry))
-    if status == REFUSED:
-        return _moved((WAIT_LOCKS, ACTIVE))
-    # Pending, and a victim in suspend mode.  Without refusals there is no
-    # trip through "active" where victimization is normally observed;
-    # withdraw the pending request so no locks are granted during recovery,
-    # and wait.
-    return _moved((WAIT_LOCKS, WAIT_RECOVERY), ("withdraw_request", m))
+        entry = HistoryEntry(saved=(), locks=granted)
+        return _moved(change, ("append_history", m, entry))
+    if not needed.is_empty():
+        return _moved((ACTIVE, WAIT_LOCKS), ("lock_request", m, needed))
+    tcb.analyses.clear()
+    return _moved((ACTIVE, DONE), ("commit_request", m))
 
 
 def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
@@ -297,14 +280,3 @@ def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
         if program.classify(l.func) == "monitored":
             raise InvalidWrite(f"{machine_id} writes monitored location {l}")
     return rw.updates, _by_location(read_log.items())
-
-
-def _proper(program, machine_id, state, rw: RwSet, read_log,
-            lock_set: LockPair, step_index, ordinal, ctl_change
-            ) -> Tuple[MachineStep, List[tuple]]:
-    updates, reads = checked_step(program, machine_id, rw, read_log)
-    entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
-                         locks=lock_set, origin_step=step_index,
-                         ordinal=ordinal)
-    return (MachineStep(updates, reads, ctl_change, True),
-            [("append_history", machine_id, entry)])

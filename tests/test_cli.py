@@ -1606,3 +1606,26 @@ def test_check_domain_size_above_the_bound_exits_one(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"malformed trace: domain_size must be at most {MAX_DOMAIN_SIZE}, "
         f"got {MAX_DOMAIN_SIZE + 1}\n")
+
+
+DOUBLER = """\
+machine d
+init x() := 1
+init n() := 0
+terminated: n() = 14500
+rule: par { x() := x() + x() ; n() := n() + 1 }
+"""
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_past_the_int_string_limit_exits_one(tmp_path, capsys, traced):
+    # x doubles each step and passes sys.get_int_max_str_digits() digits
+    # long before n reaches 14500: no trace could write it.
+    (tmp_path / "d.tas").write_text(DOUBLER)
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"programs": ["d.tas"], "max_steps": 20000}))
+    trace = ["--trace", str(tmp_path / "t.jsonl")] if traced else []
+    assert main(["run", str(tmp_path / "manifest.json"), *trace]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: + gives an integer of more than")
+    assert err.count("\n") == 1 and "Traceback" not in err

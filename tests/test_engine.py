@@ -235,6 +235,29 @@ def test_termination_test_of_a_shared_flag_serializes(wait_mode, run_mode):
     assert done
 
 
+CHOOSER = """machine {name}
+shared g
+init pc_{name}() := 0
+init g() := 0
+terminated: pc_{name}() = 3
+rule: par {{ pc_{name}() := pc_{name}() + 1 ; choose c with c < 4 do g() := c }}
+"""
+
+
+def test_a_second_config_sharing_a_program_leaves_the_first_alone():
+    # Each program numbers its choose nodes once, from 0; the config only
+    # offsets them.  Building another config from one of the programs must
+    # change neither the first config's run nor what `check` makes of it.
+    for seed in range(8):
+        a, b = (parse_program(CHOOSER.format(name=n)) for n in "ab")
+        config = RunConfig([a, b], seed=seed)
+        before = trace_to_lines(run(config))
+        RunConfig([b], seed=seed)
+        after = trace_to_lines(run(config))
+        assert after == before, seed
+        assert check_serializable(trace_from_lines(after)).ok, seed
+
+
 def test_sync_and_interleave_share_choice_streams():
     # same machine observes the same choose witnesses in both modes because
     # the material depends on its own proper-step count, not global time

@@ -27,7 +27,6 @@ from taserial.wrapper import (
     WAIT_RECOVERY,
     analyse,
     _lock_needs,
-    _locks_for,
     choice_material,
     overwritten_values,
     terminated,
@@ -79,7 +78,8 @@ def material():
 
 def new_locks(cs):
     rw = analyse(PROG, initial_state(), material())[0]
-    return _locks_for(_lock_needs(PROG, rw), cs, "m", frozenset())
+    needs = _lock_needs(PROG, rw)
+    return cs.locks.missing("m", needs.r_loc, needs.w_loc)
 
 
 def test_new_locks_classifies_reads_and_writes():
@@ -247,8 +247,7 @@ def test_grant_after_state_drift_renegotiates():
 
 def test_transitions_are_the_changes_the_wrapper_steps_make():
     from taserial import wrapper
-    source = "".join(inspect.getsource(f) for f in (
-        wrapper_step, wrapper._active_step, wrapper._wait_locks_step))
+    source = inspect.getsource(wrapper_step)
     state = r"(ACTIVE|WAIT_LOCKS|WAIT_RECOVERY|DONE|UNREGISTERED)"
     made = {(getattr(wrapper, a), getattr(wrapper, b))
             for a, b in re.findall(rf"\({state}, {state}\)", source)}

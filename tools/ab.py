@@ -1,0 +1,142 @@
+"""A/B driver: alternating pairs of fuzzbench runs on two checkouts.
+
+    python3 tools/ab.py PARENT CHANGE --workload fuzz12 --pairs 10
+
+PARENT and CHANGE are two checkouts of the repository, each in its own
+directory.  Pair i runs `python3 fuzzbench/run.py --workload W --seed S
+--seconds T --trace 0` once in each; the parent runs first in odd pairs and
+the change first in even ones, so a drift in machine load falls on both
+sides alike.  Before every run each tree's `src/**/__pycache__` is deleted,
+so `setup_s` always starts from the same bytecode-cache state.
+
+For each end-to-end metric named in the change's BENCHMARK.json it prints
+both medians, the parent's IQR (third minus first quartile,
+statistics.quantiles' exclusive method) and in how many pairs the change is
+better, and whether every run of both sides wrote the same traces
+(fuzzbench's trace_sha256); `--json FILE` also writes every run.  It uses the standard library
+only and imports nothing from either tree.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Sequence
+
+
+def clear_bytecode(tree: Path) -> None:
+    for cache in sorted((tree / "src").rglob("__pycache__")):
+        shutil.rmtree(cache)
+
+
+def run_once(tree: Path, trees: Sequence[Path], workload: str, seed: int,
+             seconds: float) -> dict:
+    """One untraced fuzzbench run in tree, after clearing the bytecode of
+    every tree in trees: its final JSON line."""
+    for each in trees:
+        clear_bytecode(each)
+    out = subprocess.run(
+        [sys.executable, "fuzzbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"ab: {tree}: fuzzbench exited {out.returncode}:\n"
+                         f"{out.stderr}")
+    result = json.loads(lines[-1])
+    result["trace_sha256"] = [l.split()[1] for l in lines
+                              if l.strip().startswith("trace_sha256")]
+    return result
+
+
+def quartiles(values: Sequence[float]):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def summarize(parent: List[Dict[str, float]], change: List[Dict[str, float]],
+              metrics: Dict[str, str]) -> Dict[str, dict]:
+    """Per metric (name -> "lower" or "higher" is better): both medians,
+    the parent's quartiles and IQR, and the pairs the change wins; pair i
+    is parent[i] against change[i], and a tie counts for neither."""
+    out = {}
+    for name, better in metrics.items():
+        p = [run[name] for run in parent]
+        c = [run[name] for run in change]
+        q1, q3 = quartiles(p)
+        sign = 1 if better == "lower" else -1
+        out[name] = {
+            "parent_median": statistics.median(p),
+            "change_median": statistics.median(c),
+            "parent_q1": q1, "parent_q3": q3, "parent_iqr": q3 - q1,
+            "pairs_change_better": sum(sign * (b - a) < 0
+                                       for a, b in zip(p, c)),
+            "pairs": len(p),
+        }
+    return out
+
+
+def report(summary: Dict[str, dict]) -> str:
+    rows = [f"{'metric':22s} {'parent':>10s} {'change':>10s} {'change%':>8s} "
+            f"{'p.IQR':>8s} {'wins':>6s}"]
+    for name, s in summary.items():
+        pct = 100 * (s["change_median"] / s["parent_median"] - 1)
+        rows.append(f"{name:22s} {s['parent_median']:10.4g} "
+                    f"{s['change_median']:10.4g} {pct:+8.2f} "
+                    f"{s['parent_iqr']:8.3g} "
+                    f"{s['pairs_change_better']:>3d}/{s['pairs']}")
+    return "\n".join(rows)
+
+
+def _values(result: dict, metrics) -> Dict[str, float]:
+    row = {name: result["metrics"][name]["value"] for name in metrics}
+    row.update(correct=result["correct"], attempted=result["attempted"],
+               failed=result["failed"], trace_sha256=result["trace_sha256"])
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=30)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", type=Path)
+    args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    trees = (args.parent, args.change)
+    runs: Dict[str, list] = {"parent": [], "change": []}
+    for i in range(1, args.pairs + 1):
+        order = ["parent", "change"] if i % 2 else ["change", "parent"]
+        for side in order:
+            result = run_once(getattr(args, side), trees, args.workload,
+                              args.seed, args.seconds)
+            runs[side].append(dict(pair=i, **_values(result, metrics)))
+        print(f"pair {i}: " + "  ".join(
+            f"{side} " + " ".join(f"{runs[side][-1][m]:.4g}" for m in metrics)
+            for side in ("parent", "change")), flush=True)
+    summary = summarize(runs["parent"], runs["change"], metrics)
+    print(f"== {args.workload}: {args.pairs} pairs, {args.seconds:g} s each")
+    print(report(summary))
+    hashes = {side: {tuple(r["trace_sha256"]) for r in rs}
+              for side, rs in runs.items()}
+    print("trace_sha256 equal on both sides:",
+          hashes["parent"] == hashes["change"] and len(hashes["parent"]) == 1)
+    if args.json:
+        args.json.write_text(json.dumps(
+            {"workload": args.workload, "summary": summary, "runs": runs},
+            indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
