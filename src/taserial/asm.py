@@ -607,22 +607,19 @@ def substitute_rule(r: Rule, mapping: Dict[str, Term]) -> Rule:
 def assign_choice_ids(rules: list, start: int = 0) -> int:
     """Number every ChooseDo node in deterministic preorder; returns next id."""
     next_id = start
-
-    def walk(r: Rule) -> None:
-        nonlocal next_id
-        if isinstance(r, ChooseDo):
+    todo = rules[::-1]  # a stack: the next node to visit is last
+    while todo:
+        r = todo.pop()
+        kind = type(r)
+        if kind is ChooseDo:
             r.node_id = next_id
             next_id += 1
-            walk(r.body)
-        elif isinstance(r, If):
-            walk(r.then)
-            walk(r.orelse)
-        elif isinstance(r, (Let, ForallDo)):
-            walk(r.body)
-        elif isinstance(r, (Par, Seq)):
-            for item in r.items:
-                walk(item)
-
-    for r in rules:
-        walk(r)
+            todo.append(r.body)
+        elif kind is If:
+            todo.append(r.orelse)
+            todo.append(r.then)
+        elif kind is Let or kind is ForallDo:
+            todo.append(r.body)
+        elif kind is Par or kind is Seq:
+            todo += r.items[::-1]
     return next_id

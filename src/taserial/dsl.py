@@ -72,14 +72,15 @@ KEYWORDS = {
     "true", "false", "undef",
 }
 
-# Whitespace matches no alternative, so findall steps over it; a comment
-# matches with both groups empty; a lexeme fills the first group and any
-# other character the second.
-_TOKEN_RE = re.compile(
-    r"#[^\n]*"
-    r"|(\d+|[A-Za-z_][A-Za-z0-9_]*|:=|[(){};,:./=<+\-'])"
-    r"|(\S)"
-)
+# An operator, an identifier, an integer, `:` or `:=`: the frequent first.
+_LEXEME = r"[(){};,./=<+\-']|[A-Za-z_][A-Za-z0-9_]*|\d+|:=?"
+_LEXEME_RE = re.compile(_LEXEME)
+# The `#` of a comment, or a character that is no whitespace or lexeme.
+_ODD_RE = re.compile(r"[^\s\dA-Za-z_(){};,:./=<+\-']")
+# The scan of a text that holds one.  Whitespace matches no alternative, so
+# findall steps over it; a comment matches with both groups empty; a lexeme
+# fills the first group and any other character the second.
+_TOKEN_RE = re.compile(rf"#[^\n]*|({_LEXEME})|(\S)")
 
 
 def _tokenize(text: str) -> List[str]:
@@ -89,8 +90,11 @@ def _tokenize(text: str) -> List[str]:
     A lexeme's kind is its first character: a digit starts an integer, a
     letter or `_` an identifier (`str.isidentifier`), anything else is an
     operator."""
-    toks = [lex for lex, bad in _TOKEN_RE.findall(text)
-            if lex or bad and _bad_character(text)]
+    if _ODD_RE.search(text) is None:
+        toks = _LEXEME_RE.findall(text)
+    else:
+        toks = [lex for lex, bad in _TOKEN_RE.findall(text)
+                if lex or bad and _bad_character(text)]
     toks.append("")
     return toks
 
@@ -160,7 +164,8 @@ class MachineProgram:
             return "output"
         return "controlled"
 
-    def validate(self) -> None:
+    def validate(self, calls: Dict[str, List[Tuple[str, int]]]) -> None:
+        """`calls` maps each rule, "<main>" last, to its calls' names and arities."""
         for a, b in (("shared", "monitored"), ("shared", "output"),
                      ("monitored", "output")):
             overlap = getattr(self, a) & getattr(self, b)
@@ -171,74 +176,70 @@ class MachineProgram:
             for n in names:
                 if is_static(n):
                     raise ProgramError(f"{self.name}: {n} is a built-in function")
-        _check_call_graph(self.name, self.main_rule, self.named_rules)
+        rules = self.named_rules
+        for callees in calls.values():
+            for callee, arity in callees:
+                if callee not in rules:
+                    raise ProgramError(
+                        f"{self.name}: call to undeclared rule {callee!r}")
+                if len(rules[callee].params) != arity:
+                    raise ProgramError(
+                        f"{self.name}: wrong arity in call to {callee!r}")
+        state: Dict[str, int] = {}
+        for node in calls:
+            _check_recursion(self.name, calls, node, state)
         for loc, _ in self.inits:
             if is_static(loc.func):
                 raise ProgramError(f"{self.name}: cannot initialize built-in {loc.func}")
 
 
-def _check_call_graph(name: str, main: Rule, rules: Dict[str, NamedRule]) -> None:
-    def callees(r: Rule, acc: Set[str]) -> None:
-        if isinstance(r, Call):
-            acc.add(r.rule)
-            if r.rule not in rules:
-                raise ProgramError(f"{name}: call to undeclared rule {r.rule!r}")
-            if len(rules[r.rule].params) != len(r.args):
-                raise ProgramError(f"{name}: wrong arity in call to {r.rule!r}")
-        elif isinstance(r, If):
-            callees(r.then, acc)
-            callees(r.orelse, acc)
-        elif isinstance(r, (Let, ForallDo, ChooseDo)):
-            callees(r.body, acc)
-        elif isinstance(r, (Par, Seq)):
-            for item in r.items:
-                callees(item, acc)
-
-    graph: Dict[str, Set[str]] = {}
-    for rname, named in rules.items():
-        acc: Set[str] = set()
-        callees(named.body, acc)
-        graph[rname] = acc
-    acc = set()
-    callees(main, acc)
-    graph["<main>"] = acc
-
-    state: Dict[str, int] = {}  # 1 = visiting, 2 = done
-
-    def visit(node: str) -> None:
-        if state.get(node) == 2:
-            return
-        if state.get(node) == 1:
-            raise ProgramError(f"{name}: recursive rule calls through {node!r}")
+def _check_recursion(name: str, calls: Dict[str, List[Tuple[str, int]]],
+                     node: str, state: Dict[str, int]) -> None:
+    """Depth first from `node` through `calls`; state: 1 while a rule's
+    calls are searched, 2 after.  (A closure calling itself would tie the
+    program into a reference cycle that only the collector frees.)"""
+    if state.get(node) == 1:
+        raise ProgramError(f"{name}: recursive rule calls through {node!r}")
+    if node not in state:
         state[node] = 1
-        for nxt in graph.get(node, ()):
-            visit(nxt)
+        for callee, _ in calls[node]:
+            _check_recursion(name, calls, callee, state)
         state[node] = 2
 
-    for node in graph:
-        visit(node)
+
+class _Leaves(dict):
+    """A program's argument-free applications by name, each built once."""
+
+    def __missing__(self, name: str) -> Apply:
+        node = self[name] = Apply(name)
+        return node
+
+
+_SKIP = Skip()
+_TERMS = (Apply, Var)
+# The bound variables in scope, each with its node.
+_Scope = Dict[str, Var]
+_NO_VARS: _Scope = {}
 
 
 class _Parser:
+    """Recursive descent over the token list, terms and formulas by
+    precedence climbing (Pratt, "Top down operator precedence", 1973).  Each
+    parse method takes the index of its first token and returns what it
+    parsed with the index of the token after it."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
-        self.pos = 0
+        self.leaves = _Leaves()
+        self.calls: List[Tuple[str, int]] = []  # of the rule being parsed
 
     # -- token helpers ----------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> str:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> str:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> NoReturn:
-        tok = self.toks[self.pos]
+    def fail(self, message: str, i: int) -> NoReturn:
+        tok = self.toks[i]
         raise ParseError(message + (f" (at {tok!r})" if tok else " (at end)"),
-                         *_position(self.text, self._offset(self.pos)))
+                         *_position(self.text, self._offset(i)))
 
     def _offset(self, index: int) -> int:
         """Offset in the text of token `index`, found by lexing it again."""
@@ -249,40 +250,37 @@ class _Parser:
                 index -= 1
         return len(self.text)
 
-    def expect(self, text: str) -> None:
-        if self.toks[self.pos] != text:
-            self.fail(f"expected {text!r}")
-        self.pos += 1
+    def expect(self, text: str, i: int) -> int:
+        if self.toks[i] != text:
+            self.fail(f"expected {text!r}", i)
+        return i + 1
 
-    def at(self, text: str) -> bool:
-        return self.toks[self.pos] == text
-
-    def ident(self) -> str:
-        tok = self.toks[self.pos]
+    def ident(self, i: int) -> str:
+        tok = self.toks[i]
         if not tok.isidentifier():
-            self.fail("expected identifier")
+            self.fail("expected identifier", i)
         if tok in KEYWORDS:
-            self.fail(f"keyword {tok!r} cannot be used as a name")
-        self.pos += 1
+            self.fail(f"keyword {tok!r} cannot be used as a name", i)
         return tok
 
-    def _list(self, item, *args) -> list:
-        """`( item, ... )`: the items, each parsed by `item(*args)`."""
-        self.expect("(")
+    def _list(self, item, i: int, *args) -> Tuple[list, int]:
+        """`( item, ... )`: the items, each parsed by `item(j, *args)`."""
+        i = self.expect("(", i)
         items = []
-        if not self.at(")"):
-            items.append(item(*args))
-            while self.at(","):
-                self.next()
-                items.append(item(*args))
-        self.expect(")")
-        return items
+        if self.toks[i] != ")":
+            x, i = item(i, *args)
+            items.append(x)
+            while self.toks[i] == ",":
+                x, i = item(i + 1, *args)
+                items.append(x)
+        return items, self.expect(")", i)
 
     # -- program ----------------------------------------------------------
 
     def program(self) -> MachineProgram:
-        self.expect("machine")
-        name = self.ident()
+        toks = self.toks
+        name = self.ident(self.expect("machine", 0))
+        i = 2
         classes: Dict[str, Set[str]] = {"shared": set(), "monitored": set(),
                                         "output": set()}
         arities: Dict[str, int] = {}
@@ -290,254 +288,256 @@ class _Parser:
         terminated = MachineProgram.terminated
         main_rule = None
         named_rules: Dict[str, NamedRule] = {}
-        while self.peek():
-            tok = self.peek()
+        calls: Dict[str, List[Tuple[str, int]]] = {}
+        while toks[i]:
+            tok = toks[i]
             if tok in classes:
-                self.next()
-                classes[tok] |= self._name_list(arities)
+                names, i = self._name_list(i + 1, arities)
+                classes[tok] |= names
             elif tok == "init":
-                self.next()
-                inits.append(self._init())
+                func = self.ident(i + 1)
+                args, i = self._list(self._value_literal, i + 2)
+                val, i = self._value_literal(self.expect(":=", i))
+                inits.append((Location(func, tuple(args)), val))
             elif tok == "terminated":
-                self.next()
-                self.expect(":")
-                terminated = self.formula(frozenset())
+                terminated, i = self.formula(self.expect(":", i + 1), _NO_VARS)
             elif tok == "rule":
-                self.next()
-                if self.at(":"):
-                    self.next()
-                    main_rule = self.rule(frozenset())
+                self.calls = []
+                if toks[i + 1] == ":":
+                    main_rule, i = self.rule(i + 2, _NO_VARS)
+                    main_calls = self.calls
                 else:
-                    rname = self.ident()
-                    params = self._list(self.ident)
-                    self.expect(":")
-                    body = self.rule(frozenset(params))
+                    rname = self.ident(i + 1)
+                    params, i = self._list(
+                        lambda j: (self.ident(j), j + 1), i + 2)
+                    body, i = self.rule(self.expect(":", i),
+                                        {p: Var(p) for p in params})
                     if rname in named_rules:
-                        self.fail(f"duplicate rule {rname!r}")
+                        self.fail(f"duplicate rule {rname!r}", i)
                     named_rules[rname] = NamedRule(tuple(params), body)
+                    calls[rname] = self.calls
             else:
-                self.fail("expected a program section")
+                self.fail("expected a program section", i)
         if main_rule is None:
             raise ParseError("program has no main rule", 1, 1)
         prog = MachineProgram(
             name=name, **{k: frozenset(v) for k, v in classes.items()},
             arities=arities, inits=inits, terminated=terminated,
             main_rule=main_rule, named_rules=named_rules)
-        prog.validate()
+        calls["<main>"] = main_calls
+        prog.validate(calls)
         return prog
 
-    def _name_list(self, arities: Dict[str, int]) -> Set[str]:
+    def _name_list(self, i: int, arities: Dict[str, int]
+                   ) -> Tuple[Set[str], int]:
+        toks = self.toks
         names: Set[str] = set()
-        while self.peek().isidentifier() and self.peek() not in KEYWORDS:
-            name = self.ident()
+        while toks[i].isidentifier() and toks[i] not in KEYWORDS:
+            name = toks[i]
             names.add(name)
-            if self.at("/"):
-                self.next()
-                if not self.peek().isdecimal():
-                    self.fail("expected arity")
-                arity = int(self._integer())
+            i += 1
+            if toks[i] == "/":
+                if not toks[i + 1].isdecimal():
+                    self.fail("expected arity", i + 1)
+                arity, i = self._integer(i + 1), i + 2
                 prior = arities.get(name)
                 if prior is not None and prior != arity:
-                    self.fail(f"conflicting arity for {name}")
+                    self.fail(f"conflicting arity for {name}", i)
                 arities[name] = arity
         if not names:
-            self.fail("expected at least one function name")
-        return names
+            self.fail("expected at least one function name", i)
+        return names, i
 
-    def _init(self) -> Tuple[Location, Value]:
-        func = self.ident()
-        args = self._list(self._value_literal)
-        self.expect(":=")
-        val = self._value_literal()
-        return Location(func, tuple(args)), val
-
-    def _integer(self) -> str:
-        """The integer literal at the current token, once int() takes it."""
-        tok = self.peek()
+    def _integer(self, i: int) -> int:
+        """The integer literal at token i, once int() takes it."""
+        tok = self.toks[i]
         try:
-            int(tok)
+            return int(tok)
         except ValueError:  # more digits than the interpreter converts
             raise ParseError(f"integer literal of {len(tok)} digits is too long",
-                             *_position(self.text, self._offset(self.pos))
-                             ) from None
-        self.pos += 1
-        return tok
+                             *_position(self.text, self._offset(i))) from None
 
-    def _value_literal(self) -> Value:
-        tok = self.peek()
+    def _value_literal(self, i: int) -> Tuple[Value, int]:
+        toks = self.toks
+        tok = toks[i]
         if tok.isdecimal():
-            return int(self._integer())
-        if tok == "-" and self.peek(1).isdecimal():
-            self.next()
-            return -int(self._integer())
+            return self._integer(i), i + 1
+        if tok == "-" and toks[i + 1].isdecimal():
+            return -self._integer(i + 1), i + 2
         if tok in ("true", "false", "undef"):
-            return static_apply(self.next(), ())
+            return static_apply(tok, ()), i + 1
         if tok == "'":
-            self.next()
-            return self.ident()
-        self.fail("expected a literal value")
+            return self.ident(i + 1), i + 2
+        self.fail("expected a literal value", i)
 
     # -- terms ------------------------------------------------------------
 
-    def term(self, bound: FrozenSet[str], first: Optional[Term] = None) -> Term:
-        """Primaries joined by `+`/`-`; `first` is the first one if parsed."""
-        t = self._term_primary(bound) if first is None else first
-        while self.peek() in ("+", "-"):
-            op = self.next()
-            t = Apply(op, (t, self._term_primary(bound)))
-        return t
-
-    def _term_primary(self, bound: FrozenSet[str]) -> Term:
-        tok = self.peek()
-        if tok.isdecimal():
-            return Apply(self._integer())
-        self.pos += 1
-        if tok.isidentifier() and tok not in KEYWORDS:
-            if self.at("("):
-                return Apply(tok, tuple(self._list(self.term, bound)))
-            if tok in bound:
-                return Var(tok)
-            return Apply(tok)
-        if tok == "-":
-            if self.peek().isdecimal():
-                return Apply("-" + self._integer())
-            return Apply("-", (Apply("0"), self._term_primary(bound)))
-        if tok == "(":
-            t = self.term(bound)
-            self.expect(")")
-            return t
-        if tok == "'":
-            return Apply("'" + self.ident())
-        if tok in ("true", "false", "undef"):
-            return Apply(tok)
-        self.pos -= 1  # report the token that starts no term
-        self.fail("expected a term")
+    def term(self, i: int, bound: _Scope, t: Optional[Term] = None,
+             alone: bool = False) -> Tuple[Term, int]:
+        """Primaries joined by `+`/`-`, to the left, or with `alone` one
+        primary; `t` is the first primary, if parsed, and i the token after
+        it."""
+        toks, leaves = self.toks, self.leaves
+        op, p = None, t
+        while True:
+            if p is None:
+                tok = toks[i]
+                if tok.isidentifier() and tok not in KEYWORDS:
+                    if toks[i + 1] != "(":
+                        p, i = bound.get(tok) or leaves[tok], i + 1
+                    elif toks[i + 2] == ")":
+                        p, i = leaves[tok], i + 3
+                    else:
+                        args, i = self._list(self.term, i + 1, bound)
+                        p = Apply(tok, tuple(args))
+                elif tok.isdecimal() or tok == "-" and toks[i + 1].isdecimal():
+                    if tok == "-":
+                        i += 1
+                        tok = "-" + toks[i]
+                    if tok not in leaves:
+                        self._integer(i)
+                    p, i = leaves[tok], i + 1
+                elif tok == "(":
+                    p, i = self.term(i + 1, bound)
+                    if toks[i] != ")":
+                        self.fail("expected ')'", i)
+                    i += 1
+                elif tok == "-":
+                    p, i = self.term(i + 1, bound, alone=True)
+                    p = Apply("-", (leaves["0"], p))
+                elif tok == "'":
+                    p, i = leaves["'" + self.ident(i + 1)], i + 2
+                elif tok in ("true", "false", "undef"):
+                    p, i = leaves[tok], i + 1
+                else:
+                    self.fail("expected a term", i)
+            t = p if op is None else Apply(op, (t, p))
+            op = toks[i]
+            if alone or op != "+" and op != "-":
+                return t, i
+            p, i = None, i + 1
 
     # -- formulae ---------------------------------------------------------
 
-    def formula(self, bound: FrozenSet[str], first=None) -> Formula:
-        """Disjunction of conjunctions; `first` is the first operand if parsed."""
-        f = self._conj(bound, first)
-        while self.at("or"):
-            self.next()
-            f = Or(f, self._conj(bound))
-        return f
+    def formula(self, i: int, bound: _Scope,
+                f=None) -> Tuple[Formula, int]:
+        """Operands joined by `and`, which binds tighter, and by `or`, each
+        to the left; `f` is the first operand, if parsed, and i the token
+        after it."""
+        toks = self.toks
+        if f is None:
+            f, i = self._formula_or_term(i, bound)
+            f = self._as_formula(f, i)
+        left = None  # the disjunction of the operands before f's conjunction
+        op = toks[i]
+        while op == "and" or op == "or":
+            g, i = self._formula_or_term(i + 1, bound)
+            g = self._as_formula(g, i)
+            if op == "and":
+                f = And(f, g)
+            else:
+                left = f if left is None else Or(left, f)
+                f = g
+            op = toks[i]
+        return (f if left is None else Or(left, f)), i
 
-    def _conj(self, bound: FrozenSet[str], first=None) -> Formula:
-        f = self._neg(bound) if first is None else first
-        while self.at("and"):
-            self.next()
-            f = And(f, self._neg(bound))
-        return f
-
-    def _neg(self, bound: FrozenSet[str]) -> Formula:
-        f = self._formula_or_term(bound)
-        return self._as_formula(f) if isinstance(f, (Apply, Var)) else f
-
-    def _formula_or_term(self, bound: FrozenSet[str]) -> Union[Formula, Term]:
+    def _formula_or_term(self, i: int, bound: _Scope
+                         ) -> Tuple[Union[Formula, Term], int]:
         """A negation, a quantifier, a comparison or a parenthesised formula;
         or a term that no `=` or `<` follows, left for the caller to read as
         an atom or as the parenthesised start of a comparison."""
-        tok = self.peek()
-        if tok == "not":
-            self.next()
-            return Not(self._neg(bound))
-        if tok in ("forall", "exists"):
-            self.next()
-            var = self.ident()
-            self.expect(".")
-            body = self.formula(bound | {var})
-            return Forall(var, body) if tok == "forall" else Exists(var, body)
+        toks = self.toks
+        tok = toks[i]
         if tok == "(":
-            self.next()
-            inner = self._formula_or_term(bound)
-            if isinstance(inner, (Apply, Var)):
-                if self.at(")"):
-                    # A parenthesised term: the first primary of a term,
-                    # which a comparison may follow.
-                    self.next()
-                    return self._comparison(bound, self.term(bound, inner))
-                if self.peek() in ("and", "or"):
-                    inner = self._as_formula(inner)
-            # Anything else after a bare term fails on the ")" expected here.
-            f = self.formula(bound, inner)
-            self.expect(")")
-            return f
-        return self._comparison(bound, self.term(bound))
-
-    def _comparison(self, bound: FrozenSet[str], t: Term) -> Union[Formula, Term]:
-        op = self.peek()
+            inner, i = self._formula_or_term(i + 1, bound)
+            if toks[i] == "and" or toks[i] == "or":
+                inner = self._as_formula(inner, i)
+            if type(inner) not in _TERMS or toks[i] != ")":
+                # A formula; after a bare term, the ")" expected here fails.
+                f, i = self.formula(i, bound, inner)
+                return f, self.expect(")", i)
+            # A parenthesised term: the first primary of a term, which a
+            # comparison may follow.
+            t, i = self.term(i + 1, bound, inner)
+        elif tok == "not":
+            f, i = self._formula_or_term(i + 1, bound)
+            return Not(self._as_formula(f, i)), i
+        elif tok == "forall" or tok == "exists":
+            var = self.ident(i + 1)
+            body, i = self.formula(self.expect(".", i + 2),
+                                   {**bound, var: Var(var)})
+            return (Forall if tok == "forall" else Exists)(var, body), i
+        else:
+            t, i = self.term(i, bound)
+        op = toks[i]
         if op == "=" or op == "<":
-            self.next()
-            return (Eq if op == "=" else Lt)(t, self.term(bound))
-        return t
+            right, i = self.term(i + 1, bound)
+            return (Eq if op == "=" else Lt)(t, right), i
+        return t, i
 
-    def _as_formula(self, t: Term) -> Formula:
-        """The formula that a term standing alone denotes: `true`, `false`
-        or an atom."""
-        if isinstance(t, Apply):
-            if t.func == "true":
-                return Eq(Apply("0"), Apply("0"))
-            if t.func == "false":
-                return Not(Eq(Apply("0"), Apply("0")))
-            if not is_static(t.func):
-                return Atom(t.func, t.args)
-        self.fail("expected a comparison or atom")
+    def _as_formula(self, f: Union[Formula, Term], i: int) -> Formula:
+        """f, or the formula that a term f standing alone denotes: `true`,
+        `false` or an atom."""
+        kind = type(f)
+        if kind not in _TERMS:
+            return f
+        if kind is Apply:
+            if f.func == "true":
+                return Eq(self.leaves["0"], self.leaves["0"])
+            if f.func == "false":
+                return Not(Eq(self.leaves["0"], self.leaves["0"]))
+            if not is_static(f.func):
+                return Atom(f.func, f.args)
+        self.fail("expected a comparison or atom", i)
 
     # -- rules ------------------------------------------------------------
 
-    def rule(self, bound: FrozenSet[str]) -> Rule:
-        tok = self.peek()
-        if tok == "skip":
-            self.next()
-            return Skip()
-        if tok == "if":
-            self.next()
-            guard = self.formula(bound)
-            self.expect("then")
-            then = self.rule(bound)
-            orelse: Rule = Skip()
-            if self.at("else"):
-                self.next()
-                orelse = self.rule(bound)
-            return If(guard, then, orelse)
-        if tok == "let":
-            self.next()
-            var = self.ident()
-            self.expect("=")
-            bind = self.term(bound)
-            self.expect("in")
-            return Let(var, bind, self.rule(bound | {var}))
-        if tok in ("forall", "choose"):
-            self.next()
-            var = self.ident()
-            self.expect("with")
-            guard = self.formula(bound | {var})
-            self.expect("do")
-            body = self.rule(bound | {var})
-            if tok == "forall":
-                return ForallDo(var, guard, body)
-            return ChooseDo(var, guard, body)
-        if tok in ("par", "seq"):
-            self.next()
-            self.expect("{")
-            items = [self.rule(bound)]
-            while self.at(";"):
-                self.next()
-                items.append(self.rule(bound))
-            self.expect("}")
-            if len(items) == 1:
-                return items[0]
-            return (Par if tok == "par" else Seq)(tuple(items))
-        if tok == "call":
-            self.next()
-            name = self.ident()
-            return Call(name, tuple(self._list(self.term, bound)))
-        lhs = self.term(bound)
-        if not isinstance(lhs, Apply) or is_static(lhs.func):
-            self.fail("assignment target must be a function application")
-        self.expect(":=")
-        return Assign(lhs, self.term(bound))  # type: ignore[arg-type]
+    def rule(self, i: int, bound: _Scope) -> Tuple[Rule, int]:
+        toks = self.toks
+        tok = toks[i]
+        if tok in KEYWORDS:
+            if tok == "if":
+                guard, i = self.formula(i + 1, bound)
+                then, i = self.rule(self.expect("then", i), bound)
+                if toks[i] != "else":
+                    return If(guard, then, _SKIP), i
+                orelse, i = self.rule(i + 1, bound)
+                return If(guard, then, orelse), i
+            if tok == "skip":
+                return _SKIP, i + 1
+            if tok == "let":
+                var = self.ident(i + 1)
+                bind, i = self.term(self.expect("=", i + 2), bound)
+                body, i = self.rule(self.expect("in", i),
+                                    {**bound, var: Var(var)})
+                return Let(var, bind, body), i
+            if tok == "forall" or tok == "choose":
+                var = self.ident(i + 1)
+                inner = {**bound, var: Var(var)}
+                guard, i = self.formula(self.expect("with", i + 2), inner)
+                body, i = self.rule(self.expect("do", i), inner)
+                return (ForallDo if tok == "forall" else ChooseDo)(var, guard, body), i
+            if tok == "par" or tok == "seq":
+                item, i = self.rule(self.expect("{", i + 1), bound)
+                items = [item]
+                while toks[i] == ";":
+                    item, i = self.rule(i + 1, bound)
+                    items.append(item)
+                i = self.expect("}", i)
+                if len(items) == 1:
+                    return item, i
+                return (Par if tok == "par" else Seq)(tuple(items)), i
+            if tok == "call":
+                name = self.ident(i + 1)
+                args, i = self._list(self.term, i + 2, bound)
+                self.calls.append((name, len(args)))
+                return Call(name, tuple(args)), i
+        # An assignment; a keyword that starts no rule fails in it.
+        lhs, i = self.term(i, bound)
+        if type(lhs) is not Apply or is_static(lhs.func):
+            self.fail("assignment target must be a function application", i)
+        rhs, i = self.term(self.expect(":=", i), bound)
+        return Assign(lhs, rhs), i  # type: ignore[arg-type]
 
 
 def parse_program(text: str) -> MachineProgram:

@@ -18,6 +18,7 @@ from . import controller as ctl
 from .asm import (
     AsmError,
     Constant,
+    EvalError,
     FALSE,
     InconsistentUpdateSet,
     Location,
@@ -403,8 +404,12 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             tcb = tcbs[m]
             if blocked(tcb, cs, wait_mode):  # it performs no step: no record
                 continue
-            ms, eff = wrapper_step(programs[m], tcb, state, cs, seed, index,
-                                   wait_mode)
+            try:
+                ms, eff = wrapper_step(programs[m], tcb, state, cs, seed,
+                                       index, wait_mode)
+            except EvalError as e:
+                e.args = (f"{e} (machine {m}, step {index})",)
+                raise
             per_machine[m] = ms
             if ms.ctl_change is not None:  # read by this machine alone
                 tcb.ctl_state = ms.ctl_change[1]

@@ -36,3 +36,34 @@ def test_clear_bytecode_removes_only_caches_under_src(tmp_path):
                   for p in tmp_path.rglob("*") if p.is_file())
     assert left == ["fuzzbench/__pycache__/m.pyc", "src/pkg/m.py"]
 
+
+
+def test_session_of_two_workloads_alternates_and_summarizes_each():
+    calls = []
+
+    def run(side, workload):
+        calls.append((side, workload))
+        k = len(calls)
+        # fuzz3's change is always faster; fuzz12's only in pair 2.
+        value = {"fuzz3": 10.0 if side == "parent" else 9.0,
+                 "fuzz12": 20.0 + k}[workload]
+        return {"run": value, "trace_sha256": [workload]}
+
+    runs = ab.session(run, ["fuzz3", "fuzz12"], 2)
+    assert calls == [("parent", "fuzz3"), ("change", "fuzz3"),
+                     ("parent", "fuzz12"), ("change", "fuzz12"),
+                     ("change", "fuzz3"), ("parent", "fuzz3"),
+                     ("change", "fuzz12"), ("parent", "fuzz12")]
+    assert sorted(runs) == ["fuzz12", "fuzz3"]
+    assert [r["pair"] for r in runs["fuzz12"]["change"]] == [1, 2]
+    assert [r["run"] for r in runs["fuzz12"]["parent"]] == [23.0, 28.0]
+    assert [r["run"] for r in runs["fuzz12"]["change"]] == [24.0, 27.0]
+    fast = ab.summarize(runs["fuzz3"]["parent"], runs["fuzz3"]["change"],
+                        {"run": "lower"})["run"]
+    assert (fast["pairs_change_better"], fast["change_median"]) == (2, 9.0)
+    mixed = ab.summarize(runs["fuzz12"]["parent"], runs["fuzz12"]["change"],
+                         {"run": "lower"})["run"]
+    assert (mixed["pairs_change_better"], mixed["pairs"]) == (1, 2)
+    assert ab.same_traces(runs["fuzz3"]) and ab.same_traces(runs["fuzz12"])
+    runs["fuzz12"]["change"][1]["trace_sha256"] = ["other"]
+    assert not ab.same_traces(runs["fuzz12"])

@@ -1629,3 +1629,21 @@ def test_run_past_the_int_string_limit_exits_one(tmp_path, capsys, traced):
     err = capsys.readouterr().err
     assert err.startswith("error: + gives an integer of more than")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_run_past_the_int_string_limit_names_machine_and_step(tmp_path, capsys,
+                                                              traced):
+    from taserial.asm import INT_DIGITS
+
+    # Step i doubles x() to 2 ** (i + 1); the first step to reach
+    # 10 ** INT_DIGITS fails.
+    step = (10 ** INT_DIGITS).bit_length() - 1
+    (tmp_path / "d.tas").write_text(DOUBLER)
+    (tmp_path / "manifest.json").write_text(
+        json.dumps({"programs": ["d.tas"], "max_steps": 20000}))
+    trace = ["--trace", str(tmp_path / "t.jsonl")] if traced else []
+    assert main(["run", str(tmp_path / "manifest.json"), *trace]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith(f" (machine d, step {step})\n")
+    assert err.count("\n") == 1

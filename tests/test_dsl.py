@@ -1,3 +1,12 @@
+import gc
+import os
+import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import parser_reference
 import pytest
 
 from taserial.asm import (
@@ -22,6 +31,7 @@ from taserial.asm import (
     assign_choice_ids,
 )
 from taserial.dsl import (
+    KEYWORDS,
     ParseError,
     ProgramError,
     parse_program,
@@ -82,6 +92,33 @@ def test_undeclared_rule_call_rejected():
                       "rule: seq { call tick() ; skip ; call missing() }")
 
 
+# Recorded from the recursive-descent parser (tests/parser_reference.py),
+# which found the calls by walking the rules.
+@pytest.mark.parametrize("text,message", [
+    ("machine a rule: call missing()",
+     "a: call to undeclared rule 'missing'"),
+    ("machine a rule f(x): skip rule: call f()",
+     "a: wrong arity in call to 'f'"),
+    ("machine a rule f(): call g(1) rule g(): skip rule: call f()",
+     "a: wrong arity in call to 'g'"),
+    ("machine a rule: call f() rule f(): call g()",
+     "a: call to undeclared rule 'g'"),
+    ("machine a rule loop(): call loop() rule: call loop()",
+     "a: recursive rule calls through 'loop'"),
+    ("machine a shared x output x monitored x rule: skip",
+     "a: ['x'] declared both shared and monitored"),
+])
+def test_program_error_message(text, message):
+    with pytest.raises(ProgramError) as e:
+        parse_program(text)
+    assert str(e.value) == message
+
+
+def test_calls_of_a_replaced_main_rule_are_not_checked():
+    assert parse_program("machine a rule: call missing() rule: skip"
+                         ).main_rule == Skip()
+
+
 def test_block_of_5000_calls_passes_validation():
     calls = " ; ".join(["call tick()"] * 5000)
     prog = parse_program(f"machine a rule tick(): skip rule: par {{ {calls} }}")
@@ -94,6 +131,23 @@ def test_recursive_rule_rejected():
             "rule: call loop()")
     with pytest.raises(ProgramError):
         parse_program(text)
+
+
+def test_recursion_is_reported_at_the_same_rule_under_every_hash_seed():
+    # a calls b, then c; b calls a and c calls itself.  The search follows
+    # calls in text order, so it closes the cycle through a first.
+    text = ("machine m rule a(): par { call b() ; call c() } "
+            "rule b(): call a() rule c(): call c() rule: call a()")
+    script = ("import sys\nfrom taserial.dsl import ProgramError, parse_program\n"
+              "try:\n    parse_program(sys.argv[1])\n"
+              "except ProgramError as e:\n    print(e)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in "0123":
+        out = subprocess.run([sys.executable, "-c", script, text],
+                             env={**os.environ, "PYTHONHASHSEED": seed,
+                                  "PYTHONPATH": src},
+                             capture_output=True, text=True, check=True)
+        assert out.stdout == "m: recursive rule calls through 'a'\n"
 
 
 def test_named_rule_call_round_trip():
@@ -158,6 +212,26 @@ def test_round_trip_on_generated_programs():
         assert again.inits == prog.inits
 
 
+def test_parsing_leaves_nothing_for_the_collector():
+    # A self-calling closure, or a cycle through a program, would leave the
+    # parse's objects for the collector, whose pauses then land elsewhere.
+    texts = [print_program(prog) for prog in _generated_programs()]
+    texts.append("machine a shared x init x() := 1 "
+                 "rule bump(n): x() := x() + n "
+                 "rule twice(n): seq { call bump(n) ; call bump(n) } "
+                 "rule: choose k with k < 3 do call twice(k)")
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for text in texts:
+            parse_program(text)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _renumbered(prog):
     """The program with its choose ids numbered from 0, as a lone config
     would number them."""
@@ -175,6 +249,63 @@ def test_parse_of_print_equals_program_on_generated_programs():
     assert count == 40 * 3 + 4 * 12 + 2 * 24
 
 
+# -- differential: the parser against the recursive-descent reference ---------
+
+_LEXEME = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|:=|\S")
+
+
+def _mutants(texts, count, seed=0):
+    """`count` token-level edits of the texts, drawn with a fixed seed: a
+    bad character, a comment, a token dropped, doubled, swapped with the
+    next, replaced or cut off with what follows, or an unbalanced
+    parenthesis."""
+    rng = random.Random(seed)
+    vocabulary = sorted({m.group() for t in texts for m in _LEXEME.finditer(t)}
+                        | KEYWORDS)
+    for n in range(count):
+        text = texts[n % len(texts)]
+        spans = [m.span() for m in _LEXEME.finditer(text)]
+        k = rng.randrange(len(spans) - 1)
+        (a, b), (c, d) = spans[k], spans[k + 1]
+        edit = n % 9
+        if edit == 0:
+            insert = rng.choice(["@", "$", "\u00e9", "[", "\u00a0", "\u0663"])
+            yield text[:a] + insert + text[a:]
+        elif edit == 1:
+            yield text[:a] + "# note ( @\n" + text[a:]
+        elif edit == 2:
+            yield text[:a] + text[b:]
+        elif edit == 3:
+            yield text[:b] + " " + text[a:b] + text[b:]
+        elif edit == 4:
+            yield text[:a] + text[c:d] + text[b:c] + text[a:b] + text[d:]
+        elif edit == 5:
+            yield text[:a] + rng.choice(vocabulary) + text[b:]
+        elif edit == 6:
+            yield text[:rng.choice([a, b])]
+        else:
+            yield text[:a] + ("(" if edit == 7 else ")") + " " + text[a:]
+
+
+def _outcome(parse, text):
+    try:
+        prog = parse(text)
+    except (ParseError, ProgramError) as e:
+        return type(e), str(e), getattr(e, "line", 0), getattr(e, "column", 0)
+    return prog, repr(prog)
+
+
+def test_parser_agrees_with_reference_on_generated_and_mutated_programs():
+    texts = [print_program(prog) for prog in _generated_programs()]
+    failed = 0
+    for text in texts + list(_mutants(texts, 2000)):
+        outcome = _outcome(parse_program, text)
+        assert outcome == _outcome(parser_reference.parse_program, text), text
+        failed += len(outcome) == 4
+    # Most edits break the text, some keep it a program.
+    assert 1000 < failed < 2000
+
+
 def test_arity_annotations_survive_round_trip():
     text = "machine a shared arr/1 grid/2 rule: arr(0) := 1"
     prog = parse_program(text)
@@ -183,6 +314,8 @@ def test_arity_annotations_survive_round_trip():
 
 
 # -- error contract ------------------------------------------------------------
+
+LONG = "9" * 5000  # past the interpreter's int-string conversion limit
 
 # Message, line and column of ParseError on bad inputs, recorded from the
 # parser before its token layer was rewritten.
@@ -235,6 +368,86 @@ BAD_INPUTS = [
      "1:32: expected '.' (at 'x')", 1, 32),
     ('machine a rule: choose v with v < 2 skip',
      "1:37: expected 'do' (at 'skip')", 1, 37),
+    # Recorded from the recursive-descent parser (tests/parser_reference.py).
+    ('machine a x',
+     "1:11: expected a program section (at 'x')", 1, 11),
+    ('machine a terminated: x() < y() < z() rule: skip',
+     "1:33: expected a program section (at '<')", 1, 33),
+    ('machine',
+     '1:8: expected identifier (at end)', 1, 8),
+    ('machine a terminated x() = 1 rule: skip',
+     "1:22: expected ':' (at 'x')", 1, 22),
+    ('machine a rule r: skip',
+     "1:17: expected '(' (at ':')", 1, 17),
+    ('machine a rule r() skip rule: skip',
+     "1:20: expected ':' (at 'skip')", 1, 20),
+    ('machine a init x() = 1 rule: skip',
+     "1:20: expected ':=' (at '=')", 1, 20),
+    ('machine a init x := 1 rule: skip',
+     "1:18: expected '(' (at ':=')", 1, 18),
+    ('machine a init x(1 2) := 1 rule: skip',
+     "1:20: expected ')' (at '2')", 1, 20),
+    ("machine a init x() := '1 rule: skip",
+     "1:24: expected identifier (at '1')", 1, 24),
+    ('machine a init x() := -y rule: skip',
+     "1:23: expected a literal value (at '-')", 1, 23),
+    ('machine a rule: x() = 1',
+     "1:21: expected ':=' (at '=')", 1, 21),
+    ("machine a rule: x() := '1",
+     "1:25: expected identifier (at '1')", 1, 25),
+    ('machine a rule: x() := ()',
+     "1:25: expected a term (at ')')", 1, 25),
+    ('machine a rule: x() := - rule',
+     "1:26: expected a term (at 'rule')", 1, 26),
+    ('machine a rule: par skip }',
+     "1:21: expected '{' (at 'skip')", 1, 21),
+    ('machine a rule: par { skip skip }',
+     "1:28: expected '}' (at 'skip')", 1, 28),
+    ('machine a rule: seq { skip ; skip',
+     "1:34: expected '}' (at end)", 1, 34),
+    ('machine a rule: let v := 1 in skip',
+     "1:23: expected '=' (at ':=')", 1, 23),
+    ('machine a rule: let v = 1 skip',
+     "1:27: expected 'in' (at 'skip')", 1, 27),
+    ('machine a rule: forall v do skip',
+     "1:26: expected 'with' (at 'do')", 1, 26),
+    ('machine a rule: call f',
+     "1:23: expected '(' (at end)", 1, 23),
+    ('machine a rule: call f(1 2)',
+     "1:26: expected ')' (at '2')", 1, 26),
+    ('machine a rule: call 1()',
+     "1:22: expected identifier (at '1')", 1, 22),
+    ('machine a rule: x(1 2) := 1',
+     "1:21: expected ')' (at '2')", 1, 21),
+    ('machine a rule: let v = 1 in v := 2',
+     "1:32: assignment target must be a function application (at ':=')",
+     1, 32),
+    ('machine a terminated: undef rule: skip',
+     "1:29: expected a comparison or atom (at 'rule')", 1, 29),
+    ('machine a terminated: (1 and x()) rule: skip',
+     "1:26: expected a comparison or atom (at 'and')", 1, 26),
+    ('machine a terminated: (x() + 1 rule: skip',
+     "1:32: expected ')' (at 'rule')", 1, 32),
+    ('machine a rule: if (x() then skip',
+     "1:25: expected ')' (at 'then')", 1, 25),
+    ('machine a terminated: exists 1 . x() rule: skip',
+     "1:30: expected identifier (at '1')", 1, 30),
+    ('machine a terminated: not not rule: skip',
+     "1:31: expected a term (at 'rule')", 1, 31),
+    # Past the interpreter's int-string conversion limit, at each place a
+    # literal is read.
+    pytest.param(f'machine a rule: x() := {LONG}',
+                 '1:24: integer literal of 5000 digits is too long', 1, 24,
+                 id="long-literal-in-term"),
+    pytest.param(f'machine a rule: x() := -{LONG}',
+                 '1:25: integer literal of 5000 digits is too long', 1, 25,
+                 id="long-negative-literal-in-term"),
+    pytest.param(f'machine a init x() := -{LONG} rule: skip',
+                 '1:24: integer literal of 5000 digits is too long', 1, 24,
+                 id="long-literal-in-init"),
+    pytest.param(f'machine a shared x/{LONG} rule: skip',
+                 '1:20: integer literal of 5000 digits is too long', 1, 20,
+                 id="long-arity"),
 ]
 
 
@@ -289,6 +502,23 @@ def test_parenthesised_term_starts_a_comparison(parse, text, expected):
     ("((x()) and (1 < y()))", And(Atom("x"), Lt(ONE, Y))),
 ])
 def test_parenthesised_formulas_keep_their_trees(text, expected):
+    assert _terminated(text) == expected
+
+
+# Precedence and associativity, as README's "Program language" states them.
+@pytest.mark.parametrize("text,expected", [
+    ("x() - 1 - 2 = 0", Eq(Apply("-", (Apply("-", (X, ONE)), TWO)), Apply("0"))),
+    ("x() < 1 + 2", Lt(X, Apply("+", (ONE, TWO)))),
+    ("- x() + 1 = 2", Eq(Apply("+", (Apply("-", (Apply("0"), X)), ONE)), TWO)),
+    ("x() or y() and 1 < 2", Or(Atom("x"), And(Atom("y"), Lt(ONE, TWO)))),
+    ("x() and y() or x()", Or(And(Atom("x"), Atom("y")), Atom("x"))),
+    ("x() or y() or x()", Or(Or(Atom("x"), Atom("y")), Atom("x"))),
+    ("x() and y() and x()", And(And(Atom("x"), Atom("y")), Atom("x"))),
+    ("not x() = 1 and y()", And(Not(Eq(X, ONE)), Atom("y"))),
+    ("not not x() or y()", Or(Not(Not(Atom("x"))), Atom("y"))),
+    ("exists v . v = 1 or x()", Exists("v", Or(Eq(Var("v"), ONE), Atom("x")))),
+])
+def test_precedence_and_associativity(text, expected):
     assert _terminated(text) == expected
 
 

@@ -1,20 +1,22 @@
 """A/B driver: alternating pairs of fuzzbench runs on two checkouts.
 
-    python3 tools/ab.py PARENT CHANGE --workload fuzz12 --pairs 10
+    python3 tools/ab.py PARENT CHANGE --workload fuzz3,fuzz12,fuzz24 --pairs 10
 
 PARENT and CHANGE are two checkouts of the repository, each in its own
 directory.  Pair i runs `python3 fuzzbench/run.py --workload W --seed S
---seconds T --trace 0` once in each; the parent runs first in odd pairs and
-the change first in even ones, so a drift in machine load falls on both
-sides alike.  Before every run each tree's `src/**/__pycache__` is deleted,
-so `setup_s` always starts from the same bytecode-cache state.
+--seconds T --trace 0` once in each, for every listed workload W in turn;
+the parent runs first in odd pairs and the change first in even ones, for
+every workload, so a drift in machine load falls on both sides alike.
+Before every run each tree's `src/**/__pycache__` is deleted, so `setup_s`
+always starts from the same bytecode-cache state.
 
-For each end-to-end metric named in the change's BENCHMARK.json it prints
-both medians, the parent's IQR (third minus first quartile,
-statistics.quantiles' exclusive method) and in how many pairs the change is
-better, and whether every run of both sides wrote the same traces
-(fuzzbench's trace_sha256); `--json FILE` also writes every run.  It uses the standard library
-only and imports nothing from either tree.
+For each workload and each end-to-end metric named in the change's
+BENCHMARK.json it prints both medians, the parent's IQR (third minus first
+quartile, statistics.quantiles' exclusive method) and in how many pairs the
+change is better, and whether every run of both sides wrote the same traces
+(fuzzbench's trace_sha256); `--json FILE` also writes every run, by
+workload.  It uses the standard library only and imports nothing from either
+tree.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -101,40 +103,64 @@ def _values(result: dict, metrics) -> Dict[str, float]:
     return row
 
 
+def session(run: Callable[[str, str], dict], workloads: Sequence[str],
+            pairs: int) -> Dict[str, Dict[str, list]]:
+    """Alternating pairs: pair i runs every workload on both sides, the
+    parent first in odd pairs; `run(side, workload)` gives one run's row.
+    Returns each workload's rows by side."""
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    for i in range(1, pairs + 1):
+        order = ["parent", "change"] if i % 2 else ["change", "parent"]
+        for w in workloads:
+            for side in order:
+                runs[w][side].append(dict(pair=i, **run(side, w)))
+    return runs
+
+
+def same_traces(runs: Dict[str, list]) -> bool:
+    """Whether every run of both sides wrote the same traces."""
+    hashes = {side: {tuple(r["trace_sha256"]) for r in rs}
+              for side, rs in runs.items()}
+    return hashes["parent"] == hashes["change"] and len(hashes["parent"]) == 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="one workload, or several separated by commas")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", type=Path)
     args = parser.parse_args(argv)
+    workloads = args.workload.split(",")
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = (args.parent, args.change)
-    runs: Dict[str, list] = {"parent": [], "change": []}
-    for i in range(1, args.pairs + 1):
-        order = ["parent", "change"] if i % 2 else ["change", "parent"]
-        for side in order:
-            result = run_once(getattr(args, side), trees, args.workload,
-                              args.seed, args.seconds)
-            runs[side].append(dict(pair=i, **_values(result, metrics)))
-        print(f"pair {i}: " + "  ".join(
-            f"{side} " + " ".join(f"{runs[side][-1][m]:.4g}" for m in metrics)
-            for side in ("parent", "change")), flush=True)
-    summary = summarize(runs["parent"], runs["change"], metrics)
-    print(f"== {args.workload}: {args.pairs} pairs, {args.seconds:g} s each")
-    print(report(summary))
-    hashes = {side: {tuple(r["trace_sha256"]) for r in rs}
-              for side, rs in runs.items()}
-    print("trace_sha256 equal on both sides:",
-          hashes["parent"] == hashes["change"] and len(hashes["parent"]) == 1)
+
+    def run(side: str, workload: str) -> dict:
+        row = _values(run_once(getattr(args, side), trees, workload,
+                               args.seed, args.seconds), metrics)
+        print(f"{workload} {side}: "
+              + " ".join(f"{row[m]:.4g}" for m in metrics), flush=True)
+        return row
+
+    runs = session(run, workloads, args.pairs)
+    out = {}
+    for w in workloads:
+        summary = summarize(runs[w]["parent"], runs[w]["change"], metrics)
+        equal = same_traces(runs[w])
+        print(f"== {w}: {args.pairs} pairs, {args.seconds:g} s each")
+        print(report(summary))
+        print("trace_sha256 equal on both sides:", equal)
+        out[w] = {"summary": summary, "trace_sha256_equal": equal,
+                  "runs": runs[w]}
     if args.json:
         args.json.write_text(json.dumps(
-            {"workload": args.workload, "summary": summary, "runs": runs},
-            indent=1) + "\n")
+            {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
+             "workloads": out}, indent=1) + "\n")
     return 0
 
 
