@@ -12,6 +12,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
 
 
@@ -548,7 +549,8 @@ def expand_call(call: Call, rules: Dict[str, NamedRule]) -> Rule:
 def substitute_term(t: Term, mapping: Dict[str, Term]) -> Term:
     if isinstance(t, Var):
         return mapping.get(t.name, t)
-    return Apply(t.func, tuple(substitute_term(a, mapping) for a in t.args))
+    # map, not a generator: no frame of its own on deep terms
+    return Apply(t.func, tuple(map(substitute_term, t.args, repeat(mapping))))
 
 
 def substitute_formula(f: Formula, mapping: Dict[str, Term]) -> Formula:
@@ -604,9 +606,9 @@ def substitute_rule(r: Rule, mapping: Dict[str, Term]) -> Rule:
     raise TypeError(f"not a rule: {r!r}")
 
 
-def assign_choice_ids(rules: list, start: int = 0) -> int:
-    """Number every ChooseDo node in deterministic preorder; returns next id."""
-    next_id = start
+def assign_choice_ids(rules: list) -> int:
+    """Number the ChooseDo nodes in preorder from 0; returns their count."""
+    next_id = 0
     todo = rules[::-1]  # a stack: the next node to visit is last
     while todo:
         r = todo.pop()

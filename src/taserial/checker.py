@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .asm import (AsmError, Location, State, UpdateSet, Value, apply_updates,
-                  loc_key)
+from .asm import (AsmError, EvalError, Location, State, UpdateSet, Value,
+                  apply_updates, loc_key)
 from .engine import Trace, encode_location, encode_value
 from .wrapper import analyse, checked_step, choice_material, terminated
 
@@ -115,23 +115,28 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
     """Run each bare machine, without the controller, in the given order,
     each from the state the previous one left; returns their schedules.  A
     machine that matches performs at most one proper step per trace step, so
-    one still running after `max_steps` proper steps is UncommittedMachine."""
+    one still running after `max_steps` proper steps is UncommittedMachine.
+    An EvalError names the machine and its serial step, the ordinal."""
     config = trace.config
     programs = {p.name: p for p in config.machines}
     state = State(dict(trace.initial_values), config.domain())
     schedules: Dict[str, CleanSchedule] = {}
     for m in order:
         program, entries = programs[m], []
-        while not terminated(program, state):
-            ordinal = len(entries)
-            if ordinal == config.max_steps:
-                raise UncommittedMachine(
-                    f"{m} did not terminate within {ordinal} proper steps")
-            rw, read_log = analyse(program, state,
-                                   choice_material(config.seed, m, ordinal))
-            updates, reads = checked_step(program, m, rw, read_log)
-            state = apply_updates(state, updates)
-            entries.append(ScheduleEntry(ordinal, updates, reads))
+        try:
+            while not terminated(program, state):
+                ordinal = len(entries)
+                if ordinal == config.max_steps:
+                    raise UncommittedMachine(
+                        f"{m} did not terminate within {ordinal} proper steps")
+                rw, read_log = analyse(
+                    program, state, choice_material(config.seed, m, ordinal))
+                updates, reads = checked_step(program, m, rw, read_log)
+                state = apply_updates(state, updates)
+                entries.append(ScheduleEntry(ordinal, updates, reads))
+        except EvalError as e:
+            e.args = (f"{e} (machine {m}, serial step {len(entries)})",)
+            raise
         schedules[m] = tuple(entries)
     return schedules
 

@@ -172,10 +172,6 @@ class MachineProgram:
             if overlap:
                 raise ProgramError(
                     f"{self.name}: {sorted(overlap)} declared both {a} and {b}")
-        for names in (self.shared, self.monitored, self.output):
-            for n in names:
-                if is_static(n):
-                    raise ProgramError(f"{self.name}: {n} is a built-in function")
         rules = self.named_rules
         for callees in calls.values():
             for callee, arity in callees:
@@ -188,9 +184,6 @@ class MachineProgram:
         state: Dict[str, int] = {}
         for node in calls:
             _check_recursion(self.name, calls, node, state)
-        for loc, _ in self.inits:
-            if is_static(loc.func):
-                raise ProgramError(f"{self.name}: cannot initialize built-in {loc.func}")
 
 
 def _check_recursion(name: str, calls: Dict[str, List[Tuple[str, int]]],

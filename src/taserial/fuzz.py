@@ -42,6 +42,7 @@ from .seeds import make_rng
 COUNTER = "pc"
 SCRATCH = "q"
 ARRAY = "arr"
+BODY_DEPTH = 2  # nesting below which a body may open par, seq, forall, choose
 
 
 @dataclass
@@ -52,7 +53,6 @@ class FuzzParams:
     max_steps_per_machine: int = 4
     domain_size: int = 4
     step_budget: int = 250
-    body_depth: int = 2
 
 
 class _BodyGen:
@@ -124,11 +124,11 @@ class _BodyGen:
     def rule(self, bound: Tuple[str, ...], depth: int, allow_choose: bool) -> Rule:
         rng = self.rng
         opts = ["assign", "assign", "assign", "if", "let", "skip"]
-        if depth < self.params.body_depth:
+        if depth < BODY_DEPTH:
             opts += ["par", "seq"]
             if not self.used_array and not any(f == ARRAY for f, _ in self.written):
                 opts.append("forall")
-        if allow_choose and depth < self.params.body_depth:
+        if allow_choose and depth < BODY_DEPTH:
             opts.append("choose")
         pick = rng.choice(opts)
         if pick == "assign":

@@ -26,7 +26,6 @@ from typing import Callable, Dict, FrozenSet, Optional
 from .asm import (
     And,
     Apply,
-    ArityMismatch,
     Assign,
     Atom,
     Call,
@@ -62,13 +61,12 @@ from .asm import (
     Value,
     Var,
     consistent,
+    expand_call,
     is_static,
     make_location,
     seq_advance,
     seq_merge,
     static_apply,
-    substitute_formula,
-    substitute_term,
     update_locations,
 )
 
@@ -86,8 +84,6 @@ ReadLog = Dict[Location, Value]
 # code(state, env, log, resolver) and return their update set.  Every read
 # goes into log, which keeps the first value seen of each location.
 Code = Callable
-
-Sub = Dict[str, Term]  # parameter -> argument term, inside a rule call
 
 
 # -- terms ------------------------------------------------------------------
@@ -294,42 +290,31 @@ def _guard_range(var: str, guard: Code):
 # -- rules ------------------------------------------------------------------
 
 
-def _rule(r: Rule, sub: Sub, rules: Dict[str, NamedRule]) -> Code:
-    """Code for r with the parameters in sub replaced by their argument
-    terms, as asm.substitute_rule does.  Choose nodes stay the original
-    ones, so their ids are read when the code runs."""
+def _rule(r: Rule, rules: Dict[str, NamedRule]) -> Code:
+    """Code for r, whose calls run the named rules in rules; a choose node's
+    id is read when the code runs."""
     kind = type(r)
     if kind is Assign:
-        lhs = substitute_term(r.lhs, sub) if sub else r.lhs
-        return _assign(lhs, _term(substitute_term(r.rhs, sub) if sub else r.rhs))
+        return _assign(r.lhs, _term(r.rhs))
     if kind is If:
-        return _if(r, sub, rules)
+        return _if(r, rules)
     if kind is Par:
-        return _par([_rule(i, sub, rules) for i in r.items])
+        return _par([_rule(i, rules) for i in r.items])
     if kind is Seq:
-        return _seq([_rule(i, sub, rules) for i in r.items])
+        return _seq([_rule(i, rules) for i in r.items])
     if kind is Skip:
         return lambda s, env, log, res: EMPTY_UPDATES
     if kind is Let:
-        var = r.var
-        bind = _term(substitute_term(r.bind, sub) if sub else r.bind)
-        body = _rule(r.body, _unbind(sub, var), rules)
+        var, bind, body = r.var, _term(r.bind), _rule(r.body, rules)
         return lambda s, env, log, res: body(
             s, {**env, var: bind(s, env, log)}, log, res)
     if kind is ForallDo or kind is ChooseDo:
-        inner = _unbind(sub, r.var)
-        guard = _formula(substitute_formula(r.guard, inner) if inner else r.guard)
-        body = _rule(r.body, inner, rules)
         make = _forall if kind is ForallDo else _choose
-        return make(r, _guard_range(r.var, guard), body)
+        return make(r, _guard_range(r.var, _formula(r.guard)),
+                    _rule(r.body, rules))
     if kind is Call:
-        args = tuple(substitute_term(a, sub) for a in r.args) if sub else r.args
-        return _call(r.rule, args, rules)
+        return _call(r, rules)
     raise TypeError(f"not a rule: {r!r}")
-
-
-def _unbind(sub: Sub, var: str) -> Sub:
-    return {k: v for k, v in sub.items() if k != var} if var in sub else sub
 
 
 def _assign(lhs: Term, rhs: Code) -> Code:
@@ -346,19 +331,19 @@ def _assign(lhs: Term, rhs: Code) -> Code:
     return assign
 
 
-def _if(r: If, sub: Sub, rules: Dict[str, NamedRule]) -> Code:
+def _if(r: If, rules: Dict[str, NamedRule]) -> Code:
     """Each branch is compiled the first time it is taken."""
-    guard = _formula(substitute_formula(r.guard, sub) if sub else r.guard)
+    guard = _formula(r.guard)
     then = orelse = None
 
     def if_(s, env, log, res):
         nonlocal then, orelse
         if guard(s, env, log):
             if then is None:
-                then = _rule(r.then, sub, rules)
+                then = _rule(r.then, rules)
             return then(s, env, log, res)
         if orelse is None:
-            orelse = _rule(r.orelse, sub, rules)
+            orelse = _rule(r.orelse, rules)
         return orelse(s, env, log, res)
     return if_
 
@@ -413,23 +398,18 @@ def _choose(r: ChooseDo, domain_range: Code, body: Code) -> Code:
     return choose
 
 
-def _call(name: str, args, rules: Dict[str, NamedRule]) -> Code:
-    """Code for a named-rule call; the expansion is compiled on first use."""
+def _call(call: Call, rules: Dict[str, NamedRule]) -> Code:
+    """Code for a call: asm.expand_call's expansion, compiled when the call
+    first runs, as the spec expands it.  The expansion copies each choose
+    node with its id: a program's ids are fixed when it is built."""
     body = None
 
-    def call(s, env, log, res):
+    def call_(s, env, log, res):
         nonlocal body
         if body is None:
-            try:
-                named = rules[name]
-            except KeyError:
-                raise EvalError(f"unknown rule {name!r}") from None
-            if len(named.params) != len(args):
-                raise ArityMismatch(
-                    f"rule {name} takes {len(named.params)} args, got {len(args)}")
-            body = _rule(named.body, dict(zip(named.params, args)), rules)
+            body = _rule(expand_call(call, rules), rules)
         return body(s, env, log, res)
-    return call
+    return call_
 
 
 # -- entry points -------------------------------------------------------------
@@ -438,7 +418,7 @@ def _call(name: str, args, rules: Dict[str, NamedRule]) -> Code:
 def compile_rule(r: Rule, rules: Optional[Dict[str, NamedRule]] = None
                  ) -> Code:
     """The code of rule r, calling the named rules in rules."""
-    return _rule(r, {}, {} if rules is None else rules)
+    return _rule(r, {} if rules is None else rules)
 
 
 def compile_formula(f: Formula) -> Code:

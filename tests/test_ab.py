@@ -37,6 +37,29 @@ def test_clear_bytecode_removes_only_caches_under_src(tmp_path):
     assert left == ["fuzzbench/__pycache__/m.pyc", "src/pkg/m.py"]
 
 
+def test_src_lines_per_module_and_in_total(tmp_path):
+    for tree, files in (("parent", {"src/pkg/a.py": "x = 1\ny = 2\n",
+                                    "src/pkg/gone.py": "z = 3\n"}),
+                        ("change", {"src/pkg/a.py": "x = 1\n",
+                                    "src/pkg/sub/b.py": "b = 1\nc = 2\nd = 3",
+                                    "src/pkg/notes.txt": "not code\n",
+                                    "tools/t.py": "t = 1\n"})):
+        for name, text in files.items():
+            (tmp_path / tree / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / tree / name).write_text(text)
+    parent = ab.src_lines(tmp_path / "parent")
+    change = ab.src_lines(tmp_path / "change")
+    assert parent == {"pkg/a.py": 2, "pkg/gone.py": 1}
+    # wc -l counts newlines: b.py's last line has none
+    assert change == {"pkg/a.py": 1, "pkg/sub/b.py": 2}
+    rows = [row.split() for row in ab.lines_report(parent, change).splitlines()]
+    assert rows == [
+        ["src", "module", "parent", "change", "net"],
+        ["pkg/a.py", "2", "1", "-1"],
+        ["pkg/gone.py", "1", "0", "-1"],
+        ["pkg/sub/b.py", "0", "2", "+2"],
+        ["total", "3", "3", "+0"]]
+
 
 def test_session_of_two_workloads_alternates_and_summarizes_each():
     calls = []

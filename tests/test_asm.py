@@ -314,8 +314,9 @@ def test_assign_choice_ids_preorder():
     assert (outer.node_id, inner.node_id, other.node_id) == (0, 1, 2)
     assert n == 3
     last = ChooseDo("d", Eq(Apply("0"), Apply("0")), Skip())
-    assert assign_choice_ids([Par((Skip(), Seq((Skip(), Skip())), last))], n) == 4
-    assert last.node_id == 3
+    # each call numbers from 0, inside par and seq blocks too
+    assert assign_choice_ids([Par((Skip(), Seq((Skip(), Skip())), last))]) == 1
+    assert last.node_id == 0
 
 
 def test_choice_resolver_is_deterministic_per_occurrence():

@@ -413,6 +413,51 @@ def test_check_names_the_lost_update(tmp_path, capsys):
         "left": ["i", 0], "right": ["i", 1]}
 
 
+_WRITE_Q = """\
+machine a
+shared x
+init x() := 0
+init pc_a() := 0
+terminated: pc_a() = 1
+rule: par { pc_a() := 1 ; x() := 'q }
+"""
+
+_READ_X = """\
+machine b
+shared x
+init x() := 0
+init pc_b() := 0
+terminated: pc_b() = 1
+rule: par { pc_b() := 1 ; y() := x() + 1 }
+"""
+
+
+def test_check_names_machine_and_serial_step_of_an_evaluation_error(
+        tmp_path, capsys):
+    # The solo runs side by side, as in forged_lost_update_trace: b read
+    # x() = 0, but after a runs alone x() is 'q and b's `x() + 1` fails.
+    from taserial.dsl import parse_program
+    from taserial.engine import (RunConfig, StepRecord, Trace, run, state_at,
+                                 write_trace)
+
+    config = RunConfig(machines=[parse_program(_WRITE_Q),
+                                 parse_program(_READ_X)])
+    solo_a, solo_b = run(config, only=["a"]), run(config, only=["b"])
+    steps = [StepRecord(index=a.index,
+                        per_machine={**a.per_machine, **b.per_machine},
+                        events=[dict(ev) for ev in a.events + b.events])
+             for a, b in zip(solo_a.steps, solo_b.steps)]
+    trace = Trace(config=config, initial_values=dict(solo_a.initial_values),
+                  steps=steps, final_values={}, status="done",
+                  committed=["a", "b"], registered=["a", "b"])
+    trace.final_values = state_at(trace, len(steps)).values
+    path = tmp_path / "forged.jsonl"
+    write_trace(trace, str(path))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: + needs integers, got 'q' (machine b, serial step 0)\n")
+
+
 def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
     # Same reads and values, listed in another order than the engine's: the
     # step differs, but no location does.

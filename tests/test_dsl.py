@@ -448,6 +448,16 @@ BAD_INPUTS = [
     pytest.param(f'machine a shared x/{LONG} rule: skip',
                  '1:20: integer literal of 5000 digits is too long', 1, 20,
                  id="long-arity"),
+    # A built-in name never reaches MachineProgram.validate: the parser
+    # rejects it where a declared or initialized name is read.
+    ('machine a shared true rule: skip',
+     "1:18: expected at least one function name (at 'true')", 1, 18),
+    ('machine a shared 3 rule: skip',
+     "1:18: expected at least one function name (at '3')", 1, 18),
+    ('machine a init undef() := 0 rule: skip',
+     "1:16: keyword 'undef' cannot be used as a name (at 'undef')", 1, 16),
+    ("machine a init 'a() := 0 rule: skip",
+     '1:16: expected identifier (at "\'")', 1, 16),
 ]
 
 

@@ -371,15 +371,58 @@ def test_read_log_keeps_first_value_across_seq():
     assert (loc("z"), 7) in rw.updates
 
 
-def test_call_parameter_shadowed_by_binder():
-    # inside `let x = 5` the parameter x is not substituted
-    rules = {"r": NamedRule(("x",), Par((
-        Let("x", Apply("5"), Assign(Apply("inner"), Var("x"))),
-        Assign(Apply("outer"), Var("x")))))}
-    s = State({loc("g"): 1})
-    rw = rw_rule(Call("r", (Apply("g"),)), s, {}, res(), rules)
-    assert rw.updates == yields(Call("r", (Apply("g"),)), s, {}, res(), rules)
-    assert rw.updates == frozenset({(loc("inner"), 5), (loc("outer"), 1)})
+# Named rules, each with its update set when g() = 0.  The compiled pass must
+# give the spec's update sets, reads and errors, in states where the argument
+# g() holds an integer, a symbol (an error where it is added to) or undef.
+CALL_PROGRAMS = {
+    "parameter-passed-into-a-second-call": ("""\
+rule put(v): out(v) := v + 1
+rule twice(w): par { call put(w) ; call put(w + 1) }
+rule: call twice(g())
+""", {(loc("out", 0), 1), (loc("out", 1), 2)}),
+    "parameter-shadowed-by-forall-and-choose": ("""\
+rule r(v): par {
+  forall v with v < 2 do a(v) := v ;
+  choose v with g() < v do b() := v ;
+  c() := v + 1
+}
+rule: call r(g())
+""", {(loc("a", 0), 0), (loc("a", 1), 1), (loc("b"), 3), (loc("c"), 1)}),
+    "parameter-shadowed-by-let": ("""\
+rule r(v): par { let v = 5 in inner() := v ; outer() := v }
+rule: call r(g())
+""", {(loc("inner"), 5), (loc("outer"), 0)}),
+    "parameter-shadowed-in-a-guard": ("""\
+rule r(v): par {
+  if (exists v . a(v) = 1) or v = 2 then x() := v else y() := v ;
+  forall d with forall v . v < d + 3 do z(d) := v + 1
+}
+rule: call r(g())
+""", {(loc("x"), 0), (loc("z", 1), 1), (loc("z", 2), 1), (loc("z", 3), 1)}),
+    "argument-reads-an-earlier-seq-write": ("""\
+rule r(v): seq { g() := v + 1 ; out() := v }
+rule: seq { g() := g() + 1 ; call r(g()) }
+""", {(loc("g"), 2), (loc("out"), 2)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_PROGRAMS))
+def test_call_expansion_matches_spec(name):
+    text, updates = CALL_PROGRAMS[name]
+    prog = parse_program("machine m\n" + text)
+    rule, rules = prog.main_rule, prog.named_rules
+    s = State({loc("g"): 0, loc("a", 1): 1}, domain=(0, 1, 2, 3))
+    assert rw_rule(rule, s, {}, ChoiceResolver(b"call"), rules).updates == updates
+    for g in (0, 1, 2, "q", UNDEF):
+        s = State({loc("g"): g, loc("a", 1): 1}, domain=(0, 1, 2, 3))
+        for material in (b"call", b"expansion"):
+            spec = _raised(lambda: yields(rule, s, {}, ChoiceResolver(material),
+                                          rules))
+            if spec is None:
+                _spec_case(rule, s, material, rules)
+            else:
+                assert spec is _raised(lambda: rw_rule(
+                    rule, s, {}, ChoiceResolver(material), rules))
 
 
 @pytest.mark.parametrize("a, b, c, updates", [

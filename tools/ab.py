@@ -14,8 +14,10 @@ For each workload and each end-to-end metric named in the change's
 BENCHMARK.json it prints both medians, the parent's IQR (third minus first
 quartile, statistics.quantiles' exclusive method) and in how many pairs the
 change is better, and whether every run of both sides wrote the same traces
-(fuzzbench's trace_sha256); `--json FILE` also writes every run, by
-workload.  It uses the standard library only and imports nothing from either
+(fuzzbench's trace_sha256).  It also prints the lines of each tree's
+`src/` modules, per module and in total, so net lines and timings come from
+one session.  `--json FILE` also writes every run, by workload, and the line
+counts.  It uses the standard library only and imports nothing from either
 tree.
 """
 from __future__ import annotations
@@ -33,6 +35,24 @@ from typing import Callable, Dict, List, Sequence
 def clear_bytecode(tree: Path) -> None:
     for cache in sorted((tree / "src").rglob("__pycache__")):
         shutil.rmtree(cache)
+
+
+def src_lines(tree: Path) -> Dict[str, int]:
+    """Lines (newline characters, as wc -l counts them) of each Python
+    module under tree's src/, by its path relative to src/."""
+    src = tree / "src"
+    return {p.relative_to(src).as_posix(): p.read_bytes().count(b"\n")
+            for p in sorted(src.rglob("*.py"))}
+
+
+def lines_report(parent: Dict[str, int], change: Dict[str, int]) -> str:
+    rows = [f"{'src module':26s} {'parent':>7s} {'change':>7s} {'net':>6s}"]
+    for name in sorted(parent.keys() | change.keys()):
+        p, c = parent.get(name, 0), change.get(name, 0)
+        rows.append(f"{name:26s} {p:7d} {c:7d} {c - p:+6d}")
+    p, c = sum(parent.values()), sum(change.values())
+    rows.append(f"{'total':26s} {p:7d} {c:7d} {c - p:+6d}")
+    return "\n".join(rows)
 
 
 def run_once(tree: Path, trees: Sequence[Path], workload: str, seed: int,
@@ -139,6 +159,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     trees = (args.parent, args.change)
+    lines = {"parent": src_lines(args.parent), "change": src_lines(args.change)}
 
     def run(side: str, workload: str) -> dict:
         row = _values(run_once(getattr(args, side), trees, workload,
@@ -157,10 +178,15 @@ def main(argv=None) -> int:
         print("trace_sha256 equal on both sides:", equal)
         out[w] = {"summary": summary, "trace_sha256_equal": equal,
                   "runs": runs[w]}
+    print(lines_report(lines["parent"], lines["change"]))
     if args.json:
         args.json.write_text(json.dumps(
             {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed,
-             "workloads": out}, indent=1) + "\n")
+             "workloads": out,
+             "src_lines": {side: {"total": sum(by_module.values()),
+                                  "modules": by_module}
+                           for side, by_module in lines.items()}},
+            indent=1) + "\n")
     return 0
 
 
