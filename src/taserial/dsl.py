@@ -553,6 +553,12 @@ def print_value(v: Value) -> str:
     raise TypeError(f"not a machine value: {v!r}")
 
 
+def print_location(loc: Location) -> str:
+    """A location as the language writes it, `f(a1,...,an)`, with no
+    spaces: `g0()`, `arr(3)`, `f('q,true)`."""
+    return loc.func + "(" + ",".join([print_value(a) for a in loc.args]) + ")"
+
+
 def print_term(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Dict, List, Optional, Set, Tuple
@@ -37,6 +38,7 @@ from .dsl import (
     ParseError,
     ProgramError,
     parse_program,
+    print_location,
     print_program,
 )
 from .seeds import make_rng
@@ -52,7 +54,7 @@ from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
     wrapper_step,
 )
 
-TRACE_VERSION = 3
+TRACE_VERSION = 4
 
 
 class RunError(AsmError):
@@ -288,6 +290,34 @@ def encode_location(loc: Location):
     return [loc.func, [encode_value(a) for a in loc.args]]
 
 
+def location_text(loc: Location) -> str:
+    """A location in a trace: its text in the program language,
+    `dsl.print_location`.  A symbol argument holding a comma would read
+    back as two arguments, so it is ValueError."""
+    for a in loc.args:
+        if type(a) is str and "," in a:
+            raise ValueError(f"symbol argument {a!r} of {loc.func} holds a "
+                             f"comma")
+    return print_location(loc)
+
+
+#: The JSON of the constants, where values are plain JSON.
+_JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
+
+
+def _plain_value(payload) -> Value:
+    """The value a plain JSON integer, string, boolean or null writes; any
+    other JSON is MalformedTrace."""
+    kind = type(payload)
+    if kind is int or kind is str:
+        return payload
+    if kind is bool:
+        return TRUE if payload else FALSE
+    if payload is None:
+        return UNDEF
+    raise MalformedTrace(f"malformed value {payload!r}")
+
+
 #: The types of machine values.  A bool or a float can equal an int, so a
 #: memo keyed on a value or location checks the types it does not hash.
 _VALUE_TYPES = (int, str, Constant)
@@ -296,14 +326,18 @@ _VALUE_TYPES = (int, str, Constant)
 class _Fragments:
     """The canonical JSON text of locations and values, each built once:
     per location its sort key and its head `[location,`, per value its sort
-    key and its tail `value]`, so a pair's text is a head plus a tail.  Both
-    the trace writer and the state digest encode pairs here."""
+    key and its tail `value]`, so a pair's text is a head plus a tail.  The
+    trace writer encodes pairs here in the current notation, a location as
+    its `location_text` and a value as plain JSON; with `tagged`, the state
+    digest does in the notation of versions 1 to 3 (`encode_location`,
+    `encode_value`), which the state hashes of versions 1 and 2 digest."""
 
-    __slots__ = ("heads", "tails")
+    __slots__ = ("heads", "tails", "tagged")
 
-    def __init__(self):
+    def __init__(self, tagged: bool = False):
         self.heads: Dict[Location, Tuple[tuple, str]] = {}
         self.tails: Dict[Value, Tuple[tuple, str]] = {}
+        self.tagged = tagged
 
     def entries(self, pairs) -> List[Tuple[tuple, tuple, str]]:
         """Each pair's location key, value key and text.  A bool, float or
@@ -316,10 +350,7 @@ class _Fragments:
                 head = self._head(loc)
             tail = tails.get(v)
             if tail is None or type(v) not in _VALUE_TYPES:
-                # An int needs no JSON call; a bool fails in `value_key`.
-                tail = tails[v] = (
-                    (("i", v), f'["i",{v}]]') if type(v) is int
-                    else (value_key(v), _dump(encode_value(v)) + "]"))
+                tail = tails[v] = self._tail(v)
             out.append((head[0], tail[0], head[1] + tail[1]))
         return out
 
@@ -329,9 +360,22 @@ class _Fragments:
                 raise TypeError(f"not a machine value: {a!r}")
         head = self.heads.get(loc)
         if head is None:
-            head = self.heads[loc] = (loc_key(loc),
-                                      "[" + _dump(encode_location(loc)) + ",")
+            text = (encode_location(loc) if self.tagged
+                    else location_text(loc))
+            head = self.heads[loc] = (loc_key(loc), "[" + _dump(text) + ",")
         return head
+
+    def _tail(self, v: Value) -> Tuple[tuple, str]:
+        if type(v) is int:  # an int needs no JSON call
+            return ("i", v), (f'["i",{v}]]' if self.tagged else f"{v}]")
+        key = value_key(v)  # a bool fails here
+        return key, _dump(encode_value(v) if self.tagged
+                          else _JSON_CONSTANTS.get(v, v)) + "]"
+
+    def locations(self, locations) -> str:
+        """The JSON list of the locations, sorted."""
+        heads = sorted([self._head(loc) for loc in locations])
+        return "[" + ",".join([head[1][1:-1] for head in heads]) + "]"
 
     def pairs(self, pairs) -> str:
         """The JSON list of the pairs, sorted by location, then value."""
@@ -343,8 +387,9 @@ class _Fragments:
 
 
 def state_digest(state: State) -> str:
-    """blake2b-64 of the canonical JSON of the state's sorted pairs."""
-    return _text_digest(_Fragments().pairs(state.values.items()))
+    """blake2b-64 of the canonical JSON of the state's sorted pairs, in the
+    notation of versions 1 to 3, whose state hashes are such digests."""
+    return _text_digest(_Fragments(tagged=True).pairs(state.values.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -568,20 +613,18 @@ def effect_event(effect: tuple) -> Optional[dict]:
     return event
 
 
-#: The JSON of the constants in a lock payload, where arguments are untagged.
-_JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
-
-
 # The record version 1 wrote for a waiting machine; its decoder drops it.
 _V1_IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
 
 
 def trace_to_lines(trace: Trace) -> List[str]:
     """The trace as lines of canonical JSON (keys sorted, no spaces),
-    assembled from text fragments, each built once per trace: the pairs'
+    assembled from text fragments, each built once per trace: the
     locations and values (`_Fragments`), the machine names and control
-    changes, and each lock pair.  Events have the fields `EVENTS` gives."""
-    pairs = _Fragments().pairs
+    changes, and each lock pair, whose payload lists each kind's locations
+    sorted.  Events have the fields `EVENTS` gives."""
+    fragments = _Fragments()
+    pairs = fragments.pairs
     texts: Dict[object, str] = {None: "null"}  # name or ctl change -> JSON
     locks: Dict[ctl.LockPair, str] = {}  # lock pair -> its payload's JSON
 
@@ -592,14 +635,11 @@ def trace_to_lines(trace: Trace) -> List[str]:
         return out
 
     def lock_text(pair: ctl.LockPair) -> str:
-        # Each kind's locations sorted, as version 1 wrote them: arguments
-        # untagged, and true, false and undef as JSON true, false and null.
         out = locks.get(pair)
         if out is None:
-            out = locks[pair] = _dump({
-                kind: [[l.func, [_JSON_CONSTANTS.get(a, a) for a in l.args]]
-                       for l in sorted(ls, key=loc_key)]
-                for kind, ls in (("r", pair.r_loc), ("w", pair.w_loc))})
+            out = locks[pair] = ('{"r":' + fragments.locations(pair.r_loc)
+                                 + ',"w":' + fragments.locations(pair.w_loc)
+                                 + "}")
         return out
 
     def event(ev: dict) -> str:
@@ -682,10 +722,11 @@ _loads_lax = json.JSONDecoder().decode
 class _Shared:
     """The objects one trace holds many times, each distinct one decoded
     once: locations, location/value pairs, lock pairs and machine steps,
-    in memos that live as long as one decoding.  A memo key keeps the types
-    of the values in it, so `["b",true]` never hits the entry of `["i",1]`,
-    although `True == 1` in Python; and only decoded payloads enter a memo,
-    so a hit is a payload that decodes."""
+    in memos that live as long as one decoding, in the tagged notation of
+    versions 1 to 3 and of the config's shared inits.  A memo key keeps the
+    types of the values in it, so `["b",true]` never hits the entry of
+    `["i",1]`, although `True == 1` in Python; and only decoded payloads
+    enter a memo, so a hit is a payload that decodes."""
 
     __slots__ = ("locations", "pair_memo", "lock_memo", "step_memo")
 
@@ -763,10 +804,10 @@ class _Shared:
 
     def locks(self, payload) -> Optional[ctl.LockPair]:
         """One `LockPair` per distinct lock payload, equal to the pair the
-        run recorded.  None when `payload` is not of the shape
-        `trace_to_lines` writes: `r` and `w`, each a list of `[function,
-        arguments]`, each argument an int, a string or a boolean (no
-        location has an undef argument)."""
+        run recorded.  None when `payload` is not of the shape version 3
+        wrote: `r` and `w`, each a list of `[function, arguments]`, each
+        argument an int, a string or a boolean (no location has an undef
+        argument)."""
         if type(payload) is not dict or payload.keys() != _LOCK_KINDS:
             return None
         key = (self._lock_locations(payload["r"]),
@@ -814,13 +855,113 @@ class _Shared:
 _LOCK_KINDS = {"r", "w"}
 
 
+class _SharedV4(_Shared):
+    """The memos of a version-4 trace, in which a location is its text
+    (`location_text`) and a value plain JSON.  Each memo is keyed on the
+    JSON objects themselves, so each distinct location text is parsed once,
+    and a pair or a lock payload seen before is one lookup: a pair by
+    `(text, type(value), value)`, so `1` and `true` stay apart, a lock
+    payload by its `r` and `w` lists as tuples of texts."""
+
+    __slots__ = ()
+
+    def location(self, text) -> Location:
+        """The location `text` writes, one object per distinct text; any
+        other JSON is MalformedTrace."""
+        loc = self.locations.get(text) if type(text) is str else None
+        if loc is None:
+            loc = _parse_location(text)
+            if loc is None:
+                raise MalformedTrace(f"malformed location {text!r}")
+            self.locations[text] = loc
+        return loc
+
+    def pairs(self, payload, what: str) -> List[Tuple[Location, Value]]:
+        """The location/value pairs `payload` lists, one tuple per distinct
+        pair; `payload`, the trace's `what`, must be a list."""
+        if type(payload) is not list:
+            raise MalformedTrace(f"{what} is not a list: {payload!r}")
+        memo = self.pair_memo
+        out = []
+        for l, v in payload:
+            key = (l, type(v), v)
+            try:
+                pair = memo[key]
+            except KeyError:
+                pair = memo[key] = (self.location(l), _plain_value(v))
+            except TypeError:  # an unhashable location or value
+                pair = (self.location(l), _plain_value(v))  # raises
+            out.append(pair)
+        return out
+
+    def locks(self, payload) -> Optional[ctl.LockPair]:
+        """One `LockPair` per distinct lock payload, equal to the pair the
+        run recorded.  None when `payload` is not of the shape
+        `trace_to_lines` writes: `r` and `w`, each a list of location
+        texts."""
+        if type(payload) is not dict or payload.keys() != _LOCK_KINDS:
+            return None
+        r, w = payload["r"], payload["w"]
+        if type(r) is not list or type(w) is not list:
+            return None
+        key = (tuple(r), tuple(w))
+        try:
+            return self.lock_memo[key]
+        except KeyError:
+            pass
+        except TypeError:  # an unhashable entry
+            return None
+        try:
+            out = self.lock_memo[key] = ctl.LockPair(
+                frozenset([self.location(text) for text in r]),
+                frozenset([self.location(text) for text in w]))
+        except MalformedTrace:
+            return None
+        return out
+
+
+#: The function name of a location: an identifier, as the language lexes it.
+_FUNCTION = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: The arguments that are no integer and no symbol.
+_ARGUMENTS = {"true": TRUE, "false": FALSE}
+
+
+def _parse_location(text) -> Optional[Location]:
+    """The location whose `location_text` is `text`, or None: a function
+    name, then its arguments in parentheses, separated by commas, each an
+    integer, a symbol (`'` and its name) or `true` or `false`.  The
+    location must print back to `text`, so `arr(01)`, `arr( 3)` and
+    `arr(-0)` are none."""
+    if type(text) is not str or text[-1:] != ")":
+        return None
+    func, paren, inner = text[:-1].partition("(")
+    if not paren or _FUNCTION.fullmatch(func) is None:
+        return None
+    args = []
+    for a in inner.split(",") if inner else ():
+        if a in _ARGUMENTS:
+            args.append(_ARGUMENTS[a])
+        elif a[:1] == "'":
+            args.append(a[1:])
+        else:
+            try:
+                args.append(int(a))
+            except ValueError:  # also past the int-string digit limit
+                return None
+    loc = Location(func, tuple(args))
+    return loc if print_location(loc) == text else None
+
+
 #: version -> the keys of its step records (see `RECORD_KEYS`)
 _STEP_KEYS = {v: RECORD_KEYS["step"] | {"state_hash"} for v in (1, 2)}
-_STEP_KEYS[TRACE_VERSION] = RECORD_KEYS["step"]
+_STEP_KEYS.update(dict.fromkeys((3, TRACE_VERSION), RECORD_KEYS["step"]))
 
 
-def _decode_header(lines: List[str], shared: _Shared):
-    """The trace's header, footer, version, config and initial values."""
+def _decode_header(lines: List[str]):
+    """The trace's header, footer, version, config, the memos its records
+    decode into (`_Shared`, or `_SharedV4` from version 4 on) and its
+    initial values."""
     header = _parse_line(lines[0]) if lines else None
     if type(header) is not dict or header.get("type") != "header":
         raise MalformedTrace("missing header record")
@@ -846,6 +987,7 @@ def _decode_header(lines: List[str], shared: _Shared):
     if type(seed) is not int or seed != config.seed:
         raise MalformedTrace(f"header seed {seed!r} is not the config "
                              f"seed {config.seed}")
+    shared = _Shared() if version < 4 else _SharedV4()
     initial = dict(shared.pairs(header["initial_state"], "initial_state"))
     if initial != config.initial_state().values:
         raise MalformedTrace("initial_state is not the state the config's "
@@ -853,7 +995,7 @@ def _decode_header(lines: List[str], shared: _Shared):
     if len(lines) - 2 > config.max_steps:
         raise MalformedTrace(f"{len(lines) - 2} step records exceed "
                              f"max_steps {config.max_steps}")
-    return header, final, version, config, initial
+    return header, final, version, config, shared, initial
 
 
 def _decode_step(line: str, index: int, version: int, shared: _Shared):
@@ -1077,7 +1219,7 @@ class Replay:
 
     def __init__(self, initial_values: dict, version: int = TRACE_VERSION):
         self.values = dict(initial_values)  # the state after the steps so far
-        self.fragments = _Fragments() if version < TRACE_VERSION else None
+        self.fragments = _Fragments(tagged=True) if version < 3 else None
 
     def step(self, rec: StepRecord, state_hash: Optional[str] = None) -> None:
         values, delta = self.values, []  # delta: updates and restores
@@ -1132,9 +1274,9 @@ def trace_from_lines(lines: List[str]) -> Trace:
     trace and handed to the monitors `Control` and `Replay`, which see the
     decoded footer last."""
     lines = [line for line in lines if line.strip()]
-    shared = _Shared()
     try:
-        header, final, version, config, initial = _decode_header(lines, shared)
+        header, final, version, config, shared, initial = _decode_header(
+            lines)
         control = Control(config, header["registered"])
         replay = Replay(initial, version)
         steps = []

@@ -69,6 +69,7 @@ from .asm import (
     static_apply,
     update_locations,
 )
+from .dsl import print_location
 
 
 @dataclass(frozen=True)
@@ -327,7 +328,12 @@ def _assign(lhs: Term, rhs: Code) -> Code:
     def assign(s, env, log, res):
         at = where(s, env, log)
         log.setdefault(at, s.values.get(at, UNDEF))
-        return frozenset(((at, rhs(s, env, log)),))
+        try:
+            value = rhs(s, env, log)
+        except EvalError as e:
+            e.args = (f"{e} (assigning {print_location(at)})",)
+            raise
+        return frozenset(((at, value),))
     return assign
 
 

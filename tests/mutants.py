@@ -40,7 +40,9 @@ from taserial.fuzz import random_config
 from taserial.workloads import counter_config
 
 from test_acceptance import _replay_lock_table
+from test_trace_reader import _array_reader_lines, _edited
 from trace_v2 import v2_lines
+from trace_v3 import v3_lines
 
 
 def patched(owner, name: str, *edits: Tuple[str, str]):
@@ -74,8 +76,10 @@ class Mutant:
     rejects: type = MalformedTrace
 
 
-def _counter_lines():
-    return trace_to_lines(run(counter_config(3, 2, seed=1)))
+def _counter_lines(write=trace_to_lines):
+    """The lines of a counter run; a forgery that edits a tagged pair takes
+    the version-3 lines (`write=v3_lines`)."""
+    return write(run(counter_config(3, 2, seed=1)))
 
 
 def _edit_step(lines, test, edit):
@@ -101,8 +105,8 @@ def _forged_read():
         read = next(ms for ms in _machines(rec) if ms["reads"])["reads"][0]
         read[1] = ["i", read[1][1] + 100]
     trace_from_lines(_edit_step(
-        _counter_lines(), lambda r: any(ms["reads"] for ms in _machines(r)),
-        edit))
+        _counter_lines(v3_lines),
+        lambda r: any(ms["reads"] for ms in _machines(r)), edit))
 
 
 def _forged_absent_read():
@@ -111,15 +115,15 @@ def _forged_absent_read():
         next(ms for ms in _machines(rec) if ms["proper"])["reads"].append(
             [["zz", []], ["i", 1]])
     trace_from_lines(_edit_step(
-        _counter_lines(), lambda r: any(ms["proper"] for ms in _machines(r)),
-        edit))
+        _counter_lines(v3_lines),
+        lambda r: any(ms["proper"] for ms in _machines(r)), edit))
 
 
-def _object_for_reads():
+def _object_for_reads(write=trace_to_lines):
     def edit(rec):
         next(ms for ms in _machines(rec) if not ms["reads"])["reads"] = {}
     trace_from_lines(_edit_step(
-        _counter_lines(),
+        _counter_lines(write),
         lambda r: any(not ms["reads"] for ms in _machines(r)), edit))
 
 
@@ -145,6 +149,26 @@ def _hash_before_the_step():
     trace_from_lines(lines)
 
 
+def _true_for_one():
+    # Step 3 reads total() = 1, the value step 2 wrote; forged to true.
+    def edit(rec):
+        reads = rec["machines"]["m2"]["reads"]
+        (read,) = [r for r in reads if r[0] == "total()"]
+        assert read[1] == 1
+        read[1] = True
+    trace_from_lines(_edit_step(_counter_lines(), lambda r: r["index"] == 3,
+                                edit))
+
+
+def _non_canonical_text():
+    # arr(01) stands for arr(1) in a read whose value is arr(1)'s.
+    def edit(rec):
+        reads = rec["machines"]["m"]["reads"]
+        (read,) = [r for r in reads if r[0] == "arr(1)"]
+        read[0] = "arr(01)"
+    trace_from_lines(_edited(_array_reader_lines(), 3, edit))
+
+
 def _v3_with_hashes():
     # A version-2 trace relabelled as version 3: its hashes go unchecked.
     lines = v2_lines(run(counter_config(3, 2, seed=1)))
@@ -163,7 +187,7 @@ def _update_in_a_record_that_is_not_proper():
     # m1's change to done in step 9 writes pc_m1() := 99, and the footer
     # agrees; no serial run ends with pc_m1() = 99.
     lines = _edit_step(
-        _counter_lines(), lambda r: r["index"] == 9,
+        _counter_lines(v3_lines), lambda r: r["index"] == 9,
         lambda r: r["machines"]["m1"].update(updates=[[["pc_m1", []],
                                                        ["i", 99]]]))
     final = json.loads(lines[-1])
@@ -187,7 +211,20 @@ MUTANTS = [
     Mutant("no list check in _Shared.pairs",
            replace(engine._Shared, "pairs",
                    ("if type(payload) is not list:", "if False:")),
+           lambda: _object_for_reads(v3_lines)),
+    Mutant("no list check in _SharedV4.pairs",
+           replace(engine._SharedV4, "pairs",
+                   ("if type(payload) is not list:", "if False:")),
            _object_for_reads),
+    Mutant("pair memo keyed without the value's type",
+           replace(engine._SharedV4, "pairs",
+                   ("key = (l, type(v), v)", "key = (l, v)")),
+           _true_for_one),
+    Mutant("location text not printed back",
+           replace(engine, "_parse_location", (
+               "return loc if print_location(loc) == text else None",
+               "return loc")),
+           _non_canonical_text),
     Mutant("no events list check",
            replace(engine, "_decode_step",
                    ("if type(events) is not list:", "if False:")),
@@ -206,8 +243,7 @@ MUTANTS = [
                "digest = before")),
            _hash_before_the_step),
     Mutant("version 3 accepts state_hash",
-           lambda mp: mp.setitem(engine._STEP_KEYS, engine.TRACE_VERSION,
-                                 engine._STEP_KEYS[2]),
+           lambda mp: mp.setitem(engine._STEP_KEYS, 3, engine._STEP_KEYS[2]),
            _v3_with_hashes),
     Mutant("no init type check",
            replace(engine.RunConfig, "initial_state", (

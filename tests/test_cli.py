@@ -110,18 +110,25 @@ def test_fuzz_self_test_rejects_forgery(capsys):
 # -- bad input exits 1 with a message ----------------------------------------
 
 
-def _trace_records(tmp_path, config):
+def _trace_records(tmp_path, config, v3=False):
+    """The records of the trace of a run of `config`, as `run --trace`
+    writes it or, with `v3`, as version 3 wrote it: the forgeries that edit
+    a tagged pair or value, or a lock payload of version 3, take those."""
     from taserial.engine import run, write_trace
 
+    from trace_v3 import v3_lines
+
+    if v3:
+        return [json.loads(line) for line in v3_lines(run(config))]
     path = tmp_path / "trace.jsonl"
     write_trace(run(config), str(path))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def _fuzz_trace_lines(tmp_path, seed=3):
+def _fuzz_trace_lines(tmp_path, seed=3, v3=False):
     from taserial.fuzz import random_config
 
-    return _trace_records(tmp_path, random_config(seed))
+    return _trace_records(tmp_path, random_config(seed), v3)
 
 
 def _check_records(tmp_path, records):
@@ -164,7 +171,7 @@ def _forge_init(records, func, value):
 
 
 def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
-    records = _fuzz_trace_lines(tmp_path)
+    records = _fuzz_trace_lines(tmp_path, v3=True)
     _forge_init(records, "g0", ["b", True])
     assert _check_records(tmp_path, records) == 1
     err = capsys.readouterr().err
@@ -380,13 +387,13 @@ rule: par {
 def test_check_serial_run_from_edited_initial_state(tmp_path, capsys, func,
                                                     value, code, message):
     from taserial.dsl import parse_program
-    from taserial.engine import RunConfig, run, write_trace
+    from taserial.engine import RunConfig, run
 
-    path = tmp_path / "w.jsonl"
+    from trace_v3 import v3_lines
+
     trace = run(RunConfig(machines=[parse_program(TAMPERED)], max_steps=20))
     assert trace.status == "done"
-    write_trace(trace, str(path))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records = [json.loads(line) for line in v3_lines(trace)]
     _forge_init(records, func, value)
     assert _check_records(tmp_path, records) == code
     out = capsys.readouterr()
@@ -455,7 +462,8 @@ def test_check_names_machine_and_serial_step_of_an_evaluation_error(
     write_trace(trace, str(path))
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "error: + needs integers, got 'q' (machine b, serial step 0)\n")
+        "error: + needs integers, got 'q' (assigning y()) (machine b, serial "
+        "step 0)\n")
 
 
 def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
@@ -474,20 +482,22 @@ def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
 # -- `registered` and `committed` name each machine once ---------------------
 
 
-def _counter_trace_records(tmp_path, only=None, v1=False, v2=False):
+def _counter_trace_records(tmp_path, only=None, v1=False, v2=False,
+                           v3=False):
     """The records of a counter_config(seed=1) trace, as the engine writes
-    it or, with `v1` or `v2`, as version 1 or 2 wrote it."""
+    it or, with `v1`, `v2` or `v3`, as version 1, 2 or 3 wrote it."""
     from taserial.engine import run, write_trace
     from taserial.workloads import counter_config
 
     from trace_v1 import v1_lines
     from trace_v2 import v2_lines
+    from trace_v3 import v3_lines
 
     path = tmp_path / "counter.jsonl"
     trace = run(counter_config(seed=1), only=only)
-    if v1 or v2:
-        return [json.loads(line)
-                for line in (v1_lines if v1 else v2_lines)(trace)]
+    if v1 or v2 or v3:
+        write = v1_lines if v1 else v2_lines if v2 else v3_lines
+        return [json.loads(line) for line in write(trace)]
     write_trace(trace, str(path))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -596,11 +606,10 @@ rule: if flag() then n() := 1 else n() := 2
 
 def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):
     from taserial.dsl import parse_program
-    from taserial.engine import RunConfig, run, write_trace
+    from taserial.engine import RunConfig
 
-    path = tmp_path / "flag.jsonl"
-    write_trace(run(RunConfig(machines=[parse_program(FLAG)])), str(path))
-    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records = _trace_records(tmp_path, RunConfig(
+        machines=[parse_program(FLAG)]), v3=True)
     (step,) = [ms for rec in records[1:-1] for ms in rec["machines"].values()
                if ms["proper"]]
     (read,) = [r for r in step["reads"] if r[0] == ["flag", []]]
@@ -614,7 +623,7 @@ def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("value", [["s", 0], ["i", "0"], ["x", 0],
                                    ["i", False]])
 def test_check_forged_value_tag_exits_one(tmp_path, capsys, value):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     read = next(r for rec in records[1:-1] for ms in rec["machines"].values()
                 if ms["proper"] for r in ms["reads"] if r[1] == ["i", 0])
     read[1] = value
@@ -656,8 +665,8 @@ rule: par {{ pc_{name}() := 1 ; a({arg}) := 5 }}
 """
 
 
-@pytest.mark.parametrize("arg,written", [("true", '["a",[true]]'),
-                                         ("1", '["a",[1]]')])
+@pytest.mark.parametrize("arg,written", [("true", '"a(true)"'),
+                                         ("1", '"a(1)"')])
 def test_run_and_check_locks_on_an_indexed_location(tmp_path, capsys, arg,
                                                     written):
     for name in ("m0", "m1"):
@@ -681,7 +690,7 @@ def test_run_and_check_locks_on_an_indexed_location(tmp_path, capsys, arg,
 @pytest.mark.parametrize("location", [[7, []], ["x", 7], ["x"], "x",
                                       ["x", [], []]])
 def test_check_forged_location_exits_one(tmp_path, capsys, location):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     read = next(r for rec in records[1:-1] for ms in rec["machines"].values()
                 if ms["proper"] for r in ms["reads"])
     read[0] = location
@@ -714,16 +723,17 @@ def test_check_forged_state_hash_exits_one(tmp_path, capsys, version):
 def test_check_version_three_step_with_a_state_hash_exits_one(tmp_path,
                                                                capsys):
     hashed = _counter_trace_records(tmp_path, v2=True)
-    records = _counter_records(tmp_path)
-    records[1]["state_hash"] = hashed[1]["state_hash"]
-    _check_keys_rejected(tmp_path, capsys, records)
+    for records in (_counter_trace_records(tmp_path, v3=True),
+                    _counter_records(tmp_path)):  # and version 4
+        records[1]["state_hash"] = hashed[1]["state_hash"]
+        _check_keys_rejected(tmp_path, capsys, records)
 
 
 # -- each recorded read is the replayed value before its step ----------------
 
 
 def test_check_forged_read_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     assert records[3]["index"] == 2
     read = records[3]["machines"]["m2"]["reads"][0]
     assert read == [["pc_m2", []], ["i", 0]]
@@ -736,7 +746,7 @@ def test_check_forged_read_exits_one(tmp_path, capsys):
 def test_check_forged_read_in_an_undone_step_exits_one(tmp_path, capsys):
     # Cleansing drops the undone step before the serial run compares reads,
     # so only the replay sees this forgery.
-    records, _ = _victim_records(tmp_path)
+    records, _ = _victim_records(tmp_path, v3=True)
     reads = records[4]["machines"]["alpha"]["reads"]
     location, value = reads[0]
     forged = ["i", value[1] + 1]
@@ -750,7 +760,7 @@ def test_check_forged_read_in_an_undone_step_exits_one(tmp_path, capsys):
 
 def test_check_read_is_undef_exactly_where_the_location_is_absent(tmp_path,
                                                                   capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     reads = records[3]["machines"]["m2"]["reads"]
     reads.append([["zz", []], ["u"]])  # decodes; the serial run differs
     assert _check_records(tmp_path, records) == 3
@@ -804,10 +814,10 @@ def test_check_object_in_place_of_a_list_exits_one(tmp_path, capsys, field):
 # -- records of the wrong shape and forged fields ----------------------------
 
 
-def _counter_records(tmp_path):
+def _counter_records(tmp_path, v3=False):
     from taserial.workloads import counter_config
 
-    return _trace_records(tmp_path, counter_config(seed=1))
+    return _trace_records(tmp_path, counter_config(seed=1), v3)
 
 
 @pytest.mark.parametrize("value", [[], 7])
@@ -861,7 +871,7 @@ def test_check_forged_ctl_exits_one(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("edit", ["value", "drop", "add"])
 def test_check_forged_initial_state_exits_one(tmp_path, capsys, edit):
-    records = _counter_records(tmp_path)
+    records = _counter_records(tmp_path, v3=True)
     initial = records[0]["initial_state"]
     if edit == "value":
         (entry,) = [e for e in initial if e[0] == ["total", []]]
@@ -1033,12 +1043,12 @@ def test_check_registered_machine_without_its_register_event_exits_one(
                      "step record 0: no register event of m2")
 
 
-def _victim_records(tmp_path):
+def _victim_records(tmp_path, v3=False):
     """full_victim_config(seed=1): alpha's proper step 3 is undone in step
     6; omega's step 2 and alpha's step 14 are proper, alpha's step 1 is not."""
     from taserial.workloads import full_victim_config
 
-    records = _trace_records(tmp_path, full_victim_config(seed=1))
+    records = _trace_records(tmp_path, full_victim_config(seed=1), v3)
     (undo,) = [ev for rec in records[1:-1] for ev in rec["events"]
                if ev["kind"] == "undo"]
     assert (undo["machine"], undo["origin_step"]) == ("alpha", 3)
@@ -1158,7 +1168,7 @@ def test_check_renamed_programs_key_exits_one(tmp_path, capsys):
 ], ids=["int", "no-w", "one-element-entry", "non-string-function",
         "null-argument", "extra-key"])
 def test_check_malformed_lock_payload_exits_one(tmp_path, capsys, locks):
-    records = _counter_records(tmp_path)
+    records = _counter_records(tmp_path, v3=True)
     ev = next(ev for rec in records[1:-1] for ev in rec["events"]
               if ev["kind"] == "lock_grant")
     ev["locks"] = locks
@@ -1228,27 +1238,27 @@ def test_check_header_without_shared_inits_exits_one(tmp_path, capsys):
 
 def test_check_reads_version_one_traces(tmp_path, capsys):
     """A version-1 trace, with its idle records and the shared inits in
-    each program, and a version-2 trace, with its state hashes, check as the
-    current trace of the same run does."""
+    each program, a version-2 trace, with its state hashes, and a version-3
+    trace, with tagged values, check as the current trace of the same run
+    does."""
     from taserial.engine import run, write_trace
     from taserial.fuzz import random_config
 
     from trace_v1 import v1_lines
     from trace_v2 import v2_lines
+    from trace_v3 import v3_lines
 
     for seed in (3, 4):
         trace = run(random_config(seed))
-        v1_path, v2_path = tmp_path / "v1.jsonl", tmp_path / "v2.jsonl"
-        v3_path = tmp_path / "v3.jsonl"
-        v1_path.write_text("".join(line + "\n" for line in v1_lines(trace)))
-        v2_path.write_text("".join(line + "\n" for line in v2_lines(trace)))
-        write_trace(trace, str(v3_path))
-        assert v1_path.read_text().count("\n") == len(trace.steps) + 2
-        codes = {main(["check", str(path)])
-                 for path in (v1_path, v2_path, v3_path)}
+        paths = [tmp_path / f"v{v}.jsonl" for v in (1, 2, 3, 4)]
+        for path, write in zip(paths, (v1_lines, v2_lines, v3_lines)):
+            path.write_text("".join(line + "\n" for line in write(trace)))
+        write_trace(trace, str(paths[-1]))
+        assert paths[0].read_text().count("\n") == len(trace.steps) + 2
+        assert len({path.read_text() for path in paths}) == 4
+        codes = {main(["check", str(path)]) for path in paths}
         assert len(codes) == 1
-        v1_out, v2_out, v3_out = capsys.readouterr().out.splitlines()
-        assert v1_out == v2_out == v3_out
+        assert len(set(capsys.readouterr().out.splitlines())) == 1
 
 
 # -- bad input: huge integers, unwritable trace paths ------------------------
@@ -1476,7 +1486,7 @@ def _final_entry(records, func):
 
 
 def test_check_forged_final_state_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     assert _final_entry(records, "pc_m0")[1] == ["i", 2]
     _final_entry(records, "pc_m0")[1] = ["i", 999]
     _check_malformed(tmp_path, capsys, records,
@@ -1488,7 +1498,7 @@ def test_check_update_in_a_record_that_is_not_proper_exits_one(tmp_path,
                                                                 capsys):
     # m1's change to done writes pc_m1() := 99, and the footer agrees: no
     # later read sees the write, and no serial run ends with that value.
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     m1 = records[10]["machines"]["m1"]
     assert (records[10]["index"], m1["ctl"], m1["proper"]) == (
         9, ["active", "done"], False)
@@ -1501,12 +1511,12 @@ def test_check_update_in_a_record_that_is_not_proper_exits_one(tmp_path,
 
 def test_check_final_state_with_a_location_more_or_less_exits_one(tmp_path,
                                                                  capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     records[-1]["final_state"].append([["zz", []], ["i", 0]])
     _check_malformed(tmp_path, capsys, records,
                      'final_state gives ["zz",[]] ["i",0], but the steps '
                      'leave none')
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     records[-1]["final_state"].remove(_final_entry(records, "pc_m1"))
     _check_malformed(tmp_path, capsys, records,
                      'final_state gives ["pc_m1",[]] none, but the steps '
@@ -1514,7 +1524,7 @@ def test_check_final_state_with_a_location_more_or_less_exits_one(tmp_path,
 
 
 def test_check_step_giving_a_location_two_values_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path)
+    records = _counter_trace_records(tmp_path, v3=True)
     at, ms = next((i, ms) for i, rec in enumerate(records[1:-1])
                   for ms in rec["machines"].values() if ms["updates"])
     (location, value) = ms["updates"][0]
@@ -1690,5 +1700,22 @@ def test_run_past_the_int_string_limit_names_machine_and_step(tmp_path, capsys,
     trace = ["--trace", str(tmp_path / "t.jsonl")] if traced else []
     assert main(["run", str(tmp_path / "manifest.json"), *trace]) == 1
     err = capsys.readouterr().err
-    assert err.endswith(f" (machine d, step {step})\n")
+    assert err.endswith(f" (assigning x()) (machine d, step {step})\n")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where,text", [
+    ("value", "terminated: false\nrule: y() := x() + 1"),
+    ("location", "terminated: false\nrule: a(x() + 1) := 1"),
+    ("guard", "terminated: false\n"
+              "rule: if x() + 1 = 2 then y() := 1 else skip"),
+    ("termination test", "terminated: x() + 1 = 2\nrule: skip"),
+])
+def test_run_names_the_assigned_location_of_an_evaluation_error(
+        tmp_path, capsys, where, text):
+    # Only an error in an assignment's value names the location assigned.
+    program = {"m.prog": f"machine m\ninit x() := 'q\n{text}\n"}
+    assert main(["run", _manifest(tmp_path, program)]) == 1
+    assigning = " (assigning y())" if where == "value" else ""
+    assert capsys.readouterr().err == (
+        f"error: + needs integers, got 'q'{assigning} (machine m, step 0)\n")

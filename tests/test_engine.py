@@ -40,6 +40,7 @@ from trace_reference import encode_pairs
 from trace_reference import state_digest as reference_digest
 from trace_v1 import v1_lines
 from trace_v2 import v2_lines
+from trace_v3 import v3_lines
 
 
 def loc(f, *args):
@@ -180,10 +181,15 @@ def test_value_decoding_is_exact(payload):
 def test_encoding_keeps_one_and_true_apart():
     pairs = {(loc("a", 1), 5), (loc("a", TRUE), 6), (loc("x"), TRUE)}
     lines = encode_pairs(pairs)
-    assert lines == [[["a", [["b", True]]], ["i", 6]],
-                     [["a", [["i", 1]]], ["i", 5]],
-                     [["x", []], ["b", True]]]
-    assert set(engine._Shared().pairs(lines, "pairs")) == pairs
+    assert lines == [["a(true)", 6], ["a(1)", 5], ["x()", True]]
+    assert set(engine._SharedV4().pairs(lines, "pairs")) == pairs
+    # The tagged notation of versions 1 to 3, in the same order.
+    tagged = [[engine.encode_location(l), encode_value(v)]
+              for l, v in engine._SharedV4().pairs(lines, "pairs")]
+    assert tagged == [[["a", [["b", True]]], ["i", 6]],
+                      [["a", [["i", 1]]], ["i", 5]],
+                      [["x", []], ["b", True]]]
+    assert set(engine._Shared().pairs(tagged, "pairs")) == pairs
 
 
 def test_interleave_mode_runs_and_serializes():
@@ -862,9 +868,14 @@ def test_lock_payload_writes_constants_as_json():
         frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
     trace = run(counter_config(1, 1))
     trace.steps[0].events.append(effect_event(("grant", "m0", pair_)))
-    line = trace_to_lines(trace)[1]
+    # Version 3 wrote the arguments as JSON; version 4 writes each location
+    # as its text, in the same order.
     assert (',"locks":{"r":[["a",[true]],["a",[1]]],'
-            '"w":[["b",[false,"s"]],["c",[null]]]},"machine":"m0"}') in line
+            '"w":[["b",[false,"s"]],["c",[null]]]},"machine":"m0"}'
+            ) in v3_lines(trace)[1]
+    assert (',"locks":{"r":["a(true)","a(1)"],'
+            '"w":["b(false,\'s)","c(undef)"]},"machine":"m0"}'
+            ) in trace_to_lines(trace)[1]
 
 
 @pytest.mark.parametrize("name,value", [(name, value)

@@ -2,10 +2,11 @@
 objects, replays each step's delta and requires each recorded read to be
 the value before its step and the footer's final state to be the result."""
 import json
+import re
 
 import pytest
 
-from taserial.asm import TRUE, UNDEF, Location
+from taserial.asm import TRUE, UNDEF, Constant, Location
 from taserial.controller import LockPair
 from taserial import engine
 from taserial.dsl import parse_program
@@ -20,17 +21,20 @@ from taserial.fuzz import FuzzParams, random_config
 from taserial.workloads import full_victim_config
 
 from test_trace_writer import _configs
+from trace_v3 import v3_lines
 
 
 def test_decoded_trace_equals_the_run():
+    # Version 3 input, with tagged values, and the current version's.
     for config in _configs():
         trace = run(config)
-        decoded = trace_from_lines(trace_to_lines(trace))
-        assert decoded.steps == trace.steps
-        assert (trace.initial_values, trace.final_values, trace.status,
-                trace.committed, trace.registered) == (
-            decoded.initial_values, decoded.final_values, decoded.status,
-            decoded.committed, decoded.registered)
+        for lines in (v3_lines(trace), trace_to_lines(trace)):
+            decoded = trace_from_lines(lines)
+            assert decoded.steps == trace.steps
+            assert (trace.initial_values, trace.final_values, trace.status,
+                    trace.committed, trace.registered) == (
+                decoded.initial_values, decoded.final_values,
+                decoded.status, decoded.committed, decoded.registered)
 
 
 def _one_object_each(objects, key=lambda obj: obj):
@@ -186,8 +190,109 @@ def test_a_read_after_a_seq_write_records_the_value_before_the_step():
     assert (Location("y", ()), 6) in step.updates
     lines = trace_to_lines(trace)
     assert trace_to_lines(trace_from_lines(lines)) == lines
+    lines = v3_lines(trace)  # the forgery edits a tagged pair
     at = next(i for i, line in enumerate(lines) if '"proper":true' in line)
     lines[at] = lines[at].replace('[["x",[]],["i",0]]', '[["x",[]],["i",5]]')
     with pytest.raises(MalformedTrace, match=r'm0 reads \["x",\[\]\] '
                        r'\["i",5\], but the steps before leave \["i",0\]'):
+        trace_from_lines(lines)
+
+
+# -- version 4: a location is its text, a value plain JSON --------------------
+
+ARRAY_READER = parse_program(
+    "machine m\nshared arr/1\ninit pc() := 0\ninit arr(0) := 0\n"
+    "init arr(1) := 1\nterminated: pc() = 1\n"
+    "rule: par { pc() := 1 ; y() := arr(0) + arr(1) }\n")
+
+
+def _array_reader_lines():
+    """The trace of ARRAY_READER: step 1 grants read locks on arr(0) and
+    arr(1), and step 2 reads both."""
+    lines = trace_to_lines(run(RunConfig([ARRAY_READER])))
+    assert '"locks":{"r":["arr(0)","arr(1)"],"w":[]}' in lines[2]
+    assert '"reads":[["arr(0)",0],["arr(1)",1],' in lines[3]
+    return lines
+
+
+def _edited(lines, at, edit):
+    """The lines with line `at` edited in place by `edit(record)`."""
+    rec = json.loads(lines[at])
+    edit(rec)
+    lines[at] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
+    return lines
+
+
+#: Each text that is no location's text, with the text it stands for.
+NON_CANONICAL = {"arr(01)": "arr(1)", "arr( 1)": "arr(1)", "arr(+1)": "arr(1)",
+                 "arr(-0)": "arr(0)", "arr(undef)": "arr(1)",
+                 "g0": "arr(0)", "1x()": "arr(1)"}
+
+
+@pytest.mark.parametrize("text", sorted(NON_CANONICAL))
+def test_a_non_canonical_location_text_in_a_pair_is_malformed(text):
+    """A location text must print back to itself: `arr(01)` is not
+    `arr(1)`'s text, although it would parse to the same location."""
+    def edit(rec):
+        reads = rec["machines"]["m"]["reads"]
+        (entry,) = [r for r in reads if r[0] == NON_CANONICAL[text]]
+        entry[0] = text
+    lines = _edited(_array_reader_lines(), 3, edit)
+    with pytest.raises(MalformedTrace, match=re.escape(
+            f"malformed location {text!r}")):
+        trace_from_lines(lines)
+
+
+@pytest.mark.parametrize("text", sorted(NON_CANONICAL))
+def test_a_non_canonical_location_text_in_a_lock_payload_is_malformed(text):
+    def edit(rec):
+        locks = rec["events"][0]["locks"]
+        locks["r"][locks["r"].index(NON_CANONICAL[text])] = text
+    lines = _edited(_array_reader_lines(), 2, edit)
+    locks = json.loads(lines[2])["events"][0]["locks"]
+    with pytest.raises(MalformedTrace, match=re.escape(
+            f"lock_grant event of m has locks {locks!r}")):
+        trace_from_lines(lines)
+
+
+def test_texts_and_values_of_other_types_stay_apart():
+    # a(1) and a(true), f('1) and f(1), and the values 1, true and '1 are
+    # each two, in pairs and in lock payloads, in either order.
+    shared = engine._SharedV4()
+    texts = ["a(1)", "a(true)", "f('1)", "f(1)"]
+    locations = [Location("a", (1,)), Location("a", (TRUE,)),
+                 Location("f", ("1",)), Location("f", (1,))]
+    for order in (texts, texts[::-1]):
+        got = [loc for text in order
+               for loc, _ in shared.pairs([[text, 1]], "reads")]
+        assert got == [locations[texts.index(t)] for t in order]
+        assert [type(loc.args[0]) for loc in got] == [
+            type(locations[texts.index(t)].args[0]) for t in order]
+    values = shared.pairs([["x()", 1], ["x()", True], ["x()", "1"]], "reads")
+    assert [type(v) for _, v in values] == [int, Constant, str]
+    assert [v for _, v in values] == [1, TRUE, "1"]
+    first = shared.locks({"r": ["a(1)", "f('1)"], "w": []})
+    second = shared.locks({"r": ["a(true)", "f(1)"], "w": []})
+    assert first == LockPair(frozenset({locations[0], locations[2]}))
+    assert second == LockPair(frozenset({locations[1], locations[3]}))
+    assert first != second
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0, [1], {"i": 1}, [], {}])
+def test_a_float_list_or_object_value_is_malformed(value):
+    shared = engine._SharedV4()
+    assert shared.pairs([["x()", 1], ["x()", 0]], "reads") == [
+        (Location("x", ()), 1), (Location("x", ()), 0)]
+    with pytest.raises(MalformedTrace, match=re.escape(
+            f"malformed value {value!r}")):
+        shared.pairs([["x()", value]], "reads")
+
+
+@pytest.mark.parametrize("entry", [1, True, None, ["arr", [1]], {"r": 1}])
+def test_a_non_string_entry_in_a_lock_payload_is_malformed(entry):
+    def edit(rec):
+        rec["events"][0]["locks"]["r"].append(entry)
+    lines = _edited(_array_reader_lines(), 2, edit)
+    with pytest.raises(MalformedTrace, match="lock_grant event of m has "
+                                             "locks"):
         trace_from_lines(lines)

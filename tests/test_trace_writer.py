@@ -149,3 +149,11 @@ def test_a_python_bool_float_or_none_is_not_a_value(bad, where):
     fragments.pairs(good)
     with pytest.raises(TypeError, match="not a machine value"):
         fragments.pairs([forged])
+
+
+def test_a_symbol_argument_holding_a_comma_is_not_written():
+    """`a('x,'y)` would read back as a('x, 'y): two arguments, not one."""
+    trace = _trace([_step(0, [(loc("a", "x,'y"), 1)])])
+    with pytest.raises(ValueError, match="holds a comma"):
+        trace_to_lines(trace)
+    assert engine.location_text(loc("a", "x", "y")) == "a('x,'y)"

@@ -9,6 +9,7 @@ import json
 from typing import List
 
 from taserial.asm import loc_key, value_key
+from taserial.dsl import print_value
 from taserial.engine import (
     TRACE_VERSION,
     Trace,
@@ -19,22 +20,36 @@ from taserial.engine import (
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
+def _sorted(pairs) -> list:
+    return sorted(pairs, key=lambda p: (loc_key(p[0]), value_key(p[1])))
+
+
+def location_text(loc) -> str:
+    """`f(a1,...,an)`, each argument as the language prints it."""
+    return f"{loc.func}({','.join(print_value(a) for a in loc.args)})"
+
+
+def plain_value(v):
+    """A value as plain JSON: 1, "q", true, false or null."""
+    tagged = encode_value(v)
+    return None if tagged == ["u"] else tagged[1]
+
+
 def encode_pairs(pairs) -> list:
-    return [[encode_location(l), encode_value(v)]
-            for l, v in sorted(pairs, key=lambda p: (loc_key(p[0]),
-                                                     value_key(p[1])))]
+    return [[location_text(l), plain_value(v)] for l, v in _sorted(pairs)]
 
 
 def encode_locks(pair) -> dict:
-    """A lock pair's payload: each kind's locations sorted, their arguments
-    untagged (`["a",[1]]`, true as JSON true, undef as null)."""
-    return {kind: [[l.func, [(encode_value(a) + [None])[1] for a in l.args]]
-                   for l in sorted(locs, key=loc_key)]
+    """A lock pair's payload: each kind's location texts, sorted."""
+    return {kind: [location_text(l) for l in sorted(locs, key=loc_key)]
             for kind, locs in (("r", pair.r_loc), ("w", pair.w_loc))}
 
 
 def state_digest(values) -> str:
-    blob = _dump(encode_pairs(values.items())).encode("utf-8")
+    """The digest of the tagged pairs, as versions 1 and 2 hashed them."""
+    tagged = [[encode_location(l), encode_value(v)]
+              for l, v in _sorted(values.items())]
+    blob = _dump(tagged).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
 
 

@@ -1,22 +1,24 @@
 """A writer of version-2 trace files, the reference for the version-2 pins
 and for the decoder's version-2 input in the tests.
 
-Version 2 differs from the current version in one way: each step record
+Version 2 differs from version 3 (`trace_v3`) in one way: each step record
 carries `state_hash`, the `state_digest` of the state after the step.  The
 writer replays the states from the steps' deltas and adds each digest to
-the current line, so it shows that the engine still runs exactly as the
+the version-3 line, so it shows that the engine still runs exactly as the
 version-2 traces recorded it.
 """
 from typing import List
 
-from taserial.engine import Trace, state_at, state_digest, trace_to_lines
+from taserial.engine import Trace, state_at, state_digest
+
+from trace_v3 import v3_lines
 
 _STEP_END = ',"type":"step"}'
 _HEADER_END = ',"type":"header","version":3}'
 
 
 def v2_lines(trace: Trace) -> List[str]:
-    lines = trace_to_lines(trace)
+    lines = v3_lines(trace)
     assert lines[0].endswith(_HEADER_END)
     lines[0] = lines[0][:-len(_HEADER_END)] + ',"type":"header","version":2}'
     state = state_at(trace, 0)
