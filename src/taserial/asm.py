@@ -317,8 +317,9 @@ def update_locations(updates: UpdateSet) -> FrozenSet[Location]:
 class State:
     """Finite location-to-value map with a declared finite quantifier domain.
 
-    Reads of unmapped locations return undef.  States are treated as
-    immutable; with_updates builds a successor.
+    Reads of unmapped locations return undef.  with_updates builds a
+    successor; `update` changes a state in place, which only its owner
+    does.
     """
 
     __slots__ = ("values", "domain")
@@ -343,7 +344,9 @@ class State:
         return out
 
     def update(self, updates: UpdateSet) -> None:
-        """Apply updates in place: only to a private copy from with_updates."""
+        """Apply updates in place: to a state no one else holds, such as the
+        private copy from with_updates, or the run engine's own state, which
+        it updates after every step instead of copying it."""
         values = self.values
         for loc, val in updates:
             if val is UNDEF:

@@ -15,7 +15,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .asm import (AsmError, EvalError, Location, State, UpdateSet, Value,
                   apply_updates, loc_key)
-from .engine import Trace, encode_location, encode_value
+from .dsl import print_location
+from .engine import Trace, plain_value
 from .wrapper import analyse, checked_step, choice_material, terminated
 
 MAX_BRUTE_FORCE = 4
@@ -96,19 +97,23 @@ def equivalent(a: Dict[str, CleanSchedule], b: Dict[str, CleanSchedule],
 
 def _difference(ea: ScheduleEntry, eb: ScheduleEntry) -> dict:
     """The first read, else the first update, whose location or value differs
-    between two entries; a side that lacks the location gives null."""
+    between two entries, named as a version-4 trace names them: the
+    location's text and each side's value as plain JSON.  A side that lacks
+    the location has no key."""
     for what, left, right in (("read", ea.reads, eb.reads),
                               ("update", ea.updates, eb.updates)):
         if left == right:
             continue
-        lm = {loc: encode_value(v) for loc, v in left}
-        rm = {loc: encode_value(v) for loc, v in right}
+        lm, rm = dict(left), dict(right)
         for loc in sorted(lm.keys() | rm.keys(), key=loc_key):
-            if lm.get(loc) != rm.get(loc):
-                return {"what": what, "location": encode_location(loc),
-                        "left": lm.get(loc), "right": rm.get(loc)}
+            if loc not in lm or loc not in rm or lm[loc] != rm[loc]:
+                out = {"what": what, "location": print_location(loc)}
+                for side, values in (("left", lm), ("right", rm)):
+                    if loc in values:
+                        out[side] = plain_value(values[loc])
+                return out
         # Only a forged record, unsorted or listing a location twice, gets here.
-        return {"what": what, "location": None, "left": None, "right": None}
+        return {"what": what, "location": None}
 
 
 def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]:

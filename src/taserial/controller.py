@@ -40,6 +40,7 @@ class LockPair:
 
 
 EMPTY_LOCKS = LockPair()
+_NO_LOCATIONS: FrozenSet[Location] = frozenset()
 
 
 @dataclass
@@ -108,6 +109,15 @@ class LockTable:
                 out.update(readers)
         out.discard(machine)
         return out
+
+    def blocks(self, holder: str, locks: LockPair) -> bool:
+        """Whether `conflicts` of `locks` counts `holder`, for a machine
+        other than the holder."""
+        w_held = self._w_by.get(holder, _NO_LOCATIONS)
+        return not (w_held.isdisjoint(locks.r_loc)
+                    and w_held.isdisjoint(locks.w_loc)
+                    and self._r_by.get(holder, _NO_LOCATIONS).isdisjoint(
+                        locks.w_loc))
 
     def grant(self, machine: str, locks: LockPair) -> None:
         """Give `machine` the locks, or raise LockInvariantViolation and
@@ -178,25 +188,34 @@ class WaitGraph:
     across calls of `deadlocked` (which alone updates it).
 
     `apply_effect` records what changed since the last call: in `changed`
-    the machines whose request record it replaced or dropped, in `locations`
-    the locations whose holders it changed.  `out` holds the machines each
-    waiting machine waits for (non-empty sets only), `dead` the cycle
+    the machines whose needed locks it changed (the pair of a request not
+    granted), in `holders` per machine the locations where a grant, an undo
+    or a commit gave it locks or took them away.  `out` holds the machines
+    each waiting machine waits for (non-empty sets only), `dead` the cycle
     members.
     """
 
-    __slots__ = ("changed", "locations", "out", "dead")
+    __slots__ = ("changed", "holders", "out", "dead")
 
     def __init__(self):
         self.changed: Set[str] = set()
-        self.locations: Set[Location] = set()
+        self.holders: Dict[str, Set[Location]] = {}
         self.out: Dict[str, Set[str]] = {}
         self.dead: FrozenSet[str] = frozenset()
+
+    def moved(self, machine: str, *locations: FrozenSet[Location]) -> None:
+        """Record that the machine's locks on these locations changed."""
+        if any(locations):
+            self.holders.setdefault(machine, set()).update(*locations)
 
 
 @dataclass
 class ControllerState:
     # machine -> its request, in request order (a new one goes to the back)
     requests: Dict[str, Request] = field(default_factory=dict)
+    # machine -> the pair of its pending request, in request order
+    pending: Dict[str, LockPair] = field(default_factory=dict, repr=False,
+                                         compare=False)
     commit_requests: Set[str] = field(default_factory=set)
     victims: Set[str] = field(default_factory=set)
     locks: LockTable = field(default_factory=LockTable)
@@ -272,7 +291,7 @@ def lock_handler_step(cs: ControllerState, draw: Draw, policy: str,
     withdraws it in this same step, and a grant applied after the
     withdrawal would leave the victim holding locks no history entry
     covers."""
-    reqs = [(m, r.pair) for m, r in cs.requests.items() if r.status == PENDING]
+    reqs = list(cs.pending.items())
     if wait_mode == "suspend":
         reqs = [t for t in reqs
                 if t[0] not in waits_for and t[0] not in cs.victims]
@@ -300,33 +319,41 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     from scratch; this function keeps it up to date incrementally.
 
     The answer comes from `cs.wait_graph`, brought up to date from what
-    changed since the last call: the machines in `cs.wait_graph.changed`,
-    and the waiting machines whose pair names a location in
-    `cs.wait_graph.locations`.  Only their out-sets are recomputed.  A new
-    cycle must contain an added edge (a, b), so the
-    strongly-connected-components pass re-runs only when some added b
-    reaches its a, or when an edge between two cycle members was removed;
-    otherwise the last cycle set stands.
+    changed since the last call.  The out-set of each machine in
+    `cs.wait_graph.changed` is recomputed.  Every other waiting machine
+    whose pair names a location in `cs.wait_graph.holders[h]` gains or
+    loses the one edge to h, as h still blocks it or not.  Then
+    `_new_dead` brings the cycle members up to date from the edges added
+    and removed.
 
     Contract: the controller state changes only through `apply_effect`.
     """
     g = cs.wait_graph
-    touched = g.changed
+    touched, holders, out, dead = g.changed, g.holders, g.out, g.dead
     requests = cs.requests
-    locations = g.locations
-    if locations:
+    added: List[Tuple[str, str]] = []
+    shrunk = False  # an edge between two cycle members was removed
+    if holders:
+        blocks = cs.locks.blocks
         for m, r in requests.items():
-            if r.status != GRANTED and not (
-                    locations.isdisjoint(r.pair.r_loc)
-                    and locations.isdisjoint(r.pair.w_loc)):
-                touched.add(m)
-        locations.clear()
-    if not touched:
-        return g.dead
-
-    out, dead = g.out, g.dead
-    rerun = False
-    gained: List[Tuple[str, Set[str]]] = []
+            if r.status == GRANTED or m in touched:
+                continue
+            r_loc, w_loc = r.pair.r_loc, r.pair.w_loc
+            for h, locations in holders.items():
+                if h == m or (locations.isdisjoint(r_loc)
+                              and locations.isdisjoint(w_loc)):
+                    continue
+                waits = out.get(m, _NOBODY)
+                if blocks(h, r.pair):
+                    if h not in waits:
+                        out.setdefault(m, set()).add(h)
+                        added.append((m, h))
+                elif h in waits:
+                    waits.discard(h)
+                    if not waits:
+                        del out[m]
+                    shrunk = shrunk or (m in dead and h in dead)
+        holders.clear()
     for m in touched:
         r = requests.get(m)
         before = out.pop(m, _NOBODY)
@@ -334,33 +361,67 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
                  if r is not None and r.status != GRANTED else _NOBODY)
         if after:
             out[m] = after
-        if not rerun and m in dead and not dead.isdisjoint(before - after):
-            rerun = True
-        new = after - before
-        if new:
-            gained.append((m, new))
+            added += [(m, n) for n in after if n not in before]
+        if m in dead and not shrunk:
+            shrunk = not dead.isdisjoint(before - after)
     touched.clear()
-    if rerun or any(_reaches(out, new, m) for m, new in gained):
-        g.dead = _cycle_members((a, b) for a, bs in out.items() for b in bs)
+    if added or shrunk:
+        g.dead = _new_dead(out, dead, added, shrunk)
     return g.dead
 
 
 _NOBODY: FrozenSet[str] = frozenset()
 
 
-def _reaches(succ: Dict[str, Set[str]], starts: Set[str], target: str) -> bool:
-    """Whether `target` is reachable from any of `starts` along `succ`."""
-    reached = set(starts)
-    stack = list(starts)
-    while stack:
-        node = stack.pop()
-        if node == target:
-            return True
-        for nxt in succ.get(node, ()):
-            if nxt not in reached:
-                reached.add(nxt)
-                stack.append(nxt)
-    return False
+def _new_dead(out: Dict[str, Set[str]], dead: FrozenSet[str],
+              added: List[Tuple[str, str]], shrunk: bool) -> FrozenSet[str]:
+    """The cycle members of the graph `out`, given its members `dead` before
+    the edges `added` were added and some edges removed, `shrunk` when one of
+    those ran between two members.
+
+    A cycle that uses no added edge was a cycle before, so its machines are
+    in `dead`; when no removed edge ran between two of them, all of `dead`
+    stays on cycles, else a strongly-connected-components pass over the
+    graph restricted to `dead` finds which do.  The machines on a cycle
+    through an added edge (a, b) are those reachable from b that reach a:
+    one forward search from b, then a backward search inside what it
+    reached (Haeupler, Kavitha, Mathew, Sen and Tarjan, TALG 2012, keep
+    cycles the same way).  Those machines form a's component, so a later
+    added edge from inside it adds nothing more.
+    """
+    if shrunk:
+        members = set(_cycle_members((a, b) for a in dead
+                                     for b in out.get(a, ()) if b in dead))
+    else:
+        members = set(dead)
+    closed: Set[str] = set()  # the components searched
+    for a, b in added:
+        if a in closed or b not in out:  # b waits for nobody
+            continue
+        reached = {b}
+        stack = [b]
+        while stack:
+            for n in out.get(stack.pop(), ()):
+                if n not in reached:
+                    reached.add(n)
+                    stack.append(n)
+        if a not in reached:
+            continue
+        into: Dict[str, List[str]] = {}
+        for n in reached:
+            for succ in out.get(n, ()):
+                if succ in reached:
+                    into.setdefault(succ, []).append(n)
+        component = {a}
+        stack = [a]
+        while stack:
+            for n in into.get(stack.pop(), ()):
+                if n not in component:
+                    component.add(n)
+                    stack.append(n)
+        closed |= component
+    members |= closed
+    return frozenset(members)
 
 
 def _cycle_members(edges: Iterable[Tuple[str, str]]) -> FrozenSet[str]:
@@ -466,42 +527,45 @@ def apply_effect(cs: ControllerState, effect: tuple,
                  committed: List[str]) -> None:
     """Apply one effect `(kind, machine, ...)` of the engine (registration),
     a wrapper or a controller component; a commit also appends the machine
-    to `committed`.  A kind that replaces or drops the machine's request
-    record adds the machine to `cs.wait_graph.changed`, and one that changes
-    which machines hold a location adds it to `cs.wait_graph.locations`."""
+    to `committed`.  An effect that changes the machine's needed locks, the
+    pair of a request not granted, adds the machine to
+    `cs.wait_graph.changed`; a grant, an undo or a commit records the
+    locations where the machine's locks changed in
+    `cs.wait_graph.holders`.  `cs.pending` follows the pending records."""
     kind, machine = effect[0], effect[1]
-    changed, locations = cs.wait_graph.changed, cs.wait_graph.locations
-    if kind == "register":
-        cs.histories[machine] = []
+    g, requests, pending = cs.wait_graph, cs.requests, cs.pending
+    if kind == "append_history":
+        cs.histories[machine].append(effect[2])
     elif kind == "lock_request":
-        cs.requests.pop(machine, None)  # to the back of the request order
-        cs.requests[machine] = Request(effect[2], PENDING)
-        changed.add(machine)
+        pair = effect[2]
+        before = requests.pop(machine, None)  # to the back of request order
+        requests[machine] = Request(pair, PENDING)
+        pending.pop(machine, None)
+        pending[machine] = pair
+        if not _still_needs(before, pair):
+            g.changed.add(machine)
     elif kind == "grant":
         pair = effect[2]
         cs.locks.grant(machine, pair)
-        cs.requests[machine] = Request(pair, GRANTED)
-        changed.add(machine)
-        locations.update(pair.r_loc, pair.w_loc)
+        before = requests.get(machine)
+        if before is not None and before.status != GRANTED:
+            g.changed.add(machine)
+        requests[machine] = Request(pair, GRANTED)
+        pending.pop(machine, None)
+        g.moved(machine, pair.r_loc, pair.w_loc)
     elif kind == "refuse":
-        cs.requests[machine] = Request(effect[2], REFUSED)
-        changed.add(machine)
+        _refuse(cs, machine, effect[2])
     elif kind == "withdraw_request":
         # The pair keeps feeding the wait relation, also during recovery.
-        cs.requests[machine] = Request(cs.requests[machine].pair, REFUSED)
-        changed.add(machine)
+        _refuse(cs, machine, requests[machine].pair)
     elif kind == "commit_request":
         cs.commit_requests.add(machine)
-        cs.requests.pop(machine, None)
-        changed.add(machine)
-    elif kind == "append_history":
-        cs.histories[machine].append(effect[2])
+        _drop_request(cs, machine)
     elif kind == "commit":
-        locations.update(cs.locks.locked_by(machine))
+        g.moved(machine, cs.locks.locked_by(machine))
         cs.locks.release_all(machine)
         cs.commit_requests.discard(machine)
-        cs.requests.pop(machine, None)
-        changed.add(machine)
+        _drop_request(cs, machine)
         committed.append(machine)
     elif kind == "victimize":
         cs.victims.add(machine)
@@ -513,6 +577,33 @@ def apply_effect(cs: ControllerState, effect: tuple,
             raise EmptyHistory(f"{machine}: undo of an entry not its youngest")
         pair = history.pop().locks
         cs.locks.release(machine, pair)
-        locations.update(pair.r_loc, pair.w_loc)
+        g.moved(machine, pair.r_loc, pair.w_loc)
+    elif kind == "register":
+        cs.histories[machine] = []
     else:
         raise ValueError(f"unknown effect {effect!r}")
+
+
+def _refuse(cs: ControllerState, machine: str, pair: LockPair) -> None:
+    """Record the machine's request for the pair as refused."""
+    before = cs.requests.get(machine)
+    cs.requests[machine] = Request(pair, REFUSED)
+    cs.pending.pop(machine, None)
+    if not _still_needs(before, pair):
+        cs.wait_graph.changed.add(machine)
+
+
+def _drop_request(cs: ControllerState, machine: str) -> None:
+    """Drop the machine's request record, if any."""
+    cs.pending.pop(machine, None)
+    before = cs.requests.pop(machine, None)
+    if before is not None and before.status != GRANTED:
+        cs.wait_graph.changed.add(machine)
+
+
+def _still_needs(before: Optional[Request], pair: LockPair) -> bool:
+    """Whether a machine whose request record was `before` already needed
+    the locks of `pair`: its request was for the pair and not granted."""
+    return (before is not None and before.status != GRANTED
+            and (before.pair is pair or before.pair.r_loc == pair.r_loc
+                 and before.pair.w_loc == pair.w_loc))

@@ -305,6 +305,12 @@ def location_text(loc: Location) -> str:
 _JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
 
 
+def plain_value(v: Value):
+    """A value as plain JSON, as version 4 writes it: the integer or
+    string, or true, false or null for undef."""
+    return _JSON_CONSTANTS[v] if type(v) is Constant else v
+
+
 def _plain_value(payload) -> Value:
     """The value a plain JSON integer, string, boolean or null writes; any
     other JSON is MalformedTrace."""
@@ -370,7 +376,7 @@ class _Fragments:
             return ("i", v), (f'["i",{v}]]' if self.tagged else f"{v}]")
         key = value_key(v)  # a bool fails here
         return key, _dump(encode_value(v) if self.tagged
-                          else _JSON_CONSTANTS.get(v, v)) + "]"
+                          else plain_value(v)) + "]"
 
     def locations(self, locations) -> str:
         """The JSON list of the locations, sorted."""
@@ -418,6 +424,7 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
     for m in order:
         joining.setdefault(config.registration.get(m, 0), []).append(m)
     live: List[str] = []  # registered and not done, in name order
+    waiting: Set[str] = set()  # the live machines that are `blocked`
 
     wait_mode = config.wait_mode
     status = "budget"
@@ -446,9 +453,9 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
         updates: set = set()
         finished: List[str] = []
         for m in acting_machines:
-            tcb = tcbs[m]
-            if blocked(tcb, cs, wait_mode):  # it performs no step: no record
+            if m in waiting:  # it performs no step: no record
                 continue
+            tcb = tcbs[m]
             try:
                 ms, eff = wrapper_step(programs[m], tcb, state, cs, seed,
                                        index, wait_mode)
@@ -484,15 +491,25 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
             updates.update(*[eff[2].saved for eff in ctl_effects
                              if eff[0] == "undo"])
 
-        delta = frozenset(updates)
-        if not consistent(delta):
-            raise _clash_error(index, per_machine)
-        state = state.with_updates(delta)
+        if updates:
+            if not consistent(updates):
+                raise _clash_error(index, per_machine)
+            state.update(updates)  # the run's own state: no copy
 
         # Apply phase: the wrappers' effects, then the controller's.  The
         # trace records the controller's events, then the lock requests.
+        named = set(per_machine)
         for eff in effects + ctl_effects:
             ctl.apply_effect(cs, eff, committed)
+            named.add(eff[1])
+        # `blocked` reads the machine's control state, which only its step
+        # changes, and its request record and victim mark, which only an
+        # effect naming it changes.
+        for m in named:
+            if blocked(tcbs[m], cs, wait_mode):
+                waiting.add(m)
+            else:
+                waiting.discard(m)
         for eff in ctl_effects + effects:
             event = effect_event(eff)
             if event is not None:
@@ -1228,9 +1245,9 @@ class Replay:
                 if values.get(loc, UNDEF) != v:
                     raise MalformedTrace(
                         f"step record {rec.index}: {m} reads "
-                        f"{_dump(encode_location(loc))} "
-                        f"{_dump(encode_value(v))}, but the steps before "
-                        f"leave {_dump(encode_value(values.get(loc, UNDEF)))}")
+                        f"{print_location(loc)} {_dump(plain_value(v))}, but "
+                        f"the steps before leave "
+                        f"{_dump(plain_value(values.get(loc, UNDEF)))}")
             delta += ms.updates
         for ev in rec.events:
             if ev["kind"] == "undo":
@@ -1240,7 +1257,7 @@ class Replay:
             if len(updates) < len(delta) and not consistent(delta):
                 raise MalformedTrace(
                     f"step record {rec.index} gives "
-                    f"{_dump(encode_location(_clashes(delta)[0]))} two values")
+                    f"{print_location(_clashes(delta)[0])} two values")
             values.update(updates)
             if UNDEF in updates.values():
                 for loc, v in updates.items():
@@ -1259,11 +1276,10 @@ class Replay:
         if final != replayed:
             loc = min((l for l in final.keys() | replayed.keys()
                        if final.get(l) != replayed.get(l)), key=loc_key)
-            given, left = (_dump(encode_value(d[loc])) if loc in d else "none"
+            given, left = (_dump(plain_value(d[loc])) if loc in d else "none"
                            for d in (final, replayed))
-            raise MalformedTrace(f"final_state gives "
-                                 f"{_dump(encode_location(loc))} {given}, but "
-                                 f"the steps leave {left}")
+            raise MalformedTrace(f"final_state gives {print_location(loc)} "
+                                 f"{given}, but the steps leave {left}")
 
 
 def trace_from_lines(lines: List[str]) -> Trace:

@@ -11,16 +11,16 @@ A decoder mutant (`MUTANTS`) breaks one check of `engine.trace_from_lines`
 forgery is the input its check exists to reject: the unmodified code
 rejects it, the mutated code accepts it.
 
-A controller mutant (`CONTROLLER_MUTANTS`) breaks two-phase locking.  The
-detectors (`DETECTORS`) look at the runs of a small fuzz corpus, and each
-mutant names the detectors that kill it.
+A controller mutant (`CONTROLLER_MUTANTS`) breaks two-phase locking or the
+kept wait graph.  The detectors (`DETECTORS`) look at the runs of a small
+fuzz corpus, and each mutant names the detectors that kill it.
 """
 import __future__
 import inspect
 import json
 import textwrap
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from taserial import controller, engine, wrapper
 from taserial.asm import AsmError, Location
@@ -39,6 +39,7 @@ from taserial.engine import (
 from taserial.fuzz import random_config
 from taserial.workloads import counter_config
 
+from reference import cycle_members, wait_edges
 from test_acceptance import _replay_lock_table
 from test_trace_reader import _array_reader_lines, _edited
 from trace_v2 import v2_lines
@@ -65,6 +66,14 @@ def replace(owner, name: str, *edits: Tuple[str, str]):
     """A mutant's patch: `owner.name` with the `edits` made."""
     def apply(monkeypatch):
         monkeypatch.setattr(owner, name, patched(owner, name, *edits))
+    return apply
+
+
+def both(*patches):
+    """A mutant's patch made of several."""
+    def apply(monkeypatch):
+        for patch in patches:
+            patch(monkeypatch)
     return apply
 
 
@@ -266,24 +275,61 @@ class ControllerMutant:
     killed_by: Tuple[str, ...]  # the `DETECTORS` that reject some run
 
 
-def _unserializable(trace) -> bool:
-    return trace.status == "done" and not check_serializable(trace).ok
+@dataclass(frozen=True)
+class WatchedRun:
+    trace: Optional[engine.Trace]  # None when the run raised
+    strays: int  # deadlock searches that kept another graph than the reference
 
 
-def _lock_conflict(trace) -> bool:
-    # The lock replay reads the decoded trace's lock pairs, as `check` would.
+def watched_run(config) -> WatchedRun:
+    """Run the config, comparing after each deadlock search the kept wait
+    graph and its cycle members with the reference's, derived from scratch
+    by `reference.wait_edges`; a run that raises AsmError has no trace."""
+    search = controller.deadlocked
+    strays = 0
+
+    def compared(cs):
+        nonlocal strays
+        dead = search(cs)
+        edges = wait_edges(cs)
+        kept = {(a, b) for a, bs in cs.wait_graph.out.items() for b in bs}
+        strays += kept != edges or dead != cycle_members(edges)
+        return dead
+
+    controller.deadlocked = compared
     try:
-        _replay_lock_table(trace_from_lines(trace_to_lines(trace)))
+        trace = run(config)
+    except AsmError:
+        trace = None
+    finally:
+        controller.deadlocked = search
+    return WatchedRun(trace, strays)
+
+
+def _unserializable(watched: WatchedRun) -> bool:
+    trace = watched.trace
+    return (trace is not None and trace.status == "done"
+            and not check_serializable(trace).ok)
+
+
+def _lock_conflict(watched: WatchedRun) -> bool:
+    # The lock replay reads the decoded trace's lock pairs, as `check` would.
+    if watched.trace is None:
+        return False
+    try:
+        _replay_lock_table(trace_from_lines(trace_to_lines(watched.trace)))
     except LockInvariantViolation:
         return True
     return False
 
 
-#: detector -> whether it rejects a run's trace; a run that raises is
-#: killed by "run" alone.
+#: detector -> whether it rejects a watched run.  A run that raises is
+#: killed by "run", and by the wait-graph reference when a search before
+#: the raise kept another graph.
 DETECTORS = {
     "serial oracle": _unserializable,
     "lock replay": _lock_conflict,
+    "wait-graph reference": lambda watched: watched.strays > 0,
 }
 
 #: The corpus the controller mutants run on: default `random_config` seeds.
@@ -297,8 +343,12 @@ CONTROLLER_MUTANTS = [
         ("serial oracle",)),
     ControllerMutant(
         "writer beside readers",
-        replace(controller.LockTable, "conflicts",
-                ("out.update(readers)", "pass")),
+        # The conflict rule, in both methods of the lock table that apply
+        # it: a waiting writer is blocked by no reader.
+        both(replace(controller.LockTable, "conflicts",
+                     ("out.update(readers)", "pass")),
+             replace(controller.LockTable, "blocks", (
+                 "self._r_by.get(holder, _NO_LOCATIONS)", "_NO_LOCATIONS"))),
         ("serial oracle", "lock replay")),
     ControllerMutant(
         "locks released at commit request",
@@ -306,7 +356,18 @@ CONTROLLER_MUTANTS = [
             "cs.commit_requests.add(machine)\n",
             "cs.commit_requests.add(machine)\n"
             "        cs.locks.release_all(machine)\n")),
-        ("lock replay",)),
+        ("lock replay", "wait-graph reference")),
+    ControllerMutant(
+        "undo records no holder delta",
+        replace(controller, "apply_effect", (
+            "cs.locks.release(machine, pair)\n"
+            "        g.moved(machine, pair.r_loc, pair.w_loc)\n",
+            "cs.locks.release(machine, pair)\n")),
+        ("run", "wait-graph reference")),
+    ControllerMutant(
+        "removed edge between cycle members keeps the cycle set",
+        replace(controller, "_new_dead", ("if shrunk:", "if False:")),
+        ("run", "wait-graph reference")),
 ]
 
 
@@ -315,12 +376,11 @@ def kills() -> dict:
     "run", for a run that raised) the runs it rejects."""
     out = dict.fromkeys(["done", "run", *DETECTORS], 0)
     for seed in CORPUS_SEEDS:
-        try:
-            trace = run(random_config(seed))
-        except AsmError:
+        watched = watched_run(random_config(seed))
+        if watched.trace is None:
             out["run"] += 1
-            continue
-        out["done"] += trace.status == "done"
+        else:
+            out["done"] += watched.trace.status == "done"
         for name, rejects in DETECTORS.items():
-            out[name] += rejects(trace)
+            out[name] += rejects(watched)
     return out

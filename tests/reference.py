@@ -3,7 +3,8 @@
 Nothing in `taserial` calls these: each derives from scratch what the
 program keeps incrementally, or reads a trace the way a test needs.
 """
-from typing import FrozenSet, Optional, Tuple
+import itertools
+from typing import FrozenSet, Iterable, Optional, Tuple
 
 from taserial.asm import Location
 from taserial.controller import (
@@ -26,6 +27,23 @@ def wait_edges(cs: ControllerState) -> FrozenSet[Tuple[str, str]]:
     return frozenset(
         (m, n) for m, r in cs.requests.items() if r.status != GRANTED
         for n in cs.locks.conflicts(m, r.pair))
+
+
+def cycle_members(edges: Iterable[Tuple[str, str]]) -> FrozenSet[str]:
+    """The nodes on a cycle of the graph with these edges, from its
+    transitive closure by iterated squaring: an oracle independent of
+    `controller.deadlocked` and its strongly-connected-components pass."""
+    reach = set(edges)
+    nodes = sorted({n for e in reach for n in e})
+    changed = True
+    while changed:
+        changed = False
+        for a, b in itertools.product(nodes, nodes):
+            if (a, b) not in reach:
+                if any((a, c) in reach and (c, b) in reach for c in nodes):
+                    reach.add((a, b))
+                    changed = True
+    return frozenset(n for n in nodes if (n, n) in reach)
 
 
 def r_holders(table: LockTable, loc: Location) -> FrozenSet[str]:

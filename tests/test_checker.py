@@ -124,8 +124,7 @@ def test_step_witness_names_an_update_one_side_lacks():
     witness = equivalent(sched, broken, trace.registered)
     assert witness == {"machine": m, "kind": "step", "position": 0,
                        "left_step": first.step_index, "what": "update",
-                       "location": ["ghost", []], "left": None,
-                       "right": ["u"]}
+                       "location": "ghost()", "right": None}
     json.dumps(witness)
 
 

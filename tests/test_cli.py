@@ -416,8 +416,7 @@ def test_check_names_the_lost_update(tmp_path, capsys):
     # step, but 1 after a ran alone.
     assert record["witness"] == {
         "machine": "b", "kind": "step", "position": 0, "left_step": 2,
-        "what": "read", "location": ["cell", []],
-        "left": ["i", 0], "right": ["i", 1]}
+        "what": "read", "location": "cell()", "left": 0, "right": 1}
 
 
 _WRITE_Q = """\
@@ -616,8 +615,7 @@ def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):
     assert read[1] == ["b", True]
     read[1] = ["i", 1]
     _check_malformed(tmp_path, capsys, records,
-                     'm reads ["flag",[]] ["i",1], but the steps before '
-                     'leave ["b",true]')
+                     'm reads flag() 1, but the steps before leave true')
 
 
 @pytest.mark.parametrize("value", [["s", 0], ["i", "0"], ["x", 0],
@@ -739,8 +737,8 @@ def test_check_forged_read_exits_one(tmp_path, capsys):
     assert read == [["pc_m2", []], ["i", 0]]
     read[1] = ["i", 7]
     _check_malformed(tmp_path, capsys, records,
-                     'step record 2: m2 reads ["pc_m2",[]] ["i",7], but the '
-                     'steps before leave ["i",0]')
+                     'step record 2: m2 reads pc_m2() 7, but the steps '
+                     'before leave 0')
 
 
 def test_check_forged_read_in_an_undone_step_exits_one(tmp_path, capsys):
@@ -751,11 +749,25 @@ def test_check_forged_read_in_an_undone_step_exits_one(tmp_path, capsys):
     location, value = reads[0]
     forged = ["i", value[1] + 1]
     reads[0] = [location, forged]
-    dump = json.JSONEncoder(separators=(",", ":")).encode
+    assert location[1] == []
     _check_malformed(tmp_path, capsys, records,
-                     f"step record 3: alpha reads {dump(location)} "
-                     f"{dump(forged)}, but the steps before leave "
-                     f"{dump(value)}")
+                     f"step record 3: alpha reads {location[0]}() "
+                     f"{forged[1]}, but the steps before leave {value[1]}")
+
+
+def test_check_names_a_forged_read_alike_in_every_version(tmp_path, capsys):
+    """The message names the location and values as version 4 writes them,
+    whatever the version of the input."""
+    tagged = [["pc_m2", []], ["i", 0]], ["i", 7]
+    for version, read, forged in ((1, *tagged), (2, *tagged), (3, *tagged),
+                                  (4, ["pc_m2()", 0], 7)):
+        records = _counter_trace_records(tmp_path, v1=version == 1,
+                                         v2=version == 2, v3=version == 3)
+        assert records[3]["machines"]["m2"]["reads"][0] == read, version
+        records[3]["machines"]["m2"]["reads"][0] = [read[0], forged]
+        _check_malformed(tmp_path, capsys, records,
+                         'step record 2: m2 reads pc_m2() 7, but the steps '
+                         'before leave 0')
 
 
 def test_check_read_is_undef_exactly_where_the_location_is_absent(tmp_path,
@@ -767,13 +779,13 @@ def test_check_read_is_undef_exactly_where_the_location_is_absent(tmp_path,
     capsys.readouterr()
     reads[-1] = [["zz", []], ["i", 0]]
     _check_malformed(tmp_path, capsys, records,
-                     'step record 2: m2 reads ["zz",[]] ["i",0], but the '
-                     'steps before leave ["u"]')
+                     'step record 2: m2 reads zz() 0, but the steps before '
+                     'leave null')
     reads.pop()
     reads[0] = [["pc_m2", []], ["u"]]
     _check_malformed(tmp_path, capsys, records,
-                     'step record 2: m2 reads ["pc_m2",[]] ["u"], but the '
-                     'steps before leave ["i",0]')
+                     'step record 2: m2 reads pc_m2() null, but the steps '
+                     'before leave 0')
 
 
 # -- a list in a record is a JSON list, not an object ------------------------
@@ -1490,8 +1502,7 @@ def test_check_forged_final_state_exits_one(tmp_path, capsys):
     assert _final_entry(records, "pc_m0")[1] == ["i", 2]
     _final_entry(records, "pc_m0")[1] = ["i", 999]
     _check_malformed(tmp_path, capsys, records,
-                     'final_state gives ["pc_m0",[]] ["i",999], but the '
-                     'steps leave ["i",2]')
+                     'final_state gives pc_m0() 999, but the steps leave 2')
 
 
 def test_check_update_in_a_record_that_is_not_proper_exits_one(tmp_path,
@@ -1514,13 +1525,11 @@ def test_check_final_state_with_a_location_more_or_less_exits_one(tmp_path,
     records = _counter_trace_records(tmp_path, v3=True)
     records[-1]["final_state"].append([["zz", []], ["i", 0]])
     _check_malformed(tmp_path, capsys, records,
-                     'final_state gives ["zz",[]] ["i",0], but the steps '
-                     'leave none')
+                     'final_state gives zz() 0, but the steps leave none')
     records = _counter_trace_records(tmp_path, v3=True)
     records[-1]["final_state"].remove(_final_entry(records, "pc_m1"))
     _check_malformed(tmp_path, capsys, records,
-                     'final_state gives ["pc_m1",[]] none, but the steps '
-                     'leave ["i",2]')
+                     'final_state gives pc_m1() none, but the steps leave 2')
 
 
 def test_check_step_giving_a_location_two_values_exits_one(tmp_path, capsys):
@@ -1529,9 +1538,10 @@ def test_check_step_giving_a_location_two_values_exits_one(tmp_path, capsys):
                   for ms in rec["machines"].values() if ms["updates"])
     (location, value) = ms["updates"][0]
     ms["updates"].append([location, ["i", value[1] + 1]])
+    assert location[1] == []
     _check_malformed(tmp_path, capsys, records,
-                     f"step record {at} gives {json.dumps(location)} "
-                     f"two values".replace(", ", ","))
+                     f"step record {at} gives {location[0]}() "
+                     f"two values")
 
 
 def test_check_final_state_follows_an_undo(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import inspect
-import itertools
 import random
 import re
 
@@ -27,7 +26,8 @@ from taserial.controller import (
     recovery_step,
 )
 
-from reference import check_lock_table, r_holders, w_holder, wait_edges
+from reference import (check_lock_table, cycle_members, r_holders, w_holder,
+                       wait_edges)
 
 
 def loc(f, *args):
@@ -290,21 +290,6 @@ def test_lock_index_matches_table_scan():
 # -- deadlock --------------------------------------------------------------
 
 
-def _closure_cycle_members(edges):
-    """Independent oracle: transitive closure by iterated squaring."""
-    nodes = sorted({n for e in edges for n in e})
-    reach = {(a, b) for a, b in edges}
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.product(nodes, nodes):
-            if (a, b) not in reach:
-                if any((a, c) in reach and (c, b) in reach for c in nodes):
-                    reach.add((a, b))
-                    changed = True
-    return frozenset(n for n in nodes if (n, n) in reach)
-
-
 def _cs_with_edges(edge_list):
     machines = sorted({n for e in edge_list for n in e})
     cs = fresh(machines)
@@ -328,7 +313,7 @@ def _cs_with_edges(edge_list):
 def test_deadlock_matches_closure_oracle(edge_list, expect_cycle):
     cs = _cs_with_edges([e for e in edge_list if e[0] != e[1]])
     edges = wait_edges(cs)
-    oracle = _closure_cycle_members(edges)
+    oracle = cycle_members(edges)
     assert deadlocked(cs) == oracle
     assert bool(oracle) == expect_cycle
 
@@ -356,7 +341,7 @@ def test_random_wait_graphs_match_oracle():
         edge_list = [(x, y) for x in nodes for y in nodes
                      if x != y and r.random() < p]
         cs = _cs_with_edges(edge_list)
-        assert deadlocked(cs) == _closure_cycle_members(wait_edges(cs))
+        assert deadlocked(cs) == cycle_members(wait_edges(cs))
 
 
 def test_long_cycle_and_chain_need_no_recursion():
@@ -448,6 +433,7 @@ def test_kept_wait_graph_matches_reference_under_random_changes():
             _random_op(r, cs, machines, locations, committed)
             # Let changes pile up between some searches, as in interleave
             # mode, where the controller does not act every step.
+            assert list(cs.pending.items()) == pending(cs)
             if r.random() < 0.6:
                 dead = deadlocked(cs)
                 assert dead == _reference(cs)
@@ -507,53 +493,70 @@ def test_wait_graph_keeps_one_and_true_apart():
     assert cs.wait_graph.out == {"m1": {"m0"}, "m0": {"m2"}}
 
 
-def _holders(table):
-    return ({l: set(ms) for l, ms in table.r_locked.items()},
-            dict(table.w_locked))
+def _held(table):
+    """Per machine, the kind of lock it holds on each location."""
+    out = {}
+    for l, ms in table.r_locked.items():
+        for m in ms:
+            out.setdefault(m, {})[l] = "r"
+    for l, m in table.w_locked.items():
+        out.setdefault(m, {})[l] = out.get(m, {}).get(l, "") + "w"
+    return out
 
 
-def test_every_effect_that_rewrites_a_request_marks_its_machine():
-    """Each effect kind is applied once; every kind that replaces or drops
-    the machine's request record adds it to `wait_graph.changed`, and only
-    those kinds (and commit, which drops a record if one is left) do.  Each
-    location whose holders an effect changes goes to
-    `wait_graph.locations`."""
+def _needs(request):
+    return None if request is None or request.status == GRANTED else request.pair
+
+
+def test_an_effect_marks_a_machine_iff_its_needed_locks_change():
+    """Each effect kind is applied at least once.  An effect adds a machine
+    to `wait_graph.changed` if and only if it changes the machine's pair or
+    whether its request is granted.  A grant, an undo and a commit record
+    in `wait_graph.holders`, by machine, the locations where that machine's
+    locks changed; no other effect records any."""
     entry = HistoryEntry(saved=(), locks=pair(w=("y",)))
-    effects = [
-        ("register", "c"),
-        ("lock_request", "a", pair(r=("x",))),
-        ("refuse", "a", pair(r=("x",))),
-        ("withdraw_request", "a"),
-        ("lock_request", "a", pair(w=("y",))),
-        ("grant", "a", pair(w=("y",))),
-        ("append_history", "a", entry),
-        ("victimize", "a"),
-        ("unvictimize", "a"),
-        ("undo", "a", entry),
-        ("commit_request", "a"),
-        ("commit", "a"),
+    effects = [  # and whether each marks its machine
+        (("register", "c"), False),
+        (("lock_request", "a", pair(r=("x",))), True),
+        (("refuse", "a", pair(r=("x",))), False),
+        (("lock_request", "a", pair(r=("x",))), False),  # the refused pair
+        (("withdraw_request", "a"), False),
+        (("lock_request", "a", pair(w=("y",))), True),
+        (("grant", "a", pair(w=("y",))), True),
+        (("append_history", "a", entry), False),
+        (("victimize", "a"), False),
+        (("unvictimize", "a"), False),
+        (("undo", "a", entry), False),
+        (("lock_request", "a", pair(w=("z",))), True),  # was granted
+        (("grant", "a", pair(w=("z",))), True),
+        (("commit_request", "a"), False),  # drops a granted record
+        (("commit", "a"), False),
+        (("lock_request", "b", pair(w=("q",))), True),
+        (("refuse", "b", pair(w=("q",))), False),
+        (("commit_request", "b"), True),  # drops a refused record
+        (("commit", "b"), False),
     ]
     cs = _blocked_by_b()
-    marking = set()
-    for effect in effects:
-        before, held = dict(cs.requests), _holders(cs.locks)
+    for effect, marks in effects:
+        before, held = dict(cs.requests), _held(cs.locks)
         cs.wait_graph.changed.clear()
-        cs.wait_graph.locations.clear()
+        cs.wait_graph.holders.clear()
         apply_effect(cs, effect, [])
-        rewritten = {m for m in before.keys() | cs.requests.keys()
-                     if before.get(m) is not cs.requests.get(m)}
-        assert rewritten <= cs.wait_graph.changed <= {"a"}, effect
-        if cs.wait_graph.changed:
-            marking.add(effect[0])
-        moved = {l for kinds, now in zip(held, _holders(cs.locks))
-                 for l in kinds.keys() | now.keys()
-                 if kinds.get(l) != now.get(l)}
-        assert moved == cs.wait_graph.locations, effect
+        needs_changed = {m for m in before.keys() | cs.requests.keys()
+                         if _needs(before.get(m)) != _needs(cs.requests.get(m))}
+        assert cs.wait_graph.changed == needs_changed, effect
+        assert needs_changed == ({effect[1]} if marks else set()), effect
+        now = _held(cs.locks)
+        moved = {m: {l for l in held.get(m, {}).keys() | now.get(m, {}).keys()
+                     if held.get(m, {}).get(l) != now.get(m, {}).get(l)}
+                 for m in held.keys() | now.keys()}
+        assert cs.wait_graph.holders == {m: ls for m, ls in moved.items()
+                                         if ls}, effect
+        if effect[0] in ("grant", "undo", "commit"):
+            assert cs.wait_graph.holders, effect
     assert cs.histories["c"] == []
     applied = re.findall(r'kind == "(\w+)"', inspect.getsource(apply_effect))
-    assert {e[0] for e in effects} == set(applied)
-    assert marking == {"lock_request", "refuse", "withdraw_request", "grant",
-                       "commit_request", "commit"}
+    assert {e[0] for e, _ in effects} == set(applied)
 
 
 # -- one request record per machine, changed by effects ----------------------

@@ -27,7 +27,14 @@ from taserial.engine import (
     UNDEF,
 )
 from taserial.fuzz import FuzzParams, random_config
-from taserial.wrapper import ACTIVE, WAIT_LOCKS
+from taserial.wrapper import (
+    ACTIVE,
+    DONE,
+    UNREGISTERED,
+    WAIT_LOCKS,
+    MachineCtl,
+    blocked,
+)
 from taserial.workloads import (
     count_events,
     counter_config,
@@ -308,6 +315,22 @@ def test_step_hashes_equal_reference_digest_12_machines(seed):
     _assert_hashes_match_states(run(random_config(seed, params)))
 
 
+def test_state_updated_in_place_is_the_runs_own():
+    """The engine updates its state in place.  That state is the run's own:
+    a second run of the same config writes the same trace, the config's
+    initial state is unchanged, and the trace keeps the initial and final
+    values apart."""
+    config = random_config(1, FUZZ_12)
+    initial = config.initial_state()
+    trace = run(config)
+    assert config.initial_state() == initial
+    assert trace.initial_values == initial.values
+    assert trace.final_values != trace.initial_values
+    assert trace_to_lines(run(config)) == trace_to_lines(trace)
+    assert config.initial_state() == initial
+    assert state_at(trace, len(trace.steps)).values == trace.final_values
+
+
 def test_engine_no_longer_digests_whole_states(monkeypatch):
     def forbidden(*args):
         raise AssertionError("run hashed")
@@ -352,12 +375,18 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
     step: in interleave mode the controller does not act every step, so its
     own searches see the changes of several steps at once.  At every lock
     handler step, each waiting machine's kept out-set is its blockers, the
-    holders of locks that conflict with its pair.
-    The seeds alternate the two wait modes."""
+    holders of locks that conflict with its pair, and `cs.pending` holds
+    the pending records in request order.
+    Every step, the engine steps exactly those acting machines that were
+    not `blocked` after the step before (or have just registered): its kept
+    blocked set is `wrapper.blocked` of every live machine, all of which act
+    in sync mode.  The seeds alternate the two wait modes."""
     searches = []
     waiting = []
     original = controller.deadlocked
     real_handler = controller.lock_handler_step
+    real_acting, real_step = engine._acting, engine.wrapper_step
+    tcbs, step = {}, {}
 
     def compared(cs):
         dead = original(cs)
@@ -372,23 +401,54 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
                 waiting.append(wait_mode)
                 blocked[m] = cs.locks.conflicts(m, r.pair)
         assert waits_for == {m: b for m, b in blocked.items() if b}
+        assert list(cs.pending.items()) == [
+            (m, r.pair) for m, r in cs.requests.items()
+            if r.status == controller.PENDING]
         return real_handler(cs, draw, policy, wait_mode, waits_for)
 
+    def new_tcb(machine_id):
+        tcb = tcbs[machine_id] = MachineCtl(machine_id=machine_id)
+        return tcb
+
+    def acting(run_mode, live, seed, index):
+        machines, controller_acts = real_acting(run_mode, live, seed, index)
+        joined = set(live) - step["live"]
+        step["expected"] = set(machines) & (step["ready"] | joined)
+        step["stepped"] = set()
+        return machines, controller_acts
+
+    def stepped(program, tcb, *args):
+        step["stepped"].add(tcb.machine_id)
+        return real_step(program, tcb, *args)
+
     def checked(cs):
-        compared(cs)
+        assert step["stepped"] == step["expected"]
+        step["live"] = {m for m, tcb in tcbs.items()
+                        if tcb.ctl_state not in (UNREGISTERED, DONE)}
+        step["ready"] = {m for m in step["live"]
+                         if not blocked(tcbs[m], cs, step["wait_mode"])}
+        if every_step:
+            compared(cs)
         real_invariants(cs)
 
     real_invariants = controller.ControllerState.check_invariants
     monkeypatch.setattr(controller, "deadlocked", compared)
     monkeypatch.setattr(controller, "lock_handler_step", handler)
-    if every_step:
-        monkeypatch.setattr(controller.ControllerState, "check_invariants",
-                            checked)
+    monkeypatch.setattr(controller.ControllerState, "check_invariants",
+                        checked)
+    monkeypatch.setattr(engine, "MachineCtl", new_tcb)
+    monkeypatch.setattr(engine, "_acting", acting)
+    monkeypatch.setattr(engine, "wrapper_step", stepped)
     corpora = [(None, range(200)), (FUZZ_12, range(4)), (FUZZ_24, range(3))]
+    modes = set()
     for params, seeds in corpora:
         for seed in seeds:
-            run(replace(random_config(seed, params), run_mode=run_mode))
-    assert sum(searches) > 100
+            config = replace(random_config(seed, params), run_mode=run_mode)
+            tcbs.clear()
+            step.update(live=set(), ready=set(), wait_mode=config.wait_mode)
+            run(config)
+            modes.add(config.wait_mode)
+    assert sum(searches) > 100 and modes == {"retry", "suspend"}
     assert waiting.count("retry") > 1000 and waiting.count("suspend") > 1000
 
 

@@ -139,20 +139,19 @@ def test_replay_applies_updates_and_restores_and_drops_undef():
 
 def test_replay_rejects_a_read_that_is_not_the_replayed_value():
     with pytest.raises(MalformedTrace, match=r'step record 0: m0 reads '
-                       r'\["x",\[\]\] \["i",2\], but the steps before leave '
-                       r'\["i",1\]'):
+                       r'x\(\) 2, but the steps before leave 1$'):
         _replay([StepRecord(0, {"m0": _reads((X, 2))}, [])], {X: 1})
 
 
 def test_replay_rejects_an_undef_read_of_a_location_that_is_set():
-    with pytest.raises(MalformedTrace, match=r'm0 reads \["x",\[\]\] \["u"\],'
-                       r' but the steps before leave \["i",1\]'):
+    with pytest.raises(MalformedTrace, match=r'm0 reads x\(\) null, but the '
+                       r'steps before leave 1$'):
         _replay([StepRecord(0, {"m0": _reads((X, UNDEF))}, [])], {X: 1})
 
 
 def test_replay_rejects_a_step_giving_a_location_two_values():
     with pytest.raises(MalformedTrace, match=r'step record 0 gives '
-                       r'\["x",\[\]\] two values'):
+                       r'x\(\) two values'):
         _replay([StepRecord(0, {"m0": _writes((X, 1)), "m1": _writes((X, 2))},
                             [])])
 
@@ -163,6 +162,5 @@ def test_replay_rejects_a_final_state_that_is_not_the_result():
     replay = _replay(steps)
     replay.finish(_trace(config, steps, {X: 1}))
     with pytest.raises(MalformedTrace, match=r'final_state gives '
-                       r'\["x",\[\]\] \["i",2\], but the steps leave '
-                       r'\["i",1\]'):
+                       r'x\(\) 2, but the steps leave 1$'):
         replay.finish(_trace(config, steps, {X: 2}))

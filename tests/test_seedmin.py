@@ -1,0 +1,62 @@
+import importlib.util
+import sys
+from pathlib import Path
+
+import taserial.engine
+
+ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("seedmin",
+                                               ROOT / "tools" / "seedmin.py")
+seedmin = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(seedmin)
+
+
+def test_session_alternates_and_keeps_each_seeds_minimum():
+    calls = []
+    times = {"parent": [3.0, 5.0, 2.0, 4.0], "change": [2.5, 4.0, 2.5, 3.0]}
+
+    def timer(side):
+        def time(seed):
+            calls.append((side, seed))
+            # per side, the rounds' times of seed 0, then of seed 1
+            k = sum(1 for s, n in calls if s == side and n == seed) - 1
+            return times[side][2 * seed + k], f"trace {seed}"
+        return time
+
+    best = seedmin.session({s: timer(s) for s in times}, [0, 1], 2)
+    assert calls == [("parent", 0), ("change", 0), ("change", 1),
+                     ("parent", 1), ("change", 0), ("parent", 0),
+                     ("parent", 1), ("change", 1)]
+    assert best == {"parent": {0: (3.0, "trace 0"), 1: (2.0, "trace 1")},
+                    "change": {0: (2.5, "trace 0"), 1: (2.5, "trace 1")}}
+    s = seedmin.summarize(best)
+    assert (s["parent_s"], s["change_s"]) == (5.0, 5.0)
+    assert s["median_ratio"] == (2.5 / 3.0 + 2.5 / 2.0) / 2
+    assert (s["seeds_won"], s["seeds"], s["same_traces"]) == (1, 2, True)
+    best["change"][1] = (2.5, "another trace")
+    assert not seedmin.summarize(best)["same_traces"]
+
+
+def test_two_seeds_of_one_tree_against_itself(capsys):
+    before = {n: m for n, m in sys.modules.items() if n.startswith("taserial")}
+    assert seedmin.main([str(ROOT), str(ROOT), "--workload", "fuzz3",
+                         "--rounds", "1", "--seeds", "0:2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "== fuzz3, seeds 0:2, 1 rounds, part run"
+    won = out[4].split()
+    assert won[:4] == ["seeds", "the", "change", "won"]
+    assert won[4].endswith("/2")
+    assert out[5].split() == ["identical", "traces", "True"]
+    # The trees' modules were imported beside, not over, this process's.
+    assert {n: m for n, m in sys.modules.items()
+            if n.startswith("taserial")} == before
+    assert sys.modules["taserial.engine"] is taserial.engine
+
+
+def test_check_part_and_workload_parameters():
+    assert seedmin.workload_params(ROOT, "fuzz12")["n_machines"] == 12
+    mods = seedmin.import_tree(ROOT)
+    assert mods.engine is not taserial.engine
+    took, digest = seedmin.timer(mods, {}, "check")(0)
+    again = seedmin.timer(mods, {}, "run")(0)[1]
+    assert took > 0 and digest == again
