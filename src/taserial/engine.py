@@ -42,10 +42,9 @@ from .dsl import (
     print_program,
 )
 from .seeds import make_rng
-from .wrapper import (  # MachineStep and IDLE_STEP are also engine's API
+from .wrapper import (  # MachineStep is also engine's API
     ACTIVE,
     DONE,
-    IDLE_STEP,
     TRANSITIONS,
     UNREGISTERED,
     MachineCtl,
@@ -174,8 +173,7 @@ class RunConfig:
     @classmethod
     def from_payload(cls, payload: dict) -> "RunConfig":
         """The config `to_payload` wrote; the settings are checked as
-        given, and each `programs` key must name the program it holds.  A
-        version-1 payload has no `shared_inits`: its programs hold them."""
+        given, and each `programs` key must name the program it holds."""
         machines = []
         for name, text in payload["programs"].items():
             try:
@@ -185,12 +183,13 @@ class RunConfig:
             if machines[-1].name != name:
                 raise ConfigError(f"programs key {name!r} holds machine "
                                   f"{machines[-1].name!r}")
-        shared = payload.get("shared_inits", [])
+        shared = payload["shared_inits"]
         if type(shared) is not list or not all(
                 type(p) is list and len(p) == 2 for p in shared):
             raise ConfigError(f"shared_inits is not a list of [location, "
                               f"value] pairs: {shared!r}")
-        return cls(machines, _Shared().pairs(shared, "shared_inits"),
+        return cls(machines, [(decode_location(l), decode_value(v))
+                              for l, v in shared],
                    **{name: payload[name] for name in SETTINGS})
 
     def closed_system_warnings(self) -> List[str]:
@@ -288,6 +287,17 @@ def decode_value(payload) -> Value:
 
 def encode_location(loc: Location):
     return [loc.func, [encode_value(a) for a in loc.args]]
+
+
+def decode_location(payload) -> Location:
+    """The location `encode_location` wrote; any other shape is
+    MalformedTrace.  Only a config's `shared_inits` are in this tagged
+    notation; the records of a trace write a location as its text."""
+    if type(payload) is list and len(payload) == 2:
+        func, args = payload
+        if type(func) is str and type(args) is list:
+            return Location(func, tuple([decode_value(a) for a in args]))
+    raise MalformedTrace(f"malformed location {payload!r}")
 
 
 def location_text(loc: Location) -> str:
@@ -394,7 +404,8 @@ class _Fragments:
 
 def state_digest(state: State) -> str:
     """blake2b-64 of the canonical JSON of the state's sorted pairs, in the
-    notation of versions 1 to 3, whose state hashes are such digests."""
+    notation of versions 1 to 3: the `state_hash` that the step records of
+    versions 1 and 2 carry.  Neither `run` nor `check` computes it."""
     return _text_digest(_Fragments(tagged=True).pairs(state.values.items()))
 
 
@@ -602,8 +613,6 @@ _EVENT_KEYS = {k: {"kind", "machine", *f} for k, f in EVENTS.values()}
 #: record kind -> the keys `trace_to_lines` writes in it (`config`: the
 #: header's config, as `RunConfig.to_payload` writes it; `machine`: a
 #: machine's entry in a step record); the decoder accepts exactly these.
-#: Version 1 has no `shared_inits`, and its step records, as those of
-#: version 2, also have the `state_hash` of the state after the step.
 RECORD_KEYS = {
     "header": {"type", "version", "config", "config_digest", "seed",
                "registered", "initial_state"},
@@ -628,10 +637,6 @@ def effect_event(effect: tuple) -> Optional[dict]:
     elif fields:
         event["locks"] = effect[2]
     return event
-
-
-# The record version 1 wrote for a waiting machine; its decoder drops it.
-_V1_IDLE = {"ctl": None, "proper": False, "reads": [], "updates": []}
 
 
 def trace_to_lines(trace: Trace) -> List[str]:
@@ -738,149 +743,24 @@ _loads_lax = json.JSONDecoder().decode
 
 class _Shared:
     """The objects one trace holds many times, each distinct one decoded
-    once: locations, location/value pairs, lock pairs and machine steps,
-    in memos that live as long as one decoding, in the tagged notation of
-    versions 1 to 3 and of the config's shared inits.  A memo key keeps the
-    types of the values in it, so `["b",true]` never hits the entry of
-    `["i",1]`, although `True == 1` in Python; and only decoded payloads
-    enter a memo, so a hit is a payload that decodes."""
-
-    __slots__ = ("locations", "pair_memo", "lock_memo", "step_memo")
-
-    def __init__(self):
-        # a name, or a name and its decoded arguments -> the location
-        self.locations: Dict[object, Location] = {}
-        # (name, tag, type, value) of a pair whose location has no
-        # arguments, or the decoded pair itself -> the pair
-        self.pair_memo: Dict[tuple, tuple] = {}
-        # the locations of the `r` and of the `w` list -> the lock pair
-        self.lock_memo: Dict[tuple, ctl.LockPair] = {}
-        # the decoded fields of a machine record -> its MachineStep
-        self.step_memo: Dict[tuple, MachineStep] = {}
-
-    def location(self, payload) -> Location:
-        """The location `encode_location` wrote, one object per distinct
-        location; any other shape is MalformedTrace."""
-        if type(payload) is list and len(payload) == 2:
-            func, args = payload
-            if type(func) is str and type(args) is list:
-                if args:
-                    decoded = tuple([decode_value(a) for a in args])
-                    key = (func, decoded)
-                else:
-                    decoded, key = (), func
-                loc = self.locations.get(key)
-                if loc is None:
-                    loc = self.locations[key] = Location(func, decoded)
-                return loc
-        raise MalformedTrace(f"malformed location {payload!r}")
-
-    def pairs(self, payload, what: str) -> List[Tuple[Location, Value]]:
-        """The location/value pairs `payload` lists, one tuple per distinct
-        pair; `payload`, the trace's `what`, must be a list.  A pair whose
-        location has no arguments and whose value is tagged, the common
-        case, is looked up before it is decoded."""
-        if type(payload) is not list:
-            raise MalformedTrace(f"{what} is not a list: {payload!r}")
-        memo = self.pair_memo
-        out = []
-        for l, v in payload:
-            if (type(l) is list and len(l) == 2 and l[1] == []
-                    and type(v) is list and len(v) == 2):
-                x = v[1]
-                key = (l[0], v[0], type(x), x)
-                try:
-                    pair = memo.get(key)
-                except TypeError:  # an unhashable name or value
-                    pair = self._pair(l, v)  # raises MalformedTrace
-                if pair is None:
-                    pair = memo[key] = (self.location(l), decode_value(v))
-            else:
-                pair = self._pair(l, v)
-            out.append(pair)
-        return out
-
-    def _pair(self, l, v) -> Tuple[Location, Value]:
-        pair = (self.location(l), decode_value(v))
-        return self.pair_memo.setdefault(pair, pair)
-
-    def step(self, updates: list, reads: list,
-             ctl_change: Optional[Tuple[str, str]],
-             proper: bool) -> MachineStep:
-        """One MachineStep per distinct machine record: most records only
-        change a control state, and undone steps are taken again."""
-        key = (tuple(updates), tuple(reads), ctl_change, proper)
-        try:
-            out = self.step_memo.get(key)
-        except TypeError:  # an unhashable `ctl`, which `Control` rejects
-            return MachineStep(frozenset(updates), key[1], ctl_change, proper)
-        if out is None:
-            out = self.step_memo[key] = MachineStep(
-                frozenset(updates), key[1], ctl_change, proper)
-        return out
-
-    def locks(self, payload) -> Optional[ctl.LockPair]:
-        """One `LockPair` per distinct lock payload, equal to the pair the
-        run recorded.  None when `payload` is not of the shape version 3
-        wrote: `r` and `w`, each a list of `[function, arguments]`, each
-        argument an int, a string or a boolean (no location has an undef
-        argument)."""
-        if type(payload) is not dict or payload.keys() != _LOCK_KINDS:
-            return None
-        key = (self._lock_locations(payload["r"]),
-               self._lock_locations(payload["w"]))
-        if key[0] is None or key[1] is None:
-            return None
-        out = self.lock_memo.get(key)
-        if out is None:
-            out = self.lock_memo[key] = ctl.LockPair(frozenset(key[0]),
-                                                     frozenset(key[1]))
-        return out
-
-    def _lock_locations(self, entries) -> Optional[tuple]:
-        """The locations of a lock payload's `r` or `w` list, shared as in
-        `location`, with JSON true and false read as TRUE and FALSE; None if
-        the list is not one of `[function, arguments]` with int, string or
-        boolean arguments.  Plain loops: `all` over generators took three
-        times as long on fuzz24 traces."""
-        if type(entries) is not list:
-            return None
-        locations, out = self.locations, []
-        for e in entries:
-            if (type(e) is not list or len(e) != 2 or type(e[0]) is not str
-                    or type(e[1]) is not list):
-                return None
-            func, args = e
-            key = func
-            if args:
-                decoded = []
-                for a in args:
-                    kind = type(a)
-                    if kind is bool:
-                        a = TRUE if a else FALSE
-                    elif kind is not int and kind is not str:
-                        return None
-                    decoded.append(a)
-                key = (func, tuple(decoded))
-            loc = locations.get(key)
-            if loc is None:
-                loc = locations[key] = Location(func, key[1] if args else ())
-            out.append(loc)
-        return tuple(out)
-
-
-_LOCK_KINDS = {"r", "w"}
-
-
-class _SharedV4(_Shared):
-    """The memos of a version-4 trace, in which a location is its text
+    once: locations, location/value pairs, lock pairs and machine steps, in
+    memos that live as long as one decoding.  A location is its text
     (`location_text`) and a value plain JSON.  Each memo is keyed on the
     JSON objects themselves, so each distinct location text is parsed once,
     and a pair or a lock payload seen before is one lookup: a pair by
     `(text, type(value), value)`, so `1` and `true` stay apart, a lock
-    payload by its `r` and `w` lists as tuples of texts."""
+    payload by its `r` and `w` lists as tuples of texts.  Only decoded
+    payloads enter a memo, so a hit is a payload that decodes."""
 
-    __slots__ = ()
+    __slots__ = ("locations", "pair_memo", "lock_memo", "step_memo")
+
+    def __init__(self):
+        self.locations: Dict[str, Location] = {}  # text -> the location
+        self.pair_memo: Dict[tuple, tuple] = {}  # text, type, value -> pair
+        # the texts of the `r` and of the `w` list -> the lock pair
+        self.lock_memo: Dict[tuple, ctl.LockPair] = {}
+        # the decoded fields of a machine record -> its MachineStep
+        self.step_memo: Dict[tuple, MachineStep] = {}
 
     def location(self, text) -> Location:
         """The location `text` writes, one object per distinct text; any
@@ -911,6 +791,21 @@ class _SharedV4(_Shared):
             out.append(pair)
         return out
 
+    def step(self, updates: list, reads: list,
+             ctl_change: Optional[Tuple[str, str]],
+             proper: bool) -> MachineStep:
+        """One MachineStep per distinct machine record: most records only
+        change a control state, and undone steps are taken again."""
+        key = (tuple(updates), tuple(reads), ctl_change, proper)
+        try:
+            out = self.step_memo.get(key)
+        except TypeError:  # an unhashable `ctl`, which `Control` rejects
+            return MachineStep(frozenset(updates), key[1], ctl_change, proper)
+        if out is None:
+            out = self.step_memo[key] = MachineStep(
+                frozenset(updates), key[1], ctl_change, proper)
+        return out
+
     def locks(self, payload) -> Optional[ctl.LockPair]:
         """One `LockPair` per distinct lock payload, equal to the pair the
         run recorded.  None when `payload` is not of the shape
@@ -935,6 +830,9 @@ class _SharedV4(_Shared):
         except MalformedTrace:
             return None
         return out
+
+
+_LOCK_KINDS = {"r", "w"}
 
 
 #: The function name of a location: an identifier, as the language lexes it.
@@ -970,15 +868,9 @@ def _parse_location(text) -> Optional[Location]:
     return loc if print_location(loc) == text else None
 
 
-#: version -> the keys of its step records (see `RECORD_KEYS`)
-_STEP_KEYS = {v: RECORD_KEYS["step"] | {"state_hash"} for v in (1, 2)}
-_STEP_KEYS.update(dict.fromkeys((3, TRACE_VERSION), RECORD_KEYS["step"]))
-
-
 def _decode_header(lines: List[str]):
-    """The trace's header, footer, version, config, the memos its records
-    decode into (`_Shared`, or `_SharedV4` from version 4 on) and its
-    initial values."""
+    """The trace's header, footer, config, the memos its records decode
+    into and its initial values."""
     header = _parse_line(lines[0]) if lines else None
     if type(header) is not dict or header.get("type") != "header":
         raise MalformedTrace("missing header record")
@@ -986,17 +878,16 @@ def _decode_header(lines: List[str]):
     if type(final) is not dict or final.get("type") != "final":
         raise MalformedTrace("missing final record (truncated trace?)")
     version = header.get("version")
-    if type(version) is not int or version not in _STEP_KEYS:
-        raise MalformedTrace(f"unsupported trace version {version!r}")
+    if type(version) is not int or version != TRACE_VERSION:
+        raise MalformedTrace(f"unsupported trace version {version!r}: this "
+                             f"taserial reads version {TRACE_VERSION}")
     if header.keys() != RECORD_KEYS["header"]:
         raise _bad_keys(header, RECORD_KEYS["header"], "the header")
     if final.keys() != RECORD_KEYS["final"]:
         raise _bad_keys(final, RECORD_KEYS["final"], "the final record")
     payload = header["config"]
-    config_keys = RECORD_KEYS["config"] - ({"shared_inits"} if version == 1
-                                           else set())
-    if type(payload) is not dict or payload.keys() != config_keys:
-        raise _bad_keys(payload, config_keys, "the header's config")
+    if type(payload) is not dict or payload.keys() != RECORD_KEYS["config"]:
+        raise _bad_keys(payload, RECORD_KEYS["config"], "the header's config")
     config = RunConfig.from_payload(payload)
     if payload_digest(payload) != header["config_digest"]:
         raise MalformedTrace("config_digest does not match the config")
@@ -1004,7 +895,7 @@ def _decode_header(lines: List[str]):
     if type(seed) is not int or seed != config.seed:
         raise MalformedTrace(f"header seed {seed!r} is not the config "
                              f"seed {config.seed}")
-    shared = _Shared() if version < 4 else _SharedV4()
+    shared = _Shared()
     initial = dict(shared.pairs(header["initial_state"], "initial_state"))
     if initial != config.initial_state().values:
         raise MalformedTrace("initial_state is not the state the config's "
@@ -1012,22 +903,20 @@ def _decode_header(lines: List[str]):
     if len(lines) - 2 > config.max_steps:
         raise MalformedTrace(f"{len(lines) - 2} step records exceed "
                              f"max_steps {config.max_steps}")
-    return header, final, version, config, shared, initial
+    return header, final, config, shared, initial
 
 
-def _decode_step(line: str, index: int, version: int, shared: _Shared):
-    """Step record `index` and its `state_hash` (None in this version), of
-    the shape the version writes; a list `ctl` becomes a tuple, any other is
-    left to `Control`, and a version-1 idle record becomes `IDLE_STEP`.  The
-    pairs hook makes parsing a step line 40% slower, so `keys` counts
-    the keys of the record's objects instead: each key in the text is
-    followed by one `:`, and only a line with more `:` (a key listed twice,
-    or a `:` in a string) is parsed again with `loads_json`."""
+def _decode_step(line: str, index: int, shared: _Shared) -> StepRecord:
+    """Step record `index`; a list `ctl` becomes a tuple, any other is left
+    to `Control`.  The pairs hook makes parsing a step line 40% slower, so
+    `keys` counts the keys of the record's objects instead: each key in the
+    text is followed by one `:`, and only a line with more `:` (a key listed
+    twice, or a `:` in a string) is parsed again with `loads_json`."""
     rec = _parse_line(line, _loads_lax)
     if rec.get("type") != "step":
         raise MalformedTrace(f"unexpected record type {rec.get('type')!r}")
-    if rec.keys() != _STEP_KEYS[version]:
-        raise _bad_keys(rec, _STEP_KEYS[version], f"step record {index}")
+    if rec.keys() != RECORD_KEYS["step"]:
+        raise _bad_keys(rec, RECORD_KEYS["step"], f"step record {index}")
     if type(rec["index"]) is not int or rec["index"] != index:
         raise MalformedTrace(f"step record {index} has index "
                              f"{rec['index']!r}")
@@ -1055,10 +944,6 @@ def _decode_step(line: str, index: int, version: int, shared: _Shared):
     per_machine = {}
     for m, ms in machines.items():
         keys += len(ms)
-        # Only the exact record: `"proper":0` decodes as before.
-        if version == 1 and ms == _V1_IDLE and ms["proper"] is False:
-            per_machine[m] = IDLE_STEP
-            continue
         proper, ctl = ms["proper"], ms["ctl"]
         if ms.keys() != RECORD_KEYS["machine"]:
             raise _bad_keys(ms, RECORD_KEYS["machine"],
@@ -1072,7 +957,7 @@ def _decode_step(line: str, index: int, version: int, shared: _Shared):
             tuple(ctl) if type(ctl) is list else ctl, proper)
     if line.count(":") != keys:
         _parse_line(line)  # raises if a key is listed twice
-    return StepRecord(index, per_machine, events), rec.get("state_hash")
+    return StepRecord(index, per_machine, events)
 
 
 #: Past its commit event; not a control state, so no record or event fits it.
@@ -1119,8 +1004,6 @@ class Control:
             if state in _NO_RECORD:
                 raise MalformedTrace(f"step record {index}: {m!r} has a "
                                      f"record in control state {state!r}")
-            if ms is IDLE_STEP:  # a version-1 idle record
-                continue
             move = ms.ctl_change
             if move is not None:
                 if type(move) is not tuple or move not in TRANSITIONS or (
@@ -1231,14 +1114,13 @@ class Control:
 class Replay:
     """Replays the states: each recorded read is the value of its location
     (undef if absent) before its step; each step's delta applies as in
-    `State.with_updates`; a version 1 or 2 `state_hash` is the digest of the
-    result, and the footer's final state is the last result."""
+    `State.with_updates`, and the footer's final state is the last
+    result."""
 
-    def __init__(self, initial_values: dict, version: int = TRACE_VERSION):
+    def __init__(self, initial_values: dict):
         self.values = dict(initial_values)  # the state after the steps so far
-        self.fragments = _Fragments(tagged=True) if version < 3 else None
 
-    def step(self, rec: StepRecord, state_hash: Optional[str] = None) -> None:
+    def step(self, rec: StepRecord) -> None:
         values, delta = self.values, []  # delta: updates and restores
         for m, ms in rec.per_machine.items():
             for loc, v in ms.reads:
@@ -1263,12 +1145,6 @@ class Replay:
                 for loc, v in updates.items():
                     if v is UNDEF:
                         del values[loc]
-        if self.fragments is not None:
-            digest = _text_digest(self.fragments.pairs(values.items()))
-            if state_hash != digest:
-                raise MalformedTrace(
-                    f"step record {rec.index} has state hash {state_hash!r}, "
-                    f"not the digest {digest} of the replayed state")
 
     def finish(self, trace: Trace) -> None:
         """The error names the first differing location, in canonical order."""
@@ -1283,26 +1159,21 @@ class Replay:
 
 
 def trace_from_lines(lines: List[str]) -> Trace:
-    """The trace the lines encode, in this version or an earlier one (in
-    version 1 the programs hold the shared inits, and the idle records of
-    waiting machines are dropped).  One pass: after the header and the
-    footer, each step line is decoded into the `_Shared` objects of the
-    trace and handed to the monitors `Control` and `Replay`, which see the
-    decoded footer last."""
+    """The trace the lines encode, of version `TRACE_VERSION`; any other
+    version is MalformedTrace.  One pass: after the header and the footer,
+    each step line is decoded into the `_Shared` objects of the trace and
+    handed to the monitors `Control` and `Replay`, which see the decoded
+    footer last."""
     lines = [line for line in lines if line.strip()]
     try:
-        header, final, version, config, shared, initial = _decode_header(
-            lines)
+        header, final, config, shared, initial = _decode_header(lines)
         control = Control(config, header["registered"])
-        replay = Replay(initial, version)
+        replay = Replay(initial)
         steps = []
         for line in lines[1:-1]:
-            rec, state_hash = _decode_step(line, len(steps), version, shared)
+            rec = _decode_step(line, len(steps), shared)
             control.step(rec)
-            replay.step(rec, state_hash)
-            if version == 1:
-                rec.per_machine = {m: ms for m, ms in rec.per_machine.items()
-                                   if ms is not IDLE_STEP}
+            replay.step(rec)
             steps.append(rec)
         trace = Trace(config, initial, steps,
                       dict(shared.pairs(final["final_state"], "final_state")),

@@ -7,9 +7,9 @@ patch, so a mutant cannot silently go stale when the code it breaks
 changes.
 
 A decoder mutant (`MUTANTS`) breaks one check of `engine.trace_from_lines`
-(the step decoder, `Control` or `Replay`) or of the config it decodes.  Its
-forgery is the input its check exists to reject: the unmodified code
-rejects it, the mutated code accepts it.
+(the header or step decoder, `Control` or `Replay`) or of the config it
+decodes.  Its forgery is the input its check exists to reject: the
+unmodified code rejects it, the mutated code accepts it.
 
 A controller mutant (`CONTROLLER_MUTANTS`) breaks two-phase locking or the
 kept wait graph.  The detectors (`DETECTORS`) look at the runs of a small
@@ -31,8 +31,6 @@ from taserial.engine import (
     MalformedTrace,
     RunConfig,
     run,
-    state_at,
-    state_digest,
     trace_from_lines,
     trace_to_lines,
 )
@@ -42,8 +40,6 @@ from taserial.workloads import counter_config
 from reference import cycle_members, wait_edges
 from test_acceptance import _replay_lock_table
 from test_trace_reader import _array_reader_lines, _edited
-from trace_v2 import v2_lines
-from trace_v3 import v3_lines
 
 
 def patched(owner, name: str, *edits: Tuple[str, str]):
@@ -85,10 +81,9 @@ class Mutant:
     rejects: type = MalformedTrace
 
 
-def _counter_lines(write=trace_to_lines):
-    """The lines of a counter run; a forgery that edits a tagged pair takes
-    the version-3 lines (`write=v3_lines`)."""
-    return write(run(counter_config(3, 2, seed=1)))
+def _counter_lines():
+    """The lines of a counter run."""
+    return trace_to_lines(run(counter_config(3, 2, seed=1)))
 
 
 def _edit_step(lines, test, edit):
@@ -112,9 +107,9 @@ def _forged_read():
     # value.
     def edit(rec):
         read = next(ms for ms in _machines(rec) if ms["reads"])["reads"][0]
-        read[1] = ["i", read[1][1] + 100]
+        read[1] += 100
     trace_from_lines(_edit_step(
-        _counter_lines(v3_lines),
+        _counter_lines(),
         lambda r: any(ms["reads"] for ms in _machines(r)), edit))
 
 
@@ -122,40 +117,23 @@ def _forged_absent_read():
     # A read of a location no step or init gives a value, recorded as 1.
     def edit(rec):
         next(ms for ms in _machines(rec) if ms["proper"])["reads"].append(
-            [["zz", []], ["i", 1]])
+            ["zz()", 1])
     trace_from_lines(_edit_step(
-        _counter_lines(v3_lines),
+        _counter_lines(),
         lambda r: any(ms["proper"] for ms in _machines(r)), edit))
 
 
-def _object_for_reads(write=trace_to_lines):
+def _object_for_reads():
     def edit(rec):
         next(ms for ms in _machines(rec) if not ms["reads"])["reads"] = {}
     trace_from_lines(_edit_step(
-        _counter_lines(write),
+        _counter_lines(),
         lambda r: any(not ms["reads"] for ms in _machines(r)), edit))
 
 
 def _object_for_events():
     trace_from_lines(_edit_step(_counter_lines(), lambda r: not r["events"],
                                 lambda r: r.update(events={})))
-
-
-def _zero_hash():
-    trace_from_lines(_edit_step(
-        v2_lines(run(counter_config(3, 2, seed=1))),
-        lambda r: r["index"] == 3, lambda r: r.update(state_hash="0" * 16)))
-
-
-def _hash_before_the_step():
-    # Each step's hash is the digest of the state before the step.
-    trace = run(counter_config(3, 2, seed=1))
-    lines = v2_lines(trace)
-    for at in range(1, len(lines) - 1):
-        rec = json.loads(lines[at])
-        rec["state_hash"] = state_digest(state_at(trace, at - 1))
-        lines[at] = json.dumps(rec, sort_keys=True, separators=(",", ":"))
-    trace_from_lines(lines)
 
 
 def _true_for_one():
@@ -178,10 +156,19 @@ def _non_canonical_text():
     trace_from_lines(_edited(_array_reader_lines(), 3, edit))
 
 
-def _v3_with_hashes():
-    # A version-2 trace relabelled as version 3: its hashes go unchecked.
-    lines = v2_lines(run(counter_config(3, 2, seed=1)))
-    lines[0] = lines[0].replace('"version":2}', '"version":3}')
+def _relabelled_version():
+    # A version-4 trace relabelled as version 3, whose notation differs.
+    lines = _counter_lines()
+    lines[0] = lines[0].replace('"version":4}', '"version":3}')
+    trace_from_lines(lines)
+
+
+def _duplicate_key():
+    # A machine record lists `proper` twice; the last value is the true one.
+    lines = _counter_lines()
+    at = next(i for i, line in enumerate(lines) if '"proper":true' in line)
+    lines[at] = lines[at].replace('"proper":true', '"proper":false,'
+                                  '"proper":true', 1)
     trace_from_lines(lines)
 
 
@@ -196,13 +183,12 @@ def _update_in_a_record_that_is_not_proper():
     # m1's change to done in step 9 writes pc_m1() := 99, and the footer
     # agrees; no serial run ends with pc_m1() = 99.
     lines = _edit_step(
-        _counter_lines(v3_lines), lambda r: r["index"] == 9,
-        lambda r: r["machines"]["m1"].update(updates=[[["pc_m1", []],
-                                                       ["i", 99]]]))
+        _counter_lines(), lambda r: r["index"] == 9,
+        lambda r: r["machines"]["m1"].update(updates=[["pc_m1()", 99]]))
     final = json.loads(lines[-1])
     for entry in final["final_state"]:
-        if entry[0] == ["pc_m1", []]:
-            entry[1] = ["i", 99]
+        if entry[0] == "pc_m1()":
+            entry[1] = 99
     lines[-1] = json.dumps(final, sort_keys=True, separators=(",", ":"))
     trace_from_lines(lines)
 
@@ -220,13 +206,9 @@ MUTANTS = [
     Mutant("no list check in _Shared.pairs",
            replace(engine._Shared, "pairs",
                    ("if type(payload) is not list:", "if False:")),
-           lambda: _object_for_reads(v3_lines)),
-    Mutant("no list check in _SharedV4.pairs",
-           replace(engine._SharedV4, "pairs",
-                   ("if type(payload) is not list:", "if False:")),
            _object_for_reads),
     Mutant("pair memo keyed without the value's type",
-           replace(engine._SharedV4, "pairs",
+           replace(engine._Shared, "pairs",
                    ("key = (l, type(v), v)", "key = (l, v)")),
            _true_for_one),
     Mutant("location text not printed back",
@@ -238,22 +220,15 @@ MUTANTS = [
            replace(engine, "_decode_step",
                    ("if type(events) is not list:", "if False:")),
            _object_for_events),
-    Mutant("no hash check",
-           replace(engine.Replay, "step",
-                   ("if state_hash != digest:", "if False:")),
-           _zero_hash),
-    Mutant("hash taken before the delta",
-           replace(engine.Replay, "step", (
-               "values, delta = self.values, []",
-               "values, delta = self.values, []\n    before = _text_digest("
-               "self.fragments.pairs(values.items())) if self.fragments "
-               "else None"), (
-               "digest = _text_digest(self.fragments.pairs(values.items()))",
-               "digest = before")),
-           _hash_before_the_step),
-    Mutant("version 3 accepts state_hash",
-           lambda mp: mp.setitem(engine._STEP_KEYS, 3, engine._STEP_KEYS[2]),
-           _v3_with_hashes),
+    Mutant("any version accepted",
+           replace(engine, "_decode_header", (
+               "if type(version) is not int or version != TRACE_VERSION:",
+               "if False:")),
+           _relabelled_version),
+    Mutant("duplicate key not re-parsed",
+           replace(engine, "_decode_step",
+                   ('if line.count(":") != keys:', "if False:")),
+           _duplicate_key),
     Mutant("no init type check",
            replace(engine.RunConfig, "initial_state", (
                "loc_key(loc), value_key(val)", "pass")),

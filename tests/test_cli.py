@@ -110,25 +110,20 @@ def test_fuzz_self_test_rejects_forgery(capsys):
 # -- bad input exits 1 with a message ----------------------------------------
 
 
-def _trace_records(tmp_path, config, v3=False):
+def _trace_records(tmp_path, config):
     """The records of the trace of a run of `config`, as `run --trace`
-    writes it or, with `v3`, as version 3 wrote it: the forgeries that edit
-    a tagged pair or value, or a lock payload of version 3, take those."""
+    writes it."""
     from taserial.engine import run, write_trace
 
-    from trace_v3 import v3_lines
-
-    if v3:
-        return [json.loads(line) for line in v3_lines(run(config))]
     path = tmp_path / "trace.jsonl"
     write_trace(run(config), str(path))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
-def _fuzz_trace_lines(tmp_path, seed=3, v3=False):
+def _fuzz_trace_lines(tmp_path, seed=3):
     from taserial.fuzz import random_config
 
-    return _trace_records(tmp_path, random_config(seed), v3)
+    return _trace_records(tmp_path, random_config(seed))
 
 
 def _check_records(tmp_path, records):
@@ -138,40 +133,41 @@ def _check_records(tmp_path, records):
 
 
 def _forge_init(records, func, value):
-    """Set the init of func() to the encoded `value` in every program of the
-    header, in its shared inits and in its initial state, with a matching
-    config digest, in each recorded read of func() up to the first step
-    that writes it, and in the footer's final state if no step writes
-    func(): a forged trace the decoder accepts."""
-    from taserial.engine import payload_digest
+    """Set the init of func() to `value`, tagged as the shared inits write
+    it, in every program of the header, in its shared inits and in its
+    initial state, with a matching config digest, in each recorded read of
+    func() up to the first step that writes it, and in the footer's final
+    state if no step writes func(): a forged trace the decoder accepts."""
+    from taserial.engine import decode_value, payload_digest, plain_value
 
     header = records[0]
-    text = "true" if value == ["b", True] else str(value[1])
+    plain = plain_value(decode_value(value))  # as the records write it
     programs = header["config"]["programs"]
     for name, program in programs.items():
         programs[name] = re.sub(rf"^init {func}\(\) := \S+$",
-                                f"init {func}() := {text}", program,
-                                flags=re.M)
+                                f"init {func}() := {json.dumps(plain)}",
+                                program, flags=re.M)
     for entry in header["config"]["shared_inits"]:
         if entry[0] == [func, []]:
             entry[1] = value
     header["config_digest"] = payload_digest(header["config"])
-    (entry,) = [e for e in header["initial_state"] if e[0] == [func, []]]
-    entry[1] = value
+    text = f"{func}()"
+    (entry,) = [e for e in header["initial_state"] if e[0] == text]
+    entry[1] = plain
     for rec in records[1:-1]:
         for ms in rec["machines"].values():
             for read in ms["reads"]:
-                if read[0] == [func, []]:
-                    read[1] = value
-        if any(u[0] == [func, []] for ms in rec["machines"].values()
+                if read[0] == text:
+                    read[1] = plain
+        if any(u[0] == text for ms in rec["machines"].values()
                for u in ms["updates"]):
             return
-    (entry,) = [e for e in records[-1]["final_state"] if e[0] == [func, []]]
-    entry[1] = value
+    (entry,) = [e for e in records[-1]["final_state"] if e[0] == text]
+    entry[1] = plain
 
 
 def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
-    records = _fuzz_trace_lines(tmp_path, v3=True)
+    records = _fuzz_trace_lines(tmp_path)
     _forge_init(records, "g0", ["b", True])
     assert _check_records(tmp_path, records) == 1
     err = capsys.readouterr().err
@@ -387,13 +383,11 @@ rule: par {
 def test_check_serial_run_from_edited_initial_state(tmp_path, capsys, func,
                                                     value, code, message):
     from taserial.dsl import parse_program
-    from taserial.engine import RunConfig, run
-
-    from trace_v3 import v3_lines
+    from taserial.engine import RunConfig, run, trace_to_lines
 
     trace = run(RunConfig(machines=[parse_program(TAMPERED)], max_steps=20))
     assert trace.status == "done"
-    records = [json.loads(line) for line in v3_lines(trace)]
+    records = [json.loads(line) for line in trace_to_lines(trace)]
     _forge_init(records, func, value)
     assert _check_records(tmp_path, records) == code
     out = capsys.readouterr()
@@ -481,22 +475,14 @@ def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
 # -- `registered` and `committed` name each machine once ---------------------
 
 
-def _counter_trace_records(tmp_path, only=None, v1=False, v2=False,
-                           v3=False):
+def _counter_trace_records(tmp_path, only=None):
     """The records of a counter_config(seed=1) trace, as the engine writes
-    it or, with `v1`, `v2` or `v3`, as version 1, 2 or 3 wrote it."""
+    it."""
     from taserial.engine import run, write_trace
     from taserial.workloads import counter_config
 
-    from trace_v1 import v1_lines
-    from trace_v2 import v2_lines
-    from trace_v3 import v3_lines
-
     path = tmp_path / "counter.jsonl"
     trace = run(counter_config(seed=1), only=only)
-    if v1 or v2 or v3:
-        write = v1_lines if v1 else v2_lines if v2 else v3_lines
-        return [json.loads(line) for line in write(trace)]
     write_trace(trace, str(path))
     return [json.loads(line) for line in path.read_text().splitlines()]
 
@@ -608,12 +594,12 @@ def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):
     from taserial.engine import RunConfig
 
     records = _trace_records(tmp_path, RunConfig(
-        machines=[parse_program(FLAG)]), v3=True)
+        machines=[parse_program(FLAG)]))
     (step,) = [ms for rec in records[1:-1] for ms in rec["machines"].values()
                if ms["proper"]]
-    (read,) = [r for r in step["reads"] if r[0] == ["flag", []]]
-    assert read[1] == ["b", True]
-    read[1] = ["i", 1]
+    (read,) = [r for r in step["reads"] if r[0] == "flag()"]
+    assert read[1] is True
+    read[1] = 1
     _check_malformed(tmp_path, capsys, records,
                      'm reads flag() 1, but the steps before leave true')
 
@@ -621,9 +607,10 @@ def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):
 @pytest.mark.parametrize("value", [["s", 0], ["i", "0"], ["x", 0],
                                    ["i", False]])
 def test_check_forged_value_tag_exits_one(tmp_path, capsys, value):
-    records = _counter_trace_records(tmp_path, v3=True)
+    # A value is plain JSON: a tagged one, of any tag, is none.
+    records = _counter_trace_records(tmp_path)
     read = next(r for rec in records[1:-1] for ms in rec["machines"].values()
-                if ms["proper"] for r in ms["reads"] if r[1] == ["i", 0])
+                if ms["proper"] for r in ms["reads"] if r[1] == 0)
     read[1] = value
     _check_malformed(tmp_path, capsys, records,
                      f"malformed value {value!r}")
@@ -688,7 +675,9 @@ def test_run_and_check_locks_on_an_indexed_location(tmp_path, capsys, arg,
 @pytest.mark.parametrize("location", [[7, []], ["x", 7], ["x"], "x",
                                       ["x", [], []]])
 def test_check_forged_location_exits_one(tmp_path, capsys, location):
-    records = _counter_trace_records(tmp_path, v3=True)
+    # A location is its text: a list, as the tagged notation wrote it, or
+    # a text without arguments in parentheses is none.
+    records = _counter_trace_records(tmp_path)
     read = next(r for rec in records[1:-1] for ms in rec["machines"].values()
                 if ms["proper"] for r in ms["reads"])
     read[0] = location
@@ -700,42 +689,42 @@ def test_check_forged_location_exits_one(tmp_path, capsys, location):
                                         "0123456789ABCDEF"])
 def test_check_forged_state_hash_shape_exits_one(tmp_path, capsys,
                                                  state_hash):
-    # Of any shape, only the replayed state's digest is a version-2 hash.
-    records = _counter_trace_records(tmp_path, v2=True)
+    # Of any shape, a `state_hash` is a key the step records of this version
+    # do not have.
+    records = _counter_records(tmp_path)
     records[1]["state_hash"] = state_hash
     _check_malformed(tmp_path, capsys, records,
-                     f"step record 0 has state hash {state_hash!r}")
-
-
-@pytest.mark.parametrize("version", [1, 2])
-def test_check_forged_state_hash_exits_one(tmp_path, capsys, version):
-    # A hash of the right shape, but not the replayed state's digest.
-    records = _counter_trace_records(tmp_path, v1=version == 1,
-                                     v2=version == 2)
-    records[5]["state_hash"] = "0000000000000000"
-    _check_malformed(tmp_path, capsys, records,
-                     "step record 4 has state hash '0000000000000000', not "
-                     "the digest ")
+                     "step record 0 has the keys ['events', 'index', "
+                     "'machines', 'state_hash', 'type']")
 
 
 def test_check_version_three_step_with_a_state_hash_exits_one(tmp_path,
                                                                capsys):
-    hashed = _counter_trace_records(tmp_path, v2=True)
-    for records in (_counter_trace_records(tmp_path, v3=True),
-                    _counter_records(tmp_path)):  # and version 4
-        records[1]["state_hash"] = hashed[1]["state_hash"]
-        _check_keys_rejected(tmp_path, capsys, records)
+    from taserial.engine import run
+    from taserial.workloads import counter_config
+
+    from trace_v2 import v2_lines
+    from trace_v3 import v3_lines
+
+    trace = run(counter_config(seed=1))
+    state_hash = json.loads(v2_lines(trace)[1])["state_hash"]
+    records = [json.loads(line) for line in v3_lines(trace)]
+    records[1]["state_hash"] = state_hash
+    _check_malformed(tmp_path, capsys, records, "unsupported trace version 3")
+    records = _counter_records(tmp_path)  # and version 4
+    records[1]["state_hash"] = state_hash
+    _check_keys_rejected(tmp_path, capsys, records)
 
 
 # -- each recorded read is the replayed value before its step ----------------
 
 
 def test_check_forged_read_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path, v3=True)
+    records = _counter_trace_records(tmp_path)
     assert records[3]["index"] == 2
     read = records[3]["machines"]["m2"]["reads"][0]
-    assert read == [["pc_m2", []], ["i", 0]]
-    read[1] = ["i", 7]
+    assert read == ["pc_m2()", 0]
+    read[1] = 7
     _check_malformed(tmp_path, capsys, records,
                      'step record 2: m2 reads pc_m2() 7, but the steps '
                      'before leave 0')
@@ -744,45 +733,28 @@ def test_check_forged_read_exits_one(tmp_path, capsys):
 def test_check_forged_read_in_an_undone_step_exits_one(tmp_path, capsys):
     # Cleansing drops the undone step before the serial run compares reads,
     # so only the replay sees this forgery.
-    records, _ = _victim_records(tmp_path, v3=True)
+    records, _ = _victim_records(tmp_path)
     reads = records[4]["machines"]["alpha"]["reads"]
     location, value = reads[0]
-    forged = ["i", value[1] + 1]
-    reads[0] = [location, forged]
-    assert location[1] == []
+    reads[0] = [location, value + 1]
     _check_malformed(tmp_path, capsys, records,
-                     f"step record 3: alpha reads {location[0]}() "
-                     f"{forged[1]}, but the steps before leave {value[1]}")
-
-
-def test_check_names_a_forged_read_alike_in_every_version(tmp_path, capsys):
-    """The message names the location and values as version 4 writes them,
-    whatever the version of the input."""
-    tagged = [["pc_m2", []], ["i", 0]], ["i", 7]
-    for version, read, forged in ((1, *tagged), (2, *tagged), (3, *tagged),
-                                  (4, ["pc_m2()", 0], 7)):
-        records = _counter_trace_records(tmp_path, v1=version == 1,
-                                         v2=version == 2, v3=version == 3)
-        assert records[3]["machines"]["m2"]["reads"][0] == read, version
-        records[3]["machines"]["m2"]["reads"][0] = [read[0], forged]
-        _check_malformed(tmp_path, capsys, records,
-                         'step record 2: m2 reads pc_m2() 7, but the steps '
-                         'before leave 0')
+                     f"step record 3: alpha reads {location} {value + 1}, "
+                     f"but the steps before leave {value}")
 
 
 def test_check_read_is_undef_exactly_where_the_location_is_absent(tmp_path,
                                                                   capsys):
-    records = _counter_trace_records(tmp_path, v3=True)
+    records = _counter_trace_records(tmp_path)
     reads = records[3]["machines"]["m2"]["reads"]
-    reads.append([["zz", []], ["u"]])  # decodes; the serial run differs
+    reads.append(["zz()", None])  # decodes; the serial run differs
     assert _check_records(tmp_path, records) == 3
     capsys.readouterr()
-    reads[-1] = [["zz", []], ["i", 0]]
+    reads[-1] = ["zz()", 0]
     _check_malformed(tmp_path, capsys, records,
                      'step record 2: m2 reads zz() 0, but the steps before '
                      'leave null')
     reads.pop()
-    reads[0] = [["pc_m2", []], ["u"]]
+    reads[0] = ["pc_m2()", None]
     _check_malformed(tmp_path, capsys, records,
                      'step record 2: m2 reads pc_m2() null, but the steps '
                      'before leave 0')
@@ -826,10 +798,10 @@ def test_check_object_in_place_of_a_list_exits_one(tmp_path, capsys, field):
 # -- records of the wrong shape and forged fields ----------------------------
 
 
-def _counter_records(tmp_path, v3=False):
+def _counter_records(tmp_path):
     from taserial.workloads import counter_config
 
-    return _trace_records(tmp_path, counter_config(seed=1), v3)
+    return _trace_records(tmp_path, counter_config(seed=1))
 
 
 @pytest.mark.parametrize("value", [[], 7])
@@ -883,15 +855,15 @@ def test_check_forged_ctl_exits_one(tmp_path, capsys, value):
 
 @pytest.mark.parametrize("edit", ["value", "drop", "add"])
 def test_check_forged_initial_state_exits_one(tmp_path, capsys, edit):
-    records = _counter_records(tmp_path, v3=True)
+    records = _counter_records(tmp_path)
     initial = records[0]["initial_state"]
     if edit == "value":
-        (entry,) = [e for e in initial if e[0] == ["total", []]]
-        entry[1] = ["i", 5]
+        (entry,) = [e for e in initial if e[0] == "total()"]
+        entry[1] = 5
     elif edit == "drop":
         initial.pop()
     else:
-        initial.append([["extra", []], ["i", 1]])
+        initial.append(["extra()", 1])
     assert _check_records(tmp_path, records) == 1
     assert capsys.readouterr().err.startswith(
         "malformed trace: initial_state is not")
@@ -966,7 +938,7 @@ def test_check_event_after_its_machines_commit_exits_one(tmp_path, capsys,
 
 
 def test_check_record_after_its_machines_commit_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path, v1=True)
+    records = _counter_trace_records(tmp_path)
     records[7]["machines"]["m2"] = _IDLE
     _check_malformed(tmp_path, capsys, records,
                      "step record 6: 'm2' has a record in control state "
@@ -974,9 +946,10 @@ def test_check_record_after_its_machines_commit_exits_one(tmp_path, capsys):
 
 
 def test_check_commit_without_a_change_to_done_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path, v1=True)
+    records = _counter_trace_records(tmp_path)
     assert records[5]["machines"]["m2"]["ctl"] == ["active", "done"]
-    records[5]["machines"]["m2"]["ctl"] = None
+    # A proper step in place of the change: a record must do one of them.
+    records[5]["machines"]["m2"].update(ctl=None, proper=True)
     _check_malformed(tmp_path, capsys, records,
                      "step record 5: commit event of m2 in control state "
                      "'active'")
@@ -987,30 +960,25 @@ def test_check_commit_without_a_change_to_done_exits_one(tmp_path, capsys):
                                  ["wait-locks", "done"]])
 def test_check_ctl_change_not_from_the_current_state_exits_one(tmp_path,
                                                               capsys, ctl):
-    records = _counter_trace_records(tmp_path, v1=True)
-    assert records[3]["machines"]["m0"] == _IDLE
-    records[3]["machines"]["m0"]["ctl"] = ctl
+    records = _counter_trace_records(tmp_path)
+    assert "m0" not in records[3]["machines"]  # m0 waits for locks
+    records[3]["machines"]["m0"] = dict(_IDLE, ctl=ctl)
     _check_malformed(tmp_path, capsys, records,
                      f"step record 2: 'm0' has ctl {ctl!r} in control state "
                      f"'wait-locks'")
 
 
-def _late_m2_records(tmp_path, v1=False):
+def _late_m2_records(tmp_path):
     """counter_config(seed=1) with m2 registering in step 3."""
-    from taserial.engine import run
     from taserial.workloads import counter_config
 
-    from trace_v1 import v1_lines
-
-    config = counter_config(seed=1, registration={"m2": 3})
-    if v1:
-        return [json.loads(line) for line in v1_lines(run(config))]
-    return _trace_records(tmp_path, config)
+    return _trace_records(tmp_path,
+                          counter_config(seed=1, registration={"m2": 3}))
 
 
 def test_check_record_before_its_machines_register_event_exits_one(tmp_path,
                                                                    capsys):
-    records = _late_m2_records(tmp_path, v1=True)
+    records = _late_m2_records(tmp_path)
     records[1]["machines"]["m2"] = _IDLE
     _check_malformed(tmp_path, capsys, records,
                      "step record 0: 'm2' has a record in control state "
@@ -1055,12 +1023,12 @@ def test_check_registered_machine_without_its_register_event_exits_one(
                      "step record 0: no register event of m2")
 
 
-def _victim_records(tmp_path, v3=False):
+def _victim_records(tmp_path):
     """full_victim_config(seed=1): alpha's proper step 3 is undone in step
     6; omega's step 2 and alpha's step 14 are proper, alpha's step 1 is not."""
     from taserial.workloads import full_victim_config
 
-    records = _trace_records(tmp_path, full_victim_config(seed=1), v3)
+    records = _trace_records(tmp_path, full_victim_config(seed=1))
     (undo,) = [ev for rec in records[1:-1] for ev in rec["events"]
                if ev["kind"] == "undo"]
     assert (undo["machine"], undo["origin_step"]) == ("alpha", 3)
@@ -1121,13 +1089,12 @@ def test_check_record_with_an_extra_key_exits_one(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("kind,key", [
     ("header", "registered"), ("config", "run_mode"), ("config", "seed"),
-    ("step", "state_hash"), ("machine", "reads"), ("final", "final_state")])
+    ("step", "events"), ("machine", "reads"), ("final", "final_state")])
 def test_check_record_without_one_of_its_keys_exits_one(tmp_path, capsys,
                                                         kind, key):
     """No key has a default: a config without `run_mode` is not read as
-    sync mode.  Only versions 1 and 2 have a `state_hash`."""
-    records = (_counter_trace_records(tmp_path, v2=True)
-               if key == "state_hash" else _counter_records(tmp_path))
+    sync mode."""
+    records = _counter_records(tmp_path)
     del _record_of_kind(records, kind)[key]
     _check_keys_rejected(tmp_path, capsys, records)
 
@@ -1172,15 +1139,15 @@ def test_check_renamed_programs_key_exits_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("locks", [
     123,
-    {"r": [["total", []]]},
-    {"r": [["total"]], "w": []},
-    {"r": [[7, []]], "w": []},
-    {"r": [["a", [None]]], "w": []},
+    {"r": ["total()"]},
+    {"r": ["total"], "w": []},
+    {"r": ["7()"], "w": []},
+    {"r": ["a(null)"], "w": []},
     {"r": [], "w": [], "x": []},
 ], ids=["int", "no-w", "one-element-entry", "non-string-function",
         "null-argument", "extra-key"])
 def test_check_malformed_lock_payload_exits_one(tmp_path, capsys, locks):
-    records = _counter_records(tmp_path, v3=True)
+    records = _counter_records(tmp_path)
     ev = next(ev for rec in records[1:-1] for ev in rec["events"]
               if ev["kind"] == "lock_grant")
     ev["locks"] = locks
@@ -1188,7 +1155,7 @@ def test_check_malformed_lock_payload_exits_one(tmp_path, capsys, locks):
                      f"lock_grant event of {ev['machine']} has locks {locks!r}")
 
 
-# -- version 2: only acting machines have records; shared inits once ---------
+# -- only acting machines have records; shared inits once -----------------
 
 
 def test_check_explicit_idle_record_exits_one(tmp_path, capsys):
@@ -1248,29 +1215,26 @@ def test_check_header_without_shared_inits_exits_one(tmp_path, capsys):
                          "the header's config has the keys")
 
 
-def test_check_reads_version_one_traces(tmp_path, capsys):
-    """A version-1 trace, with its idle records and the shared inits in
-    each program, a version-2 trace, with its state hashes, and a version-3
-    trace, with tagged values, check as the current trace of the same run
-    does."""
-    from taserial.engine import run, write_trace
+def test_check_rejects_versions_one_to_three(tmp_path, capsys):
+    """`check` reads the one version `run` writes: a trace of version 1, 2
+    or 3, as `trace_v1` to `trace_v3` write it, exits 1 with one line that
+    names its version, and no traceback."""
+    from taserial.engine import run
     from taserial.fuzz import random_config
 
     from trace_v1 import v1_lines
     from trace_v2 import v2_lines
     from trace_v3 import v3_lines
 
-    for seed in (3, 4):
-        trace = run(random_config(seed))
-        paths = [tmp_path / f"v{v}.jsonl" for v in (1, 2, 3, 4)]
-        for path, write in zip(paths, (v1_lines, v2_lines, v3_lines)):
-            path.write_text("".join(line + "\n" for line in write(trace)))
-        write_trace(trace, str(paths[-1]))
-        assert paths[0].read_text().count("\n") == len(trace.steps) + 2
-        assert len({path.read_text() for path in paths}) == 4
-        codes = {main(["check", str(path)]) for path in paths}
-        assert len(codes) == 1
-        assert len(set(capsys.readouterr().out.splitlines())) == 1
+    trace = run(random_config(3))
+    for version, write in ((1, v1_lines), (2, v2_lines), (3, v3_lines)):
+        path = tmp_path / f"v{version}.jsonl"
+        path.write_text("".join(line + "\n" for line in write(trace)))
+        assert main(["check", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            f"malformed trace: unsupported trace version {version}: this "
+            f"taserial reads version 4\n")
 
 
 # -- bad input: huge integers, unwritable trace paths ------------------------
@@ -1493,14 +1457,14 @@ def test_run_manifest_with_a_key_listed_twice_exits_one(workdir, capsys):
 
 
 def _final_entry(records, func):
-    (entry,) = [e for e in records[-1]["final_state"] if e[0] == [func, []]]
+    (entry,) = [e for e in records[-1]["final_state"] if e[0] == f"{func}()"]
     return entry
 
 
 def test_check_forged_final_state_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path, v3=True)
-    assert _final_entry(records, "pc_m0")[1] == ["i", 2]
-    _final_entry(records, "pc_m0")[1] = ["i", 999]
+    records = _counter_trace_records(tmp_path)
+    assert _final_entry(records, "pc_m0")[1] == 2
+    _final_entry(records, "pc_m0")[1] = 999
     _check_malformed(tmp_path, capsys, records,
                      'final_state gives pc_m0() 999, but the steps leave 2')
 
@@ -1509,12 +1473,12 @@ def test_check_update_in_a_record_that_is_not_proper_exits_one(tmp_path,
                                                                 capsys):
     # m1's change to done writes pc_m1() := 99, and the footer agrees: no
     # later read sees the write, and no serial run ends with that value.
-    records = _counter_trace_records(tmp_path, v3=True)
+    records = _counter_trace_records(tmp_path)
     m1 = records[10]["machines"]["m1"]
     assert (records[10]["index"], m1["ctl"], m1["proper"]) == (
         9, ["active", "done"], False)
-    m1["updates"] = [[["pc_m1", []], ["i", 99]]]
-    _final_entry(records, "pc_m1")[1] = ["i", 99]
+    m1["updates"] = [["pc_m1()", 99]]
+    _final_entry(records, "pc_m1")[1] = 99
     _check_malformed(tmp_path, capsys, records,
                      "step record 9: 'm1' has reads or updates in a record "
                      "that is not proper")
@@ -1522,26 +1486,24 @@ def test_check_update_in_a_record_that_is_not_proper_exits_one(tmp_path,
 
 def test_check_final_state_with_a_location_more_or_less_exits_one(tmp_path,
                                                                  capsys):
-    records = _counter_trace_records(tmp_path, v3=True)
-    records[-1]["final_state"].append([["zz", []], ["i", 0]])
+    records = _counter_trace_records(tmp_path)
+    records[-1]["final_state"].append(["zz()", 0])
     _check_malformed(tmp_path, capsys, records,
                      'final_state gives zz() 0, but the steps leave none')
-    records = _counter_trace_records(tmp_path, v3=True)
+    records = _counter_trace_records(tmp_path)
     records[-1]["final_state"].remove(_final_entry(records, "pc_m1"))
     _check_malformed(tmp_path, capsys, records,
                      'final_state gives pc_m1() none, but the steps leave 2')
 
 
 def test_check_step_giving_a_location_two_values_exits_one(tmp_path, capsys):
-    records = _counter_trace_records(tmp_path, v3=True)
+    records = _counter_trace_records(tmp_path)
     at, ms = next((i, ms) for i, rec in enumerate(records[1:-1])
                   for ms in rec["machines"].values() if ms["updates"])
     (location, value) = ms["updates"][0]
-    ms["updates"].append([location, ["i", value[1] + 1]])
-    assert location[1] == []
+    ms["updates"].append([location, value + 1])
     _check_malformed(tmp_path, capsys, records,
-                     f"step record {at} gives {location[0]}() "
-                     f"two values")
+                     f"step record {at} gives {location} two values")
 
 
 def test_check_final_state_follows_an_undo(tmp_path, capsys):

@@ -30,6 +30,7 @@ from taserial.fuzz import FuzzParams, random_config
 from taserial.wrapper import (
     ACTIVE,
     DONE,
+    IDLE_STEP,
     UNREGISTERED,
     WAIT_LOCKS,
     MachineCtl,
@@ -189,14 +190,16 @@ def test_encoding_keeps_one_and_true_apart():
     pairs = {(loc("a", 1), 5), (loc("a", TRUE), 6), (loc("x"), TRUE)}
     lines = encode_pairs(pairs)
     assert lines == [["a(true)", 6], ["a(1)", 5], ["x()", True]]
-    assert set(engine._SharedV4().pairs(lines, "pairs")) == pairs
-    # The tagged notation of versions 1 to 3, in the same order.
+    assert set(engine._Shared().pairs(lines, "pairs")) == pairs
+    # The tagged notation of versions 1 to 3 and of the shared inits, in the
+    # same order.
     tagged = [[engine.encode_location(l), encode_value(v)]
-              for l, v in engine._SharedV4().pairs(lines, "pairs")]
+              for l, v in engine._Shared().pairs(lines, "pairs")]
     assert tagged == [[["a", [["b", True]]], ["i", 6]],
                       [["a", [["i", 1]]], ["i", 5]],
                       [["x", []], ["b", True]]]
-    assert set(engine._Shared().pairs(tagged, "pairs")) == pairs
+    assert {(engine.decode_location(l), decode_value(v))
+            for l, v in tagged} == pairs
 
 
 def test_interleave_mode_runs_and_serializes():
@@ -290,8 +293,7 @@ def test_sync_and_interleave_share_choice_streams():
 def _assert_hashes_match_states(trace):
     """Every step's hash in the version-2 trace of the run is the reference
     digest of the state after it, rebuilt from the initial state as
-    `state_at` does, and the decoder, which checks each hash, reads the
-    trace back to the run's steps."""
+    `state_at` does."""
     lines = v2_lines(trace)
     state = state_at(trace, 0)
     for i, rec in enumerate(trace.steps):
@@ -300,7 +302,6 @@ def _assert_hashes_match_states(trace):
                 == reference_digest(state.values)), f"step {i}"
     assert state == state_at(trace, len(trace.steps))
     assert state.values == trace.final_values
-    assert trace_from_lines(lines).steps == trace.steps
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -645,7 +646,7 @@ def test_wrapper_steps_leave_the_controller_state_unchanged(monkeypatch,
 def _without_idle_records(trace):
     return replace(trace, steps=[
         replace(rec, per_machine={m: ms for m, ms in rec.per_machine.items()
-                                  if ms is not engine.IDLE_STEP})
+                                  if ms is not IDLE_STEP})
         for rec in trace.steps])
 
 
@@ -664,7 +665,7 @@ def test_skipping_blocked_machines_is_exact(monkeypatch, run_mode):
     def step(program, tcb, state, cs, seed, index, wait_mode):
         skip = wrapper.blocked(tcb, cs, wait_mode)
         out = real_step(program, tcb, state, cs, seed, index, wait_mode)
-        assert (out == (engine.IDLE_STEP, [])) == skip, (tcb, out)
+        assert (out == (IDLE_STEP, [])) == skip, (tcb, out)
         counts["skipped" if skip else "stepped"] += 1
         return out
 
@@ -681,28 +682,12 @@ def test_skipping_blocked_machines_is_exact(monkeypatch, run_mode):
 
 
 def _with_machine_entry(lines, payload):
-    """The version-1 trace lines with m0's first idle record replaced, and
-    the number of that line (one past its step index)."""
-    at = next(i for i, line in enumerate(lines)
-              if '"m0":' + IDLE_JSON in line)
-    record = json.loads(lines[at])
+    """The trace lines with a record of m0 put into step 1, in which m0
+    waits for locks and so has none."""
+    record = json.loads(lines[2])
+    assert record["index"] == 1 and "m0" not in record["machines"]
     record["machines"]["m0"] = json.loads(payload)
-    return lines[:at] + [json.dumps(record)] + lines[at + 1:], at
-
-
-# The record version 1 writes for a machine that waits.
-IDLE_JSON = '{"ctl":null,"proper":false,"reads":[],"updates":[]}'
-
-
-def test_idle_record_decodes_to_the_shared_step():
-    """A version-1 idle record decodes to no record, as the engine keeps a
-    waiting machine's step, and the writer of version 1 restores it."""
-    lines = v1_lines(run(opposed_lock_config(seed=3)))
-    assert any('"left":' + IDLE_JSON in line for line in lines)
-    trace = trace_from_lines(lines)
-    assert not any(ms == engine.IDLE_STEP for rec in trace.steps
-                   for ms in rec.per_machine.values())
-    assert v1_lines(trace) == lines
+    return lines[:2] + [json.dumps(record)] + lines[3:]
 
 
 def _version_pair_configs():
@@ -719,28 +704,21 @@ def _version_pair_configs():
 
 @pytest.mark.parametrize("config", list(_version_pair_configs()))
 def test_version_one_and_two_traces_of_a_run_decode_alike(config):
-    """The three versions of one run's trace decode to the same steps,
-    values, commit order and verdict; only version 1 has idle records, and
-    only versions 1 and 2 have state hashes."""
+    """The decoded trace of a run holds all that the writers of every
+    version record: the lines of versions 1 to 4 written from it are those
+    of the run, although only version 1 has idle records and only versions
+    1 and 2 have state hashes; and its verdict is the run's."""
     trace = run(config)
-    lines = {1: v1_lines(trace), 2: v2_lines(trace), 3: trace_to_lines(trace)}
-    one, two, three = (trace_from_lines(lines[v]) for v in (1, 2, 3))
-    for other in (two, three):
-        assert one.steps == other.steps
-        assert (one.initial_values, one.final_values, one.status,
-                one.committed, one.registered) == (
-            other.initial_values, other.final_values, other.status,
-            other.committed, other.registered)
-        assert check_serializable(one) == check_serializable(other)
-    assert one.config.initial_state().values == three.initial_values
-    assert v1_lines(one) == lines[1] and v2_lines(two) == lines[2]
-    assert trace_to_lines(three) == lines[3]
+    decoded = trace_from_lines(trace_to_lines(trace))
+    for write in (v1_lines, v2_lines, v3_lines, trace_to_lines):
+        assert write(decoded) == write(trace), write.__name__
+    assert check_serializable(decoded) == check_serializable(trace)
 
 
-# Records close to the idle one, in place of m0's idle record in step 1 of a
-# version-1 trace (m0 waits for locks), each with what the decoder makes of
-# it: the entry the decoded trace re-encodes to, or the MalformedTrace
-# message.
+# Records close to the idle one that version 1 wrote for a machine that
+# waits, each put in as m0's record in step 1 (m0 waits for locks), with
+# what the decoder makes of it: the entry the decoded trace re-encodes to,
+# or the MalformedTrace message.
 NEAR_IDLE = [
     ('{"ctl":null,"proper":0,"reads":[],"updates":[]}',
      "step record 1: 'm0' has proper 0"),
@@ -770,17 +748,15 @@ NEAR_IDLE = [
 
 @pytest.mark.parametrize("payload,expected", NEAR_IDLE)
 def test_near_idle_records_decode_as_before(payload, expected):
-    lines, at = _with_machine_entry(v1_lines(run(counter_config(2, 1))),
-                                    payload)
-    assert at == 2
+    lines = _with_machine_entry(trace_to_lines(run(counter_config(2, 1))),
+                                payload)
     try:
         trace = trace_from_lines(lines)
     except MalformedTrace as e:
         assert str(e) == expected
         return
-    entry = trace.steps[at - 1].per_machine["m0"]
-    assert entry is not engine.IDLE_STEP
-    again = json.loads(v1_lines(trace)[at])["machines"]["m0"]
+    entry = trace.steps[1].per_machine["m0"]
+    again = json.loads(trace_to_lines(trace)[2])["machines"]["m0"]
     assert json.dumps(again, sort_keys=True, separators=(",", ":")) == expected
     assert type(entry.proper) is type(json.loads(payload)["proper"])
 

@@ -21,20 +21,17 @@ from taserial.fuzz import FuzzParams, random_config
 from taserial.workloads import full_victim_config
 
 from test_trace_writer import _configs
-from trace_v3 import v3_lines
 
 
 def test_decoded_trace_equals_the_run():
-    # Version 3 input, with tagged values, and the current version's.
     for config in _configs():
         trace = run(config)
-        for lines in (v3_lines(trace), trace_to_lines(trace)):
-            decoded = trace_from_lines(lines)
-            assert decoded.steps == trace.steps
-            assert (trace.initial_values, trace.final_values, trace.status,
-                    trace.committed, trace.registered) == (
-                decoded.initial_values, decoded.final_values,
-                decoded.status, decoded.committed, decoded.registered)
+        decoded = trace_from_lines(trace_to_lines(trace))
+        assert decoded.steps == trace.steps
+        assert (trace.initial_values, trace.final_values, trace.status,
+                trace.committed, trace.registered) == (
+            decoded.initial_values, decoded.final_values,
+            decoded.status, decoded.committed, decoded.registered)
 
 
 def _one_object_each(objects, key=lambda obj: obj):
@@ -190,9 +187,8 @@ def test_a_read_after_a_seq_write_records_the_value_before_the_step():
     assert (Location("y", ()), 6) in step.updates
     lines = trace_to_lines(trace)
     assert trace_to_lines(trace_from_lines(lines)) == lines
-    lines = v3_lines(trace)  # the forgery edits a tagged pair
     at = next(i for i, line in enumerate(lines) if '"proper":true' in line)
-    lines[at] = lines[at].replace('[["x",[]],["i",0]]', '[["x",[]],["i",5]]')
+    lines[at] = lines[at].replace('["x()",0]', '["x()",5]')
     with pytest.raises(MalformedTrace, match=r'm0 reads x\(\) 5, but the '
                        r'steps before leave 0$'):
         trace_from_lines(lines)
@@ -258,7 +254,7 @@ def test_a_non_canonical_location_text_in_a_lock_payload_is_malformed(text):
 def test_texts_and_values_of_other_types_stay_apart():
     # a(1) and a(true), f('1) and f(1), and the values 1, true and '1 are
     # each two, in pairs and in lock payloads, in either order.
-    shared = engine._SharedV4()
+    shared = engine._Shared()
     texts = ["a(1)", "a(true)", "f('1)", "f(1)"]
     locations = [Location("a", (1,)), Location("a", (TRUE,)),
                  Location("f", ("1",)), Location("f", (1,))]
@@ -280,7 +276,7 @@ def test_texts_and_values_of_other_types_stay_apart():
 
 @pytest.mark.parametrize("value", [1.0, 0.0, [1], {"i": 1}, [], {}])
 def test_a_float_list_or_object_value_is_malformed(value):
-    shared = engine._SharedV4()
+    shared = engine._Shared()
     assert shared.pairs([["x()", 1], ["x()", 0]], "reads") == [
         (Location("x", ()), 1), (Location("x", ()), 0)]
     with pytest.raises(MalformedTrace, match=re.escape(

@@ -1,5 +1,5 @@
 """A writer of version-1 trace files, the reference for the version-1 pins
-and for the decoder's version-1 input in the tests.
+and the input of the test that `check` rejects version 1.
 
 Version 1 differs from version 2 (`trace_v2`) in two ways: each program's
 text holds the config's shared inits after its own, and every machine that
@@ -13,13 +13,8 @@ from dataclasses import replace
 from typing import List
 
 from taserial.dsl import print_value
-from taserial.engine import (
-    IDLE_STEP,
-    Trace,
-    _acting,
-    payload_digest,
-)
-from taserial.wrapper import ACTIVE, DONE, UNREGISTERED
+from taserial.engine import Trace, _acting, payload_digest
+from taserial.wrapper import ACTIVE, DONE, IDLE_STEP, UNREGISTERED
 
 from trace_v2 import v2_lines
 

@@ -1,5 +1,5 @@
 """A writer of version-2 trace files, the reference for the version-2 pins
-and for the decoder's version-2 input in the tests.
+and the input of the test that `check` rejects version 2.
 
 Version 2 differs from version 3 (`trace_v3`) in one way: each step record
 carries `state_hash`, the `state_digest` of the state after the step.  The

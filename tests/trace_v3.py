@@ -1,5 +1,5 @@
 """A writer of version-3 trace files, the reference for the version-3 pins
-and for the decoder's version-3 input in the tests.
+and the input of the test that `check` rejects version 3.
 
 Version 3 differs from the current version in its notation alone.  Each
 location in the records, in `restored` and in the states is the list
