@@ -153,8 +153,23 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     return rw, read_log, needs
 
 
+# Location -> asm.loc_key(location), filled on first sight like
+# rwloc._PLACES: every proper step sorts the same few locations again.  Not a
+# memo inside loc_key, whose TypeError on a Python bool must not be served
+# from an equal int's entry; no run or serial run builds such a location.
+_SORT_KEYS: Dict[Location, tuple] = {}
+
+
+def _sort_key(pair: Tuple[Location, Value]) -> tuple:
+    loc = pair[0]
+    key = _SORT_KEYS.get(loc)
+    if key is None:
+        key = _SORT_KEYS[loc] = loc_key(loc)
+    return key
+
+
 def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:
-    return tuple(sorted(pairs, key=lambda p: loc_key(p[0])))
+    return tuple(sorted(pairs, key=_sort_key))
 
 
 def overwritten_values(state: State, writes: FrozenSet[Location]

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import parser_reference
+import printer_reference
 import pytest
 
 from taserial.asm import (
@@ -14,16 +15,22 @@ from taserial.asm import (
     Apply,
     Assign,
     Atom,
+    Call,
     ChooseDo,
     Eq,
     Exists,
     FALSE,
+    Forall,
+    ForallDo,
     If,
+    Let,
     Location,
     Lt,
+    NamedRule,
     Not,
     Or,
     Par,
+    Seq,
     Skip,
     TRUE,
     UNDEF,
@@ -32,10 +39,13 @@ from taserial.asm import (
 )
 from taserial.dsl import (
     KEYWORDS,
+    MachineProgram,
     ParseError,
     ProgramError,
     parse_program,
+    print_formula,
     print_program,
+    print_rule,
     print_value,
 )
 from taserial.fuzz import FuzzParams, random_config
@@ -542,3 +552,87 @@ def test_error_inside_parenthesised_formula_points_at_it():
         _terminated("(x() = 1")
     assert (str(e.value), e.value.line, e.value.column) == (
         "1:32: expected ')' (at 'rule')", 1, 32)
+
+
+# -- differential: the printer against the isinstance-dispatched reference ----
+
+EVERY_NODE_TEXT = """\
+machine every
+shared total arr/1 pool
+monitored sensor/1 mode
+output out/2
+init total() := -3
+init arr(2) := 'red
+init mode() := undef
+init pool() := true
+init flag() := false
+terminated: (not (total() = 1) and exists v . v < 2)
+  or forall w . arr(w) = 'red or flag()
+rule bump(n, m): total() := total() + n - m
+rule twice(n): seq { call bump(n, -2) ; call bump(n, 'q) }
+rule: seq { call twice(sensor(1)) ;
+  par { let k = arr(0) in out(k, 'blue) := k ;
+        forall j with j < 2 do arr(j) := false ;
+        choose c with mode() = undef and pool() do skip } ;
+  if flag() then skip else total() := 0 - - 1 }
+"""
+
+_X, _V = Apply("x"), Var("v")
+# Shapes the parser never makes: static functions applied to arguments
+# other than two, symbols and literals with arguments, empty blocks and
+# argument-free calls and atoms.
+PYTHON_BUILT = MachineProgram(
+    "built", shared=frozenset({"f", "g"}), output=frozenset({"o"}),
+    arities={"f": 3, "o": 0, "unused": 2},
+    inits=[(Location("f", (1, "s", TRUE)), -5),
+           (Location("g", (FALSE, UNDEF)), "t")],
+    terminated=Not(Not(Or(Atom("p", (_V, Apply("1"))),
+                          Forall("u", Exists("w", Atom("q")))))),
+    main_rule=Seq((
+        Assign(Apply("f", (_X, _V, Apply("'s"))),
+               Apply("+", (Apply("-", (_X, _V, _X)),))),
+        Assign(Apply("g"), Apply("+", (_X,))),
+        Assign(Apply("g"), Apply("3", (_X, _V))),
+        Assign(Apply("g"), Apply("'s", (_X,))),
+        Assign(Apply("g"), Apply("true", (_X,))),
+        Assign(Apply("g"), Apply("-", ())),
+        Par(()), Seq(()), Call("r"),
+        ForallDo("u", Atom("x"), ChooseDo("w", Eq(_V, _X), Call("r"))),
+        Let("z", Apply("+", (_X, Apply("-", (_V, Apply("2"))))), Skip()))),
+    named_rules={"r": NamedRule((), Par((Skip(),))),
+                 "s": NamedRule(("a", "b", "c"), Seq((Skip(),)))})
+
+
+def test_printer_agrees_with_reference():
+    programs = list(_generated_programs())
+    programs += [parse_program(EVERY_NODE_TEXT), PYTHON_BUILT]
+    for prog in programs:
+        assert print_program(prog) == printer_reference.print_program(prog)
+    # Every node kind is there to be printed.
+    every = print_program(programs[-2])
+    for text in ("not (", ") and (", ") or (", "forall w . (", "exists v . (",
+                 "call twice(sensor(1))", "rule bump(n, m): ", "let k = ",
+                 "forall j with ", "choose c with ", "seq { ", "par { ",
+                 "skip", ":= 'red", ":= undef", ":= true", ":= false",
+                 ":= -3", "bump(n, -2)", "monitored mode sensor/1",
+                 "output out/2", "(0 - -1)"):
+        assert text in every
+    built = print_program(PYTHON_BUILT)
+    assert built.count("\n") == 9
+    for part in (":= +", ":= 3", ":= 's", "par {  }", "seq {  }",
+                 "call r()", "p(v, 1)", "rule s(a, b, c): seq { skip }",
+                 "init f(1, 's, true) := -5", "output o/0"):
+        assert part in built
+
+
+@pytest.mark.parametrize("printer,node", [
+    (print_formula, Skip()), (print_formula, _X), (print_rule, Atom("x")),
+    (print_rule, _X), (print_formula, None), (print_rule, None)])
+def test_printer_rejects_what_is_not_a_node_as_the_reference_does(printer,
+                                                                   node):
+    reference = getattr(printer_reference, printer.__name__)
+    with pytest.raises(TypeError) as ours:
+        printer(node)
+    with pytest.raises(TypeError) as theirs:
+        reference(node)
+    assert str(ours.value) == str(theirs.value)

@@ -2,6 +2,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import taserial.engine
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,3 +62,29 @@ def test_check_part_and_workload_parameters():
     took, digest = seedmin.timer(mods, {}, "check")(0)
     again = seedmin.timer(mods, {}, "run")(0)[1]
     assert took > 0 and digest == again
+
+
+def test_seed_table_names_each_seed_by_ratio():
+    best = {"parent": {0: (0.010, "a"), 1: (0.002, "b"), 2: (0.004, "c")},
+            "change": {0: (0.012, "a"), 1: (0.001, "b"), 2: (0.004, "c")}}
+    assert seedmin.seed_table(best).splitlines() == [
+        "    seed  parent ms  change ms   diff ms   ratio",
+        "       1      2.000      1.000    -1.000  0.5000",
+        "       2      4.000      4.000    +0.000  1.0000",
+        "       0     10.000     12.000    +2.000  1.2000"]
+
+
+def test_main_prints_each_seeds_minima_after_the_summary(capsys):
+    assert seedmin.main([str(ROOT), str(ROOT), "--workload", "fuzz3",
+                         "--rounds", "1", "--seeds", "3:6", "--part",
+                         "check"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[6].split() == ["seed", "parent", "ms", "change", "ms", "diff",
+                              "ms", "ratio"]
+    rows = [line.split() for line in out[7:]]
+    assert sorted(int(r[0]) for r in rows) == [3, 4, 5]
+    ratios = [float(r[4]) for r in rows]
+    assert ratios == sorted(ratios)
+    for _, parent, change, diff, _ in rows:
+        assert float(diff) == pytest.approx(float(change) - float(parent),
+                                            abs=2e-3)

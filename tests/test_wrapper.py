@@ -4,7 +4,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
-from taserial.asm import TRUE, UNDEF, Location, State
+from taserial import wrapper
+from taserial.asm import FALSE, TRUE, UNDEF, Location, State, loc_key
 from taserial.controller import (
     EMPTY_LOCKS,
     GRANTED,
@@ -16,6 +17,7 @@ from taserial.controller import (
     Request,
 )
 from taserial.dsl import MachineProgram, parse_program
+from taserial.engine import RunConfig
 from taserial.wrapper import (
     ACTIVE,
     DONE,
@@ -26,6 +28,7 @@ from taserial.wrapper import (
     WAIT_LOCKS,
     WAIT_RECOVERY,
     analyse,
+    _by_location,
     _lock_needs,
     choice_material,
     overwritten_values,
@@ -427,3 +430,39 @@ rule: if flag() = 1 then x() := 1 else x() := 2
     out = _grant(prog, tcb, State({loc("x"): 0, loc("flag"): TRUE}), pair)
     assert len(analyses) == 2
     assert out.updates == frozenset({(loc("x"), 2)})
+
+
+# Every kind of argument, several per function, and several arities.
+SORT_PAIRS = [(loc("x"), 1), (loc("arr", 3), 0), (loc("arr", -2), 1),
+              (loc("arr", 10), 2), (loc("arr", "q"), 3), (loc("arr", "b"), 4),
+              (loc("arr", TRUE), 5), (loc("arr", FALSE), 6),
+              (loc("arr", UNDEF), 7), (loc("grid", 1, "q"), 8),
+              (loc("grid", -1, TRUE), 9), (loc("grid", 1, FALSE), 10),
+              (loc("grid", 1, UNDEF, 0), 11), (loc("a"), UNDEF)]
+
+
+def test_by_location_sorts_by_loc_key_with_the_memo_cold_and_warm(
+        monkeypatch):
+    monkeypatch.setattr(wrapper, "_SORT_KEYS", {})
+    expected = tuple(sorted(SORT_PAIRS, key=lambda p: loc_key(p[0])))
+    shuffled = SORT_PAIRS[1::2] + SORT_PAIRS[::2]
+    assert _by_location(iter(shuffled)) == expected  # cold
+    assert wrapper._SORT_KEYS == {l: loc_key(l) for l, _ in SORT_PAIRS}
+    for pairs in (SORT_PAIRS, SORT_PAIRS[::-1], shuffled):  # warm
+        assert _by_location(pairs) == expected
+    half = SORT_PAIRS[:7]
+    monkeypatch.setattr(wrapper, "_SORT_KEYS", {})
+    _by_location(half[::2])  # partly warm
+    assert _by_location(half) == tuple(sorted(half,
+                                              key=lambda p: loc_key(p[0])))
+    assert _by_location([]) == ()
+
+
+def test_a_memoized_location_leaves_the_bool_check_of_initial_state():
+    _by_location([(loc("a", 1), 0)])
+    # a(True) equals a(1), so the memo would answer for it.
+    assert wrapper._SORT_KEYS[loc("a", True)] == ("a", (("i", 1),))
+    program = parse_program("machine m shared a/1 init a(1) := 0 rule: skip")
+    config = RunConfig([program], shared_inits=[(loc("a", True), 1)])
+    with pytest.raises(TypeError, match="not a machine value: True"):
+        config.initial_state()

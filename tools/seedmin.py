@@ -19,7 +19,9 @@ section; `--part check` times `engine.trace_from_lines` plus
 
 It prints both sums of the minima, the median per-seed ratio (change over
 parent), the number of seeds the change won, and whether both trees wrote
-identical traces for every seed.  It uses the standard library only.
+identical traces for every seed.  Then it prints every seed's two minima,
+their difference and their ratio, by ratio, so the seed that moves the sums
+can be named.  It uses the standard library only.
 """
 from __future__ import annotations
 
@@ -153,6 +155,20 @@ def report(s: dict) -> str:
         f"identical traces      {s['same_traces']}"])
 
 
+def seed_table(best: Dict[str, Dict[int, tuple]]) -> str:
+    """One row per seed, the smallest ratio (change over parent) first:
+    both minima and the change's difference in milliseconds."""
+    parent, change = best["parent"], best["change"]
+    rows = [f"{'seed':>8s} {'parent ms':>10s} {'change ms':>10s} "
+            f"{'diff ms':>9s} {'ratio':>7s}"]
+    for ratio, seed in sorted((change[s][0] / parent[s][0], s)
+                              for s in parent):
+        p, c = 1e3 * parent[seed][0], 1e3 * change[seed][0]
+        rows.append(f"{seed:8d} {p:10.3f} {c:10.3f} {c - p:+9.3f} "
+                    f"{ratio:7.4f}")
+    return "\n".join(rows)
+
+
 def seed_range(text: str) -> range:
     first, _, stop = text.partition(":")
     return range(int(first), int(stop))
@@ -173,10 +189,11 @@ def main(argv=None) -> int:
     params = workload_params(args.change, args.workload)
     time = {side: timer(import_tree(getattr(args, side)), params, args.part)
             for side in ("parent", "change")}
-    s = summarize(session(time, args.seeds, args.rounds))
+    best = session(time, args.seeds, args.rounds)
     print(f"== {args.workload}, seeds {args.seeds.start}:{args.seeds.stop}, "
           f"{args.rounds} rounds, part {args.part}")
-    print(report(s))
+    print(report(summarize(best)))
+    print(seed_table(best))
     return 0
 
 
