@@ -97,9 +97,9 @@ def equivalent(a: Dict[str, CleanSchedule], b: Dict[str, CleanSchedule],
 
 def _difference(ea: ScheduleEntry, eb: ScheduleEntry) -> dict:
     """The first read, else the first update, whose location or value differs
-    between two entries, named as a version-4 trace names them: the
-    location's text and each side's value as plain JSON.  A side that lacks
-    the location has no key."""
+    between two entries, named as a trace names them: the location's text
+    and each side's value as plain JSON.  A side that lacks the location
+    has no key."""
     for what, left, right in (("read", ea.reads, eb.reads),
                               ("update", ea.updates, eb.updates)):
         if left == right:

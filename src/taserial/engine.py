@@ -53,7 +53,7 @@ from .wrapper import (  # MachineStep is also engine's API
     wrapper_step,
 )
 
-TRACE_VERSION = 4
+TRACE_VERSION = 5
 
 
 class RunError(AsmError):
@@ -166,14 +166,16 @@ class RunConfig:
     def to_payload(self) -> dict:
         payload = {name: getattr(self, name) for name in SETTINGS}
         payload["programs"] = {m.name: print_program(m) for m in self.machines}
-        payload["shared_inits"] = [[encode_location(l), encode_value(v)]
+        payload["shared_inits"] = [[location_text(l), plain_value(v)]
                                    for l, v in self.shared_inits]
         return payload
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "RunConfig":
+    def from_payload(cls, payload: dict,
+                     shared: Optional["_Shared"] = None) -> "RunConfig":
         """The config `to_payload` wrote; the settings are checked as
-        given, and each `programs` key must name the program it holds."""
+        given, each `programs` key must name the program it holds, and the
+        shared inits decode into `shared`, a trace's memos."""
         machines = []
         for name, text in payload["programs"].items():
             try:
@@ -183,13 +185,8 @@ class RunConfig:
             if machines[-1].name != name:
                 raise ConfigError(f"programs key {name!r} holds machine "
                                   f"{machines[-1].name!r}")
-        shared = payload["shared_inits"]
-        if type(shared) is not list or not all(
-                type(p) is list and len(p) == 2 for p in shared):
-            raise ConfigError(f"shared_inits is not a list of [location, "
-                              f"value] pairs: {shared!r}")
-        return cls(machines, [(decode_location(l), decode_value(v))
-                              for l, v in shared],
+        return cls(machines, (shared or _Shared()).pairs(
+            payload["shared_inits"], "shared_inits"),
                    **{name: payload[name] for name in SETTINGS})
 
     def closed_system_warnings(self) -> List[str]:
@@ -260,46 +257,6 @@ class Trace:
 # Canonical encoding (trace files and state hashing)
 
 
-def encode_value(v: Value):
-    kind = type(v)
-    if kind is int:
-        return ["i", v]
-    if kind is str:
-        return ["s", v]
-    if kind is Constant:
-        return ["u"] if v is UNDEF else ["b", v is TRUE]
-    raise TypeError(f"not a machine value: {v!r}")
-
-
-def decode_value(payload) -> Value:
-    """The value `encode_value` wrote; any other shape is MalformedTrace."""
-    if type(payload) is list and len(payload) == 2:
-        tag, v = payload
-        kind = type(v)
-        if kind is int and tag == "i" or kind is str and tag == "s":
-            return v
-        if kind is bool and tag == "b":
-            return TRUE if v else FALSE
-    elif payload == ["u"]:
-        return UNDEF
-    raise MalformedTrace(f"malformed value {payload!r}")
-
-
-def encode_location(loc: Location):
-    return [loc.func, [encode_value(a) for a in loc.args]]
-
-
-def decode_location(payload) -> Location:
-    """The location `encode_location` wrote; any other shape is
-    MalformedTrace.  Only a config's `shared_inits` are in this tagged
-    notation; the records of a trace write a location as its text."""
-    if type(payload) is list and len(payload) == 2:
-        func, args = payload
-        if type(func) is str and type(args) is list:
-            return Location(func, tuple([decode_value(a) for a in args]))
-    raise MalformedTrace(f"malformed location {payload!r}")
-
-
 def location_text(loc: Location) -> str:
     """A location in a trace: its text in the program language,
     `dsl.print_location`.  A symbol argument holding a comma would read
@@ -316,8 +273,8 @@ _JSON_CONSTANTS = {TRUE: True, FALSE: False, UNDEF: None}
 
 
 def plain_value(v: Value):
-    """A value as plain JSON, as version 4 writes it: the integer or
-    string, or true, false or null for undef."""
+    """A value as plain JSON, as a trace writes it: the integer or string,
+    or true, false or null for undef."""
     return _JSON_CONSTANTS[v] if type(v) is Constant else v
 
 
@@ -342,22 +299,18 @@ _VALUE_TYPES = (int, str, Constant)
 class _Fragments:
     """The canonical JSON text of locations and values, each built once:
     per location its sort key and its head `[location,`, per value its sort
-    key and its tail `value]`, so a pair's text is a head plus a tail.  The
-    trace writer encodes pairs here in the current notation, a location as
-    its `location_text` and a value as plain JSON; with `tagged`, the state
-    digest does in the notation of versions 1 to 3 (`encode_location`,
-    `encode_value`), which the state hashes of versions 1 and 2 digest."""
+    key and its tail `value]`, so a pair's text is a head plus a tail.  A
+    location is its `location_text`, a value plain JSON."""
 
-    __slots__ = ("heads", "tails", "tagged")
+    __slots__ = ("heads", "tails")
 
-    def __init__(self, tagged: bool = False):
+    def __init__(self):
         self.heads: Dict[Location, Tuple[tuple, str]] = {}
         self.tails: Dict[Value, Tuple[tuple, str]] = {}
-        self.tagged = tagged
 
     def entries(self, pairs) -> List[Tuple[tuple, tuple, str]]:
         """Each pair's location key, value key and text.  A bool, float or
-        None value or argument raises TypeError, as in `encode_value`."""
+        None value or argument raises TypeError, as in `value_key`."""
         heads, tails = self.heads, self.tails
         out = []
         for loc, v in pairs:
@@ -376,17 +329,14 @@ class _Fragments:
                 raise TypeError(f"not a machine value: {a!r}")
         head = self.heads.get(loc)
         if head is None:
-            text = (encode_location(loc) if self.tagged
-                    else location_text(loc))
-            head = self.heads[loc] = (loc_key(loc), "[" + _dump(text) + ",")
+            head = self.heads[loc] = (loc_key(loc),
+                                      "[" + _dump(location_text(loc)) + ",")
         return head
 
     def _tail(self, v: Value) -> Tuple[tuple, str]:
         if type(v) is int:  # an int needs no JSON call
-            return ("i", v), (f'["i",{v}]]' if self.tagged else f"{v}]")
-        key = value_key(v)  # a bool fails here
-        return key, _dump(encode_value(v) if self.tagged
-                          else plain_value(v)) + "]"
+            return ("i", v), f"{v}]"
+        return value_key(v), _dump(plain_value(v)) + "]"  # a bool fails
 
     def locations(self, locations) -> str:
         """The JSON list of the locations, sorted."""
@@ -402,11 +352,28 @@ class _Fragments:
         return "[" + ",".join([e[2] for e in entries]) + "]"
 
 
+def encode_value(v: Value):
+    """A value as versions 1 to 3 wrote it, with its type's tag:
+    `["i",7]`, `["s","q"]`, `["b",true]` or `["u"]`."""
+    kind = type(v)
+    if kind is int:
+        return ["i", v]
+    if kind is str:
+        return ["s", v]
+    if kind is Constant:
+        return ["u"] if v is UNDEF else ["b", v is TRUE]
+    raise TypeError(f"not a machine value: {v!r}")
+
+
 def state_digest(state: State) -> str:
-    """blake2b-64 of the canonical JSON of the state's sorted pairs, in the
-    notation of versions 1 to 3: the `state_hash` that the step records of
+    """blake2b-64 of the canonical JSON of the state's pairs sorted by
+    location, each `[[name, [argument, ...]], value]` with every value as
+    `encode_value` writes it: the `state_hash` that the step records of
     versions 1 and 2 carry.  Neither `run` nor `check` computes it."""
-    return _text_digest(_Fragments(tagged=True).pairs(state.values.items()))
+    return _text_digest(_dump([
+        [[loc.func, [encode_value(a) for a in loc.args]], encode_value(v)]
+        for loc, v in sorted(state.values.items(),
+                             key=lambda pair: loc_key(pair[0]))]))
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +581,7 @@ _EVENT_KEYS = {k: {"kind", "machine", *f} for k, f in EVENTS.values()}
 #: header's config, as `RunConfig.to_payload` writes it; `machine`: a
 #: machine's entry in a step record); the decoder accepts exactly these.
 RECORD_KEYS = {
-    "header": {"type", "version", "config", "config_digest", "seed",
-               "registered", "initial_state"},
+    "header": {"type", "version", "config", "config_digest", "registered"},
     "config": {"programs", "shared_inits", *SETTINGS},
     "step": {"type", "index", "events", "machines"},
     "machine": {"updates", "reads", "ctl", "proper"},
@@ -686,9 +652,7 @@ def trace_to_lines(trace: Trace) -> List[str]:
     # the config and its digest.
     config = _dump(trace.config.to_payload())
     lines = ['{"config":' + config + ',"config_digest":"' + _text_digest(config)
-             + '","initial_state":' + pairs(trace.initial_values.items())
-             + ',"registered":' + _dump(list(trace.registered))
-             + ',"seed":' + str(trace.config.seed)
+             + '","registered":' + _dump(list(trace.registered))
              + ',"type":"header","version":' + str(TRACE_VERSION) + '}']
     for rec in trace.steps:
         lines.append(
@@ -870,7 +834,7 @@ def _parse_location(text) -> Optional[Location]:
 
 def _decode_header(lines: List[str]):
     """The trace's header, footer, config, the memos its records decode
-    into and its initial values."""
+    into and its initial values, those the config gives."""
     header = _parse_line(lines[0]) if lines else None
     if type(header) is not dict or header.get("type") != "header":
         raise MalformedTrace("missing header record")
@@ -888,18 +852,13 @@ def _decode_header(lines: List[str]):
     payload = header["config"]
     if type(payload) is not dict or payload.keys() != RECORD_KEYS["config"]:
         raise _bad_keys(payload, RECORD_KEYS["config"], "the header's config")
-    config = RunConfig.from_payload(payload)
+    shared = _Shared()
+    config = RunConfig.from_payload(payload, shared)
     if payload_digest(payload) != header["config_digest"]:
         raise MalformedTrace("config_digest does not match the config")
-    seed = header["seed"]
-    if type(seed) is not int or seed != config.seed:
-        raise MalformedTrace(f"header seed {seed!r} is not the config "
-                             f"seed {config.seed}")
-    shared = _Shared()
-    initial = dict(shared.pairs(header["initial_state"], "initial_state"))
-    if initial != config.initial_state().values:
-        raise MalformedTrace("initial_state is not the state the config's "
-                             "inits give")
+    initial = config.initial_state().values
+    for loc in initial:  # the records' texts decode to the same objects
+        shared.locations.setdefault(print_location(loc), loc)
     if len(lines) - 2 > config.max_steps:
         raise MalformedTrace(f"{len(lines) - 2} step records exceed "
                              f"max_steps {config.max_steps}")

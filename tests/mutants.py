@@ -157,9 +157,9 @@ def _non_canonical_text():
 
 
 def _relabelled_version():
-    # A version-4 trace relabelled as version 3, whose notation differs.
+    # A version-5 trace relabelled as version 4, whose header differs.
     lines = _counter_lines()
-    lines[0] = lines[0].replace('"version":4}', '"version":3}')
+    lines[0] = lines[0].replace('"version":5}', '"version":4}')
     trace_from_lines(lines)
 
 

@@ -33,6 +33,7 @@ from stepwise import cleanse_stepwise
 from trace_v1 import v1_lines
 from trace_v2 import v2_lines
 from trace_v3 import v3_lines
+from trace_v4 import v4_lines
 
 N_FUZZ = 1000
 
@@ -255,13 +256,14 @@ def test_criterion_8_replay_determinism():
 
 
 # Traces are byte-identical across engine changes unless TRACE_VERSION is
-# bumped.  Each corpus has four pins: its version-1, version-2 and version-3
-# traces, as the writers in `trace_v1`, `trace_v2` and `trace_v3` make them
-# from the current runs, and its current (version-4) traces.  The version-1
-# pins were taken from the engine before the per-step costs were made
-# incremental (delta-maintained digest, shared deadlock pass), the version-2
-# pins from the engine that still hashed every step's state, and the
-# version-3 pins from the engine that still wrote tagged values, so they
+# bumped.  Each corpus has five pins: its version-1 to version-4 traces, as
+# the writers in `trace_v1` to `trace_v4` make them from the current runs,
+# and its current (version-5) traces.  The version-1 pins were taken from
+# the engine before the per-step costs were made incremental
+# (delta-maintained digest, shared deadlock pass), the version-2 pins from
+# the engine that still hashed every step's state, the version-3 pins from
+# the engine that still wrote tagged values, and the version-4 pins from the
+# engine whose header still copied the seed and the initial state, so they
 # show the simulation unchanged since.
 GOLDEN_DEFAULT_0_999 = (
     "fd962cefae13a3e6c450b257a5f660c95e8f7764a084879239e670588ca88f18")
@@ -275,10 +277,14 @@ GOLDEN_V3_DEFAULT_0_999 = (
     "baa9596e589afd49015dce51dc9bee971124b46ad83815cd5563b01854500ce5")
 GOLDEN_V4_DEFAULT_0_999 = (
     "102b2d94feecd090041e6dd36f9eff4301984cc8cf8a691a4574904f5a3e4dea")
+GOLDEN_V5_DEFAULT_0_999 = (
+    "7fa95cc838e7b3a67188ddeb98a4a4c9838ba0b179c45df41e67a347a64c669b")
 GOLDEN_V3_12_MACHINES_0_3 = (
     "d3a4f4dcce018e182e092095e92c02bb5c1d3aef2a6d13f563abd322a3957784")
 GOLDEN_V4_12_MACHINES_0_3 = (
     "c6649b8b4b6726e005da568839d87f9a58a99e2a201338865d0c580fc9358979")
+GOLDEN_V5_12_MACHINES_0_3 = (
+    "6e29b3651aff926a119cc6c389599f888782cdee6c83fa0daa6e00c3aa6f24f7")
 
 
 def _traces_sha256(traces, encode=trace_to_lines):
@@ -293,11 +299,11 @@ def _traces_sha256(traces, encode=trace_to_lines):
 
 def _report_pins(name, traces, pins, detail):
     traces = list(traces)
-    got = (_traces_sha256(traces, v1_lines), _traces_sha256(traces, v2_lines),
-           _traces_sha256(traces, v3_lines), _traces_sha256(traces))
+    got = tuple(_traces_sha256(traces, write) for write in (
+        v1_lines, v2_lines, v3_lines, v4_lines, trace_to_lines))
     report(name, got == pins,
            f"sha256 of {detail}: version 1 {got[0]}, version 2 {got[1]}, "
-           f"version 3 {got[2]}, version 4 {got[3]}")
+           f"version 3 {got[2]}, version 4 {got[3]}, version 5 {got[4]}")
 
 
 def test_golden_traces_default_fuzz_corpus():
@@ -305,7 +311,8 @@ def test_golden_traces_default_fuzz_corpus():
     _report_pins("golden default-corpus traces", traces,
                  (GOLDEN_DEFAULT_0_999, GOLDEN_V2_DEFAULT_0_999,
                   GOLDEN_V3_DEFAULT_0_999,
-                  GOLDEN_V4_DEFAULT_0_999), f"seeds 0-{N_FUZZ - 1}")
+                  GOLDEN_V4_DEFAULT_0_999,
+                  GOLDEN_V5_DEFAULT_0_999), f"seeds 0-{N_FUZZ - 1}")
 
 
 def test_golden_traces_12_machines():
@@ -315,7 +322,8 @@ def test_golden_traces_12_machines():
                  (run(random_config(s, params)) for s in range(4)),
                  (GOLDEN_12_MACHINES_0_3, GOLDEN_V2_12_MACHINES_0_3,
                   GOLDEN_V3_12_MACHINES_0_3,
-                  GOLDEN_V4_12_MACHINES_0_3), "seeds 0-3")
+                  GOLDEN_V4_12_MACHINES_0_3,
+                  GOLDEN_V5_12_MACHINES_0_3), "seeds 0-3")
 
 
 # Pins for the modes the two pins above leave out, taken from the engine
@@ -335,10 +343,14 @@ GOLDEN_V3_INTERLEAVE_0_199 = (
     "2eee0a1a4fdf69a6b86e9cda3d5bcd1a58b6a21722b458489e5266e53848e1de")
 GOLDEN_V4_INTERLEAVE_0_199 = (
     "0cf32dfe70d4b9e4ebacc30f959eaca58fb112b86442037738f11283c120a51f")
+GOLDEN_V5_INTERLEAVE_0_199 = (
+    "7656cf91ad2994cceaba647621fc78be65a882db8e17587cf80934b8f1a9a419")
 GOLDEN_V3_HAND_WRITTEN = (
     "1f5a13038345cd6251f8ab9f461d514db69f4c0b7395e4ae4e8dab4547dc7a45")
 GOLDEN_V4_HAND_WRITTEN = (
     "547965419944f7b8bf5503f4b020e3b29a6d6a4ff864eedcfb10b44d990fa865")
+GOLDEN_V5_HAND_WRITTEN = (
+    "343d430d19c79580c85a8a23d774e614df5a65e63bc7e1a5f80d31a55943e08a")
 
 
 def test_golden_traces_interleave_mode():
@@ -347,7 +359,8 @@ def test_golden_traces_interleave_mode():
     _report_pins("golden interleave-mode traces", traces,
                  (GOLDEN_INTERLEAVE_0_199, GOLDEN_V2_INTERLEAVE_0_199,
                   GOLDEN_V3_INTERLEAVE_0_199,
-                  GOLDEN_V4_INTERLEAVE_0_199), "seeds 0-199")
+                  GOLDEN_V4_INTERLEAVE_0_199,
+                  GOLDEN_V5_INTERLEAVE_0_199), "seeds 0-199")
 
 
 # Pins for the paths that skipping blocked machines and one-option draws
@@ -367,10 +380,14 @@ GOLDEN_V3_24_MACHINES_0_2 = (
     "8336e0fc190880381f4ebaa03309dfff8fc3089ede6638a0a791f2e22457678a")
 GOLDEN_V4_24_MACHINES_0_2 = (
     "246ac500e89f359a43b47adb620d8be10e0c9092f118d6848f8c0a1fedb3a7d4")
+GOLDEN_V5_24_MACHINES_0_2 = (
+    "5d37e1175d7270cd4896893c8c16017b509a1afd33578b73a66860fe383e2aa0")
 GOLDEN_V3_INTERLEAVE_OTHER_WAIT_0_199 = (
     "6691c2110b7bb2f37cd2982c1194af3617e096be7e940f178ec5c611efb197d4")
 GOLDEN_V4_INTERLEAVE_OTHER_WAIT_0_199 = (
     "92c6c0e3fba3d0bca9f8afa664f0f4b06ec8247b9a874853d263a02f22337927")
+GOLDEN_V5_INTERLEAVE_OTHER_WAIT_0_199 = (
+    "31e63f22f8e8cbd5eb3268aca98068bf6c9566a0d4bbf5ab429fb5d2fa7f56eb")
 
 PARAMS_24 = FuzzParams(n_machines=24, n_shared=24, domain_size=16,
                        step_budget=2000)
@@ -383,7 +400,8 @@ def test_golden_traces_24_machines_both_wait_modes():
     _report_pins("golden 24-machine traces", traces,
                  (GOLDEN_24_MACHINES_0_2, GOLDEN_V2_24_MACHINES_0_2,
                   GOLDEN_V3_24_MACHINES_0_2,
-                  GOLDEN_V4_24_MACHINES_0_2),
+                  GOLDEN_V4_24_MACHINES_0_2,
+                  GOLDEN_V5_24_MACHINES_0_2),
                  "seeds 0-2, retry then suspend")
 
 
@@ -400,7 +418,8 @@ def test_golden_traces_interleave_mode_other_wait_mode():
                  (GOLDEN_INTERLEAVE_OTHER_WAIT_0_199,
                   GOLDEN_V2_INTERLEAVE_OTHER_WAIT_0_199,
                   GOLDEN_V3_INTERLEAVE_OTHER_WAIT_0_199,
-                  GOLDEN_V4_INTERLEAVE_OTHER_WAIT_0_199), "seeds 0-199")
+                  GOLDEN_V4_INTERLEAVE_OTHER_WAIT_0_199,
+                  GOLDEN_V5_INTERLEAVE_OTHER_WAIT_0_199), "seeds 0-199")
 
 
 def _hand_written_traces():
@@ -424,5 +443,6 @@ def test_golden_traces_hand_written_workloads():
     _report_pins("golden hand-written traces", _hand_written_traces(),
                  (GOLDEN_HAND_WRITTEN, GOLDEN_V2_HAND_WRITTEN,
                   GOLDEN_V3_HAND_WRITTEN,
-                  GOLDEN_V4_HAND_WRITTEN),
+                  GOLDEN_V4_HAND_WRITTEN,
+                  GOLDEN_V5_HAND_WRITTEN),
                  "counter/opposed/full-victim seeds 0-9")

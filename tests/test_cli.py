@@ -133,42 +133,39 @@ def _check_records(tmp_path, records):
 
 
 def _forge_init(records, func, value):
-    """Set the init of func() to `value`, tagged as the shared inits write
-    it, in every program of the header, in its shared inits and in its
-    initial state, with a matching config digest, in each recorded read of
-    func() up to the first step that writes it, and in the footer's final
-    state if no step writes func(): a forged trace the decoder accepts."""
-    from taserial.engine import decode_value, payload_digest, plain_value
+    """Set the init of func() to `value`, plain JSON as the trace writes
+    it, in every program of the header and in its shared inits, with a
+    matching config digest, in each recorded read of func() up to the first
+    step that writes it, and in the footer's final state if no step writes
+    func(): a forged trace the decoder accepts."""
+    from taserial.engine import payload_digest
 
     header = records[0]
-    plain = plain_value(decode_value(value))  # as the records write it
     programs = header["config"]["programs"]
     for name, program in programs.items():
         programs[name] = re.sub(rf"^init {func}\(\) := \S+$",
-                                f"init {func}() := {json.dumps(plain)}",
+                                f"init {func}() := {json.dumps(value)}",
                                 program, flags=re.M)
+    text = f"{func}()"
     for entry in header["config"]["shared_inits"]:
-        if entry[0] == [func, []]:
+        if entry[0] == text:
             entry[1] = value
     header["config_digest"] = payload_digest(header["config"])
-    text = f"{func}()"
-    (entry,) = [e for e in header["initial_state"] if e[0] == text]
-    entry[1] = plain
     for rec in records[1:-1]:
         for ms in rec["machines"].values():
             for read in ms["reads"]:
                 if read[0] == text:
-                    read[1] = plain
+                    read[1] = value
         if any(u[0] == text for ms in rec["machines"].values()
                for u in ms["updates"]):
             return
     (entry,) = [e for e in records[-1]["final_state"] if e[0] == text]
-    entry[1] = plain
+    entry[1] = value
 
 
 def test_check_solo_rerun_evaluation_error_exits_one(tmp_path, capsys):
     records = _fuzz_trace_lines(tmp_path)
-    _forge_init(records, "g0", ["b", True])
+    _forge_init(records, "g0", True)
     assert _check_records(tmp_path, records) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "needs integers" in err
@@ -332,18 +329,6 @@ def test_run_max_steps_below_one_exits_one(workdir, capsys, value):
     assert capsys.readouterr().err.startswith("error: max_steps must be >= 1")
 
 
-# -- the header seed is the config seed --------------------------------------
-
-
-@pytest.mark.parametrize("value", ["abc", None, True, "3", 3.0, 4])
-def test_check_forged_header_seed_exits_one(tmp_path, capsys, value):
-    records = _fuzz_trace_lines(tmp_path, seed=3)
-    assert records[0]["seed"] == records[0]["config"]["seed"] == 3
-    records[0]["seed"] = value
-    assert _check_records(tmp_path, records) == 1
-    assert capsys.readouterr().err.startswith("malformed trace: header seed")
-
-
 def test_check_more_step_records_than_max_steps_exits_one(tmp_path, capsys):
     from taserial.engine import payload_digest
 
@@ -375,10 +360,10 @@ rule: par {
 
 
 @pytest.mark.parametrize("func,value,code,message", [
-    ("pc", ["b", True], 1, "needs integers"),               # type mismatch
-    ("x", ["i", 1], 1, "writes monitored location"),        # invalid write
-    ("a", ["i", 1], 1, ""),                                 # clashing updates
-    ("pc", ["i", 2], 3, "did not terminate"),               # never terminates
+    ("pc", True, 1, "needs integers"),                      # type mismatch
+    ("x", 1, 1, "writes monitored location"),               # invalid write
+    ("a", 1, 1, ""),                                        # clashing updates
+    ("pc", 2, 3, "did not terminate"),                      # never terminates
 ])
 def test_check_serial_run_from_edited_initial_state(tmp_path, capsys, func,
                                                     value, code, message):
@@ -711,7 +696,7 @@ def test_check_version_three_step_with_a_state_hash_exits_one(tmp_path,
     records = [json.loads(line) for line in v3_lines(trace)]
     records[1]["state_hash"] = state_hash
     _check_malformed(tmp_path, capsys, records, "unsupported trace version 3")
-    records = _counter_records(tmp_path)  # and version 4
+    records = _counter_records(tmp_path)  # and version 5
     records[1]["state_hash"] = state_hash
     _check_keys_rejected(tmp_path, capsys, records)
 
@@ -773,13 +758,14 @@ def _empty_state_records(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["events", "reads", "updates", "restored",
-                                   "initial_state", "final_state"])
+                                   "shared_inits", "final_state"])
 def test_check_object_in_place_of_a_list_exits_one(tmp_path, capsys, field):
     """`{}` iterates as an empty list, but does not decode as one; each
     list here is an empty one in the trace."""
-    if field in ("initial_state", "final_state"):
+    if field in ("shared_inits", "final_state"):
         records = _empty_state_records(tmp_path)
-        record = records[0 if field == "initial_state" else -1]
+        record = records[0]["config"] if field == "shared_inits" else (
+            records[-1])
     elif field == "restored":  # a lock-only undo restores nothing
         records, undo = _victim_records(tmp_path)
         record = dict(undo, origin_step=None, restored=[],
@@ -792,6 +778,10 @@ def test_check_object_in_place_of_a_list_exits_one(tmp_path, capsys, field):
             record = record["machines"]["m0"]
     assert record[field] == []
     record[field] = {}
+    if field == "shared_inits":  # with a matching config digest
+        from taserial.engine import payload_digest
+
+        records[0]["config_digest"] = payload_digest(record)
     _check_malformed(tmp_path, capsys, records, f"{field} is not a list: {{}}")
 
 
@@ -851,22 +841,6 @@ def test_check_forged_ctl_exits_one(tmp_path, capsys, value):
     assert _check_records(tmp_path, records) == 1
     err = capsys.readouterr().err
     assert err.startswith("malformed trace: ") and "has ctl" in err
-
-
-@pytest.mark.parametrize("edit", ["value", "drop", "add"])
-def test_check_forged_initial_state_exits_one(tmp_path, capsys, edit):
-    records = _counter_records(tmp_path)
-    initial = records[0]["initial_state"]
-    if edit == "value":
-        (entry,) = [e for e in initial if e[0] == "total()"]
-        entry[1] = 5
-    elif edit == "drop":
-        initial.pop()
-    else:
-        initial.append(["extra()", 1])
-    assert _check_records(tmp_path, records) == 1
-    assert capsys.readouterr().err.startswith(
-        "malformed trace: initial_state is not")
 
 
 # -- events: kinds, fields, machines and undo origins --------------------------
@@ -1176,14 +1150,14 @@ def test_check_sync_step_without_an_active_machines_record_exits_one(
 
 
 @pytest.mark.parametrize("shared,message", [
-    ({"g0": 1}, "shared_inits is not a list of [location, value] pairs"),
-    ([[["g0", []]]], "shared_inits is not a list of [location, value] pairs"),
-    ([5], "shared_inits is not a list of [location, value] pairs"),
-    ([[["g0", []], ["x", 1]]], "malformed value ['x', 1]"),
-    ([[["g0", [], []], ["i", 1]]], "malformed location ['g0', [], []]"),
+    ({"g0()": 1}, "shared_inits is not a list: {'g0()': 1}"),
+    ([["g0()"]], "not enough values to unpack"),
+    ([5], "cannot unpack non-iterable int object"),
+    ([["g0()", ["i", 1]]], "malformed value ['i', 1]"),
+    ([[["g0", []], 1]], "malformed location ['g0', []]"),
 ])
-def test_check_shared_inits_not_tagged_pairs_exits_one(tmp_path, capsys,
-                                                       shared, message):
+def test_check_shared_inits_not_pairs_exits_one(tmp_path, capsys, shared,
+                                                message):
     _check_forged_config(tmp_path, capsys,
                          lambda c: c.update(shared_inits=shared), message)
 
@@ -1193,7 +1167,7 @@ def test_check_shared_init_listed_twice_exits_one(tmp_path, capsys):
 
     records = _fuzz_trace_lines(tmp_path)
     shared = records[0]["config"]["shared_inits"]
-    assert shared[0][0] == ["g0", []]
+    assert shared[0][0] == "g0()"
     shared.append(shared[0])
     records[0]["config_digest"] = payload_digest(records[0]["config"])
     _check_malformed(tmp_path, capsys, records,
@@ -1205,7 +1179,7 @@ def test_check_shared_init_conflicting_with_a_program_exits_one(tmp_path,
                                                                 capsys):
     _check_forged_config(
         tmp_path, capsys,
-        lambda c: c["shared_inits"].append([["total", []], ["i", 5]]),
+        lambda c: c["shared_inits"].append(["total()", 5]),
         "conflicting initial values for Location(func='total', args=()): "
         "0 vs 5")
 
@@ -1215,9 +1189,9 @@ def test_check_header_without_shared_inits_exits_one(tmp_path, capsys):
                          "the header's config has the keys")
 
 
-def test_check_rejects_versions_one_to_three(tmp_path, capsys):
-    """`check` reads the one version `run` writes: a trace of version 1, 2
-    or 3, as `trace_v1` to `trace_v3` write it, exits 1 with one line that
+def test_check_rejects_versions_one_to_four(tmp_path, capsys):
+    """`check` reads the one version `run` writes: a trace of version 1 to
+    4, as `trace_v1` to `trace_v4` write it, exits 1 with one line that
     names its version, and no traceback."""
     from taserial.engine import run
     from taserial.fuzz import random_config
@@ -1225,16 +1199,18 @@ def test_check_rejects_versions_one_to_three(tmp_path, capsys):
     from trace_v1 import v1_lines
     from trace_v2 import v2_lines
     from trace_v3 import v3_lines
+    from trace_v4 import v4_lines
 
     trace = run(random_config(3))
-    for version, write in ((1, v1_lines), (2, v2_lines), (3, v3_lines)):
+    for version, write in ((1, v1_lines), (2, v2_lines), (3, v3_lines),
+                           (4, v4_lines)):
         path = tmp_path / f"v{version}.jsonl"
         path.write_text("".join(line + "\n" for line in write(trace)))
         assert main(["check", str(path)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err == (
             f"malformed trace: unsupported trace version {version}: this "
-            f"taserial reads version 4\n")
+            f"taserial reads version 5\n")
 
 
 # -- bad input: huge integers, unwritable trace paths ------------------------

@@ -15,10 +15,9 @@ from taserial.engine import (
     ConfigError,
     MalformedTrace,
     RunConfig,
-    decode_value,
     effect_event,
-    encode_value,
     load_trace,
+    plain_value,
     run,
     state_at,
     trace_from_lines,
@@ -158,14 +157,25 @@ def test_truncated_trace_is_malformed():
         trace_from_lines(["not json"])
 
 
+def _shared_init(value) -> RunConfig:
+    """A config whose header gives g() the value `value`, plain JSON as a
+    trace writes it, decoded as `check` decodes a header's config."""
+    payload = counter_config().to_payload()
+    payload["shared_inits"] = [["g()", value]]
+    return RunConfig.from_payload(payload)
+
+
 def test_value_encoding_keeps_types():
     for v in (0, 1, -3, TRUE, FALSE, "sym", UNDEF):
-        w = decode_value(encode_value(v))
+        (written,) = counter_config(shared_inits=[(loc("g"), v)]
+                                    ).to_payload()["shared_inits"]
+        assert written == ["g()", plain_value(v)]
+        ((_, w),) = _shared_init(written[1]).shared_inits
         assert type(w) is type(v) and w == v
-    assert encode_value(TRUE) == ["b", True] and encode_value(1) == ["i", 1]
+    assert plain_value(TRUE) is True and plain_value(UNDEF) is None
     for v in (True, False, 1.0, None):
         with pytest.raises(TypeError):
-            encode_value(v)
+            engine._Fragments().pairs([(loc("g"), v)])
 
 
 @pytest.mark.parametrize("where", ["value", "argument"])
@@ -182,8 +192,16 @@ def test_run_rejects_a_python_bool_in_an_init(where):
     ["s", 0], ["i", "0"], ["x", 0], ["i", False], ["b", 1], ["s"], ["u", 0],
     "i0", None, ["i", 0, 0]])
 def test_value_decoding_is_exact(payload):
-    with pytest.raises(MalformedTrace):
-        decode_value(payload)
+    """A value is plain JSON: a tagged one, as versions 1 to 3 wrote it, is
+    malformed, a string is the symbol it spells and null is undef."""
+    if type(payload) is list:
+        with pytest.raises(MalformedTrace, match=re.escape(
+                f"malformed value {payload!r}")):
+            _shared_init(payload)
+    else:
+        ((_, value),) = _shared_init(payload).shared_inits
+        expected = UNDEF if payload is None else payload
+        assert type(value) is type(expected) and value == expected
 
 
 def test_encoding_keeps_one_and_true_apart():
@@ -191,15 +209,12 @@ def test_encoding_keeps_one_and_true_apart():
     lines = encode_pairs(pairs)
     assert lines == [["a(true)", 6], ["a(1)", 5], ["x()", True]]
     assert set(engine._Shared().pairs(lines, "pairs")) == pairs
-    # The tagged notation of versions 1 to 3 and of the shared inits, in the
-    # same order.
-    tagged = [[engine.encode_location(l), encode_value(v)]
-              for l, v in engine._Shared().pairs(lines, "pairs")]
-    assert tagged == [[["a", [["b", True]]], ["i", 6]],
-                      [["a", [["i", 1]]], ["i", 5]],
-                      [["x", []], ["b", True]]]
-    assert {(engine.decode_location(l), decode_value(v))
-            for l, v in tagged} == pairs
+    # The shared inits write the same notation, in the order given.
+    config = counter_config(shared_inits=sorted(pairs, key=repr))
+    payload = config.to_payload()
+    assert payload["shared_inits"] == [["a(1)", 5], ["a(true)", 6],
+                                       ["x()", True]]
+    assert RunConfig.from_payload(payload).shared_inits == config.shared_inits
 
 
 def test_interleave_mode_runs_and_serializes():
@@ -904,7 +919,7 @@ def test_lock_payload_writes_constants_as_json():
         frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
     trace = run(counter_config(1, 1))
     trace.steps[0].events.append(effect_event(("grant", "m0", pair_)))
-    # Version 3 wrote the arguments as JSON; version 4 writes each location
+    # Version 3 wrote the arguments as JSON; version 5 writes each location
     # as its text, in the same order.
     assert (',"locks":{"r":[["a",[true]],["a",[1]]],'
             '"w":[["b",[false,"s"]],["c",[null]]]},"machine":"m0"}'

@@ -64,6 +64,23 @@ def test_check_part_and_workload_parameters():
     assert took > 0 and digest == again
 
 
+def test_every_run_timing_compiles_the_seeds_rules(monkeypatch):
+    """A program keeps its compiled rules, and fuzzbench compiles a seed's
+    rules once per run: so must every `--part run` timing of the seed."""
+    mods = seedmin.import_tree(ROOT)
+    compile_rule, compiled = mods.wrapper.compile_rule, []
+
+    def counting(*args):
+        compiled.append(args)
+        return compile_rule(*args)
+    monkeypatch.setattr(mods.wrapper, "compile_rule", counting)
+    time = seedmin.timer(mods, {}, "run")
+    time(0)
+    once = len(compiled)
+    time(0)
+    assert once > 0 and len(compiled) == 2 * once
+
+
 def test_seed_table_names_each_seed_by_ratio():
     best = {"parent": {0: (0.010, "a"), 1: (0.002, "b"), 2: (0.004, "c")},
             "change": {0: (0.012, "a"), 1: (0.001, "b"), 2: (0.004, "c")}}

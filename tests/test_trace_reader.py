@@ -70,6 +70,11 @@ def test_decoded_trace_shares_equal_objects(config):
     machine_steps, pairs, lock_pairs = _decoded_objects(decoded)
     locations = [loc for loc, _ in pairs] + list(decoded.initial_values)
     locations += list(decoded.final_values)
+    # Each shared init's location is the records' object for it.
+    shared = [loc for loc, _ in decoded.config.shared_inits]
+    assert bool(shared) == (config.shared_inits != [])
+    assert set(shared) <= {loc for loc, _ in pairs}
+    locations += shared
     assert len(set(map(id, locations))) < len(locations)
     assert _one_object_each(locations, _typed)
     assert _one_object_each(pairs, _typed)
@@ -194,18 +199,19 @@ def test_a_read_after_a_seq_write_records_the_value_before_the_step():
         trace_from_lines(lines)
 
 
-# -- version 4: a location is its text, a value plain JSON --------------------
+# -- a location is its text, a value plain JSON ------------------------------
 
 ARRAY_READER = parse_program(
-    "machine m\nshared arr/1\ninit pc() := 0\ninit arr(0) := 0\n"
-    "init arr(1) := 1\nterminated: pc() = 1\n"
+    "machine m\nshared arr/1\ninit pc() := 0\nterminated: pc() = 1\n"
     "rule: par { pc() := 1 ; y() := arr(0) + arr(1) }\n")
 
 
 def _array_reader_lines():
-    """The trace of ARRAY_READER: step 1 grants read locks on arr(0) and
-    arr(1), and step 2 reads both."""
-    lines = trace_to_lines(run(RunConfig([ARRAY_READER])))
+    """The trace of ARRAY_READER, whose config's shared inits give arr(0)
+    and arr(1): step 1 grants read locks on both, and step 2 reads both."""
+    lines = trace_to_lines(run(RunConfig([ARRAY_READER], shared_inits=[
+        (Location("arr", (0,)), 0), (Location("arr", (1,)), 1)])))
+    assert '"shared_inits":[["arr(0)",0],["arr(1)",1]]' in lines[0]
     assert '"locks":{"r":["arr(0)","arr(1)"],"w":[]}' in lines[2]
     assert '"reads":[["arr(0)",0],["arr(1)",1],' in lines[3]
     return lines
@@ -219,6 +225,16 @@ def _edited(lines, at, edit):
     return lines
 
 
+def _edited_shared_inits(edit):
+    """The lines of `_array_reader_lines` with the header's shared inits
+    edited in place by `edit(shared_inits)`, and a matching config
+    digest."""
+    def header(rec):
+        edit(rec["config"]["shared_inits"])
+        rec["config_digest"] = engine.payload_digest(rec["config"])
+    return _edited(_array_reader_lines(), 0, header)
+
+
 #: Each text that is no location's text, with the text it stands for.
 NON_CANONICAL = {"arr(01)": "arr(1)", "arr( 1)": "arr(1)", "arr(+1)": "arr(1)",
                  "arr(-0)": "arr(0)", "arr(undef)": "arr(1)",
@@ -228,15 +244,35 @@ NON_CANONICAL = {"arr(01)": "arr(1)", "arr( 1)": "arr(1)", "arr(+1)": "arr(1)",
 @pytest.mark.parametrize("text", sorted(NON_CANONICAL))
 def test_a_non_canonical_location_text_in_a_pair_is_malformed(text):
     """A location text must print back to itself: `arr(01)` is not
-    `arr(1)`'s text, although it would parse to the same location."""
-    def edit(rec):
-        reads = rec["machines"]["m"]["reads"]
-        (entry,) = [r for r in reads if r[0] == NON_CANONICAL[text]]
+    `arr(1)`'s text, although it would parse to the same location.  This
+    holds in a record's pair and in a shared init of the header alike."""
+    def edit(pairs):
+        (entry,) = [p for p in pairs if p[0] == NON_CANONICAL[text]]
         entry[0] = text
-    lines = _edited(_array_reader_lines(), 3, edit)
+    for lines in (
+            _edited(_array_reader_lines(), 3,
+                    lambda rec: edit(rec["machines"]["m"]["reads"])),
+            _edited_shared_inits(edit)):
+        with pytest.raises(MalformedTrace, match=re.escape(
+                f"malformed location {text!r}")):
+            trace_from_lines(lines)
+
+
+def test_a_shared_init_as_version_4_wrote_it_is_malformed():
+    # Version 4 wrote the shared inits tagged: `[["arr",[["i",0]]],["i",0]]`.
+    from trace_v4 import tagged_location
+
+    def tag(pairs):
+        pairs[0][0] = tagged_location(Location("arr", (0,)))
     with pytest.raises(MalformedTrace, match=re.escape(
-            f"malformed location {text!r}")):
-        trace_from_lines(lines)
+            "malformed location ['arr', [['i', 0]]]")):
+        trace_from_lines(_edited_shared_inits(tag))
+
+    def tag_value(pairs):
+        pairs[0][1] = engine.encode_value(0)
+    with pytest.raises(MalformedTrace, match=re.escape(
+            "malformed value ['i', 0]")):
+        trace_from_lines(_edited_shared_inits(tag_value))
 
 
 @pytest.mark.parametrize("text", sorted(NON_CANONICAL))

@@ -10,12 +10,7 @@ from typing import List
 
 from taserial.asm import loc_key, value_key
 from taserial.dsl import print_value
-from taserial.engine import (
-    TRACE_VERSION,
-    Trace,
-    encode_location,
-    encode_value,
-)
+from taserial.engine import TRACE_VERSION, Trace, encode_value
 
 _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
@@ -47,7 +42,7 @@ def encode_locks(pair) -> dict:
 
 def state_digest(values) -> str:
     """The digest of the tagged pairs, as versions 1 and 2 hashed them."""
-    tagged = [[encode_location(l), encode_value(v)]
+    tagged = [[[l.func, [encode_value(a) for a in l.args]], encode_value(v)]
               for l, v in _sorted(values.items())]
     blob = _dump(tagged).encode("utf-8")
     return hashlib.blake2b(blob, digest_size=8).hexdigest()
@@ -64,6 +59,8 @@ def encode_event(ev: dict) -> dict:
 
 def reference_lines(trace: Trace) -> List[str]:
     payload = trace.config.to_payload()
+    payload["shared_inits"] = [[location_text(l), plain_value(v)]
+                               for l, v in trace.config.shared_inits]
     config = _dump(payload)
     lines = [_dump({
         "type": "header",
@@ -71,9 +68,7 @@ def reference_lines(trace: Trace) -> List[str]:
         "config": payload,
         "config_digest": hashlib.blake2b(config.encode("utf-8"),
                                          digest_size=8).hexdigest(),
-        "seed": trace.config.seed,
         "registered": list(trace.registered),
-        "initial_state": encode_pairs(trace.initial_values.items()),
     })]
     for rec in trace.steps:
         lines.append(_dump({

@@ -1,31 +1,58 @@
 """A writer of version-3 trace files, the reference for the version-3 pins
 and the input of the test that `check` rejects version 3.
 
-Version 3 differs from the current version in its notation alone.  Each
+Version 3 differs from version 4 (`trace_v4`) in its notation alone.  Each
 location in the records, in `restored` and in the states is the list
 `[<name>, [<value>, ...]]` and each value is tagged: `["i",7]`, `["s","q"]`,
-`["b",true]` or `["u"]`.  A lock payload lists each location as
-`[<name>, [<argument>, ...]]` with untagged arguments, `true` and `false` as
-JSON booleans.  This is the engine's version-3 writer, assembling each line
-from the tagged text fragments the state digest still uses, so it shows
-that the engine still runs exactly as the version-3 traces recorded it.
+`["b",true]` or `["u"]`, as the shared inits of both versions write them.
+A lock payload lists each location as `[<name>, [<argument>, ...]]` with
+untagged arguments, `true` and `false` as JSON booleans.  The writer
+assembles each line from per-trace text fragments, as the engine's
+version-3 writer did, so it shows that the engine still runs exactly as the
+version-3 traces recorded it.
 """
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from taserial import controller as ctl
-from taserial.asm import loc_key
+from taserial.asm import Location, loc_key, value_key
 from taserial.engine import (
     MachineStep,
     Trace,
     _dump,
-    _Fragments,
     _JSON_CONSTANTS,
-    _text_digest,
+    encode_value,
 )
+
+from trace_v4 import old_header, tagged_location
+
+
+class TaggedPairs:
+    """`pairs(...)`: the JSON list of location/value pairs in the tagged
+    notation, sorted by location, then value; each location's and value's
+    text is built once."""
+
+    def __init__(self):
+        self.heads: Dict[Location, Tuple[tuple, str]] = {}
+        self.tails: Dict[tuple, Tuple[tuple, str]] = {}
+
+    def __call__(self, pairs) -> str:
+        entries = []
+        for loc, v in pairs:
+            head = self.heads.get(loc)
+            if head is None:
+                head = self.heads[loc] = (
+                    loc_key(loc), "[" + _dump(tagged_location(loc)) + ",")
+            tail = self.tails.get((type(v), v))
+            if tail is None:
+                tail = self.tails[type(v), v] = (
+                    value_key(v), _dump(encode_value(v)) + "]")
+            entries.append((head[0], tail[0], head[1] + tail[1]))
+        entries.sort()
+        return "[" + ",".join([e[2] for e in entries]) + "]"
 
 
 def v3_lines(trace: Trace) -> List[str]:
-    pairs = _Fragments(tagged=True).pairs
+    pairs = TaggedPairs()
     texts: Dict[object, str] = {None: "null"}  # name or ctl change -> JSON
     locks: Dict[ctl.LockPair, str] = {}  # lock pair -> its payload's JSON
 
@@ -62,12 +89,7 @@ def v3_lines(trace: Trace) -> List[str]:
                 + ',"reads":' + pairs(ms.reads)
                 + ',"updates":' + pairs(ms.updates) + "}")
 
-    config = _dump(trace.config.to_payload())
-    lines = ['{"config":' + config + ',"config_digest":"' + _text_digest(config)
-             + '","initial_state":' + pairs(trace.initial_values.items())
-             + ',"registered":' + _dump(list(trace.registered))
-             + ',"seed":' + str(trace.config.seed)
-             + ',"type":"header","version":3}']
+    lines = [old_header(trace, pairs, 3)]
     for rec in trace.steps:
         lines.append(
             '{"events":[' + ",".join([event(ev) for ev in rec.events])

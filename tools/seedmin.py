@@ -14,8 +14,12 @@ goes first from seed to seed and from round to round, and keeps each
 seed's minimum per tree: a drift in the host's speed then falls on both
 trees alike, and the minimum drops the rounds a slow spell hit.  `--part
 run` times `engine.run` plus `engine.trace_to_lines`, fuzzbench's run
-section; `--part check` times `engine.trace_from_lines` plus
-`checker.check_serializable` of the tree's own trace, its check section.
+section, on a config built afresh for every timed call, outside the timed
+section: a program keeps its compiled rules, so a config run before would
+skip compiling them, which fuzzbench pays once per seed.  `--part check`
+times `engine.trace_from_lines` plus `checker.check_serializable` of the
+tree's own trace, its check section; the decoder parses the programs, and
+so compiles them, anew every time.
 
 It prints both sums of the minima, the median per-seed ratio (change over
 parent), the number of seeds the change won, and whether both trees wrote
@@ -50,7 +54,7 @@ def import_tree(tree: Path) -> SimpleNamespace:
     try:
         mods = SimpleNamespace(**{
             n: importlib.import_module(f"taserial.{n}")
-            for n in ("engine", "checker", "fuzz")})
+            for n in ("engine", "checker", "fuzz", "wrapper")})
     finally:
         sys.path.remove(src)
         for name in [n for n in sys.modules
@@ -81,14 +85,10 @@ def timer(mods, params: dict, part: str) -> Callable[[int], tuple]:
     """`time(seed)`: the seconds of one timed section on the seed's config,
     and the sha256 of the trace's lines."""
     fuzz, engine, checker = mods.fuzz, mods.engine, mods.checker
-    configs: Dict[int, object] = {}
     lines: Dict[int, List[str]] = {}
 
     def time(seed: int) -> tuple:
-        config = configs.get(seed)
-        if config is None:
-            config = configs[seed] = fuzz.random_config(
-                seed, fuzz.FuzzParams(**params))
+        config = fuzz.random_config(seed, fuzz.FuzzParams(**params))
         if part == "check" and seed not in lines:
             lines[seed] = engine.trace_to_lines(engine.run(config))
         gc.collect()
