@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .asm import (AsmError, EvalError, Location, State, UpdateSet, Value,
                   apply_updates, loc_key)
 from .dsl import print_location
-from .engine import Trace, plain_value
+from .engine import MalformedTrace, Trace, plain_value
 from .wrapper import analyse, checked_step, choice_material, terminated
 
 MAX_BRUTE_FORCE = 4
@@ -91,15 +91,15 @@ def equivalent(a: Dict[str, CleanSchedule], b: Dict[str, CleanSchedule],
         for pos, (ea, eb) in enumerate(zip(sa, sb)):
             if ea.body() != eb.body():
                 return {"machine": m, "kind": "step", "position": pos,
-                        "left_step": ea.step_index, **_difference(ea, eb)}
+                        "left_step": ea.step_index, **_difference(m, ea, eb)}
     return None
 
 
-def _difference(ea: ScheduleEntry, eb: ScheduleEntry) -> dict:
+def _difference(m: str, ea: ScheduleEntry, eb: ScheduleEntry) -> dict:
     """The first read, else the first update, whose location or value differs
-    between two entries, named as a trace names them: the location's text
-    and each side's value as plain JSON.  A side that lacks the location
-    has no key."""
+    between two entries of machine m, named as a trace names them: the
+    location's text and each side's value as plain JSON (none for a side
+    that lacks it).  Entries that differ in no location are MalformedTrace."""
     for what, left, right in (("read", ea.reads, eb.reads),
                               ("update", ea.updates, eb.updates)):
         if left == right:
@@ -112,8 +112,8 @@ def _difference(ea: ScheduleEntry, eb: ScheduleEntry) -> dict:
                     if loc in values:
                         out[side] = plain_value(values[loc])
                 return out
-        # Only a forged record, unsorted or listing a location twice, gets here.
-        return {"what": what, "location": None}
+        raise MalformedTrace(f"step record {ea.step_index}: {m!r} has "
+                             f"{what}s out of order or a location twice")
 
 
 def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, FrozenSet, Iterable, Iterator, List,
-                    NamedTuple, Optional, Set, Tuple)
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Set, Tuple)
 
 from .asm import AsmError, Location, Value
 
@@ -381,102 +381,48 @@ def _new_dead(out: Dict[str, Set[str]], dead: FrozenSet[str],
 
     A cycle that uses no added edge was a cycle before, so its machines are
     in `dead`; when no removed edge ran between two of them, all of `dead`
-    stays on cycles, else a strongly-connected-components pass over the
-    graph restricted to `dead` finds which do.  The machines on a cycle
-    through an added edge (a, b) are those reachable from b that reach a:
-    one forward search from b, then a backward search inside what it
-    reached (Haeupler, Kavitha, Mathew, Sen and Tarjan, TALG 2012, keep
-    cycles the same way).  Those machines form a's component, so a later
-    added edge from inside it adds nothing more.
+    stays on cycles, else a search from each old member finds which do.  A
+    cycle through an added edge (a, b) passes through a, so a search from
+    each source a finds the rest.  Each search returns a whole component,
+    so a machine already found or already searched needs no search.
     """
+    members = set() if shrunk else set(dead)
+    sources = [a for a, _ in added]
     if shrunk:
-        members = set(_cycle_members((a, b) for a in dead
-                                     for b in out.get(a, ()) if b in dead))
-    else:
-        members = set(dead)
-    closed: Set[str] = set()  # the components searched
-    for a, b in added:
-        if a in closed or b not in out:  # b waits for nobody
-            continue
-        reached = {b}
-        stack = [b]
-        while stack:
-            for n in out.get(stack.pop(), ()):
-                if n not in reached:
-                    reached.add(n)
-                    stack.append(n)
-        if a not in reached:
-            continue
-        into: Dict[str, List[str]] = {}
-        for n in reached:
-            for succ in out.get(n, ()):
-                if succ in reached:
-                    into.setdefault(succ, []).append(n)
-        component = {a}
-        stack = [a]
-        while stack:
-            for n in into.get(stack.pop(), ()):
-                if n not in component:
-                    component.add(n)
-                    stack.append(n)
-        closed |= component
-    members |= closed
+        sources += dead
+    for a in dict.fromkeys(sources):
+        if a not in members:
+            members |= _cycle_through(out, a)
     return frozenset(members)
 
 
-def _cycle_members(edges: Iterable[Tuple[str, str]]) -> FrozenSet[str]:
-    """Machines lying on a cycle of the wait relation with these edges.
-
-    One iterative pass of Tarjan's strongly-connected-components search
-    (SIAM J. Comput. 1972): a machine is on a cycle iff its component has
-    another member or it waits for itself.
-    """
-    succ: Dict[str, List[str]] = {}
-    for a, b in edges:
-        succ.setdefault(a, []).append(b)
-    index: Dict[str, int] = {}
-    low: Dict[str, int] = {}
-    stack: List[str] = []
-    on_stack: Set[str] = set()
-    work: List[Tuple[str, Iterator[str]]] = []  # the search path
-    out: Set[str] = set()
-
-    def visit(node: str) -> None:
-        index[node] = low[node] = len(index)
-        stack.append(node)
-        on_stack.add(node)
-        work.append((node, iter(succ[node])))
-
-    for root in succ:
-        if root in index:
-            continue
-        visit(root)
-        while work:
-            node, successors = work[-1]
-            for nxt in successors:
-                if nxt not in succ:
-                    continue  # waits for nobody, so lies on no cycle
-                if nxt not in index:
-                    visit(nxt)
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    component = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    if len(component) > 1 or node in succ[node]:
-                        out.update(component)
-    return frozenset(out)
+def _cycle_through(out: Dict[str, Set[str]], a: str) -> Set[str]:
+    """The machines on a cycle through `a`, empty when it is on none: those
+    reachable from a that reach a, by one forward search from a, then a
+    backward search inside what it reached (Haeupler, Kavitha, Mathew, Sen
+    and Tarjan, TALG 2012, keep cycles the same way)."""
+    reached: Set[str] = set()
+    stack = [a]
+    while stack:
+        for n in out.get(stack.pop(), ()):
+            if n not in reached:
+                reached.add(n)
+                stack.append(n)
+    if a not in reached:
+        return set()
+    into: Dict[str, List[str]] = {}
+    for n in reached:
+        for succ in out.get(n, ()):
+            if succ in reached:
+                into.setdefault(succ, []).append(n)
+    component = {a}
+    stack = [a]
+    while stack:
+        for n in into.get(stack.pop(), ()):
+            if n not in component:
+                component.add(n)
+                stack.append(n)
+    return component
 
 
 def deadlock_handler_step(cs: ControllerState, draw: Draw,

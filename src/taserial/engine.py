@@ -739,12 +739,15 @@ class _Shared:
 
     def pairs(self, payload, what: str) -> List[Tuple[Location, Value]]:
         """The location/value pairs `payload` lists, one tuple per distinct
-        pair; `payload`, the trace's `what`, must be a list."""
+        pair; `payload`, the trace's `what`, and its entries must be lists."""
         if type(payload) is not list:
             raise MalformedTrace(f"{what} is not a list: {payload!r}")
         memo = self.pair_memo
         out = []
-        for l, v in payload:
+        for entry in payload:
+            l, v = entry
+            if type(entry) is not list:  # an object of two keys unpacks too
+                raise MalformedTrace(f"{what} entry is not a list: {entry!r}")
             key = (l, type(v), v)
             try:
                 pair = memo[key]

@@ -341,7 +341,9 @@ CONTROLLER_MUTANTS = [
         ("run", "wait-graph reference")),
     ControllerMutant(
         "removed edge between cycle members keeps the cycle set",
-        replace(controller, "_new_dead", ("if shrunk:", "if False:")),
+        replace(controller, "_new_dead", (
+            "members = set() if shrunk else set(dead)",
+            "members = set(dead)")),
         ("run", "wait-graph reference")),
 ]
 

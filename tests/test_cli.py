@@ -446,15 +446,14 @@ def test_check_names_machine_and_serial_step_of_an_evaluation_error(
 
 def test_check_reads_out_of_order_name_no_location(tmp_path, capsys):
     # Same reads and values, listed in another order than the engine's: the
-    # step differs, but no location does.
+    # step differs, but no location does, so the record is malformed.
     records = _fuzz_trace_lines(tmp_path)
-    step = [ms for rec in records[1:-1] for ms in rec["machines"].values()
-            if ms["proper"] and len(ms["reads"]) > 1][-1]  # survives cleansing
-    step["reads"].reverse()
-    assert _check_records(tmp_path, records) == 3
-    witness = json.loads(capsys.readouterr().out)["witness"]
-    assert witness["kind"] == "step" and witness["what"] == "read"
-    assert witness["location"] is None
+    index, m, step = [(rec["index"], m, ms) for rec in records[1:-1]
+                      for m, ms in rec["machines"].items()
+                      if ms["proper"] and len(ms["reads"]) > 1][-1]
+    step["reads"].reverse()  # the last such step survives cleansing
+    _check_malformed(tmp_path, capsys, records,
+                     f"step record {index}: {m!r} has reads out of order")
 
 
 # -- `registered` and `committed` name each machine once ---------------------
@@ -572,6 +571,24 @@ init n() := 0
 terminated: n() = 1
 rule: if flag() then n() := 1 else n() := 2
 """
+
+
+@pytest.mark.parametrize("field", ["updates", "final_state"])
+def test_check_object_in_place_of_a_pair_exits_one(tmp_path, capsys, field):
+    # An object of two keys iterates as the pair of its keys: here as
+    # ["x()", "q"], the pair it replaces.
+    from taserial.dsl import parse_program
+    from taserial.engine import RunConfig
+
+    records = _trace_records(tmp_path, RunConfig(
+        machines=[parse_program(_WRITE_Q)]))
+    record = records[-1] if field == "final_state" else next(
+        ms for rec in records[1:-1] for ms in rec["machines"].values()
+        if ms["proper"])
+    pairs = record[field]
+    pairs[pairs.index(["x()", "q"])] = {"x()": 0, "q": 0}
+    _check_malformed(tmp_path, capsys, records,
+                     f"{field} entry is not a list: {{'x()': 0, 'q': 0}}")
 
 
 def test_check_read_of_one_forged_for_true_exits_one(tmp_path, capsys):

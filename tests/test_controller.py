@@ -16,7 +16,6 @@ from taserial.controller import (
     Request,
     HistoryEntry,
     LockPair,
-    _cycle_members,
     apply_effect,
     commit_step,
     deadlock_handler_step,
@@ -318,6 +317,41 @@ def test_deadlock_matches_closure_oracle(edge_list, expect_cycle):
     assert bool(oracle) == expect_cycle
 
 
+@pytest.mark.parametrize("by", ["waiter", "holder"])
+@pytest.mark.parametrize("edge_list,removed,expect", [
+    # two disjoint 2-cycles: the second stays
+    ([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c")], ("a", "b"),
+     {"c", "d"}),
+    # a figure eight: the other loop stays
+    ([("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")], ("a", "b"),
+     {"b", "c"}),
+    # a 3-cycle with a chord: the smaller cycle stays
+    ([("a", "b"), ("b", "c"), ("c", "a"), ("a", "c")], ("b", "c"),
+     {"a", "c"}),
+])
+def test_deadlock_after_a_removal_matches_closure_oracle(edge_list, removed,
+                                                         expect, by):
+    """An edge between two cycle members is removed, by its waiter asking
+    without the location or by its holder undoing the step that locked it:
+    the cycles that do not use it stay."""
+    edge_list = [e for e in edge_list if e != removed] + [removed]
+    cs = fresh(sorted({n for e in edge_list for n in e}))
+    wanted = {}
+    for i, (a, b) in enumerate(edge_list):
+        take(cs, b, pair(w=(f"e{i}",)))
+        wanted.setdefault(a, set()).add(f"e{i}")
+    for a, ls in wanted.items():
+        request(cs, a, pair(r=ls))
+    assert deadlocked(cs) == cycle_members(wait_edges(cs))
+    a, b = removed
+    if by == "waiter":
+        request(cs, a, pair(r=wanted[a] - {f"e{len(edge_list) - 1}"}))
+    else:
+        apply_effect(cs, ("undo", b, cs.histories[b][-1]), [])
+    assert removed not in wait_edges(cs)
+    assert deadlocked(cs) == cycle_members(wait_edges(cs)) == expect
+
+
 def test_wait_edges_require_active_status():
     cs = _cs_with_edges([("a", "b")])
     assert wait_edges(cs) == frozenset({("a", "b")})
@@ -379,7 +413,7 @@ def test_victimize_one_per_cycle():
 
 
 def _reference(cs):
-    return _cycle_members(wait_edges(cs))
+    return cycle_members(wait_edges(cs))
 
 
 def assert_out_sets_are_blockers(cs):

@@ -42,7 +42,7 @@ from taserial.workloads import (
     opposed_lock_config,
 )
 
-from reference import last_undo_step, wait_edges
+from reference import cycle_members, last_undo_step, wait_edges
 from trace_reference import encode_pairs
 from trace_reference import state_digest as reference_digest
 from trace_v1 import v1_lines
@@ -406,7 +406,7 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
 
     def compared(cs):
         dead = original(cs)
-        assert dead == controller._cycle_members(wait_edges(cs))
+        assert dead == cycle_members(wait_edges(cs))
         searches.append(bool(dead))
         return dead
 
