@@ -383,17 +383,18 @@ def _new_dead(out: Dict[str, Set[str]], dead: FrozenSet[str],
     in `dead`; when no removed edge ran between two of them, all of `dead`
     stays on cycles, else a search from each old member finds which do.  A
     cycle through an added edge (a, b) passes through a, so a search from
-    each source a finds the rest.  Each search returns a whole component,
-    so a machine already found or already searched needs no search.
+    each source a finds the rest, also when a was a member: its component
+    can grow.  Each search returns a's whole component as the graph is now,
+    so a machine found in this call needs no search of its own.
     """
-    members = set() if shrunk else set(dead)
+    found: Set[str] = set()
     sources = [a for a, _ in added]
     if shrunk:
         sources += dead
     for a in dict.fromkeys(sources):
-        if a not in members:
-            members |= _cycle_through(out, a)
-    return frozenset(members)
+        if a not in found:
+            found |= _cycle_through(out, a)
+    return frozenset(found if shrunk else found | dead)
 
 
 def _cycle_through(out: Dict[str, Set[str]], a: str) -> Set[str]:

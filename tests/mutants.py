@@ -342,8 +342,8 @@ CONTROLLER_MUTANTS = [
     ControllerMutant(
         "removed edge between cycle members keeps the cycle set",
         replace(controller, "_new_dead", (
-            "members = set() if shrunk else set(dead)",
-            "members = set(dead)")),
+            "    if shrunk:\n        sources += dead\n", ""), (
+            "found if shrunk else found | dead", "found | dead")),
         ("run", "wait-graph reference")),
 ]
 

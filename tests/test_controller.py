@@ -352,6 +352,37 @@ def test_deadlock_after_a_removal_matches_closure_oracle(edge_list, removed,
     assert deadlocked(cs) == cycle_members(wait_edges(cs)) == expect
 
 
+@pytest.mark.parametrize("edge_list,added,expect", [
+    # b waits for a; a, on the 2-cycle {a, c}, now also waits for b
+    ([("a", "c"), ("c", "a"), ("b", "a")], ("a", "b"), {"a", "b", "c"}),
+    # a chain e -> b -> a into the 2-cycle {a, c}; a now waits for e
+    ([("a", "c"), ("c", "a"), ("e", "b"), ("b", "a")], ("a", "e"),
+     {"a", "b", "c", "e"}),
+    # two 2-cycles, c also waits for a; a now waits for c: nothing new
+    ([("a", "b"), ("b", "a"), ("c", "d"), ("d", "c"), ("c", "a")],
+     ("a", "c"), {"a", "b", "c", "d"}),
+])
+def test_deadlock_after_an_addition_matches_closure_oracle(edge_list, added,
+                                                           expect):
+    """A cycle member re-requests so that it also waits for a machine that
+    already reaches it: the component grows by what reaches the member."""
+    edge_list = edge_list + [added]
+    cs = fresh(sorted({n for e in edge_list for n in e}))
+    wanted = {}
+    for i, (a, b) in enumerate(edge_list):
+        take(cs, b, pair(w=(f"e{i}",)))
+        wanted.setdefault(a, set()).add(f"e{i}")
+    a = added[0]
+    for m, ls in wanted.items():
+        request(cs, m, pair(r=ls - {f"e{len(edge_list) - 1}"}))
+    assert deadlocked(cs) == cycle_members(wait_edges(cs))
+    assert a in deadlocked(cs)
+    assert added not in wait_edges(cs)
+    request(cs, a, pair(r=wanted[a]))
+    assert added in wait_edges(cs)
+    assert deadlocked(cs) == cycle_members(wait_edges(cs)) == expect
+
+
 def test_wait_edges_require_active_status():
     cs = _cs_with_edges([("a", "b")])
     assert wait_edges(cs) == frozenset({("a", "b")})
