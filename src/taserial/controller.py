@@ -386,27 +386,36 @@ def _new_dead(out: Dict[str, Set[str]], dead: FrozenSet[str],
     each source a finds the rest, also when a was a member: its component
     can grow.  Each search returns a's whole component as the graph is now,
     so a machine found in this call needs no search of its own.
+
+    Sources are searched in reverse order of addition, and no search walks
+    past a machine `searched` in this call, found on a cycle or a source on
+    none: neither reaches the current source, so no cycle through it passes
+    them, and a chain of waiters added at once is walked once.
     """
     found: Set[str] = set()
+    searched: Set[str] = set()
     sources = [a for a, _ in added]
     if shrunk:
         sources += dead
-    for a in dict.fromkeys(sources):
-        if a not in found:
-            found |= _cycle_through(out, a)
+    for a in reversed(dict.fromkeys(sources)):
+        if a not in searched:
+            cycle = _cycle_through(out, a, searched)
+            found |= cycle
+            searched |= cycle or {a}
     return frozenset(found if shrunk else found | dead)
 
 
-def _cycle_through(out: Dict[str, Set[str]], a: str) -> Set[str]:
+def _cycle_through(out: Dict[str, Set[str]], a: str,
+                   searched: Set[str]) -> Set[str]:
     """The machines on a cycle through `a`, empty when it is on none: those
-    reachable from a that reach a, by one forward search from a, then a
-    backward search inside what it reached (Haeupler, Kavitha, Mathew, Sen
-    and Tarjan, TALG 2012, keep cycles the same way)."""
+    reachable from a, not through `searched`, that reach a, by one forward
+    search from a, then a backward search inside what it reached (Haeupler,
+    Kavitha, Mathew, Sen and Tarjan, TALG 2012, keep cycles the same way)."""
     reached: Set[str] = set()
     stack = [a]
     while stack:
         for n in out.get(stack.pop(), ()):
-            if n not in reached:
+            if n not in reached and n not in searched:
                 reached.add(n)
                 stack.append(n)
     if a not in reached:

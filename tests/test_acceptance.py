@@ -28,12 +28,14 @@ from taserial.workloads import (
     opposed_lock_config,
 )
 
-from reference import check_lock_table, last_undo_step, r_holders, w_holder
+from reference import (
+    check_lock_table,
+    last_undo_step,
+    r_holders,
+    simulation_digest,
+    w_holder,
+)
 from stepwise import cleanse_stepwise
-from trace_v1 import v1_lines
-from trace_v2 import v2_lines
-from trace_v3 import v3_lines
-from trace_v4 import v4_lines
 
 N_FUZZ = 1000
 
@@ -256,63 +258,45 @@ def test_criterion_8_replay_determinism():
 
 
 # Traces are byte-identical across engine changes unless TRACE_VERSION is
-# bumped.  Each corpus has five pins: its version-1 to version-4 traces, as
-# the writers in `trace_v1` to `trace_v4` make them from the current runs,
-# and its current (version-5) traces.  The version-1 pins were taken from
-# the engine before the per-step costs were made incremental
-# (delta-maintained digest, shared deadlock pass), the version-2 pins from
-# the engine that still hashed every step's state, the version-3 pins from
-# the engine that still wrote tagged values, and the version-4 pins from the
-# engine whose header still copied the seed and the initial state, so they
-# show the simulation unchanged since.
-GOLDEN_DEFAULT_0_999 = (
-    "fd962cefae13a3e6c450b257a5f660c95e8f7764a084879239e670588ca88f18")
-GOLDEN_12_MACHINES_0_3 = (
-    "31096f3556ba1a8688d919f03699f5ce8a2904d9bddd003e21c9cffd69245a31")
-GOLDEN_V2_DEFAULT_0_999 = (
-    "0b03475cdacd28b5afbfd7b50f833834353e9a6d8531e3186c3b4de5af1ed0bd")
-GOLDEN_V2_12_MACHINES_0_3 = (
-    "882bc72f36cda1f4a9adfe25978828ad2ac896195e6044488de52662329fe2b8")
-GOLDEN_V3_DEFAULT_0_999 = (
-    "baa9596e589afd49015dce51dc9bee971124b46ad83815cd5563b01854500ce5")
-GOLDEN_V4_DEFAULT_0_999 = (
-    "102b2d94feecd090041e6dd36f9eff4301984cc8cf8a691a4574904f5a3e4dea")
+# bumped.  Each corpus has two pins.  The simulation pin is
+# `reference.simulation_digest` of its traces, a form that no trace version
+# defines.  It was recorded from an engine whose traces still matched the
+# pins of versions 1 to 5, the version-1 pins having been taken before the
+# per-step costs were made incremental, so it shows the simulation
+# unchanged since.  The byte pin is the sha256 of the version-5 lines; a
+# new trace version re-records the byte pins only.
+SIMULATION_DEFAULT_0_999 = (
+    "9a4d3ba9c532a746be92fbcd49b9054bd5e5a56505c822baafd4b4b4167509e4")
 GOLDEN_V5_DEFAULT_0_999 = (
     "7fa95cc838e7b3a67188ddeb98a4a4c9838ba0b179c45df41e67a347a64c669b")
-GOLDEN_V3_12_MACHINES_0_3 = (
-    "d3a4f4dcce018e182e092095e92c02bb5c1d3aef2a6d13f563abd322a3957784")
-GOLDEN_V4_12_MACHINES_0_3 = (
-    "c6649b8b4b6726e005da568839d87f9a58a99e2a201338865d0c580fc9358979")
+SIMULATION_12_MACHINES_0_3 = (
+    "22865d764b7240ce2bc2b518dd5b4b91c934c3a3e29897bd592ec0efa0027f80")
 GOLDEN_V5_12_MACHINES_0_3 = (
     "6e29b3651aff926a119cc6c389599f888782cdee6c83fa0daa6e00c3aa6f24f7")
 
 
-def _traces_sha256(traces, encode=trace_to_lines):
-    """One sha256 over every encoded line of the traces, in order, each line
-    followed by a newline."""
+def _traces_sha256(traces):
+    """One sha256 over every line `trace_to_lines` writes of the traces, in
+    order, each line followed by a newline."""
     h = hashlib.sha256()
     for trace in traces:
-        for line in encode(trace):
+        for line in trace_to_lines(trace):
             h.update(line.encode("utf-8") + b"\n")
     return h.hexdigest()
 
 
 def _report_pins(name, traces, pins, detail):
     traces = list(traces)
-    got = tuple(_traces_sha256(traces, write) for write in (
-        v1_lines, v2_lines, v3_lines, v4_lines, trace_to_lines))
+    got = (simulation_digest(traces), _traces_sha256(traces))
     report(name, got == pins,
-           f"sha256 of {detail}: version 1 {got[0]}, version 2 {got[1]}, "
-           f"version 3 {got[2]}, version 4 {got[3]}, version 5 {got[4]}")
+           f"sha256 of {detail}: simulation {got[0]}, version 5 {got[1]}")
 
 
 def test_golden_traces_default_fuzz_corpus():
     traces, _, _ = fuzz_corpus()
     _report_pins("golden default-corpus traces", traces,
-                 (GOLDEN_DEFAULT_0_999, GOLDEN_V2_DEFAULT_0_999,
-                  GOLDEN_V3_DEFAULT_0_999,
-                  GOLDEN_V4_DEFAULT_0_999,
-                  GOLDEN_V5_DEFAULT_0_999), f"seeds 0-{N_FUZZ - 1}")
+                 (SIMULATION_DEFAULT_0_999, GOLDEN_V5_DEFAULT_0_999),
+                 f"seeds 0-{N_FUZZ - 1}")
 
 
 def test_golden_traces_12_machines():
@@ -320,10 +304,8 @@ def test_golden_traces_12_machines():
                         domain_size=8, step_budget=2000)
     _report_pins("golden 12-machine traces",
                  (run(random_config(s, params)) for s in range(4)),
-                 (GOLDEN_12_MACHINES_0_3, GOLDEN_V2_12_MACHINES_0_3,
-                  GOLDEN_V3_12_MACHINES_0_3,
-                  GOLDEN_V4_12_MACHINES_0_3,
-                  GOLDEN_V5_12_MACHINES_0_3), "seeds 0-3")
+                 (SIMULATION_12_MACHINES_0_3, GOLDEN_V5_12_MACHINES_0_3),
+                 "seeds 0-3")
 
 
 # Pins for the modes the two pins above leave out, taken from the engine
@@ -331,24 +313,12 @@ def test_golden_traces_12_machines():
 # interleaved run mode over the default corpus, and the hand-written
 # workloads in both wait modes and both run modes, each also run solo as
 # the checker re-runs it.
-GOLDEN_INTERLEAVE_0_199 = (
-    "629d71ea6a8e0d7f5bdbe05bdea253cb1992bb967f2c4775680cb23ce85d7668")
-GOLDEN_HAND_WRITTEN = (
-    "63707c8f2c999632b97ce66c9e554a03d80b3c1b32ff58aee6147483b94017f0")
-GOLDEN_V2_INTERLEAVE_0_199 = (
-    "02453db80ae695f99b2bf5688198895ea9b125a99bb98d80087eff487e9269de")
-GOLDEN_V2_HAND_WRITTEN = (
-    "3e444aabb1c57df31afb253359882345631a0b467f5fdad92e78dfd6aafce2c6")
-GOLDEN_V3_INTERLEAVE_0_199 = (
-    "2eee0a1a4fdf69a6b86e9cda3d5bcd1a58b6a21722b458489e5266e53848e1de")
-GOLDEN_V4_INTERLEAVE_0_199 = (
-    "0cf32dfe70d4b9e4ebacc30f959eaca58fb112b86442037738f11283c120a51f")
+SIMULATION_INTERLEAVE_0_199 = (
+    "128154b27c9b9ec166b4e0ec4b8f20b651e6351191109f30e4a41e4e02882578")
 GOLDEN_V5_INTERLEAVE_0_199 = (
     "7656cf91ad2994cceaba647621fc78be65a882db8e17587cf80934b8f1a9a419")
-GOLDEN_V3_HAND_WRITTEN = (
-    "1f5a13038345cd6251f8ab9f461d514db69f4c0b7395e4ae4e8dab4547dc7a45")
-GOLDEN_V4_HAND_WRITTEN = (
-    "547965419944f7b8bf5503f4b020e3b29a6d6a4ff864eedcfb10b44d990fa865")
+SIMULATION_HAND_WRITTEN = (
+    "b8321e55edf9685f4846817416bbd201dafebb032c9c009db00302dc8f57662a")
 GOLDEN_V5_HAND_WRITTEN = (
     "343d430d19c79580c85a8a23d774e614df5a65e63bc7e1a5f80d31a55943e08a")
 
@@ -357,10 +327,8 @@ def test_golden_traces_interleave_mode():
     traces = (run(dataclasses.replace(random_config(s), run_mode="interleave"))
               for s in range(200))
     _report_pins("golden interleave-mode traces", traces,
-                 (GOLDEN_INTERLEAVE_0_199, GOLDEN_V2_INTERLEAVE_0_199,
-                  GOLDEN_V3_INTERLEAVE_0_199,
-                  GOLDEN_V4_INTERLEAVE_0_199,
-                  GOLDEN_V5_INTERLEAVE_0_199), "seeds 0-199")
+                 (SIMULATION_INTERLEAVE_0_199, GOLDEN_V5_INTERLEAVE_0_199),
+                 "seeds 0-199")
 
 
 # Pins for the paths that skipping blocked machines and one-option draws
@@ -368,24 +336,12 @@ def test_golden_traces_interleave_mode():
 # workload, each seed in both wait modes, and the default corpus in
 # interleave mode in the wait mode `random_config` does not pick, so that
 # with the interleave pin above every seed runs in both.
-GOLDEN_24_MACHINES_0_2 = (
-    "50932dec7c9beefccc1fd790359905c5b3ccca0757944a5af3155b95f7e0674d")
-GOLDEN_INTERLEAVE_OTHER_WAIT_0_199 = (
-    "ae6dec62b4486972da0d9a999b27b5ee52a5b7da42da2c864dff25462755246f")
-GOLDEN_V2_24_MACHINES_0_2 = (
-    "d44e0701e03f8662bc156bb7009c188d0881b3363118a84c27e0f8d9363f84b6")
-GOLDEN_V2_INTERLEAVE_OTHER_WAIT_0_199 = (
-    "1faafff8dfa1f087f508f1a32999e5d3acc8684ea5ba45c71dc21da5688683f5")
-GOLDEN_V3_24_MACHINES_0_2 = (
-    "8336e0fc190880381f4ebaa03309dfff8fc3089ede6638a0a791f2e22457678a")
-GOLDEN_V4_24_MACHINES_0_2 = (
-    "246ac500e89f359a43b47adb620d8be10e0c9092f118d6848f8c0a1fedb3a7d4")
+SIMULATION_24_MACHINES_0_2 = (
+    "5a79a84f290eb57dcd16deffdddd36ff5adc0f8d16d4bf9acba3b56ea5660064")
 GOLDEN_V5_24_MACHINES_0_2 = (
     "5d37e1175d7270cd4896893c8c16017b509a1afd33578b73a66860fe383e2aa0")
-GOLDEN_V3_INTERLEAVE_OTHER_WAIT_0_199 = (
-    "6691c2110b7bb2f37cd2982c1194af3617e096be7e940f178ec5c611efb197d4")
-GOLDEN_V4_INTERLEAVE_OTHER_WAIT_0_199 = (
-    "92c6c0e3fba3d0bca9f8afa664f0f4b06ec8247b9a874853d263a02f22337927")
+SIMULATION_INTERLEAVE_OTHER_WAIT_0_199 = (
+    "9025d6ff07d5b6699b89a541763ab34836fe964f84ee565e152b64178f69df44")
 GOLDEN_V5_INTERLEAVE_OTHER_WAIT_0_199 = (
     "31e63f22f8e8cbd5eb3268aca98068bf6c9566a0d4bbf5ab429fb5d2fa7f56eb")
 
@@ -398,10 +354,7 @@ def test_golden_traces_24_machines_both_wait_modes():
                                       wait_mode=wait_mode))
               for wait_mode in ("retry", "suspend") for s in range(3))
     _report_pins("golden 24-machine traces", traces,
-                 (GOLDEN_24_MACHINES_0_2, GOLDEN_V2_24_MACHINES_0_2,
-                  GOLDEN_V3_24_MACHINES_0_2,
-                  GOLDEN_V4_24_MACHINES_0_2,
-                  GOLDEN_V5_24_MACHINES_0_2),
+                 (SIMULATION_24_MACHINES_0_2, GOLDEN_V5_24_MACHINES_0_2),
                  "seeds 0-2, retry then suspend")
 
 
@@ -415,10 +368,7 @@ def test_golden_traces_interleave_mode_other_wait_mode():
 
     _report_pins("golden interleave-mode traces, other wait mode",
                  (run(config(s)) for s in range(200)),
-                 (GOLDEN_INTERLEAVE_OTHER_WAIT_0_199,
-                  GOLDEN_V2_INTERLEAVE_OTHER_WAIT_0_199,
-                  GOLDEN_V3_INTERLEAVE_OTHER_WAIT_0_199,
-                  GOLDEN_V4_INTERLEAVE_OTHER_WAIT_0_199,
+                 (SIMULATION_INTERLEAVE_OTHER_WAIT_0_199,
                   GOLDEN_V5_INTERLEAVE_OTHER_WAIT_0_199), "seeds 0-199")
 
 
@@ -441,8 +391,5 @@ def _hand_written_traces():
 
 def test_golden_traces_hand_written_workloads():
     _report_pins("golden hand-written traces", _hand_written_traces(),
-                 (GOLDEN_HAND_WRITTEN, GOLDEN_V2_HAND_WRITTEN,
-                  GOLDEN_V3_HAND_WRITTEN,
-                  GOLDEN_V4_HAND_WRITTEN,
-                  GOLDEN_V5_HAND_WRITTEN),
+                 (SIMULATION_HAND_WRITTEN, GOLDEN_V5_HAND_WRITTEN),
                  "counter/opposed/full-victim seeds 0-9")

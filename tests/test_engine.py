@@ -42,12 +42,13 @@ from taserial.workloads import (
     opposed_lock_config,
 )
 
-from reference import cycle_members, last_undo_step, wait_edges
+from reference import (
+    cycle_members,
+    last_undo_step,
+    simulation_digest,
+    wait_edges,
+)
 from trace_reference import encode_pairs
-from trace_reference import state_digest as reference_digest
-from trace_v1 import v1_lines
-from trace_v2 import v2_lines
-from trace_v3 import v3_lines
 
 
 def loc(f, *args):
@@ -123,10 +124,27 @@ def test_full_victim_restores_pre_registration_state():
     assert trace.status == "done"
 
 
-def test_state_at_folds_deltas():
-    trace = run(counter_config(seed=3))
-    assert state_at(trace, 0).values == trace.initial_values
-    assert state_at(trace, len(trace.steps)).values == trace.final_values
+FOLD_PARAMS = {"fuzz3": FuzzParams(),
+               "fuzz12": FuzzParams(n_machines=12, n_shared=16,
+                                    max_steps_per_machine=8, domain_size=8,
+                                    step_budget=600)}
+
+
+@pytest.mark.parametrize("kind,seed", [("counter", 3)]
+                         + [("fuzz3", s) for s in range(40)]
+                         + [("fuzz12", s) for s in range(2)])
+def test_state_at_folds_deltas(kind, seed):
+    """The initial state, with every step's delta applied in turn, folds to
+    `state_at` after the last step and to the final values."""
+    config = (counter_config(seed=seed) if kind == "counter"
+              else random_config(seed, FOLD_PARAMS[kind]))
+    trace = run(config)
+    state = state_at(trace, 0)
+    assert state.values == trace.initial_values
+    for rec in trace.steps:
+        state = state.with_updates(rec.delta())
+    assert state == state_at(trace, len(trace.steps))
+    assert state.values == trace.final_values
 
 
 def test_rerun_is_byte_identical():
@@ -300,35 +318,6 @@ def test_sync_and_interleave_share_choice_streams():
     inter = run(config2)
     assert inter.status == "done"
     assert sync.final_values[loc("total")] == inter.final_values[loc("total")]
-
-
-# -- state digests of version-2 traces ----------------------------------------
-
-
-def _assert_hashes_match_states(trace):
-    """Every step's hash in the version-2 trace of the run is the reference
-    digest of the state after it, rebuilt from the initial state as
-    `state_at` does."""
-    lines = v2_lines(trace)
-    state = state_at(trace, 0)
-    for i, rec in enumerate(trace.steps):
-        state = state.with_updates(rec.delta())
-        assert (json.loads(lines[i + 1])["state_hash"]
-                == reference_digest(state.values)), f"step {i}"
-    assert state == state_at(trace, len(trace.steps))
-    assert state.values == trace.final_values
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_step_hashes_equal_reference_digest_3_machines(seed):
-    _assert_hashes_match_states(run(random_config(seed)))
-
-
-@pytest.mark.parametrize("seed", range(2))
-def test_step_hashes_equal_reference_digest_12_machines(seed):
-    params = FuzzParams(n_machines=12, n_shared=16, max_steps_per_machine=8,
-                        domain_size=8, step_budget=600)
-    _assert_hashes_match_states(run(random_config(seed, params)))
 
 
 def test_state_updated_in_place_is_the_runs_own():
@@ -705,7 +694,7 @@ def _with_machine_entry(lines, payload):
     return lines[:2] + [json.dumps(record)] + lines[3:]
 
 
-def _version_pair_configs():
+def _round_trip_configs():
     for seed in range(6):
         yield random_config(seed)
         yield replace(random_config(seed), run_mode="interleave")
@@ -717,16 +706,15 @@ def _version_pair_configs():
             yield full_victim_config(seed=1, **modes)
 
 
-@pytest.mark.parametrize("config", list(_version_pair_configs()))
-def test_version_one_and_two_traces_of_a_run_decode_alike(config):
-    """The decoded trace of a run holds all that the writers of every
-    version record: the lines of versions 1 to 4 written from it are those
-    of the run, although only version 1 has idle records and only versions
-    1 and 2 have state hashes; and its verdict is the run's."""
+@pytest.mark.parametrize("config", list(_round_trip_configs()))
+def test_decoded_trace_keeps_the_runs_simulation_and_lines(config):
+    """The decoded trace of a run holds all that the run simulated: its
+    simulation digest and its lines are the run's, and so is its
+    verdict."""
     trace = run(config)
     decoded = trace_from_lines(trace_to_lines(trace))
-    for write in (v1_lines, v2_lines, v3_lines, trace_to_lines):
-        assert write(decoded) == write(trace), write.__name__
+    assert simulation_digest([decoded]) == simulation_digest([trace])
+    assert trace_to_lines(decoded) == trace_to_lines(trace)
     assert check_serializable(decoded) == check_serializable(trace)
 
 
@@ -919,11 +907,9 @@ def test_lock_payload_writes_constants_as_json():
         frozenset({loc("b", FALSE, "s"), loc("c", UNDEF)}))
     trace = run(counter_config(1, 1))
     trace.steps[0].events.append(effect_event(("grant", "m0", pair_)))
-    # Version 3 wrote the arguments as JSON; version 5 writes each location
+    # Version 3 wrote the arguments as JSON, `{"r":[["a",[true]],["a",[1]]],
+    # "w":[["b",[false,"s"]],["c",[null]]]}`; version 5 writes each location
     # as its text, in the same order.
-    assert (',"locks":{"r":[["a",[true]],["a",[1]]],'
-            '"w":[["b",[false,"s"]],["c",[null]]]},"machine":"m0"}'
-            ) in v3_lines(trace)[1]
     assert (',"locks":{"r":["a(true)","a(1)"],'
             '"w":["b(false,\'s)","c(undef)"]},"machine":"m0"}'
             ) in trace_to_lines(trace)[1]

@@ -260,16 +260,14 @@ def test_a_non_canonical_location_text_in_a_pair_is_malformed(text):
 
 def test_a_shared_init_as_version_4_wrote_it_is_malformed():
     # Version 4 wrote the shared inits tagged: `[["arr",[["i",0]]],["i",0]]`.
-    from trace_v4 import tagged_location
-
     def tag(pairs):
-        pairs[0][0] = tagged_location(Location("arr", (0,)))
+        pairs[0][0] = ["arr", [["i", 0]]]
     with pytest.raises(MalformedTrace, match=re.escape(
             "malformed location ['arr', [['i', 0]]]")):
         trace_from_lines(_edited_shared_inits(tag))
 
     def tag_value(pairs):
-        pairs[0][1] = engine.encode_value(0)
+        pairs[0][1] = ["i", 0]
     with pytest.raises(MalformedTrace, match=re.escape(
             "malformed value ['i', 0]")):
         trace_from_lines(_edited_shared_inits(tag_value))
