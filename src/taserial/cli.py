@@ -3,8 +3,9 @@ or fuzz random workloads end to end.
 
 Exit codes: run 0 = all machines committed, 2 = step budget exhausted,
 1 = bad input or internal invariant violation.  check 0 = serializable,
-3 = not serializable, 1 = malformed trace.  fuzz 0 iff every generated run
-was serializable.
+3 = not serializable, 1 = malformed trace.  fuzz 0 = every generated run
+completed and was serializable, 3 = some run exhausted its budget, raised
+or was not serializable, 1 = bad arguments or a failed `--self-test`.
 """
 from __future__ import annotations
 

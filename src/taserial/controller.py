@@ -322,17 +322,22 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
     changed since the last call.  The out-set of each machine in
     `cs.wait_graph.changed` is recomputed.  Every other waiting machine
     whose pair names a location in `cs.wait_graph.holders[h]` gains or
-    loses the one edge to h, as h still blocks it or not.  Then
-    `_new_dead` brings the cycle members up to date from the edges added
-    and removed.
+    loses the one edge to h, as h still blocks it or not.
+
+    Then the cycle members are brought up to date.  A cycle that uses an
+    added edge passes through that edge's source; a cycle that uses none
+    was a cycle before, so its machines are old members.  So every cycle
+    passes through a source or an old member, and one Tarjan pass from
+    those roots (`_cycle_members`) finds the members.
 
     Contract: the controller state changes only through `apply_effect`.
     """
     g = cs.wait_graph
     touched, holders, out, dead = g.changed, g.holders, g.out, g.dead
+    if not (touched or holders):
+        return dead
     requests = cs.requests
-    added: List[Tuple[str, str]] = []
-    shrunk = False  # an edge between two cycle members was removed
+    sources: Set[str] = set()  # the machines that gained an edge
     if holders:
         blocks = cs.locks.blocks
         for m, r in requests.items():
@@ -347,12 +352,11 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
                 if blocks(h, r.pair):
                     if h not in waits:
                         out.setdefault(m, set()).add(h)
-                        added.append((m, h))
+                        sources.add(m)
                 elif h in waits:
                     waits.discard(h)
                     if not waits:
                         del out[m]
-                    shrunk = shrunk or (m in dead and h in dead)
         holders.clear()
     for m in touched:
         r = requests.get(m)
@@ -361,78 +365,59 @@ def deadlocked(cs: ControllerState) -> FrozenSet[str]:
                  if r is not None and r.status != GRANTED else _NOBODY)
         if after:
             out[m] = after
-            added += [(m, n) for n in after if n not in before]
-        if m in dead and not shrunk:
-            shrunk = not dead.isdisjoint(before - after)
+            if not after <= before:
+                sources.add(m)
     touched.clear()
-    if added or shrunk:
-        g.dead = _new_dead(out, dead, added, shrunk)
+    if sources or dead:
+        g.dead = _cycle_members(out, sources | dead)
     return g.dead
 
 
 _NOBODY: FrozenSet[str] = frozenset()
 
 
-def _new_dead(out: Dict[str, Set[str]], dead: FrozenSet[str],
-              added: List[Tuple[str, str]], shrunk: bool) -> FrozenSet[str]:
-    """The cycle members of the graph `out`, given its members `dead` before
-    the edges `added` were added and some edges removed, `shrunk` when one of
-    those ran between two members.
-
-    A cycle that uses no added edge was a cycle before, so its machines are
-    in `dead`; when no removed edge ran between two of them, all of `dead`
-    stays on cycles, else a search from each old member finds which do.  A
-    cycle through an added edge (a, b) passes through a, so a search from
-    each source a finds the rest, also when a was a member: its component
-    can grow.  Each search returns a's whole component as the graph is now,
-    so a machine found in this call needs no search of its own.
-
-    Sources are searched in reverse order of addition, and no search walks
-    past a machine `searched` in this call, found on a cycle or a source on
-    none: neither reaches the current source, so no cycle through it passes
-    them, and a chain of waiters added at once is walked once.
-    """
-    found: Set[str] = set()
-    searched: Set[str] = set()
-    sources = [a for a, _ in added]
-    if shrunk:
-        sources += dead
-    for a in reversed(dict.fromkeys(sources)):
-        if a not in searched:
-            cycle = _cycle_through(out, a, searched)
-            found |= cycle
-            searched |= cycle or {a}
-    return frozenset(found if shrunk else found | dead)
-
-
-def _cycle_through(out: Dict[str, Set[str]], a: str,
-                   searched: Set[str]) -> Set[str]:
-    """The machines on a cycle through `a`, empty when it is on none: those
-    reachable from a, not through `searched`, that reach a, by one forward
-    search from a, then a backward search inside what it reached (Haeupler,
-    Kavitha, Mathew, Sen and Tarjan, TALG 2012, keep cycles the same way)."""
-    reached: Set[str] = set()
-    stack = [a]
-    while stack:
-        for n in out.get(stack.pop(), ()):
-            if n not in reached and n not in searched:
-                reached.add(n)
-                stack.append(n)
-    if a not in reached:
-        return set()
-    into: Dict[str, List[str]] = {}
-    for n in reached:
-        for succ in out.get(n, ()):
-            if succ in reached:
-                into.setdefault(succ, []).append(n)
-    component = {a}
-    stack = [a]
-    while stack:
-        for n in into.get(stack.pop(), ()):
-            if n not in component:
-                component.add(n)
-                stack.append(n)
-    return component
+def _cycle_members(out: Dict[str, Set[str]],
+                   roots: Set[str]) -> FrozenSet[str]:
+    """The machines of the graph `out` that lie on a cycle reachable from
+    `roots`: the members of the strongly connected components of two or
+    more machines, by one iterative pass of Tarjan's search (SIAM J.
+    Comput. 1972).  No machine waits for itself."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []  # the machines of the components not yet closed
+    closed: Set[str] = set()
+    members: Set[str] = set()
+    for root in roots:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        # The search path: each machine, its depth on the stack and the
+        # successors it has yet to walk.
+        path = [(root, 0, iter(out.get(root, ())))]
+        while path:
+            node, depth, successors = path[-1]
+            for n in successors:
+                if n not in index:
+                    index[n] = low[n] = len(index)
+                    path.append((n, len(stack), iter(out.get(n, ()))))
+                    stack.append(n)
+                    break
+                if n not in closed and index[n] < low[node]:
+                    low[node] = index[n]
+            else:
+                path.pop()
+                if low[node] < index[node]:
+                    parent = path[-1][0]
+                    if low[node] < low[parent]:
+                        low[parent] = low[node]
+                else:
+                    component = stack[depth:]
+                    del stack[depth:]
+                    closed.update(component)
+                    if len(component) > 1:
+                        members.update(component)
+    return frozenset(members)
 
 
 def deadlock_handler_step(cs: ControllerState, draw: Draw,

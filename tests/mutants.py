@@ -341,9 +341,9 @@ CONTROLLER_MUTANTS = [
         ("run", "wait-graph reference")),
     ControllerMutant(
         "removed edge between cycle members keeps the cycle set",
-        replace(controller, "_new_dead", (
-            "    if shrunk:\n        sources += dead\n", ""), (
-            "found if shrunk else found | dead", "found | dead")),
+        replace(controller, "deadlocked", (
+            "_cycle_members(out, sources | dead)",
+            "_cycle_members(out, sources) | dead")),
         ("run", "wait-graph reference")),
 ]
 

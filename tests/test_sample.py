@@ -80,5 +80,12 @@ def test_two_seeds_of_a_workload(sentinel, capsys, part):
         assert float(incl) >= sample.LEAST_PCT
     if int(head[-2]):  # a short run may fall between two ticks
         inclusive = {name: float(incl) for _, incl, name in rows}
-        # Every sampled stack starts at _timed.
-        assert inclusive["sample._timed"] == max(inclusive.values())
+        # <gc>'s share is timed, not sampled; every sampled stack starts at
+        # _timed, so the two make up the whole, each printed to 0.005.
+        gc_share = inclusive.pop(sample.GC, None)
+        timed = inclusive["sample._timed"]
+        assert timed == max(inclusive.values())
+        if gc_share is None:  # under LEAST_PCT, so not printed
+            assert 100 - sample.LEAST_PCT - 0.005 < timed <= 100
+        else:
+            assert timed + gc_share == pytest.approx(100, abs=0.01 + 1e-9)
