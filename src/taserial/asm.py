@@ -311,7 +311,7 @@ def consistent(updates: UpdateSet) -> bool:
 
 
 def update_locations(updates: UpdateSet) -> FrozenSet[Location]:
-    return frozenset(loc for loc, _ in updates)
+    return frozenset([loc for loc, _ in updates])
 
 
 class State:
@@ -366,10 +366,16 @@ class State:
         return f"State({body})"
 
 
-def apply_updates(state: State, updates: UpdateSet) -> State:
-    """Successor state for a consistent update set."""
+def require_consistent(updates: UpdateSet) -> None:
+    """Raise InconsistentUpdateSet, naming the clashes, unless no location
+    receives two distinct values."""
     if not consistent(updates):
         raise InconsistentUpdateSet(f"conflicting updates: {_clashes(updates)}")
+
+
+def apply_updates(state: State, updates: UpdateSet) -> State:
+    """Successor state for a consistent update set."""
+    require_consistent(updates)
     return state.with_updates(updates)
 
 

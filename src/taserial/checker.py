@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .asm import (AsmError, EvalError, Location, State, UpdateSet, Value,
-                  apply_updates, loc_key)
+                  loc_key, require_consistent)
 from .dsl import print_location
 from .engine import MalformedTrace, Trace, plain_value
-from .wrapper import analyse, checked_step, choice_material, terminated
+from .wrapper import analyse, checked_step, step_material, terminated
 
 MAX_BRUTE_FORCE = 4
 
@@ -134,10 +134,11 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
                 if ordinal == config.max_steps:
                     raise UncommittedMachine(
                         f"{m} did not terminate within {ordinal} proper steps")
-                rw, read_log = analyse(
-                    program, state, choice_material(config.seed, m, ordinal))
+                rw, read_log = analyse(program, state, step_material(
+                    program, config.seed, m, ordinal))
                 updates, reads = checked_step(program, m, rw, read_log)
-                state = apply_updates(state, updates)
+                require_consistent(updates)
+                state.update(updates)  # the serial run's own state: no copy
                 entries.append(ScheduleEntry(ordinal, updates, reads))
         except EvalError as e:
             e.args = (f"{e} (machine {m}, serial step {len(entries)})",)

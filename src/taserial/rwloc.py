@@ -57,6 +57,7 @@ from .asm import (
     TypeMismatch,
     UNDEF,
     UnboundVariable,
+    UndefArgument,
     UpdateSet,
     Value,
     Var,
@@ -171,27 +172,48 @@ def _arith(func: str, a: Code, b: Code) -> Code:
     return arith
 
 
-# A location of constant arguments -> the code returning it, shared like
-# _LEAVES: a program's code lives as long as the program, and one closure
-# per assignment site would add to what the collector walks.
-_PLACES: Dict[Location, Code] = {}
+def _place(func: str, args) -> Optional[Location]:
+    """The location func(args) when its arguments are constants other than
+    undef, else None: such a location is built once, when compiled."""
+    vals = _consts(args)
+    if vals is None or UNDEF in vals:
+        return None
+    return Location(func, vals)
 
 
 def _where(func: str, args) -> Code:
     """Code computing the location func(args), raising UndefArgument on
-    undef; a location of constant arguments is built once."""
-    vals = _consts(args)
-    if vals is not None and UNDEF not in vals:
-        loc = Location(func, vals)
-        where = _PLACES.get(loc)
-        if where is None:
-            where = _PLACES[loc] = lambda s, env, log: loc
-        return where
+    undef."""
+    if len(args) == 1:
+        arg = args[0]
+
+        def where1(s, env, log):
+            v = arg(s, env, log)
+            if v is UNDEF:
+                raise UndefArgument(f"undef argument for location {func}")
+            return Location(func, (v,))
+        return where1
     return lambda s, env, log: make_location(
         func, tuple([a(s, env, log) for a in args]))
 
 
+# A location of constant arguments -> the code reading it, shared like
+# _LEAVES: a program's code lives as long as the program, and one closure
+# per site would add to what the collector walks.
+_READS: Dict[Location, Code] = {}
+
+
 def _read(func: str, args) -> Code:
+    loc = _place(func, args)
+    if loc is not None:
+        read = _READS.get(loc)
+        if read is None:
+            def read(s, env, log):
+                v = s.values.get(loc, UNDEF)
+                log.setdefault(loc, v)
+                return v
+            _READS[loc] = read
+        return read
     where = _where(func, args)
 
     def read(s, env, log):
@@ -246,11 +268,14 @@ def _connective(is_and: bool, left: Code, right: Code) -> Code:
 def _quantifier(is_forall: bool, var: str, body: Code) -> Code:
     """forall or exists, with the body read over the whole domain."""
     def every(s, env, log):
+        inner = dict(env)  # one per loop: a body binding var copies it
         rest = iter(s.domain)
         for d in rest:
-            if body(s, {**env, var: d}, log) != is_forall:
+            inner[var] = d
+            if body(s, inner, log) != is_forall:
                 for d in rest:
-                    _unneeded(body, s, {**env, var: d}, log)
+                    inner[var] = d
+                    _unneeded(body, s, inner, log)
                 return not is_forall
         return is_forall
     return every
@@ -266,10 +291,22 @@ def _unneeded(code: Code, s, env, log) -> None:
 
 
 def _eq(a: Code, b: Code) -> Code:
+    k = getattr(b, "value", _NOT_CONST)
+    if k is not _NOT_CONST:
+        return lambda s, env, log: a(s, env, log) == k
     return lambda s, env, log: a(s, env, log) == b(s, env, log)
 
 
 def _lt(a: Code, b: Code) -> Code:
+    k = getattr(b, "value", _NOT_CONST)
+    if type(k) is int:
+        def lt_const(s, env, log):
+            x = a(s, env, log)
+            if type(x) is int:
+                return x < k
+            raise TypeMismatch("< needs integers, got " + repr(x))
+        return lt_const
+
     def lt(s, env, log):
         x = a(s, env, log)
         y = b(s, env, log)
@@ -284,7 +321,13 @@ def _guard_range(var: str, guard: Code):
     """Code for the guard-satisfying domain elements, in domain order; the
     guard is read over the whole domain."""
     def domain_range(s, env, log):
-        return [d for d in s.domain if guard(s, {**env, var: d}, log)]
+        inner = dict(env)
+        out = []
+        for d in s.domain:
+            inner[var] = d
+            if guard(s, inner, log):
+                out.append(d)
+        return out
     return domain_range
 
 
@@ -323,10 +366,12 @@ def _assign(lhs: Term, rhs: Code) -> Code:
         def bad_target(s, env, log, res):
             raise EvalError(f"assignment target must be a dynamic function: {lhs!r}")
         return bad_target
-    where = _where(lhs.func, [_term(a) for a in lhs.args])
+    args = [_term(a) for a in lhs.args]
+    place = _place(lhs.func, args)
+    where = None if place is not None else _where(lhs.func, args)
 
     def assign(s, env, log, res):
-        at = where(s, env, log)
+        at = place if place is not None else where(s, env, log)
         log.setdefault(at, s.values.get(at, UNDEF))
         try:
             value = rhs(s, env, log)
@@ -386,8 +431,10 @@ def _forall(r: ForallDo, domain_range: Code, body: Code) -> Code:
 
     def forall(s, env, log, res):
         out: set = set()
+        inner = dict(env)
         for d in domain_range(s, env, log):
-            out |= body(s, {**env, var: d}, log, res)
+            inner[var] = d
+            out |= body(s, inner, log, res)
         return frozenset(out)
     return forall
 
@@ -440,7 +487,8 @@ def rw_term(t: Term, state: State, env: Env,
     log = {} if read_log is None else read_log
     writes: FrozenSet[Location] = frozenset()
     if isinstance(t, Apply) and not is_static(t.func):
-        head = _where(t.func, [_term(a) for a in t.args])(state, env, log)
+        args = [_term(a) for a in t.args]
+        head = _place(t.func, args) or _where(t.func, args)(state, env, log)
         log.setdefault(head, state.get(head))
         writes = frozenset({head})
     else:

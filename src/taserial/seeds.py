@@ -11,11 +11,9 @@ from typing import Dict
 
 
 def derive_bytes(*parts) -> bytes:
-    h = hashlib.blake2b(digest_size=16)
-    for p in parts:
-        h.update(repr(p).encode("utf-8"))
-        h.update(b"\x00")
-    return h.digest()
+    """The blake2b digest of each part's repr, each followed by a NUL."""
+    text = "".join([repr(p) + "\x00" for p in parts])
+    return hashlib.blake2b(text.encode("utf-8"), digest_size=16).digest()
 
 
 def derive_int(*parts) -> int:

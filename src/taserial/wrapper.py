@@ -107,22 +107,35 @@ def _main_code(program: MachineProgram) -> Code:
 
 def analyse(program: MachineProgram, state: State, material: bytes):
     """One pass over the main rule: its reads (with values), writes and
-    update set in this state."""
+    update set in this state.  A program with no choose node gets no choice
+    resolver."""
     read_log: Dict[Location, Value] = {}
-    resolver = ChoiceResolver(material, program.choice_base)
+    resolver = (ChoiceResolver(material, program.choice_base)
+                if program.choose_nodes else None)
     rw = rw_rule(_main_code(program), state, {}, resolver, read_log=read_log)
     return rw, read_log
+
+
+def _lock_classes(program: MachineProgram) -> tuple:
+    """The names of the functions whose reads need a lock (shared and
+    monitored) and of those whose writes need one (shared and output);
+    computed on first use and kept with the program's code, which its
+    `at_choice_base` copies share."""
+    classes = program.code.get("locks")
+    if classes is None:
+        classes = program.code["locks"] = (
+            program.shared | program.monitored,
+            program.shared | program.output)
+    return classes
 
 
 def _lock_needs(program: MachineProgram, rw: RwSet) -> LockPair:
     """The locks a step with these reads and writes needs: its shared and
     monitored reads, and its shared and output writes."""
-    classify = program.classify
+    read_locked, write_locked = _lock_classes(program)
     return LockPair(
-        frozenset(l for l in rw.reads
-                  if classify(l.func) in ("shared", "monitored")),
-        frozenset(l for l in rw.writes
-                  if classify(l.func) in ("shared", "output")))
+        frozenset([l for l in rw.reads if l.func in read_locked]),
+        frozenset([l for l in rw.writes if l.func in write_locked]))
 
 
 def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
@@ -147,14 +160,15 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
         else:
             return last[1:]
     rw, read_log = analyse(program, state,
-                           choice_material(seed, tcb.machine_id, ordinal))
+                           step_material(program, seed, tcb.machine_id,
+                                         ordinal))
     needs = _lock_needs(program, rw)
     tcb.analyses[ordinal] = (seed, rw, read_log, needs)
     return rw, read_log, needs
 
 
 # Location -> asm.loc_key(location), filled on first sight like
-# rwloc._PLACES: every proper step sorts the same few locations again.  Not a
+# rwloc._READS: every proper step sorts the same few locations again.  Not a
 # memo inside loc_key, whose TypeError on a Python bool must not be served
 # from an equal int's entry; no run or serial run builds such a location.
 _SORT_KEYS: Dict[Location, tuple] = {}
@@ -188,6 +202,15 @@ def choice_material(seed: int, machine_id: str, ordinal: int) -> bytes:
     return derive_bytes(seed, "choice", machine_id, ordinal)
 
 
+def step_material(program: MachineProgram, seed: int, machine_id: str,
+                  ordinal: int) -> bytes:
+    """`choice_material` for a program with a choose node; a program with
+    none never picks, so it gets none."""
+    if program.choose_nodes:
+        return choice_material(seed, machine_id, ordinal)
+    return b""
+
+
 def terminated(program: MachineProgram, state: State,
                reads: Optional[Dict[Location, Value]] = None) -> bool:
     """The termination formula, evaluated like asm.eval_formula; the
@@ -205,8 +228,8 @@ def _termination(program: MachineProgram, state: State
     step's reads do."""
     reads: Dict[Location, Value] = {}
     done = terminated(program, state, reads)
-    return done, frozenset(l for l in reads if program.classify(l.func)
-                           in ("shared", "monitored"))
+    read_locked = _lock_classes(program)[0]
+    return done, frozenset([l for l in reads if l.func in read_locked])
 
 
 def blocked(tcb: MachineCtl, cs: ControllerState, wait_mode: str) -> bool:
@@ -291,7 +314,8 @@ def checked_step(program: MachineProgram, machine_id: str, rw: RwSet,
                  read_log: Dict[Location, Value]):
     """The update set and the sorted reads a proper step records, once it is
     known to write no monitored location."""
+    monitored = program.monitored
     for l in rw.writes:
-        if program.classify(l.func) == "monitored":
+        if l.func in monitored:
             raise InvalidWrite(f"{machine_id} writes monitored location {l}")
     return rw.updates, _by_location(read_log.items())

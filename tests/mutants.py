@@ -314,7 +314,7 @@ CONTROLLER_MUTANTS = [
     ControllerMutant(
         "no read locks",
         replace(wrapper, "_lock_needs", (
-            'if classify(l.func) in ("shared", "monitored")', "if False")),
+            "rw.reads if l.func in read_locked", "rw.reads if False")),
         ("serial oracle",)),
     ControllerMutant(
         "writer beside readers",

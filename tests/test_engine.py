@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import re
@@ -26,6 +27,7 @@ from taserial.engine import (
     UNDEF,
 )
 from taserial.fuzz import FuzzParams, random_config
+from taserial.seeds import derive_bytes
 from taserial.wrapper import (
     ACTIVE,
     DONE,
@@ -504,6 +506,25 @@ def test_a_one_option_draw_seeds_nothing(monkeypatch):
     monkeypatch.undo()
     assert engine.draw(7, "lock", 3, 5) == engine.make_rng(
         7, "lock", 3).randrange(5)
+
+
+def _two_updates_per_part(*parts) -> bytes:
+    """derive_bytes as first written: one update for each part's repr and
+    one for its NUL."""
+    h = hashlib.blake2b(digest_size=16)
+    for p in parts:
+        h.update(repr(p).encode("utf-8"))
+        h.update(b"\x00")
+    return h.digest()
+
+
+@pytest.mark.parametrize("parts", [
+    (), (0,), (7, "lock", 3), (-1,), (-12345678901234567890, 2 ** 70),
+    ("choice", "m0", 0), ("", "\x00", "é"), (1, "a", (2, "b", -3)),
+    ((), ("x",), (-1, ("y", 0))), (5, "choice", "m12", 41),
+])
+def test_derive_bytes_hashes_as_two_updates_per_part(parts):
+    assert derive_bytes(*parts) == _two_updates_per_part(*parts)
 
 
 def test_each_draw_is_made_at_most_once_per_run(monkeypatch):

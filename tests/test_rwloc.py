@@ -591,3 +591,118 @@ def test_wide_seq_ends_at_its_first_inconsistent_item():
     assert yields(rule, s, {}, res()) == expected
     assert rw_rule(rule, s, {}, res()).updates == expected
     assert s.values == {}
+
+
+# -- quantifier loops bind their variable in one environment per loop ------
+
+def _g(term):
+    return Apply("g", (term,))
+
+
+def _h(term):
+    return Apply("h", (term,))
+
+
+def _shadowing_rules(inner):
+    """Rules whose loop over `i` runs a construct binding `inner` and then
+    reads `i`: with inner == "i" the construct shadows the loop variable."""
+    i, j = Var("i"), Var(inner)
+    after = Assign(Apply("b", (Var("i"),)), _h(i))
+    yield ForallDo("i", Lt(i, Apply("3")), Par((
+        ForallDo(inner, Eq(_g(j), Apply("1")), Assign(Apply("a", (j,)), j)),
+        after)))
+    yield ForallDo("i", Lt(i, Apply("3")), Par((
+        Let(inner, _g(i), Assign(Apply("c", (j,)), Apply("1"))), after)))
+    yield ForallDo("i", Eq(_h(i), _h(i)), Par((
+        ChooseDo(inner, Lt(_h(j), Apply("2")), Assign(Apply("c", (j,)), j)),
+        after)))
+    # a choose guard that nests a quantifier, and a body that nests a
+    # forall and a let over the same name
+    yield ChooseDo("i", And(Exists(inner, Eq(_g(j), Apply("0"))),
+                            Lt(_h(i), Apply("2"))),
+                   Par((ForallDo(inner, Lt(j, Apply("2")),
+                                 Assign(Apply("a", (j,)), j)),
+                        Let(inner, Apply("7"),
+                            Assign(Apply("c", (j,)), Apply("1"))),
+                        after)))
+    # formulae: the outer variable is read after the nested quantifier
+    for outer in (Forall, Exists):
+        for nested in (Forall, Exists):
+            yield _pick(outer("i", And(nested(inner, Lt(_g(j), Apply("2"))),
+                                       Lt(_h(i), Apply("2")))))
+    # the outer binding decides whether a later element raises
+    yield ForallDo("i", Lt(i, Apply("3")), Par((
+        Let(inner, Apply("undef"), Skip()),
+        Assign(Apply("a", (i,)), Apply("1")))))
+    yield ForallDo("i", Lt(i, Apply("3")), Par((
+        ForallDo(inner, Lt(j, Apply("3")), Skip()),
+        If(Lt(i, Apply("2")), Skip(), Assign(Apply("a", (i,)), _h(i))))))
+
+
+SHADOW_STATES = [
+    {loc("g", 0): 1, loc("g", 1): 0, loc("g", 2): 1,
+     loc("h", 0): 0, loc("h", 1): 1, loc("h", 2): 5},
+    {loc("g", 0): 0, loc("g", 1): 1, loc("g", 2): 3,
+     loc("h", 0): 1, loc("h", 1): 7, loc("h", 2): TRUE},
+]
+
+
+def _outcome(run):
+    try:
+        return run(), None
+    except EvalError as e:
+        return None, type(e)
+
+
+@pytest.mark.parametrize("values", SHADOW_STATES)
+def test_a_nested_binding_of_the_loop_variable_leaves_it_intact(values):
+    """A loop's variable, rebound by a construct in its body, keeps its
+    value on every later element: the shadowed rule gives yields' updates
+    and error class, and the read log, in order, of the same rule with the
+    inner name renamed."""
+    s = State(values, domain=(0, 1, 2))
+    cases = zip(_shadowing_rules("i"), _shadowing_rules("k"))
+    for n, (shadowed, renamed) in enumerate(cases):
+        assign_choice_ids([shadowed])
+        assign_choice_ids([renamed])
+        logs = []
+        outcomes = []
+        for rule in (shadowed, renamed):
+            log = {}
+            outcomes.append(_outcome(
+                lambda: rw_rule(rule, s, {}, res(), read_log=log).updates))
+            logs.append(list(log.items()))
+        spec = _outcome(lambda: yields(shadowed, s, {}, res()))
+        assert outcomes[0] == outcomes[1] == spec, n
+        assert logs[0] == logs[1], n
+        assert logs[0], n
+
+
+@pytest.mark.parametrize("rule,message", [
+    (Assign(Apply("a", (Apply("missing"),)), Apply("1")),
+     "undef argument for location a"),
+    (Assign(Apply("x"), Apply("a", (Apply("undef"),))),
+     "undef argument for location a (assigning x())"),
+    (_pick(Atom("p", (Var("v"),))), "undef argument for location p"),
+])
+def test_undef_argument_of_a_one_argument_location_keeps_its_message(
+        rule, message):
+    with pytest.raises(UndefArgument):
+        yields(rule, State(), {"v": UNDEF}, res())
+    with pytest.raises(UndefArgument) as raised:
+        rw_rule(rule, State(), {"v": UNDEF}, res())
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("value,shown", [(TRUE, "true"), ("red", "'red'"),
+                                         (UNDEF, "undef")])
+def test_less_than_a_constant_keeps_its_type_mismatch_message(value, shown):
+    # the operand that is not an integer is named, left side or right
+    for guard in (Lt(Apply("x"), Apply("3")), Lt(Apply("3"), Apply("x"))):
+        s = State({loc("x"): value})
+        with pytest.raises(TypeMismatch) as spec:
+            yields(_pick(guard), s, {}, res())
+        with pytest.raises(TypeMismatch) as compiled:
+            rw_rule(_pick(guard), s, {}, res())
+        assert str(compiled.value) == str(spec.value)
+        assert str(compiled.value) == "< needs integers, got " + repr(value)

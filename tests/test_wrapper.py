@@ -466,3 +466,93 @@ def test_a_memoized_location_leaves_the_bool_check_of_initial_state():
     config = RunConfig([program], shared_inits=[(loc("a", True), 1)])
     with pytest.raises(TypeError, match="not a machine value: True"):
         config.initial_state()
+
+
+# -- lock classes per program, choice material only where a machine chooses --
+
+def test_lock_classes_answer_as_classify_and_are_shared_by_copies():
+    prog = parse_program(PROG_TEXT)
+    read_locked, write_locked = wrapper._lock_classes(prog)
+    for func in ("x", "sensor", "report", "pc", "other"):
+        kind = prog.classify(func)
+        assert (func in read_locked) == (kind in ("shared", "monitored"))
+        assert (func in write_locked) == (kind in ("shared", "output"))
+    assert wrapper._lock_classes(prog.at_choice_base(3)) is \
+        wrapper._lock_classes(prog)
+
+
+def test_building_programs_computes_no_lock_classes():
+    from taserial.engine import run
+    from taserial.fuzz import random_config
+
+    config = random_config(0)
+    programs = [parse_program(PROG_TEXT)] + config.machines
+    assert not any("locks" in p.code for p in programs)
+    assert run(config).status == "done"
+    assert all("locks" in p.code for p in config.machines)
+
+
+CHOOSER_IN_RULE = """\
+machine {name}
+shared g
+init pc_{name}() := 0
+init g() := 0
+terminated: pc_{name}() = 3
+rule pick(): choose c with c < 4 do g() := c
+rule: par {{ pc_{name}() := pc_{name}() + 1 ; call pick() }}
+"""
+
+
+def _counted_material(monkeypatch):
+    """Every call of `choice_material`, by its arguments."""
+    calls = []
+    real = wrapper.choice_material
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(wrapper, "choice_material", counted)
+    return calls
+
+
+def test_a_program_without_choose_derives_no_choice_material(monkeypatch):
+    from taserial.checker import check_serializable
+    from taserial.engine import run
+    from taserial.workloads import counter_config
+
+    calls = _counted_material(monkeypatch)
+    for seed in range(4):
+        config = counter_config(3, 2, seed=seed)
+        assert not any(p.choose_nodes for p in config.machines)
+        trace = run(config)
+        assert trace.status == "done" and check_serializable(trace).ok
+    assert calls == []
+
+
+def test_a_choose_reached_by_call_derives_material_as_before(monkeypatch):
+    """A program whose only choose node sits in a named rule derives choice
+    material in a run and in its serial run, and picks the witnesses it
+    picks when every analysis derives it."""
+    from taserial.checker import build_serial_run, check_serializable
+    from taserial.engine import run, trace_to_lines
+
+    def config(seed):
+        return RunConfig([parse_program(CHOOSER_IN_RULE.format(name=n))
+                          for n in "ab"], seed=seed)
+
+    calls = _counted_material(monkeypatch)
+    picked = set()
+    for seed in range(6):
+        trace = run(config(seed))
+        assert trace.status == "done" and check_serializable(trace).ok
+        assert calls
+        calls.clear()
+        build_serial_run(trace, trace.committed)
+        assert len(calls) == 6  # three proper steps per machine
+        calls.clear()
+        with monkeypatch.context() as always:
+            always.setattr(wrapper, "step_material",
+                           lambda program, *key: wrapper.choice_material(*key))
+            assert trace_to_lines(run(config(seed))) == trace_to_lines(trace)
+        picked.add(trace.final_values[loc("g")])
+    assert len(picked) > 1

@@ -1,13 +1,16 @@
 """Per-seed minimum times of two checkouts, in one process.
 
     python3 tools/seedmin.py PARENT CHANGE --workload fuzz24 --rounds 6 \
-        --seeds 0:12 --part run
+        --seeds 0:30 --part run
 
 PARENT and CHANGE are two checkouts of the repository.  taserial is
 imported from each tree's `src/` in turn, in this one process, as fuzzbench
 imports it; the two sets of modules then live side by side.  Every seed's
 config is built by each tree's own `fuzz.random_config`, with the
-parameters of the workload in CHANGE's `fuzzbench/pipeline.py`.
+parameters of the workload in CHANGE's `fuzzbench/pipeline.py`.  The
+seeds default to those a 30-second fuzzbench run of the workload covers,
+`0:max(2, round(seeds_per_s * 30))` from the same table: 0:1200 for fuzz3,
+0:54 for fuzz12 and 0:30 for fuzz24.
 
 Each round times every seed on both trees, the trees alternating which
 goes first from seed to seed and from round to round, and keeps each
@@ -67,18 +70,33 @@ def import_tree(tree: Path) -> SimpleNamespace:
     return mods
 
 
-def workload_params(tree: Path, workload: str) -> dict:
-    """The FuzzParams fields of the workload, read from the literal
-    `WORKLOADS` table of tree's `fuzzbench/pipeline.py` without running it."""
+#: The seconds of the fuzzbench run whose seeds `--seeds` defaults to.
+DEFAULT_SECONDS = 30
+
+
+def workload_entry(tree: Path, workload: str) -> dict:
+    """The workload's entry in the literal `WORKLOADS` table of tree's
+    `fuzzbench/pipeline.py`, read without running it."""
     path = tree / "fuzzbench" / "pipeline.py"
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if (isinstance(node, ast.AnnAssign)
                 and getattr(node.target, "id", None) == "WORKLOADS"):
             workloads = ast.literal_eval(node.value)
             if workload in workloads:
-                return workloads[workload]["params"]
+                return workloads[workload]
             raise SystemExit(f"seedmin: no workload {workload!r} in {path}")
     raise SystemExit(f"seedmin: no WORKLOADS table in {path}")
+
+
+def workload_params(tree: Path, workload: str) -> dict:
+    """The FuzzParams fields of the workload."""
+    return workload_entry(tree, workload)["params"]
+
+
+def default_seeds(tree: Path, workload: str) -> range:
+    """The seeds a `DEFAULT_SECONDS` fuzzbench run of the workload covers."""
+    per_s = workload_entry(tree, workload)["seeds_per_s"]
+    return range(0, max(2, round(per_s * DEFAULT_SECONDS)))
 
 
 def timer(mods, params: dict, part: str) -> Callable[[int], tuple]:
@@ -180,10 +198,15 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, required=True)
-    parser.add_argument("--seeds", type=seed_range, default=range(0, 12),
-                        help="A:B, the seeds A up to B-1 (default 0:12)")
+    parser.add_argument("--seeds", type=seed_range, default=None,
+                        help="A:B, the seeds A up to B-1 (default: those "
+                             "of a 30-second fuzzbench run of the workload, "
+                             "0:1200 for fuzz3, 0:54 for fuzz12, 0:30 for "
+                             "fuzz24)")
     parser.add_argument("--part", choices=("run", "check"), default="run")
     args = parser.parse_args(argv)
+    if args.seeds is None:
+        args.seeds = default_seeds(args.change, args.workload)
     if args.rounds < 1 or not args.seeds:
         parser.error("needs one round and one seed at least")
     params = workload_params(args.change, args.workload)
