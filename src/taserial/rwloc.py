@@ -3,7 +3,10 @@
 Each rule, term and formula is compiled once into nested Python closures
 (closure generation: Feeley & Lapalme, "Using closures for code
 generation", 1987).  Literals, symbols, true/false/undef and +/- are
-resolved at compile time, so running the code interprets no syntax.  One
+resolved at compile time, so running the code interprets no syntax.  A
+quantifier, guard range or forall binds its variable in one environment per
+loop, which it updates per domain element; a construct in its body that
+binds a name works on a copy, so the loop's binding stays intact.  One
 run of a compiled rule returns the step's update set and fills its read log,
 which the rw_* entry points take from their caller (read_log) and fill in
 place; the write set is the set of updated locations.
@@ -291,6 +294,7 @@ def _unneeded(code: Code, s, env, log) -> None:
 
 
 def _eq(a: Code, b: Code) -> Code:
+    """x = y; x = k, with k a constant, reads k when compiled."""
     k = getattr(b, "value", _NOT_CONST)
     if k is not _NOT_CONST:
         return lambda s, env, log: a(s, env, log) == k
@@ -298,6 +302,8 @@ def _eq(a: Code, b: Code) -> Code:
 
 
 def _lt(a: Code, b: Code) -> Code:
+    """x < y, raising TypeMismatch on the first operand that is not an
+    integer; x < k, with k an integer constant, reads k when compiled."""
     k = getattr(b, "value", _NOT_CONST)
     if type(k) is int:
         def lt_const(s, env, log):
