@@ -367,8 +367,7 @@ class State:
 
 
 def require_consistent(updates: UpdateSet) -> None:
-    """Raise InconsistentUpdateSet, naming the clashes, unless no location
-    receives two distinct values."""
+    """Raise InconsistentUpdateSet, naming the clashes, unless consistent."""
     if not consistent(updates):
         raise InconsistentUpdateSet(f"conflicting updates: {_clashes(updates)}")
 

@@ -176,17 +176,30 @@ def _arith(func: str, a: Code, b: Code) -> Code:
 
 
 def _place(func: str, args) -> Optional[Location]:
-    """The location func(args) when its arguments are constants other than
-    undef, else None: such a location is built once, when compiled."""
+    """func(args) when its arguments are constants other than undef."""
     vals = _consts(args)
     if vals is None or UNDEF in vals:
         return None
     return Location(func, vals)
 
 
+# A location of constant arguments -> the code returning it, and the code
+# reading it.  Both are shared like _LEAVES: a program's code lives as long
+# as the program, and one closure per site would add to what the collector
+# walks.
+_PLACES: Dict[Location, Code] = {}
+_READS: Dict[Location, Code] = {}
+
+
 def _where(func: str, args) -> Code:
     """Code computing the location func(args), raising UndefArgument on
-    undef."""
+    undef; a location of constant arguments is built once."""
+    loc = _place(func, args)
+    if loc is not None:
+        where = _PLACES.get(loc)
+        if where is None:
+            where = _PLACES[loc] = lambda s, env, log: loc
+        return where
     if len(args) == 1:
         arg = args[0]
 
@@ -198,12 +211,6 @@ def _where(func: str, args) -> Code:
         return where1
     return lambda s, env, log: make_location(
         func, tuple([a(s, env, log) for a in args]))
-
-
-# A location of constant arguments -> the code reading it, shared like
-# _LEAVES: a program's code lives as long as the program, and one closure
-# per site would add to what the collector walks.
-_READS: Dict[Location, Code] = {}
 
 
 def _read(func: str, args) -> Code:
@@ -372,12 +379,10 @@ def _assign(lhs: Term, rhs: Code) -> Code:
         def bad_target(s, env, log, res):
             raise EvalError(f"assignment target must be a dynamic function: {lhs!r}")
         return bad_target
-    args = [_term(a) for a in lhs.args]
-    place = _place(lhs.func, args)
-    where = None if place is not None else _where(lhs.func, args)
+    where = _where(lhs.func, [_term(a) for a in lhs.args])
 
     def assign(s, env, log, res):
-        at = place if place is not None else where(s, env, log)
+        at = where(s, env, log)
         log.setdefault(at, s.values.get(at, UNDEF))
         try:
             value = rhs(s, env, log)
@@ -493,8 +498,7 @@ def rw_term(t: Term, state: State, env: Env,
     log = {} if read_log is None else read_log
     writes: FrozenSet[Location] = frozenset()
     if isinstance(t, Apply) and not is_static(t.func):
-        args = [_term(a) for a in t.args]
-        head = _place(t.func, args) or _where(t.func, args)(state, env, log)
+        head = _where(t.func, [_term(a) for a in t.args])(state, env, log)
         log.setdefault(head, state.get(head))
         writes = frozenset({head})
     else:

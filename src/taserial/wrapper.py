@@ -168,7 +168,7 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
 
 
 # Location -> asm.loc_key(location), filled on first sight like
-# rwloc._READS: every proper step sorts the same few locations again.  Not a
+# rwloc._PLACES: every proper step sorts the same few locations again.  Not a
 # memo inside loc_key, whose TypeError on a Python bool must not be served
 # from an equal int's entry; no run or serial run builds such a location.
 _SORT_KEYS: Dict[Location, tuple] = {}
