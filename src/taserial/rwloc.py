@@ -189,6 +189,10 @@ def _place(func: str, args) -> Optional[Location]:
 # walks.
 _PLACES: Dict[Location, Code] = {}
 _READS: Dict[Location, Code] = {}
+# A function name -> its locations of one integer argument, by argument:
+# each is built once per process, so a step that computes one allocates
+# nothing, and a location kept in a read log or a trace is shared.
+_BY_INT: Dict[str, Dict[int, Location]] = {}
 
 
 def _where(func: str, args) -> Code:
@@ -202,9 +206,15 @@ def _where(func: str, args) -> Code:
         return where
     if len(args) == 1:
         arg = args[0]
+        built = _BY_INT.setdefault(func, {})
 
         def where1(s, env, log):
             v = arg(s, env, log)
+            if type(v) is int:
+                loc = built.get(v)
+                if loc is None:
+                    loc = built[v] = Location(func, (v,))
+                return loc
             if v is UNDEF:
                 raise UndefArgument(f"undef argument for location {func}")
             return Location(func, (v,))

@@ -189,7 +189,8 @@ def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:
 def overwritten_values(state: State, writes: FrozenSet[Location]
                        ) -> Tuple[Tuple[Location, Value], ...]:
     """Current values of the locations about to be written."""
-    return _by_location((l, state.get(l)) for l in writes)
+    values = state.values
+    return _by_location([(l, values.get(l, UNDEF)) for l in writes])
 
 
 def choice_material(seed: int, machine_id: str, ordinal: int) -> bytes:

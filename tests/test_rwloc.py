@@ -706,3 +706,28 @@ def test_less_than_a_constant_keeps_its_type_mismatch_message(value, shown):
             rw_rule(_pick(guard), s, {}, res())
         assert str(compiled.value) == str(spec.value)
         assert str(compiled.value) == "< needs integers, got " + repr(value)
+
+
+def test_a_location_of_one_integer_argument_is_built_once():
+    """Every step and every site that computes a(i) for one integer i gets
+    the same Location; an argument of another type, a Python bool
+    included, gets a location of its own value and type."""
+    i = Var("i")
+    rule = ForallDo("i", Lt(i, Apply("2")), Par((
+        Assign(Apply("a", (i,)), Apply("b", (i,))),
+        Assign(Apply("c", (i,)), Apply("a", (Var("i"),))))))
+    s = State({loc("b", 0): 5}, domain=(0, 1, 2))
+    runs = []
+    for _ in range(2):
+        log = {}
+        rw = rw_rule(rule, s, {}, res(), read_log=log)
+        runs.append({l: l for l in list(log) + list(rw.writes)})
+    assert runs[0].keys() == {loc(f, n) for f in "abc" for n in (0, 1)}
+    for l in runs[0]:
+        assert runs[0][l] is runs[1][l]
+    for value in ("red", TRUE, True):
+        other = Let("v", Apply("g"), Assign(Apply("a", (Var("v"),)),
+                                            Apply("1")))
+        (at, _), = rw_rule(other, State({loc("g"): value}), {},
+                           res()).updates
+        assert at == ("a", (value,)) and type(at.args[0]) is type(value)
