@@ -124,6 +124,7 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
     An EvalError names the machine and its serial step, the ordinal."""
     config = trace.config
     programs = {p.name: p for p in config.machines}
+    bases = config.choice_bases()
     state = State(dict(trace.initial_values), config.domain())
     schedules: Dict[str, CleanSchedule] = {}
     for m in order:
@@ -135,7 +136,7 @@ def build_serial_run(trace: Trace, order: List[str]) -> Dict[str, CleanSchedule]
                     raise UncommittedMachine(
                         f"{m} did not terminate within {ordinal} proper steps")
                 rw, read_log = analyse(program, state, step_material(
-                    program, config.seed, m, ordinal))
+                    program, config.seed, m, ordinal), bases[m])
                 updates, reads = checked_step(program, m, rw, read_log)
                 require_consistent(updates)
                 state.update(updates)  # the serial run's own state: no copy

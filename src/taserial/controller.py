@@ -35,9 +35,6 @@ class LockPair:
     def is_empty(self) -> bool:
         return not self.r_loc and not self.w_loc
 
-    def all_locations(self) -> FrozenSet[Location]:
-        return self.r_loc | self.w_loc
-
 
 EMPTY_LOCKS = LockPair()
 _NO_LOCATIONS: FrozenSet[Location] = frozenset()

@@ -18,7 +18,7 @@ with parentheses.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NoReturn, Optional, Set, Tuple, Union
 
 from .asm import (
@@ -130,30 +130,16 @@ class MachineProgram:
     code: Dict[str, object] = field(default_factory=dict, init=False,
                                     repr=False, compare=False)
     # The choose nodes are numbered once, from 0, in preorder: the main
-    # rule, then the named rules by name.  A run's config gives each machine
-    # a choice_base, the count of choose nodes of the machines before it,
-    # which the choice resolver adds to every id (see at_choice_base).
+    # rule, then the named rules by name.  A run offsets each machine's ids
+    # by the count of choose nodes of the machines before it (see
+    # engine.RunConfig.choice_bases).
     choose_nodes: int = field(default=0, init=False, repr=False,
                               compare=False)
-    choice_base: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "choose_nodes", assign_choice_ids(
             [self.main_rule]
             + [n.body for _, n in sorted(self.named_rules.items())]))
-
-    def at_choice_base(self, base: int) -> "MachineProgram":
-        """This program with the given choice_base; a copy, sharing the
-        rules and the compiled code, unless it has that base already."""
-        if base == self.choice_base:
-            return self
-        # Field by field: copy.copy would give the copy a materialized
-        # __dict__, which makes every attribute read on it slower.
-        program = object.__new__(MachineProgram)
-        for f in fields(self):
-            object.__setattr__(program, f.name, getattr(self, f.name))
-        object.__setattr__(program, "choice_base", base)
-        return program
 
     def classify(self, func: str) -> str:
         if func in self.shared:

@@ -138,15 +138,20 @@ class RunConfig:
             if loc in seen:
                 raise ConfigError(f"shared init of {loc} listed twice")
             seen.add(loc)
-        # Offsets, never renumbering: see MachineProgram.choice_base.
-        self.machines, base = sorted(self.machines, key=lambda m: m.name), 0
-        for i, m in enumerate(self.machines):
-            self.machines[i] = m.at_choice_base(base)
-            base += m.choose_nodes
+        self.machines = sorted(self.machines, key=lambda m: m.name)
 
     @property
     def machine_ids(self) -> List[str]:
         return [m.name for m in self.machines]
+
+    def choice_bases(self) -> Dict[str, int]:
+        """Per machine, the offset the choice resolver adds to its choose
+        ids, which each program numbers from 0: the count of choose nodes of
+        the machines before it in name order."""
+        bases, base = {}, 0
+        for m in self.machines:
+            bases[m.name], base = base, base + m.choose_nodes
+        return bases
 
     def domain(self) -> Tuple[int, ...]:
         return tuple(range(self.domain_size))
@@ -395,7 +400,9 @@ def run(config: RunConfig, only: Optional[List[str]] = None) -> Trace:
     initial_values = dict(state.values)
 
     cs = ctl.ControllerState()
-    tcbs = {m: MachineCtl(machine_id=m) for m in active_ids}
+    bases = config.choice_bases()  # of every machine, also in a solo run
+    tcbs = {m: MachineCtl(machine_id=m, choice_base=bases[m])
+            for m in active_ids}
     committed: List[str] = []
     steps: List[StepRecord] = []
     joining: Dict[int, List[str]] = {}  # step index -> machines registering

@@ -32,7 +32,7 @@ class ChoiceResolver:
     traversals (e.g. location analysis and execution) built from the same
     material make identical choices.  A program numbers its choose nodes
     from 0; base is its machine's offset in the run (see
-    dsl.MachineProgram.choice_base).
+    engine.RunConfig.choice_bases).
     """
 
     __slots__ = ("material", "base", "_counts")

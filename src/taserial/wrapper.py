@@ -65,9 +65,13 @@ class MachineCtl:
 
     machine_id: str
     ctl_state: str = UNREGISTERED
-    # ordinal -> (seed, RwSet, read log, lock needs) of the last analysis
-    # of that proper step, reused by `_step_analysis` while its reads are
-    # unchanged; emptied when the machine requests commit.
+    # The offset of the program's choose ids in the run: see
+    # engine.RunConfig.choice_bases.
+    choice_base: int = 0
+    # ordinal -> (seed, log, done, RwSet, read log, lock needs) of the last
+    # decision on that proper step, reused by `_step_analysis` while the
+    # reads in its log are unchanged; emptied when the machine requests
+    # commit.
     analyses: Dict[int, tuple] = field(default_factory=dict, repr=False,
                                        compare=False)
 
@@ -105,12 +109,13 @@ def _main_code(program: MachineProgram) -> Code:
     return code
 
 
-def analyse(program: MachineProgram, state: State, material: bytes):
+def analyse(program: MachineProgram, state: State, material: bytes,
+            choice_base: int = 0):
     """One pass over the main rule: its reads (with values), writes and
     update set in this state.  A program with no choose node gets no choice
-    resolver."""
+    resolver; one with some numbers them from `choice_base`."""
     read_log: Dict[Location, Value] = {}
-    resolver = (ChoiceResolver(material, program.choice_base)
+    resolver = (ChoiceResolver(material, choice_base)
                 if program.choose_nodes else None)
     rw = rw_rule(_main_code(program), state, {}, resolver, read_log=read_log)
     return rw, read_log
@@ -119,8 +124,7 @@ def analyse(program: MachineProgram, state: State, material: bytes):
 def _lock_classes(program: MachineProgram) -> tuple:
     """The names of the functions whose reads need a lock (shared and
     monitored) and of those whose writes need one (shared and output);
-    computed on first use and kept with the program's code, which its
-    `at_choice_base` copies share."""
+    computed on first use and kept with the program's code."""
     classes = program.code.get("locks")
     if classes is None:
         classes = program.code["locks"] = (
@@ -129,42 +133,54 @@ def _lock_classes(program: MachineProgram) -> tuple:
     return classes
 
 
-def _lock_needs(program: MachineProgram, rw: RwSet) -> LockPair:
-    """The locks a step with these reads and writes needs: its shared and
-    monitored reads, and its shared and output writes."""
+def _lock_needs(program: MachineProgram, rw: Optional[RwSet],
+                tested) -> LockPair:
+    """The locks a step needs after a termination test that read `tested`:
+    the test's and the step's shared and monitored reads, and the step's
+    shared and output writes.  A terminated machine's `rw` is None."""
     read_locked, write_locked = _lock_classes(program)
+    reads = [l for l in tested if l.func in read_locked]
+    if rw is None:
+        return LockPair(frozenset(reads))
     return LockPair(
-        frozenset([l for l in rw.reads if l.func in read_locked]),
+        frozenset(reads + [l for l in rw.reads if l.func in read_locked]),
         frozenset([l for l in rw.writes if l.func in write_locked]))
 
 
 def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
                    seed: int, ordinal: int):
-    """`analyse` of the machine's next proper step, `ordinal`, in this state,
-    and the step's `_lock_needs`.
+    """The machine's decision on its next proper step, `ordinal`, in this
+    state: `(done, rw, read_log, needs)`.  `done` is the termination test;
+    `rw` and `read_log` are the step's `analyse`, both None once done; and
+    `needs` is the `_lock_needs` of the test's and the step's locations.
 
-    The last analysis of the same ordinal is reused when it was made with
-    the same seed and every location in its read log still holds the logged
-    value, also after an undo rolled the machine back to that ordinal.  That
-    log holds every location the analysis depends on, assignment targets
-    included, at its value before the step (a location written by an item
-    of a `seq` block was logged as a target before a later item reads it),
-    so a fresh analysis would compute the same reads and updates.
+    The last decision on the same ordinal is reused when it was made with
+    the same seed and every location the test or the step read still holds
+    the logged value, also after an undo rolled the machine back to that
+    ordinal.  Those reads hold every location the decision depends on,
+    assignment targets included, at its value before the step (a location
+    written by an item of a `seq` block was logged as a target before a
+    later item reads it), so a fresh one would decide the same.
     """
     last = tcb.analyses.get(ordinal)
     if last is not None and last[0] == seed:
         values = state.values
-        for loc, v in last[2].items():
+        for loc, v in last[1].items():
             if values.get(loc, UNDEF) != v:
                 break
         else:
-            return last[1:]
-    rw, read_log = analyse(program, state,
-                           step_material(program, seed, tcb.machine_id,
-                                         ordinal))
-    needs = _lock_needs(program, rw)
-    tcb.analyses[ordinal] = (seed, rw, read_log, needs)
-    return rw, read_log, needs
+            return last[2:]
+    log: Dict[Location, Value] = {}
+    if terminated(program, state, log):
+        decision = True, None, None, _lock_needs(program, None, log)
+    else:
+        rw, read_log = analyse(program, state,
+                               step_material(program, seed, tcb.machine_id,
+                                             ordinal), tcb.choice_base)
+        decision = False, rw, read_log, _lock_needs(program, rw, log)
+        log.update(read_log)
+    tcb.analyses[ordinal] = (seed, log) + decision
+    return decision
 
 
 # Location -> asm.loc_key(location), filled on first sight like
@@ -222,17 +238,6 @@ def terminated(program: MachineProgram, state: State,
     return code(state, {}, {} if reads is None else reads)
 
 
-def _termination(program: MachineProgram, state: State
-                 ) -> Tuple[bool, FrozenSet[Location]]:
-    """Whether the machine terminated, and the shared and monitored
-    locations the test read: it holds only under read locks on those, as a
-    step's reads do."""
-    reads: Dict[Location, Value] = {}
-    done = terminated(program, state, reads)
-    read_locked = _lock_classes(program)[0]
-    return done, frozenset([l for l in reads if l.func in read_locked])
-
-
 def blocked(tcb: MachineCtl, cs: ControllerState, wait_mode: str) -> bool:
     """Whether the machine waits for the controller and so performs no step:
     in wait-locks with its request pending, unless in suspend mode it is a
@@ -283,20 +288,17 @@ def wrapper_step(program: MachineProgram, tcb: MachineCtl, state: State,
         raise IllegalControlState(f"{m} cannot step in {tcb.ctl_state}")
     # TA(M): ask to commit once M has terminated; take the step when every
     # lock it and the termination test need is held; else ask for the rest.
-    done, tested = _termination(program, state)
-    if done:
-        needed = cs.locks.missing(m, tested, frozenset())
-    else:
-        ordinal = next_ordinal(cs.histories[m])
-        rw, read_log, needs = _step_analysis(program, tcb, state, seed, ordinal)
-        needed = cs.locks.missing(m, needs.r_loc | tested, needs.w_loc)
-        if needed.is_empty():
-            updates, reads = checked_step(program, m, rw, read_log)
-            entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
-                                 locks=granted, origin_step=step_index,
-                                 ordinal=ordinal)
-            return (MachineStep(updates, reads, change, True),
-                    [("append_history", m, entry)])
+    ordinal = next_ordinal(cs.histories[m])
+    done, rw, read_log, needs = _step_analysis(program, tcb, state, seed,
+                                               ordinal)
+    needed = cs.locks.missing(m, needs.r_loc, needs.w_loc)
+    if not done and needed.is_empty():
+        updates, reads = checked_step(program, m, rw, read_log)
+        entry = HistoryEntry(saved=overwritten_values(state, rw.writes),
+                             locks=granted, origin_step=step_index,
+                             ordinal=ordinal)
+        return (MachineStep(updates, reads, change, True),
+                [("append_history", m, entry)])
     if change is not None:
         # The machine terminated, or the state moved between request and
         # grant and the step or the test now touches unlocked locations;

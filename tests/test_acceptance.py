@@ -106,7 +106,7 @@ def _replay_lock_table(trace):
             kind, m = ev["kind"], ev["machine"]
             if kind == "lock_grant":
                 pair = ev["locks"]
-                for l in pair.all_locations():
+                for l in pair.r_loc | pair.w_loc:
                     others = {w_holder(table, l)} - {m, None}
                     if l in pair.w_loc:
                         others |= r_holders(table, l) - {m}

@@ -89,10 +89,10 @@ def _conflicting_grant_violates(first, second):
     with pytest.raises(LockInvariantViolation, match="against the locks of"):
         t.grant("b", second)
     check_lock_table(t)
-    assert t.locked_by("a") == first.all_locations()
+    assert t.locked_by("a") == first.r_loc | first.w_loc
     assert t.locked_by("b") == frozenset()
-    assert t.missing("b", first.all_locations(), first.w_loc) == LockPair(
-        first.all_locations(), first.w_loc)
+    assert t.missing("b", first.r_loc | first.w_loc, first.w_loc) == LockPair(
+        first.r_loc | first.w_loc, first.w_loc)
     assert t.r_locked == {l: {"a"} for l in first.r_loc}
     assert t.w_locked == {l: "a" for l in first.w_loc}
 

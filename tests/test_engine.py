@@ -51,6 +51,7 @@ from reference import (
     wait_edges,
 )
 from trace_reference import encode_pairs
+from test_wrapper import CHOOSER_IN_RULE
 
 
 def loc(f, *args):
@@ -309,6 +310,34 @@ def test_a_second_config_sharing_a_program_leaves_the_first_alone():
         assert check_serializable(trace_from_lines(after)).ok, seed
 
 
+def test_choice_bases_count_the_choose_nodes_before_each_machine():
+    # Given out of order; c's only choose node sits in a named rule.
+    a, b, d = (parse_program(CHOOSER.format(name=n)) for n in "abd")
+    c = parse_program(CHOOSER_IN_RULE.format(name="c"))
+    plain = parse_program("machine e init pc_e() := 0 terminated: pc_e() = 1 "
+                          "rule: pc_e() := 1")
+    given = [d, plain, b, c, a]
+    config = RunConfig(given)
+    assert [p.choose_nodes for p in (a, b, c, d, plain)] == [1, 1, 1, 1, 0]
+    assert config.choice_bases() == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
+    assert config.machine_ids == ["a", "b", "c", "d", "e"]
+    for program in config.machines:
+        assert any(program is p for p in given)  # the caller's own
+
+
+def test_a_solo_run_keeps_the_offsets_of_the_full_config():
+    a, b = (parse_program(CHOOSER.format(name=n)) for n in "ab")
+    other_a = parse_program(CHOOSER_IN_RULE.format(name="a"))
+    differ = 0
+    for seed in range(8):
+        solo = trace_to_lines(run(RunConfig([a, b], seed=seed), only=["b"]))
+        other = run(RunConfig([other_a, b], seed=seed), only=["b"])
+        assert trace_to_lines(other)[1:] == solo[1:]  # the header differs
+        alone = trace_to_lines(run(RunConfig([b], seed=seed)))
+        differ += alone[1:] != solo[1:]
+    assert differ
+
+
 def test_sync_and_interleave_share_choice_streams():
     # same machine observes the same choose witnesses in both modes because
     # the material depends on its own proper-step count, not global time
@@ -413,8 +442,9 @@ def test_kept_wait_graph_matches_reference_on_fuzz_corpora(monkeypatch,
             if r.status == controller.PENDING]
         return real_handler(cs, draw, policy, wait_mode, waits_for)
 
-    def new_tcb(machine_id):
-        tcb = tcbs[machine_id] = MachineCtl(machine_id=machine_id)
+    def new_tcb(machine_id, choice_base):
+        tcb = tcbs[machine_id] = MachineCtl(machine_id=machine_id,
+                                            choice_base=choice_base)
         return tcb
 
     def acting(run_mode, live, seed, index):
@@ -553,10 +583,11 @@ def _typed(read_log):
 
 
 def _run_with_shortcuts_checked(monkeypatch, configs):
-    """Run and check each config with every reused analysis, of any ordinal,
-    compared to a fresh one; the traces must match those of the unpatched
-    engine byte for byte.  `older` counts reuses of an ordinal below one
-    analysed before, which only re-execution after an undo makes."""
+    """Run and check each config with every reused decision, of any ordinal,
+    compared to a fresh termination test and analysis; the traces must match
+    those of the unpatched engine byte for byte.  `older` counts reuses of
+    an ordinal below one analysed before, which only re-execution after an
+    undo makes."""
     from taserial import wrapper
 
     counts = {ACTIVE: 0, WAIT_LOCKS: 0, "older": 0}
@@ -564,17 +595,25 @@ def _run_with_shortcuts_checked(monkeypatch, configs):
 
     def analysis(program, tcb, state, seed, ordinal):
         last = tcb.analyses.get(ordinal)
-        rw, read_log, needs = real_analysis(program, tcb, state, seed,
-                                            ordinal)
-        if last is not None and rw is last[1]:
+        done, rw, read_log, needs = real_analysis(program, tcb, state, seed,
+                                                  ordinal)
+        if last is not None and tcb.analyses[ordinal] is last:
             counts[tcb.ctl_state] += 1
             counts["older"] += max(tcb.analyses) > ordinal
-            material = wrapper.choice_material(seed, tcb.machine_id, ordinal)
-            fresh_rw, fresh_log = wrapper.analyse(program, state, material)
-            assert rw == fresh_rw
-            assert _typed(read_log) == _typed(fresh_log)
-            assert needs == wrapper._lock_needs(program, fresh_rw)
-        return rw, read_log, needs
+            tested = {}
+            assert done is wrapper.terminated(program, state, tested)
+            fresh_rw = None
+            if done:
+                assert rw is None and read_log is None
+            else:
+                material = wrapper.choice_material(seed, tcb.machine_id,
+                                                   ordinal)
+                fresh_rw, fresh_log = wrapper.analyse(program, state, material,
+                                                      tcb.choice_base)
+                assert rw == fresh_rw
+                assert _typed(read_log) == _typed(fresh_log)
+            assert needs == wrapper._lock_needs(program, fresh_rw, tested)
+        return done, rw, read_log, needs
 
     configs = list(configs)
     monkeypatch.setattr(wrapper, "_step_analysis", analysis)

@@ -81,7 +81,7 @@ def material():
 
 def new_locks(cs):
     rw = analyse(PROG, initial_state(), material())[0]
-    needs = _lock_needs(PROG, rw)
+    needs = _lock_needs(PROG, rw, ())
     return cs.locks.missing("m", needs.r_loc, needs.w_loc)
 
 
@@ -233,6 +233,88 @@ def test_termination_test_runs_under_read_locks():
     assert effects == [("commit_request", "m")]
 
 
+FLAG_AND_STEP = parse_program("""\
+machine m
+shared flag x
+init flag() := 0
+init x() := 0
+init pc() := 0
+terminated: flag() = 1
+rule: par { pc() := pc() + 1 ; x() := x() + 1 }
+""")
+
+
+def _counted_tests(monkeypatch):
+    """Every evaluation of `wrapper.terminated`, by its state."""
+    calls = []
+    real = wrapper.terminated
+
+    def counted(program, state, reads=None):
+        calls.append(state)
+        return real(program, state, reads)
+    monkeypatch.setattr(wrapper, "terminated", counted)
+    return calls
+
+
+def test_termination_test_is_cached_with_the_step(monkeypatch):
+    # Refused, then granted, with no read changed: one test for the ordinal.
+    tests = _counted_tests(monkeypatch)
+    both = LockPair(frozenset({loc("flag"), loc("x")}), frozenset({loc("x")}))
+    state = State({loc("flag"): 0, loc("x"): 0, loc("pc"): 0})
+    tcb = MachineCtl("m", ctl_state=ACTIVE)
+    out, effects = wrapper_step(FLAG_AND_STEP, tcb, state, controller(), 0, 0)
+    assert effects == [("lock_request", "m", both)]
+    tcb.ctl_state = WAIT_LOCKS
+    out, effects = wrapper_step(FLAG_AND_STEP, tcb, state, controller(
+        request=Request(both, REFUSED)), 0, 1)
+    assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
+    tcb.ctl_state = ACTIVE
+    out, effects = wrapper_step(FLAG_AND_STEP, tcb, state, controller(), 0, 2)
+    assert effects == [("lock_request", "m", both)]
+    tcb.ctl_state = WAIT_LOCKS
+    out = _grant(FLAG_AND_STEP, tcb, state, both)
+    assert out.proper and out.updates == frozenset({(loc("pc"), 1),
+                                                    (loc("x"), 1)})
+    assert len(tests) == 1
+
+
+@pytest.mark.parametrize("answer", [REFUSED, GRANTED])
+def test_a_changed_flag_runs_the_cached_test_again(monkeypatch, answer):
+    # The flag is set between the request and the answer: the machine no
+    # longer steps, and needs the flag's lock alone to ask to commit.
+    tests = _counted_tests(monkeypatch)
+    both = LockPair(frozenset({loc("flag"), loc("x")}), frozenset({loc("x")}))
+    flag = LockPair(frozenset({loc("flag")}))
+    unset = State({loc("flag"): 0, loc("x"): 0, loc("pc"): 0})
+    set_ = unset.with_updates(frozenset({(loc("flag"), 1)}))
+    tcb = MachineCtl("m", ctl_state=ACTIVE)
+    wrapper_step(FLAG_AND_STEP, tcb, unset, controller(), 0, 0)
+    tcb.ctl_state = WAIT_LOCKS
+    if answer == GRANTED:
+        out = _grant(FLAG_AND_STEP, tcb, set_, both)
+        assert out.ctl_change == (WAIT_LOCKS, ACTIVE) and not out.proper
+        held = both
+    else:
+        out, _ = wrapper_step(FLAG_AND_STEP, tcb, set_, controller(
+            request=Request(both, REFUSED)), 0, 1)
+        assert out.ctl_change == (WAIT_LOCKS, ACTIVE)
+        tcb.ctl_state = ACTIVE
+        out, effects = wrapper_step(FLAG_AND_STEP, tcb, set_, controller(),
+                                    0, 2)
+        assert effects == [("lock_request", "m", flag)]
+        tcb.ctl_state = WAIT_LOCKS
+        out = _grant(FLAG_AND_STEP, tcb, set_, flag)
+        assert out.ctl_change == (WAIT_LOCKS, ACTIVE) and not out.proper
+        held = flag
+    assert len(tests) == 2
+    tcb.ctl_state = ACTIVE
+    out, effects = wrapper_step(FLAG_AND_STEP, tcb, set_,
+                                controller(held=held), 0, 3)
+    assert out.ctl_change == (ACTIVE, DONE)
+    assert effects == [("commit_request", "m")]
+    assert len(tests) == 2 and tcb.analyses == {}
+
+
 def test_grant_after_state_drift_renegotiates():
     tcb = MachineCtl("m")
     tcb.ctl_state = WAIT_LOCKS
@@ -338,9 +420,9 @@ def analyses(monkeypatch):
     calls = []
     original = wrapper.analyse
 
-    def counting(program, state, material):
+    def counting(program, state, material, choice_base=0):
         calls.append((program, state))
-        return original(program, state, material)
+        return original(program, state, material, choice_base)
 
     monkeypatch.setattr(wrapper, "analyse", counting)
     return calls
@@ -470,15 +552,13 @@ def test_a_memoized_location_leaves_the_bool_check_of_initial_state():
 
 # -- lock classes per program, choice material only where a machine chooses --
 
-def test_lock_classes_answer_as_classify_and_are_shared_by_copies():
+def test_lock_classes_answer_as_classify():
     prog = parse_program(PROG_TEXT)
     read_locked, write_locked = wrapper._lock_classes(prog)
     for func in ("x", "sensor", "report", "pc", "other"):
         kind = prog.classify(func)
         assert (func in read_locked) == (kind in ("shared", "monitored"))
         assert (func in write_locked) == (kind in ("shared", "output"))
-    assert wrapper._lock_classes(prog.at_choice_base(3)) is \
-        wrapper._lock_classes(prog)
 
 
 def test_building_programs_computes_no_lock_classes():
