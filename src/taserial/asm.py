@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from itertools import repeat
-from typing import Callable, Dict, FrozenSet, NamedTuple, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, NamedTuple, NoReturn, Optional,
+                    Tuple, Union)
 
 
 class AsmError(Exception):
@@ -98,15 +99,49 @@ def loc_key(loc: Location) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Records
+
+
+def _no_assignment(self, name: str, value) -> NoReturn:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def record(cls):
+    """`cls` as a frozen dataclass with slots, built at the cost of its
+    slots: its `__init__` stores each field through the field's slot
+    descriptor, where a frozen dataclass's calls `object.__setattr__` by
+    name, at about three times the cost.  Assigning any attribute raises
+    FrozenInstanceError (the slotted dataclass's own `__setattr__` raises
+    TypeError for a name that is no field); deleting a field, `==`,
+    hashing, `repr`, defaults, pickling and deepcopy are the dataclass's
+    own.  No field has a default factory."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls.__setattr__ = _no_assignment
+    namespace, params, body = {}, [], []
+    for f in fields(cls):
+        namespace["_set_" + f.name] = getattr(cls, f.name).__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace["_default_" + f.name] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"\n    _set_{f.name}(self, {f.name})")
+    exec(f"def __init__(self, {', '.join(params)}):{''.join(body) or ' pass'}",
+         namespace)
+    cls.__init__ = namespace["__init__"]
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Syntax
 
 
-@dataclass(frozen=True)
+@record
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Apply:
     func: str
     args: Tuple["Term", ...] = ()
@@ -115,48 +150,48 @@ class Apply:
 Term = Union[Var, Apply]
 
 
-@dataclass(frozen=True)
+@record
 class Atom:
     pred: str
     args: Tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class Not:
     sub: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class And:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Or:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Lt:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@record
 class Forall:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@record
 class Exists:
     var: str
     body: "Formula"
@@ -165,32 +200,32 @@ class Exists:
 Formula = Union[Atom, Not, And, Or, Eq, Lt, Forall, Exists]
 
 
-@dataclass(frozen=True)
+@record
 class Skip:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Assign:
     lhs: Apply
     rhs: Term
 
 
-@dataclass(frozen=True)
+@record
 class If:
     guard: Formula
     then: "Rule"
     orelse: "Rule"
 
 
-@dataclass(frozen=True)
+@record
 class Let:
     var: str
     bind: Term
     body: "Rule"
 
 
-@dataclass(frozen=True)
+@record
 class ForallDo:
     var: str
     guard: Formula
@@ -209,21 +244,21 @@ class ChooseDo:
     node_id: int = -1
 
 
-@dataclass(frozen=True)
+@record
 class Par:
     """`par { R ; ... }`: every item runs in the same state."""
 
     items: Tuple["Rule", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Seq:
     """`seq { R ; ... }`: each item runs in the state its predecessors left."""
 
     items: Tuple["Rule", ...]
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     rule: str
     args: Tuple[Term, ...] = ()
@@ -232,7 +267,7 @@ class Call:
 Rule = Union[Skip, Assign, If, Let, ForallDo, ChooseDo, Par, Seq, Call]
 
 
-@dataclass(frozen=True)
+@record
 class NamedRule:
     params: Tuple[str, ...]
     body: Rule

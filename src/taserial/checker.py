@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from .asm import (AsmError, EvalError, Location, State, UpdateSet, Value,
-                  loc_key, require_consistent)
+                  loc_key, record, require_consistent)
 from .dsl import print_location
 from .engine import MalformedTrace, Trace, plain_value
 from .wrapper import analyse, checked_step, step_material, terminated
@@ -30,7 +30,7 @@ class UncommittedMachine(AsmError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class ScheduleEntry:
     step_index: int  # the global step in a trace, the ordinal in a serial run
     updates: UpdateSet

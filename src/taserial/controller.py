@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Set, Tuple)
 
-from .asm import AsmError, Location, Value
+from .asm import AsmError, Location, Value, record
 
 
 class LockInvariantViolation(AsmError):
@@ -27,7 +27,7 @@ class EmptyHistory(AsmError):
     that is not its youngest."""
 
 
-@dataclass(frozen=True)
+@record
 class LockPair:
     r_loc: FrozenSet[Location] = frozenset()
     w_loc: FrozenSet[Location] = frozenset()

@@ -17,6 +17,7 @@ with parentheses.
 """
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, NoReturn, Optional, Set, Tuple, Union
@@ -50,6 +51,7 @@ from .asm import (
     Var,
     assign_choice_ids,
     is_static,
+    loc_key,
     static_apply,
 )
 
@@ -187,11 +189,16 @@ def _check_recursion(name: str, calls: Dict[str, List[Tuple[str, int]]],
 
 
 class _Leaves(dict):
-    """A program's argument-free applications by name, each built once."""
+    """The argument-free applications by name, literals included, each
+    built once per process and shared by every program parsed.  An integer
+    literal too long to convert never enters: `term` converts it first."""
 
     def __missing__(self, name: str) -> Apply:
         node = self[name] = Apply(name)
         return node
+
+
+_LEAVES = _Leaves()
 
 
 _SKIP = Skip()
@@ -210,7 +217,6 @@ class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
-        self.leaves = _Leaves()
         self.calls: List[Tuple[str, int]] = []  # of the rule being parsed
 
     # -- token helpers ----------------------------------------------------
@@ -356,7 +362,7 @@ class _Parser:
         """Primaries joined by `+`/`-`, to the left, or with `alone` one
         primary; `t` is the first primary, if parsed, and i the token after
         it."""
-        toks, leaves = self.toks, self.leaves
+        toks, leaves = self.toks, _LEAVES
         op, p = None, t
         while True:
             if p is None:
@@ -462,9 +468,9 @@ class _Parser:
             return f
         if kind is Apply:
             if f.func == "true":
-                return Eq(self.leaves["0"], self.leaves["0"])
+                return Eq(_LEAVES["0"], _LEAVES["0"])
             if f.func == "false":
-                return Not(Eq(self.leaves["0"], self.leaves["0"]))
+                return Not(Eq(_LEAVES["0"], _LEAVES["0"]))
             if not is_static(f.func):
                 return Atom(f.func, f.args)
         self.fail("expected a comparison or atom", i)
@@ -545,12 +551,40 @@ def print_location(loc: Location) -> str:
     return loc.func + "(" + ",".join([print_value(a) for a in loc.args]) + ")"
 
 
+#: The location table: per location, its `asm.loc_key`, its
+#: `print_location` text and that text as a JSON string, built on first
+#: sight and kept for the life of the process, like `rwloc._PLACES`: every
+#: step sorts, and every trace writes, the same few locations again.  A
+#: location with a Python bool argument never enters, as `loc_key` raises
+#: TypeError on it, but it equals the entry of the int: a caller that must
+#: reject it checks the arguments' types itself.
+LOCATIONS: Dict[Location, Tuple[tuple, str, str]] = {}
+
+
+def location_entry(loc: Location) -> Tuple[tuple, str, str]:
+    """The location's entry in `LOCATIONS`, made on its first sight."""
+    entry = LOCATIONS.get(loc)
+    if entry is None:
+        key = loc_key(loc)  # TypeError on a value that is no machine value
+        text = print_location(loc)
+        entry = LOCATIONS[loc] = (key, text, json.dumps(text))
+    return entry
+
+
+# name -> the text of its argument-free application, built once per process.
+_LEAF_TEXTS: Dict[str, str] = {}
+
+
 def print_term(t: Term) -> str:
     if type(t) is Var:
         return t.name
     func, args = t.func, t.args
     if not args:
-        return func if is_static(func) else func + "()"
+        text = _LEAF_TEXTS.get(func)
+        if text is None:
+            text = _LEAF_TEXTS[func] = (func if is_static(func)
+                                        else func + "()")
+        return text
     if len(args) == 2 and (func == "+" or func == "-"):
         return ("(" + print_term(args[0]) + " " + func + " "
                 + print_term(args[1]) + ")")

@@ -34,9 +34,11 @@ from .asm import (
     value_key,
 )
 from .dsl import (
+    LOCATIONS,
     MachineProgram,
     ParseError,
     ProgramError,
+    location_entry,
     parse_program,
     print_location,
     print_program,
@@ -301,52 +303,58 @@ def _plain_value(payload) -> Value:
 _VALUE_TYPES = (int, str, Constant)
 
 
+def _written_location(loc: Location) -> Tuple[tuple, str, str]:
+    """The location's entry in the location table (`dsl.LOCATIONS`): its
+    sort key, its text and its JSON.  A bool, float or None argument raises
+    TypeError, as in `value_key`, and a symbol argument holding a comma
+    ValueError, as in `location_text`: equal locations share one entry,
+    so `a(True)` would find the entry of `a(1)`."""
+    for a in loc.args:
+        kind = type(a)
+        if kind not in _VALUE_TYPES:
+            raise TypeError(f"not a machine value: {a!r}")
+        if kind is str and "," in a:
+            location_text(loc)  # raises ValueError
+    return location_entry(loc)
+
+
 class _Fragments:
-    """The canonical JSON text of locations and values, each built once:
-    per location its sort key and its head `[location,`, per value its sort
-    key and its tail `value]`, so a pair's text is a head plus a tail.  A
+    """The canonical JSON text of location/value pairs.  Per location its
+    entry in the location table, per value its sort key and its tail
+    `,value]`, built once per trace: a pair's text is the location's JSON
+    plus a tail, and a list of pairs joins those texts with `,[`.  A
     location is its `location_text`, a value plain JSON."""
 
-    __slots__ = ("heads", "tails")
+    __slots__ = ("tails",)
 
     def __init__(self):
-        self.heads: Dict[Location, Tuple[tuple, str]] = {}
         self.tails: Dict[Value, Tuple[tuple, str]] = {}
 
     def entries(self, pairs) -> List[Tuple[tuple, tuple, str]]:
-        """Each pair's location key, value key and text.  A bool, float or
-        None value or argument raises TypeError, as in `value_key`."""
-        heads, tails = self.heads, self.tails
+        """Each pair's location key, value key and text without its `[`.  A
+        bool, float or None value or argument raises TypeError, as in
+        `value_key`."""
+        locations, tails = LOCATIONS, self.tails
         out = []
         for loc, v in pairs:
-            head = heads.get(loc)
-            if head is None or loc.args:  # a(True) hits a(1): check args
-                head = self._head(loc)
+            entry = locations.get(loc)
+            if entry is None or loc.args:  # a(True) hits a(1): check args
+                entry = _written_location(loc)
             tail = tails.get(v)
             if tail is None or type(v) not in _VALUE_TYPES:
                 tail = tails[v] = self._tail(v)
-            out.append((head[0], tail[0], head[1] + tail[1]))
+            out.append((entry[0], tail[0], entry[2] + tail[1]))
         return out
-
-    def _head(self, loc: Location) -> Tuple[tuple, str]:
-        for a in loc.args:
-            if type(a) not in _VALUE_TYPES:
-                raise TypeError(f"not a machine value: {a!r}")
-        head = self.heads.get(loc)
-        if head is None:
-            head = self.heads[loc] = (loc_key(loc),
-                                      "[" + _dump(location_text(loc)) + ",")
-        return head
 
     def _tail(self, v: Value) -> Tuple[tuple, str]:
         if type(v) is int:  # an int needs no JSON call
-            return ("i", v), f"{v}]"
-        return value_key(v), _dump(plain_value(v)) + "]"  # a bool fails
+            return ("i", v), f",{v}]"
+        return value_key(v), "," + _dump(plain_value(v)) + "]"  # a bool fails
 
     def locations(self, locations) -> str:
         """The JSON list of the locations, sorted."""
-        heads = sorted([self._head(loc) for loc in locations])
-        return "[" + ",".join([head[1][1:-1] for head in heads]) + "]"
+        entries = sorted([_written_location(loc) for loc in locations])
+        return "[" + ",".join([entry[2] for entry in entries]) + "]"
 
     def pairs(self, pairs) -> str:
         """The JSON list of the pairs, sorted by location, then value."""
@@ -354,7 +362,7 @@ class _Fragments:
             return "[]"
         entries = self.entries(pairs)
         entries.sort()
-        return "[" + ",".join([e[2] for e in entries]) + "]"
+        return "[[" + ",[".join([e[2] for e in entries]) + "]"
 
 
 def encode_value(v: Value):
@@ -614,10 +622,11 @@ def effect_event(effect: tuple) -> Optional[dict]:
 
 def trace_to_lines(trace: Trace) -> List[str]:
     """The trace as lines of canonical JSON (keys sorted, no spaces),
-    assembled from text fragments, each built once per trace: the
-    locations and values (`_Fragments`), the machine names and control
-    changes, and each lock pair, whose payload lists each kind's locations
-    sorted.  Events have the fields `EVENTS` gives."""
+    assembled from text fragments: each location's from the location table
+    (`dsl.LOCATIONS`), built once per process, and, built once per trace,
+    each value's (`_Fragments`), each machine name and control change, and
+    each lock pair's payload, which lists each kind's locations sorted.
+    Events have the fields `EVENTS` gives."""
     fragments = _Fragments()
     pairs = fragments.pairs
     texts: Dict[object, str] = {None: "null"}  # name or ctl change -> JSON
@@ -868,7 +877,7 @@ def _decode_header(lines: List[str]):
         raise MalformedTrace("config_digest does not match the config")
     initial = config.initial_state().values
     for loc in initial:  # the records' texts decode to the same objects
-        shared.locations.setdefault(print_location(loc), loc)
+        shared.locations.setdefault(location_entry(loc)[1], loc)
     if len(lines) - 2 > config.max_steps:
         raise MalformedTrace(f"{len(lines) - 2} step records exceed "
                              f"max_steps {config.max_steps}")

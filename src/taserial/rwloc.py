@@ -23,7 +23,6 @@ nothing, as the spec never evaluates it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Optional
 
 from .asm import (
@@ -68,6 +67,7 @@ from .asm import (
     expand_call,
     is_static,
     make_location,
+    record,
     seq_advance,
     seq_merge,
     static_apply,
@@ -76,7 +76,7 @@ from .asm import (
 from .dsl import print_location
 
 
-@dataclass(frozen=True)
+@record
 class RwSet:
     reads: FrozenSet[Location]
     writes: FrozenSet[Location]

@@ -20,7 +20,7 @@ from .asm import (
     State,
     UpdateSet,
     Value,
-    loc_key,
+    record,
 )
 from .controller import (
     EMPTY_LOCKS,
@@ -32,7 +32,7 @@ from .controller import (
     LockPair,
     next_ordinal,
 )
-from .dsl import MachineProgram
+from .dsl import LOCATIONS, MachineProgram, location_entry
 from .rwloc import Code, RwSet, compile_formula, compile_rule, rw_rule
 from .seeds import ChoiceResolver, derive_bytes
 
@@ -76,7 +76,7 @@ class MachineCtl:
                                        compare=False)
 
 
-@dataclass(frozen=True)
+@record
 class MachineStep:
     """What one machine did in a global step, as the trace records it."""
 
@@ -183,19 +183,15 @@ def _step_analysis(program: MachineProgram, tcb: MachineCtl, state: State,
     return decision
 
 
-# Location -> asm.loc_key(location), filled on first sight like
-# rwloc._PLACES: every proper step sorts the same few locations again.  Not a
-# memo inside loc_key, whose TypeError on a Python bool must not be served
-# from an equal int's entry; no run or serial run builds such a location.
-_SORT_KEYS: Dict[Location, tuple] = {}
-
-
 def _sort_key(pair: Tuple[Location, Value]) -> tuple:
-    loc = pair[0]
-    key = _SORT_KEYS.get(loc)
-    if key is None:
-        key = _SORT_KEYS[loc] = loc_key(loc)
-    return key
+    """The location's `asm.loc_key`, from the location table
+    (`dsl.LOCATIONS`): every proper step sorts the same few locations again.
+    The table answers for a(True) with a(1)'s entry; no run or serial run
+    builds such a location."""
+    entry = LOCATIONS.get(pair[0])
+    if entry is None:
+        entry = location_entry(pair[0])
+    return entry[0]
 
 
 def _by_location(pairs) -> Tuple[Tuple[Location, Value], ...]:

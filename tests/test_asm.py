@@ -1,6 +1,9 @@
 import copy
+import inspect
 import pickle
+import pkgutil
 import re
+from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,7 +46,13 @@ from taserial.asm import (
     value_key,
     yields,
 )
+import taserial
+from taserial import asm
+from taserial.checker import ScheduleEntry
+from taserial.controller import LockPair
+from taserial.rwloc import RwSet
 from taserial.seeds import ChoiceResolver
+from taserial.wrapper import MachineStep
 
 
 def loc(f, *args):
@@ -329,3 +338,96 @@ def test_choice_resolver_is_deterministic_per_occurrence():
     assert ChoiceResolver(b"seed").pick(0, 5) == seq_a[0]
     other = [ChoiceResolver(b"other").pick(0, 1000)]
     assert other != [ChoiceResolver(b"seed").pick(0, 1000)]
+
+
+# -- records: frozen dataclasses built at the cost of their slots ------------
+
+_G, _X = Apply("g"), Apply("x")
+_F = Eq(_G, Apply("1"))
+_R = Assign(_X, _G)
+_UPDATES = frozenset({(Location("x", ()), 1)})
+_READS = ((Location("g", ()), 1),)
+# Per record class, one value per field in field order.
+RECORDS = {
+    asm.Var: {"name": "v"},
+    asm.Apply: {"func": "f", "args": (_G, Var("v"))},
+    asm.Atom: {"pred": "p", "args": (_G,)},
+    asm.Not: {"sub": _F},
+    asm.And: {"left": _F, "right": asm.Not(_F)},
+    asm.Or: {"left": _F, "right": asm.Not(_F)},
+    asm.Eq: {"left": _G, "right": _X},
+    asm.Lt: {"left": _G, "right": _X},
+    asm.Forall: {"var": "v", "body": _F},
+    asm.Exists: {"var": "v", "body": _F},
+    asm.Skip: {},
+    asm.Assign: {"lhs": _X, "rhs": _G},
+    asm.If: {"guard": _F, "then": _R, "orelse": Skip()},
+    asm.Let: {"var": "v", "bind": _G, "body": _R},
+    asm.ForallDo: {"var": "v", "guard": _F, "body": _R},
+    asm.Par: {"items": (_R, Skip())},
+    asm.Seq: {"items": (_R, Skip())},
+    asm.Call: {"rule": "r", "args": (_G,)},
+    asm.NamedRule: {"params": ("n",), "body": _R},
+    RwSet: {"reads": frozenset({Location("g", ())}),
+            "writes": frozenset({Location("x", ())}), "updates": _UPDATES},
+    LockPair: {"r_loc": frozenset({Location("g", ())}),
+               "w_loc": frozenset({Location("x", ())})},
+    MachineStep: {"updates": _UPDATES, "reads": _READS,
+                  "ctl_change": ("active", "done"), "proper": True},
+    ScheduleEntry: {"step_index": 3, "updates": _UPDATES, "reads": _READS},
+}
+# The fields that have defaults, and the defaults.
+DEFAULTS = {
+    asm.Apply: {"args": ()}, asm.Atom: {"args": ()}, asm.Call: {"args": ()},
+    RwSet: {"updates": asm.EMPTY_UPDATES},
+    LockPair: {"r_loc": frozenset(), "w_loc": frozenset()},
+}
+
+
+def test_every_frozen_dataclass_but_the_program_is_a_record():
+    """MachineProgram has fields outside `__init__` and a `__post_init__`;
+    ChooseDo is mutable."""
+    frozen = set()
+    for info in pkgutil.iter_modules(taserial.__path__, "taserial."):
+        module = __import__(info.name, fromlist=["_"])
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if (is_dataclass(cls) and cls.__module__ == module.__name__
+                    and cls.__dataclass_params__.frozen):
+                frozen.add(cls)
+    assert {c.__name__ for c in frozen - set(RECORDS)} == {"MachineProgram"}
+    assert set(RECORDS) <= frozen
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+def test_a_record_keeps_what_a_frozen_dataclass_gives(cls):
+    values = RECORDS[cls]
+    assert list(values) == [f.name for f in fields(cls)]
+    r = cls(**values)
+    again = cls(*values.values())
+    assert r is not again and r == again and hash(r) == hash(again)
+    assert [getattr(r, name) for name in values] == list(values.values())
+    assert repr(r) == (cls.__name__ + "(" + ", ".join(
+        f"{name}={v!r}" for name, v in values.items()) + ")")
+    assert not hasattr(r, "__dict__")
+    for name in list(values) + ["other"]:
+        with pytest.raises(FrozenInstanceError):
+            setattr(r, name, 1)
+    for name in values:
+        with pytest.raises(FrozenInstanceError):
+            delattr(r, name)
+    assert r == again  # unchanged
+    defaults = DEFAULTS.get(cls, {})
+    assert {f.name: f.default for f in fields(cls)
+            if f.default is not MISSING} == defaults
+    required = {k: v for k, v in values.items() if k not in defaults}
+    bare = cls(**required)
+    assert {k: getattr(bare, k) for k in defaults} == defaults
+    if required:
+        with pytest.raises(TypeError):
+            cls()
+    with pytest.raises(TypeError):
+        cls(**values, other=1)
+    for copied in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r),
+                   copy.copy(r)):
+        assert type(copied) is cls and copied == r
+        assert hash(copied) == hash(r)

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import random
 import re
@@ -36,14 +37,18 @@ from taserial.asm import (
     UNDEF,
     Var,
     assign_choice_ids,
+    loc_key,
 )
+from taserial import dsl
 from taserial.dsl import (
     KEYWORDS,
     MachineProgram,
     ParseError,
     ProgramError,
+    location_entry,
     parse_program,
     print_formula,
+    print_location,
     print_program,
     print_rule,
     print_value,
@@ -240,6 +245,53 @@ def test_parsing_leaves_nothing_for_the_collector():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_two_parsed_programs_share_each_leaf_node():
+    p1 = parse_program("machine m1 rule: x() := g() + 3")
+    p2 = parse_program("machine m2 rule: if g() = 3 then y() := g() else skip")
+    g1, three1 = p1.main_rule.rhs.args
+    guard = p2.main_rule.guard
+    assert g1 == Apply("g") and three1 == Apply("3")
+    assert guard.left is g1 and guard.right is three1
+    assert p2.main_rule.then.rhs is g1
+    assert dsl._LEAVES["g"] is g1 and dsl._LEAVES["3"] is three1
+
+
+def test_a_too_long_integer_literal_never_enters_the_leaves():
+    digits = "9" * 5000
+    for _ in range(2):
+        with pytest.raises(ParseError, match="too long"):
+            parse_program(f"machine m rule: x() := {digits}")
+    assert digits not in dsl._LEAVES
+
+
+# Every kind of argument, several per function, and several arities.
+TABLE_LOCATIONS = [Location("x", ()), Location("arr", (3,)),
+                   Location("arr", (-2,)), Location("arr", ("q",)),
+                   Location("arr", ("é q",)), Location("arr", (TRUE,)),
+                   Location("arr", (FALSE,)), Location("arr", (UNDEF,)),
+                   Location("grid", (1, "q", FALSE)),
+                   Location("a", (2 ** 70,))]
+
+
+def test_the_location_table_answers_as_loc_key_and_print_location(
+        cold_locations):
+    expected = {l: (loc_key(l), print_location(l),
+                    json.dumps(print_location(l))) for l in TABLE_LOCATIONS}
+    cold = {l: location_entry(l) for l in TABLE_LOCATIONS}
+    assert cold == expected and cold_locations == expected
+    for l in TABLE_LOCATIONS:  # warm: the same entry
+        assert location_entry(l) is cold[l]
+    assert cold_locations == expected
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, None])
+def test_a_location_that_is_no_machine_value_never_enters_the_table(
+        bad, cold_locations):
+    with pytest.raises(TypeError, match="not a machine value"):
+        location_entry(Location("b", (bad,)))
+    assert cold_locations == {}
 
 
 def _renumbered(prog):

@@ -490,8 +490,10 @@ def test_one_and_true_clash_in_both_evaluators(items):
 
 
 def test_two_programs_share_the_code_of_g_and_read_their_own_state():
-    p1 = parse_program("machine m1 rule: x() := g()").main_rule
-    p2 = parse_program("machine m2 rule: y() := (g() + 1)").main_rule
+    # Built directly: the parser shares one node per name, so two parsed
+    # programs would hold the same g() node.
+    p1 = Assign(Apply("x"), Apply("g"))  # x() := g()
+    p2 = Assign(Apply("y"), Apply("+", (Apply("g"), Apply("1"))))
     g1, g2 = p1.rhs, p2.rhs.args[0]
     assert g1 is not g2 and g1 == g2 == Apply("g")
     assert rwloc._term(g1) is rwloc._term(g2)

@@ -64,6 +64,24 @@ def test_check_part_and_workload_parameters():
     assert took > 0 and digest == again
 
 
+def test_setup_part_times_random_config_alone(monkeypatch):
+    mods = seedmin.import_tree(ROOT)
+    random_config, calls = mods.fuzz.random_config, []
+
+    def counting(seed, params):
+        calls.append(seed)
+        return random_config(seed, params)
+    monkeypatch.setattr(mods.fuzz, "random_config", counting)
+    monkeypatch.setattr(mods.checker, "check_serializable", None)
+    time = seedmin.timer(mods, {}, "setup")
+    took, digest = time(4)
+    assert took > 0 and calls == [4, 4]  # the seed's one run, then timed
+    again, same = time(4)
+    assert again > 0 and same == digest
+    assert calls == [4, 4, 4]  # the run is not repeated
+    assert digest == seedmin.timer(mods, {}, "run")(4)[1]
+
+
 def test_every_run_timing_compiles_the_seeds_rules(monkeypatch):
     """A program keeps its compiled rules, and fuzzbench compiles a seed's
     rules once per run: so must every `--part run` timing of the seed."""

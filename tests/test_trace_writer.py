@@ -4,7 +4,7 @@ import pytest
 
 from taserial import controller, engine
 from taserial.asm import FALSE, TRUE, UNDEF, Location, State
-from taserial.dsl import parse_program
+from taserial.dsl import location_entry, parse_program
 from taserial.engine import (
     MachineStep,
     RunConfig,
@@ -149,6 +149,36 @@ def test_a_python_bool_float_or_none_is_not_a_value(bad, where):
     fragments.pairs(good)
     with pytest.raises(TypeError, match="not a machine value"):
         fragments.pairs([forged])
+
+
+@pytest.mark.parametrize("where", ["step", "lock", "initial_state"])
+def test_a_bool_argument_raises_after_the_equal_int_is_in_the_table(
+        where, cold_locations):
+    """The location table answers for a(True) with a(1)'s entry."""
+    location_entry(loc("a", 1))
+    assert loc("a", True) in cold_locations
+    if where == "initial_state":
+        program = parse_program("machine m shared a/1 rule: skip")
+        config = RunConfig([program], shared_inits=[(loc("a", True), 1)])
+        with pytest.raises(TypeError, match="not a machine value: True"):
+            config.initial_state()
+        return
+    if where == "step":
+        trace = _trace([_step(0, [(loc("a", True), 1)])])
+    else:
+        pair = controller.LockPair(frozenset({loc("a", True)}), frozenset())
+        trace = _trace([StepRecord(0, {}, [
+            {"kind": "lock_grant", "machine": "m0", "locks": pair}])])
+    with pytest.raises(TypeError, match="not a machine value: True"):
+        trace_to_lines(trace)
+
+
+def test_a_symbol_holding_a_comma_raises_after_entering_the_table(
+        cold_locations):
+    location_entry(loc("a", "x,'y"))
+    trace = _trace([_step(0, [(loc("a", "x,'y"), 1)])])
+    with pytest.raises(ValueError, match="holds a comma"):
+        trace_to_lines(trace)
 
 
 def test_a_symbol_argument_holding_a_comma_is_not_written():

@@ -16,7 +16,7 @@ from taserial.controller import (
     LockPair,
     Request,
 )
-from taserial.dsl import MachineProgram, parse_program
+from taserial.dsl import LOCATIONS, MachineProgram, parse_program
 from taserial.engine import RunConfig
 from taserial.wrapper import (
     ACTIVE,
@@ -524,16 +524,16 @@ SORT_PAIRS = [(loc("x"), 1), (loc("arr", 3), 0), (loc("arr", -2), 1),
 
 
 def test_by_location_sorts_by_loc_key_with_the_memo_cold_and_warm(
-        monkeypatch):
-    monkeypatch.setattr(wrapper, "_SORT_KEYS", {})
+        cold_locations):
     expected = tuple(sorted(SORT_PAIRS, key=lambda p: loc_key(p[0])))
     shuffled = SORT_PAIRS[1::2] + SORT_PAIRS[::2]
     assert _by_location(iter(shuffled)) == expected  # cold
-    assert wrapper._SORT_KEYS == {l: loc_key(l) for l, _ in SORT_PAIRS}
+    assert {l: e[0] for l, e in cold_locations.items()} == {
+        l: loc_key(l) for l, _ in SORT_PAIRS}
     for pairs in (SORT_PAIRS, SORT_PAIRS[::-1], shuffled):  # warm
         assert _by_location(pairs) == expected
     half = SORT_PAIRS[:7]
-    monkeypatch.setattr(wrapper, "_SORT_KEYS", {})
+    cold_locations.clear()
     _by_location(half[::2])  # partly warm
     assert _by_location(half) == tuple(sorted(half,
                                               key=lambda p: loc_key(p[0])))
@@ -542,8 +542,8 @@ def test_by_location_sorts_by_loc_key_with_the_memo_cold_and_warm(
 
 def test_a_memoized_location_leaves_the_bool_check_of_initial_state():
     _by_location([(loc("a", 1), 0)])
-    # a(True) equals a(1), so the memo would answer for it.
-    assert wrapper._SORT_KEYS[loc("a", True)] == ("a", (("i", 1),))
+    # a(True) equals a(1), so the table would answer for it.
+    assert LOCATIONS[loc("a", True)][0] == ("a", (("i", 1),))
     program = parse_program("machine m shared a/1 init a(1) := 0 rule: skip")
     config = RunConfig([program], shared_inits=[(loc("a", True), 1)])
     with pytest.raises(TypeError, match="not a machine value: True"):

@@ -22,7 +22,10 @@ section: a program keeps its compiled rules, so a config run before would
 skip compiling them, which fuzzbench pays once per seed.  `--part check`
 times `engine.trace_from_lines` plus `checker.check_serializable` of the
 tree's own trace, its check section; the decoder parses the programs, and
-so compiles them, anew every time.
+so compiles them, anew every time.  `--part setup` times the tree's own
+`fuzz.random_config` of the seed, which fuzzbench's set-up calls once per
+seed.  The parts but `run` take their trace from one run of the seed per
+tree, outside every timed section.
 
 It prints both sums of the minima, the median per-seed ratio (change over
 parent), the number of seeds the change won, and whether both trees wrote
@@ -105,17 +108,24 @@ def timer(mods, params: dict, part: str) -> Callable[[int], tuple]:
     fuzz, engine, checker = mods.fuzz, mods.engine, mods.checker
     lines: Dict[int, List[str]] = {}
 
+    def configure(seed: int):
+        return fuzz.random_config(seed, fuzz.FuzzParams(**params))
+
     def time(seed: int) -> tuple:
-        config = fuzz.random_config(seed, fuzz.FuzzParams(**params))
-        if part == "check" and seed not in lines:
-            lines[seed] = engine.trace_to_lines(engine.run(config))
+        config = None if part == "setup" else configure(seed)
+        if part != "run" and seed not in lines:
+            lines[seed] = engine.trace_to_lines(
+                engine.run(config or configure(seed)))
         gc.collect()
         t0 = perf_counter()
         if part == "run":
             written = engine.trace_to_lines(engine.run(config))
-        else:
+        elif part == "check":
             written = lines[seed]
             checker.check_serializable(engine.trace_from_lines(written))
+        else:
+            configure(seed)
+            written = lines[seed]
         took = perf_counter() - t0
         digest = hashlib.sha256()
         for line in written:
@@ -203,7 +213,8 @@ def main(argv=None) -> int:
                              "of a 30-second fuzzbench run of the workload, "
                              "0:1200 for fuzz3, 0:54 for fuzz12, 0:30 for "
                              "fuzz24)")
-    parser.add_argument("--part", choices=("run", "check"), default="run")
+    parser.add_argument("--part", choices=("run", "check", "setup"),
+                        default="run")
     args = parser.parse_args(argv)
     if args.seeds is None:
         args.seeds = default_seeds(args.change, args.workload)
